@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--requests",
         type=int,
-        default=2000,
-        help="serve: total request budget across tenants (default 2000)",
+        help="serve/chaos: total request budget across tenants (default: "
+        "each experiment's own — 2000 for serve, 400 for the chaos drills)",
     )
     parser.add_argument(
         "--closed-loop",
@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--nodes",
         type=int,
-        default=10,
-        help="cluster-chaos: simulated serving nodes in the fleet (default 10)",
+        help="cluster/recovery-chaos: simulated serving nodes in the fleet "
+        "(default: 10 for cluster-chaos, 6 for recovery-chaos)",
     )
     parser.add_argument(
         "--replication",
@@ -181,7 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def experiment_kwargs(name: str, args: argparse.Namespace) -> Dict:
-    """The kwargs ``run`` passes to ``EXPERIMENTS[name]`` for these flags."""
+    """The kwargs ``run`` passes to ``EXPERIMENTS[name]`` for these flags.
+
+    ``--requests`` and ``--nodes`` are forwarded only when given, so each
+    experiment keeps its own default sizes otherwise.
+    """
     kwargs: Dict = {}
     if name in TAKES_QUICK:
         kwargs["quick"] = not args.full
@@ -193,29 +197,29 @@ def experiment_kwargs(name: str, args: argparse.Namespace) -> Dict:
         kwargs["repeats"] = args.repeats
     if name in TAKES_SERVE:
         kwargs["tenants"] = args.tenants
-        kwargs["requests"] = args.requests
         kwargs["seed"] = args.seed
         kwargs["closed_loop"] = args.closed_loop
         if args.scheme:
             kwargs["schemes"] = [args.scheme]
     if name in TAKES_CHAOS:
         kwargs["tenants"] = args.tenants
-        kwargs["requests"] = args.requests
         kwargs["seed"] = args.seed
         kwargs["repeats"] = args.repeats
         if args.scheme:
             kwargs["schemes"] = [args.scheme]
     if name in TAKES_CLUSTER:
         kwargs["tenants"] = args.tenants
-        kwargs["requests"] = args.requests
         kwargs["seed"] = args.seed
         kwargs["repeats"] = args.repeats
-        kwargs["nodes"] = args.nodes
         kwargs["replication"] = args.replication
+        if args.nodes is not None:
+            kwargs["nodes"] = args.nodes
         if args.scheme:
             kwargs["schemes"] = [args.scheme]
     if name in TAKES_QUORUM:
         kwargs["quorum"] = args.quorum
+    if args.requests is not None and name in TAKES_SERVE | TAKES_CHAOS | TAKES_CLUSTER:
+        kwargs["requests"] = args.requests
     return kwargs
 
 

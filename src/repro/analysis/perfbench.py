@@ -17,10 +17,8 @@ Times the three layers the hot-path work targets and writes the numbers to
   path (seqlock acquire, in-place store, version bump; schema 4);
 * **mixed** — simulated requests/sec through the serving tier under
   read/write service mixes (95/5 and 50/50, schema 4);
-* **cee** — CEE steps/sec through the ROI drain with the CFA
-  specialization layer on vs off (schema 6): bit-identity guarantees both
-  modes execute the same step count, so the pair isolates the
-  per-transition cost the compiled closures + batched ready-drain remove.
+* **cee** — CEE steps/sec through a pure accelerator drain (schema 6;
+  reported under the ``on`` key, the only CEE driver since schema 8).
 * **mem** — memory-hierarchy accesses/sec and warm_lines lines/sec with
   the epoch-memoized fast path on vs off (schema 7): a hot line-reuse
   stream through :class:`~repro.mem.hierarchy.MemoryHierarchy`, so the
@@ -42,14 +40,13 @@ forward.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Simulated clock for converting cycle counts to seconds (config.py).
 _FREQUENCY_HZ = 2.5e9
@@ -233,69 +230,39 @@ def bench_mixed(requests: int = 800) -> Dict[str, float]:
     return rates
 
 
-def _specialize_mode() -> str:
-    """The ambient QEI_NO_SPECIALIZE switch, as accelerator.__init__ reads it."""
-    off = os.environ.get("QEI_NO_SPECIALIZE", "").lower() in ("1", "true", "yes")
-    return "off" if off else "on"
-
-
-def _fastmem_mode() -> str:
-    """The ambient QEI_NO_FASTMEM switch, as mem.fastpath.enabled() reads it."""
-    off = os.environ.get("QEI_NO_FASTMEM", "").lower() in ("1", "true", "yes")
-    return "off" if off else "on"
-
-
 def bench_cee(queries: int = 4000, burst: int = 32) -> Dict[str, float]:
-    """CEE steps/sec through a pure accelerator drain, per specialize mode.
+    """CEE steps/sec through a pure accelerator drain.
 
     Unlike :func:`bench_queries`, no CPU core trace runs: queries are
     submitted straight to the accelerator in bursts and the engine drains
-    them, so the measured path is exactly what the specialization layer
-    targets — step dispatch, micro-op execution and ready-entry
-    scheduling.  Golden-stats bit-identity guarantees both modes execute
-    the *same* step count for the same queries, so steps per wall second
-    compares like for like: compiled step closures + batched ready-drain
-    (``on``) versus the generic string-keyed interpreter (``off``).  The
-    accelerator samples the switch at construction and snapshot restore
-    builds the System fresh, so toggling the environment between legs is
-    safe in-process.
+    them, so the measured path is exactly the CEE driver — step dispatch,
+    micro-op execution and ready-entry scheduling.  The rate is reported
+    under the ``on`` key, the name schema 6 and 7 baselines gate it by.
     """
     from ..core.accelerator import QueryRequest
     from .experiments import _build
 
-    rates: Dict[str, float] = {}
-    prior = os.environ.get("QEI_NO_SPECIALIZE")
-    try:
-        for mode, flag in (("on", "0"), ("off", "1")):
-            os.environ["QEI_NO_SPECIALIZE"] = flag
+    def one_round() -> float:
+        system, wl = _build("dpdk", "cha-tlb", quick=True)
+        accel = system.accelerator
+        engine = system.engine
+        addrs = wl._query_addrs
+        n = len(addrs)
+        start = time.perf_counter()
+        for base in range(0, queries, burst):
+            for i in range(base, min(base + burst, queries)):
+                accel.submit(
+                    QueryRequest(
+                        header_addr=wl.header_addr_for(i % n),
+                        key_addr=addrs[i % n],
+                    ),
+                    engine.now,
+                )
+            engine.run()
+        elapsed = time.perf_counter() - start
+        return accel._steps.value / elapsed if elapsed > 0 else 0.0
 
-            def one_round() -> float:
-                system, wl = _build("dpdk", "cha-tlb", quick=True)
-                accel = system.accelerator
-                engine = system.engine
-                addrs = wl._query_addrs
-                n = len(addrs)
-                start = time.perf_counter()
-                for base in range(0, queries, burst):
-                    for i in range(base, min(base + burst, queries)):
-                        accel.submit(
-                            QueryRequest(
-                                header_addr=wl.header_addr_for(i % n),
-                                key_addr=addrs[i % n],
-                            ),
-                            engine.now,
-                        )
-                    engine.run()
-                elapsed = time.perf_counter() - start
-                return accel._steps.value / elapsed if elapsed > 0 else 0.0
-
-            rates[mode] = _best_of(ROUNDS, one_round)
-    finally:
-        if prior is None:
-            os.environ.pop("QEI_NO_SPECIALIZE", None)
-        else:
-            os.environ["QEI_NO_SPECIALIZE"] = prior
-    return rates
+    return {"on": _best_of(ROUNDS, one_round)}
 
 
 def bench_mem(
@@ -311,9 +278,8 @@ def bench_mem(
     layer's saving per access.  The warm leg times
     :meth:`~repro.mem.hierarchy.MemoryHierarchy.warm_lines` re-sweeping an
     already-resident line set, the dominant cost of snapshot-free system
-    builds.  Both modes force the construction switch explicitly
-    (``fastmem=True/False``), so the bench is independent of the ambient
-    ``QEI_NO_FASTMEM`` environment.
+    builds.  The two modes are built with ``fastmem=True`` and
+    ``fastmem=False``.
     """
     from ..config import SystemConfig
     from ..mem.hierarchy import MemoryHierarchy
@@ -413,8 +379,6 @@ def run_bench(quick: bool = True) -> Dict:
         "schema": SCHEMA_VERSION,
         "quick": quick,
         "snapshot": snapshot.enabled(),
-        "specialize": _specialize_mode(),
-        "fastmem": _fastmem_mode(),
         "code": code_fingerprint(),
         "engine_events_per_sec": bench_engine(),
         "cee_steps_per_sec": bench_cee(),
@@ -465,10 +429,14 @@ def compare(current: Dict, baseline: Dict, threshold: float) -> Dict[str, Dict]:
     ``specialize`` provenance in 6, the per-mode ``mem`` access/warm pairs
     and ``fastmem`` provenance in 7), which the shared-metric intersection
     below already handles — a schema-3 baseline keeps gating engine, queries,
-    serve and cluster throughput against a schema-5 run.  The schema-5
-    ``recovery`` block (``recovery_seconds``, ``replication_lag_p99``)
-    is deterministic simulated time, not host throughput, so it is
-    deliberately absent from :func:`_throughput_metrics` and never gated.
+    serve and cluster throughput against a schema-5 run.  Schema 8 only
+    removed fields: the ``specialize``/``fastmem`` provenance and the
+    ``cee_steps_per_sec`` ``off`` leg (the CEE has one driver), so a
+    schema-7 baseline keeps gating ``cee_steps_per_sec/on`` and the rest.
+    The schema-5 ``recovery`` block (``recovery_seconds``,
+    ``replication_lag_p99``) is deterministic simulated time, not host
+    throughput, so it is deliberately absent from
+    :func:`_throughput_metrics` and never gated.
     """
     report: Dict[str, Dict] = {}
     cur = _throughput_metrics(current)
@@ -517,12 +485,9 @@ def perfbench_main(
     else:
         mode = "quick" if quick else "full"
         snap = "snapshots on" if payload["snapshot"] else "snapshots off"
-        spec = f"specialize {payload['specialize']}"
-        fast = f"fastmem {payload['fastmem']}"
-        print(f"== perfbench ({mode}, {snap}, {spec}, {fast}) -> {output} ==")
+        print(f"== perfbench ({mode}, {snap}) -> {output} ==")
         print(f"engine:  {payload['engine_events_per_sec']:>12,.0f} events/sec")
-        for cee_mode, rate in payload["cee_steps_per_sec"].items():
-            print(f"cee:     {rate:>12,.0f} steps/sec  [specialize {cee_mode}]")
+        print(f"cee:     {payload['cee_steps_per_sec']['on']:>12,.0f} steps/sec")
         for mem_mode, rate in payload["mem"]["access"].items():
             print(f"mem:     {rate:>12,.0f} accesses/sec  [fastmem {mem_mode}]")
         for mem_mode, rate in payload["mem"]["warm"].items():

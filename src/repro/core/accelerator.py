@@ -12,51 +12,47 @@ simulated address space into scratch, ``Compare`` really memcmps, and the
 final ``Done`` value is the architecturally correct query result — tests
 cross-check it against the pure software reference.
 
-**Macro-step fusion.**  Dispatching one engine event per CFA transition is
-the simulator's dominant cost at sweep scale, yet most of those events are
-provably unobservable: every substrate the CEE touches (integration timing
-paths, DPU pools, the NoC) takes an explicit ``now``, so a transition's
-effects depend only on the simulated time and the order it runs in — not on
-the engine clock.  :meth:`QeiAccelerator._step` therefore steps its entry in
-a tight inner loop, advancing a *virtual* ``now`` arithmetically, for as
-long as the next transition is provably the globally next thing to happen:
-its start cycle must precede every pending engine event
-(:meth:`~repro.sim.engine.Engine.peek_time`) and stay inside the active
-run's horizon.  The moment either condition fails, the loop falls back to
-the event-driven path, which is byte-for-byte the pre-fusion interpreter —
-and ``QEI_NO_FUSION=1`` forces that reference path for every transition.
-Completions and faults reached at a virtual time ahead of the engine clock
-are deferred to an event at that cycle, so the completion machinery (result
-writes, QST release, queue drain, quiesce callbacks) always observes the
-correct ``engine.now``.  ``tests/test_golden_stats.py`` pins that fusion
-changes no simulated number.
+**One CEE driver.**  Every accepted query is bound, at accept time, to a
+compiled step function (:mod:`repro.core.specialize`): a hand-specialized
+closure for the seven built-in lookups, a prebound wrapper around
+``program.step`` for every other registered program, or the *dispatch*
+step that looks the program up on each transition (unregistered type
+codes, header pages unmapped at accept).  The interpreted programs stay
+the executable specification; the compiled forms are checked against them
+by ``tests/test_specialize_properties.py`` and the golden-stats grid.
 
-**CFA specialization + batched ready-drain.**  Orthogonally to fusion, each
-registered firmware program is compiled at load/hot-swap time into a flat
-step closure (:mod:`repro.core.specialize`): pre-bound constants,
-slot-indexed scratch registers, tuple micro-ops the driver
-(:meth:`QeiAccelerator._step_at_fast`) executes inline with no firmware
-probe and no dataclass allocation.  Queries with a compiled program skip
-the engine's one-event-per-wake scheduling too: their pending steps/wakes
-live in slot-indexed parallel arrays (``_rdy_*``) plus a ``(time, seq,
-slot)`` min-heap, and a single *sentinel* engine event — armed at the heap
-head's exact ``(time, seq)`` key via pre-allocated tickets
+**Batched ready-drain.**  Pending steps and wakes live in slot-indexed
+parallel arrays (``_rdy_*``) plus a ``(time, seq, slot)`` min-heap, and a
+single *sentinel* engine event — armed at the heap head's exact
+``(time, seq)`` key via pre-allocated tickets
 (:meth:`~repro.sim.engine.Engine.ticket`) — drains every due entry in one
-callback.  Because each entry's ticket is taken exactly where the reference
-path would have allocated its event's sequence number, the drain executes
-steps in precisely the order the one-event-per-transition interpreter
-would, interleaved correctly against ordinary engine events
-(:meth:`~repro.sim.engine.Engine.peek_key` decides who goes first on
-same-cycle ties).  ``QEI_NO_SPECIALIZE=1`` forces the generic interpreter
-for every query, mirroring ``QEI_NO_FUSION``, and the golden-stats suite
-pins all four {fusion, specialize} mode combinations to identical output.
+callback.  Each entry's ticket is taken exactly where a
+one-event-per-transition engine would allocate its event's sequence
+number, so the drain runs steps in that order and interleaves correctly
+with ordinary engine events (:meth:`~repro.sim.engine.Engine.peek_key`
+decides who goes first on same-cycle ties).
+
+**Macro-step fusion.**  Every substrate the CEE touches (integration
+timing paths, DPU pools, the NoC) takes an explicit ``now``, so a
+transition's effects depend only on the simulated time and the order it
+runs in — not on the engine clock.  :meth:`QeiAccelerator._step_at_fast`
+therefore steps its entry in a tight inner loop, advancing a *virtual*
+``now`` arithmetically, for as long as the next transition is provably the
+globally next thing to happen: its start cycle must precede every pending
+engine event and ready entry
+(:meth:`~repro.sim.engine.Engine.peek_time`) and stay inside the active
+run's horizon.  Otherwise the entry goes back on the ready heap.
+Completions and faults reached at a virtual time ahead of the engine clock
+are deferred to an event at that cycle, so the completion machinery
+(result writes, QST release, queue drain, quiesce callbacks) always
+observes the correct ``engine.now``.  ``tests/golden_stats.json`` pins
+that none of this changes a simulated number.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
@@ -66,7 +62,6 @@ from ..errors import (
     FirmwareError,
     MemoryError_,
     ProtectionFault,
-    QstOverflowError,
     SegmentationFault,
 )
 from ..mem.paging import AddressSpace
@@ -77,8 +72,6 @@ from .cfa import (
     AluOp,
     Compare,
     Delay,
-    Done,
-    Fault,
     FirmwareImage,
     HashOp,
     HeaderCas,
@@ -91,7 +84,6 @@ from .cfa import (
     RESULT_FAULT,
     RESULT_FOUND,
     RESULT_NOT_FOUND,
-    STATE_DONE,
     STATE_EXCEPTION,
 )
 from .header import VERSION_OFFSET
@@ -108,8 +100,8 @@ from .specialize import (
     K_HASH,
     K_MEMREAD,
     K_MEMREAD_OPT,
-    K_WAIT,
     compile_firmware,
+    dispatch_step,
 )
 
 #: Value written alongside the status flag for "not found" results.
@@ -221,22 +213,13 @@ class QeiAccelerator:
         # One CEE clock per accelerator instance: keyed by the home node, so
         # distributed (per-CHA / per-core) engines pipeline independently.
         self._cee_free_at: Dict[int, int] = {}
-        #: Macro-step fusion switch (see module docstring).  QEI_NO_FUSION=1
-        #: forces the unfused one-event-per-transition reference interpreter.
-        self._fuse = os.environ.get("QEI_NO_FUSION", "").lower() not in (
-            "1", "true", "yes",
-        )
-        #: CFA specialization switch (see module docstring and
-        #: repro/core/specialize.py).  QEI_NO_SPECIALIZE=1 forces the
-        #: generic one-event-per-transition interpreter for every query.
-        self._specialize = os.environ.get("QEI_NO_SPECIALIZE", "").lower() not in (
-            "1", "true", "yes",
-        )
         # Compiled firmware tables, rebuilt lazily whenever firmware.epoch
         # moves (initial load, runtime register(), hot-swap adopt()).
         self._compiled_epoch = -1
         self._compiled_lookup: Dict[int, CompiledStep] = {}
         self._compiled_mut: Dict[int, CompiledStep] = {}
+        # The fallback route for queries no compiled table covers.
+        self._dispatch = dispatch_step(firmware, space)
         # Batched CEE ready set, SoA-style: QST-slot-indexed parallel arrays
         # — live ticket seq (-1 when consumed), ready cycle, generation,
         # wake-vs-step kind, and the slot's compiled step fn — plus a
@@ -261,17 +244,11 @@ class QeiAccelerator:
         self._completed = self.stats.counter("queries.completed")
         self._faulted = self.stats.counter("queries.faulted")
         self._latency = self.stats.histogram("query.latency")
-        self._uop_counts = {
-            "mem": self.stats.counter("uops.mem"),
-            "compare": self.stats.counter("uops.compare"),
-            "hash": self.stats.counter("uops.hash"),
-            "alu": self.stats.counter("uops.alu"),
-        }
-        # Pre-bound counter bumps for the specialized driver's hot loop.
-        self._count_mem = self._uop_counts["mem"].add
-        self._count_cmp = self._uop_counts["compare"].add
-        self._count_hash = self._uop_counts["hash"].add
-        self._count_alu = self._uop_counts["alu"].add
+        # Pre-bound micro-op counter bumps for the driver's hot loop.
+        self._count_mem = self.stats.counter("uops.mem").add
+        self._count_cmp = self.stats.counter("uops.compare").add
+        self._count_hash = self.stats.counter("uops.hash").add
+        self._count_alu = self.stats.counter("uops.alu").add
 
     # ------------------------------------------------------------------ #
     # Submission (driven by the QUERY instructions)
@@ -423,26 +400,22 @@ class QeiAccelerator:
             self._n_handles += 1
             fn = self._resolve_compiled(ctx)
             self._rdy_fn[entry.index] = fn
-            if fn is None:
-                self._schedule_step(entry, self.engine.now)
-            else:
-                if not fn.prebound:
-                    # Specialized tier: slot-indexed registers, int states.
-                    ctx.scratch = [0] * fn.nregs  # type: ignore[assignment]
-                    ctx.state = 0  # type: ignore[assignment]
-                self._sched_fast(entry, self.engine.now)
+            if not fn.prebound:
+                # Specialized tier: slot-indexed registers, int states.
+                ctx.scratch = [0] * fn.nregs  # type: ignore[assignment]
+                ctx.state = 0  # type: ignore[assignment]
+            self._sched_fast(entry, self.engine.now)
 
-    def _resolve_compiled(self, ctx: QueryContext) -> Optional[CompiledStep]:
-        """Bind the accepted query to its compiled program, if any.
+    def _resolve_compiled(self, ctx: QueryContext) -> CompiledStep:
+        """Bind the accepted query to its compiled step function.
 
         The compiled tables are rebuilt whenever ``firmware.epoch`` moved
         (hot-swap ``adopt`` bumps it after quiescing, so in-flight queries
-        never observe a rebuild).  The type byte is peeked functionally; if
-        its page is unmapped the query runs the generic path, which faults
-        with reference timing on its first step.
+        never observe a rebuild).  The type byte is peeked functionally; an
+        unregistered type, or an unmapped header page, binds the dispatch
+        step, which faults with the interpreter's code and timing on the
+        step that meets the problem.
         """
-        if not self._specialize:
-            return None
         firmware = self.firmware
         if self._compiled_epoch != firmware.epoch:
             self._compiled_lookup, self._compiled_mut = compile_firmware(firmware)
@@ -450,170 +423,13 @@ class QeiAccelerator:
         try:
             type_code = self.space.read_u8(ctx.header_addr + 8)
         except MemoryError_:
-            return None
-        if ctx.op == OP_LOOKUP:
-            return self._compiled_lookup.get(type_code)
-        return self._compiled_mut.get(type_code)
+            return self._dispatch
+        table = self._compiled_lookup if ctx.op == OP_LOOKUP else self._compiled_mut
+        return table.get(type_code, self._dispatch)
 
     # ------------------------------------------------------------------ #
-    # CEE: one state transition per cycle for one ready entry
+    # Terminal helpers
     # ------------------------------------------------------------------ #
-
-    def _schedule_step(
-        self, entry: QstEntry, earliest: int, *, inline_ok: bool = False
-    ) -> None:
-        handle = self._handles[entry.index]
-        if handle is None or not entry.busy:
-            return  # released (fault/flush) before this wakeup landed
-        home = handle._home  # type: ignore[attr-defined]
-        start = max(earliest, self._cee_free_at.get(home, 0), self.engine.now)
-        self._cee_free_at[home] = start + 1
-        generation = entry.generation
-        if inline_ok and self._fuse:
-            # Fuse across the wake boundary: the caller guarantees nothing
-            # runs after this call in its event, so when the step at
-            # ``start`` is provably the globally next thing to happen it can
-            # execute here instead of round-tripping through the heap.
-            peek = self.engine.peek_time()
-            horizon = self.engine.run_horizon
-            if (peek is None or peek > start) and (
-                horizon is None or start <= horizon
-            ):
-                self._step_at(entry, generation, start)
-                return
-        self.engine.schedule_at(start, lambda: self._step(entry, generation))
-
-    def _step(self, entry: QstEntry, generation: int) -> None:
-        self._step_at(entry, generation, self.engine.now)
-
-    def _step_at(self, entry: QstEntry, generation: int, now: int) -> None:
-        """Step the entry's CFA, fusing transitions while provably safe.
-
-        ``now`` is the cycle this step executes at — the engine clock when
-        entered from a step event, possibly ahead of it when fused across a
-        wake boundary — and advances virtually as transitions fuse.  A
-        transition at ``start`` may fuse only when ``start`` strictly
-        precedes every pending engine event and lies inside the active run's
-        horizon — under that guard no event can interleave, so the operation
-        sequence (and every stat) is identical to the event-driven path.
-        """
-        engine = self.engine
-        while True:
-            if not entry.busy or entry.ctx is None or entry.generation != generation:
-                return  # flushed while waiting (slot possibly re-allocated)
-            ctx = entry.ctx
-            handle = self._handles[entry.index]
-            self._steps.add()
-            entry.steps += 1
-            if entry.steps > self.watchdog_steps:
-                # Per-query watchdog (Sec. IV-D hardening): a corrupted
-                # pointer chain can cycle forever; the budget bounds every
-                # walk.
-                detail = f"watchdog: exceeded {self.watchdog_steps} CEE steps"
-                self._run_terminal(
-                    now,
-                    lambda: self._fault(
-                        entry, handle, detail, code=AbortCode.WATCHDOG
-                    ),
-                )
-                return
-            try:
-                # The header's type selects the CFA program; before the
-                # header is parsed we must peek at the request (START state)
-                # generically.
-                type_code = (
-                    ctx.header.type_code if ctx.header else self._peek_type(ctx)
-                )
-                program = self.firmware.program_for(type_code, op=ctx.op)
-                outcome = program.step(ctx)
-            except MemoryError_ as fault:
-                detail, code = str(fault), self._memory_code(fault)
-                self._run_terminal(
-                    now, lambda: self._fault(entry, handle, detail, code=code)
-                )
-                return
-            except FirmwareError as exc:
-                detail = str(exc)
-                self._run_terminal(
-                    now,
-                    lambda: self._fault(
-                        entry, handle, detail, code=AbortCode.BAD_TYPE
-                    ),
-                )
-                return
-            except Exception as exc:  # noqa: BLE001 - firmware bugs become faults
-                detail = f"firmware error: {exc}"
-                self._run_terminal(
-                    now,
-                    lambda: self._fault(
-                        entry, handle, detail, code=AbortCode.FIRMWARE
-                    ),
-                )
-                return
-            ctx.state = outcome.next_state
-            action = outcome.action
-            if action is None:
-                ready_at = now + 1
-            elif isinstance(action, Done):
-                if self._version_conflict(ctx):
-                    # Seqlock re-validation of the locally-held header line:
-                    # the version moved (or went odd) while the walk ran, so
-                    # a writer raced us and the result may be torn.  Abort;
-                    # the software fallback retries against settled state.
-                    # Functional read only — zero simulated cycles, so
-                    # read-only runs (version fixed at 0) are bit-identical.
-                    detail = "header version changed during walk"
-                    self._run_terminal(
-                        now,
-                        lambda: self._finish_fault(
-                            entry, handle, detail,
-                            code=AbortCode.VERSION_CONFLICT,
-                        ),
-                    )
-                    return
-                value = action.value
-                self._run_terminal(
-                    now, lambda: self._finish_complete(entry, handle, value)
-                )
-                return
-            elif isinstance(action, Fault):
-                detail = action.detail or "CFA fault"
-                code = AbortCode.of(action.code)
-                self._run_terminal(
-                    now,
-                    lambda: self._finish_fault(entry, handle, detail, code=code),
-                )
-                return
-            else:
-                try:
-                    ready_at = self._issue_timed(entry, handle, action, now)
-                except MemoryError_ as fault:
-                    detail, code = str(fault), self._memory_code(fault)
-                    self._run_terminal(
-                        now,
-                        lambda: self._fault(entry, handle, detail, code=code),
-                    )
-                    return
-            home = handle._home  # type: ignore[attr-defined]
-            start = max(ready_at, self._cee_free_at.get(home, 0))
-            if self._fuse:
-                peek = engine.peek_time()
-                horizon = engine.run_horizon
-                if (peek is None or peek > start) and (
-                    horizon is None or start <= horizon
-                ):
-                    # Provably the next thing to happen: take the CEE slot
-                    # arithmetically and keep stepping, no event round-trip.
-                    self._cee_free_at[home] = start + 1
-                    now = start
-                    continue
-            # Fall back to the event-driven path — byte-for-byte the
-            # unfused reference interpreter's scheduling.
-            if action is None:
-                self._schedule_step(entry, now + 1)
-            else:
-                self._resume_after(entry, ready_at)
-            return
 
     def _run_terminal(self, now: int, action: Callable[[], None]) -> None:
         """Run a completion/fault at (virtual) time ``now``.
@@ -622,8 +438,8 @@ class QeiAccelerator:
         completion machinery reads ``engine.now``, so the terminal is
         deferred to an event at ``now`` — which the fusion guard has proven
         is the next thing to happen.  At the head of a run
-        (``now == engine.now``) it executes inline, preserving the unfused
-        interpreter's same-cycle ordering.
+        (``now == engine.now``) it executes inline, preserving
+        one-event-per-transition same-cycle ordering.
         """
         if now == self.engine.now:
             action()
@@ -647,6 +463,15 @@ class QeiAccelerator:
             self._fault(entry, handle, detail, code=code)
         except MemoryError_ as fault:
             self._fault(entry, handle, str(fault), code=self._memory_code(fault))
+
+    @classmethod
+    def _step_error(cls, exc: Exception) -> tuple:
+        """The (detail, abort code) a CFA step's exception faults with."""
+        if isinstance(exc, MemoryError_):
+            return str(exc), cls._memory_code(exc)
+        if isinstance(exc, FirmwareError):
+            return str(exc), AbortCode.BAD_TYPE
+        return f"firmware error: {exc}", AbortCode.FIRMWARE
 
     @staticmethod
     def _memory_code(fault: MemoryError_) -> AbortCode:
@@ -673,15 +498,6 @@ class QeiAccelerator:
             return True  # header page vanished mid-walk: treat as conflict
         return current != observed
 
-    def _peek_type(self, ctx: QueryContext) -> int:
-        """Read the type byte functionally to pick the program for START.
-
-        Architecturally the CEE's generic metadata-fetch microcode runs
-        before type dispatch; using the (already validated at PARSE) type
-        byte here keeps the Python dispatch simple without changing timing.
-        """
-        return self.space.read_u8(ctx.header_addr + 8)
-
     # ------------------------------------------------------------------ #
     # Micro-operation issue
     # ------------------------------------------------------------------ #
@@ -701,7 +517,7 @@ class QeiAccelerator:
         integ = self.integration
 
         if isinstance(action, MemRead):
-            self._uop_counts["mem"].add()
+            self._count_mem()
             latency = 0
             for vaddr, length, tag in action.segments():
                 length = self._usable_length(vaddr, length, action.optional_after)
@@ -711,7 +527,7 @@ class QeiAccelerator:
             return now + max(1, latency)
 
         if isinstance(action, Compare):
-            self._uop_counts["compare"].add()
+            self._count_cmp()
             latency = integ.compare(
                 action.mem_vaddr, action.key_vaddr, action.length, now, home, core_id
             )
@@ -722,14 +538,14 @@ class QeiAccelerator:
             return now + max(1, latency)
 
         if isinstance(action, HashOp):
-            self._uop_counts["hash"].add()
+            self._count_hash()
             data = entry.ctx.scratch[action.key_tag]
             done = integ.hash_unit.hash(now, len(data))
             entry.ctx.results[action.tag] = fnv1a64(data)
             return done
 
         if isinstance(action, AluOp):
-            self._uop_counts["alu"].add()
+            self._count_alu()
             return integ.alus.alu(now, action.cycles)
 
         # Write-path micro-ops (docs/mutations.md).  Their stats counters
@@ -792,31 +608,20 @@ class QeiAccelerator:
             usable = min(length, usable + step)
         return usable
 
-    def _resume_after(self, entry: QstEntry, ready_at: int) -> None:
-        generation = entry.generation
-
-        def wake() -> None:
-            if entry.generation == generation:
-                # Nothing runs after this in the wake event, so the step may
-                # fuse inline when the guard proves no event can interleave.
-                self._schedule_step(entry, self.engine.now, inline_ok=True)
-
-        self.engine.schedule_at(max(ready_at, self.engine.now), wake)
-
     # ------------------------------------------------------------------ #
-    # Specialized path: batched ready-drain + compiled step driver
+    # CEE driver: batched ready-drain + compiled step loop
     # ------------------------------------------------------------------ #
 
     def _push_ready(self, entry: QstEntry, time: int, wake: bool) -> None:
         """Enqueue a deferred step/wake for ``entry`` at ``time``.
 
-        The engine ticket is allocated here — exactly where the reference
-        path would have allocated its event's sequence number — so entries
-        keep the reference's relative ordering against each other and
-        against ordinary engine events.  A slot's previous ready entry (if
-        any — flush/fail can strand one) is invalidated by overwriting
-        ``_rdy_seq``; the stale heap tuple is skipped at pop, mirroring the
-        reference's no-op events for released entries.
+        The engine ticket is allocated here — exactly where a
+        one-event-per-transition engine would allocate its event's
+        sequence number — so entries keep that relative ordering against
+        each other and against ordinary engine events.  A slot's previous
+        ready entry (if any — flush/fail can strand one) is invalidated by
+        overwriting ``_rdy_seq``; the stale heap tuple is skipped at pop,
+        as a no-op event for a released entry would be.
         """
         index = entry.index
         seq = self.engine.ticket()
@@ -852,8 +657,8 @@ class QeiAccelerator:
         the first entry that must wait — or yield to an engine event with a
         smaller key — re-arms the sentinel at its exact key and stops.
         Stale entries (slot released or re-armed since the push) are
-        skipped at pop, never pruned early, so the ordering the reference
-        path's no-op events would impose is preserved.
+        skipped at pop, never pruned early, so the ordering their no-op
+        events would impose is preserved.
         """
         self._sentinel = None
         self._draining = True
@@ -888,7 +693,7 @@ class QeiAccelerator:
             self._arm_sentinel()
 
     def _sched_fast(self, entry: QstEntry, earliest: int) -> None:
-        """Fast-path twin of :meth:`_schedule_step` (event-driven flavour)."""
+        """Claim the home's CEE slot and defer a step-kind ready entry."""
         handle = self._handles[entry.index]
         if handle is None or not entry.busy:
             return
@@ -898,13 +703,12 @@ class QeiAccelerator:
         self._push_ready(entry, start, wake=False)
 
     def _wake_fast(self, entry: QstEntry) -> None:
-        """Fast-path twin of the wake in :meth:`_resume_after`.
+        """Wake an entry whose micro-op completed.
 
-        Mirrors ``_schedule_step(entry, now, inline_ok=True)``: claim the
-        CEE slot, then either step inline (when fusion proves nothing can
-        interleave — the guard must also consider the remaining ready
-        entries, which the popped sentinel no longer represents in the
-        engine queue) or defer a step-kind ready entry.
+        Claim the CEE slot, then either step inline (when fusion proves
+        nothing can interleave — the guard must also consider the remaining
+        ready entries, which the popped sentinel no longer represents in
+        the engine queue) or defer a step-kind ready entry.
         """
         handle = self._handles[entry.index]
         if handle is None or not entry.busy:
@@ -913,26 +717,22 @@ class QeiAccelerator:
         home = handle._home  # type: ignore[attr-defined]
         start = max(self._cee_free_at.get(home, 0), engine.now)
         self._cee_free_at[home] = start + 1
-        generation = entry.generation
-        if self._fuse:
-            peek = engine.peek_time()
-            ready = self._ready
-            if ready:
-                ready_time = ready[0][0]
-                if peek is None or ready_time < peek:
-                    peek = ready_time
-            horizon = engine.run_horizon
-            if (peek is None or peek > start) and (
-                horizon is None or start <= horizon
-            ):
-                self._step_at_fast(
-                    entry, generation, start, self._rdy_fn[entry.index]
-                )
-                return
+        peek = engine.peek_time()
+        ready = self._ready
+        if ready:
+            ready_time = ready[0][0]
+            if peek is None or ready_time < peek:
+                peek = ready_time
+        horizon = engine.run_horizon
+        if (peek is None or peek > start) and (horizon is None or start <= horizon):
+            self._step_at_fast(
+                entry, entry.generation, start, self._rdy_fn[entry.index]
+            )
+            return
         self._push_ready(entry, start, wake=False)
 
     def _resume_fast(self, entry: QstEntry, ready_at: int) -> None:
-        """Fast-path twin of :meth:`_resume_after`: a wake-kind entry."""
+        """Defer a wake-kind ready entry to the micro-op's completion."""
         self._push_ready(entry, max(ready_at, self.engine.now), wake=True)
 
     def _step_at_fast(
@@ -940,21 +740,23 @@ class QeiAccelerator:
         entry: QstEntry,
         generation: int,
         now: int,
-        fn: Optional[CompiledStep],
+        fn: CompiledStep,
     ) -> None:
-        """Compiled twin of :meth:`_step_at`: same fusion, inline micro-ops.
+        """Step the entry's compiled CFA, fusing transitions while safe.
 
-        Every observable effect — substrate call arguments/order/times,
-        stats counters, fault codes and detail strings, terminal scheduling
-        — replicates the generic interpreter exactly; only the Python-level
-        interpretation overhead (firmware probe, string states, dict
-        traffic, dataclass micro-ops) is gone.
+        ``now`` is the cycle this step executes at — the engine clock when
+        entered from the drain, possibly ahead of it when fused across a
+        wake — and advances virtually as transitions fuse.  A transition at
+        ``start`` fuses only when ``start`` strictly precedes every pending
+        engine event and ready entry and lies inside the active run's
+        horizon; under that guard nothing can interleave, so the operation
+        sequence (and every stat) is what one event per transition gives.
         """
         engine = self.engine
         space = self.space
         integ = self.integration
         cee_free = self._cee_free_at
-        step_fn = fn.step  # type: ignore[union-attr]
+        step_fn = fn.step
         steps_counter = self._steps
         watchdog_budget = self.watchdog_steps
         while True:
@@ -965,6 +767,9 @@ class QeiAccelerator:
             steps_counter.add()
             entry.steps += 1
             if entry.steps > watchdog_budget:
+                # Per-query watchdog (Sec. IV-D hardening): a corrupted
+                # pointer chain can cycle forever; the budget bounds every
+                # walk.
                 detail = f"watchdog: exceeded {watchdog_budget} CEE steps"
                 self._run_terminal(
                     now,
@@ -975,41 +780,24 @@ class QeiAccelerator:
                 return
             try:
                 if ctx.header is None:
-                    # Parity with the generic driver's per-step _peek_type:
-                    # pre-PARSE steps fault when the header page vanishes.
+                    # The CEE's metadata fetch reads the type byte on every
+                    # pre-PARSE step: those steps fault when the header page
+                    # vanishes, whatever program they are bound to.
                     space.read_u8(ctx.header_addr + 8)
                 act = step_fn(ctx)
-            except MemoryError_ as fault:
-                detail, code = str(fault), self._memory_code(fault)
+            except Exception as exc:  # noqa: BLE001 - firmware bugs become faults
+                detail, code = self._step_error(exc)
                 self._run_terminal(
                     now, lambda: self._fault(entry, handle, detail, code=code)
                 )
                 return
-            except FirmwareError as exc:
-                detail = str(exc)
-                self._run_terminal(
-                    now,
-                    lambda: self._fault(
-                        entry, handle, detail, code=AbortCode.BAD_TYPE
-                    ),
-                )
-                return
-            except Exception as exc:  # noqa: BLE001 - firmware bugs become faults
-                detail = f"firmware error: {exc}"
-                self._run_terminal(
-                    now,
-                    lambda: self._fault(
-                        entry, handle, detail, code=AbortCode.FIRMWARE
-                    ),
-                )
-                return
             kind = act[0]
             waiting = False
-            if kind <= K_ALU:
-                # Timed micro-op, executed inline (the _issue_timed fast
-                # twin): counter first, then the timing-path call, then the
-                # functional read — same order, args and times as the
-                # generic path, for TLB/DPU state parity.
+            if kind <= K_ALU or kind == K_ACTION:
+                # Timed micro-op.  Tuple kinds execute inline (the tuple
+                # form of _issue_timed): counter first, then the timing-path
+                # call, then the functional read — same order, args and
+                # times as _issue_timed, for TLB/DPU state parity.
                 home = handle._home  # type: ignore[attr-defined]
                 try:
                     if kind == K_MEMREAD:
@@ -1040,7 +828,7 @@ class QeiAccelerator:
                         data = ctx.scratch[act[1]]
                         ready_at = integ.hash_unit.hash(now, len(data))
                         ctx.scratch[act[2]] = fnv1a64(data)
-                    else:  # K_MEMREAD_OPT: speculative cacheline fetch
+                    elif kind == K_MEMREAD_OPT:  # speculative cacheline fetch
                         self._count_mem()
                         vaddr, length, slot, optional_after = (
                             act[1], act[2], act[3], act[4],
@@ -1051,6 +839,8 @@ class QeiAccelerator:
                         )
                         ctx.scratch[slot] = space.read(vaddr, length)
                         ready_at = now + (latency if latency > 1 else 1)
+                    else:  # K_ACTION: a prebound-tier dataclass micro-op
+                        ready_at = self._issue_timed(entry, handle, act[1], now)
                 except MemoryError_ as fault:
                     detail, code = str(fault), self._memory_code(fault)
                     self._run_terminal(
@@ -1060,6 +850,10 @@ class QeiAccelerator:
                     return
             elif kind == K_DONE:
                 if self._version_conflict(ctx):
+                    # Seqlock re-validation of the locally-held header line:
+                    # the version moved (or went odd) while the walk ran, so
+                    # a writer raced us and the result may be torn.  Abort;
+                    # the software fallback retries against settled state.
                     detail = "header version changed during walk"
                     self._run_terminal(
                         now,
@@ -1082,36 +876,27 @@ class QeiAccelerator:
                     lambda: self._finish_fault(entry, handle, detail, code=code),
                 )
                 return
-            elif kind == K_WAIT:
+            else:  # K_WAIT
                 ready_at = now + 1
                 waiting = True
-            else:  # K_ACTION: prebound-tier write-path/unknown micro-op
-                try:
-                    ready_at = self._issue_timed(entry, handle, act[1], now)
-                except MemoryError_ as fault:
-                    detail, code = str(fault), self._memory_code(fault)
-                    self._run_terminal(
-                        now,
-                        lambda: self._fault(entry, handle, detail, code=code),
-                    )
-                    return
             home = handle._home  # type: ignore[attr-defined]
             free = cee_free.get(home, 0)
             start = ready_at if ready_at > free else free
-            if self._fuse:
-                peek = engine.peek_time()
-                ready = self._ready
-                if ready:
-                    ready_time = ready[0][0]
-                    if peek is None or ready_time < peek:
-                        peek = ready_time
-                horizon = engine.run_horizon
-                if (peek is None or peek > start) and (
-                    horizon is None or start <= horizon
-                ):
-                    cee_free[home] = start + 1
-                    now = start
-                    continue
+            peek = engine.peek_time()
+            ready = self._ready
+            if ready:
+                ready_time = ready[0][0]
+                if peek is None or ready_time < peek:
+                    peek = ready_time
+            horizon = engine.run_horizon
+            if (peek is None or peek > start) and (
+                horizon is None or start <= horizon
+            ):
+                # Provably the next thing to happen: take the CEE slot
+                # arithmetically and keep stepping, no event round-trip.
+                cee_free[home] = start + 1
+                now = start
+                continue
             if waiting:
                 self._sched_fast(entry, now + 1)
             else:

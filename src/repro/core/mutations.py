@@ -35,7 +35,7 @@ Mutation programs execute through the *prebound* compiled tier in
 :mod:`repro.core.specialize`: the compiler captures each program's
 ``step`` and translates its :class:`StepOutcome` into the flat micro-op
 tuples the batched CEE drain consumes, so mutation semantics live only
-here.  ``tests/test_specialize_properties.py`` pins prebound-vs-generic
+here.  ``tests/test_specialize_properties.py`` pins prebound-vs-interpreted
 agreement (including forced seqlock conflicts and mid-resize walks).
 """
 

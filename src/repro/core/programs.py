@@ -11,10 +11,11 @@ arithmetic is charged via :class:`~repro.core.cfa.AluOp` transitions.
 
 Every program in this module has a compiled twin in
 :mod:`repro.core.specialize` (matched by *exact* class, so subclasses are
-safe — they fall back to the generic interpreter via the prebound tier).
-If you change a program's step semantics here, update its specializer too;
-``tests/test_specialize_properties.py`` and the four-mode golden-stats
-grid fail loudly when the twins drift.
+safe — they run their own ``step`` through the prebound tier).  If you
+change a program's step semantics here, update its specializer too;
+``tests/test_specialize_properties.py`` and the golden-stats grid (which
+also replays every program through the prebound tier) fail loudly when the
+twins drift.
 """
 
 from __future__ import annotations

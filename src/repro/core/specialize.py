@@ -1,12 +1,15 @@
 """CFA specialization: compile programs into flat step closures.
 
-The generic CEE interpreter pays, on every transition: a firmware table
-probe (``program_for``), a virtual ``program.step`` dispatch over string
-states, string-keyed dict traffic through ``ctx.scratch``/``results``/
-``vars``, and one frozen-dataclass micro-op allocation.  None of that is
-architectural — the paper's CEE is microcoded, and Diba-style engines
-compile operator logic at (firmware) load time rather than interpreting it
-per event.  This module is that load-time compiler.
+The interpreted CFA programs (``programs.py``, ``programs_ext.py``,
+``mutations.py``) are the executable specification.  Interpreting them per
+transition pays a firmware table probe (``program_for``), a virtual
+``program.step`` dispatch over string states, string-keyed dict traffic
+through ``ctx.scratch``/``results``/``vars``, and one frozen-dataclass
+micro-op allocation.  None of that is architectural — the paper's CEE is
+microcoded, and Diba-style engines compile operator logic at (firmware)
+load time rather than interpreting it per event.  This module is that
+load-time compiler; the accelerator's one CEE driver only ever runs the
+step functions it produces.
 
 ``compile_firmware`` walks a :class:`~repro.core.cfa.FirmwareImage` and
 produces one :class:`CompiledStep` per registered ``(type_code, op-table)``
@@ -17,24 +20,30 @@ pair:
   flat closures over pre-bound program constants.  Per-query state lives in
   a slot-indexed register list (``ctx.scratch`` is rebound to it), states
   are small ints, and each step returns a plain tuple micro-op —
-  ``(K_MEMREAD, vaddr, length, slot)`` and friends — that the accelerator's
-  fast driver executes inline with zero dataclass allocation.  Header
-  parameters (key length, bucket geometry, subtype flags) are resolved once
-  at PARSE into registers.
+  ``(K_MEMREAD, vaddr, length, slot)`` and friends — that the driver
+  executes inline with zero dataclass allocation.  Header parameters (key
+  length, bucket geometry, subtype flags) are resolved once at PARSE into
+  registers.
 * **Prebound tier** — mutation programs and any lookup program the compiler
   does not recognise (exact class match only; subclasses keep their
   overridden behaviour) get a thin wrapper that captures ``program.step``
   once and converts its :class:`StepOutcome` into the tuple protocol
-  (``K_ACTION`` delegates timed write-path micro-ops back to the generic
-  issue path).  They skip the per-step firmware probe and ride the batched
-  drain, but keep their dict-based context.
+  (``K_ACTION`` delegates timed write-path micro-ops back to the driver's
+  dataclass issue path).  They keep their dict-based context.
+
+Queries no table entry covers — an unregistered type code, or a header
+page that is unmapped when the query is accepted — bind to
+:func:`dispatch_step`, which looks the program up on every step and faults
+exactly where the interpreter would.
 
 Compiled closures must be *observably identical* to the interpreted
 programs: same micro-op sequence, same fault codes and detail strings, same
 results for every reachable input.  ``tests/test_golden_stats.py`` pins
-this end to end and ``tests/test_specialize_properties.py`` checks
-step-for-step agreement on randomized structures.  Terminal tuples do not
-update ``ctx.state`` — after a terminal the context is dead to the driver.
+this end to end by replaying its golden pairs with ``_SPECIALIZERS``
+emptied (every program on the prebound tier), and
+``tests/test_specialize_properties.py`` checks step-for-step agreement on
+randomized structures.  Terminal tuples do not update ``ctx.state`` —
+after a terminal the context is dead to the driver.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import struct
 from typing import Callable, Dict, Optional, Tuple
 
 from ..datastructs.hashing import secondary_hash, signature_of
+from ..mem.paging import AddressSpace
 from .abort import AbortCode
 from .cfa import (
     Done,
@@ -62,7 +72,7 @@ from .programs import (
 )
 from .programs_ext import BPlusTreeCfa
 
-#: Tuple micro-op kinds.  The timed kinds (executed inline by the fast
+#: Tuple micro-op kinds.  The timed kinds (executed inline by the
 #: driver, producing a ready-at cycle) are all <= K_ALU; the driver relies
 #: on that ordering for its dispatch.
 K_MEMREAD = 0
@@ -715,23 +725,54 @@ _SPECIALIZERS: Dict[type, Callable[[object], CompiledStep]] = {
 }
 
 
+def _translate(ctx: QueryContext, outcome) -> tuple:
+    """Convert an interpreted :class:`StepOutcome` into the tuple protocol."""
+    ctx.state = outcome.next_state
+    action = outcome.action
+    if action is None:
+        return _WAIT
+    if isinstance(action, Done):
+        return (K_DONE, action.value)
+    if isinstance(action, Fault):
+        return (K_FAULT, action.code, action.detail)
+    return (K_ACTION, action)
+
+
 def _prebound(program) -> CompiledStep:
     """The prebound tier: capture ``step`` once, translate outcomes."""
     step = program.step
 
     def fn(ctx: QueryContext) -> tuple:
-        outcome = step(ctx)
-        ctx.state = outcome.next_state
-        action = outcome.action
-        if action is None:
-            return _WAIT
-        if isinstance(action, Done):
-            return (K_DONE, action.value)
-        if isinstance(action, Fault):
-            return (K_FAULT, action.code, action.detail)
-        return (K_ACTION, action)
+        return _translate(ctx, step(ctx))
 
     return CompiledStep(fn, 0, True, program.NAME)
+
+
+def dispatch_step(firmware: FirmwareImage, space: AddressSpace) -> CompiledStep:
+    """The fallback route: look the program up on every step.
+
+    Queries whose header type has no compiled entry (an unregistered type
+    code) or whose header page was unmapped at accept bind to this step.
+    Each step reads the type byte until PARSE has cached the header, asks
+    ``firmware.program_for`` for the program — so an unknown type raises
+    :class:`~repro.errors.FirmwareError` (``BAD_TYPE``) and an unmapped
+    page a memory fault on the step that meets it — and translates the
+    outcome exactly like :func:`_prebound`.  It captures the firmware
+    image and the address space, never the accelerator (which holds the
+    step, so capturing it would form a reference cycle); ``adopt``
+    mutates the image in place, so the capture sees hot-swaps.
+    """
+    program_for = firmware.program_for
+    read_u8 = space.read_u8
+
+    def fn(ctx: QueryContext) -> tuple:
+        header = ctx.header
+        type_code = (
+            header.type_code if header is not None else read_u8(ctx.header_addr + 8)
+        )
+        return _translate(ctx, program_for(type_code, op=ctx.op).step(ctx))
+
+    return CompiledStep(fn, 0, True, "dispatch")
 
 
 def specialize_program(program) -> CompiledStep:

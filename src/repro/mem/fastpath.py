@@ -1,7 +1,7 @@
 """Epoch-memoized fast path over the end-to-end memory access walk.
 
-After CFA fusion and specialization (PRs 4-9) the CEE drain is dominated by
-the *timing model itself*: every micro-op re-walks
+With the CEE driver compiled and fused, the drain is dominated by the
+*timing model itself*: every micro-op re-walks
 :meth:`~repro.mem.hierarchy.MemoryHierarchy.access_from_core` /
 ``access_from_slice`` — L1/L2 dict probes, the NUCA slice hash, hop
 latency, per-set LRU churn and stats counter objects — even when the line
@@ -47,8 +47,9 @@ Replay then reproduces the slow path's *entire* effect:
 * The frozen :class:`~repro.mem.hierarchy.AccessResult` instance itself is
   reused — same latency, level, home and hop count by construction.
 
-``QEI_NO_FASTMEM=1`` disables the layer (mirroring ``QEI_NO_FUSION`` /
-``QEI_NO_SPECIALIZE``); the golden-stats suite proves both modes
+The hierarchy keeps its reference walk (``_access_from_*_slow``), and
+``MemoryHierarchy(fastmem=False)`` builds one without this layer.  The
+golden-stats suite replays its pairs both ways and proves them
 cycle-bit-identical, and ``tests/test_fastmem_properties.py`` drives
 memoized and un-memoized hierarchies in lockstep through random access
 streams asserting equal results and equal final state.
@@ -56,8 +57,7 @@ streams asserting equal results and equal final state.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..config import CACHELINE_BYTES
 from .cache import CacheLevelName
@@ -65,13 +65,6 @@ from .cache import CacheLevelName
 _L1 = CacheLevelName.L1
 _L2 = CacheLevelName.L2
 _LLC = CacheLevelName.LLC
-
-
-def enabled(override: Optional[bool] = None) -> bool:
-    """Is the epoch-memoized fast path on?  ``QEI_NO_FASTMEM=1`` disables."""
-    if override is not None:
-        return override
-    return os.environ.get("QEI_NO_FASTMEM", "").lower() not in ("1", "true", "yes")
 
 
 class FastMem:

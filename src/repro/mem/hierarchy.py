@@ -8,6 +8,13 @@ how the accelerator avoids private-cache pollution.
 
 Timing is returned, not scheduled: callers (the core timing model, the QEI
 engine) decide how latencies compose with their own concurrency.
+
+The public access entry points are bound at construction to the
+epoch-memoized fast path (:mod:`repro.mem.fastpath`), which replays
+memoized hit outcomes exactly.  The reference walk
+(``_access_from_core_slow`` / ``_access_from_slice_slow``) is the
+specification that layer is checked against; a hierarchy built with
+``fastmem=False`` runs it directly.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ class MemoryHierarchy:
         hop_latency: Optional[Callable[[int, int], int]] = None,
         noc_charge: Optional[Callable[[int, int, int, int], None]] = None,
         noc=None,
-        fastmem: Optional[bool] = None,
+        fastmem: bool = True,
     ) -> None:
         """Build the hierarchy.
 
@@ -69,8 +76,10 @@ class MemoryHierarchy:
             noc: a :class:`~repro.noc.mesh.MeshNoc` to wire directly —
                 supplies ``hop_latency``/``noc_charge`` defaults and lets
                 the fast path batch its send charges.
-            fastmem: force the epoch-memoized fast path on/off; ``None``
-                follows the ``QEI_NO_FASTMEM`` environment switch.
+            fastmem: bind the epoch-memoized fast path
+                (:mod:`repro.mem.fastpath`); ``False`` keeps the reference
+                walk, which the property and golden-stats tests compare
+                against.
         """
         self.config = config
         if noc is not None:
@@ -113,12 +122,12 @@ class MemoryHierarchy:
         #: also installs the next line into the L2 off the critical path.
         self.next_line_prefetch = False
         self._prefetches = self.stats.counter("prefetches")
-        #: The epoch-memoized fast path (mem/fastpath.py).  When enabled it
-        #: shadows the public access entry points with bound methods that
-        #: replay memoized hit outcomes; ``QEI_NO_FASTMEM=1`` (or
-        #: ``fastmem=False``) leaves the reference slow path untouched.
+        #: The epoch-memoized fast path (mem/fastpath.py).  It shadows the
+        #: public access entry points with bound methods that replay
+        #: memoized hit outcomes; ``fastmem=False`` leaves the reference
+        #: slow path untouched.
         self._fast = None
-        if fastpath.enabled(fastmem):
+        if fastmem:
             self._fast = fastpath.FastMem(self, noc=noc)
             self.access_from_core = self._fast.access_from_core
             self.access_from_slice = self._fast.access_from_slice

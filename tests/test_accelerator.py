@@ -8,6 +8,7 @@ every integration scheme.
 import pytest
 
 from repro import IntegrationScheme, small_config
+from repro.core.abort import AbortCode
 from repro.core.accelerator import QueryRequest, QueryStatus
 from repro.core.cfa import FirmwareImage
 from repro.core.programs import HashOfListsCfa, default_firmware
@@ -230,6 +231,81 @@ class TestExceptions:
         )
         assert handle.status is QueryStatus.FAULT
         assert sys_.space.read_u64(result_addr) == 3  # RESULT_FAULT
+
+
+class TestDispatchRoute:
+    """Queries no compiled table covers run the per-step dispatch route.
+
+    An unregistered header type (hash-of-lists before its firmware is
+    loaded) faults BAD_TYPE and an unmapped header page faults SEGFAULT.
+    Completion cycles are pinned, including the interleaving with ordinary
+    linked-list lookups in the same burst.
+    """
+
+    UNMAPPED = 0xDEAD0000
+
+    #: scheme -> (burst [(abort code, completion cycle)], single BAD_TYPE
+    #: (submit, completion), single SEGFAULT (submit, completion)).
+    EXPECTED = {
+        "core-integrated": (
+            [
+                (AbortCode.NONE, 723),
+                (AbortCode.BAD_TYPE, 19),
+                (AbortCode.NONE, 634),
+                (AbortCode.SEGFAULT, 21),
+                (AbortCode.NONE, 598),
+            ],
+            (723, 741),
+            (741, 759),
+        ),
+        "cha-tlb": (
+            [
+                (AbortCode.NONE, 921),
+                (AbortCode.BAD_TYPE, 51),
+                (AbortCode.NONE, 841),
+                (AbortCode.SEGFAULT, 52),
+                (AbortCode.NONE, 781),
+            ],
+            (921, 971),
+            (971, 1021),
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(EXPECTED))
+    def test_bad_type_and_unmapped_header_timing(self, scheme):
+        sys_ = make_system(scheme)
+        accel = sys_.accelerator
+        ll = LinkedList(sys_.mem, key_length=16)
+        keys = keys_of(6)
+        for i, k in enumerate(keys):
+            ll.insert(k, i + 1)
+        hol = HashOfLists(sys_.mem, key_length=16)
+        hol.insert(keys[0], 9)
+
+        def bad_type():
+            return QueryRequest(hol.header_addr, hol.store_key(keys[0]))
+
+        def unmapped():
+            return QueryRequest(self.UNMAPPED, ll.store_key(keys[0]))
+
+        burst = [QueryRequest(ll.header_addr, ll.store_key(k)) for k in keys[:3]]
+        burst.insert(1, bad_type())
+        burst.insert(3, unmapped())
+        handles = [accel.submit(request, 0) for request in burst]
+        accel.drain()
+        expected_burst, single_bad, single_unmapped = self.EXPECTED[scheme]
+        assert [(h.abort_code, h.completion_cycle) for h in handles] == expected_burst
+        assert [h.value for h in handles] == [1, None, 2, None, 3]
+
+        for request, code, (submit, finish) in (
+            (bad_type(), AbortCode.BAD_TYPE, single_bad),
+            (unmapped(), AbortCode.SEGFAULT, single_unmapped),
+        ):
+            handle = accel.submit(request, sys_.engine.now)
+            accel.wait_for(handle)
+            assert handle.status is QueryStatus.FAULT
+            assert (handle.abort_code, handle.submit_cycle) == (code, submit)
+            assert handle.completion_cycle == finish
 
 
 class TestFlush:

@@ -4,7 +4,8 @@ Fusion collapses pure-compute CFA transition runs into arithmetic on a
 virtual clock (one engine event per memory round-trip); snapshots restore a
 deep-copied warm memory image instead of repopulating workloads.  Both are
 pure performance work — every observable (ROI cycles, instructions, the
-full stats snapshot) must match the unfused / cold-built reference exactly.
+full stats snapshot) must match the golden stats / cold-built reference
+exactly, and fusion must keep the engine event count where it was.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ from repro.workloads import run_qei
 def _stats_hash(system) -> str:
     payload = json.dumps(sorted(system.stats.snapshot().items()), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _run(workload: str, scheme: str, *, fuse: bool):
-    snapshot.clear()
-    system, wl = _build(workload, scheme, quick=True)
-    system.accelerator._fuse = fuse
-    run = run_qei(system, wl)
-    return run, _stats_hash(system), system.engine.events_processed
 
 
 # --------------------------------------------------------------------- #
@@ -65,32 +58,28 @@ def test_run_horizon_visible_only_inside_bounded_run():
 
 
 # --------------------------------------------------------------------- #
-# Fusion bit-identity
+# Fusion: engine event counts
 # --------------------------------------------------------------------- #
 
+#: Engine events per ROI with macro-step fusion and the batched ready-drain,
+#: pinned at their measured values: golden stats cannot see the event count
+#: (fusion changes no simulated number), so this is what proves fusion still
+#: fuses.  Without fusion the same ROIs took 936 and 3820 events.
+FUSED_EVENTS = {
+    ("dpdk", "cha-tlb"): (845, 3317, 100),
+    ("rocksdb", "core-integrated"): (1925, 77561, 50),
+}
 
-@pytest.mark.parametrize("pair", [("dpdk", "cha-tlb"), ("rocksdb", "core-integrated")])
-def test_fusion_matches_unfused_reference(pair):
+
+@pytest.mark.parametrize("pair", sorted(FUSED_EVENTS))
+def test_fusion_keeps_engine_event_count(pair):
     workload, scheme = pair
-    fused_run, fused_hash, fused_events = _run(workload, scheme, fuse=True)
-    ref_run, ref_hash, ref_events = _run(workload, scheme, fuse=False)
-
-    assert fused_run.cycles == ref_run.cycles
-    assert fused_run.instructions == ref_run.instructions
-    assert fused_run.queries == ref_run.queries
-    assert fused_hash == ref_hash
-    # The whole point: fewer engine events for the same simulated history.
-    assert fused_events < ref_events
-
-
-def test_no_fusion_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("QEI_NO_FUSION", "1")
-    system, _ = _build("dpdk", "cha-tlb", quick=True)
-    assert system.accelerator._fuse is False
-    monkeypatch.delenv("QEI_NO_FUSION")
     snapshot.clear()
-    system, _ = _build("dpdk", "cha-tlb", quick=True)
-    assert system.accelerator._fuse is True
+    system, wl = _build(workload, scheme, quick=True)
+    run = run_qei(system, wl)
+    events, cycles, queries = FUSED_EVENTS[pair]
+    assert (run.cycles, run.queries) == (cycles, queries)
+    assert system.engine.events_processed == events
 
 
 # --------------------------------------------------------------------- #

@@ -38,9 +38,15 @@ SERVE_CASES = [
     ("core-integrated", 2, 600, 7),
 ]
 
-#: (fusion, specialize) mode grid.  Both hot-path layers — macro-step
-#: fusion and CFA specialization with the batched ready-drain — must be
-#: independently and jointly invisible to every simulated number.
+#: (fusion, specialize) mode grid over the one CEE driver.  ``fusion off``
+#: makes the fusion guard fail on every transition (the test patches the
+#: engine's run horizon below every start cycle), so each step round-trips
+#: the ready heap and the drain's sentinel event instead of running inline.
+#: ``specialize off`` empties the hand-specialized tier, so every program
+#: runs its interpreted ``step`` (the executable specification) through the
+#: prebound table — which checks the specialized twins' timing against the
+#: spec.  Both layers must be independently and jointly invisible to every
+#: simulated number.
 MODES = [
     ("on", "on"),
     ("on", "off"),
@@ -48,10 +54,9 @@ MODES = [
     ("off", "off"),
 ]
 
-#: The epoch-memoized memory fast path (mem/fastpath.py) gets its own
-#: dimension: the {fastmem on, off} pair is crossed with the full
-#: {fusion, specialize} grid below, proving the memo layer is invisible
-#: regardless of which interpreter path drives the accesses.
+#: The epoch-memoized memory fast path (mem/fastpath.py) on, or the
+#: hierarchy's reference walk; crossed with the full {fusion, specialize}
+#: grid below.
 FASTMEM_MODES = ["on", "off"]
 
 #: Subset of PAIRS replayed across the full mode grid (one sliced scheme,
@@ -66,13 +71,22 @@ MODE_GRID_PAIRS = [
 def _set_modes(
     monkeypatch, fusion: str, specialize: str, fastmem: str = "on"
 ) -> None:
-    # The accelerator reads the fusion/specialize switches at construction
-    # time and the hierarchy reads QEI_NO_FASTMEM at construction time, so
-    # setting them before the system is built inside the measurement is
-    # sufficient.
-    monkeypatch.setenv("QEI_NO_FUSION", "0" if fusion == "on" else "1")
-    monkeypatch.setenv("QEI_NO_SPECIALIZE", "0" if specialize == "on" else "1")
-    monkeypatch.setenv("QEI_NO_FASTMEM", "0" if fastmem == "on" else "1")
+    # The accelerator reads the run horizon on every fusion decision,
+    # compiles its tables when its first query is accepted, and every
+    # System builds its own hierarchy, so patching all three before the
+    # measurement builds its systems is sufficient.
+    from repro.core import specialize as specialize_mod
+    from repro.mem.hierarchy import MemoryHierarchy
+    from repro.sim.engine import Engine
+
+    if fusion == "off":
+        # A horizon below every cycle: no transition is ever provably the
+        # next thing to happen, so none fuses.
+        monkeypatch.setattr(Engine, "run_horizon", property(lambda self: -1))
+    if specialize == "off":
+        monkeypatch.setattr(specialize_mod, "_SPECIALIZERS", {})
+    if fastmem == "off":
+        monkeypatch.setitem(MemoryHierarchy.__init__.__kwdefaults__, "fastmem", False)
 
 
 def _snapshot_hash(stats) -> str:
@@ -159,31 +173,34 @@ def test_roi_pair_matches_golden_in_all_modes(
 def test_chaos_report_identical_across_specialize_modes(monkeypatch):
     # The chaos run covers slice kills, recoveries and a live firmware
     # hot-swap (which forces a compiled-table rebuild via firmware.epoch);
-    # its full report must be byte-identical with and without
-    # specialization.
+    # its full report must be byte-identical whether the built-in lookups
+    # run their specialized closures or their interpreted programs.
     from repro.faults.chaos import run_chaos
 
     dumps = {}
     for specialize in ("off", "on"):
-        _set_modes(monkeypatch, "on", specialize)
-        dumps[specialize] = run_chaos(
-            "cha-tlb", seed=7, requests=160, tenants=2
-        ).dump()
+        with monkeypatch.context() as patch:
+            _set_modes(patch, "on", specialize)
+            dumps[specialize] = run_chaos(
+                "cha-tlb", seed=7, requests=160, tenants=2
+            ).dump()
     assert dumps["on"] == dumps["off"]
 
 
 def test_recovery_report_identical_across_specialize_modes(monkeypatch):
     # Durability chaos (node crashes + commit-log recovery) under a mixed
-    # read/write load: mutation CFAs run through the prebound compiled
-    # tier, so the cluster report must match the reference byte for byte.
+    # read/write load: mutation CFAs always run on the prebound tier, the
+    # lookups on either table, and the cluster report must match byte for
+    # byte.
     from repro.faults.chaos import run_recovery_chaos
 
     dumps = {}
     for specialize in ("off", "on"):
-        _set_modes(monkeypatch, "on", specialize)
-        dumps[specialize] = run_recovery_chaos(
-            "cha-tlb", seed=7, requests=120, nodes=4, tenants=2
-        ).dump()
+        with monkeypatch.context() as patch:
+            _set_modes(patch, "on", specialize)
+            dumps[specialize] = run_recovery_chaos(
+                "cha-tlb", seed=7, requests=120, nodes=4, tenants=2
+            ).dump()
     assert dumps["on"] == dumps["off"]
 
 

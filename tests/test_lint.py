@@ -7,6 +7,11 @@ to ``None`` must annotate the ``None`` (``Optional[X]`` or ``X | None``),
 not pretend to be a plain ``X``.  The sweep found (and PR 10 fixed)
 ``MeshNoc.__init__``'s ``stats: StatsRegistry = None`` and
 ``DynamicEnergyModel.energies_pj``.
+
+A second sweep keeps hidden runtime switches out of ``src/``: every
+``os.environ`` / ``os.getenv`` read must be on the allowlist below.  A new
+mode belongs in a constructor argument or a CLI flag, where tests can set
+it without touching the process environment.
 """
 
 from __future__ import annotations
@@ -77,3 +82,46 @@ def test_no_implicit_optional_defaults():
         "implicit-Optional defaults (annotate as Optional[X] / X | None):\n"
         + "\n".join(offenders)
     )
+
+
+#: The only environment reads ``src/`` may make: file -> the one variable
+#: its reads must name.
+ENV_ALLOWLIST = {
+    "src/repro/analysis/rescache.py": "REPRO_CACHE_DIR",
+    "src/repro/analysis/snapshot.py": "QEI_NO_SNAPSHOT",
+}
+_ENV_NAMES = ("environ", "environb", "getenv")
+
+
+def _env_reads(tree: ast.AST) -> Iterator[int]:
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENV_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in _ENV_NAMES for alias in node.names):
+                yield node.lineno
+
+
+def test_environment_reads_are_allowlisted():
+    offenders: List[str] = []
+    used = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(REPO_ROOT).as_posix()
+        text = path.read_text()
+        lines = text.splitlines()
+        for lineno in _env_reads(ast.parse(text, filename=str(path))):
+            line = lines[lineno - 1]
+            if rel in ENV_ALLOWLIST and ENV_ALLOWLIST[rel] in line:
+                used.add(rel)
+            else:
+                offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    assert not offenders, (
+        "environment reads outside the allowlist (use a constructor "
+        "argument or CLI flag instead):\n" + "\n".join(offenders)
+    )
+    assert used == set(ENV_ALLOWLIST), "stale ENV_ALLOWLIST entries"
