@@ -858,6 +858,11 @@ def _verify_cluster(report: ClusterChaosReport) -> None:
             "per-key history is not linearizable (keys "
             f"{checks['history_violations']})"
         )
+    if checks.get("history_inconclusive"):
+        problems.append(
+            f"{checks['history_inconclusive']} keys exhausted the "
+            "history checker's state budget (inconclusive)"
+        )
     if problems:
         raise ChaosError(
             f"cluster chaos contract violated on {report.scheme}: "
@@ -1225,6 +1230,11 @@ def _verify_recovery(report: ClusterChaosReport) -> None:
         problems.append(
             "per-key history is not linearizable (keys "
             f"{checks['history_violations']})"
+        )
+    if checks["history_inconclusive"]:
+        problems.append(
+            f"{checks['history_inconclusive']} keys exhausted the "
+            "history checker's state budget (inconclusive)"
         )
     if checks["lost_acked_writes"]:
         problems.append(

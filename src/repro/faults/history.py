@@ -22,17 +22,34 @@ timed-out attempt may still execute, so
 still-undecided failed writes could leave behind — the zero-lost-
 acknowledged-writes check requires every replica's converged value to be
 in that set.
+
+Three reductions keep the search exact and cheap:
+
+* **quiescent cuts** — where every op so far is ok and responded before
+  the next invoke, all later ops must linearize after all earlier ones,
+  so the key is searched segment by segment and only the set of possible
+  register values crosses a cut (failed and open ops never respond, so
+  no cut follows them);
+* **bitmask precedence** — ``pred[i]`` holds the ok ops that responded
+  before op i was invoked; op i is enabled iff all of them are linearized;
+* **no-op collapsing** — an enabled ok read of the current value, or an
+  ok first-attempt miss, is linearized at once without branching: it is
+  valid there, never changes the register wherever it lands, and moving
+  it earlier only relaxes the others' precedence, so every reachable
+  final and the verdict are unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.cfa import OP_DELETE, OP_LOOKUP
 
-#: Per-key search budget: states explored beyond this mark the key
-#: *inconclusive* (reported, not failed) instead of hanging the check.
+#: Per-key search budget, summed over the key's segments: states explored
+#: beyond this mark the key *inconclusive* instead of hanging the check,
+#: and an inconclusive key fails the chaos contracts.
 _STATE_BUDGET = 500_000
 
 
@@ -59,6 +76,21 @@ class _Op:
         return self.op == OP_LOOKUP
 
 
+def _outcomes(op: _Op, reg: Optional[int]) -> List[Optional[int]]:
+    """Register values linearizing ``op`` on register ``reg`` may produce."""
+    if op.is_read:
+        return [reg] if op.result == reg else []
+    applied = None if op.op == OP_DELETE else op.value
+    if op.status == "ok" and op.attempts == 1:
+        return [applied] if op.result is not None else [reg]
+    # Retried ok writes and failed writes: the first execution's
+    # disposition is unknowable — both branches stay open.
+    results = [applied]
+    if reg not in results:
+        results.append(reg)
+    return results
+
+
 @dataclass
 class HistoryVerdict:
     """The checker's summary over every recorded key."""
@@ -68,14 +100,16 @@ class HistoryVerdict:
     linearizable: bool
     #: Keys whose completed history admits no linearization.
     violations: List[int] = field(default_factory=list)
-    #: Keys whose search exceeded the state budget (counted as passing,
-    #: but surfaced so a run cannot silently skip the check).
+    #: Keys whose search exceeded the state budget.  Their finals are a
+    #: search-order-dependent partial set, so the chaos contracts fail them.
     inconclusive: List[int] = field(default_factory=list)
     #: Per key, every register value an admissible linearization (plus any
     #: suffix of undecided failed writes) can leave behind.
     possible_finals: Dict[int, FrozenSet[Optional[int]]] = field(
         default_factory=dict
     )
+    #: Search states explored, summed over every key.
+    states: int = 0
 
 
 class HistoryRecorder:
@@ -144,9 +178,10 @@ class HistoryRecorder:
         )
         for key_pos in sorted(by_key):
             ops = sorted(by_key[key_pos], key=lambda o: o.invoke_cycle)
-            outcome, finals = self._check_key(
+            outcome, finals, states = self._check_key(
                 ops, self._baseline.get(key_pos)
             )
+            verdict.states += states
             if outcome == "violation":
                 verdict.linearizable = False
                 verdict.violations.append(key_pos)
@@ -157,76 +192,79 @@ class HistoryRecorder:
 
     def _check_key(
         self, ops: List[_Op], initial: Optional[int]
-    ) -> Tuple[str, FrozenSet[Optional[int]]]:
+    ) -> Tuple[str, FrozenSet[Optional[int]], int]:
         """Search for a linearization of one key's history.
 
-        Returns ("ok" | "violation" | "inconclusive", possible finals).
+        Returns ("ok" | "violation" | "inconclusive", possible finals,
+        states explored).  ``ops`` must be sorted by invoke cycle.
         """
-        n = len(ops)
-        if n == 0:
-            return "ok", frozenset({initial})
-        # Real-time bounds: an op must linearize before any op invoked
-        # after its response; ops without a definite response (failed /
-        # never returned) bound nothing.
-        responses = [
-            op.response_cycle if op.status == "ok" else None for op in ops
-        ]
-        must_mask = 0  # ops a linearization is required to include
-        for i, op in enumerate(ops):
-            if op.status == "ok":
-                must_mask |= 1 << i
-        finals: Set[Optional[int]] = set()
-        visited: Set[Tuple[int, Optional[int], bool]] = set()
-        budget = _STATE_BUDGET
-        success = False
-
-        def outcomes(op: _Op, reg: Optional[int]):
-            """Register values linearizing ``op`` here may produce."""
-            if op.is_read:
-                return [reg] if op.result == reg else []
-            applied = None if op.op == OP_DELETE else op.value
-            if op.status == "ok" and op.attempts == 1:
-                return [applied] if op.result is not None else [reg]
-            # Retried ok writes and failed writes: the first execution's
-            # disposition is unknowable — both branches stay open.
-            results = [applied]
-            if reg not in results:
-                results.append(reg)
-            return results
-
-        stack: List[Tuple[int, Optional[int]]] = [(0, initial)]
-        while stack:
-            if budget <= 0:
-                return "inconclusive", frozenset(finals or {initial})
-            mask, reg = stack.pop()
-            done = mask & must_mask == must_mask
-            key = (mask, reg, done)
-            if key in visited:
-                continue
-            visited.add(key)
-            budget -= 1
-            if done:
-                success = True
-                finals.add(reg)
-            for i in range(n):
-                bit = 1 << i
-                if mask & bit:
+        # Quiescent cuts (module docstring).
+        segments, start, latest = [], 0, -1
+        for k, op in enumerate(ops):
+            if k and latest < op.invoke_cycle:
+                segments.append(ops[start:k])
+                start = k
+            ok = op.status == "ok"
+            latest = max(latest, op.response_cycle if ok else math.inf)
+        segments.append(ops[start:])
+        regs: FrozenSet[Optional[int]] = frozenset({initial})
+        states = 0
+        for seg in segments:
+            ok_ops = [(j, op) for j, op in enumerate(seg) if op.status == "ok"]
+            must = sum(1 << j for j, _ in ok_ops)
+            # pred[i]: ok ops that responded before op i was invoked.
+            pred = [
+                sum(
+                    1 << j for j, other in ok_ops
+                    if j != i and other.response_cycle < op.invoke_cycle
+                )
+                for i, op in enumerate(seg)
+            ]
+            # Ok ops that leave the register as they find it wherever
+            # they land: first-attempt misses, and reads of ``reg``.
+            misses = sum(
+                1 << j for j, op in ok_ops
+                if not op.is_read and op.attempts == 1 and op.result is None
+            )
+            reads: Dict[Optional[int], int] = {}
+            for j, op in ok_ops:
+                if op.is_read:
+                    reads[op.result] = reads.get(op.result, 0) | 1 << j
+            full = (1 << len(seg)) - 1
+            finals: Set[Optional[int]] = set()
+            visited: Set[Tuple[int, Optional[int]]] = set()
+            stack = [(0, reg) for reg in regs]
+            while stack:
+                if states >= _STATE_BUDGET:
+                    return "inconclusive", frozenset(finals or {initial}), states
+                mask, reg = stack.pop()
+                # No-op collapsing: linearize every enabled quiet op now.
+                quiet = misses | reads.get(reg, 0)
+                grow = -1
+                while grow:
+                    grow = 0
+                    rest = quiet & ~mask
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        if not pred[bit.bit_length() - 1] & ~mask:
+                            grow |= bit
+                    mask |= grow
+                if (mask, reg) in visited:
                     continue
-                op = ops[i]
-                # Precedence: some other unlinearized op already responded
-                # before this one was invoked => it must go first.
-                blocked = False
-                for j in range(n):
-                    if j == i or mask & (1 << j):
-                        continue
-                    rj = responses[j]
-                    if rj is not None and rj < op.invoke_cycle:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                for new_reg in outcomes(op, reg):
-                    stack.append((mask | bit, new_reg))
-        if not success:
-            return "violation", frozenset({initial})
-        return "ok", frozenset(finals)
+                visited.add((mask, reg))
+                states += 1
+                if mask & must == must:
+                    finals.add(reg)
+                rest = full & ~mask
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    i = bit.bit_length() - 1
+                    if not pred[i] & ~mask:
+                        for new_reg in _outcomes(seg[i], reg):
+                            stack.append((mask | bit, new_reg))
+            if not finals:
+                return "violation", frozenset({initial}), states
+            regs = frozenset(finals)
+        return "ok", regs, states

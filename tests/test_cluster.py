@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.config import ClusterConfig, ConfigurationError, ServeConfig
+from repro.faults import history
 from repro.faults.chaos import (
     ChaosError,
     cluster_chaos_schedule,
@@ -464,3 +465,58 @@ def test_recovery_chaos_quorum_one_loses_only_the_truncated_suffix():
     assert checks["replication_settled"]
     assert checks["all_nodes_up"]
     assert checks["terminal"] == checks["budget"] == 200
+
+
+def _drill_with_verdict(monkeypatch, seed):
+    """A drill-size recovery run (400 requests, 6 nodes, R=2, W=2) and the
+    history checker's full verdict, states count included."""
+    verdicts = []
+    check = history.HistoryRecorder.check
+
+    def capture(self):
+        verdicts.append(check(self))
+        return verdicts[-1]
+
+    monkeypatch.setattr(history.HistoryRecorder, "check", capture)
+    report = run_recovery_chaos(
+        "cha-tlb", seed=seed, requests=400, nodes=6, replication=2,
+        quorum=2, verify=False,
+    )
+    (verdict,) = verdicts
+    return report, verdict
+
+
+def test_recovery_drill_seed8_history_checks_well_inside_budget(
+    monkeypatch,
+):
+    # Seed 8 holds the drill's hardest key history (about 40k states after
+    # the search's reductions): linearizable, and the whole check stays a
+    # small fraction of one key's budget.
+    report, verdict = _drill_with_verdict(monkeypatch, 8)
+    assert verdict.linearizable
+    assert report.checks["history_linearizable"]
+    assert report.checks["history_inconclusive"] == 0
+    assert 0 < verdict.states < history._STATE_BUDGET // 5
+
+
+def test_recovery_drill_seed6_keeps_its_one_violation(monkeypatch):
+    report, verdict = _drill_with_verdict(monkeypatch, 6)
+    assert verdict.violations == [16608118694158627991]
+    assert report.checks["history_violations"] == [16608118694158627991]
+    assert report.checks["history_inconclusive"] == 0
+
+
+@pytest.mark.parametrize(
+    "run, kwargs",
+    [
+        (run_recovery_chaos, dict(requests=200, nodes=4)),
+        (run_cluster_chaos, dict(requests=160, nodes=4)),
+    ],
+    ids=["recovery", "cluster"],
+)
+def test_inconclusive_history_fails_the_contract(monkeypatch, run, kwargs):
+    # A key that exhausts the search budget has only partial finals, so
+    # it cannot vouch for the lost-acked-writes check: the run fails.
+    monkeypatch.setattr(history, "_STATE_BUDGET", 1)
+    with pytest.raises(ChaosError, match="inconclusive"):
+        run("cha-tlb", seed=7, **kwargs)
