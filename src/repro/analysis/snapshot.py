@@ -10,6 +10,9 @@ scheme.  So we capture the functional state once per (workload, params)
 page tables, allocator) plus the workload's own attributes (data-structure
 roots, query lists, RNG state) — and restore it for every later build by
 deep-copying the template instead of re-running O(dataset) population.
+A restore copies what the workload touched: the physical frame pool is
+lazy (:mod:`repro.mem.physical`), so the copy holds the frames in use and
+the frames given back, not a list of every frame the machine has.
 
 Bit-identity argument: the template is captured *before* any ROI runs, so
 it equals exactly what a fresh build produces; ``deepcopy`` preserves all

@@ -10,19 +10,28 @@ This reproduces the two behaviours the paper's analysis hinges on
 (Sec. II-A): hash-table queries extract MLP until the ROB/LQ saturates
 (backend bound), while pointer-chasing structures serialise on dependent
 loads and burn frontend bandwidth on many dynamic instructions.
+
+Every Fig. 7 speedup divides a software-baseline run of this model (about
+100k ops for rocksdb or snort) by a QEI run, so the per-op host cost is the
+baseline's cost.  :meth:`CoreExecution.run_until` is therefore one loop
+over the trace with the config, windows and counters in locals: ALU,
+branch and fetch-stall ops are timed inline, and only memory and external
+ops call :meth:`OoOCore._execute_op`.  ``tests/core_reference.py`` keeps the
+original one-op-per-call step as the oracle the loop is checked against.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..config import CoreConfig
 from ..errors import SimulationError
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.mmu import Mmu
 from ..sim.stats import StatsRegistry
-from .isa import MicroOp, OpKind
+from .isa import LOAD_LIKE, STORE_LIKE, MicroOp, OpKind
 from .trace import Trace
 
 #: Resolves QUERY_B / QUERY_NB / WAIT_RESULT ops.  Receives the op and its
@@ -33,13 +42,6 @@ from .trace import Trace
 #: still in flight, and only force the co-simulation when the value is
 #: actually consumed (a register dependence or the ROB window).
 ExternalResolver = Callable[[MicroOp, int], Tuple[object, int]]
-
-
-def _as_cycle(value: object) -> int:
-    """Collapse an int-or-promise completion to its cycle number."""
-    if isinstance(value, int):
-        return value
-    return value.resolve()  # type: ignore[union-attr]
 
 
 @dataclass
@@ -97,8 +99,7 @@ class OoOCore:
         execution = CoreExecution(
             self, trace, start_cycle=start_cycle, external=external
         )
-        while not execution.finished:
-            execution.step()
+        execution.run_until(len(trace))
         return execution.finish()
 
     def begin(
@@ -120,43 +121,37 @@ class OoOCore:
         result: CoreResult,
         external: Optional[ExternalResolver],
     ) -> object:
-        if op.kind is OpKind.ALU:
-            return ready + (op.latency_override or 1)
-
-        if op.kind is OpKind.IFETCH_STALL:
-            # The fetch unit stalls for the given cycles from dispatch.
-            return ready + (op.latency_override or 1)
-
-        if op.kind is OpKind.BRANCH:
-            result.branches += 1
-            return ready + 1
-
-        if op.kind is OpKind.LOAD:
+        """Time a memory or external op (the core loop times the rest)."""
+        kind = op.kind
+        if kind is OpKind.LOAD:
             result.loads += 1
             latency = self._memory_latency(op.vaddr, ready, write=False, res=result)
             return ready + latency
 
-        if op.kind is OpKind.STORE:
+        if kind is OpKind.STORE:
             result.stores += 1
             # Stores retire through the store buffer: the pipeline sees a
             # 1-cycle cost; the cache access is charged for statistics.
             self._memory_latency(op.vaddr, ready, write=True, res=result)
             return ready + 1
 
-        if op.kind in (OpKind.QUERY_B, OpKind.QUERY_NB, OpKind.WAIT_RESULT):
+        if kind in (OpKind.QUERY_B, OpKind.QUERY_NB, OpKind.WAIT_RESULT):
             if external is None:
                 raise SimulationError(
-                    f"trace contains {op.kind.value} but no external resolver "
+                    f"trace contains {kind.value} but no external resolver "
                     "(query port) was provided"
                 )
-            result.queries_issued += op.kind is not OpKind.WAIT_RESULT
+            result.queries_issued += kind is not OpKind.WAIT_RESULT
             done, extra_instructions = external(op, ready)
             result.instructions += extra_instructions
-            if isinstance(done, int) and done < ready:
-                raise SimulationError("external op completed before it issued")
+            if isinstance(done, int):
+                if done < ready:
+                    raise SimulationError("external op completed before it issued")
+                # The core loop tells cycles from promises by exact type.
+                return int(done)
             return done
 
-        raise SimulationError(f"unknown op kind {op.kind!r}")
+        raise SimulationError(f"unknown op kind {kind!r}")
 
     def _memory_latency(
         self, vaddr: Optional[int], now: int, *, write: bool, res: CoreResult
@@ -180,11 +175,18 @@ class OoOCore:
 class CoreExecution:
     """Incremental, resumable execution of one trace on one core.
 
-    Processing one op at a time lets a multicore runner interleave several
-    cores' traces in (approximate) global time order, so their accesses
-    contend realistically in the shared LLC/NoC/DRAM models.  Running an
-    execution to completion is exactly equivalent to
-    :meth:`OoOCore.execute`.
+    :meth:`run_until` is the core model's only loop.  ``OoOCore.execute``
+    runs it once over the whole trace; a multicore runner calls
+    :meth:`step` (one op) to interleave several cores' traces in
+    (approximate) global time order, so their accesses contend
+    realistically in the shared LLC/NoC/DRAM models.  Both give exactly
+    the same cycles for the same sequence of ops.
+
+    ``_completion[i]`` holds op i's completion: an ``int`` cycle, or a
+    promise until something consumes it, when the resolved cycle is
+    written back.  It doubles as the ROB (the head of a full ROB is
+    ``_completion[i - rob_entries]``); the LQ/SQ windows hold the indices
+    of the youngest ``entries`` load-/store-like ops.
     """
 
     def __init__(
@@ -195,15 +197,17 @@ class CoreExecution:
         start_cycle: int = 0,
         external: Optional[ExternalResolver] = None,
     ) -> None:
+        cfg = core.config
         self.core = core
         self.trace = trace
         self.external = external
         self.start_cycle = start_cycle
         self._index = 0
-        self._completion: list = [0] * len(trace)
-        self._rob: list = []
-        self._lq: list = []
-        self._sq: list = []
+        self._completion: List[object] = [0] * len(trace)
+        #: Indices whose completion was a promise when the op executed.
+        self._unresolved: List[int] = []
+        self._lq: Deque[int] = deque(maxlen=cfg.load_queue_entries)
+        self._sq: Deque[int] = deque(maxlen=cfg.store_queue_entries)
         self._fetch_ready = start_cycle
         self._dispatched_this_cycle = 0
         self._dispatch_cycle = start_cycle
@@ -227,71 +231,116 @@ class CoreExecution:
         """Process the next op in program order."""
         if self.finished:
             raise SimulationError("stepping a finished execution")
-        cfg = self.core.config
-        i = self._index
-        op = self.trace[i]
+        self.run_until(self._index + 1)
+
+    def run_until(self, stop: int) -> None:
+        """Process ops in program order up to (excluding) index ``stop``.
+
+        The execution state lives in locals for the call and is written
+        back even when an op raises, which leaves ``_index`` at that op.
+        """
+        ops = self.trace.ops
+        stop = min(stop, len(ops))
+        i = start = self._index
+        if i >= stop:
+            return
+        core = self.core
+        cfg = core.config
+        rob_entries = cfg.rob_entries
+        issue_width = cfg.issue_width
+        mispredict_cycles = cfg.branch_mispredict_cycles
+        execute_op = core._execute_op
+        external = self.external
         completion = self._completion
+        unresolved = self._unresolved
+        windows = dict.fromkeys(LOAD_LIKE, self._lq)
+        windows.update(dict.fromkeys(STORE_LIKE, self._sq))
         result = self.result
+        fetch_ready = self._fetch_ready
+        dispatch_cycle = self._dispatch_cycle
+        dispatched = self._dispatched_this_cycle
+        last = self._last_completion
+        branches = mispredicts = stalls = stall_cycles = 0
+        ALU, BRANCH, IFETCH = OpKind.ALU, OpKind.BRANCH, OpKind.IFETCH_STALL
+        try:
+            while i < stop:
+                op = ops[i]
+                kind = op.kind
 
-        # ---------------- frontend / dispatch --------------------------- #
-        earliest = max(self._fetch_ready, self._dispatch_cycle)
-        if len(self._rob) >= cfg.rob_entries:
-            head = _as_cycle(self._rob[i - cfg.rob_entries])
-            self._rob[i - cfg.rob_entries] = head
-            earliest = max(earliest, head)
-        if op.is_load_like() and len(self._lq) >= cfg.load_queue_entries:
-            oldest = _as_cycle(self._lq[-cfg.load_queue_entries])
-            self._lq[-cfg.load_queue_entries] = oldest
-            earliest = max(earliest, oldest)
-        if op.is_store_like() and len(self._sq) >= cfg.store_queue_entries:
-            oldest = _as_cycle(self._sq[-cfg.store_queue_entries])
-            self._sq[-cfg.store_queue_entries] = oldest
-            earliest = max(earliest, oldest)
+                # ---------------- frontend / dispatch ------------------- #
+                earliest = fetch_ready if fetch_ready > dispatch_cycle else dispatch_cycle
+                if i >= rob_entries:
+                    head = completion[i - rob_entries]
+                    if type(head) is not int:
+                        head = completion[i - rob_entries] = head.resolve()
+                    if head > earliest:
+                        earliest = head
+                window = windows.get(kind)
+                if window is not None and len(window) == window.maxlen:
+                    oldest = completion[window[0]]
+                    if type(oldest) is not int:
+                        oldest = completion[window[0]] = oldest.resolve()
+                    if oldest > earliest:
+                        earliest = oldest
 
-        if earliest > self._dispatch_cycle:
-            self._dispatch_cycle = earliest
-            self._dispatched_this_cycle = 0
-        elif self._dispatched_this_cycle >= cfg.issue_width:
-            self._dispatch_cycle += 1
-            self._dispatched_this_cycle = 0
-        self._dispatched_this_cycle += 1
-        dispatch = self._dispatch_cycle
+                if earliest > dispatch_cycle:
+                    dispatch_cycle = earliest
+                    dispatched = 0
+                elif dispatched >= issue_width:
+                    dispatch_cycle += 1
+                    dispatched = 0
+                dispatched += 1
 
-        # ---------------- execute ---------------------------------------- #
-        ready = dispatch
-        for dep in op.deps:
-            if dep >= 0:
-                if dep >= i:
-                    raise SimulationError(
-                        f"op {i} depends on later op {dep}; malformed trace"
-                    )
-                dep_done = _as_cycle(completion[dep])
-                completion[dep] = dep_done
-                ready = max(ready, dep_done)
+                # ---------------- execute ------------------------------- #
+                ready = dispatch_cycle
+                for dep in op.deps:
+                    if dep >= 0:
+                        if dep >= i:
+                            raise SimulationError(
+                                f"op {i} depends on later op {dep}; malformed trace"
+                            )
+                        dep_done = completion[dep]
+                        if type(dep_done) is not int:
+                            dep_done = completion[dep] = dep_done.resolve()
+                        if dep_done > ready:
+                            ready = dep_done
 
-        done = self.core._execute_op(op, ready, result, self.external)
-        completion[i] = done
-        if isinstance(done, int):
-            self._last_completion = max(self._last_completion, done)
-
-        # ---------------- retire bookkeeping ----------------------------- #
-        self._rob.append(done)
-        if op.is_load_like():
-            self._lq.append(done)
-        if op.is_store_like():
-            self._sq.append(done)
-
-        if op.kind is OpKind.BRANCH and op.mispredicted:
-            self._fetch_ready = done + cfg.branch_mispredict_cycles
-            result.branch_mispredicts += 1
-
-        if op.kind is OpKind.IFETCH_STALL:
-            self._fetch_ready = max(self._fetch_ready, done)
-            result.frontend_stall_cycles += op.latency_override or 0
-        else:
-            result.instructions += 1
-
-        self._index += 1
+                if kind is ALU:
+                    done = ready + (op.latency_override or 1)
+                elif kind is BRANCH:
+                    branches += 1
+                    done = ready + 1
+                    if op.mispredicted:
+                        fetch_ready = done + mispredict_cycles
+                        mispredicts += 1
+                elif kind is IFETCH:
+                    # The fetch unit stalls for the given cycles from
+                    # dispatch; the pseudo-op retires no instruction.
+                    done = ready + (op.latency_override or 1)
+                    if done > fetch_ready:
+                        fetch_ready = done
+                    stalls += 1
+                    stall_cycles += op.latency_override or 0
+                else:
+                    done = execute_op(op, ready, result, external)
+                    if type(done) is not int:
+                        unresolved.append(i)
+                    if window is not None:
+                        window.append(i)
+                completion[i] = done
+                if type(done) is int and done > last:
+                    last = done
+                i += 1
+        finally:
+            self._index = i
+            self._fetch_ready = fetch_ready
+            self._dispatch_cycle = dispatch_cycle
+            self._dispatched_this_cycle = dispatched
+            self._last_completion = last
+            result.branches += branches
+            result.branch_mispredicts += mispredicts
+            result.frontend_stall_cycles += stall_cycles
+            result.instructions += i - start - stalls
 
     # ------------------------------------------------------------------ #
 
@@ -302,8 +351,13 @@ class CoreExecution:
         if not self.finished:
             raise SimulationError("finish() before the trace is exhausted")
         last = self._last_completion
-        for value in self._completion:
-            last = max(last, _as_cycle(value))
+        completion = self._completion
+        for i in self._unresolved:
+            value = completion[i]
+            if type(value) is not int:
+                value = completion[i] = value.resolve()
+            if value > last:
+                last = value
         result = self.result
         result.end_cycle = last
         result.cycles = last - self.start_cycle

@@ -40,7 +40,7 @@ LOAD_LIKE = (OpKind.LOAD, OpKind.QUERY_B)
 STORE_LIKE = (OpKind.STORE, OpKind.QUERY_NB)
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroOp:
     """One dynamic micro-operation in a trace.
 
@@ -63,9 +63,3 @@ class MicroOp:
     mispredicted: bool = False
     payload: Any = None
     latency_override: Optional[int] = None
-
-    def is_load_like(self) -> bool:
-        return self.kind in LOAD_LIKE
-
-    def is_store_like(self) -> bool:
-        return self.kind in STORE_LIKE

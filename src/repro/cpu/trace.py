@@ -13,7 +13,7 @@ register dependences naturally::
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from .isa import MicroOp, OpKind
 
@@ -51,22 +51,24 @@ class TraceBuilder:
 
     def __init__(self) -> None:
         self._trace = Trace()
+        self._ops = self._trace.ops
 
     @property
     def trace(self) -> Trace:
         return self._trace
 
     def __len__(self) -> int:
-        return len(self._trace)
+        return len(self._ops)
 
     def _emit(self, op: MicroOp) -> int:
-        self._trace.ops.append(op)
-        return len(self._trace.ops) - 1
+        ops = self._ops
+        ops.append(op)
+        return len(ops) - 1
 
     # ------------------------------------------------------------------ #
 
     def load(self, vaddr: int, deps: Sequence[int] = ()) -> int:
-        return self._emit(MicroOp(OpKind.LOAD, vaddr=vaddr, deps=tuple(deps)))
+        return self._emit(MicroOp(OpKind.LOAD, vaddr, tuple(deps)))
 
     def load_span(self, vaddr: int, length: int, deps: Sequence[int] = ()) -> List[int]:
         """One load per cacheline covered by ``[vaddr, vaddr + length)``."""
@@ -81,25 +83,23 @@ class TraceBuilder:
         return ids
 
     def store(self, vaddr: int, deps: Sequence[int] = ()) -> int:
-        return self._emit(MicroOp(OpKind.STORE, vaddr=vaddr, deps=tuple(deps)))
+        return self._emit(MicroOp(OpKind.STORE, vaddr, tuple(deps)))
 
     def alu(
         self, deps: Sequence[int] = (), *, latency: Optional[int] = None, count: int = 1
     ) -> int:
         """Emit ``count`` dependent ALU ops; returns the last one's index."""
-        last = -1
-        chain: Tuple[int, ...] = tuple(deps)
-        for _ in range(max(1, count)):
-            last = self._emit(
-                MicroOp(OpKind.ALU, deps=chain, latency_override=latency)
-            )
-            chain = (last,)
-        return last
+        ops = self._ops
+        first = len(ops)
+        ops.append(MicroOp(OpKind.ALU, None, tuple(deps), False, None, latency))
+        ops.extend([
+            MicroOp(OpKind.ALU, None, (prev,), False, None, latency)
+            for prev in range(first, first + count - 1)
+        ])
+        return len(ops) - 1
 
     def branch(self, deps: Sequence[int] = (), *, mispredicted: bool = False) -> int:
-        return self._emit(
-            MicroOp(OpKind.BRANCH, deps=tuple(deps), mispredicted=mispredicted)
-        )
+        return self._emit(MicroOp(OpKind.BRANCH, None, tuple(deps), mispredicted))
 
     def query_b(self, payload: Any, deps: Sequence[int] = ()) -> int:
         return self._emit(MicroOp(OpKind.QUERY_B, deps=tuple(deps), payload=payload))
@@ -125,8 +125,11 @@ class TraceBuilder:
         memcpy, thread management in RocksDB's seek loop, Sec. VII-A).
         Emitted as short independent chains so they enjoy normal ILP.
         """
-        last = -1
-        for i in range(instructions):
-            chain = tuple(deps) if i % 4 == 0 else (last,)
-            last = self._emit(MicroOp(OpKind.ALU, deps=chain))
-        return last
+        ops = self._ops
+        first = len(ops)
+        deps = tuple(deps)
+        ops.extend([
+            MicroOp(OpKind.ALU, None, deps if i % 4 == 0 else (first + i - 1,))
+            for i in range(instructions)
+        ])
+        return first + instructions - 1 if instructions else -1

@@ -2,11 +2,19 @@
 
 Frames are allocated lazily so a 512MB machine costs only what is touched.
 Reads and writes may span frame boundaries; the class splits them.
+
+The free pool is lazy too.  Frames at or above the ``_fresh`` cursor have
+never been handed out; ``_free_frames`` holds only frames given back since
+(an insertion-ordered dict used as a LIFO set).  ``allocate_frame`` reuses
+the most recently freed frame first, then takes the lowest fresh one: the
+same order as popping a ``[n-1, ..., 1, 0]`` list that freed frames are
+pushed onto.  So a process costs O(frames used), not O(capacity), to hold,
+deep-copy and restore from a warm-system snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..config import PAGE_BYTES
 from ..errors import OutOfMemory, SimulationError
@@ -24,7 +32,10 @@ class PhysicalMemory:
         self.frame_bytes = frame_bytes
         self.num_frames = capacity_bytes // frame_bytes
         self._frames: Dict[int, bytearray] = {}
-        self._free_frames: List[int] = list(range(self.num_frames - 1, -1, -1))
+        #: Frames below this have been allocated at least once.
+        self._fresh = 0
+        #: Released frames in push order; the last one is reused first.
+        self._free_frames: Dict[int, None] = {}
 
     # ------------------------------------------------------------------ #
     # Frame management
@@ -32,11 +43,15 @@ class PhysicalMemory:
 
     def allocate_frame(self) -> int:
         """Reserve one physical frame, returning its frame number."""
-        if not self._free_frames:
+        if self._free_frames:
+            return self._free_frames.popitem()[0]
+        frame = self._fresh
+        if frame >= self.num_frames:
             raise OutOfMemory(
                 f"physical memory exhausted ({self.num_frames} frames in use)"
             )
-        return self._free_frames.pop()
+        self._fresh = frame + 1
+        return frame
 
     def allocate_contiguous(self, count: int) -> int:
         """Reserve ``count`` physically *consecutive* frames (huge pages).
@@ -44,17 +59,23 @@ class PhysicalMemory:
         Returns the base frame number.  Raises :class:`OutOfMemory` when no
         contiguous run exists — which is exactly the fragmentation failure
         mode the paper raises against huge-page-only designs (Sec. II-B).
+        A successful call turns every fresh frame into an explicit free
+        frame in ascending order, so later single-frame allocations take
+        the highest free frame first.
         """
         if count <= 0:
             raise SimulationError("contiguous allocation needs a positive count")
+        # Released frames all lie below the fresh cursor.
         free = sorted(self._free_frames)
+        free.extend(range(self._fresh, self.num_frames))
         run_start = 0
         for i in range(1, len(free) + 1):
             if i == len(free) or free[i] != free[i - 1] + 1:
                 if i - run_start >= count:
                     base = free[run_start]
-                    taken = set(range(base, base + count))
-                    self._free_frames = [f for f in free if f not in taken]
+                    del free[run_start : run_start + count]
+                    self._free_frames = dict.fromkeys(free)
+                    self._fresh = self.num_frames
                     return base
                 run_start = i
         raise OutOfMemory(
@@ -64,12 +85,14 @@ class PhysicalMemory:
     def free_frame(self, frame_number: int) -> None:
         """Return a frame to the free pool and drop its contents."""
         self._check_frame(frame_number)
+        if frame_number >= self._fresh or frame_number in self._free_frames:
+            raise SimulationError(f"frame {frame_number} is not allocated")
         self._frames.pop(frame_number, None)
-        self._free_frames.append(frame_number)
+        self._free_frames[frame_number] = None
 
     @property
     def frames_in_use(self) -> int:
-        return self.num_frames - len(self._free_frames)
+        return self._fresh - len(self._free_frames)
 
     def _check_frame(self, frame_number: int) -> None:
         if not 0 <= frame_number < self.num_frames:

@@ -1,0 +1,272 @@
+"""Lockstep property tests: the OoO core loop against the reference step.
+
+``CoreExecution.run_until`` keeps its window state in locals, times ALU,
+branch and fetch-stall ops inline, reads the ROB head straight out of the
+completion list and resolves only the promises it has not resolved yet.
+``tests/core_reference.py`` is the original one-op step it replaced.  Both
+run identical random traces over every op kind on fresh, identical cores,
+with ROB, LQ and SQ sizes small enough that every window fills, and with
+external ops that complete either at a known cycle or through a promise
+whose resolution is logged.  Every :class:`CoreResult` field, the level
+breakdown, the core's stats counters and the order in which promises are
+resolved must be equal.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from repro import small_config  # noqa: E402
+from repro.core.isa import CompletionPromise  # noqa: E402
+from repro.cpu import OoOCore  # noqa: E402
+from repro.cpu.isa import MicroOp, OpKind  # noqa: E402
+from repro.cpu.multicore import run_multiprogrammed  # noqa: E402
+from repro.cpu.trace import Trace  # noqa: E402
+from repro.errors import SegmentationFault, SimulationError  # noqa: E402
+from repro.mem import AddressSpace, MemoryHierarchy, Mmu, PhysicalMemory  # noqa: E402
+
+from .core_reference import ReferenceExecution, reference_execute  # noqa: E402
+
+PAGES = 32
+LINES = PAGES * 4096 // 64
+#: (rob, lq, sq) sizes; the last is small_config()'s own core.
+WINDOWS = [(4, 2, 2), (12, 3, 5), (32, 8, 6), (224, 72, 56)]
+KINDS = list(OpKind)
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def build_cores(windows, num_cores=1):
+    """Fresh cores sharing one hierarchy and one mapped address space."""
+    cfg = small_config()
+    rob, lq, sq = windows
+    core_cfg = dataclasses.replace(
+        cfg.core, rob_entries=rob, load_queue_entries=lq, store_queue_entries=sq
+    )
+    hierarchy = MemoryHierarchy(cfg)
+    space = AddressSpace(PhysicalMemory(cfg.memory_bytes))
+    for page in range(1, PAGES + 1):
+        space.map_page(page * 4096)
+    return [
+        OoOCore(c, core_cfg, hierarchy, Mmu(space, [cfg.core.l1_dtlb, cfg.core.l2_tlb]))
+        for c in range(num_cores)
+    ]
+
+
+#: One op: (kind, dep offsets, line, mispredicted, latency, promise?, extra).
+OP = st.tuples(
+    st.sampled_from(KINDS),
+    st.lists(st.integers(-1, 40), max_size=3),
+    st.integers(0, LINES - 1),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 12)),
+    st.booleans(),
+    st.integers(0, 3),
+)
+TRACE_SPECS = st.lists(OP, min_size=1, max_size=300)
+
+
+def make_trace(specs, tag=0):
+    """Build a well-formed trace: deps point backwards or are negative."""
+    ops = []
+    for i, (kind, offsets, line, mispredicted, latency, promise, extra) in enumerate(
+        specs
+    ):
+        deps = tuple(i - off if 0 < off <= i else -1 for off in offsets)
+        vaddr = 4096 + line * 64 if kind in (OpKind.LOAD, OpKind.STORE) else None
+        payload = (tag, i, promise, (latency or 0) * 37, extra)
+        ops.append(
+            MicroOp(
+                kind,
+                vaddr=vaddr,
+                deps=deps,
+                mispredicted=mispredicted,
+                payload=payload,
+                latency_override=latency,
+            )
+        )
+    return Trace(ops)
+
+
+def make_external(log):
+    """A query port stand-in: int completions or logged promises."""
+
+    def external(op, issue):
+        tag, index, promise, latency, extra = op.payload
+        done = issue + latency
+        if not promise:
+            return done, extra
+
+        def resolve():
+            log.append((tag, index))
+            return done
+
+        return CompletionPromise(resolve), extra
+
+    return external
+
+
+def run_both(specs, windows, chunks=None):
+    """Run one trace through the core loop and through the reference."""
+    trace = make_trace(specs)
+    (new_core,) = build_cores(windows)
+    (ref_core,) = build_cores(windows)
+    new_log, ref_log = [], []
+    if chunks is None:
+        new = new_core.execute(trace, start_cycle=5, external=make_external(new_log))
+    else:
+        execution = new_core.begin(
+            trace, start_cycle=5, external=make_external(new_log)
+        )
+        rng = random.Random(chunks)
+        while not execution.finished:
+            if rng.random() < 0.5:
+                execution.step()
+            else:
+                execution.run_until(execution._index + rng.randrange(1, 40))
+        new = execution.finish()
+    ref = reference_execute(
+        ref_core, trace, start_cycle=5, external=make_external(ref_log)
+    )
+    return new, ref, new_log, ref_log, new_core, ref_core
+
+
+def assert_same(new, ref, new_log, ref_log, new_core, ref_core):
+    assert dataclasses.asdict(new) == dataclasses.asdict(ref)
+    assert new.level_breakdown == ref.level_breakdown
+    assert new_log == ref_log
+    assert new_core.stats.snapshot() == ref_core.stats.snapshot()
+    assert new_core.hierarchy.stats.snapshot() == ref_core.hierarchy.stats.snapshot()
+
+
+@given(specs=TRACE_SPECS, windows=st.sampled_from(WINDOWS))
+@SETTINGS
+def test_core_loop_matches_reference(specs, windows):
+    assert_same(*run_both(specs, windows))
+
+
+@given(
+    specs=TRACE_SPECS,
+    windows=st.sampled_from(WINDOWS),
+    chunks=st.integers(0, 10_000),
+)
+@SETTINGS
+def test_chunked_run_until_matches_reference(specs, windows, chunks):
+    assert_same(*run_both(specs, windows, chunks=chunks))
+
+
+def test_windows_saturate_on_default_core():
+    """Long DRAM-missing load and store streams fill ROB, LQ and SQ."""
+    specs = []
+    for i in range(600):
+        kind = [OpKind.LOAD, OpKind.STORE, OpKind.QUERY_B, OpKind.QUERY_NB][i % 4]
+        specs.append((kind, [], (i * 67) % LINES, False, 10, i % 8 == 2, 0))
+    new, ref, new_log, ref_log, new_core, ref_core = run_both(specs, WINDOWS[-1])
+    assert_same(new, ref, new_log, ref_log, new_core, ref_core)
+    assert ref_log, "no promise was ever resolved"
+    # A full window throttles dispatch: far below 4 ops per cycle.
+    assert new.cycles > len(specs) // 2
+
+
+@contextlib.contextmanager
+def begin_with(execution_cls):
+    """Make ``OoOCore.begin`` start a reference execution instead."""
+    original = OoOCore.begin
+    OoOCore.begin = lambda core, trace, **kw: execution_cls(core, trace, **kw)
+    try:
+        yield
+    finally:
+        OoOCore.begin = original
+
+
+@given(
+    specs=st.lists(st.lists(OP, min_size=1, max_size=120), min_size=2, max_size=3),
+    windows=st.sampled_from(WINDOWS),
+)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_multiprogrammed_matches_reference(specs, windows):
+    traces = [make_trace(s, tag) for tag, s in enumerate(specs)]
+
+    def run():
+        cores = build_cores(windows, len(traces))
+        log = []
+        result = run_multiprogrammed(
+            list(zip(cores, traces)),
+            externals={c.core_id: make_external(log) for c in cores},
+        )
+        per_core = {k: dataclasses.asdict(v) for k, v in result.per_core.items()}
+        return per_core, log, cores[0].hierarchy.stats.snapshot()
+
+    new = run()
+    with begin_with(ReferenceExecution):
+        assert new == run()
+
+
+def stop_state(execution, run):
+    try:
+        run()
+    except (SimulationError, SegmentationFault) as exc:
+        return (
+            type(exc),
+            str(exc),
+            execution._index,
+            dataclasses.asdict(execution.result),
+            execution.local_time(),
+        )
+    raise AssertionError("trace did not raise")
+
+
+def stop_states(trace, windows):
+    """Where the core loop and the reference stop on a trace that raises."""
+    new = build_cores(windows)[0].begin(trace, external=make_external([]))
+    ref = ReferenceExecution(build_cores(windows)[0], trace, external=make_external([]))
+
+    def step_reference():
+        while not ref.finished:
+            ref.step()
+
+    return (
+        stop_state(new, lambda: new.run_until(len(trace))),
+        stop_state(ref, step_reference),
+    )
+
+
+@given(
+    specs=st.lists(OP, min_size=1, max_size=80),
+    bad=st.integers(0, 79),
+    forward=st.integers(0, 5),
+    windows=st.sampled_from(WINDOWS),
+)
+@SETTINGS
+def test_forward_dependence_raises_at_same_index(specs, bad, forward, windows):
+    trace = make_trace(specs)
+    bad %= len(trace)
+    op = trace.ops[bad]
+    op.deps = op.deps + (bad + forward,)
+    new_state, ref_state = stop_states(trace, windows)
+    assert new_state == ref_state
+    assert new_state[2] == bad
+
+
+def test_unmapped_load_faults_at_same_index():
+    trace = make_trace([(OpKind.ALU, [1], 0, False, None, False, 0)] * 30)
+    trace.ops.insert(17, MicroOp(OpKind.LOAD, vaddr=(PAGES + 5) * 4096))
+    new_state, ref_state = stop_states(trace, WINDOWS[1])
+    assert new_state == ref_state
+    assert new_state[0] is SegmentationFault
+    assert new_state[2] == 17

@@ -57,6 +57,36 @@ class TestPhysicalMemory:
         phys.allocate_frame()
         assert phys.read(base, 6) == b"\x00" * 6
 
+    def test_double_free_rejected(self):
+        small = PhysicalMemory(16 * 4096)
+        frame = small.allocate_frame()
+        small.free_frame(frame)
+        with pytest.raises(SimulationError):
+            small.free_frame(frame)
+        assert small.frames_in_use == 0
+        # The frame is handed out once, not twice.
+        assert small.allocate_frame() == frame
+        assert small.allocate_frame() != frame
+
+    def test_freeing_never_allocated_frame_rejected(self):
+        small = PhysicalMemory(16 * 4096)
+        with pytest.raises(SimulationError):
+            small.free_frame(0)
+        small.allocate_frame()
+        with pytest.raises(SimulationError):
+            small.free_frame(5)
+        assert small.frames_in_use == 1
+
+    def test_free_after_contiguous_allocation_checked(self):
+        small = PhysicalMemory(16 * 4096)
+        base = small.allocate_contiguous(4)
+        small.free_frame(base + 1)
+        with pytest.raises(SimulationError):
+            small.free_frame(base + 1)
+        with pytest.raises(SimulationError):
+            small.free_frame(base + 4)  # free, never handed out
+        assert small.frames_in_use == 3
+
 
 class TestAddressSpace:
     def test_map_translate_read_write(self, space):
