@@ -69,8 +69,8 @@ def workload_params(name: str, quick: bool) -> dict:
 def _build(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] = None):
     # Default-config builds reuse the warm-system snapshot (see
     # analysis/snapshot.py): the first build per (name, params) captures a
-    # template of the populated memory image; later builds restore it via
-    # deepcopy instead of re-running O(dataset) population.  Custom configs
+    # template of the populated memory image; later builds restore it by
+    # unpickling instead of re-running O(dataset) population.  Custom configs
     # always build fresh (same policy as _PAIR_MEMO).
     params = workload_params(name, quick)
     if config is None:

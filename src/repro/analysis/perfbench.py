@@ -176,8 +176,8 @@ def bench_writes(writes: int = 1500) -> float:
     the full write-CFA path (header parse, seqlock CAS, key walk, one-slot
     commit, version-bump release) without growing the table, so the number
     isolates the mutation engine's hot path from capacity effects.  The
-    system comes from the warm-snapshot restore path — a private deepcopy —
-    so the mutations never leak into other benches.
+    system comes from the warm-snapshot restore path — a private unpickled
+    copy — so the mutations never leak into other benches.
     """
     from ..core.cfa import OP_UPDATE
     from .experiments import _build

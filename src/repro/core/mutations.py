@@ -41,6 +41,7 @@ agreement (including forced seqlock conflicts and mid-resize walks).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -1061,7 +1062,8 @@ class MutationExecutor:
     SOFTWARE_APPLY_CYCLES = 220
 
     def __init__(self, system) -> None:
-        self.system = system
+        # The System owns this executor (``System.mutations()``).
+        self.system = weakref.proxy(system)
         self.stats = system.stats.scoped("mutations")
 
     # ---------------- accelerated path ---------------- #

@@ -14,10 +14,13 @@ loads and burn frontend bandwidth on many dynamic instructions.
 Every Fig. 7 speedup divides a software-baseline run of this model (about
 100k ops for rocksdb or snort) by a QEI run, so the per-op host cost is the
 baseline's cost.  :meth:`CoreExecution.run_until` is therefore one loop
-over the trace with the config, windows and counters in locals: ALU,
-branch and fetch-stall ops are timed inline, and only memory and external
-ops call :meth:`OoOCore._execute_op`.  ``tests/core_reference.py`` keeps the
-original one-op-per-call step as the oracle the loop is checked against.
+over the trace's columns (:mod:`repro.cpu.trace`: kinds, packed deps, one
+operand per op) with the config, windows and counters in locals.  It tells
+kinds apart by identity tests on :class:`OpKind` members, never by hashing
+them, and times every kind inline except the query and wait ops, which
+go through :meth:`OoOCore._execute_external` with a :class:`MicroOp` view
+for the resolver.  ``tests/core_reference.py`` keeps the original
+one-op-per-call step as the oracle the loop is checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from ..errors import SimulationError
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.mmu import Mmu
 from ..sim.stats import StatsRegistry
-from .isa import LOAD_LIKE, STORE_LIKE, MicroOp, OpKind
+from .isa import MicroOp, OpKind
 from .trace import Trace
 
 #: Resolves QUERY_B / QUERY_NB / WAIT_RESULT ops.  Receives the op and its
@@ -114,27 +117,15 @@ class OoOCore:
 
     # ------------------------------------------------------------------ #
 
-    def _execute_op(
+    def _execute_external(
         self,
         op: MicroOp,
         ready: int,
         result: CoreResult,
         external: Optional[ExternalResolver],
     ) -> object:
-        """Time a memory or external op (the core loop times the rest)."""
+        """Time a query or wait op (the core loop times every other kind)."""
         kind = op.kind
-        if kind is OpKind.LOAD:
-            result.loads += 1
-            latency = self._memory_latency(op.vaddr, ready, write=False, res=result)
-            return ready + latency
-
-        if kind is OpKind.STORE:
-            result.stores += 1
-            # Stores retire through the store buffer: the pipeline sees a
-            # 1-cycle cost; the cache access is charged for statistics.
-            self._memory_latency(op.vaddr, ready, write=True, res=result)
-            return ready + 1
-
         if kind in (OpKind.QUERY_B, OpKind.QUERY_NB, OpKind.WAIT_RESULT):
             if external is None:
                 raise SimulationError(
@@ -154,7 +145,7 @@ class OoOCore:
         raise SimulationError(f"unknown op kind {kind!r}")
 
     def _memory_latency(
-        self, vaddr: Optional[int], now: int, *, write: bool, res: CoreResult
+        self, vaddr: Optional[int], now: int, write: bool, res: CoreResult
     ) -> int:
         if vaddr is None:
             raise SimulationError("memory op without an address")
@@ -239,8 +230,9 @@ class CoreExecution:
         The execution state lives in locals for the call and is written
         back even when an op raises, which leaves ``_index`` at that op.
         """
-        ops = self.trace.ops
-        stop = min(stop, len(ops))
+        trace = self.trace
+        kinds, deps, args = trace.kinds, trace.deps, trace.args
+        stop = min(stop, len(kinds))
         i = start = self._index
         if i >= stop:
             return
@@ -249,23 +241,24 @@ class CoreExecution:
         rob_entries = cfg.rob_entries
         issue_width = cfg.issue_width
         mispredict_cycles = cfg.branch_mispredict_cycles
-        execute_op = core._execute_op
+        memory_latency = core._memory_latency
+        execute_external = core._execute_external
         external = self.external
         completion = self._completion
         unresolved = self._unresolved
-        windows = dict.fromkeys(LOAD_LIKE, self._lq)
-        windows.update(dict.fromkeys(STORE_LIKE, self._sq))
+        lq, sq = self._lq, self._sq
         result = self.result
         fetch_ready = self._fetch_ready
         dispatch_cycle = self._dispatch_cycle
         dispatched = self._dispatched_this_cycle
         last = self._last_completion
-        branches = mispredicts = stalls = stall_cycles = 0
+        loads = stores = branches = mispredicts = stalls = stall_cycles = 0
         ALU, BRANCH, IFETCH = OpKind.ALU, OpKind.BRANCH, OpKind.IFETCH_STALL
+        LOAD, STORE = OpKind.LOAD, OpKind.STORE
+        QUERY_B, QUERY_NB = OpKind.QUERY_B, OpKind.QUERY_NB
         try:
             while i < stop:
-                op = ops[i]
-                kind = op.kind
+                kind = kinds[i]
 
                 # ---------------- frontend / dispatch ------------------- #
                 earliest = fetch_ready if fetch_ready > dispatch_cycle else dispatch_cycle
@@ -275,7 +268,15 @@ class CoreExecution:
                         head = completion[i - rob_entries] = head.resolve()
                     if head > earliest:
                         earliest = head
-                window = windows.get(kind)
+                # The LQ holds LOAD_LIKE ops, the SQ STORE_LIKE ops (isa.py).
+                if kind is ALU:
+                    window = None
+                elif kind is LOAD or kind is QUERY_B:
+                    window = lq
+                elif kind is STORE or kind is QUERY_NB:
+                    window = sq
+                else:
+                    window = None
                 if window is not None and len(window) == window.maxlen:
                     oldest = completion[window[0]]
                     if type(oldest) is not int:
@@ -293,7 +294,8 @@ class CoreExecution:
 
                 # ---------------- execute ------------------------------- #
                 ready = dispatch_cycle
-                for dep in op.deps:
+                dep = deps[i]
+                if type(dep) is int:
                     if dep >= 0:
                         if dep >= i:
                             raise SimulationError(
@@ -304,29 +306,52 @@ class CoreExecution:
                             dep_done = completion[dep] = dep_done.resolve()
                         if dep_done > ready:
                             ready = dep_done
+                else:
+                    for dep in dep:
+                        if dep >= 0:
+                            if dep >= i:
+                                raise SimulationError(
+                                    f"op {i} depends on later op {dep}; malformed trace"
+                                )
+                            dep_done = completion[dep]
+                            if type(dep_done) is not int:
+                                dep_done = completion[dep] = dep_done.resolve()
+                            if dep_done > ready:
+                                ready = dep_done
 
                 if kind is ALU:
-                    done = ready + (op.latency_override or 1)
+                    done = ready + (args[i] or 1)
+                elif kind is LOAD:
+                    loads += 1
+                    done = ready + memory_latency(args[i], ready, False, result)
                 elif kind is BRANCH:
                     branches += 1
                     done = ready + 1
-                    if op.mispredicted:
+                    if args[i]:
                         fetch_ready = done + mispredict_cycles
                         mispredicts += 1
+                elif kind is STORE:
+                    # Stores retire through the store buffer: the pipeline
+                    # sees a 1-cycle cost; the cache access is charged for
+                    # statistics.
+                    stores += 1
+                    memory_latency(args[i], ready, True, result)
+                    done = ready + 1
                 elif kind is IFETCH:
                     # The fetch unit stalls for the given cycles from
                     # dispatch; the pseudo-op retires no instruction.
-                    done = ready + (op.latency_override or 1)
+                    cycles = args[i]
+                    done = ready + (cycles or 1)
                     if done > fetch_ready:
                         fetch_ready = done
                     stalls += 1
-                    stall_cycles += op.latency_override or 0
+                    stall_cycles += cycles or 0
                 else:
-                    done = execute_op(op, ready, result, external)
+                    done = execute_external(trace[i], ready, result, external)
                     if type(done) is not int:
                         unresolved.append(i)
-                    if window is not None:
-                        window.append(i)
+                if window is not None:
+                    window.append(i)
                 completion[i] = done
                 if type(done) is int and done > last:
                     last = done
@@ -337,6 +362,8 @@ class CoreExecution:
             self._dispatch_cycle = dispatch_cycle
             self._dispatched_this_cycle = dispatched
             self._last_completion = last
+            result.loads += loads
+            result.stores += stores
             result.branches += branches
             result.branch_mispredicts += mispredicts
             result.frontend_stall_cycles += stall_cycles

@@ -44,6 +44,11 @@ STORE_LIKE = (OpKind.STORE, OpKind.QUERY_NB)
 class MicroOp:
     """One dynamic micro-operation in a trace.
 
+    Traces store ops as columns (:mod:`repro.cpu.trace`); a ``MicroOp`` is
+    the per-op view that ``trace[i]`` and iteration build on demand, and
+    what a query port receives for the QUERY_B / QUERY_NB / WAIT_RESULT ops
+    it resolves.  Each op uses only the one operand field its kind needs.
+
     Attributes:
         kind: operation class.
         vaddr: virtual address for memory ops (None otherwise).

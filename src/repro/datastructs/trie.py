@@ -119,6 +119,10 @@ class Trie(SimStructure):
             space.write_u64(node.addr + 24, edges_ptr)
         self._update_header(root_ptr=self._root.addr, size=len(order))
         self._sealed = True
+        # Lookups read the serialised form only.  Dropping the build graph
+        # (cyclic once failure links exist) keeps it out of every
+        # warm-system snapshot restore.
+        self._root = None
 
     def _prepare_links(self) -> None:
         """Hook for subclasses (AC failure links). Plain tries do nothing."""

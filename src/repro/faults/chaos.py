@@ -1012,6 +1012,30 @@ def recovery_chaos_schedule(
     ]
 
 
+def _recover_when_down(cluster, victim: int) -> None:
+    """Restart ``victim`` once the fleet has marked it DOWN.
+
+    A dead node restarting before the fleet marks it DOWN would take the
+    plain-restart path and skip catch-up; hold the restart until the
+    failure detector has converged (probe-interval poll, deterministic).
+    A module-level function, not a closure: a closure that reschedules
+    itself refers to itself through its own cell, and that cycle would
+    keep the whole cluster alive after the run.
+    """
+    from ..serve.cluster.membership import NodeState
+
+    if (
+        not cluster.nodes[victim].alive
+        and cluster.membership.state_of(victim) is not NodeState.DOWN
+    ):
+        cluster.engine.schedule(
+            cluster.config.probe_interval_cycles,
+            lambda: _recover_when_down(cluster, victim),
+        )
+        return
+    cluster.recover_node(victim)
+
+
 def run_recovery_chaos(
     scheme: str,
     *,
@@ -1054,30 +1078,12 @@ def run_recovery_chaos(
     events = recovery_chaos_schedule(nodes, budget)
     pending = list(events)
 
-    def recover_when_down(victim: int) -> None:
-        # A dead node restarting before the fleet marks it DOWN would
-        # take the plain-restart path and skip catch-up; hold the restart
-        # until the failure detector has converged (probe-interval poll,
-        # deterministic).
-        from ..serve.cluster.membership import NodeState
-
-        if (
-            not cluster.nodes[victim].alive
-            and cluster.membership.state_of(victim) is not NodeState.DOWN
-        ):
-            cluster.engine.schedule(
-                cluster.config.probe_interval_cycles,
-                lambda: recover_when_down(victim),
-            )
-            return
-        cluster.recover_node(victim)
-
     def fire(event: ClusterChaosEvent) -> None:
         event.fired_cycle = cluster.engine.now
         if event.action == NODE_KILL:
             event.lost = cluster.fail_node(event.nodes[0])
         elif event.action == NODE_RECOVER:
-            recover_when_down(event.nodes[0])
+            _recover_when_down(cluster, event.nodes[0])
         elif event.action == REPLICA_LAG:
             cluster.inject_replica_lag(event.nodes[0], REPLICA_LAG_CYCLES)
         elif event.action == NET_PARTITION:

@@ -16,6 +16,10 @@ from ..config import CacheConfig
 from ..sim.stats import StatsRegistry
 
 
+#: The set every cache slot starts as; never written (see ``Cache._sets``).
+_EMPTY: Dict[int, bool] = {}
+
+
 class CacheLevelName(str, enum.Enum):
     """Symbolic cache level names, used in access breakdowns."""
 
@@ -39,26 +43,32 @@ class Cache:
         self.name = name
         self.num_sets = config.num_sets
         self.associativity = config.associativity
-        # Preallocated set table (index -> insertion-ordered {tag: dirty}):
-        # the hot access path is one list index plus one dict probe, with no
-        # allocate-on-first-touch branch.  Plain dicts preserve insertion
-        # order, so LRU is pop-and-reinsert.
-        self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
+        # Set table (index -> insertion-ordered {tag: dirty}): the hot
+        # access path is one list index plus one dict probe.  Plain dicts
+        # preserve insertion order, so LRU is pop-and-reinsert.  Every slot
+        # starts as the one shared, never-written ``_EMPTY`` dict, and only
+        # :meth:`fill` swaps a slot for a dict of its own: every other path
+        # only reads, or pops tags that are present, and the fast path
+        # memoizes a set only after a hit in it.  So a cold System builds no
+        # per-set dicts (an LLC slice has thousands of sets).
+        self._sets: List[Dict[int, bool]] = [_EMPTY] * self.num_sets
         # Per-set generation counters for the epoch-memoized fast path
         # (mem/fastpath.py): a set's epoch bumps whenever line *presence*
         # changes (new-tag fill, eviction, invalidate) — never on hits or
         # dirty-only refills — so "epoch unchanged" proves a memoized hit
         # outcome is still exact.
         self.set_epochs: List[int] = [0] * self.num_sets
-        self.stats = (stats or StatsRegistry()).scoped(name)
-        self._hits = self.stats.counter("hits")
-        self._misses = self.stats.counter("misses")
-        self._evictions = self.stats.counter("evictions")
-        self._writebacks = self.stats.counter("writebacks")
+        # Counters only, no registry reference: the registry's flush hook
+        # list holds this cache (see StatsRegistry.add_flush_hook).
+        scoped = (stats or StatsRegistry()).scoped(name)
+        self._hits = scoped.counter("hits")
+        self._misses = scoped.counter("misses")
+        self._evictions = scoped.counter("evictions")
+        self._writebacks = scoped.counter("writebacks")
         # Hits replayed by the fast path accumulate here (a plain int) and
         # fold into the real counter at flush; see sim/stats.py.
         self._pending_hits = 0
-        self.stats.add_flush_hook(self._flush_pending)
+        scoped.add_flush_hook(self._flush_pending)
 
     def _flush_pending(self) -> None:
         if self._pending_hits:
@@ -109,6 +119,8 @@ class Cache:
             self._evictions.value += 1
             if victim_dirty:
                 self._writebacks.value += 1
+        if entry_set is _EMPTY:
+            entry_set = self._sets[index] = {}
         entry_set[tag] = dirty
         self.set_epochs[index] += 1  # presence changed: new tag (± victim)
         return victim_line

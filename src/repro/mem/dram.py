@@ -47,12 +47,14 @@ class Dram:
         #: Bumped whenever the queue state is reset wholesale; a changed
         #: epoch tells fast paths any cached view of channel timing is stale.
         self.timing_epoch = 0
-        self.stats = (stats or StatsRegistry()).scoped(name)
-        self._accesses = self.stats.counter("accesses")
-        self._stall_cycles = self.stats.counter("queue_cycles")
+        # Counters only, no registry reference: the flush hook list holds
+        # this Dram (see StatsRegistry.add_flush_hook).
+        scoped = (stats or StatsRegistry()).scoped(name)
+        self._accesses = scoped.counter("accesses")
+        self._stall_cycles = scoped.counter("queue_cycles")
         self._pending_accesses = 0
         self._pending_stall = 0
-        self.stats.add_flush_hook(self._flush_pending)
+        scoped.add_flush_hook(self._flush_pending)
 
     def _flush_pending(self) -> None:
         if self._pending_accesses:

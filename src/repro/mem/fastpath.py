@@ -57,6 +57,7 @@ streams asserting equal results and equal final state.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Tuple
 
 from ..config import CACHELINE_BYTES
@@ -78,8 +79,7 @@ class FastMem:
 
     __slots__ = (
         "_h",
-        "_slow_core",
-        "_slow_slice",
+        "_accesses",
         "_l1",
         "_l2",
         "_llc",
@@ -92,9 +92,12 @@ class FastMem:
     )
 
     def __init__(self, hierarchy, noc=None) -> None:
-        self._h = hierarchy
-        self._slow_core = hierarchy._access_from_core_slow
-        self._slow_slice = hierarchy._access_from_slice_slow
+        # The hierarchy holds this layer (its entry points are bound to
+        # it), so the way back is a weak proxy: a dropped System is then
+        # freed by reference counting, without waiting for the cyclic GC.
+        # Only memo misses take it, to reach the reference walk.
+        self._h = weakref.proxy(hierarchy)
+        self._accesses = hierarchy._accesses
         self._l1 = hierarchy.l1
         self._l2 = hierarchy.l2
         self._llc = hierarchy.llc_slices
@@ -118,7 +121,7 @@ class FastMem:
 
     def _flush_pending(self) -> None:
         if self._pending_accesses:
-            self._h._accesses.value += self._pending_accesses
+            self._accesses.value += self._pending_accesses
             self._pending_accesses = 0
 
     # ------------------------------------------------------------------ #
@@ -152,7 +155,9 @@ class FastMem:
                 cache._pending_hits += 1
                 self._pending_accesses += 1
                 return result
-        result = self._slow_core(core_id, paddr, write, now, fill_l1, fill_l2)
+        result = self._h._access_from_core_slow(
+            core_id, paddr, write, now, fill_l1, fill_l2
+        )
         level = result.level
         if level is _L1:
             cache = self._l1[core_id]
@@ -189,7 +194,7 @@ class FastMem:
                 cache._pending_hits += 1
                 self._pending_accesses += 1
                 return result
-        result = self._slow_slice(slice_id, paddr, write, now)
+        result = self._h._access_from_slice_slow(slice_id, paddr, write, now)
         if result.level is _LLC:
             home = result.slice_id
             cache = self._llc[home]

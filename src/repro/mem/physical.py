@@ -9,7 +9,7 @@ never been handed out; ``_free_frames`` holds only frames given back since
 the most recently freed frame first, then takes the lowest fresh one: the
 same order as popping a ``[n-1, ..., 1, 0]`` list that freed frames are
 pushed onto.  So a process costs O(frames used), not O(capacity), to hold,
-deep-copy and restore from a warm-system snapshot.
+pickle and restore from a warm-system snapshot.
 """
 
 from __future__ import annotations

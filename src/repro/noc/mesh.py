@@ -38,9 +38,11 @@ class MeshNoc:
     def __init__(self, config: NocConfig, *, stats: Optional[StatsRegistry] = None) -> None:
         self.config = config
         self._link_bytes: Dict[Link, int] = {}
-        self.stats = (stats or StatsRegistry()).scoped("noc")
-        self._messages = self.stats.counter("messages")
-        self._total_bytes = self.stats.counter("bytes")
+        # Counters only, no registry reference: the flush hook list holds
+        # this mesh (see StatsRegistry.add_flush_hook).
+        scoped = (stats or StatsRegistry()).scoped("noc")
+        self._messages = scoped.counter("messages")
+        self._total_bytes = scoped.counter("bytes")
         self._total_cycles = 0  # observation window length
         #: (src, dst) -> (directed links on the XY path, zero-load latency).
         #: Routing is a pure function of the pair on a fixed topology, so
@@ -53,7 +55,7 @@ class MeshNoc:
         #: running max of `now` — so replaying a batch at flush time lands the
         #: exact same state as the equivalent sequence of :meth:`send` calls.
         self._pending_charges: Dict[Link, List[int]] = {}
-        self.stats.add_flush_hook(self._flush_charges)
+        scoped.add_flush_hook(self._flush_charges)
 
     # ------------------------------------------------------------------ #
     # Topology

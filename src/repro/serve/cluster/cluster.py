@@ -25,6 +25,7 @@ only partitions *serving ownership*, which is what rebalancing remaps.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -33,6 +34,7 @@ from ...config import ClusterConfig, IntegrationScheme, ServeConfig, small_confi
 from ...errors import ReproError
 from ...sim.engine import Engine
 from ...sim.stats import PercentileSketch, StatsRegistry
+from ...sim.weak import weak_method
 from ...system import System
 from ...workloads import make_workload
 from ..loadgen import ClosedLoopGenerator
@@ -129,6 +131,10 @@ class SimulatedCluster:
         self._link_drops = self.stats.counter("link.drops")
         self._lost_inflight = self.stats.counter("killed.inflight")
 
+        # Components reach back into the cluster through weak callbacks
+        # (sim/weak.py): the cluster owns them, and strong ones would keep
+        # a finished fleet's Systems alive until a full collection.
+
         # --- nodes: identical replicas (same build seed => same data) --- #
         node_config = small_config(CLUSTER_CORES).replace(
             serve=self.serve_config
@@ -150,8 +156,8 @@ class SimulatedCluster:
                     built,
                     self.serve_config,
                     seed=seed,
-                    respond=self._node_respond,
-                    owns_key=self._owns_key,
+                    respond=weak_method(self._node_respond),
+                    owns_key=weak_method(self._owns_key),
                 )
             )
         self.built = built0
@@ -173,10 +179,13 @@ class SimulatedCluster:
         self.ring = HashRing(self.config.nodes, self.config.vnodes)
         self.rebalances: List[Dict[str, object]] = []
         self.membership = Membership(
-            self.config, stats=self.stats, on_change=self._membership_changed
+            self.config,
+            stats=self.stats,
+            on_change=weak_method(self._membership_changed),
         )
         self.prober = Prober(
-            self.engine, self.config, self.membership, self._probe_send
+            self.engine, self.config, self.membership,
+            weak_method(self._probe_send),
         )
         #: LB<->node link health (False while partitioned away).
         self._link_ok = [True] * self.config.nodes
@@ -206,19 +215,17 @@ class SimulatedCluster:
                 manager = ReplicationManager(
                     node,
                     self.config,
-                    send=lambda dst, thunk, src=node.node_id: (
-                        self._node_send(src, dst, thunk)
+                    send=functools.partial(
+                        weak_method(self._node_send), node.node_id
                     ),
-                    notify_lb=self._notify_lb,
-                    replica_group=self._replica_group,
+                    notify_lb=weak_method(self._notify_lb),
+                    replica_group=weak_method(self._replica_group),
                     peer_state=self.membership.state_of,
                     pos_of_key=self._pos_of_key,
-                    on_caught_up=self._on_caught_up,
+                    on_caught_up=weak_method(self._on_caught_up),
                     on_lag=self._repl_lag.record,
                 )
-                node.enable_replication(
-                    manager, lambda n: self.managers[n]
-                )
+                node.enable_replication(manager, self.managers.__getitem__)
                 self.managers.append(manager)
 
         # --- client tier ------------------------------------------------- #
@@ -229,7 +236,7 @@ class SimulatedCluster:
             self.serve_config,
             self.ring,
             self.membership,
-            send=self._lb_send,
+            send=weak_method(self._lb_send),
             key_positions=self._key_positions,
             expected=built0.expected,
             slo=self.slo,

@@ -19,6 +19,7 @@ is exactly what a crashed process looks like from the LB's side.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...config import ServeConfig
@@ -48,7 +49,8 @@ class _TenantPort:
     """
 
     def __init__(self, node: "ClusterNode", tenant: int) -> None:
-        self.node = node
+        # The node owns its server, which owns this port.
+        self.node = weakref.proxy(node)
         self.tenant = tenant
         self.finished = False  # the cluster loop never calls server.run()
 

@@ -32,6 +32,7 @@ younger acked write on a healthy replica.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -79,7 +80,8 @@ class ReplicationManager:
         on_caught_up: Callable[[int], None],
         on_lag: Optional[Callable[[int], None]] = None,
     ) -> None:
-        self.node = node
+        # The node owns this manager (``node.replication``).
+        self.node = weakref.proxy(node)
         self.node_id = node.node_id
         self.engine = node.system.engine
         self.config = config

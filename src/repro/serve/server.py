@@ -22,6 +22,8 @@ shared clock, and the request's latency includes the whole detour.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -29,6 +31,7 @@ from ..config import ServeConfig
 from ..core.accelerator import QueryHandle, QueryRequest, QueryStatus
 from ..errors import ReproError
 from ..sim.stats import StatsRegistry
+from ..sim.weak import weak_method
 from ..system import System
 from .batcher import Batcher
 from .breaker import CircuitBreaker
@@ -89,8 +92,8 @@ class QueryServer:
             system,
             self.config,
             stats=self.stats,
-            on_done=self._on_done,
-            on_shed=lambda sreq: self._shed(sreq, dispatched=True),
+            on_done=weak_method(self._on_done),
+            on_shed=functools.partial(weak_method(self._shed), dispatched=True),
         )
         #: Per-tenant circuit breaker; None when the window knob is 0.
         self.breaker: Optional[CircuitBreaker] = (
@@ -170,7 +173,8 @@ class QueryServer:
             raise ServingError(
                 f"tenant {generator.tenant} already has a generator attached"
             )
-        generator.bind(self)
+        # This server owns its generators; their way back is weak.
+        generator.bind(weakref.proxy(self))
         self._generators.append(generator)
         self._generators_by_tenant[generator.tenant] = generator
 

@@ -314,6 +314,10 @@ class StatsRegistry:
 
         Hooks must be idempotent when nothing is pending; they run on every
         :meth:`flush` (and therefore on every snapshot/reset/fraction).
+        The registry holds each hook, and so its producer, for as long as
+        the registry lives.  A producer therefore keeps its counters, not
+        this registry or a scoped view of it: a reference back would form a
+        cycle that only the cyclic garbage collector could free.
         """
         self._flush_hooks.append(hook)
 

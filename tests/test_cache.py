@@ -2,10 +2,11 @@
 
 from repro.config import CacheConfig
 from repro.mem import Cache
+from repro.sim.stats import StatsRegistry
 
 
-def make_cache(size=4096, assoc=4, latency=4):
-    return Cache(CacheConfig(size, assoc, latency))
+def make_cache(size=4096, assoc=4, latency=4, stats=None):
+    return Cache(CacheConfig(size, assoc, latency), stats=stats)
 
 
 def test_cold_miss_then_hit_after_fill():
@@ -31,30 +32,33 @@ def test_lru_eviction_order():
 
 
 def test_dirty_eviction_counts_writeback():
-    cache = make_cache()
+    stats = StatsRegistry()
+    cache = make_cache(stats=stats)
     lines = [i * 16 for i in range(5)]
     cache.fill(lines[0], dirty=True)
     for line in lines[1:4]:
         cache.fill(line)
     cache.fill(lines[4])
-    assert cache.stats.counter("writebacks").value == 1
+    assert stats.counter("cache.writebacks").value == 1
 
 
 def test_write_access_marks_dirty():
-    cache = make_cache()
+    stats = StatsRegistry()
+    cache = make_cache(stats=stats)
     lines = [i * 16 for i in range(5)]
     cache.fill(lines[0])
     cache.access(lines[0], write=True)
     for line in lines[1:5]:
         cache.fill(line)
-    assert cache.stats.counter("writebacks").value == 1
+    assert stats.counter("cache.writebacks").value == 1
 
 
 def test_fill_existing_line_is_not_eviction():
-    cache = make_cache()
+    stats = StatsRegistry()
+    cache = make_cache(stats=stats)
     cache.fill(7)
     assert cache.fill(7) is None
-    assert cache.stats.counter("evictions").value == 0
+    assert stats.counter("cache.evictions").value == 0
     assert cache.occupancy == 1
 
 

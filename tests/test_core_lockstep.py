@@ -26,9 +26,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from repro import small_config  # noqa: E402
 from repro.core.isa import CompletionPromise  # noqa: E402
 from repro.cpu import OoOCore  # noqa: E402
-from repro.cpu.isa import MicroOp, OpKind  # noqa: E402
+from repro.cpu.isa import OpKind  # noqa: E402
 from repro.cpu.multicore import run_multiprogrammed  # noqa: E402
-from repro.cpu.trace import Trace  # noqa: E402
+from repro.cpu.trace import TraceBuilder  # noqa: E402
 from repro.errors import SegmentationFault, SimulationError  # noqa: E402
 from repro.mem import AddressSpace, MemoryHierarchy, Mmu, PhysicalMemory  # noqa: E402
 
@@ -77,26 +77,38 @@ OP = st.tuples(
 TRACE_SPECS = st.lists(OP, min_size=1, max_size=300)
 
 
-def make_trace(specs, tag=0):
-    """Build a well-formed trace: deps point backwards or are negative."""
-    ops = []
+def make_trace(specs, tag=0, extra_deps=None):
+    """Build a well-formed trace: deps point backwards or are negative.
+
+    ``extra_deps`` maps an op index to one more dependence to give it,
+    which may point forwards (a malformed trace).
+    """
+    builder = TraceBuilder()
     for i, (kind, offsets, line, mispredicted, latency, promise, extra) in enumerate(
         specs
     ):
         deps = tuple(i - off if 0 < off <= i else -1 for off in offsets)
-        vaddr = 4096 + line * 64 if kind in (OpKind.LOAD, OpKind.STORE) else None
+        if extra_deps and i in extra_deps:
+            deps += (extra_deps[i],)
+        vaddr = 4096 + line * 64
         payload = (tag, i, promise, (latency or 0) * 37, extra)
-        ops.append(
-            MicroOp(
-                kind,
-                vaddr=vaddr,
-                deps=deps,
-                mispredicted=mispredicted,
-                payload=payload,
-                latency_override=latency,
-            )
-        )
-    return Trace(ops)
+        if kind is OpKind.LOAD:
+            builder.load(vaddr, deps)
+        elif kind is OpKind.STORE:
+            builder.store(vaddr, deps)
+        elif kind is OpKind.ALU:
+            builder.alu(deps, latency=latency)
+        elif kind is OpKind.BRANCH:
+            builder.branch(deps, mispredicted=mispredicted)
+        elif kind is OpKind.IFETCH_STALL:
+            builder.ifetch_stall(latency, deps)
+        elif kind is OpKind.QUERY_B:
+            builder.query_b(payload, deps)
+        elif kind is OpKind.QUERY_NB:
+            builder.query_nb(payload, deps)
+        else:
+            builder.wait_result(payload, deps)
+    return builder.trace
 
 
 def make_external(log):
@@ -254,18 +266,18 @@ def stop_states(trace, windows):
 )
 @SETTINGS
 def test_forward_dependence_raises_at_same_index(specs, bad, forward, windows):
-    trace = make_trace(specs)
-    bad %= len(trace)
-    op = trace.ops[bad]
-    op.deps = op.deps + (bad + forward,)
+    bad %= len(specs)
+    trace = make_trace(specs, extra_deps={bad: bad + forward})
     new_state, ref_state = stop_states(trace, windows)
     assert new_state == ref_state
     assert new_state[2] == bad
 
 
 def test_unmapped_load_faults_at_same_index():
-    trace = make_trace([(OpKind.ALU, [1], 0, False, None, False, 0)] * 30)
-    trace.ops.insert(17, MicroOp(OpKind.LOAD, vaddr=(PAGES + 5) * 4096))
+    specs = [(OpKind.ALU, [1], 0, False, None, False, 0)] * 30
+    # Line (PAGES + 4) * 64 lies in page PAGES + 5, which is never mapped.
+    specs.insert(17, (OpKind.LOAD, [], (PAGES + 4) * 64, False, None, False, 0))
+    trace = make_trace(specs)
     new_state, ref_state = stop_states(trace, WINDOWS[1])
     assert new_state == ref_state
     assert new_state[0] is SegmentationFault

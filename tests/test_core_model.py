@@ -9,7 +9,6 @@ import pytest
 
 from repro.config import small_config
 from repro.cpu import OoOCore, TraceBuilder
-from repro.cpu.isa import MicroOp, OpKind
 from repro.errors import SimulationError
 from repro.mem import AddressSpace, MemoryHierarchy, Mmu, PhysicalMemory
 
@@ -53,7 +52,7 @@ def test_independent_alus_reach_issue_width(system):
     cfg, core, _ = system
     b = TraceBuilder()
     for _ in range(400):
-        b.trace.ops.append(MicroOp(OpKind.ALU))
+        b.alu()
     res = core.execute(b.trace)
     assert res.ipc == pytest.approx(cfg.core.issue_width, rel=0.1)
 
@@ -157,7 +156,7 @@ def test_external_completion_before_issue_rejected(system):
 def test_malformed_forward_dependence_rejected(system):
     _, core, _ = system
     b = TraceBuilder()
-    b.trace.ops.append(MicroOp(OpKind.ALU, deps=(5,)))
+    b.alu(deps=(5,))  # op 0 depends on a later op
     with pytest.raises(SimulationError):
         core.execute(b.trace)
 

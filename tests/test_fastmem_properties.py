@@ -33,6 +33,7 @@ from repro.config import (  # noqa: E402
 )
 from repro.mem.hierarchy import MemoryHierarchy  # noqa: E402
 from repro.noc.mesh import MeshNoc  # noqa: E402
+from repro.sim.stats import StatsRegistry  # noqa: E402
 
 NUM_CORES = 2
 #: Line-address universe: small enough that random streams revisit lines
@@ -67,9 +68,12 @@ def _build_pair():
     config = _tiny_config()
     pair = []
     for fastmem in (True, False):
-        noc = MeshNoc(config.noc)
+        # One registry for the mesh and the hierarchy, as in a System, so
+        # the hierarchy's snapshot covers the NoC counters too.
+        stats = StatsRegistry()
+        noc = MeshNoc(config.noc, stats=stats)
         pair.append(
-            (MemoryHierarchy(config, noc=noc, fastmem=fastmem), noc)
+            (MemoryHierarchy(config, stats=stats, noc=noc, fastmem=fastmem), noc)
         )
     (fast, fast_noc), (slow, slow_noc) = pair
     assert fast._fast is not None and slow._fast is None
@@ -161,7 +165,6 @@ def _cache_state(cache):
 def _assert_same_state(fast, fast_noc, slow, slow_noc):
     # Snapshots flush pending batched counts on both sides first.
     assert fast.stats.snapshot() == slow.stats.snapshot()
-    assert fast_noc.stats.snapshot() == slow_noc.stats.snapshot()
     for a, b in zip(fast.l1 + fast.l2 + fast.llc_slices,
                     slow.l1 + slow.l2 + slow.llc_slices):
         # Exact per-set contents, including LRU *order* and dirty bits.

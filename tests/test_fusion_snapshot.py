@@ -2,7 +2,7 @@
 
 Fusion collapses pure-compute CFA transition runs into arithmetic on a
 virtual clock (one engine event per memory round-trip); snapshots restore a
-deep-copied warm memory image instead of repopulating workloads.  Both are
+pickled warm memory image instead of repopulating workloads.  Both are
 pure performance work — every observable (ROI cycles, instructions, the
 full stats snapshot) must match the golden stats / cold-built reference
 exactly, and fusion must keep the engine event count where it was.
