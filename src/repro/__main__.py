@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=7,
-        help="fault-campaign: RNG seed driving fault selection (default 7)",
+        help="fault-campaign/serve/chaos/cluster-chaos/recovery-chaos: RNG seed "
+        "driving fault selection and load (default 7)",
     )
     parser.add_argument(
         "--faults",
@@ -115,23 +116,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=2,
-        help="fault-campaign: determinism re-runs of the campaign (default 2)",
+        help="fault-campaign/chaos/cluster-chaos/recovery-chaos: same-seed "
+        "determinism re-runs (default 2)",
     )
     parser.add_argument(
         "--scheme",
         choices=[s.value for s in IntegrationScheme],
-        help="serve: run one integration scheme (default: all five)",
+        help="serve/chaos/cluster-chaos/recovery-chaos: run one integration scheme "
+        "(default: all five for serve, cha-tlb for the chaos verbs)",
     )
     parser.add_argument(
         "--tenants",
         type=int,
         default=4,
-        help="serve: tenant request streams (default 4)",
+        help="serve/chaos/cluster-chaos/recovery-chaos: tenant request streams "
+        "(default 4)",
     )
     parser.add_argument(
         "--requests",
         type=int,
-        help="serve/chaos: total request budget across tenants (default: "
+        help="serve/chaos/cluster-chaos/recovery-chaos: total request budget "
+        "across tenants (default: "
         "each experiment's own — 2000 for serve, 400 for the chaos drills)",
     )
     parser.add_argument(
@@ -159,14 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--nodes",
         type=int,
-        help="cluster/recovery-chaos: simulated serving nodes in the fleet "
+        help="cluster-chaos/recovery-chaos: simulated serving nodes in the fleet "
         "(default: 10 for cluster-chaos, 6 for recovery-chaos)",
     )
     parser.add_argument(
         "--replication",
         type=int,
         default=2,
-        help="cluster-chaos: replicas per key on the hash ring (default 2)",
+        help="cluster-chaos/recovery-chaos: replicas per key on the hash ring "
+        "(default 2)",
     )
     parser.add_argument(
         "--quorum",

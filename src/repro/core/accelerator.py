@@ -35,7 +35,7 @@ decides who goes first on same-cycle ties).
 **Macro-step fusion.**  Every substrate the CEE touches (integration
 timing paths, DPU pools, the NoC) takes an explicit ``now``, so a
 transition's effects depend only on the simulated time and the order it
-runs in — not on the engine clock.  :meth:`QeiAccelerator._step_at_fast`
+runs in — not on the engine clock.  :meth:`QeiAccelerator._step_at`
 therefore steps its entry in a tight inner loop, advancing a *virtual*
 ``now`` arithmetically, for as long as the next transition is provably the
 globally next thing to happen: its start cycle must precede every pending
@@ -404,7 +404,7 @@ class QeiAccelerator:
                 # Specialized tier: slot-indexed registers, int states.
                 ctx.scratch = [0] * fn.nregs  # type: ignore[assignment]
                 ctx.state = 0  # type: ignore[assignment]
-            self._sched_fast(entry, self.engine.now)
+            self._sched(entry, self.engine.now)
 
     def _resolve_compiled(self, ctx: QueryContext) -> CompiledStep:
         """Bind the accepted query to its compiled step function.
@@ -683,16 +683,16 @@ class QeiAccelerator:
                 entry = entries[index]
                 if self._rdy_wake[index]:
                     if entry.generation == self._rdy_gen[index]:
-                        self._wake_fast(entry)
+                        self._wake(entry)
                 else:
-                    self._step_at_fast(
+                    self._step_at(
                         entry, self._rdy_gen[index], time, self._rdy_fn[index]
                     )
         finally:
             self._draining = False
             self._arm_sentinel()
 
-    def _sched_fast(self, entry: QstEntry, earliest: int) -> None:
+    def _sched(self, entry: QstEntry, earliest: int) -> None:
         """Claim the home's CEE slot and defer a step-kind ready entry."""
         handle = self._handles[entry.index]
         if handle is None or not entry.busy:
@@ -702,7 +702,7 @@ class QeiAccelerator:
         self._cee_free_at[home] = start + 1
         self._push_ready(entry, start, wake=False)
 
-    def _wake_fast(self, entry: QstEntry) -> None:
+    def _wake(self, entry: QstEntry) -> None:
         """Wake an entry whose micro-op completed.
 
         Claim the CEE slot, then either step inline (when fusion proves
@@ -725,17 +725,17 @@ class QeiAccelerator:
                 peek = ready_time
         horizon = engine.run_horizon
         if (peek is None or peek > start) and (horizon is None or start <= horizon):
-            self._step_at_fast(
+            self._step_at(
                 entry, entry.generation, start, self._rdy_fn[entry.index]
             )
             return
         self._push_ready(entry, start, wake=False)
 
-    def _resume_fast(self, entry: QstEntry, ready_at: int) -> None:
+    def _resume(self, entry: QstEntry, ready_at: int) -> None:
         """Defer a wake-kind ready entry to the micro-op's completion."""
         self._push_ready(entry, max(ready_at, self.engine.now), wake=True)
 
-    def _step_at_fast(
+    def _step_at(
         self,
         entry: QstEntry,
         generation: int,
@@ -898,9 +898,9 @@ class QeiAccelerator:
                 now = start
                 continue
             if waiting:
-                self._sched_fast(entry, now + 1)
+                self._sched(entry, now + 1)
             else:
-                self._resume_fast(entry, ready_at)
+                self._resume(entry, ready_at)
             return
 
     # ------------------------------------------------------------------ #

@@ -9,6 +9,8 @@ breaker without dragging the others' p99 down, and a firmware hot-swap
 drains in-flight queries before committing atomically.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import ServeConfig, small_config
@@ -18,7 +20,17 @@ from repro.core.integration import SliceState
 from repro.core.programs import HashOfListsCfa
 from repro.core.programs_ext import BPlusTreeCfa
 from repro.errors import ConfigurationError, FirmwareError
-from repro.faults.chaos import ChaosError, chaos_schedule, run_chaos
+from repro.faults.chaos import (
+    CHAOS,
+    CLUSTER_CHAOS,
+    MUTATION_CHAOS,
+    RECOVERY_CHAOS,
+    ChaosError,
+    chaos_schedule,
+    check_contract,
+    run_chaos,
+    run_scenario,
+)
 from repro.serve import (
     BreakerState,
     CircuitBreaker,
@@ -430,10 +442,40 @@ def test_chaos_run_meets_contract_and_is_deterministic():
     assert again.dump() == report.dump()
 
 
-def test_chaos_contract_violation_raises():
-    report = run_chaos("cha-tlb", seed=7, requests=200, verify=False)
-    report.checks["result_errors"] = 3
-    from repro.faults.chaos import _verify
+@pytest.mark.parametrize(
+    "scenario, shape, check, bad",
+    [
+        (CHAOS, dict(requests=200), "result_errors", 3),
+        (MUTATION_CHAOS, dict(requests=200), "lost_or_phantom", 2),
+        (CLUSTER_CHAOS, dict(requests=160, nodes=4), "history_linearizable", False),
+        (RECOVERY_CHAOS, dict(requests=200, nodes=4), "lost_acked_writes", [17]),
+        (RECOVERY_CHAOS, dict(requests=200, nodes=4), "diverged_keys", [17]),
+    ],
+    ids=[
+        "chaos-result_errors",
+        "mutation-lost_or_phantom",
+        "cluster-history_linearizable",
+        "recovery-lost_acked_writes",
+        "recovery-diverged_keys",
+    ],
+)
+def test_chaos_contract_violation_raises(scenario, shape, check, bad):
+    # Each drill meets its contract at this size; breaking one check must
+    # fail the contract, and the error must name the broken check.
+    report = run_scenario(replace(scenario, **shape), "cha-tlb", seed=7, verify=False)
+    check_contract(report)
+    report.checks[check] = bad
+    with pytest.raises(ChaosError, match=check):
+        check_contract(report)
 
-    with pytest.raises(ChaosError):
-        _verify(report)
+
+def test_mutation_contract_reports_audit_failures_once_and_capped():
+    report = run_scenario(replace(MUTATION_CHAOS, requests=200), "cha-tlb", seed=7, verify=False)
+    problems = [f"key {key}: lost update" for key in range(5)]
+    report.checks.update(lost_or_phantom=len(problems), write_problems=problems)
+    with pytest.raises(ChaosError) as raised:
+        check_contract(report)
+    message = str(raised.value)
+    assert "5 lost/phantom updates: key 0: lost update; key 1" in message
+    assert "key 3" not in message  # at most three audit failures shown
+    assert "write_problems" not in message  # counted once, under lost_or_phantom

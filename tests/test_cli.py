@@ -1,9 +1,10 @@
 """CLI surface tests: ``python -m repro`` / the ``qei`` console script.
 
-Pins the shell contract: ``list`` enumerates every experiment sorted and
-exits 0, unknown experiment names exit 2 with a one-line hint, the serve
-verb honours its flags, size flags override an experiment's defaults only
-when given, and pyproject.toml installs the ``qei`` entry point.
+Pins the shell contract: ``list`` enumerates every experiment sorted,
+each with its driver's own description, and exits 0, unknown experiment
+names exit 2 with a one-line hint, the serve verb honours its flags, size
+flags override an experiment's defaults only when given, and
+pyproject.toml installs the ``qei`` entry point.
 """
 
 import json
@@ -19,6 +20,16 @@ def test_list_is_sorted_and_exits_zero(capsys):
     assert names == sorted(names)
     assert set(names) == set(EXPERIMENTS)
     assert "serve" in names
+
+
+def test_list_describes_every_experiment_with_its_own_docstring(capsys):
+    assert main(["list"]) == 0
+    for line in capsys.readouterr().out.strip().splitlines():
+        name, description = line.split(None, 1)
+        doc = EXPERIMENTS[name].__doc__.strip().splitlines()[0]
+        assert description == doc
+        # A wrapper such as functools.partial would list its type's docstring.
+        assert not description.startswith("partial("), name
 
 
 def test_unknown_experiment_exits_two_with_one_line_hint(capsys):
