@@ -689,6 +689,12 @@ def run_mutation_chaos(
     write_ratio: float = 0.5, workload: str = "dpdk", verify: bool = True,
 ) -> ChaosReport:
     """:data:`MUTATION_CHAOS` at this size and write ratio."""
+    if write_ratio <= 0:
+        # Without writes there is no shadow oracle to audit reads against.
+        raise ChaosError(
+            f"mutation chaos needs a write ratio above 0, got {write_ratio}; "
+            "run_chaos is the read-only drill"
+        )
     scenario = replace(
         MUTATION_CHAOS, requests=requests, tenants=tenants, write_ratio=write_ratio,
         workload=workload,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ...config import ClusterConfig, IntegrationScheme, ServeConfig, small_config
 from ...errors import ReproError
@@ -140,6 +140,10 @@ class SimulatedCluster:
             serve=self.serve_config
         )
         self.nodes: List[ClusterNode] = []
+        #: Ids of the nodes whose next pump may have work; each server's
+        #: wake hook adds its own id.  The hook holds the set, never the
+        #: cluster.
+        self._ready: Set[int] = set()
         built0 = None
         for node_id in range(self.config.nodes):
             system = System(node_config, self.scheme, engine=self.engine)
@@ -159,6 +163,9 @@ class SimulatedCluster:
                     respond=weak_method(self._node_respond),
                     owns_key=weak_method(self._owns_key),
                 )
+            )
+            self.nodes[-1].server.wake = functools.partial(
+                self._ready.add, node_id
             )
         self.built = built0
         #: Ring position of every query index (keys hashed by value, so the
@@ -405,6 +412,7 @@ class SimulatedCluster:
     def fail_node(self, node: int) -> int:
         """Crash a node; returns the in-flight requests it takes with it."""
         lost = self.nodes[node].fail()
+        self._ready.add(node)
         self._lost_inflight.add(lost)
         self._killed_at.setdefault(node, self.engine.now)
         return lost
@@ -421,6 +429,7 @@ class SimulatedCluster:
         """
         target = self.nodes[node]
         target.recover()
+        self._ready.add(node)
         if (
             self._writes_enabled
             and self.membership.state_of(node) is NodeState.DOWN
@@ -557,8 +566,9 @@ class SimulatedCluster:
         """Drive the whole fleet to completion and build the report.
 
         Mirrors :meth:`QueryServer.run` one level up: step the shared
-        engine, then pump every node outside the step so software-fallback
-        detours (which advance engine time) never nest inside it.
+        engine, then pump the nodes that have work outside the step so
+        software-fallback detours (which advance engine time) never nest
+        inside it.
         """
         start = self.engine.now
         self.slo.begin_phase("baseline", start)
@@ -569,9 +579,7 @@ class SimulatedCluster:
             generator.start()
         steps = 0
         while not self._finished():
-            progressed = self.engine.step()
-            for node in self.nodes:
-                node.pump()
+            progressed = self._step()
             if on_tick is not None:
                 on_tick(self)
             if not progressed:
@@ -591,12 +599,30 @@ class SimulatedCluster:
     def drain(self, cycles: int) -> None:
         """Advance the simulation with no client load (chaos stragglers)."""
         deadline = self.engine.now + cycles
-        while self.engine.peek_time() is not None and (
-            self.engine.peek_time() <= deadline
-        ):
-            self.engine.step()
-            for node in self.nodes:
-                node.pump()
+        peek_time = self.engine.peek_time
+        while True:
+            when = peek_time()
+            if when is None or when > deadline:
+                return
+            self._step()
+
+    def _step(self) -> bool:
+        """Run one engine event, then pump the nodes marked ready.
+
+        Nodes go in ascending id and membership is tested as the walk
+        goes, so a lower node's pump (a software-fallback detour runs
+        engine events) can ready a higher node within the same step, as
+        when every node was pumped.  A node readied behind the walk waits
+        for the next step.  Returns what ``engine.step()`` returned.
+        """
+        progressed = self.engine.step()
+        ready = self._ready
+        if ready:
+            for node_id, node in enumerate(self.nodes):
+                if node_id in ready:
+                    ready.discard(node_id)
+                    node.pump()
+        return progressed
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -269,7 +269,12 @@ class ClusterNode:
     # ------------------------------------------------------------------ #
 
     def pump(self) -> None:
-        """Retire completions and refill the dispatch window (one tick)."""
+        """Retire completions and refill the dispatch window (one tick).
+
+        The cluster loop calls this only after the server's ``wake`` hook
+        has fired or the node failed or restarted; a node it skips has
+        nothing for the pump to do.
+        """
         server = self.server
         if server._completions:
             server._drain_completions()
@@ -319,5 +324,10 @@ class ClusterNode:
         return lost
 
     def recover(self) -> None:
-        """Restart the node (empty queues; the prober re-admits it)."""
+        """Restart the node: it answers the LB again.
+
+        Only ``alive`` changes.  Work the server still held at the crash
+        keeps running, but its tokens are gone, so none of it answers; the
+        prober re-admits the node.
+        """
         self.alive = True

@@ -94,6 +94,9 @@ class Frontend:
             deque() for _ in range(config.tenants)
         ]
         self._rr = 0
+        #: Requests admitted but not yet dispatched (kept by ``offer`` and
+        #: ``next_request``, so reading it costs nothing per pump).
+        self.pending = 0
         self._saturated = saturated or (lambda: False)
         self._offered = self.stats.counter("offered")
         self._admitted = self.stats.counter("admitted")
@@ -116,6 +119,7 @@ class Frontend:
             return Admission(False, retry_after)
         request.admit_cycle = now
         queue.append(request)
+        self.pending += 1
         self._admitted.add()
         return Admission(True)
 
@@ -127,17 +131,13 @@ class Frontend:
             if queue:
                 self._rr = (self._rr + offset + 1) % tenants
                 request = queue.popleft()
+                self.pending -= 1
                 assert request.admit_cycle is not None
                 self._queue_delay.record(now - request.admit_cycle)
                 return request
         return None
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def pending(self) -> int:
-        """Requests admitted but not yet dispatched."""
-        return sum(len(queue) for queue in self._queues)
 
     def queue_depth_of(self, tenant: int) -> int:
         return len(self._queues[tenant])

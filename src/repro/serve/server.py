@@ -52,6 +52,10 @@ class ServingError(ReproError):
     """The serving loop wedged or was misconfigured."""
 
 
+def _no_wake() -> None:
+    pass
+
+
 class QueryServer:
     """Multi-tenant serving tier over one simulated machine."""
 
@@ -119,6 +123,11 @@ class QueryServer:
         ] = deque()
         self._outstanding = 0
         self._tenant_outstanding = [0] * self.config.tenants
+        #: Called wherever a pump could start doing work: a completion is
+        #: queued, a dispatch slot frees up, or dispatch resumes.  The
+        #: cluster loop binds it to its ready set so it pumps only the
+        #: nodes that have work; :meth:`run` needs no such hint.
+        self.wake: Callable[[], None] = _no_wake
         self._dispatched = self._serve_stats.counter("dispatched")
         #: Dispatch gate: the chaos harness pauses dispatch around a live
         #: firmware swap so the quiesce drains instead of racing new bursts.
@@ -241,6 +250,7 @@ class QueryServer:
 
     def resume_dispatch(self) -> None:
         self._paused = False
+        self.wake()
         self._dispatch()
 
     def _key(self, request: ServeRequest) -> int:
@@ -357,6 +367,7 @@ class QueryServer:
             QueryStatus.NOT_FOUND,
         ):
             self._completions.append((request, handle, True))
+            self.wake()
 
     # ------------------------------------------------------------------ #
     # Completion
@@ -366,6 +377,7 @@ class QueryServer:
         # Runs inside an engine event; defer the heavy lifting (fallback
         # execution mutates engine time) to the driving loop.
         self._completions.append((request, handle, False))
+        self.wake()
 
     def _shed(self, request: ServeRequest, *, dispatched: bool) -> None:
         """Deadline-expired request: distinct SLO outcome, never executed."""
@@ -387,6 +399,7 @@ class QueryServer:
                 self._slots.append(slot)
             self._outstanding -= 1
             self._tenant_outstanding[request.tenant] -= 1
+            self.wake()
         self._generators_by_tenant[request.tenant].on_resolved(request)
 
     def _resolve(
@@ -453,6 +466,7 @@ class QueryServer:
         # the primary handle goes terminal (the early-return branch above).
         self._outstanding -= 1
         self._tenant_outstanding[tenant] -= 1
+        self.wake()
         self._generators_by_tenant[tenant].on_resolved(request)
 
     def _read_ok(
@@ -530,6 +544,7 @@ class QueryServer:
             self._slots.append(slot)
         self._outstanding -= 1
         self._tenant_outstanding[tenant] -= 1
+        self.wake()
         self._generators_by_tenant[tenant].on_resolved(request)
 
     def _drain_completions(self, on_event=None) -> None:
@@ -578,7 +593,8 @@ class QueryServer:
         while not self._finished():
             progressed = self.engine.step()
             self._drain_completions(on_tick)
-            self._dispatch()
+            if self.frontend.pending:
+                self._dispatch()
             if on_tick is not None:
                 on_tick(self)
             if not progressed:

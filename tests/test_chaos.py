@@ -29,6 +29,7 @@ from repro.faults.chaos import (
     chaos_schedule,
     check_contract,
     run_chaos,
+    run_mutation_chaos,
     run_scenario,
 )
 from repro.serve import (
@@ -479,3 +480,10 @@ def test_mutation_contract_reports_audit_failures_once_and_capped():
     assert "5 lost/phantom updates: key 0: lost update; key 1" in message
     assert "key 3" not in message  # at most three audit failures shown
     assert "write_problems" not in message  # counted once, under lost_or_phantom
+
+
+def test_mutation_chaos_rejects_a_read_only_mix():
+    # No writes, no shadow oracle: the drill refuses up front and points
+    # at the read-only drill instead of failing inside its report.
+    with pytest.raises(ChaosError, match="run_chaos"):
+        run_mutation_chaos("cha-tlb", seed=1, requests=50, write_ratio=0)

@@ -8,6 +8,8 @@ through the software fallback, and every accelerated result agrees with
 the software oracle.
 """
 
+import random
+
 import pytest
 
 from repro.config import ServeConfig
@@ -65,6 +67,27 @@ def test_frontend_drains_tenants_round_robin():
     assert order == [0, 1, 0, 1, 0, 1]
     assert frontend.next_request(now=2) is None
     assert frontend.pending == 0
+
+
+def test_frontend_pending_counts_every_queued_request():
+    # ``pending`` is a running count; it must equal the queue depths after
+    # every admitted offer, rejected offer (full queue or saturated) and pop.
+    rng = random.Random(7)
+    saturated = [False]
+    config = ServeConfig(tenants=3, queue_depth=4)
+    frontend = Frontend(config, saturated=lambda: saturated[0])
+    verdicts = set()
+    for step in range(2000):
+        if rng.random() < 0.55:
+            saturated[0] = rng.random() < 0.1
+            tenant = rng.randrange(config.tenants)
+            verdicts.add(frontend.offer(request_for(tenant, step), now=step).admitted)
+        else:
+            frontend.next_request(now=step)
+        assert frontend.pending == sum(
+            frontend.queue_depth_of(t) for t in range(config.tenants)
+        )
+    assert verdicts == {True, False}
 
 
 def test_saturated_tenant_cannot_starve_others():
