@@ -7,19 +7,21 @@ DPU element.  The entry becomes ready again when its micro-op completes, so
 many queries overlap their memory latencies (the time-multiplexed OoO
 continuation of Sec. IV-B).
 
-Functional execution happens alongside timing: ``MemRead`` really reads the
-simulated address space into scratch, ``Compare`` really memcmps, and the
-final ``Done`` value is the architecturally correct query result — tests
-cross-check it against the pure software reference.
+Functional execution happens alongside timing: a memory read really reads
+the simulated address space into the query's registers, a compare really
+memcmps, a write really stores, and the final ``K_DONE`` value is the
+architecturally correct query result — tests cross-check it against the
+pure software reference.
 
-**One CEE driver.**  Every accepted query is bound, at accept time, to a
-compiled step function (:mod:`repro.core.specialize`): a hand-specialized
-closure for the seven built-in lookups, a prebound wrapper around
-``program.step`` for every other registered program, or the *dispatch*
-step that looks the program up on each transition (unregistered type
-codes, header pages unmapped at accept).  The interpreted programs stay
-the executable specification; the compiled forms are checked against them
-by ``tests/test_specialize_properties.py`` and the golden-stats grid.
+**One CEE driver, one CFA form.**  Every accepted query is bound, at
+accept time, to its program's step (:mod:`repro.core.specialize`) — or to
+the *dispatch* step that resolves the program on each transition
+(unregistered type codes, header pages unmapped at accept).  Programs
+return flat tuple micro-ops (:mod:`repro.core.cfa`) that the driver
+executes inline, read and write path alike, with results deposited in the
+query's register file.  ``tests/cfa_reference.py`` keeps interpreted
+oracles of every built-in program; the property tests and the golden-stats
+grid check the firmware against them.
 
 **Batched ready-drain.**  Pending steps and wakes live in slot-indexed
 parallel arrays (``_rdy_*``) plus a ``(time, seq, slot)`` min-heap, and a
@@ -69,15 +71,18 @@ from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 from .abort import AbortCode
 from .cfa import (
-    AluOp,
-    Compare,
-    Delay,
+    K_ALU,
+    K_CAS,
+    K_COMPARE,
+    K_DELAY,
+    K_DONE,
+    K_FAULT,
+    K_HASH,
+    K_MEMREAD,
+    K_MEMREAD2,
+    K_MEMREAD_OPT,
+    K_WRITE,
     FirmwareImage,
-    HashOp,
-    HeaderCas,
-    MemRead,
-    MemWrite,
-    MicroAction,
     OP_LOOKUP,
     QueryContext,
     RESULT_ABORTED,
@@ -90,19 +95,7 @@ from .header import VERSION_OFFSET
 from ..datastructs.hashing import fnv1a64
 from .integration import Integration, SliceState
 from .qst import QstEntry, QueryStateTable
-from .specialize import (
-    CompiledStep,
-    K_ACTION,
-    K_ALU,
-    K_COMPARE,
-    K_DONE,
-    K_FAULT,
-    K_HASH,
-    K_MEMREAD,
-    K_MEMREAD_OPT,
-    compile_firmware,
-    dispatch_step,
-)
+from .specialize import CompiledStep, compile_firmware, dispatch_step
 
 #: Value written alongside the status flag for "not found" results.
 NOT_FOUND_SENTINEL = 0
@@ -400,10 +393,7 @@ class QeiAccelerator:
             self._n_handles += 1
             fn = self._resolve_compiled(ctx)
             self._rdy_fn[entry.index] = fn
-            if not fn.prebound:
-                # Specialized tier: slot-indexed registers, int states.
-                ctx.scratch = [0] * fn.nregs  # type: ignore[assignment]
-                ctx.state = 0  # type: ignore[assignment]
+            ctx.scratch = [0] * fn.nregs
             self._sched(entry, self.engine.now)
 
     def _resolve_compiled(self, ctx: QueryContext) -> CompiledStep:
@@ -413,8 +403,8 @@ class QeiAccelerator:
         (hot-swap ``adopt`` bumps it after quiescing, so in-flight queries
         never observe a rebuild).  The type byte is peeked functionally; an
         unregistered type, or an unmapped header page, binds the dispatch
-        step, which faults with the interpreter's code and timing on the
-        step that meets the problem.
+        step, which faults with the same code and timing on the step that
+        meets the problem.
         """
         firmware = self.firmware
         if self._compiled_epoch != firmware.epoch:
@@ -497,96 +487,6 @@ class QeiAccelerator:
         except MemoryError_:
             return True  # header page vanished mid-walk: treat as conflict
         return current != observed
-
-    # ------------------------------------------------------------------ #
-    # Micro-operation issue
-    # ------------------------------------------------------------------ #
-
-    def _issue_timed(
-        self, entry: QstEntry, handle: QueryHandle, action: MicroAction, now: int
-    ) -> int:
-        """Execute one timed micro-op at (virtual) cycle ``now``.
-
-        Returns the cycle the entry becomes ready again.  Purely arithmetic
-        in simulated time: every substrate call takes an explicit ``now``,
-        so during a fused run the CEE can execute micro-ops ahead of the
-        engine clock without scheduling anything.
-        """
-        home = handle._home  # type: ignore[attr-defined]
-        core_id = handle.request.core_id
-        integ = self.integration
-
-        if isinstance(action, MemRead):
-            self._count_mem()
-            latency = 0
-            for vaddr, length, tag in action.segments():
-                length = self._usable_length(vaddr, length, action.optional_after)
-                seg_latency = integ.mem_read(vaddr, length, now, home, core_id)
-                entry.ctx.scratch[tag] = self.space.read(vaddr, length)
-                latency = max(latency, seg_latency)
-            return now + max(1, latency)
-
-        if isinstance(action, Compare):
-            self._count_cmp()
-            latency = integ.compare(
-                action.mem_vaddr, action.key_vaddr, action.length, now, home, core_id
-            )
-            stored = self.space.read(action.mem_vaddr, action.length)
-            key = self.space.read(action.key_vaddr, action.length)
-            result = (stored > key) - (stored < key)
-            entry.ctx.results[action.tag] = result
-            return now + max(1, latency)
-
-        if isinstance(action, HashOp):
-            self._count_hash()
-            data = entry.ctx.scratch[action.key_tag]
-            done = integ.hash_unit.hash(now, len(data))
-            entry.ctx.results[action.tag] = fnv1a64(data)
-            return done
-
-        if isinstance(action, AluOp):
-            self._count_alu()
-            return integ.alus.alu(now, action.cycles)
-
-        # Write-path micro-ops (docs/mutations.md).  Their stats counters
-        # are created lazily so zero-write runs keep a byte-identical
-        # snapshot (golden-stats discipline).
-        if isinstance(action, MemWrite):
-            self.stats.counter("uops.write").add()
-            latency = 0
-            for vaddr, data in action.segments():
-                seg_latency = integ.mem_write(vaddr, len(data), now, home, core_id)
-                self.space.write(vaddr, data)
-                latency = max(latency, seg_latency)
-            commit_version = entry.ctx.vars.get("commit_version")
-            if commit_version is not None:
-                # This was the program's single commit macro-store (lock
-                # releases and version restores never set the var).
-                handle.commit_version = commit_version
-                handle.commit_cycle = now
-            return now + max(1, latency)
-
-        if isinstance(action, HeaderCas):
-            self.stats.counter("uops.cas").add()
-            latency = integ.mem_read(action.vaddr, 8, now, home, core_id)
-            current = self.space.read_u64(action.vaddr)
-            if current == action.expect:
-                # The CEE serialises micro-ops, so read-compare-store is
-                # atomic with respect to every other in-flight query.
-                latency = max(
-                    latency, integ.mem_write(action.vaddr, 8, now, home, core_id)
-                )
-                self.space.write_u64(action.vaddr, action.new)
-                entry.ctx.results[action.tag] = 1
-            else:
-                entry.ctx.results[action.tag] = 0
-            return now + max(1, latency)
-
-        if isinstance(action, Delay):
-            self.stats.counter("uops.delay").add()
-            return now + max(1, action.cycles)
-
-        raise AcceleratorError(f"unknown micro-action {action!r}")
 
     def _usable_length(
         self, vaddr: int, length: int, optional_after: Optional[int]
@@ -793,11 +693,10 @@ class QeiAccelerator:
                 return
             kind = act[0]
             waiting = False
-            if kind <= K_ALU or kind == K_ACTION:
-                # Timed micro-op.  Tuple kinds execute inline (the tuple
-                # form of _issue_timed): counter first, then the timing-path
-                # call, then the functional read — same order, args and
-                # times as _issue_timed, for TLB/DPU state parity.
+            if kind <= K_DELAY:
+                # Timed micro-op, executed inline: counter first, then the
+                # timing-path call, then the functional access — one fixed
+                # order for TLB/DPU state parity.
                 home = handle._home  # type: ignore[attr-defined]
                 try:
                     if kind == K_MEMREAD:
@@ -839,8 +738,61 @@ class QeiAccelerator:
                         )
                         ctx.scratch[slot] = space.read(vaddr, length)
                         ready_at = now + (latency if latency > 1 else 1)
-                    else:  # K_ACTION: a prebound-tier dataclass micro-op
-                        ready_at = self._issue_timed(entry, handle, act[1], now)
+                    elif kind == K_MEMREAD2:  # two concurrent segments
+                        self._count_mem()
+                        core_id = handle.request.core_id
+                        latency = 0
+                        for vaddr, length, slot in (act[1:4], act[4:7]):
+                            seg_latency = integ.mem_read(
+                                vaddr, length, now, home, core_id
+                            )
+                            ctx.scratch[slot] = space.read(vaddr, length)
+                            if seg_latency > latency:
+                                latency = seg_latency
+                        ready_at = now + (latency if latency > 1 else 1)
+                    # Write-path kinds (docs/mutations.md).  Their stats
+                    # counters are created lazily so zero-write runs keep
+                    # a byte-identical snapshot (golden-stats discipline).
+                    elif kind == K_WRITE:  # one macro store
+                        self.stats.counter("uops.write").add()
+                        core_id = handle.request.core_id
+                        latency = 0
+                        for vaddr, data in act[1]:
+                            seg_latency = integ.mem_write(
+                                vaddr, len(data), now, home, core_id
+                            )
+                            space.write(vaddr, data)
+                            if seg_latency > latency:
+                                latency = seg_latency
+                        if act[2] is not None:
+                            # A commit store: stamp its seqlock ordinal and
+                            # cycle (lock releases and version restores
+                            # carry None).
+                            handle.commit_version = act[2]
+                            handle.commit_cycle = now
+                        ready_at = now + (latency if latency > 1 else 1)
+                    elif kind == K_CAS:  # header seqlock compare-and-swap
+                        self.stats.counter("uops.cas").add()
+                        core_id = handle.request.core_id
+                        vaddr = act[1]
+                        latency = integ.mem_read(vaddr, 8, now, home, core_id)
+                        if space.read_u64(vaddr) == act[2]:
+                            # The CEE serialises micro-ops, so the
+                            # read-compare-store is atomic with respect to
+                            # every other in-flight query.
+                            write_latency = integ.mem_write(
+                                vaddr, 8, now, home, core_id
+                            )
+                            if write_latency > latency:
+                                latency = write_latency
+                            space.write_u64(vaddr, act[3])
+                            ctx.scratch[act[4]] = 1
+                        else:
+                            ctx.scratch[act[4]] = 0
+                        ready_at = now + (latency if latency > 1 else 1)
+                    else:  # K_DELAY: writer backoff, no DPU unit occupied
+                        self.stats.counter("uops.delay").add()
+                        ready_at = now + (act[1] if act[1] > 1 else 1)
                 except MemoryError_ as fault:
                     detail, code = str(fault), self._memory_code(fault)
                     self._run_terminal(

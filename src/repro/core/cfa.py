@@ -3,14 +3,22 @@
 A CFA has *fixed transition rules but configurable parameters*: each
 data-structure type maps to one :class:`CfaProgram` whose states are driven
 by the CFA Execution Engine.  Every step either performs an internal
-transition (one CEE cycle) or issues exactly one micro-operation to the Data
-Processing Unit / memory system:
+transition (``(K_WAIT,)``, one CEE cycle) or issues exactly one
+micro-operation to the Data Processing Unit / memory system.  A step
+returns its micro-op as a flat tuple ``(kind, *operands)``; results land
+in the query's register file (``ctx.scratch``, a slot-indexed list):
 
-* :class:`MemRead` — cacheline-granular memory fetch into QST scratch;
-* :class:`Compare` — (possibly remote, near-LLC) key comparison;
-* :class:`HashOp` — the DPU hashing unit;
-* :class:`AluOp` — arithmetic/logic on intermediate data;
-* :class:`Done` / :class:`Fault` — terminal transitions.
+* ``(K_MEMREAD, vaddr, length, slot)`` — cacheline-granular memory fetch;
+  ``K_MEMREAD_OPT`` adds a required-prefix length past which the fetch may
+  truncate at an unmapped page, ``K_MEMREAD2`` fetches two segments
+  concurrently;
+* ``(K_COMPARE, mem_vaddr, length, slot)`` — (possibly remote, near-LLC)
+  three-way compare against the query key;
+* ``(K_HASH, src_slot, slot)`` — the DPU hashing unit;
+* ``(K_ALU, cycles)`` — arithmetic/logic on intermediate data;
+* ``(K_WRITE, segments, commit_version)``, ``(K_CAS, vaddr, expect, new,
+  slot)`` and ``(K_DELAY, cycles)`` — the write path (docs/mutations.md);
+* ``(K_DONE, value)`` / ``(K_FAULT, code, detail)`` — terminal transitions.
 
 Programs are registered in a :class:`FirmwareImage`; new data structures are
 supported by registering new programs at runtime — the paper's
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import FirmwareError
 from .abort import AbortCode
@@ -55,143 +63,28 @@ OP_NAMES = {
 }
 WRITE_OPS = (OP_INSERT, OP_DELETE, OP_UPDATE)
 
+#: Tuple micro-op kinds.  The timed kinds (executed inline by the CEE
+#: driver, producing a ready-at cycle) are all <= K_DELAY; the driver
+#: relies on that ordering for its dispatch.
+K_MEMREAD = 0
+K_MEMREAD_OPT = 1
+K_COMPARE = 2
+K_HASH = 3
+K_ALU = 4
+K_MEMREAD2 = 5
+K_WRITE = 6
+K_CAS = 7
+K_DELAY = 8
+K_DONE = 9
+K_FAULT = 10
+K_WAIT = 11
 
-# --------------------------------------------------------------------- #
-# Micro-operation vocabulary
-# --------------------------------------------------------------------- #
+#: Register slots of the shared prelude: the header line and the key.
+S_HEADER = 0
+S_KEY = 1
 
-
-@dataclass(frozen=True)
-class MemRead:
-    """Fetch ``length`` bytes at ``vaddr`` into scratch slot ``tag``.
-
-    Multiple segments may be fetched concurrently (the paper's CFA issues
-    the key and starting-node reads in parallel, Fig. 3 step 1): pass extra
-    ``(vaddr, length, tag)`` tuples in ``also``.
-
-    ``optional_after`` marks speculative tail bytes: fetches are cacheline
-    granular, so a program may ask for a whole line knowing only the first
-    N bytes are architecturally required; the engine truncates the fetch at
-    an unmapped page instead of faulting, provided at least
-    ``optional_after`` bytes were read.
-    """
-
-    vaddr: int
-    length: int
-    tag: str
-    also: Tuple[Tuple[int, int, str], ...] = ()
-    optional_after: Optional[int] = None
-
-    def segments(self) -> Iterable[Tuple[int, int, str]]:
-        yield self.vaddr, self.length, self.tag
-        yield from self.also
-
-
-@dataclass(frozen=True)
-class Compare:
-    """Compare ``length`` bytes at ``mem_vaddr`` against ``key_vaddr``.
-
-    Executed by a DPU comparator.  In distributed schemes the comparator
-    lives in the data's home CHA and reads straight from the LLC slice; in
-    device schemes the lines travel to the device's local comparators.
-    The three-way outcome (<, =, >) lands in ``ctx.results[tag]``.
-    """
-
-    mem_vaddr: int
-    key_vaddr: int
-    length: int
-    tag: str
-
-
-@dataclass(frozen=True)
-class HashOp:
-    """Hash ``length`` bytes already staged in scratch slot ``key_tag``."""
-
-    key_tag: str
-    tag: str
-    kind: str = "fnv1a"
-
-
-@dataclass(frozen=True)
-class AluOp:
-    """Arithmetic on intermediate data (address math, masks)."""
-
-    cycles: int = 1
-
-
-@dataclass(frozen=True)
-class MemWrite:
-    """Store ``data`` at ``vaddr`` through the DPU's store path.
-
-    The write-path counterpart of :class:`MemRead`: mutation CFAs publish
-    slot contents, new-node links and header fields with it.  Writes are
-    only architecturally visible once the engine executes the action, so a
-    program that faults before its MemWrite leaves memory untouched.
-    """
-
-    vaddr: int
-    data: bytes
-    tag: str = "write"
-    also: Tuple[Tuple[int, bytes], ...] = ()
-
-    def segments(self) -> Iterable[Tuple[int, bytes]]:
-        yield self.vaddr, self.data
-        yield from self.also
-
-
-@dataclass(frozen=True)
-class HeaderCas:
-    """Compare-and-swap a u64 at ``vaddr``: the seqlock acquire primitive.
-
-    The engine atomically (the CEE serialises micro-ops) compares the word
-    against ``expect`` and, on match, stores ``new``.  The outcome (1 won,
-    0 lost) lands in ``ctx.results[tag]`` so the program can back off.
-    """
-
-    vaddr: int
-    expect: int
-    new: int
-    tag: str = "cas"
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Stall this query ``cycles`` without occupying a DPU unit.
-
-    Deterministic writer backoff: a mutation program that lost a header CAS
-    waits a fixed, attempt-scaled number of cycles before retrying, instead
-    of spinning on the ALU pool.
-    """
-
-    cycles: int = 1
-
-
-@dataclass(frozen=True)
-class Done:
-    """Terminal: query finished with ``value`` (None = not found)."""
-
-    value: Optional[int]
-
-
-@dataclass(frozen=True)
-class Fault:
-    """Terminal: architectural exception with a result code."""
-
-    code: int = RESULT_FAULT
-    detail: str = ""
-
-
-MicroAction = Union[
-    MemRead, Compare, HashOp, AluOp, MemWrite, HeaderCas, Delay, Done, Fault
-]
-
-
-@dataclass
-class StepOutcome:
-    """What one CEE step did: an optional micro-op and the next state."""
-
-    next_state: str
-    action: Optional[MicroAction] = None
+#: Little-endian u64 field decode of staged bytes: ``U64(data, offset)[0]``.
+U64 = struct.Struct("<Q").unpack_from
 
 
 # --------------------------------------------------------------------- #
@@ -203,46 +96,26 @@ class StepOutcome:
 class QueryContext:
     """All mutable per-query state a CFA program may touch.
 
-    ``scratch`` models the QST entry's 64B intermediate-data field plus the
-    architectural registers a microcoded engine would keep; programs store
-    fetched bytes and small integers here.  ``results`` holds comparator
-    and hash-unit outputs keyed by tag.
+    ``scratch`` is the register file: it models the QST entry's 64B
+    intermediate-data field plus the architectural registers a microcoded
+    engine would keep.  The driver sizes it to the program's
+    :attr:`CfaProgram.NREGS` at accept; micro-ops deposit fetched bytes,
+    compare outcomes and hashes into the slots they name, and programs
+    keep small integers in the rest.  ``state`` is a small int; after a
+    terminal micro-op the context is dead to the driver.
     """
 
     header_addr: int
     key_addr: int
-    state: str = STATE_START
+    state: int = 0
     header: Optional[DataStructureHeader] = None
     key: bytes = b""
-    scratch: Dict[str, bytes] = field(default_factory=dict)
-    results: Dict[str, int] = field(default_factory=dict)
-    vars: Dict[str, int] = field(default_factory=dict)
+    scratch: list = field(default_factory=list)
     #: Operation code (OP_LOOKUP for the read path; WRITE_OPS dispatch to
     #: the mutation program table) and its operand: for UPDATE the new
     #: value, for INSERT the address of the core-staged record to publish.
     op: int = OP_LOOKUP
     operand: int = 0
-    #: Filled on termination.
-    value: Optional[int] = None
-    fault_code: int = 0
-    fault_detail: str = ""
-    #: scratch_u64 decode cache, keyed by tag.  Each value pairs the bytes
-    #: object it was decoded from with the decoded aligned words; programs
-    #: overwrite scratch tags by assignment (never in place), so an ``is``
-    #: check on the bytes object is a complete staleness test.
-    _u64c: Dict[str, Tuple[bytes, Tuple[int, ...]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def scratch_u64(self, tag: str, offset: int = 0) -> int:
-        data = self.scratch[tag]
-        cached = self._u64c.get(tag)
-        if cached is None or cached[0] is not data:
-            words = struct.unpack_from(f"<{len(data) // 8}Q", data)
-            self._u64c[tag] = cached = (data, words)
-        if offset & 7 == 0 and offset + 8 <= len(data):
-            return cached[1][offset >> 3]
-        return int.from_bytes(data[offset : offset + 8], "little")
 
 
 # --------------------------------------------------------------------- #
@@ -253,16 +126,26 @@ class QueryContext:
 class CfaProgram:
     """Base class for one data structure's query CFA.
 
-    Subclasses set :attr:`TYPE_CODE`, :attr:`NAME` and :attr:`STATES`, and
-    implement :meth:`step`, which is invoked by the CEE each time the query's
-    QST entry is selected.  ``step`` inspects ``ctx.state`` (and scratch
-    contents filled by completed micro-ops) and returns a
-    :class:`StepOutcome`.
+    Subclasses set :attr:`TYPE_CODE`, :attr:`NAME`, :attr:`STATES` and
+    :attr:`NREGS`, and implement :meth:`after_parse` and :meth:`dispatch`.
+    The CEE calls :meth:`step` each time the query's QST entry is
+    selected; its shared prelude drives states 0-2 (START: fetch the 64B
+    header; PARSE: decode and validate it; READ_KEY: fetch the key), then
+    hands over to ``after_parse`` once and to ``dispatch`` for every
+    program state (3 and up).  Each returns one tuple micro-op and sets
+    ``ctx.state`` for the next step; terminal tuples leave it alone.
     """
 
     TYPE_CODE: int = 0
     NAME: str = "abstract"
     STATES: Tuple[str, ...] = ()
+    #: Names of the prelude's states plus the two terminal states.
+    PRELUDE_STATES = (STATE_START, "PARSE", "READ_KEY", STATE_DONE, STATE_EXCEPTION)
+    #: Register-file size; slots 0/1 are the prelude's header and key.
+    NREGS: int = 2
+    #: Cap on the prelude's key fetch (None fetches ``key_length`` bytes);
+    #: programs that stream long keys fetch the first chunk only.
+    KEY_FETCH_MAX: Optional[int] = None
     #: Inclusive range of subtype values the program understands.
     SUBTYPE_MIN: int = 0
     SUBTYPE_MAX: int = 255
@@ -270,7 +153,37 @@ class CfaProgram:
     #: (static structures such as hash-table bucket arrays).
     REQUIRES_SIZE: bool = False
 
-    def step(self, ctx: QueryContext) -> StepOutcome:
+    def step(self, ctx: QueryContext) -> tuple:
+        state = ctx.state
+        if state >= 3:
+            return self.dispatch(ctx)
+        regs = ctx.scratch
+        if state == 0:  # START
+            ctx.state = 1
+            return (K_MEMREAD, ctx.header_addr, 64, S_HEADER)
+        if state == 1:  # PARSE
+            raw = regs[S_HEADER]
+            header = DataStructureHeader.decode(raw)
+            code = self.validate_header(header, raw=raw)
+            if code is not AbortCode.NONE:
+                return (K_FAULT, int(code), f"header rejected: {code.name}")
+            ctx.header = header
+            ctx.state = 2
+            length = header.key_length
+            cap = self.KEY_FETCH_MAX
+            if cap is not None and length > cap:
+                length = cap
+            return (K_MEMREAD, ctx.key_addr, length, S_KEY)
+        # READ_KEY: the fetched key is exactly the requested length.
+        ctx.key = regs[S_KEY]
+        return self.after_parse(ctx)
+
+    def after_parse(self, ctx: QueryContext) -> tuple:
+        """First program transition, entered once the key is staged."""
+        raise NotImplementedError
+
+    def dispatch(self, ctx: QueryContext) -> tuple:
+        """One transition out of a program state (``ctx.state >= 3``)."""
         raise NotImplementedError
 
     def validate_header(

@@ -18,7 +18,7 @@ Reader/writer coexistence is a seqlock on the header's version word
   any movement (or an odd snapshot) aborts the read with
   ``VERSION_CONFLICT`` and the existing fallback path retries in software.
 
-Every mutation publishes its effects with **one** :class:`MemWrite` macro
+Every mutation publishes its effects with **one** ``K_WRITE`` macro
 store whose final segment releases the lock (``v + 2``).  The engine
 executes a micro-op's segments without interleaving, so concurrent readers
 observe either none or all of a mutation — and a writer that dies mid-walk
@@ -31,45 +31,47 @@ buckets in chunks under short seqlock critical sections while queries route
 old-vs-new per bucket (``FLAG_RESIZING``), and commits the doubled table
 through the accelerator's quiesce machinery — the firmware-hot-swap path.
 
-Mutation programs execute through the *prebound* compiled tier in
-:mod:`repro.core.specialize`: the compiler captures each program's
-``step`` and translates its :class:`StepOutcome` into the flat micro-op
-tuples the batched CEE drain consumes, so mutation semantics live only
-here.  ``tests/test_specialize_properties.py`` pins prebound-vs-interpreted
-agreement (including forced seqlock conflicts and mid-resize walks).
+Mutation programs are written once, in the register-and-tuple form the
+CEE executes (:mod:`repro.core.cfa`), behind their own seqlock prelude.
+``tests/cfa_reference.py`` keeps an interpreted rendering of each as the
+oracle ``tests/test_specialize_properties.py`` checks them against step
+for step (forced CAS losses, backoff exhaustion, read-only and resize
+bail-outs, misses).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..datastructs.hashing import secondary_hash, signature_of
 from ..datastructs.skiplist import NODE_FIXED_BYTES, tower_height
 from ..errors import DataStructureError
 from .abort import AbortCode
 from .cfa import (
-    CfaProgram,
-    Compare,
-    Delay,
-    Done,
-    Fault,
-    FirmwareImage,
-    HashOp,
-    HeaderCas,
-    MemRead,
-    MemWrite,
+    K_CAS,
+    K_COMPARE,
+    K_DELAY,
+    K_DONE,
+    K_FAULT,
+    K_HASH,
+    K_MEMREAD,
+    K_MEMREAD2,
+    K_WRITE,
     OP_DELETE,
     OP_INSERT,
-    OP_LOOKUP,
     OP_UPDATE,
-    QueryContext,
+    S_HEADER,
+    S_KEY,
     STATE_DONE,
     STATE_EXCEPTION,
     STATE_START,
-    StepOutcome,
+    U64,
     WRITE_OPS,
+    CfaProgram,
+    FirmwareImage,
+    QueryContext,
 )
 from .header import (
     FLAG_READ_ONLY,
@@ -78,11 +80,6 @@ from .header import (
     StructureType,
     VERSION_OFFSET,
 )
-from .programs import _u64
-
-_SLOT = 16
-_BTREE_HEADER = 40
-_LEAF_FLAG = 0x1
 
 #: Mutation result codes returned in the Done value (miss returns None and
 #: surfaces as the ordinary NOT_FOUND status).
@@ -95,6 +92,21 @@ MUT_DELETED = 3
 #: seeds replay identical schedules.
 BACKOFF_BASE_CYCLES = 32
 MAX_LOCK_ATTEMPTS = 4
+
+_NULL_PTR = int(AbortCode.NULL_POINTER)
+_VERSION_CONFLICT = int(AbortCode.VERSION_CONFLICT)
+
+# Seqlock-prelude states (program states start at _FIRST_STATE).
+_PARSE, _READ_KEY, _LOCK, _BACKOFF, _COMMIT, _MISS, _RELEASE = 1, 2, 3, 4, 5, 6, 7
+_FIRST_STATE = 8
+
+# Seqlock-prelude registers after the header and key slots (program
+# registers start at 7).
+_M_LOCK, _M_ATTEMPTS, _M_RESULT, _M_ABORT_CODE, _M_ABORT_DETAIL = 2, 3, 4, 5, 6
+
+
+def _word(value: int) -> bytes:
+    return value.to_bytes(8, "little")
 
 
 class _MutationProgram(CfaProgram):
@@ -120,115 +132,98 @@ class _MutationProgram(CfaProgram):
         STATE_EXCEPTION,
     )
 
-    def step(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.state == STATE_START:
+    def step(self, ctx: QueryContext) -> tuple:
+        state = ctx.state
+        if state >= _FIRST_STATE:
+            return self.dispatch(ctx)
+        regs = ctx.scratch
+        if state == 0:  # START
             if ctx.op not in WRITE_OPS:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(
-                        code=int(AbortCode.FIRMWARE),
-                        detail=f"mutation program dispatched for op {ctx.op}",
-                    ),
+                return (
+                    K_FAULT,
+                    int(AbortCode.FIRMWARE),
+                    f"mutation program dispatched for op {ctx.op}",
                 )
-            return StepOutcome("PARSE", MemRead(ctx.header_addr, 64, "header"))
-        if ctx.state == "PARSE":
-            raw = ctx.scratch["header"]
+            ctx.state = _PARSE
+            return (K_MEMREAD, ctx.header_addr, 64, S_HEADER)
+        if state == _PARSE:
+            raw = regs[S_HEADER]
             header = DataStructureHeader.decode(raw)
             code = self.validate_header(header, raw=raw)
             if code is AbortCode.VERSION_CONFLICT:
                 # Odd version: another writer holds the seqlock right now.
                 return self._backoff(ctx)
             if code is not AbortCode.NONE:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(code=int(code), detail=f"header rejected: {code.name}"),
-                )
+                return (K_FAULT, int(code), f"header rejected: {code.name}")
             if header.flags & FLAG_READ_ONLY:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(
-                        code=int(AbortCode.PROTECTION),
-                        detail="structure is marked read-only",
-                    ),
+                return (
+                    K_FAULT,
+                    int(AbortCode.PROTECTION),
+                    "structure is marked read-only",
                 )
             ctx.header = header
             blocker = self.pre_lock_check(ctx)
             if blocker is not None:
                 return blocker
-            return StepOutcome(
-                "READ_KEY", MemRead(ctx.key_addr, header.key_length, "key")
-            )
-        if ctx.state == "READ_KEY":
-            ctx.key = ctx.scratch["key"][: ctx.header.key_length]
+            ctx.state = _READ_KEY
+            return (K_MEMREAD, ctx.key_addr, header.key_length, S_KEY)
+        if state == _READ_KEY:
+            ctx.key = regs[S_KEY]
             version = ctx.header.version
-            return StepOutcome(
-                "LOCK",
-                HeaderCas(
-                    ctx.header_addr + VERSION_OFFSET,
-                    expect=version,
-                    new=version + 1,
-                    tag="lock",
-                ),
+            ctx.state = _LOCK
+            return (
+                K_CAS,
+                ctx.header_addr + VERSION_OFFSET,
+                version,
+                version + 1,
+                _M_LOCK,
             )
-        if ctx.state == "LOCK":
-            if ctx.results["lock"] != 1:
+        if state == _LOCK:
+            if regs[_M_LOCK] != 1:
                 return self._backoff(ctx)
             return self.after_lock(ctx)
-        if ctx.state == "BACKOFF":
+        if state == _BACKOFF:
             # Backoff elapsed: re-read the header (the version, and possibly
             # the whole structure, moved while we slept).
-            return StepOutcome("PARSE", MemRead(ctx.header_addr, 64, "header"))
-        if ctx.state == "COMMIT":
-            return StepOutcome(STATE_DONE, Done(ctx.vars["result"]))
-        if ctx.state == "MISS":
-            return StepOutcome(STATE_DONE, Done(None))
-        if ctx.state == "RELEASE":
-            code = AbortCode.of(ctx.vars.get("abort_code", int(AbortCode.FAULT)))
-            detail = ctx.scratch.get("abort_detail", b"").decode(
-                "utf-8", "replace"
-            )
-            return StepOutcome(
-                STATE_EXCEPTION, Fault(code=int(code), detail=detail)
-            )
-        return self.dispatch(ctx)
+            ctx.state = _PARSE
+            return (K_MEMREAD, ctx.header_addr, 64, S_HEADER)
+        if state == _COMMIT:
+            return (K_DONE, regs[_M_RESULT])
+        if state == _MISS:
+            return (K_DONE, None)
+        # RELEASE
+        return (K_FAULT, regs[_M_ABORT_CODE], regs[_M_ABORT_DETAIL])
 
     # ---------------- subclass surface ---------------- #
 
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
+    #: What an INSERT operand points at (named in the missing-operand fault).
+    STAGED_OPERAND = "record"
+
+    def pre_lock_check(self, ctx: QueryContext) -> Optional[tuple]:
         """Structure-specific bail-out evaluated before the lock CAS."""
+        if ctx.op == OP_INSERT and not ctx.operand:
+            detail = f"INSERT without a staged {self.STAGED_OPERAND}"
+            return (K_FAULT, _NULL_PTR, detail)
         return None
 
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
-        raise NotImplementedError
-
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
+    def after_lock(self, ctx: QueryContext) -> tuple:
         raise NotImplementedError
 
     # ---------------- terminal helpers ---------------- #
 
-    def _backoff(self, ctx: QueryContext) -> StepOutcome:
-        attempts = ctx.vars.get("attempts", 0) + 1
-        ctx.vars["attempts"] = attempts
+    def _backoff(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        attempts = regs[_M_ATTEMPTS] + 1
+        regs[_M_ATTEMPTS] = attempts
         if attempts > MAX_LOCK_ATTEMPTS:
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.VERSION_CONFLICT),
-                    detail=(
-                        f"seqlock contended after {MAX_LOCK_ATTEMPTS} "
-                        "attempts; falling back to software"
-                    ),
-                ),
+            return (
+                K_FAULT,
+                _VERSION_CONFLICT,
+                f"seqlock contended after {MAX_LOCK_ATTEMPTS} "
+                "attempts; falling back to software",
             )
-        return StepOutcome(
-            "BACKOFF", Delay(BACKOFF_BASE_CYCLES << (attempts - 1))
-        )
-
-    def _version_word(self, ctx: QueryContext, version: int) -> Tuple[int, bytes]:
-        return (
-            ctx.header_addr + VERSION_OFFSET,
-            version.to_bytes(8, "little"),
-        )
+        ctx.state = _BACKOFF
+        return (K_DELAY, BACKOFF_BASE_CYCLES << (attempts - 1))
 
     def _commit(
         self,
@@ -237,40 +232,49 @@ class _MutationProgram(CfaProgram):
         segments: List[Tuple[int, bytes]],
         *,
         new_size: Optional[int] = None,
-    ) -> StepOutcome:
-        """Publish the mutation and release the lock in one macro store."""
+    ) -> tuple:
+        """Publish the mutation and release the lock in one macro store.
+
+        The store carries the pre-lock version: this commit's ordinal in
+        the structure's seqlock-serialised write history, which the
+        accelerator stamps onto the handle so observers can order commits
+        exactly.
+        """
         parts = [seg for seg in segments if seg[1]]
         if new_size is not None:
-            parts.append((ctx.header_addr + 16, new_size.to_bytes(8, "little")))
-        parts.append(self._version_word(ctx, ctx.header.version + 2))
-        ctx.vars["result"] = result
-        # The pre-lock version is this commit's ordinal in the structure's
-        # seqlock-serialised write history; the accelerator stamps it onto
-        # the handle so observers can order commits exactly.
-        ctx.vars["commit_version"] = ctx.header.version
-        head = parts[0]
-        return StepOutcome(
-            "COMMIT", MemWrite(head[0], head[1], also=tuple(parts[1:]))
-        )
+            parts.append((ctx.header_addr + 16, _word(new_size)))
+        version = ctx.header.version
+        parts.append((ctx.header_addr + VERSION_OFFSET, _word(version + 2)))
+        ctx.scratch[_M_RESULT] = result
+        ctx.state = _COMMIT
+        return (K_WRITE, tuple(parts), version)
 
-    def _miss(self, ctx: QueryContext) -> StepOutcome:
+    def _restore_version(self, ctx: QueryContext) -> tuple:
+        vaddr = ctx.header_addr + VERSION_OFFSET
+        return (K_WRITE, ((vaddr, _word(ctx.header.version)),), None)
+
+    def _miss(self, ctx: QueryContext) -> tuple:
         """Key absent: restore the pre-lock version (nothing was written)."""
-        vaddr, data = self._version_word(ctx, ctx.header.version)
-        return StepOutcome("MISS", MemWrite(vaddr, data))
+        ctx.state = _MISS
+        return self._restore_version(ctx)
 
-    def _release_abort(
-        self, ctx: QueryContext, code: AbortCode, detail: str
-    ) -> StepOutcome:
+    def _release_abort(self, ctx: QueryContext, code: AbortCode, detail: str) -> tuple:
         """Abort while holding the lock: release it untouched, then fault."""
-        ctx.vars["abort_code"] = int(code)
-        ctx.scratch["abort_detail"] = detail.encode()
-        vaddr, data = self._version_word(ctx, ctx.header.version)
-        return StepOutcome("RELEASE", MemWrite(vaddr, data))
+        regs = ctx.scratch
+        regs[_M_ABORT_CODE] = int(code)
+        regs[_M_ABORT_DETAIL] = detail
+        ctx.state = _RELEASE
+        return self._restore_version(ctx)
 
 
 # --------------------------------------------------------------------- #
 # Hash table
 # --------------------------------------------------------------------- #
+
+# Hash-table mutation registers.
+_H_STAGED, _H_HASH, _H_LINE, _H_CMP = 7, 8, 9, 10
+_H_SIG, _H_B0, _H_B1, _H_WHICH, _H_LINE_NO = 11, 12, 13, 14, 15
+_H_EMPTY, _H_SLOT, _H_LINE_BASE, _H_SLOT_ADDR, _H_KV = 16, 17, 18, 19, 20
 
 
 class HashTableMutationCfa(_MutationProgram):
@@ -294,149 +298,137 @@ class HashTableMutationCfa(_MutationProgram):
     SUBTYPE_MIN = 1
     SUBTYPE_MAX = 128
     REQUIRES_SIZE = True
+    NREGS = 21
 
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
+    def pre_lock_check(self, ctx: QueryContext) -> Optional[tuple]:
         if ctx.header.flags & FLAG_RESIZING:
             # The migration drain owns placement during a resize; CFA writes
             # fall back to the (resize-aware) software path.
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.VERSION_CONFLICT),
-                    detail="online resize in flight; write falls back",
-                ),
+            return (
+                K_FAULT,
+                _VERSION_CONFLICT,
+                "online resize in flight; write falls back",
             )
-        if ctx.op == OP_INSERT and not ctx.operand:
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.NULL_POINTER),
-                    detail="INSERT without a staged record",
-                ),
-            )
-        return None
+        return super().pre_lock_check(ctx)
 
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
+    def after_lock(self, ctx: QueryContext) -> tuple:
         if ctx.op == OP_INSERT:
-            return StepOutcome("STAGED", MemRead(ctx.operand, 8, "staged"))
-        return StepOutcome("MHASH", HashOp("key", "hash"))
+            ctx.state = 8  # STAGED
+            return (K_MEMREAD, ctx.operand, 8, _H_STAGED)
+        ctx.state = 9  # MHASH
+        return (K_HASH, S_KEY, _H_HASH)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "STAGED":
-            return StepOutcome("MHASH", HashOp("key", "hash"))
-        if ctx.state == "MHASH":
-            num_buckets = ctx.header.size
-            v["sig"] = signature_of(ctx.key) or 1
-            v["b0"] = ctx.results["hash"] % num_buckets
-            v["b1"] = secondary_hash(ctx.key) % num_buckets
-            v["which"] = 0
-            v["line"] = 0
-            v["empty_slot"] = 0  # first free slot address seen (0 = none)
-            return self._read_line(ctx)
-        if ctx.state == "MSCAN":
+    def dispatch(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        state = ctx.state
+        if state == 10:  # MSCAN
             return self._scan_line(ctx)
-        if ctx.state == "MCHECK":
-            if ctx.results["cmp"] == 0:
+        if state == 11:  # MCHECK
+            if regs[_H_CMP] == 0:
                 return self._found(ctx)
             return self._scan_line(ctx)  # signature collision: keep scanning
-        raise AssertionError(f"unreachable state {ctx.state}")
+        if state == 8:  # STAGED
+            ctx.state = 9
+            return (K_HASH, S_KEY, _H_HASH)
+        # MHASH
+        num_buckets = ctx.header.size
+        key = ctx.key
+        regs[_H_SIG] = signature_of(key) or 1
+        regs[_H_B0] = regs[_H_HASH] % num_buckets
+        regs[_H_B1] = secondary_hash(key) % num_buckets
+        regs[_H_WHICH] = 0
+        regs[_H_LINE_NO] = 0
+        regs[_H_EMPTY] = 0  # first free slot address seen (0 = none)
+        return self._read_line(ctx)
 
     # ---------------- scan helpers ---------------- #
 
-    def _bucket_bytes(self, ctx: QueryContext) -> int:
-        return ctx.header.subtype * _SLOT
-
-    def _read_line(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        bucket = v["b0"] if v["which"] == 0 else v["b1"]
-        bucket_addr = ctx.header.root_ptr + bucket * self._bucket_bytes(ctx)
-        offset = v["line"] * 64
-        remaining = self._bucket_bytes(ctx) - offset
+    def _read_line(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        bucket = regs[_H_B0] if regs[_H_WHICH] == 0 else regs[_H_B1]
+        bucket_bytes = ctx.header.subtype * 16
+        bucket_addr = ctx.header.root_ptr + bucket * bucket_bytes
+        offset = regs[_H_LINE_NO] * 64
+        remaining = bucket_bytes - offset
         if remaining <= 0:
             return self._next_bucket(ctx)
-        v["slot_in_line"] = 0
-        v["line_base"] = bucket_addr + offset
-        return StepOutcome(
-            "MSCAN", MemRead(bucket_addr + offset, min(64, remaining), "line")
-        )
+        regs[_H_SLOT] = 0
+        regs[_H_LINE_BASE] = bucket_addr + offset
+        ctx.state = 10  # MSCAN
+        return (K_MEMREAD, bucket_addr + offset, min(64, remaining), _H_LINE)
 
-    def _scan_line(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        line = ctx.scratch["line"]
-        slots_in_line = len(line) // _SLOT
-        slot = v["slot_in_line"]
+    def _scan_line(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        line = regs[_H_LINE]
+        slots_in_line = len(line) // 16
+        slot = regs[_H_SLOT]
+        line_base = regs[_H_LINE_BASE]
         while slot < slots_in_line:
-            sig = _u64(line, slot * _SLOT)
-            kv = _u64(line, slot * _SLOT + 8)
-            addr = v["line_base"] + slot * _SLOT
+            base = slot * 16
+            sig = U64(line, base)[0]
+            kv = U64(line, base + 8)[0]
+            addr = line_base + base
             slot += 1
             if sig == 0:
-                if not v["empty_slot"]:
-                    v["empty_slot"] = addr
+                if not regs[_H_EMPTY]:
+                    regs[_H_EMPTY] = addr
                 continue
-            if sig == v["sig"] and kv:
-                v["slot_in_line"] = slot
-                v["slot_addr"] = addr
-                v["kv"] = kv
-                return StepOutcome(
-                    "MCHECK",
-                    Compare(kv + 8, ctx.key_addr, ctx.header.key_length, "cmp"),
-                )
-        v["slot_in_line"] = slot
-        v["line"] += 1
-        if v["line"] * 64 >= self._bucket_bytes(ctx):
+            if sig == regs[_H_SIG] and kv:
+                regs[_H_SLOT] = slot
+                regs[_H_SLOT_ADDR] = addr
+                regs[_H_KV] = kv
+                ctx.state = 11  # MCHECK
+                return (K_COMPARE, kv + 8, ctx.header.key_length, _H_CMP)
+        regs[_H_SLOT] = slot
+        regs[_H_LINE_NO] += 1
+        if regs[_H_LINE_NO] * 64 >= ctx.header.subtype * 16:
             return self._next_bucket(ctx)
         return self._read_line(ctx)
 
-    def _next_bucket(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["which"] == 0:
-            v["which"] = 1
-            v["line"] = 0
+    def _next_bucket(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        if regs[_H_WHICH] == 0:
+            regs[_H_WHICH] = 1
+            regs[_H_LINE_NO] = 0
             return self._read_line(ctx)
         return self._absent(ctx)
 
     # ---------------- terminals ---------------- #
 
-    def _found(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        kv = v["kv"]
+    def _found(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        kv = regs[_H_KV]
         if ctx.op == OP_UPDATE:
-            return self._commit(
-                ctx, MUT_UPDATED, [(kv, ctx.operand.to_bytes(8, "little"))]
-            )
+            return self._commit(ctx, MUT_UPDATED, [(kv, _word(ctx.operand))])
         if ctx.op == OP_INSERT:
             # Key already present: update the existing record in place with
             # the staged record's value (upsert semantics, like software).
-            staged_value = ctx.scratch["staged"][:8]
-            return self._commit(ctx, MUT_UPDATED, [(kv, staged_value)])
-        return self._commit(
-            ctx, MUT_DELETED, [(v["slot_addr"], bytes(_SLOT))]
-        )
+            return self._commit(ctx, MUT_UPDATED, [(kv, regs[_H_STAGED][:8])])
+        return self._commit(ctx, MUT_DELETED, [(regs[_H_SLOT_ADDR], bytes(16))])
 
-    def _absent(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
+    def _absent(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
         if ctx.op in (OP_UPDATE, OP_DELETE):
             return self._miss(ctx)
-        if not v["empty_slot"]:
+        if not regs[_H_EMPTY]:
             return self._release_abort(
                 ctx,
                 AbortCode.VERSION_CONFLICT,
                 "both candidate buckets full; cuckoo displacement in software",
             )
-        slot = (
-            v["sig"].to_bytes(8, "little") + ctx.operand.to_bytes(8, "little")
-        )
-        return self._commit(ctx, MUT_INSERTED, [(v["empty_slot"], slot)])
-
-    # MemWrite intentionally omits the 16B zero segment guard: the commit
-    # helper filters empty data, and a DELETE's slot clear is 16 bytes.
+        slot = _word(regs[_H_SIG]) + _word(ctx.operand)
+        return self._commit(ctx, MUT_INSERTED, [(regs[_H_EMPTY], slot)])
 
 
 # --------------------------------------------------------------------- #
 # Skip list
 # --------------------------------------------------------------------- #
+
+# Skip-list mutation registers; per-level predecessor/successor pairs
+# occupy MAX_LEVELS slots each from _S_PRED / _S_SUCC.
+_S_STAGED, _S_PTR, _S_NEXT, _S_CMP, _S_CNEXT = 7, 8, 9, 10, 11
+_S_NODE, _S_LEVEL, _S_CAND, _S_NEXT_ADDR, _S_CAND_HEIGHT = 12, 13, 14, 15, 16
+_S_PRED = 17
 
 
 class SkipListMutationCfa(_MutationProgram):
@@ -459,6 +451,8 @@ class SkipListMutationCfa(_MutationProgram):
     )
     SUBTYPE_MAX = 0
     MAX_LEVELS = 64
+    STAGED_OPERAND = "node"
+    NREGS = _S_PRED + 2 * MAX_LEVELS
 
     def validate_header(self, header, raw: bytes = b"") -> AbortCode:
         code = super().validate_header(header, raw=raw)
@@ -468,144 +462,114 @@ class SkipListMutationCfa(_MutationProgram):
             return AbortCode.BAD_AUX
         return AbortCode.NONE
 
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
-        if ctx.op == OP_INSERT and not ctx.operand:
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.NULL_POINTER),
-                    detail="INSERT without a staged node",
-                ),
-            )
-        return None
-
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
+    def after_lock(self, ctx: QueryContext) -> tuple:
         if ctx.op == OP_INSERT:
-            return StepOutcome(
-                "STAGED", MemRead(ctx.operand, NODE_FIXED_BYTES, "staged")
-            )
+            ctx.state = 8  # STAGED
+            return (K_MEMREAD, ctx.operand, NODE_FIXED_BYTES, _S_STAGED)
         return self._start_walk(ctx)
 
-    def _start_walk(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        v["node"] = ctx.header.root_ptr
-        v["level"] = ctx.header.aux - 1
-        v["cand"] = 0
-        if not ctx.header.root_ptr:
+    def _start_walk(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        root = ctx.header.root_ptr
+        regs[_S_NODE] = root
+        regs[_S_LEVEL] = ctx.header.aux - 1
+        regs[_S_CAND] = 0
+        if not root:
             return self._release_abort(
                 ctx, AbortCode.NULL_POINTER, "skip list has no head node"
             )
         return self._read_ptr(ctx)
 
-    def _read_ptr(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        offset = NODE_FIXED_BYTES + 8 * v["level"]
-        return StepOutcome("WNEXT", MemRead(v["node"] + offset, 8, "ptr"))
+    def _read_ptr(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        ctx.state = 9  # WNEXT
+        offset = NODE_FIXED_BYTES + 8 * regs[_S_LEVEL]
+        return (K_MEMREAD, regs[_S_NODE] + offset, 8, _S_PTR)
 
-    def _drop_level(self, ctx: QueryContext, succ: int) -> StepOutcome:
-        v = ctx.vars
-        level = v["level"]
-        v[f"pred_{level}"] = v["node"]
-        v[f"succ_{level}"] = succ
+    def _drop_level(self, ctx: QueryContext, succ: int) -> tuple:
+        regs = ctx.scratch
+        level = regs[_S_LEVEL]
+        regs[_S_PRED + level] = regs[_S_NODE]
+        regs[_S_PRED + self.MAX_LEVELS + level] = succ
         if level > 0:
-            v["level"] = level - 1
+            regs[_S_LEVEL] = level - 1
             return self._read_ptr(ctx)
         return self._finalize(ctx)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "STAGED":
-            return self._start_walk(ctx)
-        if ctx.state == "WNEXT":
-            nxt = ctx.scratch_u64("ptr")
+    def dispatch(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        state = ctx.state
+        if state == 9:  # WNEXT
+            nxt = U64(regs[_S_PTR], 0)[0]
             if not nxt:
                 return self._drop_level(ctx, 0)
-            v["next"] = nxt
-            return StepOutcome(
-                "WFETCH", MemRead(nxt, NODE_FIXED_BYTES, "next")
-            )
-        if ctx.state == "WFETCH":
-            key_ptr = ctx.scratch_u64("next", 0)
+            regs[_S_NEXT_ADDR] = nxt
+            ctx.state = 10  # WFETCH
+            return (K_MEMREAD, nxt, NODE_FIXED_BYTES, _S_NEXT)
+        if state == 10:  # WFETCH
+            key_ptr = U64(regs[_S_NEXT], 0)[0]
             if not key_ptr:
                 return self._release_abort(
                     ctx, AbortCode.NULL_POINTER, "null key pointer"
                 )
-            return StepOutcome(
-                "WCMP",
-                Compare(key_ptr, ctx.key_addr, ctx.header.key_length, "cmp"),
-            )
-        if ctx.state == "WCMP":
-            cmp_result = ctx.results["cmp"]
+            ctx.state = 11  # WCMP
+            return (K_COMPARE, key_ptr, ctx.header.key_length, _S_CMP)
+        if state == 11:  # WCMP
+            cmp_result = regs[_S_CMP]
+            nxt = regs[_S_NEXT_ADDR]
             if cmp_result < 0:  # next.key < key: advance along this level
-                v["node"] = v["next"]
+                regs[_S_NODE] = nxt
                 return self._read_ptr(ctx)
             if cmp_result == 0:
-                v["cand"] = v["next"]
-                v["cand_height"] = ctx.scratch_u64("next", 16)
-            return self._drop_level(ctx, v["next"])
-        if ctx.state == "WSPLICE":
-            return self._splice_delete(ctx)
-        raise AssertionError(f"unreachable state {ctx.state}")
+                regs[_S_CAND] = nxt
+                regs[_S_CAND_HEIGHT] = U64(regs[_S_NEXT], 16)[0]
+            return self._drop_level(ctx, nxt)
+        if state == 8:  # STAGED
+            return self._start_walk(ctx)
+        # WSPLICE
+        return self._splice_delete(ctx)
 
     # ---------------- terminals ---------------- #
 
-    def _finalize(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        cand = v["cand"]
+    def _finalize(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        cand = regs[_S_CAND]
         if ctx.op == OP_UPDATE:
             if not cand:
                 return self._miss(ctx)
-            return self._commit(
-                ctx,
-                MUT_UPDATED,
-                [(cand + 8, ctx.operand.to_bytes(8, "little"))],
-            )
+            return self._commit(ctx, MUT_UPDATED, [(cand + 8, _word(ctx.operand))])
         if ctx.op == OP_INSERT:
+            staged = regs[_S_STAGED]
             if cand:
-                staged_value = ctx.scratch["staged"][8:16]
-                return self._commit(ctx, MUT_UPDATED, [(cand + 8, staged_value)])
-            height = min(
-                _u64(ctx.scratch["staged"], 16) or 1, ctx.header.aux
-            )
+                return self._commit(ctx, MUT_UPDATED, [(cand + 8, staged[8:16])])
+            height = min(U64(staged, 16)[0] or 1, ctx.header.aux)
+            node = ctx.operand
             segments: List[Tuple[int, bytes]] = []
             for level in range(height):
-                succ = v[f"succ_{level}"]
-                pred = v[f"pred_{level}"]
-                segments.append(
-                    (
-                        ctx.operand + NODE_FIXED_BYTES + 8 * level,
-                        succ.to_bytes(8, "little"),
-                    )
-                )
-                segments.append(
-                    (
-                        pred + NODE_FIXED_BYTES + 8 * level,
-                        ctx.operand.to_bytes(8, "little"),
-                    )
-                )
+                link = NODE_FIXED_BYTES + 8 * level
+                succ = regs[_S_PRED + self.MAX_LEVELS + level]
+                segments.append((node + link, _word(succ)))
+                segments.append((regs[_S_PRED + level] + link, _word(node)))
             return self._commit(ctx, MUT_INSERTED, segments)
         # DELETE: fetch the victim's forward pointers, then splice.
         if not cand:
             return self._miss(ctx)
-        height = min(v["cand_height"] or 1, ctx.header.aux)
-        v["cand_height"] = height
-        return StepOutcome(
-            "WSPLICE",
-            MemRead(cand + NODE_FIXED_BYTES, 8 * height, "cnext"),
-        )
+        height = min(regs[_S_CAND_HEIGHT] or 1, ctx.header.aux)
+        regs[_S_CAND_HEIGHT] = height
+        ctx.state = 12  # WSPLICE
+        return (K_MEMREAD, cand + NODE_FIXED_BYTES, 8 * height, _S_CNEXT)
 
-    def _splice_delete(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        cand = v["cand"]
-        cnext = ctx.scratch["cnext"]
+    def _splice_delete(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        cand = regs[_S_CAND]
+        cnext = regs[_S_CNEXT]
         segments: List[Tuple[int, bytes]] = []
-        for level in range(v["cand_height"]):
-            pred = v[f"pred_{level}"]
-            if v[f"succ_{level}"] != cand:
+        for level in range(regs[_S_CAND_HEIGHT]):
+            if regs[_S_PRED + self.MAX_LEVELS + level] != cand:
                 continue  # the victim is absent from this level
             segments.append(
                 (
-                    pred + NODE_FIXED_BYTES + 8 * level,
+                    regs[_S_PRED + level] + NODE_FIXED_BYTES + 8 * level,
                     cnext[level * 8 : level * 8 + 8],
                 )
             )
@@ -615,6 +579,13 @@ class SkipListMutationCfa(_MutationProgram):
 # --------------------------------------------------------------------- #
 # B+-tree
 # --------------------------------------------------------------------- #
+
+# B+-tree mutation registers.
+_B_STAGED, _B_NODE, _B_CMP, _B_CHILD = 7, 8, 9, 10
+_B_KEYS_TAIL, _B_SLOTS_TAIL = 11, 12
+_B_NODE_ADDR, _B_COUNT, _B_KEYS, _B_SLOTS, _B_INDEX, _B_LEAF_STAGED = (
+    13, 14, 15, 16, 17, 18,
+)
 
 
 class BPlusTreeMutationCfa(_MutationProgram):
@@ -639,129 +610,114 @@ class BPlusTreeMutationCfa(_MutationProgram):
     )
     SUBTYPE_MIN = 2
     SUBTYPE_MAX = 64
+    NREGS = 19
 
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
-        if ctx.op == OP_INSERT and not ctx.operand:
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.NULL_POINTER),
-                    detail="INSERT without a staged record",
-                ),
-            )
-        return None
-
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
+    def after_lock(self, ctx: QueryContext) -> tuple:
         if ctx.op == OP_INSERT:
-            return StepOutcome("STAGED", MemRead(ctx.operand, 8, "staged"))
+            ctx.state = 8  # STAGED
+            return (K_MEMREAD, ctx.operand, 8, _B_STAGED)
         return self._descend_root(ctx)
 
-    def _descend_root(self, ctx: QueryContext) -> StepOutcome:
+    def _descend_root(self, ctx: QueryContext) -> tuple:
         root = ctx.header.root_ptr
         if not root:
             return self._release_abort(
                 ctx, AbortCode.NULL_POINTER, "B+-tree has no root"
             )
-        ctx.vars["node"] = root
-        return StepOutcome(
-            "WFETCH_NODE", MemRead(root, _BTREE_HEADER, "node")
-        )
+        return self._fetch_node(ctx, root)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "STAGED":
-            return self._descend_root(ctx)
-        if ctx.state == "WFETCH_NODE":
-            v["flags"] = ctx.scratch_u64("node", 0)
-            v["count"] = ctx.scratch_u64("node", 8)
-            v["keys_ptr"] = ctx.scratch_u64("node", 24)
-            v["slots_ptr"] = ctx.scratch_u64("node", 32)
-            v["index"] = 0
-            if v["flags"] & _LEAF_FLAG:
+    def _fetch_node(self, ctx: QueryContext, node: int) -> tuple:
+        ctx.scratch[_B_NODE_ADDR] = node
+        ctx.state = 9  # WFETCH_NODE
+        return (K_MEMREAD, node, 40, _B_NODE)
+
+    def dispatch(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        state = ctx.state
+        if state == 9:  # WFETCH_NODE
+            node = regs[_B_NODE]
+            flags = U64(node, 0)[0]
+            regs[_B_COUNT] = U64(node, 8)[0]
+            regs[_B_KEYS] = U64(node, 24)[0]
+            regs[_B_SLOTS] = U64(node, 32)[0]
+            regs[_B_INDEX] = 0
+            if flags & 0x1:  # leaf
                 return self._leaf_step(ctx)
             return self._separator_step(ctx)
-        if ctx.state == "WSEP_CHECK":
-            if ctx.results["cmp"] > 0:  # separator > key: take this child
-                return self._read_child(ctx, v["index"])
-            v["index"] += 1
+        if state == 10:  # WSEP_CHECK
+            if regs[_B_CMP] > 0:  # separator > key: take this child
+                return self._read_child(ctx, regs[_B_INDEX])
+            regs[_B_INDEX] += 1
             return self._separator_step(ctx)
-        if ctx.state == "WLEAF_STAGE":
-            return self._leaf_step(ctx)
-        if ctx.state == "WLEAF_CHECK":
-            cmp_result = ctx.results["cmp"]
+        if state == 12:  # WLEAF_CHECK
+            cmp_result = regs[_B_CMP]
             if cmp_result == 0:
                 return self._leaf_found(ctx)
             if cmp_result > 0:  # sorted leaf: stored key already past ours
                 return self._leaf_absent(ctx)
-            v["index"] += 1
+            regs[_B_INDEX] += 1
             return self._leaf_step(ctx)
-        if ctx.state == "WREAD_CHILD":
-            child = ctx.scratch_u64("child")
+        if state == 13:  # WREAD_CHILD
+            child = U64(regs[_B_CHILD], 0)[0]
             if not child:
                 return self._release_abort(
                     ctx, AbortCode.NULL_POINTER, "null child pointer"
                 )
-            v["node"] = child
-            return StepOutcome(
-                "WFETCH_NODE", MemRead(child, _BTREE_HEADER, "node")
-            )
-        raise AssertionError(f"unreachable state {ctx.state}")
+            return self._fetch_node(ctx, child)
+        if state == 11:  # WLEAF_STAGE
+            return self._leaf_step(ctx)
+        # STAGED
+        return self._descend_root(ctx)
 
     # ---------------- walk helpers ---------------- #
 
-    def _separator_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
-            return self._read_child(ctx, v["count"])
-        sep_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "WSEP_CHECK",
-            Compare(sep_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
+    def _separator_step(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        if regs[_B_INDEX] >= regs[_B_COUNT]:
+            return self._read_child(ctx, regs[_B_COUNT])
+        klen = ctx.header.key_length
+        ctx.state = 10  # WSEP_CHECK
+        return (K_COMPARE, regs[_B_KEYS] + regs[_B_INDEX] * klen, klen, _B_CMP)
 
-    def _read_child(self, ctx: QueryContext, index: int) -> StepOutcome:
-        slot = ctx.vars["slots_ptr"] + 8 * index
-        return StepOutcome("WREAD_CHILD", MemRead(slot, 8, "child"))
+    def _read_child(self, ctx: QueryContext, index: int) -> tuple:
+        ctx.state = 13  # WREAD_CHILD
+        return (K_MEMREAD, ctx.scratch[_B_SLOTS] + 8 * index, 8, _B_CHILD)
 
-    def _leaf_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
+    def _leaf_step(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        if regs[_B_INDEX] >= regs[_B_COUNT]:
             return self._leaf_absent(ctx)
-        if ctx.op == OP_DELETE and "ltail" not in ctx.scratch:
+        klen = ctx.header.key_length
+        if ctx.op == OP_DELETE and not regs[_B_LEAF_STAGED]:
             # Stage the whole leaf payload once: a compacting delete
             # rewrites the key/value tails, so the CFA needs their bytes.
-            klen = ctx.header.key_length
-            return StepOutcome(
-                "WLEAF_STAGE",
-                MemRead(
-                    v["keys_ptr"],
-                    v["count"] * klen,
-                    "ltail",
-                    also=((v["slots_ptr"], v["count"] * 8, "lslots"),),
-                ),
+            regs[_B_LEAF_STAGED] = 1
+            count = regs[_B_COUNT]
+            ctx.state = 11  # WLEAF_STAGE
+            return (
+                K_MEMREAD2,
+                regs[_B_KEYS],
+                count * klen,
+                _B_KEYS_TAIL,
+                regs[_B_SLOTS],
+                count * 8,
+                _B_SLOTS_TAIL,
             )
-        key_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "WLEAF_CHECK",
-            Compare(key_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
+        ctx.state = 12  # WLEAF_CHECK
+        return (K_COMPARE, regs[_B_KEYS] + regs[_B_INDEX] * klen, klen, _B_CMP)
 
     # ---------------- terminals ---------------- #
 
-    def _leaf_found(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        slot = v["slots_ptr"] + 8 * v["index"]
+    def _leaf_found(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        i = regs[_B_INDEX]
+        slot = regs[_B_SLOTS] + 8 * i
         if ctx.op == OP_UPDATE:
-            return self._commit(
-                ctx,
-                MUT_UPDATED,
-                [(slot, ctx.operand.to_bytes(8, "little"))],
-            )
+            return self._commit(ctx, MUT_UPDATED, [(slot, _word(ctx.operand))])
         if ctx.op == OP_INSERT:
-            staged_value = ctx.scratch["staged"][:8]
-            return self._commit(ctx, MUT_UPDATED, [(slot, staged_value)])
+            return self._commit(ctx, MUT_UPDATED, [(slot, regs[_B_STAGED][:8])])
         # DELETE: shift the staged key/value tails left over the victim.
-        count, i = v["count"], v["index"]
+        count = regs[_B_COUNT]
         if count <= 1:
             return self._release_abort(
                 ctx,
@@ -769,17 +725,18 @@ class BPlusTreeMutationCfa(_MutationProgram):
                 "leaf would empty; delete handled in software",
             )
         klen = ctx.header.key_length
-        keys = ctx.scratch["ltail"]
-        slots = ctx.scratch["lslots"]
         segments = [
-            (v["keys_ptr"] + i * klen, keys[(i + 1) * klen : count * klen]),
-            (v["slots_ptr"] + i * 8, slots[(i + 1) * 8 : count * 8]),
-            (v["node"] + 8, (count - 1).to_bytes(8, "little")),
+            (
+                regs[_B_KEYS] + i * klen,
+                regs[_B_KEYS_TAIL][(i + 1) * klen : count * klen],
+            ),
+            (regs[_B_SLOTS] + i * 8, regs[_B_SLOTS_TAIL][(i + 1) * 8 : count * 8]),
+            (regs[_B_NODE_ADDR] + 8, _word(count - 1)),
         ]
         new_size = max(0, ctx.header.size - 1)
         return self._commit(ctx, MUT_DELETED, segments, new_size=new_size)
 
-    def _leaf_absent(self, ctx: QueryContext) -> StepOutcome:
+    def _leaf_absent(self, ctx: QueryContext) -> tuple:
         if ctx.op == OP_INSERT:
             return self._release_abort(
                 ctx,

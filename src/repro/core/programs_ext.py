@@ -5,33 +5,22 @@ structures the accelerator did not ship with.  Register them at runtime::
 
     system.firmware.register(BPlusTreeCfa())
 
-Registration triggers recompilation in :mod:`repro.core.specialize`:
-programs whose exact class the specializer knows get a flat compiled
-closure; anything else (including subclasses of the built-ins) runs
-through the prebound tier, which wraps ``step`` without reinterpreting
-it.  Either way the CEE's batched drain executes the result, so loaded
-firmware pays no interpreter penalty relative to the factory image.
+Registration bumps the firmware epoch; the accelerator rebinds its step
+table at the next query admission, so loaded firmware runs through the
+same CEE driver, at the same per-step cost, as the factory image.
 """
 
 from __future__ import annotations
 
-from .cfa import (
-    AluOp,
-    Compare,
-    Done,
-    MemRead,
-    QueryContext,
-    StepOutcome,
-    STATE_DONE,
-)
+from .cfa import K_COMPARE, K_DONE, K_MEMREAD, U64, CfaProgram, QueryContext
 from .header import StructureType
-from .programs import _StandardProgram, _u64
 
-_BTREE_HEADER = 40
-_LEAF_FLAG = 0x1
+# B+-tree registers.
+_B_NODE, _B_CMP, _B_CHILD, _B_VALUE = 2, 3, 4, 5
+_B_KLEN, _B_COUNT, _B_KEYS, _B_SLOTS, _B_INDEX = 6, 7, 8, 9, 10
 
 
-class BPlusTreeCfa(_StandardProgram):
+class BPlusTreeCfa(CfaProgram):
     """B+-tree index lookup: descend separators, scan the leaf.
 
     Per level: fetch the node header, then compare separators one at a
@@ -45,7 +34,7 @@ class BPlusTreeCfa(_StandardProgram):
     #: subtype = fanout; a tree needs at least two children per node.
     SUBTYPE_MIN = 2
     SUBTYPE_MAX = 64
-    STATES = _StandardProgram.PRELUDE_STATES + (
+    STATES = CfaProgram.PRELUDE_STATES + (
         "FETCH_NODE",
         "SEPARATOR",
         "SEPARATOR_CHECK",
@@ -54,71 +43,65 @@ class BPlusTreeCfa(_StandardProgram):
         "READ_CHILD",
         "READ_VALUE",
     )
+    NREGS = 11
 
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
+    def after_parse(self, ctx: QueryContext) -> tuple:
+        ctx.scratch[_B_KLEN] = ctx.header.key_length
         root = ctx.header.root_ptr
         if not root:
-            return StepOutcome(STATE_DONE, Done(None))
-        ctx.vars["node"] = root
-        return StepOutcome("FETCH_NODE", MemRead(root, _BTREE_HEADER, "node"))
+            return (K_DONE, None)
+        ctx.state = 3
+        return (K_MEMREAD, root, 40, _B_NODE)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "FETCH_NODE":
-            v["flags"] = ctx.scratch_u64("node", 0)
-            v["count"] = ctx.scratch_u64("node", 8)
-            v["keys_ptr"] = ctx.scratch_u64("node", 24)
-            v["slots_ptr"] = ctx.scratch_u64("node", 32)
-            v["index"] = 0
-            if v["flags"] & _LEAF_FLAG:
+    def dispatch(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        state = ctx.state
+        if state == 3:  # FETCH_NODE
+            node = regs[_B_NODE]
+            flags = U64(node, 0)[0]
+            regs[_B_COUNT] = U64(node, 8)[0]
+            regs[_B_KEYS] = U64(node, 24)[0]
+            regs[_B_SLOTS] = U64(node, 32)[0]
+            regs[_B_INDEX] = 0
+            if flags & 0x1:  # leaf
                 return self._leaf_step(ctx)
             return self._separator_step(ctx)
-
-        if ctx.state == "SEPARATOR_CHECK":
-            if ctx.results["cmp"] > 0:  # separator > key: take this child
-                return self._read_child(ctx, v["index"])
-            v["index"] += 1
+        if state == 4:  # SEPARATOR_CHECK
+            if regs[_B_CMP] > 0:  # separator > key: take this child
+                return self._read_child(ctx, regs[_B_INDEX])
+            regs[_B_INDEX] += 1
             return self._separator_step(ctx)
-
-        if ctx.state == "LEAF_CHECK":
-            if ctx.results["cmp"] == 0:
-                slot = v["slots_ptr"] + 8 * v["index"]
-                return StepOutcome("READ_VALUE", MemRead(slot, 8, "value"))
-            v["index"] += 1
+        if state == 5:  # LEAF_CHECK
+            if regs[_B_CMP] == 0:
+                ctx.state = 7
+                return (K_MEMREAD, regs[_B_SLOTS] + 8 * regs[_B_INDEX], 8, _B_VALUE)
+            regs[_B_INDEX] += 1
             return self._leaf_step(ctx)
+        if state == 6:  # READ_CHILD
+            child = U64(regs[_B_CHILD], 0)[0]
+            ctx.state = 3
+            return (K_MEMREAD, child, 40, _B_NODE)
+        # READ_VALUE
+        return (K_DONE, U64(regs[_B_VALUE], 0)[0])
 
-        if ctx.state == "READ_CHILD":
-            child = ctx.scratch_u64("child")
-            v["node"] = child
-            return StepOutcome("FETCH_NODE", MemRead(child, _BTREE_HEADER, "node"))
+    def _separator_step(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        index = regs[_B_INDEX]
+        if index >= regs[_B_COUNT]:
+            return self._read_child(ctx, regs[_B_COUNT])  # rightmost child
+        ctx.state = 4
+        klen = regs[_B_KLEN]
+        return (K_COMPARE, regs[_B_KEYS] + index * klen, klen, _B_CMP)
 
-        if ctx.state == "READ_VALUE":
-            return StepOutcome(STATE_DONE, Done(ctx.scratch_u64("value")))
+    def _leaf_step(self, ctx: QueryContext) -> tuple:
+        regs = ctx.scratch
+        index = regs[_B_INDEX]
+        if index >= regs[_B_COUNT]:
+            return (K_DONE, None)
+        ctx.state = 5
+        klen = regs[_B_KLEN]
+        return (K_COMPARE, regs[_B_KEYS] + index * klen, klen, _B_CMP)
 
-        raise AssertionError(f"unreachable state {ctx.state}")
-
-    # ---------------- helpers ---------------- #
-
-    def _separator_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
-            return self._read_child(ctx, v["count"])  # rightmost child
-        sep_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "SEPARATOR_CHECK",
-            Compare(sep_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
-
-    def _leaf_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
-            return StepOutcome(STATE_DONE, Done(None))
-        key_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "LEAF_CHECK",
-            Compare(key_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
-
-    def _read_child(self, ctx: QueryContext, index: int) -> StepOutcome:
-        slot = ctx.vars["slots_ptr"] + 8 * index
-        return StepOutcome("READ_CHILD", MemRead(slot, 8, "child"))
+    def _read_child(self, ctx: QueryContext, index: int) -> tuple:
+        ctx.state = 6
+        return (K_MEMREAD, ctx.scratch[_B_SLOTS] + 8 * index, 8, _B_CHILD)

@@ -19,6 +19,7 @@ specification that layer is checked against; a hierarchy built with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -52,6 +53,15 @@ class AccessResult:
     level: CacheLevelName
     slice_id: int
     noc_hops: int = 0
+
+
+def _manhattan_hops(noc, src: int, dst: int) -> int:
+    """Mesh latency estimate for hierarchies built without a NoC."""
+    width = noc.width
+    sx, sy = src % width, src // width
+    dx, dy = dst % width, dst // width
+    hops = abs(sx - dx) + abs(sy - dy)
+    return hops * (noc.hop_cycles + noc.router_cycles)
 
 
 class MemoryHierarchy:
@@ -103,7 +113,11 @@ class MemoryHierarchy:
         self.dram = Dram(
             config.dram, frequency_ghz=config.core.frequency_ghz, stats=registry
         )
-        self._hop_latency = hop_latency or self._manhattan_hops
+        # A partial over the NoC config, not a bound method: the hierarchy
+        # must not reference itself, so a dropped one dies by refcount.
+        self._hop_latency = hop_latency or functools.partial(
+            _manhattan_hops, config.noc
+        )
         self._noc_charge = noc_charge
         self._llc_latency = config.llc.latency_cycles
         self._num_slices = len(self.llc_slices)
@@ -134,14 +148,6 @@ class MemoryHierarchy:
             self.warm_lines = self._fast.warm_lines
 
     # ------------------------------------------------------------------ #
-
-    def _manhattan_hops(self, src: int, dst: int) -> int:
-        width = self.config.noc.width
-        sx, sy = src % width, src // width
-        dx, dy = dst % width, dst // width
-        hops = abs(sx - dx) + abs(sy - dy)
-        per_hop = self.config.noc.hop_cycles + self.config.noc.router_cycles
-        return hops * per_hop
 
     def slice_of(self, line_addr: int) -> int:
         memo = self._slice_memo

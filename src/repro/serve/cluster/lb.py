@@ -637,6 +637,9 @@ class LoadBalancer:
 
     def _note_done(self, pending: _Pending) -> None:
         """Inflight bookkeeping shared by completion and failure."""
+        # The timeout event's callback holds ``pending``: drop the link so
+        # a resolved request is freed by reference counting.
+        pending.timeout_event = None
         key_position = pending.key_position
         if pending.sreq.is_write:
             pin = self._pins.get(key_position)

@@ -375,8 +375,8 @@ class System:
         commits before this method returns.
 
         Adoption bumps ``FirmwareImage.epoch``, which invalidates the
-        accelerator's compiled-step table (``core/specialize.py``); the
-        next accepted query lazily recompiles the swapped-in programs.
+        accelerator's step table (``core/specialize.py``); the next
+        accepted query lazily rebinds the swapped-in programs.
         Because the swap only commits after every home quiesces, no
         in-flight query can ever straddle a table rebuild.
         """

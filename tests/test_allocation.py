@@ -6,22 +6,34 @@ used to cost host seconds without changing a simulated number: one
 ``MicroOp`` object per trace op, one dict per cache set, and Systems that
 only the cyclic garbage collector could free.  The last also holds for the
 serving tier and the cluster drills, whose Systems used to sit in
-callback cycles until a full collection.
+callback cycles until a full collection, for the accelerator's compiled
+CFA step tables, whose hand-specialized closures used to call each other,
+for a hierarchy built without a NoC, which used to hold its own bound
+hop-latency method, and for the load balancer's resolved requests, which
+used to sit in a cycle with their timeout events.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import types
 import weakref
 from pathlib import Path
 
 import pytest
 
+from repro import small_config
 from repro.analysis import experiments
+from repro.core.cfa import OP_UPDATE
+from repro.core.mutations import make_mutator
+from repro.core.programs import HashOfListsCfa
+from repro.core.programs_ext import BPlusTreeCfa
 from repro.cpu import TraceBuilder
+from repro.datastructs import CuckooHashTable
 from repro.faults.chaos import run_recovery_chaos
 from repro.mem import cache as cache_module
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.serve import serve_experiment
 from repro.system import System
 
@@ -129,3 +141,69 @@ def test_finished_runs_free_their_systems(run, monkeypatch):
         gc.enable()
     assert refs
     assert alive == []
+
+
+def test_compiled_step_tables_die_by_refcount():
+    system = System(small_config())
+    system.enable_mutations()
+    system.firmware.register(BPlusTreeCfa())
+    system.firmware.register(HashOfListsCfa())
+    table = CuckooHashTable(system.mem, key_length=16, num_buckets=8)
+    key = b"k".ljust(16, b"_")
+    table.insert(key, 1)
+    # One write through the accelerator compiles both tables.
+    system.mutations().run(make_mutator(system, table), OP_UPDATE, key, 2)
+    accelerator = system.accelerator
+    steps = [
+        entry.step
+        for compiled in (accelerator._compiled_lookup, accelerator._compiled_mut)
+        for entry in compiled.values()
+    ] + [accelerator._dispatch.step]
+    assert len(steps) == 7 + 3 + 1
+    # Every function a step can reach through closure cells must die too.
+    reachable, stack = {}, list(steps)
+    while stack:
+        fn = stack.pop()
+        if id(fn) not in reachable:
+            reachable[id(fn)] = fn
+            for cell in getattr(fn, "__closure__", None) or ():
+                if isinstance(cell.cell_contents, types.FunctionType):
+                    stack.append(cell.cell_contents)
+    refs = [weakref.ref(fn) for fn in reachable.values()] + [weakref.ref(system)]
+    del reachable, stack, fn
+    del steps, accelerator, table
+    gc.collect()
+    gc.disable()
+    try:
+        del system
+        alive = [r() for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
+def test_hierarchy_without_noc_dies_by_refcount():
+    hierarchy = MemoryHierarchy(small_config())
+    assert hierarchy._hop_latency(0, 3) > 0
+    ref = weakref.ref(hierarchy)
+    gc.collect()
+    gc.disable()
+    try:
+        del hierarchy
+        alive = ref()
+    finally:
+        gc.enable()
+    assert alive is None
+
+
+def test_resolved_cluster_requests_die_by_refcount():
+    from repro.serve.cluster.lb import _Pending
+
+    gc.collect()
+    gc.disable()
+    try:
+        RUNS["recovery-drill"]()
+        stranded = sum(type(obj) is _Pending for obj in gc.get_objects())
+    finally:
+        gc.enable()
+    assert stranded == 0

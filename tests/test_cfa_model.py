@@ -1,18 +1,15 @@
-"""Unit tests for the CFA model, firmware registry, QST and DPU pools."""
+"""Unit tests for the CFA model, firmware registry, QST and DPU pools.
+
+The micro-op dataclasses, ``StepOutcome`` and the interpreted context are
+the vocabulary of the interpreted oracles in ``tests/cfa_reference.py``.
+"""
 
 import pytest
 
 from repro.core.cfa import (
-    AluOp,
     CfaProgram,
-    Compare,
-    Done,
-    Fault,
     FirmwareImage,
-    HashOp,
-    MemRead,
     QueryContext,
-    StepOutcome,
     STATE_DONE,
     STATE_START,
 )
@@ -28,6 +25,9 @@ from repro.core.programs import (
 from repro.core.qst import QueryStateTable
 from repro.errors import AcceleratorError, FirmwareError
 
+from . import cfa_reference as ref
+from .cfa_reference import AluOp, Compare, Done, Fault, HashOp, MemRead, StepOutcome
+
 
 class TestMicroActions:
     def test_memread_segments_iterate_in_order(self):
@@ -41,7 +41,7 @@ class TestMicroActions:
             action.length = 32
 
     def test_query_context_scratch_u64(self):
-        ctx = QueryContext(header_addr=0x100, key_addr=0x200)
+        ctx = ref.QueryContext(header_addr=0x100, key_addr=0x200)
         ctx.scratch["node"] = (123456789).to_bytes(8, "little") + b"\x01" + b"\x00" * 7
         assert ctx.scratch_u64("node") == 123456789
         assert ctx.scratch_u64("node", 8) == 1

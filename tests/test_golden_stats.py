@@ -42,10 +42,10 @@ SERVE_CASES = [
 #: makes the fusion guard fail on every transition (the test patches the
 #: engine's run horizon below every start cycle), so each step round-trips
 #: the ready heap and the drain's sentinel event instead of running inline.
-#: ``specialize off`` empties the hand-specialized tier, so every program
-#: runs its interpreted ``step`` (the executable specification) through the
-#: prebound table — which checks the specialized twins' timing against the
-#: spec.  Both layers must be independently and jointly invisible to every
+#: ``specialize off`` loads the interpreted oracles of ``cfa_reference.py``
+#: in place of every built-in lookup and mutation program, run through the
+#: same driver — which checks the firmware's timing against the oracles.
+#: Both layers must be independently and jointly invisible to every
 #: simulated number.
 MODES = [
     ("on", "on"),
@@ -71,11 +71,10 @@ MODE_GRID_PAIRS = [
 def _set_modes(
     monkeypatch, fusion: str, specialize: str, fastmem: str = "on"
 ) -> None:
-    # The accelerator reads the run horizon on every fusion decision,
-    # compiles its tables when its first query is accepted, and every
-    # System builds its own hierarchy, so patching all three before the
-    # measurement builds its systems is sufficient.
-    from repro.core import specialize as specialize_mod
+    # The accelerator reads the run horizon on every fusion decision, every
+    # System registers its firmware and builds its own hierarchy, so
+    # patching all three before the measurement builds its systems is
+    # sufficient.
     from repro.mem.hierarchy import MemoryHierarchy
     from repro.sim.engine import Engine
 
@@ -84,7 +83,9 @@ def _set_modes(
         # next thing to happen, so none fuses.
         monkeypatch.setattr(Engine, "run_horizon", property(lambda self: -1))
     if specialize == "off":
-        monkeypatch.setattr(specialize_mod, "_SPECIALIZERS", {})
+        from . import cfa_reference
+
+        cfa_reference.load_oracles(monkeypatch)
     if fastmem == "off":
         monkeypatch.setitem(MemoryHierarchy.__init__.__kwdefaults__, "fastmem", False)
 
@@ -173,8 +174,8 @@ def test_roi_pair_matches_golden_in_all_modes(
 def test_chaos_report_identical_across_specialize_modes(monkeypatch):
     # The chaos run covers slice kills, recoveries and a live firmware
     # hot-swap (which forces a compiled-table rebuild via firmware.epoch);
-    # its full report must be byte-identical whether the built-in lookups
-    # run their specialized closures or their interpreted programs.
+    # its full report must be byte-identical whether the built-in programs
+    # run as firmware or as their interpreted oracles.
     from repro.faults.chaos import run_chaos
 
     dumps = {}
@@ -189,9 +190,9 @@ def test_chaos_report_identical_across_specialize_modes(monkeypatch):
 
 def test_recovery_report_identical_across_specialize_modes(monkeypatch):
     # Durability chaos (node crashes + commit-log recovery) under a mixed
-    # read/write load: mutation CFAs always run on the prebound tier, the
-    # lookups on either table, and the cluster report must match byte for
-    # byte.
+    # read/write load: lookup and mutation CFAs run as firmware or as
+    # their interpreted oracles, and the cluster report must match byte
+    # for byte.
     from repro.faults.chaos import run_recovery_chaos
 
     dumps = {}

@@ -1,19 +1,21 @@
-"""Property tests: compiled step closures agree with the interpreter.
+"""Property tests: every CFA agrees with its interpreted oracle.
 
-For every registered program, the compiled step function (specialized tier
-for the built-in lookups, prebound tier for mutation CFAs) must reproduce
-the generic ``program.step`` *exactly*: the same normalized micro-op trace
-(read addresses and usable lengths, compare operands and outcomes, hash
-inputs, ALU/delay cycles, write segments, CAS operands), the same terminal
-(Done value / Fault code + detail), and the same raised exceptions, on
-randomized structures and probe keys.
+Each built-in program (``repro.core.programs``, ``programs_ext``,
+``mutations``) is written once, in the register-and-tuple form the CEE
+executes.  ``tests/cfa_reference.py`` keeps the interpreted rendering of
+the same CFAs.  For every registered program the two must produce the
+same normalized micro-op trace (read addresses and usable lengths, compare
+operands and outcomes, hash inputs, ALU/delay cycles, write segments and
+commit stamps, CAS operands and outcomes), the same terminal (Done value /
+Fault code + detail) and the same raised exceptions, on randomized
+structures and probe keys.
 
 The two walkers run outside the accelerator: micro-ops are applied
 *functionally* (reads/writes/compares really happen against the simulated
-address space; timing is ignored — golden-stats pins timing end to end).
-Lookups share one memory image since they never write; mutation CFAs run
-against twin identically-built systems because both walkers publish their
-stores.
+address space; timing is ignored — golden-stats pins timing end to end,
+with the oracles loaded through the driver).  Lookups share one memory
+image since they never write; mutation CFAs run against twin
+identically-built systems because both walkers publish their stores.
 """
 
 from __future__ import annotations
@@ -25,22 +27,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import small_config
+from repro.core.abort import AbortCode
 from repro.core.cfa import (
+    K_ALU,
+    K_CAS,
+    K_COMPARE,
+    K_DELAY,
+    K_DONE,
+    K_FAULT,
+    K_HASH,
+    K_MEMREAD,
+    K_MEMREAD2,
+    K_MEMREAD_OPT,
+    K_WAIT,
+    K_WRITE,
     OP_DELETE,
     OP_INSERT,
+    OP_LOOKUP,
     OP_UPDATE,
-    AluOp,
-    Compare,
-    Delay,
-    Done,
-    Fault,
-    HashOp,
-    HeaderCas,
-    MemRead,
-    MemWrite,
     QueryContext,
 )
-from repro.core.header import VERSION_OFFSET
+from repro.core.header import FLAG_READ_ONLY, VERSION_OFFSET
+from repro.core.mutations import MAX_LOCK_ATTEMPTS, make_mutator
 from repro.core.programs import (
     BinaryTreeCfa,
     HashOfListsCfa,
@@ -50,19 +58,7 @@ from repro.core.programs import (
     TrieCfa,
 )
 from repro.core.programs_ext import BPlusTreeCfa
-from repro.core.specialize import (
-    K_ACTION,
-    K_ALU,
-    K_COMPARE,
-    K_DONE,
-    K_FAULT,
-    K_HASH,
-    K_MEMREAD,
-    K_MEMREAD_OPT,
-    K_WAIT,
-    compile_firmware,
-    specialize_program,
-)
+from repro.core.specialize import compile_firmware
 from repro.datastructs import (
     AhoCorasickTrie,
     BinarySearchTree,
@@ -76,7 +72,21 @@ from repro.datastructs import (
     Trie,
 )
 from repro.datastructs.hashing import fnv1a64
+from repro.errors import CapacityError
 from repro.system import System
+
+from . import cfa_reference as ref
+from .cfa_reference import (
+    AluOp,
+    Compare,
+    Delay,
+    Done,
+    Fault,
+    HashOp,
+    HeaderCas,
+    MemRead,
+    MemWrite,
+)
 
 KEY_LENGTH = 16
 MAX_STEPS = 100_000
@@ -111,7 +121,43 @@ def _usable_length(space, vaddr, length, optional_after):
     return usable
 
 
-def _apply_generic(action, ctx, space, trace):
+class Contender:
+    """Another writer that commits just before each of our first CAS tries.
+
+    Bumping the (even) version word by two between the header read and
+    the CAS makes the CAS lose; the writer backs off, re-reads the header
+    and retries.  Both walkers consult the same contender schedule, so
+    their traces stay comparable.
+    """
+
+    def __init__(self, losses: int) -> None:
+        self.losses = losses
+
+    def before_cas(self, space, vaddr):
+        if self.losses > 0:
+            self.losses -= 1
+            space.write_u64(vaddr, space.read_u64(vaddr) + 2)
+
+
+def _cas(space, vaddr, expect, new, trace, contender):
+    if contender is not None:
+        contender.before_cas(space, vaddr)
+    won = 1 if space.read_u64(vaddr) == expect else 0
+    if won:
+        space.write_u64(vaddr, new)
+    trace.append(("cas", vaddr, expect, new, won))
+    return won
+
+
+def _write(space, segments, commit_version, trace):
+    for vaddr, data in segments:
+        space.write(vaddr, data)
+        trace.append(("write", vaddr, bytes(data)))
+    if commit_version is not None:
+        trace.append(("commit", commit_version))
+
+
+def _apply_oracle(action, ctx, space, trace, contender):
     """Apply one dataclass micro-op functionally, recording its trace."""
     if isinstance(action, MemRead):
         for vaddr, length, tag in action.segments():
@@ -135,30 +181,25 @@ def _apply_generic(action, ctx, space, trace):
     elif isinstance(action, AluOp):
         trace.append(("alu", action.cycles))
     elif isinstance(action, MemWrite):
-        for vaddr, data in action.segments():
-            space.write(vaddr, data)
-            trace.append(("write", vaddr, bytes(data)))
+        _write(space, action.segments(), ctx.vars.get("commit_version"), trace)
     elif isinstance(action, HeaderCas):
-        current = space.read_u64(action.vaddr)
-        won = 1 if current == action.expect else 0
-        if won:
-            space.write_u64(action.vaddr, action.new)
-        ctx.results[action.tag] = won
-        trace.append(("cas", action.vaddr, action.expect, action.new, won))
+        ctx.results[action.tag] = _cas(
+            space, action.vaddr, action.expect, action.new, trace, contender
+        )
     elif isinstance(action, Delay):
         trace.append(("delay", action.cycles))
     else:  # pragma: no cover - new micro-op kinds must be added here
         raise AssertionError(f"unhandled micro-op {action!r}")
 
 
-def run_generic(program, ctx, space):
-    """Walk ``program.step`` to termination, returning the normalized trace."""
+def run_oracle(program, ctx, space, contender=None):
+    """Walk an interpreted ``program.step`` to termination (normalized)."""
     trace = []
     for _ in range(MAX_STEPS):
         try:
-            # The generic driver re-peeks the type byte on every step
-            # (program_for dispatch); reproduce its fault point.
-            space.read_u8(ctx.header_addr + 8)
+            if ctx.header is None:
+                # The driver's pre-PARSE type-byte peek.
+                space.read_u8(ctx.header_addr + 8)
             outcome = program.step(ctx)
             ctx.state = outcome.next_state
             action = outcome.action
@@ -171,38 +212,37 @@ def run_generic(program, ctx, space):
             if isinstance(action, Fault):
                 trace.append(("fault", int(action.code), action.detail))
                 return trace
-            _apply_generic(action, ctx, space, trace)
+            _apply_oracle(action, ctx, space, trace, contender)
         except Exception as exc:  # noqa: BLE001 - drivers turn these into faults
             trace.append(("exc", type(exc).__name__, str(exc)))
             return trace
-    raise AssertionError("generic walker exceeded MAX_STEPS")
+    raise AssertionError("oracle walker exceeded MAX_STEPS")
 
 
-def run_compiled(compiled, ctx, space):
-    """Walk a :class:`CompiledStep` to termination, same normalization."""
-    if not compiled.prebound:
-        ctx.scratch = [0] * compiled.nregs
-        ctx.state = 0
+def run_firmware(program, ctx, space, contender=None):
+    """Walk a firmware program's tuple steps to termination (normalized)."""
+    ctx.scratch = [0] * program.NREGS
     trace = []
-    step = compiled.step
+    step = program.step
     for _ in range(MAX_STEPS):
         try:
             if ctx.header is None:
-                # The fast driver's pre-PARSE type-byte peek.
+                # The driver's pre-PARSE type-byte peek.
                 space.read_u8(ctx.header_addr + 8)
             act = step(ctx)
             kind = act[0]
-            if kind == K_MEMREAD:
-                _, vaddr, length, slot = act
-                data = space.read(vaddr, length)
-                ctx.scratch[slot] = data
-                trace.append(("mem", vaddr, length, bytes(data)))
-            elif kind == K_MEMREAD_OPT:
-                _, vaddr, length, slot, after = act
-                length = _usable_length(space, vaddr, length, after)
-                data = space.read(vaddr, length)
-                ctx.scratch[slot] = data
-                trace.append(("mem", vaddr, length, bytes(data)))
+            if kind in (K_MEMREAD, K_MEMREAD_OPT, K_MEMREAD2):
+                if kind == K_MEMREAD2:
+                    segments = (act[1:4], act[4:7])
+                elif kind == K_MEMREAD_OPT:
+                    _, vaddr, length, slot, after = act
+                    segments = ((vaddr, _usable_length(space, vaddr, length, after), slot),)
+                else:
+                    segments = (act[1:4],)
+                for vaddr, length, slot in segments:
+                    data = space.read(vaddr, length)
+                    ctx.scratch[slot] = data
+                    trace.append(("mem", vaddr, length, bytes(data)))
             elif kind == K_COMPARE:
                 _, mem_vaddr, length, slot = act
                 stored = space.read(mem_vaddr, length)
@@ -217,6 +257,13 @@ def run_compiled(compiled, ctx, space):
                 trace.append(("hash", bytes(data), digest))
             elif kind == K_ALU:
                 trace.append(("alu", act[1]))
+            elif kind == K_WRITE:
+                _write(space, act[1], act[2], trace)
+            elif kind == K_CAS:
+                _, vaddr, expect, new, slot = act
+                ctx.scratch[slot] = _cas(space, vaddr, expect, new, trace, contender)
+            elif kind == K_DELAY:
+                trace.append(("delay", act[1]))
             elif kind == K_DONE:
                 trace.append(("done", act[1]))
                 return trace
@@ -225,34 +272,38 @@ def run_compiled(compiled, ctx, space):
                 return trace
             elif kind == K_WAIT:
                 trace.append(("wait",))
-            elif kind == K_ACTION:
-                _apply_generic(act[1], ctx, space, trace)
             else:  # pragma: no cover
                 raise AssertionError(f"unknown tuple kind {act!r}")
         except Exception as exc:  # noqa: BLE001
             trace.append(("exc", type(exc).__name__, str(exc)))
             return trace
-    raise AssertionError("compiled walker exceeded MAX_STEPS")
+    raise AssertionError("firmware walker exceeded MAX_STEPS")
 
 
-def assert_agree(program, compiled, header_addr, key_addr, space, op=0, operand=0):
-    ctx_g = QueryContext(
-        header_addr=header_addr, key_addr=key_addr, op=op, operand=operand
+def _first_divergence(a, b):
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))
+
+
+def assert_agree(program, header_addr, key_addr, space):
+    """Run ``program`` and its oracle on one query; return the trace."""
+    oracle = ref.REFERENCE_FOR[type(program)]()
+    trace_o = run_oracle(
+        oracle, ref.QueryContext(header_addr=header_addr, key_addr=key_addr), space
     )
-    trace_g = run_generic(program, ctx_g, space)
-    ctx_c = QueryContext(
-        header_addr=header_addr, key_addr=key_addr, op=op, operand=operand
+    trace_f = run_firmware(
+        program, QueryContext(header_addr=header_addr, key_addr=key_addr), space
     )
-    trace_c = run_compiled(compiled, ctx_c, space)
-    assert trace_c == trace_g, (
-        f"{compiled.name}: traces diverge at index "
-        f"{next(i for i, (a, b) in enumerate(zip(trace_c, trace_g)) if a != b) if trace_c != trace_g and any(a != b for a, b in zip(trace_c, trace_g)) else min(len(trace_c), len(trace_g))}"
+    assert trace_f == trace_o, (
+        f"{program.NAME}: traces diverge at index {_first_divergence(trace_f, trace_o)}"
     )
-    return trace_g
+    return trace_o
 
 
 # --------------------------------------------------------------------- #
-# Lookup programs (specialized tier), read-only: one shared memory image
+# Lookup programs, read-only: one shared memory image
 # --------------------------------------------------------------------- #
 
 
@@ -326,13 +377,9 @@ def test_lookup_specialization_agrees(kind, data):
 
     mem = ProcessMemory()
     structure, program = LOOKUP_BUILDERS[kind](mem, items)
-    compiled = specialize_program(program)
-    assert not compiled.prebound, f"{kind} should hit the specialized tier"
 
     key_addr = structure.store_key(probe)
-    trace = assert_agree(
-        program, compiled, structure.header_addr, key_addr, mem.space
-    )
+    trace = assert_agree(program, structure.header_addr, key_addr, mem.space)
     # Functional oracle: the agreed-on Done value matches the structure.
     assert trace[-1] == ("done", structure.lookup(probe))
 
@@ -359,10 +406,8 @@ def test_lookup_specialization_agrees_mid_resize(data):
     table.begin_resize()
     table.migrate_chunk(migrated)
 
-    program = HashTableCfa()
-    compiled = specialize_program(program)
     key_addr = table.store_key(probe)
-    trace = assert_agree(program, compiled, table.header_addr, key_addr, mem.space)
+    trace = assert_agree(HashTableCfa(), table.header_addr, key_addr, mem.space)
     assert trace[-1] == ("done", table.lookup(probe))
 
 
@@ -436,14 +481,12 @@ def test_trie_specialization_agrees(subtype, data):
         probe = bytes(data.draw(st.lists(alphabet, min_size=4, max_size=4)))
     trie.seal()
 
-    program = TrieCfa()
-    compiled = specialize_program(program)
     key_addr = trie.store_key(probe)
-    assert_agree(program, compiled, trie.header_addr, key_addr, mem.space)
+    assert_agree(TrieCfa(), trie.header_addr, key_addr, mem.space)
 
 
 # --------------------------------------------------------------------- #
-# Mutation programs (prebound tier): twin systems, both walkers write
+# Mutation programs: twin systems, both walkers write
 # --------------------------------------------------------------------- #
 
 
@@ -452,8 +495,6 @@ def _twin(build, items):
     system = System(small_config())
     system.enable_mutations()
     structure = build(system, items)
-    from repro.core.mutations import make_mutator
-
     return system, structure, make_mutator(system, structure)
 
 
@@ -461,6 +502,19 @@ def _build_mut_hash(system, items):
     s = CuckooHashTable(system.mem, key_length=KEY_LENGTH, num_buckets=32)
     for k, v in items:
         s.insert(k, v)
+    return s
+
+
+def _build_mut_full_hash(system, items):
+    # One-slot buckets fill up, so fresh inserts meet full candidates.
+    s = CuckooHashTable(
+        system.mem, key_length=KEY_LENGTH, num_buckets=4, entries_per_bucket=1
+    )
+    for k, v in items:
+        try:
+            s.insert(k, v)
+        except CapacityError:
+            break
     return s
 
 
@@ -482,111 +536,166 @@ def _build_mut_btree(system, items):
 
 MUT_BUILDERS = {
     "hash": _build_mut_hash,
+    "full-hash": _build_mut_full_hash,
     "skiplist": _build_mut_skiplist,
     "btree": _build_mut_btree,
 }
 
-MUT_OPS = {"update": OP_UPDATE, "delete": OP_DELETE, "insert": OP_INSERT}
+MUT_OPS = {
+    "update": OP_UPDATE,
+    "delete": OP_DELETE,
+    "insert": OP_INSERT,
+    "lookup": OP_LOOKUP,  # misdispatched: the prelude's op check faults
+}
+
+#: Header conditions a writer may meet: the seqlock held by another writer
+#: (odd version, backoff on PARSE), ``n`` CAS losses to a contender
+#: (``n > MAX_LOCK_ATTEMPTS`` exhausts the backoff), a read-only or
+#: resizing structure (pre-lock bail-outs), or none of these.
+CONDITIONS = (
+    ["plain", "held", "read-only", "resizing"]
+    + [f"cas-loss-{n}" for n in range(1, MAX_LOCK_ATTEMPTS + 2)]
+)
+
+
+def _impose(condition, system, structure):
+    space = system.mem.space
+    version_addr = structure.header_addr + VERSION_OFFSET
+    if condition == "held":
+        space.write_u64(version_addr, space.read_u64(version_addr) | 1)
+    elif condition == "read-only":
+        flags_addr = structure.header_addr + 12
+        flags = int.from_bytes(space.read(flags_addr, 4), "little")
+        space.write(flags_addr, (flags | FLAG_READ_ONLY).to_bytes(4, "little"))
+    elif condition == "resizing" and isinstance(structure, CuckooHashTable):
+        structure.begin_resize()
+
+
+def check_mutation(kind, items, op, target, value, condition):
+    """Run one write on oracle and firmware twins; compare traces and memory."""
+    losses = int(condition.rsplit("-", 1)[1]) if condition.startswith("cas") else 0
+    twins = []
+    for ctx_cls in (ref.QueryContext, QueryContext):
+        system, structure, mutator = _twin(MUT_BUILDERS[kind], items)
+        operand = mutator.stage(op, target, value)
+        key_addr = structure.store_key(target)
+        _impose(condition, system, structure)
+        ctx = ctx_cls(
+            header_addr=structure.header_addr, key_addr=key_addr, op=op, operand=operand
+        )
+        twins.append((system, structure, ctx))
+
+    (sys_o, struct_o, ctx_o), (sys_f, struct_f, ctx_f) = twins
+    # Twin determinism: identical layout means identical addresses.
+    assert (ctx_o.header_addr, ctx_o.key_addr, ctx_o.operand) == (
+        ctx_f.header_addr, ctx_f.key_addr, ctx_f.operand,
+    )
+    type_code = sys_f.mem.space.read_u8(struct_f.header_addr + 8)
+    program = sys_f.firmware.program_for(type_code, op=OP_INSERT)
+    oracle = ref.REFERENCE_FOR[type(program)]()
+
+    trace_o = run_oracle(oracle, ctx_o, sys_o.mem.space, Contender(losses))
+    trace_f = run_firmware(program, ctx_f, sys_f.mem.space, Contender(losses))
+    assert trace_f == trace_o, (
+        f"{program.NAME} {condition}: traces diverge at index "
+        f"{_first_divergence(trace_f, trace_o)}"
+    )
+    if op != OP_LOOKUP and (condition == "held" or losses > MAX_LOCK_ATTEMPTS):
+        # An unobtainable seqlock: every backoff is slept, then the fault.
+        assert trace_o[-1] == ("fault", int(AbortCode.VERSION_CONFLICT), (
+            f"seqlock contended after {MAX_LOCK_ATTEMPTS} attempts; "
+            "falling back to software"
+        ))
+        delays = [t for t in trace_o if t[0] == "delay"]
+        assert len(delays) == MAX_LOCK_ATTEMPTS
+    # Both twins' memories must have converged to the same structure state.
+    for k, _ in items:
+        assert struct_o.lookup(k) == struct_f.lookup(k)
+    assert struct_o.lookup(target) == struct_f.lookup(target)
+    return trace_o
 
 
 @pytest.mark.parametrize("kind", sorted(MUT_BUILDERS))
-@settings(max_examples=8, **COMMON_SETTINGS)
+@settings(max_examples=25, **COMMON_SETTINGS)
 @given(data=st.data())
-def test_mutation_prebound_agrees(kind, data):
+def test_mutation_firmware_agrees(kind, data):
     stored = data.draw(
-        st.lists(st.integers(0, 2**32), min_size=2, max_size=12, unique=True),
+        st.lists(st.integers(0, 2**32), min_size=1, max_size=12, unique=True),
         label="stored",
     )
     items = [(_key(i), 1000 + n) for n, i in enumerate(stored)]
-    op_name = data.draw(st.sampled_from(sorted(MUT_OPS)), label="op")
-    op = MUT_OPS[op_name]
-    if op == OP_INSERT:
-        target_int = data.draw(
-            st.integers(0, 2**32).filter(lambda i: i not in stored), label="target"
-        )
-    else:
-        # Present or absent target: both the hit and miss paths.
-        target_int = data.draw(
+    op = MUT_OPS[data.draw(st.sampled_from(sorted(MUT_OPS)), label="op")]
+    # Present or absent target: the hit, miss and fresh-insert paths.
+    target = _key(
+        data.draw(
             st.one_of(st.sampled_from(stored), st.integers(0, 2**32)),
             label="target",
         )
-    target = _key(target_int)
+    )
     value = data.draw(st.integers(0, 2**20), label="value")
-    conflict = data.draw(st.booleans(), label="conflict")
+    condition = data.draw(st.sampled_from(CONDITIONS), label="condition")
+    check_mutation(kind, items, op, target, value, condition)
 
-    traces = []
-    for _ in range(2):  # generic twin, compiled twin
-        system, structure, mutator = _twin(MUT_BUILDERS[kind], items)
-        space = system.mem.space
-        type_code = space.read_u8(structure.header_addr + 8)
-        program = system.firmware.program_for(type_code, op=OP_INSERT)
-        operand = mutator.stage(op, target, value)
-        key_addr = structure.store_key(target)
-        if conflict:
-            # Hold the seqlock (odd version): the writer must back off
-            # MAX_LOCK_ATTEMPTS times and fault identically on both tiers.
-            space.write_u64(
-                structure.header_addr + VERSION_OFFSET,
-                space.read_u64(structure.header_addr + VERSION_OFFSET) | 1,
-            )
-        traces.append((system, program, structure, key_addr, operand))
 
-    sys_g, program, struct_g, key_g, operand_g = traces[0]
-    sys_c, _, struct_c, key_c, operand_c = traces[1]
-    # Twin determinism: identical layout means identical addresses.
-    assert key_g == key_c and operand_g == operand_c
-    assert struct_g.header_addr == struct_c.header_addr
-
-    ctx_g = QueryContext(
-        header_addr=struct_g.header_addr, key_addr=key_g, op=op, operand=operand_g
-    )
-    trace_g = run_generic(program, ctx_g, sys_g.mem.space)
-
-    compiled = compile_firmware(sys_c.firmware)[1][
-        sys_c.mem.space.read_u8(struct_c.header_addr + 8)
-    ]
-    assert compiled.prebound, "mutation CFAs ride the prebound tier"
-    ctx_c = QueryContext(
-        header_addr=struct_c.header_addr, key_addr=key_c, op=op, operand=operand_c
-    )
-    trace_c = run_compiled(compiled, ctx_c, sys_c.mem.space)
-
-    assert trace_c == trace_g
-    if conflict:
-        assert trace_g[-1][0] == "fault", "held seqlock must end in a fault"
-    # Both twins' memories must have converged to the same structure state.
-    for k, _ in items:
-        assert struct_g.lookup(k) == struct_c.lookup(k)
-    assert struct_g.lookup(target) == struct_c.lookup(target)
+@pytest.mark.parametrize("kind", sorted(MUT_BUILDERS))
+def test_mutation_conditions_agree(kind):
+    # Every (op, header condition, present/absent target) on a one-key and
+    # a multi-key structure, so each bail-out and backoff path runs.
+    finals = set()
+    for size in (1, 9):
+        items = [(_key(i), 1000 + i) for i in range(size)]
+        for op in MUT_OPS.values():
+            for condition in CONDITIONS:
+                for target in (items[0][0], _key(10**6)):
+                    trace = check_mutation(kind, items, op, target, 77, condition)
+                    finals.add(trace[-1][:2] if trace[-1][0] == "fault" else "done")
+    codes = {code for _, code in finals - {"done"}}
+    assert "done" in finals
+    assert {int(AbortCode.FIRMWARE), int(AbortCode.PROTECTION)} <= codes
+    assert int(AbortCode.VERSION_CONFLICT) in codes
 
 
 # --------------------------------------------------------------------- #
-# Compiler-shape invariants (cheap, non-Hypothesis)
+# Firmware-shape invariants (cheap, non-Hypothesis)
 # --------------------------------------------------------------------- #
 
 
 def test_every_builtin_lookup_is_specialized():
-    for program in (
-        LinkedListCfa(),
-        HashTableCfa(),
-        SkipListCfa(),
-        BinaryTreeCfa(),
-        TrieCfa(),
-        HashOfListsCfa(),
-        BPlusTreeCfa(),
-    ):
-        compiled = specialize_program(program)
-        assert not compiled.prebound
-        assert compiled.nregs >= 2
+    # Every registered program, lookup and mutation, is firmware in the
+    # register form and has an interpreted oracle.
+    system = System(small_config())
+    system.enable_mutations()
+    system.firmware.register(BPlusTreeCfa())
+    system.firmware.register(HashOfListsCfa())
+    lookups, mutators = compile_firmware(system.firmware)
+    assert len(lookups) == 7 and len(mutators) == 3
+    for compiled in list(lookups.values()) + list(mutators.values()):
+        program = compiled.step.__self__
+        assert type(program) in ref.REFERENCE_FOR
+        assert compiled.nregs == program.NREGS >= 2
         assert compiled.name == program.NAME
 
 
-def test_subclassed_program_falls_back_to_prebound():
+def test_subclassed_program_override_takes_effect():
     class Tweaked(LinkedListCfa):
-        """Overrides step; must NOT be matched to the parent's closure."""
+        """Answers every query with a constant: the override must win."""
 
-    compiled = specialize_program(Tweaked())
-    assert compiled.prebound
+        def after_parse(self, ctx):
+            return (K_DONE, 42)
+
+    system = System(small_config())
+    system.firmware.register(Tweaked(), replace=True)
+    program = compile_firmware(system.firmware)[0][Tweaked.TYPE_CODE].step.__self__
+    assert type(program) is Tweaked
+
+    mem = ProcessMemory()
+    structure = LinkedList(mem, key_length=KEY_LENGTH)
+    structure.insert(_key(1), 7)
+    key_addr = structure.store_key(_key(1))
+    ctx = QueryContext(header_addr=structure.header_addr, key_addr=key_addr)
+    assert run_firmware(program, ctx, mem.space)[-1] == ("done", 42)
+    plain = assert_agree(LinkedListCfa(), structure.header_addr, key_addr, mem.space)
+    assert plain[-1] == ("done", 7)
 
 
 def test_compile_firmware_covers_registered_tables():
