@@ -107,6 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
         "driving fault selection and load (default 7)",
     )
     parser.add_argument(
+        "--seeds",
+        type=_seed_range,
+        metavar="A-B",
+        help="recovery-chaos: soak seeds A..B instead, one line per seed "
+        "(verdict, violating keys, peak per-key checker states); exits 1 "
+        "if any seed fails its contract",
+    )
+    parser.add_argument(
         "--faults",
         type=int,
         default=1000,
@@ -186,6 +194,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed_range(text: str) -> range:
+    """``A-B`` (or one seed ``A``) as the inclusive range of seeds."""
+    first, _, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last or first) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def soak(args: argparse.Namespace) -> int:
+    """``recovery-chaos --seeds A-B``: print each seed's durability verdict."""
+    import json
+
+    from .faults.chaos import recovery_soak
+
+    shape = dict(
+        tenants=args.tenants, replication=args.replication, quorum=args.quorum
+    )
+    if args.requests is not None:
+        shape["requests"] = args.requests
+    if args.nodes is not None:
+        shape["nodes"] = args.nodes
+    failed = []
+    for row in recovery_soak(args.seeds, args.scheme or "cha-tlb", **shape):
+        if row["problems"]:
+            failed.append(row["seed"])
+        if args.json:
+            print(json.dumps(row), flush=True)
+            continue
+        detail = f" ({'; '.join(row['problems'])})" if row["problems"] else ""
+        print(
+            f"seed {row['seed']}: {'FAIL' if detail else 'ok'}, violating keys "
+            f"{row['violations']}, peak key states {row['max_states']}{detail}",
+            flush=True,
+        )
+    if not args.json:
+        print(
+            f"recovery-chaos soak: {len(args.seeds) - len(failed)}/"
+            f"{len(args.seeds)} seeds passed; failed: {failed or 'none'}"
+        )
+    return 1 if failed else 0
+
+
 def experiment_kwargs(name: str, args: argparse.Namespace) -> Dict:
     """The kwargs ``run`` passes to ``EXPERIMENTS[name]`` for these flags.
 
@@ -258,7 +312,10 @@ def run(names, args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seeds is not None and args.experiment != "recovery-chaos":
+        parser.error("--seeds applies to recovery-chaos only")
     if args.no_snapshot:
         from .analysis import snapshot
 
@@ -304,6 +361,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.seeds is not None:
+        return soak(args)
     run([args.experiment], args)
     return 0
 

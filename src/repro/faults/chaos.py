@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..config import ClusterConfig, IntegrationScheme, ServeConfig
 from ..core.programs import HashOfListsCfa
 from ..core.programs_ext import BPlusTreeCfa
 from ..errors import ReproError
+from .history import HistoryVerdict
 
 #: Event actions on one machine.
 SLICE_FAIL = "slice-fail"
@@ -263,8 +264,8 @@ CONTRACT: Dict[str, Tuple[Callable[[object, Dict, float], bool], str]] = {
 }
 
 
-def check_contract(report: ChaosReport) -> None:
-    """Raise :class:`ChaosError` naming every check ``report`` fails."""
+def contract_problems(report: ChaosReport) -> List[str]:
+    """One message per check ``report`` fails (empty when it passes)."""
     checks = report.checks
     floor = report.scenario.availability_floor
     # Messages show at most three audit failures.
@@ -276,6 +277,12 @@ def check_contract(report: ChaosReport) -> None:
     ]
     if any(event["fired_cycle"] is None for event in report.events):
         problems.append("schedule did not complete")
+    return problems
+
+
+def check_contract(report: ChaosReport) -> None:
+    """Raise :class:`ChaosError` naming every check ``report`` fails."""
+    problems = contract_problems(report)
     if problems:
         raise ChaosError(
             f"{report.scenario.name} contract violated on {report.scheme}: " + "; ".join(problems)
@@ -488,6 +495,8 @@ class _Cluster:
         self.targets = scenario.nodes
         self.resize = None
         self.replication_settled = False
+        #: The history checker's verdict, once :meth:`report` has run.
+        self.verdict: Optional[HistoryVerdict] = None
 
     def _flap(self, event: ChaosEvent) -> int:
         cluster, victim = self.cluster, event.nodes[0]
@@ -545,7 +554,7 @@ class _Cluster:
         from ..serve.cluster.membership import NodeState
 
         cluster, scenario = self.cluster, self.scenario
-        verdict = self.recorder.check()
+        verdict = self.verdict = self.recorder.check()
         written = self.recorder.written_keys()
         finals = cluster.final_values(written).items()
         fleet = served.fleet
@@ -607,6 +616,14 @@ def run_scenario(
     scenario: Scenario, scheme: str, seed: int = 7, *, verify: bool = True
 ) -> ChaosReport:
     """Run one drill: load the fleet, fire the schedule, settle, judge."""
+    _, report = _run(scenario, scheme, seed)
+    if verify:
+        check_contract(report)
+    return report
+
+
+def _run(scenario: Scenario, scheme: str, seed: int) -> Tuple[object, ChaosReport]:
+    """One unjudged drill: the settled fleet and its report."""
     fleet = (_Machine if scenario.nodes is None else _Cluster)(scenario, scheme, seed)
     pending = scenario.schedule(fleet.targets, fleet.budget)
     events = list(pending)
@@ -625,9 +642,10 @@ def run_scenario(
         fleet.drain()
     fleet.settle()
     report = fleet.report(served, events, seed)
-    if verify:
-        check_contract(report)
-    return report
+    # The drill is over: queued probes, timeouts and in-flight messages
+    # would hold the fleet in a cycle with its engine.
+    fleet.engine.clear()
+    return fleet, report
 
 
 _MACHINE_CHECKS = (
@@ -727,6 +745,28 @@ def run_recovery_chaos(
         availability_floor=availability_floor,
     )
     return run_scenario(scenario, scheme, seed, verify=verify)
+
+
+def recovery_soak(
+    seeds: Iterable[int], scheme: str = "cha-tlb", **shape
+) -> Iterator[Dict[str, object]]:
+    """The durability soak: :data:`RECOVERY_CHAOS` once per seed, judged
+    but not raised.  ``shape`` replaces scenario fields (requests, nodes,
+    replication, quorum, tenants).
+
+    Yields one row per seed: its contract problems (empty when the drill
+    passes), the keys whose history admits no linearization, and the most
+    search states any one key cost the history checker.
+    """
+    scenario = replace(RECOVERY_CHAOS, **shape)
+    for seed in seeds:
+        fleet, report = _run(scenario, scheme, seed)
+        yield dict(
+            seed=seed,
+            problems=contract_problems(report),
+            violations=sorted(fleet.verdict.violations),
+            max_states=fleet.verdict.max_states,
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -30,8 +30,11 @@ Three reductions keep the search exact and cheap:
   so the key is searched segment by segment and only the set of possible
   register values crosses a cut (failed and open ops never respond, so
   no cut follows them);
-* **bitmask precedence** — ``pred[i]`` holds the ok ops that responded
-  before op i was invoked; op i is enabled iff all of them are linearized;
+* **frontier window** — op i is enabled iff it is pending and invoked no
+  later than R, the earliest response among the pending ok ops; with ops
+  sorted by invoke that is a precomputed prefix mask per R, and R is the
+  lowest bit of a response-ordered pending mask carried with the state,
+  so expansion walks only the enabled ops instead of testing them all;
 * **no-op collapsing** — an enabled ok read of the current value, or an
   ok first-attempt miss, is linearized at once without branching: it is
   valid there, never changes the register wherever it lands, and moving
@@ -42,6 +45,7 @@ Three reductions keep the search exact and cheap:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -76,21 +80,6 @@ class _Op:
         return self.op == OP_LOOKUP
 
 
-def _outcomes(op: _Op, reg: Optional[int]) -> List[Optional[int]]:
-    """Register values linearizing ``op`` on register ``reg`` may produce."""
-    if op.is_read:
-        return [reg] if op.result == reg else []
-    applied = None if op.op == OP_DELETE else op.value
-    if op.status == "ok" and op.attempts == 1:
-        return [applied] if op.result is not None else [reg]
-    # Retried ok writes and failed writes: the first execution's
-    # disposition is unknowable — both branches stay open.
-    results = [applied]
-    if reg not in results:
-        results.append(reg)
-    return results
-
-
 @dataclass
 class HistoryVerdict:
     """The checker's summary over every recorded key."""
@@ -110,6 +99,9 @@ class HistoryVerdict:
     )
     #: Search states explored, summed over every key.
     states: int = 0
+    #: The most states any one key's search explored (the seed soak's
+    #: headroom against the per-key budget).
+    max_states: int = 0
 
 
 class HistoryRecorder:
@@ -182,6 +174,7 @@ class HistoryRecorder:
                 ops, self._baseline.get(key_pos)
             )
             verdict.states += states
+            verdict.max_states = max(verdict.max_states, states)
             if outcome == "violation":
                 verdict.linearizable = False
                 verdict.violations.append(key_pos)
@@ -196,7 +189,8 @@ class HistoryRecorder:
         """Search for a linearization of one key's history.
 
         Returns ("ok" | "violation" | "inconclusive", possible finals,
-        states explored).  ``ops`` must be sorted by invoke cycle.
+        states explored).  ``ops`` must be sorted by invoke cycle and hold
+        no failed reads (:meth:`check` drops them).
         """
         # Quiescent cuts (module docstring).
         segments, start, latest = [], 0, -1
@@ -210,61 +204,101 @@ class HistoryRecorder:
         regs: FrozenSet[Optional[int]] = frozenset({initial})
         states = 0
         for seg in segments:
-            ok_ops = [(j, op) for j, op in enumerate(seg) if op.status == "ok"]
-            must = sum(1 << j for j, _ in ok_ops)
-            # pred[i]: ok ops that responded before op i was invoked.
-            pred = [
-                sum(
-                    1 << j for j, other in ok_ops
-                    if j != i and other.response_cycle < op.invoke_cycle
-                )
-                for i, op in enumerate(seg)
+            n = len(seg)
+            full = (1 << n) - 1
+            # Register values as small codes, so a state packs into one
+            # int: its pending-op bits below bit n, the code above.  An
+            # op's effect is the value it reads or writes.
+            effect = [
+                op.result if op.is_read
+                else None if op.op == OP_DELETE else op.value
+                for op in seg
             ]
-            # Ok ops that leave the register as they find it wherever
-            # they land: first-attempt misses, and reads of ``reg``.
-            misses = sum(
-                1 << j for j, op in ok_ops
-                if not op.is_read and op.attempts == 1 and op.result is None
+            code: Dict[Optional[int], int] = {}
+            for value in (*regs, *effect):
+                code.setdefault(value, len(code))
+            values = list(code)
+            shifted = [c << n for c in range(len(values))]
+            # Frontier window: the k-th ok op by response has bit k of a
+            # response-ordered mask; window[k + 1] is the invoke-ordered
+            # prefix invoked no later than its response, window[0] all ops.
+            ok_ops = sorted(
+                (op.response_cycle, j) for j, op in enumerate(seg)
+                if op.status == "ok"
             )
-            reads: Dict[Optional[int], int] = {}
-            for j, op in ok_ops:
+            invokes = [op.invoke_cycle for op in seg]
+            window = [full] + [
+                (1 << bisect_right(invokes, response)) - 1
+                for response, _ in ok_ops
+            ]
+            rbit = [0] * n
+            for k, (_, j) in enumerate(ok_ops):
+                rbit[j] = 1 << k
+            must = sum(1 << j for _, j in ok_ops)
+            # Per op: the code it reads or writes, whether a write's
+            # disposition is unknowable (both branches), and the quiet ops
+            # per register code: first-attempt misses, and ok reads of
+            # that value.
+            target = [code[value] for value in effect]
+            writes = misses = ambiguous = 0
+            quiet_of = [0] * len(values)
+            for j, op in enumerate(seg):
+                bit = 1 << j
                 if op.is_read:
-                    reads[op.result] = reads.get(op.result, 0) | 1 << j
-            full = (1 << len(seg)) - 1
-            finals: Set[Optional[int]] = set()
-            visited: Set[Tuple[int, Optional[int]]] = set()
-            stack = [(0, reg) for reg in regs]
+                    quiet_of[target[j]] |= bit
+                elif op.status != "ok" or op.attempts > 1:
+                    ambiguous |= bit
+                    writes |= bit
+                elif op.result is None:
+                    misses |= bit
+                else:
+                    writes |= bit
+            quiet_of = [misses | quiet for quiet in quiet_of]
+            finals: Set[int] = set()
+            visited: Set[int] = set()
+            stack = [(full, (1 << len(ok_ops)) - 1, code[reg]) for reg in regs]
+            budget = _STATE_BUDGET
             while stack:
-                if states >= _STATE_BUDGET:
-                    return "inconclusive", frozenset(finals or {initial}), states
-                mask, reg = stack.pop()
+                if states >= budget:
+                    return "inconclusive", frozenset(
+                        {values[c] for c in finals} or {initial}
+                    ), states
+                pend, rpend, reg = stack.pop()
+                win = window[(rpend & -rpend).bit_length()]
                 # No-op collapsing: linearize every enabled quiet op now.
-                quiet = misses | reads.get(reg, 0)
-                grow = -1
+                grow = quiet_of[reg] & win & pend
                 while grow:
-                    grow = 0
-                    rest = quiet & ~mask
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        if not pred[bit.bit_length() - 1] & ~mask:
-                            grow |= bit
-                    mask |= grow
-                if (mask, reg) in visited:
+                    pend ^= grow
+                    while grow:
+                        bit = grow & -grow
+                        grow ^= bit
+                        rpend ^= rbit[bit.bit_length() - 1]
+                    win = window[(rpend & -rpend).bit_length()]
+                    grow = quiet_of[reg] & win & pend
+                key = pend | shifted[reg]
+                if key in visited:
                     continue
-                visited.add((mask, reg))
+                visited.add(key)
                 states += 1
-                if mask & must == must:
+                if not pend & must:
                     finals.add(reg)
-                rest = full & ~mask
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    i = bit.bit_length() - 1
-                    if not pred[i] & ~mask:
-                        for new_reg in _outcomes(seg[i], reg):
-                            stack.append((mask | bit, new_reg))
+                # Only enabled effective writes can move the search: an
+                # enabled read of another value has no outcome here.
+                front = win & writes & pend
+                while front:
+                    bit = front & -front
+                    front ^= bit
+                    j = bit.bit_length() - 1
+                    after = pend ^ bit
+                    rafter = rpend ^ rbit[j]
+                    new = target[j]
+                    if after | shifted[new] not in visited:
+                        stack.append((after, rafter, new))
+                    if bit & ambiguous and new != reg and (
+                        after | shifted[reg] not in visited
+                    ):
+                        stack.append((after, rafter, reg))
             if not finals:
                 return "violation", frozenset({initial}), states
-            regs = frozenset(finals)
+            regs = frozenset(values[c] for c in finals)
         return "ok", regs, states

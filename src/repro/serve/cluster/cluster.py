@@ -19,8 +19,9 @@ Fault surface (driven by the cluster-chaos harness, usable directly):
   by attempt-sequence checks) prove otherwise.
 
 Replica data is materialised identically on every node (same build seed =>
-same tables, same oracle), so any replica of a key can serve it; the ring
-only partitions *serving ownership*, which is what rebalancing remaps.
+same tables, same oracle; node 0 builds it and the others restore its
+image), so any replica of a key can serve it; the ring only partitions
+*serving ownership*, which is what rebalancing remaps.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from ...sim.engine import Engine
 from ...sim.stats import PercentileSketch, StatsRegistry
 from ...sim.weak import weak_method
 from ...system import System
-from ...workloads import make_workload
+from ...workloads import make_workload, snapshot
+from ...workloads.snapshot import WorkloadSnapshot
 from ..loadgen import ClosedLoopGenerator
 from .lb import FleetSlo, LoadBalancer
 from .membership import Membership, NodeState, Prober
@@ -144,12 +146,22 @@ class SimulatedCluster:
         #: wake hook adds its own id.  The hook holds the set, never the
         #: cluster.
         self._ready: Set[int] = set()
-        built0 = None
+        # Node 0 populates the dataset; the others restore its pickled
+        # image (workloads/snapshot.py), which equals a fresh build.  The
+        # image dies with this frame.
+        built0 = image = None
         for node_id in range(self.config.nodes):
-            system = System(node_config, self.scheme, engine=self.engine)
-            built = make_workload(
-                workload, system, seed=seed, **CLUSTER_WORKLOADS[workload]
-            )
+            if image is None:
+                system = System(node_config, self.scheme, engine=self.engine)
+                built = make_workload(
+                    workload, system, seed=seed, **CLUSTER_WORKLOADS[workload]
+                )
+                if snapshot.enabled():
+                    image = WorkloadSnapshot(system, built)
+            else:
+                system, built = image.restore(
+                    self.scheme, config=node_config, engine=self.engine
+                )
             system.warm_llc()
             if built0 is None:
                 built0 = built

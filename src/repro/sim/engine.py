@@ -291,3 +291,15 @@ class Engine:
     def advance(self, cycles: int) -> int:
         """Run events for the next ``cycles`` cycles and advance time."""
         return self.run(until=self._now + cycles)
+
+    def clear(self) -> None:
+        """Drop every queued event: the simulation is over.
+
+        Callbacks still queued at the end of a run (periodic probes,
+        request timeouts, messages in flight) hold the components that
+        scheduled them, and those hold this engine.  Dropping them lets a
+        finished simulation be freed by reference counting instead of
+        waiting, Systems and all, for the cyclic garbage collector.
+        """
+        self._queue.clear()
+        self._cancelled = 0

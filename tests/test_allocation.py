@@ -10,13 +10,17 @@ callback cycles until a full collection, for the accelerator's compiled
 CFA step tables, whose hand-specialized closures used to call each other,
 for a hierarchy built without a NoC, which used to hold its own bound
 hop-latency method, and for the load balancer's resolved requests, which
-used to sit in a cycle with their timeout events.
+used to sit in a cycle with their timeout events.  A cluster's pickled
+replica image lives only while the cluster is being built, and a finished
+chaos drill drops the events still queued on its engine, which used to
+hold whole fleets in a cycle.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import sys
 import types
 import weakref
 from pathlib import Path
@@ -207,3 +211,55 @@ def test_resolved_cluster_requests_die_by_refcount():
     finally:
         gc.enable()
     assert stranded == 0
+
+
+def test_replica_image_is_dropped_when_the_cluster_is_built(monkeypatch):
+    from repro.serve.cluster import cluster as cluster_module
+    from repro.workloads import snapshot as workload_snapshot
+
+    images, holders = [], []
+
+    class Tracked(workload_snapshot.WorkloadSnapshot):
+        # No __slots__: instances take weak references.
+        def restore(self, scheme, **kwargs):
+            # The snapshot's own slot and the call's argument: nothing
+            # else holds the pickled bytes.
+            holders.append(sys.getrefcount(self._template))
+            return super().restore(scheme, **kwargs)
+
+    real_init = Tracked.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        images.append(weakref.ref(self))
+
+    monkeypatch.setattr(Tracked, "__init__", init)
+    monkeypatch.setattr(workload_snapshot, "_enabled", True)
+    monkeypatch.setattr(cluster_module, "WorkloadSnapshot", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        cluster = cluster_module.SimulatedCluster("cha-tlb", seed=7)
+        alive = [ref() for ref in images if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(images) == 1
+    assert holders == [2] * (cluster.config.nodes - 1)
+    assert alive == []
+
+
+def test_finished_drill_leaves_no_cyclic_garbage():
+    # Seed 9 at drill size ends with probes, request timeouts and messages
+    # still queued; their callbacks held the fleet, Systems included, in
+    # a cycle with the engine until a full collection.
+    gc.collect()
+    gc.disable()
+    try:
+        run_recovery_chaos(
+            "cha-tlb", seed=9, requests=400, nodes=6, replication=2, quorum=2,
+            verify=False,
+        )
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

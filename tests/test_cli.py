@@ -3,12 +3,15 @@
 Pins the shell contract: ``list`` enumerates every experiment sorted,
 each with its driver's own description, and exits 0, unknown experiment
 names exit 2 with a one-line hint, the serve verb honours its flags, size
-flags override an experiment's defaults only when given, and
+flags override an experiment's defaults only when given, the
+``recovery-chaos --seeds`` soak prints one line per seed, and
 pyproject.toml installs the ``qei`` entry point.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.__main__ import EXPERIMENTS, build_parser, experiment_kwargs, main
 
@@ -81,3 +84,32 @@ def test_qei_console_script_is_registered():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert '[project.scripts]' in pyproject
     assert 'qei = "repro.__main__:main"' in pyproject
+
+
+def test_recovery_soak_prints_one_line_per_seed(capsys):
+    # Seed 5 passes at drill size; seed 6 loses an acknowledged write
+    # (ROADMAP item 1), so the soak exits 1 after printing every seed.
+    assert main(["recovery-chaos", "--seeds", "5-6"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("seed 5: ok, violating keys [], peak key states ")
+    assert lines[1].startswith(
+        "seed 6: FAIL, violating keys [16608118694158627991], peak key states "
+    )
+    assert "(history_linearizable: " in lines[1]
+    assert lines[2] == "recovery-chaos soak: 1/2 seeds passed; failed: [6]"
+
+
+def test_recovery_soak_json_rows_and_flag_errors(capsys):
+    assert main(["recovery-chaos", "--seeds", "5", "--json"]) == 0
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    row = json.loads(line)
+    assert row["seed"] == 5 and row["problems"] == [] and row["violations"] == []
+    assert row["max_states"] > 0
+    parser = build_parser()
+    assert parser.parse_args(["recovery-chaos", "--seeds", "1-200"]).seeds == range(1, 201)
+    for argv in (["chaos", "--seeds", "1-2"], ["recovery-chaos", "--seeds", "3-1"],
+                 ["recovery-chaos", "--seeds", "a-b"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

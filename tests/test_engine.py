@@ -157,3 +157,20 @@ def test_run_until_and_drain():
     assert engine.now == 10
     assert engine.drain() == 15
     assert seen == [5, 10, 15]
+
+
+def test_clear_drops_queued_events_and_keeps_time():
+    engine = Engine()
+    fired = []
+    engine.schedule(5, lambda: fired.append(5))
+    engine.schedule(10, lambda: fired.append(10)).cancel()
+    engine.run(until=7)
+    engine.schedule(20, lambda: fired.append(20))
+    engine.clear()
+    assert engine.pending() == 0 and engine.peek_time() is None
+    assert engine.now == 7
+    engine.drain()
+    assert fired == [5]
+    engine.schedule(1, lambda: fired.append(8))
+    engine.drain()
+    assert fired == [5, 8]

@@ -1,14 +1,18 @@
 """The history checker against its reference oracle.
 
 ``HistoryRecorder._check_key`` searches with three reductions — quiescent
-cuts, bitmask precedence and no-op collapsing (docs/recovery.md).  Each
-is claimed to keep the verdict and ``possible_finals`` exact, so here the
-fast search must agree with the original, unreduced search in
-``tests/linearizability_reference.py`` on every history hypothesis can
-build: at most 10 ops on one key, mixing ok, failed and open writes,
-retried and missed writes, reads, and overlapping and disjoint intervals.
-Targeted cases pin the histories the reductions are most likely to get
-wrong, and a real drill history pins the agreement at drill shape.
+cuts, no-op collapsing and a frontier window over the ops enabled by
+real-time precedence (docs/recovery.md).  Each is claimed to keep the
+verdict and ``possible_finals`` exact, so here the fast search must agree
+with the original, unreduced search in ``tests/linearizability_reference.py``
+on every history hypothesis can build: at most 10 ops on one key, mixing
+ok, failed and open writes, retried and missed writes, reads, and
+overlapping and disjoint intervals.  The window's edges — shared invoke
+and response cycles, zero-length intervals, an invoke exactly on the
+earliest pending response, segments ending in ops that never responded —
+are also checked against the bitmask search it replaced, states count
+included.  Targeted cases pin the histories the reductions are most likely
+to get wrong, and a real drill history pins the agreement at drill shape.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.faults.chaos import run_recovery_chaos  # noqa: E402
 from repro.faults.history import HistoryRecorder, _Op  # noqa: E402
 
 from .linearizability_reference import (  # noqa: E402
+    bitmask_check_key,
     key_histories,
     reference_check_key,
 )
@@ -56,17 +61,53 @@ def _both(ops, initial):
     return (outcome, finals), reference_check_key(ops, initial)
 
 
+def _spread(draw, responses):
+    invoke = draw(st.integers(0, 50))
+    return invoke, invoke + draw(st.integers(0, 12))
+
+
+def _shared(draw, responses):
+    """Few distinct cycles: many ops share both invoke and response."""
+    invoke = draw(st.sampled_from([0, 4]))
+    return invoke, invoke + draw(st.sampled_from([0, 4]))
+
+
+def _instant(draw, responses):
+    """Zero-length intervals: every op responds on its invoke cycle."""
+    invoke = draw(st.integers(0, 6))
+    return invoke, invoke
+
+
+def _at_response(draw, responses):
+    """Each op after the first is invoked exactly on an earlier op's
+    response cycle: the frontier window's boundary, ``inv == R``."""
+    invoke = draw(st.sampled_from(responses)) if responses else 0
+    return invoke, invoke + draw(st.integers(0, 3))
+
+
 @st.composite
-def histories(draw):
+def histories(draw, timing=_spread, open_tail=False):
     """A history from one real execution, optionally with one result
-    corrupted.  Returns (ops, initial, honest, final register)."""
+    corrupted.  Returns (ops, initial, honest, final register).
+
+    ``timing(draw, earlier responses)`` draws each op's interval;
+    ``open_tail`` makes the last-invoked ops failed or open writes, so
+    the key's last segment ends in ops that never responded."""
     initial = draw(st.sampled_from([None, 1]))
+    times = []
+    for _ in range(draw(st.integers(1, 10))):
+        times.append(timing(draw, [response for _, response in times]))
+    last = max(invoke for invoke, _ in times)
     plan = []
-    for op_id in range(draw(st.integers(1, 10))):
-        op = draw(st.sampled_from([OP_LOOKUP, OP_INSERT, OP_UPDATE, OP_DELETE]))
-        invoke = draw(st.integers(0, 50))
-        response = invoke + draw(st.integers(0, 12))
-        status = draw(st.sampled_from(["ok", "ok", "ok", "fail", None]))
+    for op_id, (invoke, response) in enumerate(times):
+        tail = open_tail and invoke == last
+        op = draw(st.sampled_from(
+            [OP_INSERT, OP_UPDATE, OP_DELETE] if tail
+            else [OP_LOOKUP, OP_INSERT, OP_UPDATE, OP_DELETE]
+        ))
+        status = draw(st.sampled_from(
+            ["fail", None] if tail else ["ok", "ok", "ok", "fail", None]
+        ))
         attempts = draw(st.integers(1, 3)) if status else 1
         # The execution point: inside the interval for an ok op, anywhere
         # after invoke (or never) for one that failed or never returned.
@@ -112,6 +153,32 @@ def test_fast_search_matches_reference(case):
     assert fast == reference
     if honest:
         # An uncorrupted execution is itself a linearization.
+        assert fast[0] == "ok"
+        assert final in fast[1]
+
+
+#: Interval shapes at the frontier window's edges (``_check_key``).
+WINDOW_EDGES = {
+    "equal-cycles": dict(timing=_shared),
+    "zero-length": dict(timing=_instant),
+    "invoked-at-response": dict(timing=_at_response),
+    "open-tail": dict(open_tail=True),
+    "open-tail-equal-cycles": dict(timing=_shared, open_tail=True),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WINDOW_EDGES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_window_edge_cases_match_both_oracles(shape, data):
+    ops, initial, honest, final = data.draw(histories(**WINDOW_EDGES[shape]))
+    ops = sorted(ops, key=lambda o: o.invoke_cycle)
+    fast = HistoryRecorder({})._check_key(ops, initial)
+    # The bitmask search explores the very same states; the unreduced
+    # search agrees on the verdict and the finals.
+    assert fast == bitmask_check_key(ops, initial)
+    assert fast[:2] == reference_check_key(ops, initial)
+    if honest:
         assert fast[0] == "ok"
         assert final in fast[1]
 

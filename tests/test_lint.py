@@ -88,7 +88,7 @@ def test_no_implicit_optional_defaults():
 #: its reads must name.
 ENV_ALLOWLIST = {
     "src/repro/analysis/rescache.py": "REPRO_CACHE_DIR",
-    "src/repro/analysis/snapshot.py": "QEI_NO_SNAPSHOT",
+    "src/repro/workloads/snapshot.py": "QEI_NO_SNAPSHOT",
 }
 _ENV_NAMES = ("environ", "environb", "getenv")
 
