@@ -19,8 +19,12 @@ operand per op) with the config, windows and counters in locals.  It tells
 kinds apart by identity tests on :class:`OpKind` members, never by hashing
 them, and times every kind inline except the query and wait ops, which
 go through :meth:`OoOCore._execute_external` with a :class:`MicroOp` view
-for the resolver.  ``tests/core_reference.py`` keeps the original
-one-op-per-call step as the oracle the loop is checked against.
+for the resolver.  A load or store calls ``Mmu.translate`` and the
+hierarchy's ``access_from_core`` (both bound once per call), unpacks the
+two named tuples they return, and keeps its memory cycles and per-level
+access counts in locals until the call ends.  ``tests/core_reference.py``
+keeps the original one-op-per-call step as the oracle the loop is checked
+against.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..config import CoreConfig
 from ..errors import SimulationError
+from ..mem.cache import CacheLevelName
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.mmu import Mmu
 from ..sim.stats import StatsRegistry
@@ -45,6 +50,9 @@ from .trace import Trace
 #: still in flight, and only force the co-simulation when the value is
 #: actually consumed (a register dependence or the ROB window).
 ExternalResolver = Callable[[MicroOp, int], Tuple[object, int]]
+
+#: ``CoreResult.level_breakdown`` keys (an Enum's ``.value`` is a property).
+_LEVEL_VALUE: Dict[CacheLevelName, str] = {lv: lv.value for lv in CacheLevelName}
 
 
 @dataclass
@@ -144,24 +152,6 @@ class OoOCore:
 
         raise SimulationError(f"unknown op kind {kind!r}")
 
-    def _memory_latency(
-        self, vaddr: Optional[int], now: int, write: bool, res: CoreResult
-    ) -> int:
-        if vaddr is None:
-            raise SimulationError("memory op without an address")
-        translation = self.mmu.translate(vaddr, "w" if write else "r")
-        # An L1-dTLB hit overlaps with cache access; misses add cycles.
-        translation_cost = (
-            0 if translation.tlb_hit_level == 0 else translation.cycles
-        )
-        access = self.hierarchy.access_from_core(
-            self.core_id, translation.paddr, write=write, now=now
-        )
-        level = access.level.value
-        res.level_breakdown[level] = res.level_breakdown.get(level, 0) + 1
-        res.memory_cycles += access.latency + translation_cost
-        return translation_cost + access.latency
-
 
 class CoreExecution:
     """Incremental, resumable execution of one trace on one core.
@@ -241,7 +231,10 @@ class CoreExecution:
         rob_entries = cfg.rob_entries
         issue_width = cfg.issue_width
         mispredict_cycles = cfg.branch_mispredict_cycles
-        memory_latency = core._memory_latency
+        core_id = core.core_id
+        translate = core.mmu.translate
+        # The instance attribute: the fast path (or a wrapper) bound there.
+        access = core.hierarchy.access_from_core
         execute_external = core._execute_external
         external = self.external
         completion = self._completion
@@ -253,6 +246,8 @@ class CoreExecution:
         dispatched = self._dispatched_this_cycle
         last = self._last_completion
         loads = stores = branches = mispredicts = stalls = stall_cycles = 0
+        memory_cycles = 0
+        levels: Dict[CacheLevelName, int] = {}  # accesses per level, this call
         ALU, BRANCH, IFETCH = OpKind.ALU, OpKind.BRANCH, OpKind.IFETCH_STALL
         LOAD, STORE = OpKind.LOAD, OpKind.STORE
         QUERY_B, QUERY_NB = OpKind.QUERY_B, OpKind.QUERY_NB
@@ -323,7 +318,17 @@ class CoreExecution:
                     done = ready + (args[i] or 1)
                 elif kind is LOAD:
                     loads += 1
-                    done = ready + memory_latency(args[i], ready, False, result)
+                    vaddr = args[i]
+                    if vaddr is None:
+                        raise SimulationError("memory op without an address")
+                    paddr, cost, tlb_level = translate(vaddr, "r")
+                    if tlb_level == 0:
+                        cost = 0  # an L1-dTLB hit overlaps the cache access
+                    latency, level, _, _ = access(core_id, paddr, now=ready)
+                    levels[level] = levels.get(level, 0) + 1
+                    cost += latency
+                    memory_cycles += cost
+                    done = ready + cost
                 elif kind is BRANCH:
                     branches += 1
                     done = ready + 1
@@ -335,7 +340,17 @@ class CoreExecution:
                     # sees a 1-cycle cost; the cache access is charged for
                     # statistics.
                     stores += 1
-                    memory_latency(args[i], ready, True, result)
+                    vaddr = args[i]
+                    if vaddr is None:
+                        raise SimulationError("memory op without an address")
+                    paddr, cost, tlb_level = translate(vaddr, "w")
+                    if tlb_level == 0:
+                        cost = 0
+                    latency, level, _, _ = access(
+                        core_id, paddr, write=True, now=ready
+                    )
+                    levels[level] = levels.get(level, 0) + 1
+                    memory_cycles += cost + latency
                     done = ready + 1
                 elif kind is IFETCH:
                     # The fetch unit stalls for the given cycles from
@@ -368,6 +383,11 @@ class CoreExecution:
             result.branch_mispredicts += mispredicts
             result.frontend_stall_cycles += stall_cycles
             result.instructions += i - start - stalls
+            result.memory_cycles += memory_cycles
+            breakdown = result.level_breakdown
+            for level, count in levels.items():
+                name = _LEVEL_VALUE[level]
+                breakdown[name] = breakdown.get(name, 0) + count
 
     # ------------------------------------------------------------------ #
 

@@ -10,7 +10,7 @@ approximation — the paper evaluates single-threaded ROIs, Sec. VI-B).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import CacheConfig
 from ..sim.stats import StatsRegistry
@@ -47,10 +47,11 @@ class Cache:
         # access path is one list index plus one dict probe.  Plain dicts
         # preserve insertion order, so LRU is pop-and-reinsert.  Every slot
         # starts as the one shared, never-written ``_EMPTY`` dict, and only
-        # :meth:`fill` swaps a slot for a dict of its own: every other path
-        # only reads, or pops tags that are present, and the fast path
-        # memoizes a set only after a hit in it.  So a cold System builds no
-        # per-set dicts (an LLC slice has thousands of sets).
+        # the fills (:meth:`fill`, :meth:`fill_lines`) swap a slot for a
+        # dict of its own: every other path only reads, or pops tags that
+        # are present, and the fast path memoizes a set only after a hit in
+        # it.  So a cold System builds no per-set dicts (an LLC slice has
+        # thousands of sets).
         self._sets: List[Dict[int, bool]] = [_EMPTY] * self.num_sets
         # Per-set generation counters for the epoch-memoized fast path
         # (mem/fastpath.py): a set's epoch bumps whenever line *presence*
@@ -124,6 +125,32 @@ class Cache:
         entry_set[tag] = dirty
         self.set_epochs[index] += 1  # presence changed: new tag (± victim)
         return victim_line
+
+    def fill_lines(self, lines: Iterable[int]) -> None:
+        """Insert clean lines in order: the state ``fill(line)`` per line gives.
+
+        The LLC warm-up fills hundreds of thousands of lines into cold sets,
+        so a new tag in a set with a free way is inserted inline; a present
+        tag or a full set (LRU touch, eviction, writeback) goes through
+        :meth:`fill`.
+        """
+        sets = self._sets
+        epochs = self.set_epochs
+        num_sets = self.num_sets
+        ways = self.associativity
+        fill = self.fill
+        for line in lines:
+            index = line % num_sets
+            tag = line // num_sets
+            entry_set = sets[index]
+            if entry_set is _EMPTY:
+                sets[index] = {tag: False}
+            elif tag in entry_set or len(entry_set) >= ways:
+                fill(line)
+                continue
+            else:
+                entry_set[tag] = False
+            epochs[index] += 1
 
     def invalidate(self, line_addr: Optional[int] = None) -> None:
         """Drop one line, or flush everything when ``line_addr`` is None."""

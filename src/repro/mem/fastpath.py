@@ -44,8 +44,9 @@ Replay then reproduces the slow path's *entire* effect:
 * **Batched NoC charges** — slice hits replay their mesh crossing through
   :meth:`MeshNoc.charge`, which accumulates per-(src, dst) counts and
   replays the commutative per-link byte sums at flush time.
-* The frozen :class:`~repro.mem.hierarchy.AccessResult` instance itself is
-  reused — same latency, level, home and hop count by construction.
+* The :class:`~repro.mem.hierarchy.AccessResult` named tuple itself is
+  reused (it is immutable) — same latency, level, home and hop count by
+  construction.
 
 The hierarchy keeps its reference walk (``_access_from_*_slow``), and
 ``MemoryHierarchy(fastmem=False)`` builds one without this layer.  The
@@ -86,7 +87,7 @@ class FastMem:
         "_ncores",
         "_nslices",
         "_core_memo",
-        "_slice_memo",
+        "_cha_memo",
         "_charge",
         "_pending_accesses",
     )
@@ -103,13 +104,14 @@ class FastMem:
         self._llc = hierarchy.llc_slices
         self._ncores = len(hierarchy.l1)
         self._nslices = len(hierarchy.llc_slices)
-        # Packed-int keys (cheaper to hash than tuples):
+        # Packed-int keys (cheaper to hash than tuples), one memo per entry
+        # point (``_cha_memo`` holds access_from_slice, issued at a CHA):
         #   core:  ((line * ncores + core) << 3) | write<<2 | fill_l1<<1 | fill_l2
         #   slice: ((line * nslices + slice) << 1) | write
         # Records: (result, set_dict, tag, epochs, set_index, epoch, cache
         #           [, home]) — valid while epochs[set_index] == epoch.
         self._core_memo: Dict[int, Tuple] = {}
-        self._slice_memo: Dict[int, Tuple] = {}
+        self._cha_memo: Dict[int, Tuple] = {}
         # Replayed slice hits still cross the mesh; batch the charge when
         # the NoC supports it, else fall back to the hierarchy's hook.
         if noc is not None:
@@ -137,11 +139,8 @@ class FastMem:
         fill_l2: bool = True,
     ):
         line = paddr // CACHELINE_BYTES
-        key = (
-            ((line * self._ncores + core_id) << 3)
-            | (bool(write) << 2)
-            | (bool(fill_l1) << 1)
-            | bool(fill_l2)
+        key = ((line * self._ncores + core_id) << 3) | (
+            (4 if write else 0) | (2 if fill_l1 else 0) | (1 if fill_l2 else 0)
         )
         rec = self._core_memo.get(key)
         if rec is not None:
@@ -178,8 +177,8 @@ class FastMem:
         self, slice_id: int, paddr: int, *, write: bool = False, now: int = 0
     ):
         line = paddr // CACHELINE_BYTES
-        key = ((line * self._nslices + slice_id) << 1) | bool(write)
-        rec = self._slice_memo.get(key)
+        key = ((line * self._nslices + slice_id) << 1) | (1 if write else 0)
+        rec = self._cha_memo.get(key)
         if rec is not None:
             result, sdict, tag, epochs, sidx, epoch, cache, home = rec
             if epochs[sidx] == epoch:
@@ -200,7 +199,7 @@ class FastMem:
             cache = self._llc[home]
             tag, sidx = divmod(line, cache.num_sets)
             epochs = cache.set_epochs
-            self._slice_memo[key] = (
+            self._cha_memo[key] = (
                 result, cache._sets[sidx], tag, epochs, sidx, epochs[sidx],
                 cache, home,
             )

@@ -20,8 +20,7 @@ specification that layer is checked against; a hierarchy built with
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from ..config import CACHELINE_BYTES, LlcConfig, SystemConfig
 from ..errors import ConfigurationError
@@ -45,9 +44,12 @@ def nuca_slice_hash(line_addr: int, num_slices: int) -> int:
     return x % num_slices
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one timed cacheline access."""
+class AccessResult(NamedTuple):
+    """Outcome of one timed cacheline access.
+
+    A named tuple rather than a frozen dataclass: every cache miss builds
+    one, and the core unpacks it in place.
+    """
 
     latency: int
     level: CacheLevelName
@@ -121,10 +123,6 @@ class MemoryHierarchy:
         self._noc_charge = noc_charge
         self._llc_latency = config.llc.latency_cycles
         self._num_slices = len(self.llc_slices)
-        # line -> home slice memo: the NUCA hash is a pure function of the
-        # line address and slice count, and workloads touch the same lines
-        # millions of times.
-        self._slice_memo: dict[int, int] = {}
         # Hot-path counters bump via the approved ``counter.value += 1``
         # form throughout this module (one attribute store, no method call);
         # see the idiom table in sim/stats.py.
@@ -150,11 +148,8 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ #
 
     def slice_of(self, line_addr: int) -> int:
-        memo = self._slice_memo
-        home = memo.get(line_addr)
-        if home is None:
-            home = memo[line_addr] = nuca_slice_hash(line_addr, self._num_slices)
-        return home
+        """The line's home LLC slice (no memo: the hash is five int ops)."""
+        return nuca_slice_hash(line_addr, self._num_slices)
 
     @staticmethod
     def line_of(paddr: int) -> int:

@@ -15,8 +15,7 @@ Integration schemes reuse this class in different positions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 from ..config import TlbConfig
 from ..sim.stats import StatsRegistry
@@ -27,9 +26,12 @@ from .tlb import Tlb
 PAGE_WALK_CYCLES = 60
 
 
-@dataclass(frozen=True)
-class Translation:
-    """Result of one timed translation."""
+class Translation(NamedTuple):
+    """Result of one timed translation.
+
+    A named tuple rather than a frozen dataclass: the core builds one per
+    load or store, and unpacks it in place.
+    """
 
     paddr: int
     cycles: int
@@ -78,7 +80,8 @@ class Mmu:
             cycles += tlb.config.latency_cycles
             cached_base = tlb.lookup(key)
             if cached_base is not None:
-                self._fill_upper_levels(level, key, cached_base)
+                if level:
+                    self._fill_upper_levels(level, key, cached_base)
                 return Translation(cached_base + offset, cycles, level)
 
         # Full page walk (the functional lookup above already resolved it,

@@ -174,6 +174,10 @@ class AddressSpace:
         self._frame_memo_r.clear()
         self._frame_memo_w.clear()
 
+    def huge_pages(self) -> Iterator[Tuple[int, int]]:
+        """``(huge-page number, base frame)`` for every mapped 2MB page."""
+        return iter(self._huge_pages.items())
+
     def is_mapped(self, vaddr: int) -> bool:
         if vaddr // self.HUGE_PAGE_BYTES in self._huge_pages:
             return True

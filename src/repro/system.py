@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import FallbackConfig, IntegrationScheme, SystemConfig
+from .config import CACHELINE_BYTES, FallbackConfig, IntegrationScheme, SystemConfig
 from .core.abort import AbortCode
 from .core.accelerator import QeiAccelerator, QueryHandle, QueryRequest, QueryStatus
 from .core.integration import SliceState, build_integration
@@ -21,7 +21,7 @@ from .cpu.core import CoreResult, OoOCore
 from .cpu.trace import Trace
 from .datastructs.base import ProcessMemory
 from .errors import ConfigurationError, MemoryError_
-from .mem.hierarchy import MemoryHierarchy
+from .mem.hierarchy import MemoryHierarchy, nuca_slice_hash
 from .mem.mmu import Mmu
 from .noc.mesh import MeshNoc
 from .sim.engine import Engine
@@ -416,23 +416,31 @@ class System:
         LLC-resident at measurement time.  This fills LLC slices directly —
         private caches and TLBs stay cold and warm organically during the
         run, for both the software baseline and QEI.
+
+        Lines are bucketed by home slice, in mapping order, and each slice
+        takes its bucket in one :meth:`~repro.mem.cache.Cache.fill_lines`.
         """
-        page = self.space.page_bytes
-        lines_per_page = page // 64
+        space = self.space
+        page = space.page_bytes
+        lines_per_page = page // CACHELINE_BYTES
         pairs = []
-        for vpn, entry in self.space.page_table:
+        runs = []  # (first line, line count) per mapping
+        for vpn, entry in space.page_table:
             pairs.append((vpn, entry.frame_number * page))
-            base_line = entry.frame_number * lines_per_page
-            for i in range(lines_per_page):
-                line = base_line + i
-                self.hierarchy.llc_slices[self.hierarchy.slice_of(line)].fill(line)
-        huge = self.space.HUGE_PAGE_BYTES
-        for hpn, base_frame in getattr(self.space, "_huge_pages", {}).items():
-            pairs.append((self.space.HUGE_KEY_BASE + hpn, base_frame * page))
-            base_line = base_frame * lines_per_page
-            for i in range(huge // 64):
-                line = base_line + i
-                self.hierarchy.llc_slices[self.hierarchy.slice_of(line)].fill(line)
+            runs.append((entry.frame_number * lines_per_page, lines_per_page))
+        huge_lines = space.HUGE_PAGE_BYTES // CACHELINE_BYTES
+        for hpn, base_frame in space.huge_pages():
+            pairs.append((space.HUGE_KEY_BASE + hpn, base_frame * page))
+            runs.append((base_frame * lines_per_page, huge_lines))
+        slices = self.hierarchy.llc_slices
+        num_slices = len(slices)
+        buckets = [[] for _ in slices]
+        add = [bucket.append for bucket in buckets]
+        for first, count in runs:
+            for line in range(first, first + count):
+                add[nuca_slice_hash(line, num_slices)](line)
+        for cache, lines in zip(slices, buckets):
+            cache.fill_lines(lines)
         self.integration.warm_translations(pairs)
 
     def flush_caches(self) -> None:

@@ -1,9 +1,12 @@
 """Reference OoO core step: the test oracle for ``cpu/core.py``.
 
-This is the original one-op-at-a-time ``CoreExecution.step`` body and its
-``OoOCore._execute_op`` dispatcher, kept unchanged except that the removed
-``MicroOp.is_load_like()`` / ``is_store_like()`` helpers are spelled out as
-``op.kind in LOAD_LIKE`` / ``STORE_LIKE``, which is what they returned.
+This is the original one-op-at-a-time ``CoreExecution.step`` body, its
+``OoOCore._execute_op`` dispatcher and the ``OoOCore._memory_latency``
+helper that timed every load and store, kept unchanged except that the
+removed ``MicroOp.is_load_like()`` / ``is_store_like()`` helpers are
+spelled out as ``op.kind in LOAD_LIKE`` / ``STORE_LIKE``, which is what
+they returned, and that ``_memory_latency`` takes the core as its first
+argument.
 
 It keeps a separate ``_rob`` list beside ``_completion``, unbounded LQ/SQ
 lists, re-reads the config on every op and resolves every completion in
@@ -30,6 +33,25 @@ def _as_cycle(value: object) -> int:
     return value.resolve()  # type: ignore[union-attr]
 
 
+def _memory_latency(
+    core: OoOCore, vaddr: Optional[int], now: int, write: bool, res: CoreResult
+) -> int:
+    if vaddr is None:
+        raise SimulationError("memory op without an address")
+    translation = core.mmu.translate(vaddr, "w" if write else "r")
+    # An L1-dTLB hit overlaps with cache access; misses add cycles.
+    translation_cost = (
+        0 if translation.tlb_hit_level == 0 else translation.cycles
+    )
+    access = core.hierarchy.access_from_core(
+        core.core_id, translation.paddr, write=write, now=now
+    )
+    level = access.level.value
+    res.level_breakdown[level] = res.level_breakdown.get(level, 0) + 1
+    res.memory_cycles += access.latency + translation_cost
+    return translation_cost + access.latency
+
+
 def _execute_op(
     core: OoOCore,
     op: MicroOp,
@@ -50,14 +72,14 @@ def _execute_op(
 
     if op.kind is OpKind.LOAD:
         result.loads += 1
-        latency = core._memory_latency(op.vaddr, ready, write=False, res=result)
+        latency = _memory_latency(core, op.vaddr, ready, write=False, res=result)
         return ready + latency
 
     if op.kind is OpKind.STORE:
         result.stores += 1
         # Stores retire through the store buffer: the pipeline sees a
         # 1-cycle cost; the cache access is charged for statistics.
-        core._memory_latency(op.vaddr, ready, write=True, res=result)
+        _memory_latency(core, op.vaddr, ready, write=True, res=result)
         return ready + 1
 
     if op.kind in (OpKind.QUERY_B, OpKind.QUERY_NB, OpKind.WAIT_RESULT):

@@ -12,8 +12,8 @@ for a hierarchy built without a NoC, which used to hold its own bound
 hop-latency method, and for the load balancer's resolved requests, which
 used to sit in a cycle with their timeout events.  A cluster's pickled
 replica image lives only while the cluster is being built, and a finished
-chaos drill drops the events still queued on its engine, which used to
-hold whole fleets in a cycle.
+chaos drill, like each perfbench cluster round, drops the events still
+queued on its engine, which used to hold whole fleets in a cycle.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import pytest
 
 from repro import small_config
 from repro.analysis import experiments
+from repro.analysis.perfbench import bench_cluster
 from repro.core.cfa import OP_UPDATE
 from repro.core.mutations import make_mutator
 from repro.core.programs import HashOfListsCfa
@@ -259,6 +260,19 @@ def test_finished_drill_leaves_no_cyclic_garbage():
             "cha-tlb", seed=9, requests=400, nodes=6, replication=2, quorum=2,
             verify=False,
         )
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def test_perfbench_cluster_rounds_leave_no_cyclic_garbage():
+    # A finished round's cluster still has probes and request timeouts
+    # queued on its engine; they held the fleet in a cycle with it.
+    gc.collect()
+    gc.disable()
+    try:
+        bench_cluster(requests=100, nodes=4)
         unreachable = gc.collect()
     finally:
         gc.enable()

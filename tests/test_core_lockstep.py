@@ -10,6 +10,12 @@ external ops that complete either at a known cycle or through a promise
 whose resolution is logged.  Every :class:`CoreResult` field, the level
 breakdown, the core's stats counters and the order in which promises are
 resolved must be equal.
+
+The loop times loads and stores inline (translate, access, unpack).  A
+second geometry, with tiny private caches and more pages than the L1 dTLB
+holds, sends random load and store streams through every translation
+outcome (L1-dTLB hit, L2-TLB hit, page walk) and every cache level; there
+the MMU and TLB counters must be equal too.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from repro import small_config  # noqa: E402
+from repro.config import CacheConfig  # noqa: E402
 from repro.core.isa import CompletionPromise  # noqa: E402
 from repro.cpu import OoOCore  # noqa: E402
 from repro.cpu.isa import OpKind  # noqa: E402
@@ -47,16 +54,29 @@ SETTINGS = settings(
 )
 
 
-def build_cores(windows, num_cores=1):
+#: The wide geometry: twice the L1 dTLB's 64 entries, and private caches
+#: of 1KB (L1, 2-way) and 8KB (L2, 4-way) so reuse reaches L2 and the LLC.
+WIDE_PAGES = 128
+WIDE_LINES = WIDE_PAGES * 4096 // 64
+
+
+def build_cores(windows, num_cores=1, wide=False):
     """Fresh cores sharing one hierarchy and one mapped address space."""
     cfg = small_config()
+    if wide:
+        cfg = dataclasses.replace(
+            cfg,
+            core=dataclasses.replace(
+                cfg.core, l1d=CacheConfig(1024, 2, 4), l2=CacheConfig(8192, 4, 14)
+            ),
+        )
     rob, lq, sq = windows
     core_cfg = dataclasses.replace(
         cfg.core, rob_entries=rob, load_queue_entries=lq, store_queue_entries=sq
     )
     hierarchy = MemoryHierarchy(cfg)
     space = AddressSpace(PhysicalMemory(cfg.memory_bytes))
-    for page in range(1, PAGES + 1):
+    for page in range(1, (WIDE_PAGES if wide else PAGES) + 1):
         space.map_page(page * 4096)
     return [
         OoOCore(c, core_cfg, hierarchy, Mmu(space, [cfg.core.l1_dtlb, cfg.core.l2_tlb]))
@@ -129,11 +149,11 @@ def make_external(log):
     return external
 
 
-def run_both(specs, windows, chunks=None):
+def run_both(specs, windows, chunks=None, wide=False):
     """Run one trace through the core loop and through the reference."""
     trace = make_trace(specs)
-    (new_core,) = build_cores(windows)
-    (ref_core,) = build_cores(windows)
+    (new_core,) = build_cores(windows, wide=wide)
+    (ref_core,) = build_cores(windows, wide=wide)
     new_log, ref_log = [], []
     if chunks is None:
         new = new_core.execute(trace, start_cycle=5, external=make_external(new_log))
@@ -160,6 +180,7 @@ def assert_same(new, ref, new_log, ref_log, new_core, ref_core):
     assert new_log == ref_log
     assert new_core.stats.snapshot() == ref_core.stats.snapshot()
     assert new_core.hierarchy.stats.snapshot() == ref_core.hierarchy.stats.snapshot()
+    assert new_core.mmu.stats.snapshot() == ref_core.mmu.stats.snapshot()
 
 
 @given(specs=TRACE_SPECS, windows=st.sampled_from(WINDOWS))
@@ -189,6 +210,60 @@ def test_windows_saturate_on_default_core():
     assert ref_log, "no promise was ever resolved"
     # A full window throttles dispatch: far below 4 ops per cycle.
     assert new.cycles > len(specs) // 2
+
+
+#: A load or store over the wide geometry: a hot line, a line in a hot
+#: page, or any line, so each translation outcome and cache level recurs.
+MEM_OP = st.tuples(
+    st.sampled_from([OpKind.LOAD, OpKind.STORE]),
+    st.lists(st.integers(-1, 40), max_size=2),
+    st.one_of(
+        st.integers(0, 15),
+        st.integers(0, 4 * 64 - 1),
+        st.integers(0, WIDE_LINES - 1),
+    ),
+    st.just(False),
+    st.none(),
+    st.just(False),
+    st.just(0),
+)
+
+
+@given(
+    specs=st.lists(st.one_of(MEM_OP, MEM_OP, OP), min_size=1, max_size=300),
+    windows=st.sampled_from(WINDOWS),
+)
+@SETTINGS
+def test_memory_ops_match_reference_on_every_outcome(specs, windows):
+    # memory_cycles, level_breakdown and the MMU/TLB counters included.
+    assert_same(*run_both(specs, windows, wide=True))
+
+
+def outcome_counts(core, result):
+    """Translation outcomes and cache levels one execution reached."""
+    mmu = core.mmu.stats.snapshot()
+    return (
+        mmu["mmu.tlb0.hits"],  # L1-dTLB hits
+        mmu["mmu.tlb1.hits"],  # L2-TLB hits
+        mmu["mmu.page_walks"],
+        *(result.level_breakdown.get(lv, 0) for lv in ("l1", "l2", "llc", "dram")),
+    )
+
+
+@pytest.mark.parametrize("kind", [OpKind.LOAD, OpKind.STORE])
+def test_wide_stream_reaches_every_outcome(kind):
+    """A seeded stream of one kind takes all 3 translations and 4 levels."""
+    rng = random.Random(7)
+    lines = [rng.choice([rng.randrange(16), rng.randrange(WIDE_LINES)])
+             for _ in range(1500)]
+    specs = [(kind, [], line, False, None, False, 0) for line in lines]
+    new, ref, new_log, ref_log, new_core, ref_core = run_both(
+        specs, WINDOWS[1], wide=True
+    )
+    assert_same(new, ref, new_log, ref_log, new_core, ref_core)
+    counts = outcome_counts(new_core, new)
+    assert all(counts), counts
+    assert counts == outcome_counts(ref_core, ref)
 
 
 @contextlib.contextmanager
@@ -243,10 +318,14 @@ def stop_state(execution, run):
     raise AssertionError("trace did not raise")
 
 
-def stop_states(trace, windows):
+def stop_states(trace, windows, wide=False):
     """Where the core loop and the reference stop on a trace that raises."""
-    new = build_cores(windows)[0].begin(trace, external=make_external([]))
-    ref = ReferenceExecution(build_cores(windows)[0], trace, external=make_external([]))
+    new = build_cores(windows, wide=wide)[0].begin(
+        trace, external=make_external([])
+    )
+    ref = ReferenceExecution(
+        build_cores(windows, wide=wide)[0], trace, external=make_external([])
+    )
 
     def step_reference():
         while not ref.finished:
@@ -282,3 +361,22 @@ def test_unmapped_load_faults_at_same_index():
     assert new_state == ref_state
     assert new_state[0] is SegmentationFault
     assert new_state[2] == 17
+
+
+@given(
+    specs=st.lists(st.one_of(MEM_OP, OP), min_size=1, max_size=80),
+    bad=st.integers(0, 79),
+    kind=st.sampled_from([OpKind.LOAD, OpKind.STORE]),
+    windows=st.sampled_from(WINDOWS),
+)
+@SETTINGS
+def test_memory_op_without_address_raises_at_same_index(specs, bad, kind, windows):
+    bad %= len(specs)
+    trace = make_trace(specs)
+    trace.kinds[bad] = kind
+    trace.args[bad] = None
+    new_state, ref_state = stop_states(trace, windows, wide=True)
+    assert new_state == ref_state
+    assert new_state[0] is SimulationError
+    assert new_state[1] == "memory op without an address"
+    assert new_state[2] == bad
