@@ -10,32 +10,27 @@ table/figure, ablation, or serving run from the shell::
     qei serve --scheme cha-tlb --tenants 4 --requests 20000
     qei all --jobs 4            # shard experiments over worker processes
     qei all --no-cache          # ignore + skip the on-disk result cache
-    qei all --no-snapshot       # rebuild workloads instead of reusing snapshots
     qei fig7 --profile fig7.prof  # cProfile the run, dump stats to fig7.prof
     qei perfbench --quick       # simulator throughput bench -> BENCH_sim.json
 
 Results print as the same fixed-width tables the benchmark harness shows,
 byte-identical whether computed serially, in parallel, or from cache.
 Unknown experiment names exit with status 2 and a one-line hint.
+
+Each experiment receives exactly the options its driver's signature names
+(:func:`experiment_kwargs`); there are no environment variables and no
+run modes to set.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Dict
 
 from .analysis.parallel import plan_tasks, run_tasks
-from .analysis.registry import (
-    EXPERIMENTS,
-    TAKES_CHAOS,
-    TAKES_CLUSTER,
-    TAKES_QUICK,
-    TAKES_QUORUM,
-    TAKES_SEEDED,
-    TAKES_SERVE,
-    TAKES_WORKLOADS,
-)
+from .analysis.registry import EXPERIMENTS
 from .analysis.rescache import ResultCache
 from .config import IntegrationScheme
 
@@ -63,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workloads",
         nargs="+",
         metavar="NAME",
-        help="restrict to these workloads (dpdk jvm rocksdb snort flann)",
+        help="restrict every experiment that takes a workload list to these "
+        "workloads (dpdk jvm rocksdb snort flann)",
     )
     parser.add_argument(
         "--json",
@@ -83,12 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the on-disk result cache (.repro_cache/)",
     )
     parser.add_argument(
-        "--no-snapshot",
-        action="store_true",
-        help="disable warm-system snapshot reuse; rebuild every workload "
-        "from scratch (also: QEI_NO_SNAPSHOT=1)",
-    )
-    parser.add_argument(
         "--profile",
         metavar="PATH",
         help="wrap the run in cProfile and dump stats to PATH "
@@ -97,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="result cache directory (default .repro_cache/, or $REPRO_CACHE_DIR)",
+        help="result cache directory (default .repro_cache/)",
     )
     parser.add_argument(
         "--seed",
@@ -130,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scheme",
         choices=[s.value for s in IntegrationScheme],
-        help="serve/chaos/cluster-chaos/recovery-chaos: run one integration scheme "
-        "(default: all five for serve, cha-tlb for the chaos verbs)",
+        help="run one integration scheme in every experiment that takes a "
+        "scheme (default: each experiment's own — all five for the figures "
+        "and serve, cha-tlb for the chaos verbs)",
     )
     parser.add_argument(
         "--tenants",
@@ -243,44 +234,29 @@ def soak(args: argparse.Namespace) -> int:
 def experiment_kwargs(name: str, args: argparse.Namespace) -> Dict:
     """The kwargs ``run`` passes to ``EXPERIMENTS[name]`` for these flags.
 
-    ``--requests`` and ``--nodes`` are forwarded only when given, so each
-    experiment keeps its own default sizes otherwise.
+    Each value goes to the driver only when its signature has a parameter
+    of that name.  ``--workloads``, ``--scheme``, ``--requests`` and
+    ``--nodes`` are forwarded only when given, so each experiment keeps its
+    own defaults otherwise.
     """
-    kwargs: Dict = {}
-    if name in TAKES_QUICK:
-        kwargs["quick"] = not args.full
-    if name in TAKES_WORKLOADS and args.workloads:
-        kwargs["workloads"] = args.workloads
-    if name in TAKES_SEEDED:
-        kwargs["seed"] = args.seed
-        kwargs["faults"] = args.faults
-        kwargs["repeats"] = args.repeats
-    if name in TAKES_SERVE:
-        kwargs["tenants"] = args.tenants
-        kwargs["seed"] = args.seed
-        kwargs["closed_loop"] = args.closed_loop
-        if args.scheme:
-            kwargs["schemes"] = [args.scheme]
-    if name in TAKES_CHAOS:
-        kwargs["tenants"] = args.tenants
-        kwargs["seed"] = args.seed
-        kwargs["repeats"] = args.repeats
-        if args.scheme:
-            kwargs["schemes"] = [args.scheme]
-    if name in TAKES_CLUSTER:
-        kwargs["tenants"] = args.tenants
-        kwargs["seed"] = args.seed
-        kwargs["repeats"] = args.repeats
-        kwargs["replication"] = args.replication
-        if args.nodes is not None:
-            kwargs["nodes"] = args.nodes
-        if args.scheme:
-            kwargs["schemes"] = [args.scheme]
-    if name in TAKES_QUORUM:
-        kwargs["quorum"] = args.quorum
-    if args.requests is not None and name in TAKES_SERVE | TAKES_CHAOS | TAKES_CLUSTER:
-        kwargs["requests"] = args.requests
-    return kwargs
+    scheme = args.scheme
+    values = dict(
+        quick=not args.full,
+        workloads=args.workloads,
+        scheme=scheme,
+        schemes=[scheme] if scheme else None,
+        seed=args.seed,
+        faults=args.faults,
+        repeats=args.repeats,
+        tenants=args.tenants,
+        requests=args.requests,
+        closed_loop=args.closed_loop,
+        nodes=args.nodes,
+        replication=args.replication,
+        quorum=args.quorum,
+    )
+    params = inspect.signature(EXPERIMENTS[name]).parameters
+    return {k: v for k, v in values.items() if k in params and v is not None}
 
 
 def _emit(result, as_json: bool) -> None:
@@ -316,10 +292,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds is not None and args.experiment != "recovery-chaos":
         parser.error("--seeds applies to recovery-chaos only")
-    if args.no_snapshot:
-        from .analysis import snapshot
-
-        snapshot.set_enabled(False)
     if args.profile:
         import cProfile
 

@@ -19,10 +19,10 @@ Times the three layers the hot-path work targets and writes the numbers to
   read/write service mixes (95/5 and 50/50, schema 4);
 * **cee** — CEE steps/sec through a pure accelerator drain (schema 6;
   reported under the ``on`` key, the only CEE driver since schema 8).
-* **mem** — memory-hierarchy accesses/sec and warm_lines lines/sec with
-  the epoch-memoized fast path on vs off (schema 7): a hot line-reuse
-  stream through :class:`~repro.mem.hierarchy.MemoryHierarchy`, so the
-  pair isolates what the memo layer saves per timed access.
+* **mem** — memory-hierarchy accesses/sec and warm_lines lines/sec
+  through the epoch-memoized fast path (schema 7), a hot line-reuse
+  stream through :class:`~repro.mem.hierarchy.MemoryHierarchy`; reported
+  under the ``on`` key, the only memory path since schema 9.
 
 ``--baseline PATH`` compares each throughput metric against a previously
 committed ``BENCH_sim.json`` and exits non-zero when any drops by more than
@@ -46,7 +46,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Simulated clock for converting cycle counts to seconds (config.py).
 _FREQUENCY_HZ = 2.5e9
@@ -99,9 +99,9 @@ def bench_queries(workload: str = "dpdk") -> Tuple[Dict[str, float], Dict[str, f
     Build/populate (setup) and the ROI run are timed separately —
     ``queries_per_sec`` is ROI-only, so it measures the simulator's hot
     path rather than dataset population.  Setup reports the best (min)
-    round; with warm-system snapshots enabled, rounds after the first
-    restore from the captured template, so the minimum reflects the cost a
-    sweep actually pays per task.
+    round; rounds after the first restore from the captured warm-system
+    snapshot, so the minimum reflects the cost a sweep actually pays per
+    task.
     """
     from ..workloads.base import run_qei
     from .experiments import SCHEME_ORDER, _build
@@ -270,18 +270,16 @@ def bench_cee(queries: int = 4000, burst: int = 32) -> Dict[str, float]:
 def bench_mem(
     accesses: int = 50_000, lines: int = 64, warm_sweeps: int = 40
 ) -> Dict[str, Dict[str, float]]:
-    """Hierarchy accesses/sec and warm_lines lines/sec, memo on vs off.
+    """Hierarchy accesses/sec and warm_lines lines/sec through the memo.
 
     A hot stream — ``lines`` distinct cache lines revisited round-robin per
     core, small enough to live in L1 — drives the end-to-end timed path
     (``access_from_core``: TLB walk skipped, L1/L2/LLC probe, stats).
     After the first sweep every access is an L1 hit, which is exactly the
-    outcome the epoch memo replays, so the on/off pair isolates the memo
-    layer's saving per access.  The warm leg times
+    outcome the epoch memo replays.  The warm leg times
     :meth:`~repro.mem.hierarchy.MemoryHierarchy.warm_lines` re-sweeping an
-    already-resident line set, the dominant cost of snapshot-free system
-    builds.  The two modes are built with ``fastmem=True`` and
-    ``fastmem=False``.
+    already-resident line set.  Both rates are reported under the ``on``
+    key, the name schema 7 and 8 baselines gate them by.
     """
     from ..config import SystemConfig
     from ..mem.hierarchy import MemoryHierarchy
@@ -294,35 +292,30 @@ def bench_mem(
         for i in range(accesses)
     ]
     warm_paddrs = [line * 64 for line in range(lines)]
-    rates: Dict[str, Dict[str, float]] = {"access": {}, "warm": {}}
-    for mode, fastmem in (("on", True), ("off", False)):
 
-        def one_access_round(fastmem: bool = fastmem) -> float:
-            hierarchy = MemoryHierarchy(
-                config, noc=MeshNoc(config.noc), fastmem=fastmem
-            )
-            access = hierarchy.access_from_core
-            start = time.perf_counter()
-            for core, paddr in stream:
-                access(core, paddr)
-            elapsed = time.perf_counter() - start
-            return accesses / elapsed if elapsed > 0 else 0.0
+    def one_access_round() -> float:
+        hierarchy = MemoryHierarchy(config, noc=MeshNoc(config.noc))
+        access = hierarchy.access_from_core
+        start = time.perf_counter()
+        for core, paddr in stream:
+            access(core, paddr)
+        elapsed = time.perf_counter() - start
+        return accesses / elapsed if elapsed > 0 else 0.0
 
-        def one_warm_round(fastmem: bool = fastmem) -> float:
-            hierarchy = MemoryHierarchy(
-                config, noc=MeshNoc(config.noc), fastmem=fastmem
-            )
-            hierarchy.warm_lines(0, warm_paddrs)  # first sweep: fills
-            start = time.perf_counter()
-            for _ in range(warm_sweeps):
-                hierarchy.warm_lines(0, warm_paddrs)
-            elapsed = time.perf_counter() - start
-            total = warm_sweeps * len(warm_paddrs)
-            return total / elapsed if elapsed > 0 else 0.0
+    def one_warm_round() -> float:
+        hierarchy = MemoryHierarchy(config, noc=MeshNoc(config.noc))
+        hierarchy.warm_lines(0, warm_paddrs)  # first sweep: fills
+        start = time.perf_counter()
+        for _ in range(warm_sweeps):
+            hierarchy.warm_lines(0, warm_paddrs)
+        elapsed = time.perf_counter() - start
+        total = warm_sweeps * len(warm_paddrs)
+        return total / elapsed if elapsed > 0 else 0.0
 
-        rates["access"][mode] = _best_of(ROUNDS, one_access_round)
-        rates["warm"][mode] = _best_of(ROUNDS, one_warm_round)
-    return rates
+    return {
+        "access": {"on": _best_of(ROUNDS, one_access_round)},
+        "warm": {"on": _best_of(ROUNDS, one_warm_round)},
+    }
 
 
 def bench_recovery(requests: int = 200, nodes: int = 4) -> Dict[str, float]:
@@ -354,12 +347,8 @@ def bench_recovery(requests: int = 200, nodes: int = 4) -> Dict[str, float]:
 
 def bench_repro_all() -> float:
     """Wall-clock seconds of a serial, uncached ``python -m repro all``."""
-    from . import snapshot
-
     src = str(Path(__file__).resolve().parents[2])
     env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin:/usr/local/bin"}
-    if not snapshot.enabled():
-        env["QEI_NO_SNAPSHOT"] = "1"
     start = time.perf_counter()
     subprocess.run(
         [sys.executable, "-m", "repro", "all", "--no-cache"],
@@ -373,14 +362,12 @@ def bench_repro_all() -> float:
 
 def run_bench(quick: bool = True) -> Dict:
     """Run every bench tier and return the BENCH_sim.json payload."""
-    from . import snapshot
     from .rescache import code_fingerprint
 
     rates, setups = bench_queries()
     payload: Dict = {
         "schema": SCHEMA_VERSION,
         "quick": quick,
-        "snapshot": snapshot.enabled(),
         "code": code_fingerprint(),
         "engine_events_per_sec": bench_engine(),
         "cee_steps_per_sec": bench_cee(),
@@ -435,6 +422,10 @@ def compare(current: Dict, baseline: Dict, threshold: float) -> Dict[str, Dict]:
     removed fields: the ``specialize``/``fastmem`` provenance and the
     ``cee_steps_per_sec`` ``off`` leg (the CEE has one driver), so a
     schema-7 baseline keeps gating ``cee_steps_per_sec/on`` and the rest.
+    Schema 9 likewise removed the ``mem`` ``off`` legs (production never
+    runs the bare reference walk) and the ``snapshot`` provenance
+    (snapshots are always on), so older baselines keep gating
+    ``mem_accesses_per_sec/on`` and ``mem_warm_lines_per_sec/on``.
     The schema-5 ``recovery`` block (``recovery_seconds``,
     ``replication_lag_p99``) is deterministic simulated time, not host
     throughput, so it is deliberately absent from
@@ -486,14 +477,11 @@ def perfbench_main(
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         mode = "quick" if quick else "full"
-        snap = "snapshots on" if payload["snapshot"] else "snapshots off"
-        print(f"== perfbench ({mode}, {snap}) -> {output} ==")
+        print(f"== perfbench ({mode}) -> {output} ==")
         print(f"engine:  {payload['engine_events_per_sec']:>12,.0f} events/sec")
         print(f"cee:     {payload['cee_steps_per_sec']['on']:>12,.0f} steps/sec")
-        for mem_mode, rate in payload["mem"]["access"].items():
-            print(f"mem:     {rate:>12,.0f} accesses/sec  [fastmem {mem_mode}]")
-        for mem_mode, rate in payload["mem"]["warm"].items():
-            print(f"warm:    {rate:>12,.0f} lines/sec  [fastmem {mem_mode}]")
+        print(f"mem:     {payload['mem']['access']['on']:>12,.0f} accesses/sec")
+        print(f"warm:    {payload['mem']['warm']['on']:>12,.0f} lines/sec")
         for scheme, rate in payload["queries_per_sec"].items():
             setup = payload["setup_seconds"][scheme]
             print(f"queries: {rate:>12,.1f} q/sec (ROI)  setup {setup:.3f}s  [{scheme}]")

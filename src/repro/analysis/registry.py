@@ -1,4 +1,4 @@
-"""The experiment registry: name -> driver, plus per-verb option sets.
+"""The experiment registry: name -> driver, plus the sharding policy.
 
 Lives here (not in ``__main__``) so the parallel runner and the result cache
 can resolve drivers by name inside worker processes without importing the
@@ -68,26 +68,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "cluster-chaos": cluster_chaos_experiment,
     "recovery-chaos": recovery_chaos_experiment,
 }
-
-#: Experiments that accept quick/full and workload filters.
-TAKES_QUICK = {
-    "fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "ablation-qst", "ablation-comparators", "ablation-noc",
-    "ablation-batch", "ablation-microtlb", "ablation-prefetch",
-    "ablation-hugepages",
-    "interference",
-}
-TAKES_WORKLOADS = {"fig1", "fig7", "fig8", "fig9", "fig11", "fig12", "fault-campaign"}
-#: Experiments driven by an explicit seed / fault budget.
-TAKES_SEEDED = {"fault-campaign"}
-#: Experiments driven by the serving-tier options.
-TAKES_SERVE = {"serve"}
-#: The chaos harness: serving options plus determinism repeats.
-TAKES_CHAOS = {"chaos"}
-#: The cluster chaos harness: chaos options plus fleet shape.
-TAKES_CLUSTER = {"cluster-chaos", "recovery-chaos"}
-#: The durability harness additionally takes the write-quorum size.
-TAKES_QUORUM = {"recovery-chaos"}
 
 #: Experiments whose rows are one-per-workload: the parallel runner shards
 #: them into one task per workload and re-merges rows in canonical order, so

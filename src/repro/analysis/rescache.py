@@ -13,14 +13,13 @@ a commit, while result-only reruns hit.
 
 Entries are one JSON file per key under the cache directory (default
 ``.repro_cache/`` in the working directory, override with
-``$REPRO_CACHE_DIR``).  Disable per-run with ``--no-cache``.
+``--cache-dir``).  Disable per-run with ``--no-cache``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -32,11 +31,6 @@ _FINGERPRINT: Optional[str] = None
 
 _SRC_ROOT = Path(__file__).resolve().parents[2]  # .../src
 _REPO_ROOT = _SRC_ROOT.parent
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("REPRO_CACHE_DIR")
-    return Path(env) if env else Path(".repro_cache")
 
 
 def code_fingerprint() -> str:
@@ -83,7 +77,7 @@ class ResultCache:
     """A content-addressed store of serialized :class:`ExperimentResult`s."""
 
     def __init__(self, directory: Optional[Path] = None) -> None:
-        self.directory = Path(directory) if directory else default_cache_dir()
+        self.directory = Path(directory or ".repro_cache")
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"

@@ -15,9 +15,6 @@ Snapshots apply only to default-config systems (``config is None``);
 custom configs (fig8's latency sweep) always build fresh, mirroring the
 ``_PAIR_MEMO`` policy in :mod:`repro.analysis.experiments`.  A workload
 whose state cannot be pickled is never snapshotted and always rebuilds.
-
-``QEI_NO_SNAPSHOT=1`` / ``--no-snapshot`` (:func:`set_enabled`) disables
-this and a cluster's one image per fleet alike.
 """
 
 from __future__ import annotations
@@ -27,9 +24,9 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..system import System
 from ..workloads.base import QueryWorkload
-from ..workloads.snapshot import WorkloadSnapshot, enabled, set_enabled
+from ..workloads.snapshot import WorkloadSnapshot
 
-__all__ = ["WorkloadSnapshot", "capture", "clear", "enabled", "get", "set_enabled"]
+__all__ = ["WorkloadSnapshot", "capture", "clear", "get"]
 
 _Key = Tuple[str, Tuple[Tuple[str, object], ...]]
 
@@ -52,8 +49,6 @@ def _key(name: str, params: dict) -> Tuple[str, Tuple[Tuple[str, object], ...]]:
 
 def get(name: str, params: dict) -> Optional[WorkloadSnapshot]:
     """The captured template for (name, params), or None."""
-    if not enabled():
-        return None
     return _TEMPLATES.get(_key(name, params))
 
 
@@ -65,8 +60,6 @@ def capture(name: str, params: dict, system: System, workload: QueryWorkload) ->
     uncopyable and simply never snapshotted — later builds fall back to
     ordinary repopulation.
     """
-    if not enabled():
-        return
     key = _key(name, params)
     if key in _UNCOPYABLE:
         return

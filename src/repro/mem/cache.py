@@ -10,7 +10,7 @@ approximation — the paper evaluates single-threaded ROIs, Sec. VI-B).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..config import CacheConfig
 from ..sim.stats import StatsRegistry
@@ -75,11 +75,6 @@ class Cache:
         if self._pending_hits:
             self._hits.value += self._pending_hits
             self._pending_hits = 0
-
-    # ------------------------------------------------------------------ #
-
-    def _index_tag(self, line_addr: int) -> Tuple[int, int]:
-        return line_addr % self.num_sets, line_addr // self.num_sets
 
     # ------------------------------------------------------------------ #
 

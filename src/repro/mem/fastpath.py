@@ -11,9 +11,9 @@ This module memoizes that walk, exactly.
 Epoch contract
 --------------
 
-Every :class:`~repro.mem.cache.Cache` (and :class:`~repro.mem.tlb.Tlb`) set
-carries a generation counter, ``set_epochs[index]``, bumped only when line
-*presence* in the set changes: a new-tag fill, an eviction, an invalidate.
+Every :class:`~repro.mem.cache.Cache` set carries a generation counter,
+``set_epochs[index]``, bumped only when line *presence* in the set
+changes: a new-tag fill, an eviction, an invalidate.
 Hits (LRU pop-and-reinsert) and dirty-only refills of an already-present
 tag do **not** bump it.  Therefore:
 
@@ -48,12 +48,15 @@ Replay then reproduces the slow path's *entire* effect:
   reused (it is immutable) — same latency, level, home and hop count by
   construction.
 
-The hierarchy keeps its reference walk (``_access_from_*_slow``), and
-``MemoryHierarchy(fastmem=False)`` builds one without this layer.  The
-golden-stats suite replays its pairs both ways and proves them
-cycle-bit-identical, and ``tests/test_fastmem_properties.py`` drives
-memoized and un-memoized hierarchies in lockstep through random access
-streams asserting equal results and equal final state.
+Every hierarchy binds this layer; there is no switch.  The hierarchy
+keeps its reference walk (``_access_from_*_slow``) for memo misses, and
+the class's own entry points run it directly: the tests get a memo-off
+hierarchy by deleting the instance attributes bound here
+(``tests/mem_reference.py``).  The golden-stats suite replays its pairs
+both ways and proves them cycle-bit-identical, and
+``tests/test_fastmem_properties.py`` drives memoized and un-memoized
+hierarchies in lockstep through random access streams asserting equal
+results and equal final state.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class FastMem:
     The hierarchy rebinds its public ``access_from_core`` /
     ``access_from_slice`` / ``warm_lines`` entry points to the bound methods
     below at construction, so the fast path costs zero extra indirection
-    and the slow path stays byte-identical when the layer is disabled.
+    and the class's reference walk stays untouched beneath it.
     """
 
     __slots__ = (

@@ -9,12 +9,12 @@ how the accelerator avoids private-cache pollution.
 Timing is returned, not scheduled: callers (the core timing model, the QEI
 engine) decide how latencies compose with their own concurrency.
 
-The public access entry points are bound at construction to the
+The public access entry points are always bound at construction to the
 epoch-memoized fast path (:mod:`repro.mem.fastpath`), which replays
-memoized hit outcomes exactly.  The reference walk
-(``_access_from_core_slow`` / ``_access_from_slice_slow``) is the
-specification that layer is checked against; a hierarchy built with
-``fastmem=False`` runs it directly.
+memoized hit outcomes exactly and calls the reference walk
+(``_access_from_core_slow`` / ``_access_from_slice_slow``) on every memo
+miss.  The class's own entry points run that walk directly; the lockstep
+tests reach them by deleting the bound instance attributes.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class MemoryHierarchy:
         hop_latency: Optional[Callable[[int, int], int]] = None,
         noc_charge: Optional[Callable[[int, int, int, int], None]] = None,
         noc=None,
-        fastmem: bool = True,
     ) -> None:
         """Build the hierarchy.
 
@@ -88,10 +87,6 @@ class MemoryHierarchy:
             noc: a :class:`~repro.noc.mesh.MeshNoc` to wire directly —
                 supplies ``hop_latency``/``noc_charge`` defaults and lets
                 the fast path batch its send charges.
-            fastmem: bind the epoch-memoized fast path
-                (:mod:`repro.mem.fastpath`); ``False`` keeps the reference
-                walk, which the property and golden-stats tests compare
-                against.
         """
         self.config = config
         if noc is not None:
@@ -134,16 +129,13 @@ class MemoryHierarchy:
         #: also installs the next line into the L2 off the critical path.
         self.next_line_prefetch = False
         self._prefetches = self.stats.counter("prefetches")
-        #: The epoch-memoized fast path (mem/fastpath.py).  It shadows the
-        #: public access entry points with bound methods that replay
-        #: memoized hit outcomes; ``fastmem=False`` leaves the reference
-        #: slow path untouched.
-        self._fast = None
-        if fastmem:
-            self._fast = fastpath.FastMem(self, noc=noc)
-            self.access_from_core = self._fast.access_from_core
-            self.access_from_slice = self._fast.access_from_slice
-            self.warm_lines = self._fast.warm_lines
+        # The epoch-memoized fast path (mem/fastpath.py) shadows the public
+        # access entry points with bound methods that replay memoized hit
+        # outcomes.
+        fast = fastpath.FastMem(self, noc=noc)
+        self.access_from_core = fast.access_from_core
+        self.access_from_slice = fast.access_from_slice
+        self.warm_lines = fast.warm_lines
 
     # ------------------------------------------------------------------ #
 
@@ -278,9 +270,9 @@ class MemoryHierarchy:
     def warm_lines(self, core_id: int, paddrs: List[int]) -> None:
         """Pre-touch lines so an ROI starts from a warmed cache state.
 
-        With the fast path enabled this entry point is rebound to
+        Each hierarchy rebinds this entry point to
         :meth:`FastMem.warm_lines`, which batches the whole sweep through
-        the memo with hoisted locals (see bench_mem's warm legs).
+        the memo with hoisted locals (see bench_mem's warm leg).
         """
         for paddr in paddrs:
             self.access_from_core(core_id, paddr)

@@ -26,18 +26,10 @@ class Tlb:
         self.associativity = config.associativity
         # Insertion-ordered {vpn: pfn} per set; LRU is pop-and-reinsert.
         self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
-        # Per-set generation counters, bumped on presence changes only
-        # (new-entry insert, eviction, invalidate) — the same epoch contract
-        # as Cache.set_epochs, so fast paths can prove a memoized
-        # translation outcome is still exact (see mem/fastpath.py).
-        self.set_epochs: List[int] = [0] * self.num_sets
         self.stats = (stats or StatsRegistry()).scoped(name)
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
         self._evictions = self.stats.counter("evictions")
-
-    def _set_index(self, vpn: int) -> int:
-        return vpn % self.num_sets
 
     def lookup(self, vpn: int) -> Optional[int]:
         """Return the cached PFN for ``vpn``, updating LRU, or None."""
@@ -52,8 +44,7 @@ class Tlb:
 
     def insert(self, vpn: int, pfn: int) -> None:
         """Fill the TLB after a page walk, evicting LRU if needed."""
-        index = vpn % self.num_sets
-        entry_set = self._sets[index]
+        entry_set = self._sets[vpn % self.num_sets]
         if vpn in entry_set:
             del entry_set[vpn]
             entry_set[vpn] = pfn
@@ -62,20 +53,14 @@ class Tlb:
             del entry_set[next(iter(entry_set))]
             self._evictions.value += 1
         entry_set[vpn] = pfn
-        self.set_epochs[index] += 1  # presence changed: new VPN (± victim)
 
     def invalidate(self, vpn: Optional[int] = None) -> None:
         """Shoot down one VPN, or flush the whole TLB when ``vpn`` is None."""
         if vpn is None:
-            epochs = self.set_epochs
-            for index, entry_set in enumerate(self._sets):
-                if entry_set:
-                    entry_set.clear()
-                    epochs[index] += 1
+            for entry_set in self._sets:
+                entry_set.clear()
             return
-        index = vpn % self.num_sets
-        if self._sets[index].pop(vpn, None) is not None:
-            self.set_epochs[index] += 1
+        self._sets[vpn % self.num_sets].pop(vpn, None)
 
     @property
     def hits(self) -> int:

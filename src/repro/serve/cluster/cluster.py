@@ -37,7 +37,7 @@ from ...sim.engine import Engine
 from ...sim.stats import PercentileSketch, StatsRegistry
 from ...sim.weak import weak_method
 from ...system import System
-from ...workloads import make_workload, snapshot
+from ...workloads import make_workload
 from ...workloads.snapshot import WorkloadSnapshot
 from ..loadgen import ClosedLoopGenerator
 from .lb import FleetSlo, LoadBalancer
@@ -156,8 +156,7 @@ class SimulatedCluster:
                 built = make_workload(
                     workload, system, seed=seed, **CLUSTER_WORKLOADS[workload]
                 )
-                if snapshot.enabled():
-                    image = WorkloadSnapshot(system, built)
+                image = WorkloadSnapshot(system, built)
             else:
                 system, built = image.restore(
                     self.scheme, config=node_config, engine=self.engine

@@ -449,6 +449,3 @@ class System:
         for mmu in self.core_mmus:
             mmu.flush()
         self.integration.flush_translations()
-
-    def warm_structure(self, paddr_lines: list, core_id: int = 0) -> None:
-        self.hierarchy.warm_lines(core_id, paddr_lines)

@@ -29,17 +29,15 @@ ordinary build.
 Two users: the fig7/fig11/fig12 sweeps keep one image per (workload,
 params) across schemes (:mod:`repro.analysis.snapshot`), and a
 :class:`~repro.serve.cluster.SimulatedCluster` builds its first replica
-and restores the others from one image.  ``tests/test_golden_stats.py``,
-the chaos sha256 pins and ``tests/test_cluster.py`` hold both paths to
-the same numbers as cold builds.
-
-Set ``QEI_NO_SNAPSHOT=1`` (or pass ``--no-snapshot`` to ``python -m
-repro``) to disable both and rebuild everything from scratch.
+and restores the others from one image.  Both paths are always on; there
+is no cold-build mode.  ``tests/test_fusion_snapshot.py`` and
+``tests/test_cluster_image.py`` build their cold references in the test
+and hold both paths to the same numbers, as do the golden stats and the
+chaos sha256 pins.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 from typing import Optional, Tuple
@@ -64,19 +62,6 @@ def _dumps(obj) -> bytes:
         return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
     finally:
         sys.setrecursionlimit(old)
-
-_enabled = os.environ.get("QEI_NO_SNAPSHOT", "").lower() not in ("1", "true", "yes")
-
-
-def enabled() -> bool:
-    """Whether warm-system snapshot reuse is active in this process."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Turn snapshot reuse on/off (e.g. ``--no-snapshot``, worker init)."""
-    global _enabled
-    _enabled = bool(value)
 
 
 class WorkloadSnapshot:

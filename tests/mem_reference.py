@@ -1,0 +1,34 @@
+"""A memory hierarchy with the epoch memo unbound: the reference walk.
+
+Every :class:`~repro.mem.hierarchy.MemoryHierarchy` binds the FastMem memo
+(``mem/fastpath.py``) over its public entry points as instance
+attributes.  Deleting them exposes the class's own methods, which run the
+reference walk (``_access_from_*_slow``) directly.  The golden grid's
+``fastmem`` off leg and the lockstep property tests build their slow side
+this way, so ``src/`` keeps no switch for it.
+"""
+
+from __future__ import annotations
+
+from repro.mem.hierarchy import MemoryHierarchy
+
+#: The entry points FastMem binds on each hierarchy instance.
+MEMO_BOUND = ("access_from_core", "access_from_slice", "warm_lines")
+
+
+def memo_off(hierarchy: MemoryHierarchy) -> MemoryHierarchy:
+    """Unbind the memo from ``hierarchy`` in place and return it."""
+    for name in MEMO_BOUND:
+        delattr(hierarchy, name)
+    return hierarchy
+
+
+def memo_off_everywhere(monkeypatch) -> None:
+    """Every hierarchy built while ``monkeypatch`` is active runs unmemoized."""
+    init = MemoryHierarchy.__init__
+
+    def unmemoized_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        memo_off(self)
+
+    monkeypatch.setattr(MemoryHierarchy, "__init__", unmemoized_init)

@@ -235,7 +235,6 @@ def test_replica_image_is_dropped_when_the_cluster_is_built(monkeypatch):
         images.append(weakref.ref(self))
 
     monkeypatch.setattr(Tracked, "__init__", init)
-    monkeypatch.setattr(workload_snapshot, "_enabled", True)
     monkeypatch.setattr(cluster_module, "WorkloadSnapshot", Tracked)
     gc.collect()
     gc.disable()

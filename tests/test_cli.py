@@ -3,7 +3,8 @@
 Pins the shell contract: ``list`` enumerates every experiment sorted,
 each with its driver's own description, and exits 0, unknown experiment
 names exit 2 with a one-line hint, the serve verb honours its flags, size
-flags override an experiment's defaults only when given, the
+flags override an experiment's defaults only when given, every verb gets
+exactly the flags its driver takes, the
 ``recovery-chaos --seeds`` soak prints one line per seed, and
 pyproject.toml installs the ``qei`` entry point.
 """
@@ -78,6 +79,72 @@ def test_size_flags_forwarded_only_when_given():
     )
     kwargs = experiment_kwargs("recovery-chaos", given)
     assert (kwargs["requests"], kwargs["nodes"]) == (200, 4)
+
+
+_FIGURE = ({"quick": True}, True, {"schemes": ["cha-tlb"]})
+_CHAOS = {"seed": 7, "repeats": 2, "tenants": 4}
+
+#: Per verb: its kwargs with no flags (result-cache keys hang on them, so
+#: they must not move), whether ``--workloads dpdk`` reaches it, and what
+#: ``--scheme cha-tlb`` adds (None: the driver takes no scheme).
+VERB_KWARGS = {
+    "ablation-batch": ({"quick": True}, False, None),
+    "ablation-comparators": ({"quick": True}, False, None),
+    "ablation-flush": ({}, False, None),
+    "ablation-hugepages": ({"quick": True}, False, None),
+    "ablation-microtlb": ({"quick": True}, False, None),
+    "ablation-noc": ({"quick": True}, False, None),
+    "ablation-prefetch": ({"quick": True}, True, None),
+    "ablation-qst": ({"quick": True}, False, None),
+    "chaos": (_CHAOS, False, {"schemes": ["cha-tlb"]}),
+    "cluster-chaos": (
+        dict(_CHAOS, replication=2), False, {"schemes": ["cha-tlb"]}
+    ),
+    "fault-campaign": (
+        {"seed": 7, "faults": 1000, "repeats": 2}, True, {"schemes": ["cha-tlb"]}
+    ),
+    "fig1": ({"quick": True}, True, None),
+    "fig7": _FIGURE,
+    "fig8": ({"quick": True}, True, None),
+    "fig9": ({"quick": True}, True, {"scheme": "cha-tlb"}),
+    "fig10": ({"quick": True}, False, {"schemes": ["cha-tlb"]}),
+    "fig11": ({"quick": True}, True, None),
+    "fig12": _FIGURE,
+    "interference": ({"quick": True}, True, None),
+    "recovery-chaos": (
+        dict(_CHAOS, replication=2, quorum=2), False, {"schemes": ["cha-tlb"]}
+    ),
+    "scalability": ({}, False, None),
+    "serve": (
+        {"seed": 7, "tenants": 4, "closed_loop": False},
+        False,
+        {"schemes": ["cha-tlb"]},
+    ),
+    "tab1": ({}, False, None),
+    "tab2": ({}, False, None),
+    "tab3": ({}, False, None),
+}
+
+
+def test_verb_kwargs_table_covers_every_experiment():
+    assert set(VERB_KWARGS) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(VERB_KWARGS))
+def test_each_verb_receives_the_flags_its_driver_takes(name):
+    # A flag the driver takes must reach it, and one it does not take must
+    # not: a silently dropped ``--workloads`` or ``--scheme`` reruns the
+    # experiment's defaults under the user's flags.
+    no_flags, takes_workloads, scheme = VERB_KWARGS[name]
+    parse = build_parser().parse_args
+    assert experiment_kwargs(name, parse([name])) == no_flags
+    workloads = experiment_kwargs(name, parse([name, "--workloads", "dpdk"]))
+    if takes_workloads:
+        assert workloads == dict(no_flags, workloads=["dpdk"])
+    else:
+        assert workloads == no_flags
+    schemes = experiment_kwargs(name, parse([name, "--scheme", "cha-tlb"]))
+    assert schemes == dict(no_flags, **(scheme or {}))
 
 
 def test_qei_console_script_is_registered():

@@ -5,7 +5,8 @@ every other node from one pickled ``WorkloadSnapshot`` of it.  The claim
 is that a restored replica is indistinguishable from a fresh build: the
 same page table, the same frame bytes, the same workload attributes.  And
 since the drills are deterministic, a drill report must not depend on
-whether the image is used (``--no-snapshot`` builds every node).
+whether the image is used: the test builds a cold fleet, every node
+populated, by patching the cluster's image step out.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ def test_restored_replicas_equal_a_fresh_build(monkeypatch, workload):
             restored.append(_image(system, built))
             return system, built
 
-    monkeypatch.setattr(workload_snapshot, "_enabled", True)
     monkeypatch.setattr(cluster_module, "WorkloadSnapshot", Recording)
     cluster = SimulatedCluster("cha-tlb", seed=SEED, workload=workload)
     assert len(restored) == cluster.config.nodes - 1
@@ -112,7 +112,7 @@ def test_no_snapshot_drill_report_is_byte_identical(monkeypatch):
             verify=False,
         ).dump()
 
-    monkeypatch.setattr(workload_snapshot, "_enabled", True)
     restored = drill()
-    monkeypatch.setattr(workload_snapshot, "_enabled", False)
+    # No image: every node finds none and populates its own dataset.
+    monkeypatch.setattr(cluster_module, "WorkloadSnapshot", lambda *args: None)
     assert drill() == restored

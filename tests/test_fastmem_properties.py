@@ -1,13 +1,13 @@
 """Lockstep property tests for the epoch-memoized memory fast path.
 
-Two :class:`MemoryHierarchy` instances — one with the memo layer forced on,
-one with it forced off — are driven through identical random access streams
-(mixed core/slice origin, reads and writes, per-line and whole-cache
-invalidates, private/full flushes, warm sweeps, prefetch on and off).  After
-every access the returned :class:`AccessResult`\\ s must be equal, and at
-the end the *entire* visible state must match: every cache set's contents
-in exact LRU order (dirty bits included), DRAM channel timing, NoC link
-traffic, and the full stats snapshot.
+Two :class:`MemoryHierarchy` instances — one as built, one with the memo
+layer unbound (``tests/mem_reference.py``) — are driven through identical
+random access streams (mixed core/slice origin, reads and writes, per-line
+and whole-cache invalidates, private/full flushes, warm sweeps, prefetch on
+and off).  After every access the returned :class:`AccessResult`\\ s must
+be equal, and at the end the *entire* visible state must match: every cache
+set's contents in exact LRU order (dirty bits included), DRAM channel
+timing, NoC link traffic, and the full stats snapshot.
 
 This is the executable form of the epoch contract documented in
 mem/fastpath.py: if a memoized replay ever diverged from the reference walk
@@ -34,6 +34,8 @@ from repro.config import (  # noqa: E402
 from repro.mem.hierarchy import MemoryHierarchy  # noqa: E402
 from repro.noc.mesh import MeshNoc  # noqa: E402
 from repro.sim.stats import StatsRegistry  # noqa: E402
+
+from .mem_reference import MEMO_BOUND, memo_off  # noqa: E402
 
 NUM_CORES = 2
 #: Line-address universe: small enough that random streams revisit lines
@@ -67,16 +69,16 @@ def _tiny_config() -> SystemConfig:
 def _build_pair():
     config = _tiny_config()
     pair = []
-    for fastmem in (True, False):
+    for _ in range(2):
         # One registry for the mesh and the hierarchy, as in a System, so
         # the hierarchy's snapshot covers the NoC counters too.
         stats = StatsRegistry()
         noc = MeshNoc(config.noc, stats=stats)
-        pair.append(
-            (MemoryHierarchy(config, stats=stats, noc=noc, fastmem=fastmem), noc)
-        )
+        pair.append((MemoryHierarchy(config, stats=stats, noc=noc), noc))
     (fast, fast_noc), (slow, slow_noc) = pair
-    assert fast._fast is not None and slow._fast is None
+    memo_off(slow)
+    assert all(name in vars(fast) for name in MEMO_BOUND)
+    assert not any(name in vars(slow) for name in MEMO_BOUND)
     return fast, fast_noc, slow, slow_noc
 
 

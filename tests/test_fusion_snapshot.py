@@ -20,7 +20,6 @@ from repro.analysis.experiments import _build, workload_params
 from repro.analysis.perfbench import compare
 from repro.sim.engine import Engine
 from repro.workloads import run_qei
-from repro.workloads import snapshot as workload_snapshot
 
 
 def _stats_hash(system) -> str:
@@ -89,14 +88,15 @@ def test_fusion_keeps_engine_event_count(pair):
 
 
 def test_snapshot_restore_is_bit_identical_to_cold_build(monkeypatch):
-    # Cold reference: snapshots disabled, two independent builds.
-    monkeypatch.setattr(workload_snapshot, "_enabled", False)
-    cold_sys, cold_wl = _build("dpdk", "cha-tlb", quick=True)
+    # Cold reference: the image step patched out, so the build populates.
+    with monkeypatch.context() as cold_build:
+        cold_build.setattr(snapshot, "get", lambda name, params: None)
+        cold_build.setattr(snapshot, "capture", lambda *args: None)
+        cold_sys, cold_wl = _build("dpdk", "cha-tlb", quick=True)
     cold = run_qei(cold_sys, cold_wl)
     cold_hash = _stats_hash(cold_sys)
 
     # Snapshot path: first build captures, later builds restore.
-    monkeypatch.setattr(workload_snapshot, "_enabled", True)
     snapshot.clear()
     _build("dpdk", "cha-tlb", quick=True)  # capture template
     params = workload_params("dpdk", True)
@@ -114,8 +114,7 @@ def test_snapshot_restore_is_bit_identical_to_cold_build(monkeypatch):
     snapshot.clear()
 
 
-def test_snapshot_template_isolated_from_restored_runs(monkeypatch):
-    monkeypatch.setattr(workload_snapshot, "_enabled", True)
+def test_snapshot_template_isolated_from_restored_runs():
     snapshot.clear()
     _build("rocksdb", "cha-tlb", quick=True)
 
@@ -132,10 +131,9 @@ def test_snapshot_template_isolated_from_restored_runs(monkeypatch):
     snapshot.clear()
 
 
-def test_custom_config_bypasses_snapshots(monkeypatch):
+def test_custom_config_bypasses_snapshots():
     from repro.config import SystemConfig
 
-    monkeypatch.setattr(workload_snapshot, "_enabled", True)
     snapshot.clear()
     _build("dpdk", "cha-tlb", quick=True, config=SystemConfig())
     assert snapshot.get("dpdk", workload_params("dpdk", True)) is None

@@ -55,8 +55,8 @@ MODES = [
 ]
 
 #: The epoch-memoized memory fast path (mem/fastpath.py) on, or the
-#: hierarchy's reference walk; crossed with the full {fusion, specialize}
-#: grid below.
+#: hierarchy's reference walk with the memo unbound (tests/mem_reference.py);
+#: crossed with the full {fusion, specialize} grid below.
 FASTMEM_MODES = ["on", "off"]
 
 #: Subset of PAIRS replayed across the full mode grid (one sliced scheme,
@@ -75,7 +75,6 @@ def _set_modes(
     # System registers its firmware and builds its own hierarchy, so
     # patching all three before the measurement builds its systems is
     # sufficient.
-    from repro.mem.hierarchy import MemoryHierarchy
     from repro.sim.engine import Engine
 
     if fusion == "off":
@@ -87,7 +86,9 @@ def _set_modes(
 
         cfa_reference.load_oracles(monkeypatch)
     if fastmem == "off":
-        monkeypatch.setitem(MemoryHierarchy.__init__.__kwdefaults__, "fastmem", False)
+        from . import mem_reference
+
+        mem_reference.memo_off_everywhere(monkeypatch)
 
 
 def _snapshot_hash(stats) -> str:

@@ -9,16 +9,16 @@ not pretend to be a plain ``X``.  The sweep found (and PR 10 fixed)
 ``DynamicEnergyModel.energies_pj``.
 
 A second sweep keeps hidden runtime switches out of ``src/``: every
-``os.environ`` / ``os.getenv`` read must be on the allowlist below.  A new
-mode belongs in a constructor argument or a CLI flag, where tests can set
-it without touching the process environment.
+``os.environ`` / ``os.getenv`` read must be on the allowlist below, which
+is empty — ``src/`` reads no environment.  A deployment setting belongs in
+a CLI flag; a test-only mode belongs in ``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCAN_DIRS = ("src", "tests", "benchmarks")
@@ -85,11 +85,8 @@ def test_no_implicit_optional_defaults():
 
 
 #: The only environment reads ``src/`` may make: file -> the one variable
-#: its reads must name.
-ENV_ALLOWLIST = {
-    "src/repro/analysis/rescache.py": "REPRO_CACHE_DIR",
-    "src/repro/workloads/snapshot.py": "QEI_NO_SNAPSHOT",
-}
+#: its reads must name.  Empty: it may shrink, never widen.
+ENV_ALLOWLIST: Dict[str, str] = {}
 _ENV_NAMES = ("environ", "environb", "getenv")
 
 

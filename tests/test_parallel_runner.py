@@ -97,9 +97,8 @@ def test_run_tasks_serves_hits_from_cache_without_recompute(tmp_path):
     assert calls == [("get", "tab1"), ("get", "tab1")]
 
 
-def test_cached_cli_rerun_output_identical(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    argv = ["tab1"]
+def test_cached_cli_rerun_output_identical(capsys, tmp_path):
+    argv = ["tab1", "--cache-dir", str(tmp_path)]
     cold = _cli_output(capsys, argv)
     assert list(tmp_path.glob("*.json")), "expected a cache entry on disk"
     warm = _cli_output(capsys, argv)
