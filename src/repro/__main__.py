@@ -203,15 +203,13 @@ def soak(args: argparse.Namespace) -> int:
 
     from .faults.chaos import recovery_soak
 
-    shape = dict(
-        tenants=args.tenants, replication=args.replication, quorum=args.quorum
-    )
-    if args.requests is not None:
-        shape["requests"] = args.requests
-    if args.nodes is not None:
-        shape["nodes"] = args.nodes
+    # The single-seed verb's fleet and load kwargs; the soak supplies the
+    # seeds and judges each seed once.
+    shape = experiment_kwargs("recovery-chaos", args)
+    del shape["seed"], shape["repeats"]
+    (scheme,) = shape.pop("schemes", ["cha-tlb"])
     failed = []
-    for row in recovery_soak(args.seeds, args.scheme or "cha-tlb", **shape):
+    for row in recovery_soak(args.seeds, scheme, **shape):
         if row["problems"]:
             failed.append(row["seed"])
         if args.json:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from ..config import QeiConfig, SystemConfig
+from ..config import SystemConfig
 from ..core.integration import CoreIntegratedScheme
 from ..system import System
 from ..workloads import make_workload, run_baseline, run_qei

@@ -9,7 +9,7 @@ workload sizes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import (
     DEFAULT_SCHEME_LATENCIES,

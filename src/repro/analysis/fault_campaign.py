@@ -21,19 +21,22 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import IntegrationScheme, small_config
 from ..core.abort import AbortCode
-from ..core.accelerator import QueryRequest, QueryStatus
-from ..core.cfa import RESULT_ABORTED
-from ..core.isa import read_result
-from ..errors import ReproError
+from ..core.accelerator import QueryStatus
 from ..core.cfa import OP_UPDATE
 from ..core.header import VERSION_OFFSET
+from ..core.isa import read_result
+from ..core.programs import HashOfListsCfa
+from ..core.programs_ext import BPlusTreeCfa
+from ..errors import ReproError
 from ..faults import FaultInjector, FaultKind
-from ..faults.injector import MASKABLE_KINDS, WRITE_KINDS
+from ..faults.injector import EXPECTED_CODES, MACHINE_KINDS, MASKABLE_KINDS, WRITE_KINDS
 from ..system import System
 from ..workloads import make_workload
 from .experiments import SCHEME_ORDER
@@ -54,7 +57,7 @@ CAMPAIGN_WORKLOADS: Dict[str, dict] = {
 #: small enough that an injected pointer cycle aborts in milliseconds.
 CAMPAIGN_WATCHDOG_STEPS = 10_000
 
-#: Non-blocking queries submitted per interrupt-flush event.
+#: Non-blocking queries in flight per batch fault (flush, slice, swap, storm).
 FLUSH_BATCH = 4
 
 #: Cycles after the abort at which the "OS" repairs an unmapped page, so
@@ -100,25 +103,60 @@ def _build_target(
 
 
 # --------------------------------------------------------------------- #
-# Per-fault protocol
+# Per-fault protocol: each handler returns its outcome label or raises
+# CampaignViolation.
 # --------------------------------------------------------------------- #
 
 
-def _run_memory_fault(
-    target: _Target, kind: FaultKind, qidx: int, counts: Dict[str, int]
-) -> Optional[str]:
-    """Inject one memory-state fault, run the query, enforce the invariant.
+def _settle(target: _Target, kind: FaultKind, qidx: int, handle) -> bool:
+    """Settle one query after a ``kind`` fault; True when it aborted.
 
-    Returns a violation description, or None when the contract held.
+    An abort must carry one of the kind's expected codes, in the handle and
+    in a non-blocking query's result record, and its software fallback must
+    return the oracle.  A completion must return the oracle.
     """
+    system, wl = target.system, target.workload
+    oracle = wl.expected[qidx]
+    if not handle.done:
+        # Completed but its completion event posts later, or still in the
+        # submit network (the fault missed it): either way, run it out.
+        system.accelerator.wait_for(handle)
+    if handle.status not in (QueryStatus.ABORTED, QueryStatus.FAULT):
+        if handle.value != oracle:
+            raise CampaignViolation(
+                f"completed query returned {handle.value!r}, oracle {oracle!r}"
+            )
+        return False
+    codes = EXPECTED_CODES[kind]
+    if handle.abort_code not in codes:
+        raise CampaignViolation(
+            f"query aborted with {handle.abort_code.name}, expected one of "
+            f"{[c.name for c in codes]}"
+        )
+    if handle.request.result_addr:
+        # A query aborted while still queued for a QST entry leaves its
+        # record pending (code NONE); any code written must be expected.
+        _, _, recorded = read_result(system.space, handle.request.result_addr)
+        if recorded is not AbortCode.NONE and recorded not in codes:
+            raise CampaignViolation(f"result record holds {recorded.name}")
+    outcome = system.fallback.run_software(
+        lambda: wl.software_lookup(qidx), abort_code=handle.abort_code
+    )
+    if not outcome.resolved or outcome.value != oracle:
+        raise CampaignViolation(
+            f"fallback returned {outcome.value!r}, oracle {oracle!r}"
+        )
+    return True
+
+
+def _memory_fault(target: _Target, kind: FaultKind, rng: random.Random) -> str:
+    """Inject one memory-state fault and run one query through the fallback
+    executor, healing as the OS-repair hook."""
     system, wl, injector = target.system, target.workload, target.injector
+    qidx = rng.randrange(len(wl.queries))
     oracle = wl.expected[qidx]
     fault = injector.inject(kind, wl.header_addr_for(qidx))
-    request = QueryRequest(
-        header_addr=wl.header_addr_for(qidx),
-        key_addr=wl._query_addrs[qidx],
-        blocking=True,
-    )
+    before_retry = injector.heal
     if kind is FaultKind.PAGE_UNMAP:
         # Leave the damage in place briefly: the first software retry hits
         # the still-missing page and the exponential backoff does real work.
@@ -133,11 +171,9 @@ def _run_memory_fault(
         before_retry = lambda: system.engine.schedule(  # noqa: E731
             PAGE_REPAIR_DELAY, repair
         )
-    else:
-        before_retry = injector.heal
     try:
         outcome = system.fallback.execute(
-            request, lambda: wl.software_lookup(qidx), before_retry=before_retry
+            wl.request(qidx), lambda: wl.software_lookup(qidx), before_retry=before_retry
         )
     finally:
         if injector.armed:
@@ -145,236 +181,131 @@ def _run_memory_fault(
 
     if outcome.accelerated:
         if kind not in MASKABLE_KINDS:
-            return (
-                f"{kind.value}: header fault must abort, but the query "
-                f"completed with {outcome.value!r}"
+            raise CampaignViolation(
+                f"header fault must abort, but the query completed with {outcome.value!r}"
             )
         if outcome.value == oracle:
-            counts["masked"] = counts.get("masked", 0) + 1
-            return None
-        if kind is FaultKind.KEY_FLIP:
-            # Silent data corruption: the only kind allowed to complete
-            # with a wrong answer.  The oracle cross-check catches it and
-            # the healed software path must agree with the oracle.
-            if wl.software_lookup(qidx) != oracle:
-                return f"{kind.value}: healed software result disagrees with oracle"
-            counts["mismatch-detected"] = counts.get("mismatch-detected", 0) + 1
-            return None
-        return (
-            f"{kind.value}: silent wrong answer {outcome.value!r} "
-            f"(oracle {oracle!r})"
-        )
-
+            return "masked"
+        if kind is not FaultKind.KEY_FLIP:
+            raise CampaignViolation(
+                f"silent wrong answer {outcome.value!r} (oracle {oracle!r})"
+            )
+        # Silent data corruption: the only kind allowed to complete with a
+        # wrong answer.  The oracle cross-check catches it and the healed
+        # software path must agree with the oracle.
+        if wl.software_lookup(qidx) != oracle:
+            raise CampaignViolation("healed software result disagrees with oracle")
+        return "mismatch-detected"
     code = outcome.abort_code
     if code not in fault.expected:
-        return (
-            f"{kind.value}: aborted with {code.name}, expected one of "
-            f"{[c.name for c in fault.expected]}"
+        raise CampaignViolation(
+            f"aborted with {code.name}, expected one of {[c.name for c in fault.expected]}"
         )
-    if not outcome.resolved:
-        return f"{kind.value}: software fallback exhausted its retry budget"
-    if outcome.value != oracle:
-        return (
-            f"{kind.value}: fallback returned {outcome.value!r}, "
+    if not outcome.resolved or outcome.value != oracle:
+        raise CampaignViolation(
+            f"fallback returned {outcome.value!r} (resolved {outcome.resolved}), "
             f"oracle {oracle!r}"
         )
-    counts[f"abort.{code.name.lower()}"] = (
-        counts.get(f"abort.{code.name.lower()}", 0) + 1
-    )
-    return None
+    return f"abort.{code.name.lower()}"
 
 
-def _run_flush_fault(
-    target: _Target, rng: random.Random, counts: Dict[str, int]
-) -> Optional[str]:
-    """Raise an interrupt with non-blocking queries in flight."""
-    system, wl = target.system, target.workload
-    space = system.space
-    indices = [rng.randrange(len(wl.queries)) for _ in range(FLUSH_BATCH)]
-    handles = []
-    for j, qidx in enumerate(indices):
-        result_addr = target.nb_result_base + 16 * j
-        space.write_u64(result_addr, 0)  # RESULT_PENDING
-        space.write_u64(result_addr + 8, 0)
-        handles.append(
-            system.accelerator.submit(
-                QueryRequest(
-                    header_addr=wl.header_addr_for(qidx),
-                    key_addr=wl._query_addrs[qidx],
-                    blocking=False,
-                    result_addr=result_addr,
-                ),
-                system.engine.now,
-            )
-        )
+# Disturb steps of the batch kinds: each runs with FLUSH_BATCH non-blocking
+# queries in flight, before they settle; code after the ``yield`` runs once
+# every query has settled.
+
+
+@contextmanager
+def _interrupt_flush(target: _Target, kind: FaultKind, rng: random.Random):
     # Let an arbitrary amount of progress happen: depending on the scheme's
     # submit latency the queries are queued, in the QST mid-walk, or done.
-    system.engine.advance(rng.randrange(1, 400))
-    finish = system.accelerator.flush()
-    system.engine.run(until=max(finish, system.engine.now))
-
-    aborted = 0
-    for j, (qidx, handle) in enumerate(zip(indices, handles)):
-        if not handle.done:
-            # Completed before the flush but its completion event posts
-            # later, or still in the submit network (it escaped the flush
-            # entirely and will execute normally) — either way, settle it.
-            system.accelerator.wait_for(handle)
-        oracle = wl.expected[qidx]
-        if handle.status is QueryStatus.ABORTED:
-            aborted += 1
-            if handle.abort_code is not AbortCode.FLUSH:
-                return f"flush: aborted handle carries {handle.abort_code.name}"
-            status, _, code = read_result(space, target.nb_result_base + 16 * j)
-            if status == RESULT_ABORTED and code is not AbortCode.FLUSH:
-                return f"flush: result record holds {code.name}, not FLUSH"
-            outcome = system.fallback.run_software(
-                lambda qi=qidx: wl.software_lookup(qi),
-                abort_code=AbortCode.FLUSH,
-            )
-            if not outcome.resolved or outcome.value != oracle:
-                return (
-                    f"flush: fallback returned {outcome.value!r}, "
-                    f"oracle {oracle!r}"
-                )
-        elif handle.value != oracle:
-            return (
-                f"flush: completed query returned {handle.value!r}, "
-                f"oracle {oracle!r}"
-            )
-    key = "abort.flush" if aborted else "masked"
-    counts[key] = counts.get(key, 0) + 1
-    return None
+    engine = target.system.engine
+    engine.advance(rng.randrange(1, 400))
+    finish = target.system.accelerator.flush()
+    engine.run(until=max(finish, engine.now))
+    yield
 
 
-def _submit_nb_batch(
-    target: _Target, rng: random.Random
-) -> Tuple[List[int], List]:
-    """FLUSH_BATCH non-blocking queries in flight, result records cleared."""
+@contextmanager
+def _kill_slice(target: _Target, kind: FaultKind, rng: random.Random):
     system, wl = target.system, target.workload
+    system.engine.advance(rng.randrange(1, 400))
+    homes = system.integration.accelerator_homes()
+    victim = homes[rng.randrange(len(homes))]
+    system.fail_slice(victim)
+    flap = kind is FaultKind.SLICE_FLAP
+    if flap:
+        # Fail/recover inside the same window: queries the kill caught
+        # still abort, but routing snaps straight back to the full set.
+        system.recover_slice(victim)
+    try:
+        yield
+    finally:
+        if not flap:
+            system.recover_slice(victim)
+    # Recovery must restore routing: a blocking probe query on the healed
+    # machine has to complete against the oracle.
+    probe = rng.randrange(len(wl.queries))
+    handle = system.accelerator.submit(wl.request(probe), system.engine.now)
+    system.accelerator.wait_for(handle)
+    if handle.status is QueryStatus.ABORTED or handle.value != wl.expected[probe]:
+        raise CampaignViolation("post-recovery probe did not match the oracle")
+
+
+@contextmanager
+def _swap_firmware(target: _Target, kind: FaultKind, rng: random.Random):
+    # The swap quiesces: in-flight queries drain, then the table commits.
+    system = target.system
+    system.engine.advance(rng.randrange(1, 400))
+    ticket = system.update_firmware([BPlusTreeCfa(), HashOfListsCfa()])
+    system.engine.run()
+    if not ticket.done:
+        raise CampaignViolation("ticket never committed after drain")
+    yield
+
+
+@contextmanager
+def _version_storm(target: _Target, kind: FaultKind, rng: random.Random):
+    # Reads racing writer commits either thread a gap between bumps or
+    # abort; even -> even, each bump is a whole writer win (lock + commit +
+    # release collapsed), the worst case for reader re-validation.
+    system = target.system
+    lock_addr = target.mutator.header_addr + VERSION_OFFSET
+    for _ in range(4):
+        system.engine.advance(rng.randrange(20, 160))
+        system.space.write_u64(lock_addr, system.space.read_u64(lock_addr) + 2)
+    yield
+
+
+_DISTURB = {
+    FaultKind.INTERRUPT_FLUSH: _interrupt_flush,
+    FaultKind.SLICE_FAIL: _kill_slice,
+    FaultKind.SLICE_FLAP: _kill_slice,
+    FaultKind.FIRMWARE_SWAP: _swap_firmware,
+    FaultKind.VERSION_STORM: _version_storm,
+}
+
+
+def _batch_fault(target: _Target, kind: FaultKind, rng: random.Random) -> str:
+    """Disturb the machine with FLUSH_BATCH non-blocking queries in flight,
+    then settle each one against the kind's expected codes."""
+    system, wl = target.system, target.workload
+    if kind in WRITE_KINDS:
+        _ensure_mutator(target)  # armed before the batch is in flight
     indices = [rng.randrange(len(wl.queries)) for _ in range(FLUSH_BATCH)]
     handles = []
     for j, qidx in enumerate(indices):
         result_addr = target.nb_result_base + 16 * j
         system.space.write_u64(result_addr, 0)  # RESULT_PENDING
         system.space.write_u64(result_addr + 8, 0)
-        handles.append(
-            system.accelerator.submit(
-                QueryRequest(
-                    header_addr=wl.header_addr_for(qidx),
-                    key_addr=wl._query_addrs[qidx],
-                    blocking=False,
-                    result_addr=result_addr,
-                ),
-                system.engine.now,
-            )
-        )
-    return indices, handles
-
-
-def _settle_one(
-    target: _Target, label: str, qidx: int, handle
-) -> Optional[str]:
-    """Settle one handle post-fault: SLICE_DOWN -> fallback, else oracle."""
-    system, wl = target.system, target.workload
-    oracle = wl.expected[qidx]
-    if not handle.done:
-        system.accelerator.wait_for(handle)
-    if handle.status is QueryStatus.ABORTED:
-        if handle.abort_code is not AbortCode.SLICE_DOWN:
-            return f"{label}: aborted handle carries {handle.abort_code.name}"
-        outcome = system.fallback.run_software(
-            lambda qi=qidx: wl.software_lookup(qi),
-            abort_code=AbortCode.SLICE_DOWN,
-        )
-        if not outcome.resolved or outcome.value != oracle:
-            return (
-                f"{label}: fallback returned {outcome.value!r}, "
-                f"oracle {oracle!r}"
-            )
-        return "aborted"
-    if handle.value != oracle:
-        return (
-            f"{label}: completed query returned {handle.value!r}, "
-            f"oracle {oracle!r}"
-        )
-    return None
-
-
-def _run_slice_fault(
-    target: _Target,
-    rng: random.Random,
-    counts: Dict[str, int],
-    *,
-    flap: bool,
-) -> Optional[str]:
-    """Kill a slice with queries in flight; flap recovers it immediately."""
-    system = target.system
-    label = "slice-flap" if flap else "slice-fail"
-    indices, handles = _submit_nb_batch(target, rng)
-    system.engine.advance(rng.randrange(1, 400))
-    homes = system.integration.accelerator_homes()
-    victim = homes[rng.randrange(len(homes))]
-    system.fail_slice(victim)
-    if flap:
-        # Fail/recover inside the same window: queries the kill caught
-        # still abort, but routing snaps straight back to the full set.
-        system.recover_slice(victim)
-    aborted = 0
-    try:
-        for qidx, handle in zip(indices, handles):
-            verdict = _settle_one(target, label, qidx, handle)
-            if verdict == "aborted":
-                aborted += 1
-            elif verdict:
-                return verdict
-    finally:
-        if not flap:
-            system.recover_slice(victim)
-    # Recovery must restore routing: a blocking probe query on the healed
-    # machine has to complete against the oracle.
-    probe = rng.randrange(len(target.workload.queries))
-    handle = system.accelerator.submit(
-        QueryRequest(
-            header_addr=target.workload.header_addr_for(probe),
-            key_addr=target.workload._query_addrs[probe],
-            blocking=True,
-        ),
-        system.engine.now,
-    )
-    system.accelerator.wait_for(handle)
-    if (
-        handle.status is QueryStatus.ABORTED
-        or handle.value != target.workload.expected[probe]
-    ):
-        return f"{label}: post-recovery probe did not match the oracle"
-    key = "abort.slice_down" if aborted else "masked"
-    counts[key] = counts.get(key, 0) + 1
-    return None
-
-
-def _run_firmware_swap_fault(
-    target: _Target, rng: random.Random, counts: Dict[str, int]
-) -> Optional[str]:
-    """Hot-swap firmware with queries in flight: drain, commit, no aborts."""
-    from ..core.programs import HashOfListsCfa
-    from ..core.programs_ext import BPlusTreeCfa
-
-    system = target.system
-    indices, handles = _submit_nb_batch(target, rng)
-    system.engine.advance(rng.randrange(1, 400))
-    ticket = system.update_firmware([BPlusTreeCfa(), HashOfListsCfa()])
-    system.engine.run()
-    if not ticket.done:
-        return "firmware-swap: ticket never committed after drain"
-    for qidx, handle in zip(indices, handles):
-        verdict = _settle_one(target, "firmware-swap", qidx, handle)
-        if verdict == "aborted":
-            return "firmware-swap: a quiesced query aborted instead of draining"
-        if verdict:
-            return verdict
-    counts["firmware-swap"] = counts.get("firmware-swap", 0) + 1
-    return None
+        handles.append(system.accelerator.submit(
+            wl.request(qidx, blocking=False, result_addr=result_addr), system.engine.now
+        ))
+    with _DISTURB[kind](target, kind, rng):
+        aborted = sum(_settle(target, kind, q, h) for q, h in zip(indices, handles))
+    codes = EXPECTED_CODES[kind]
+    if not codes:
+        return kind.value  # nothing may abort (the swap drains instead)
+    return f"abort.{codes[0].name.lower()}" if aborted else "masked"
 
 
 def _ensure_mutator(target: _Target):
@@ -395,42 +326,38 @@ def _present_key(target: _Target, rng: random.Random):
     return wl.key_for(qidx), wl.expected[qidx]
 
 
-def _run_write_abort_fault(
-    target: _Target, rng: random.Random, counts: Dict[str, int]
-) -> Optional[str]:
+def _refused_write(target: _Target, kind: FaultKind, key: bytes, value: int) -> None:
+    """An UPDATE the write CFA must refuse with one of the kind's codes;
+    the software fallback then applies it."""
+    system, mutator = target.system, target.mutator
+    executor = system.mutations()
+    handle = executor.submit(mutator, OP_UPDATE, key, value)
+    system.accelerator.wait_for(handle)
+    if handle.status is not QueryStatus.FAULT:
+        raise CampaignViolation("the write CFA completed instead of faulting")
+    if handle.abort_code not in EXPECTED_CODES[kind]:
+        raise CampaignViolation(f"write faulted with {handle.abort_code.name}")
+    result = executor.fallback(mutator, OP_UPDATE, key, value, code=handle.abort_code)
+    if result is None or mutator.current(key) != value:
+        raise CampaignViolation("the software fallback lost the update")
+
+
+def _write_abort(target: _Target, kind: FaultKind, rng: random.Random) -> str:
     """An orphaned seqlock (dead writer, no QST intent) must abort the
-    write CFA with VERSION_CONFLICT; the software fallback reclaims the
-    lock and applies the mutation."""
+    write CFA; the software fallback reclaims the lock and applies."""
     system = target.system
     mutator = _ensure_mutator(target)
-    executor = system.mutations()
     key, before = _present_key(target, rng)
     if key is None:
-        counts["masked"] = counts.get("masked", 0) + 1
-        return None
+        return "masked"
     lock_addr = mutator.header_addr + VERSION_OFFSET
-    version = system.space.read_u64(lock_addr)
     # An odd version with no live QST write intent is exactly what a writer
     # crashed before its single commit store leaves behind.
-    system.space.write_u64(lock_addr, version + 1)
-    value = 900_000_000 + rng.randrange(1_000_000)
+    system.space.write_u64(lock_addr, system.space.read_u64(lock_addr) + 1)
     try:
-        handle = executor.submit(mutator, OP_UPDATE, key, value)
-        system.accelerator.wait_for(handle)
-        if handle.status is not QueryStatus.FAULT:
-            return "write-abort: write CFA completed under an orphaned lock"
-        if handle.abort_code is not AbortCode.VERSION_CONFLICT:
-            return (
-                f"write-abort: aborted with {handle.abort_code.name}, "
-                "expected VERSION_CONFLICT"
-            )
-        result = executor.fallback(
-            mutator, OP_UPDATE, key, value, code=handle.abort_code
-        )
-        if result is None or mutator.current(key) != value:
-            return "write-abort: reclaiming fallback lost the update"
+        _refused_write(target, kind, key, 900_000_000 + rng.randrange(1_000_000))
         if system.space.read_u64(lock_addr) & 1:
-            return "write-abort: fallback left the seqlock held"
+            raise CampaignViolation("fallback left the seqlock held")
     finally:
         # Whatever happened, put the key back so later faults (and their
         # read oracle) see the build-time structure.
@@ -439,62 +366,10 @@ def _run_write_abort_fault(
         stuck = system.space.read_u64(lock_addr)
         if stuck & 1:
             system.space.write_u64(lock_addr, stuck + 1)
-    counts["write.orphan_reclaimed"] = (
-        counts.get("write.orphan_reclaimed", 0) + 1
-    )
-    return None
+    return "write.orphan_reclaimed"
 
 
-def _run_version_storm_fault(
-    target: _Target, rng: random.Random, counts: Dict[str, int]
-) -> Optional[str]:
-    """Reads racing a storm of writer commits either thread a gap between
-    bumps (completing with the oracle answer) or abort VERSION_CONFLICT —
-    never a torn value."""
-    system, wl = target.system, target.workload
-    mutator = _ensure_mutator(target)
-    lock_addr = mutator.header_addr + VERSION_OFFSET
-    indices, handles = _submit_nb_batch(target, rng)
-    for _ in range(4):
-        system.engine.advance(rng.randrange(20, 160))
-        version = system.space.read_u64(lock_addr)
-        # Even -> even: each bump is a whole writer win (lock + commit +
-        # release collapsed), the worst case for reader re-validation.
-        system.space.write_u64(lock_addr, version + 2)
-    aborted = 0
-    for qidx, handle in zip(indices, handles):
-        if not handle.done:
-            system.accelerator.wait_for(handle)
-        oracle = wl.expected[qidx]
-        if handle.status is QueryStatus.FAULT:
-            aborted += 1
-            if handle.abort_code is not AbortCode.VERSION_CONFLICT:
-                return (
-                    f"version-storm: faulted with {handle.abort_code.name}, "
-                    "expected VERSION_CONFLICT"
-                )
-            outcome = system.fallback.run_software(
-                lambda qi=qidx: wl.software_lookup(qi),
-                abort_code=AbortCode.VERSION_CONFLICT,
-            )
-            if not outcome.resolved or outcome.value != oracle:
-                return (
-                    f"version-storm: fallback returned {outcome.value!r}, "
-                    f"oracle {oracle!r}"
-                )
-        elif handle.value != oracle:
-            return (
-                f"version-storm: completed read returned {handle.value!r}, "
-                f"oracle {oracle!r}"
-            )
-    key = "abort.version_conflict" if aborted else "masked"
-    counts[key] = counts.get(key, 0) + 1
-    return None
-
-
-def _run_resize_stall_fault(
-    target: _Target, rng: random.Random, counts: Dict[str, int]
-) -> Optional[str]:
+def _resize_stall(target: _Target, kind: FaultKind, rng: random.Random) -> str:
     """Stall an online resize mid-migration: reads keep resolving through
     the watermark routing, writes abort to software, and the migration then
     finishes and commits cleanly."""
@@ -504,82 +379,44 @@ def _run_resize_stall_fault(
         # doublings only dilute the fixed entry population (breaking the
         # injector's bounded occupied-slot discovery for later faults)
         # without adding coverage.
-        counts["masked"] = counts.get("masked", 0) + 1
-        return None
+        return "masked"
     mutator = _ensure_mutator(target)
-    executor = system.mutations()
     resizer = system.start_resize(wl.mutable_structure(), chunk_buckets=8)
     resizer.start()
     resizer.step()  # one chunk, then the migration stalls
 
     # A read during the stall: old-or-new routing, never a wrong value.
     qidx = rng.randrange(len(wl.queries))
-    handle = system.accelerator.submit(
-        QueryRequest(
-            header_addr=wl.header_addr_for(qidx),
-            key_addr=wl._query_addrs[qidx],
-            blocking=True,
-        ),
-        system.engine.now,
-    )
-    system.accelerator.wait_for(handle)
-    oracle = wl.expected[qidx]
-    if handle.status is QueryStatus.FAULT:
-        if handle.abort_code is not AbortCode.VERSION_CONFLICT:
-            return (
-                f"resize-stall: read faulted with {handle.abort_code.name}"
-            )
-        outcome = system.fallback.run_software(
-            lambda qi=qidx: wl.software_lookup(qi),
-            abort_code=AbortCode.VERSION_CONFLICT,
-        )
-        if not outcome.resolved or outcome.value != oracle:
-            return "resize-stall: read fallback disagrees with the oracle"
-    elif handle.value != oracle:
-        return (
-            f"resize-stall: mid-resize read returned {handle.value!r}, "
-            f"oracle {oracle!r}"
-        )
-
+    _settle(target, kind, qidx, system.accelerator.submit(wl.request(qidx), system.engine.now))
     # A write during the stall: the CFA refuses (routing is ambiguous for
     # an accelerated store) and software applies through the watermark.
     key, before = _present_key(target, rng)
-    violation = None
-    if key is not None:
-        value = 910_000_000 + rng.randrange(1_000_000)
-        whandle = executor.submit(mutator, OP_UPDATE, key, value)
-        system.accelerator.wait_for(whandle)
-        if whandle.status is not QueryStatus.FAULT:
-            violation = "resize-stall: write CFA ran during a live resize"
-        elif whandle.abort_code is not AbortCode.VERSION_CONFLICT:
-            violation = (
-                f"resize-stall: write faulted with "
-                f"{whandle.abort_code.name}, expected VERSION_CONFLICT"
-            )
-        else:
-            result = executor.fallback(
-                mutator, OP_UPDATE, key, value, code=whandle.abort_code
-            )
-            if result is None or mutator.current(key) != value:
-                violation = "resize-stall: software write lost mid-resize"
-
-    # Un-stall: drain the migration, commit through the quiesce, restore.
-    while not resizer.finished:
-        resizer.step()
-    resizer.commit()
-    system.engine.run()
+    try:
+        if key is not None:
+            _refused_write(target, kind, key, 910_000_000 + rng.randrange(1_000_000))
+    finally:
+        # Un-stall: drain the migration, commit through the quiesce, restore.
+        while not resizer.finished:
+            resizer.step()
+        resizer.commit()
+        system.engine.run()
+        if key is not None and mutator.current(key) != before:
+            mutator.software_apply(OP_UPDATE, key, before)
     if not resizer.committed:
-        return "resize-stall: migration never committed after the stall"
-    if key is not None and mutator.current(key) != before:
-        mutator.software_apply(OP_UPDATE, key, before)
-    if violation:
-        return violation
+        raise CampaignViolation("migration never committed after the stall")
     probe = rng.randrange(len(wl.queries))
     if wl.software_lookup(probe) != wl.expected[probe]:
-        return "resize-stall: post-commit lookup disagrees with the oracle"
+        raise CampaignViolation("post-commit lookup disagrees with the oracle")
     target.resizes += 1
-    counts["write.resize_stall"] = counts.get("write.resize_stall", 0) + 1
-    return None
+    return "write.resize_stall"
+
+
+#: Fault kind -> handler; every other kind is a memory fault.
+_HANDLERS = {
+    **dict.fromkeys(_DISTURB, _batch_fault),
+    FaultKind.WRITE_ABORT: _write_abort,
+    FaultKind.RESIZE_STALL: _resize_stall,
+}
 
 
 # --------------------------------------------------------------------- #
@@ -592,11 +429,11 @@ def _run_campaign_pass(
     faults: int,
     workload_names: Sequence[str],
     schemes: Sequence[str],
-) -> Tuple[Dict[str, int], List[str], float]:
+) -> Tuple[Counter, List[str], float]:
     """One full pass; returns (outcome counts, violations, fallback frac)."""
     rng = random.Random(seed)
     targets: Dict[Tuple[str, str], _Target] = {}
-    counts: Dict[str, int] = {}
+    counts: Counter = Counter()
     violations: List[str] = []
     combos = [(w, s) for w in workload_names for s in schemes]
 
@@ -605,45 +442,17 @@ def _run_campaign_pass(
         if combo not in targets:
             targets[combo] = _build_target(combo[0], combo[1], rng)
         target = targets[combo]
-        kinds = target.injector.kinds_for(target.workload.header_addr_for(0))
-        kinds = tuple(kinds) + (
-            FaultKind.INTERRUPT_FLUSH,
-            FaultKind.SLICE_FAIL,
-            FaultKind.SLICE_FLAP,
-            FaultKind.FIRMWARE_SWAP,
-        )
+        kinds = target.injector.kinds_for(target.workload.header_addr_for(0)) + MACHINE_KINDS
         if target.workload.supports_mutation():
-            kinds = kinds + (
-                FaultKind.WRITE_ABORT,
-                FaultKind.VERSION_STORM,
-                FaultKind.RESIZE_STALL,
-            )
+            kinds += WRITE_KINDS
         kind = kinds[rng.randrange(len(kinds))]
+        where = f"{combo[0]}/{combo[1]}: {kind.value}"
         try:
-            if kind is FaultKind.INTERRUPT_FLUSH:
-                violation = _run_flush_fault(target, rng, counts)
-            elif kind in (FaultKind.SLICE_FAIL, FaultKind.SLICE_FLAP):
-                violation = _run_slice_fault(
-                    target, rng, counts, flap=kind is FaultKind.SLICE_FLAP
-                )
-            elif kind is FaultKind.FIRMWARE_SWAP:
-                violation = _run_firmware_swap_fault(target, rng, counts)
-            elif kind is FaultKind.WRITE_ABORT:
-                violation = _run_write_abort_fault(target, rng, counts)
-            elif kind is FaultKind.VERSION_STORM:
-                violation = _run_version_storm_fault(target, rng, counts)
-            elif kind is FaultKind.RESIZE_STALL:
-                violation = _run_resize_stall_fault(target, rng, counts)
-            else:
-                qidx = rng.randrange(len(target.workload.queries))
-                violation = _run_memory_fault(target, kind, qidx, counts)
+            counts[_HANDLERS.get(kind, _memory_fault)(target, kind, rng)] += 1
+        except CampaignViolation as exc:
+            violations.append(f"{where}: {exc}")
         except Exception as exc:  # noqa: BLE001 - escaping exceptions ARE the bug
-            violation = (
-                f"{kind.value} on {combo[0]}/{combo[1]}: escaped "
-                f"{type(exc).__name__}: {exc}"
-            )
-        if violation:
-            violations.append(f"{combo[0]}/{combo[1]}: {violation}")
+            violations.append(f"{where}: escaped {type(exc).__name__}: {exc}")
 
     fractions = [t.system.fallback.fallback_fraction for t in targets.values()]
     fallback_fraction = sum(fractions) / len(fractions) if fractions else 0.0
@@ -665,7 +474,7 @@ def fault_campaign(
             raise CampaignViolation(f"no campaign parameters for workload {name!r}")
     scheme_names = [IntegrationScheme.parse(s).value for s in (schemes or SCHEME_ORDER)]
 
-    vectors: List[Dict[str, int]] = []
+    vectors: List[Counter] = []
     all_violations: List[str] = []
     fallback_fraction = 0.0
     for _ in range(max(1, repeats)):

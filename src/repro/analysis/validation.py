@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..config import small_config
 from ..core.accelerator import QueryRequest

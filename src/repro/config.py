@@ -174,11 +174,7 @@ class QeiConfig:
     alus_per_dpu: int = 5
     comparators_per_cha: int = 2
     comparators_per_device_dpu: int = 10
-    scratch_bytes: int = 64
     max_states: int = 256
-    hash_unit_latency_cycles: int = 3
-    alu_latency_cycles: int = 1
-    comparator_latency_cycles: int = 1
     #: Cycles for the CEE to select + process one ready QST entry.
     step_cycles: int = 1
     #: Per-query watchdog: CEE transitions a query may take before it is

@@ -14,7 +14,7 @@ the architectural fields, and records occupancy samples for the paper's
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import AcceleratorError

@@ -23,7 +23,7 @@ small, fixed number of memory accesses the paper calls out for hash tables
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.header import FLAG_RESIZING, StructureType
 from ..errors import CapacityError, DataStructureError

@@ -21,7 +21,7 @@ matching over an input string.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.header import StructureType
 from ..errors import DataStructureError

@@ -26,30 +26,20 @@ from ..core.programs import HashOfListsCfa
 from ..core.programs_ext import BPlusTreeCfa
 from ..errors import ReproError
 from .history import HistoryVerdict
+from .injector import FaultKind
 
-#: Event actions on one machine.
-SLICE_FAIL = "slice-fail"
+# A fault event's action is its FaultKind; the actions that end a fault or
+# step the online resize are not faults and keep plain names.
 SLICE_RECOVER = "slice-recover"
-FIRMWARE_SWAP = "firmware-swap"
-
-#: Event actions of the online resize (mixed read/write drill).
+NODE_RECOVER = "node-recover"
+NET_HEAL = "net-heal"
 RESIZE_START = "resize-start"
 RESIZE_COMMIT = "resize-commit"
-
-#: Event actions on a cluster (they mirror the NODE_KILL / NODE_FLAP /
-#: NET_PARTITION / REPLICA_LAG / LOG_TRUNCATE fault-taxonomy entries).
-NODE_KILL = "node-kill"
-NODE_FLAP = "node-flap"
-NODE_RECOVER = "node-recover"
-NET_PARTITION = "net-partition"
-NET_HEAL = "net-heal"
-REPLICA_LAG = "replica-lag"
-LOG_TRUNCATE = "log-truncate"
 
 #: A flapped node restarts this many cycles after its kill.
 FLAP_OUTAGE_CYCLES = 3_000
 
-#: Extra node->node delivery latency a REPLICA_LAG event injects.
+#: Extra node->node delivery latency a replica-lag event injects.
 REPLICA_LAG_CYCLES = 4_096
 
 #: Post-run drain quantum while replicas converge / catch-up completes.
@@ -64,6 +54,8 @@ class ChaosError(ReproError):
 class ChaosEvent:
     """One scheduled infrastructure fault (or its recovery).
 
+    ``action`` is a :class:`FaultKind` (a ``str`` enum, so reports and
+    phase labels carry its value) or one of the non-fault actions above.
     ``trigger`` is the fleet-wide terminal-request count at which the event
     fires.  A machine event names its victim slice in ``home`` (``None`` for
     a firmware swap); a cluster event lists its victims in ``nodes`` (one
@@ -150,11 +142,11 @@ def chaos_schedule(homes: List[int], requests: int) -> List[ChaosEvent]:
     first = homes[0]
     second = homes[1] if len(homes) > 1 else homes[0]
     return [
-        ChaosEvent(SLICE_FAIL, max(1, requests * 15 // 100), home=first),
+        ChaosEvent(FaultKind.SLICE_FAIL, max(1, requests * 15 // 100), home=first),
         ChaosEvent(SLICE_RECOVER, max(2, requests * 30 // 100), home=first),
-        ChaosEvent(SLICE_FAIL, max(3, requests * 45 // 100), home=second),
+        ChaosEvent(FaultKind.SLICE_FAIL, max(3, requests * 45 // 100), home=second),
         ChaosEvent(SLICE_RECOVER, max(4, requests * 60 // 100), home=second),
-        ChaosEvent(FIRMWARE_SWAP, max(5, requests * 75 // 100)),
+        ChaosEvent(FaultKind.FIRMWARE_SWAP, max(5, requests * 75 // 100)),
     ]
 
 
@@ -175,10 +167,10 @@ def cluster_chaos_schedule(nodes: int, requests: int) -> List[ChaosEvent]:
     if flap_victim in partitioned or flap_victim == kill_victim:
         flap_victim = 1
     return [
-        ChaosEvent(NODE_KILL, max(1, requests * 15 // 100), nodes=[kill_victim]),
-        ChaosEvent(NODE_FLAP, max(2, requests * 30 // 100), nodes=[flap_victim]),
+        ChaosEvent(FaultKind.NODE_KILL, max(1, requests * 15 // 100), nodes=[kill_victim]),
+        ChaosEvent(FaultKind.NODE_FLAP, max(2, requests * 30 // 100), nodes=[flap_victim]),
         ChaosEvent(NODE_RECOVER, max(3, requests * 45 // 100), nodes=[kill_victim]),
-        ChaosEvent(NET_PARTITION, max(4, requests * 60 // 100), nodes=partitioned),
+        ChaosEvent(FaultKind.NET_PARTITION, max(4, requests * 60 // 100), nodes=partitioned),
         ChaosEvent(NET_HEAL, max(5, requests * 75 // 100), nodes=[]),
     ]
 
@@ -197,13 +189,13 @@ def recovery_chaos_schedule(nodes: int, requests: int) -> List[ChaosEvent]:
     if nodes < 4:
         raise ChaosError(f"recovery chaos needs at least 4 nodes, got {nodes}")
     return [
-        ChaosEvent(NODE_KILL, max(1, requests * 12 // 100), nodes=[0]),
-        ChaosEvent(REPLICA_LAG, max(2, requests * 25 // 100), nodes=[1]),
+        ChaosEvent(FaultKind.NODE_KILL, max(1, requests * 12 // 100), nodes=[0]),
+        ChaosEvent(FaultKind.REPLICA_LAG, max(2, requests * 25 // 100), nodes=[1]),
         ChaosEvent(NODE_RECOVER, max(3, requests * 40 // 100), nodes=[0]),
-        ChaosEvent(NET_PARTITION, max(4, requests * 55 // 100), nodes=[nodes - 1]),
+        ChaosEvent(FaultKind.NET_PARTITION, max(4, requests * 55 // 100), nodes=[nodes - 1]),
         ChaosEvent(NET_HEAL, max(5, requests * 70 // 100), nodes=[]),
-        ChaosEvent(NODE_KILL, max(6, requests * 75 // 100), nodes=[2]),
-        ChaosEvent(LOG_TRUNCATE, max(7, requests * 82 // 100), nodes=[2]),
+        ChaosEvent(FaultKind.NODE_KILL, max(6, requests * 75 // 100), nodes=[2]),
+        ChaosEvent(FaultKind.LOG_TRUNCATE, max(7, requests * 82 // 100), nodes=[2]),
         ChaosEvent(NODE_RECOVER, max(8, requests * 90 // 100), nodes=[2]),
     ]
 
@@ -402,9 +394,9 @@ class _Machine:
         self.swap_tickets.append(ticket)
 
     ACTIONS = {
-        SLICE_FAIL: lambda self, event: self.system.fail_slice(event.home),
+        FaultKind.SLICE_FAIL: lambda self, event: self.system.fail_slice(event.home),
         SLICE_RECOVER: lambda self, event: self.system.recover_slice(event.home),
-        FIRMWARE_SWAP: _swap_firmware,
+        FaultKind.FIRMWARE_SWAP: _swap_firmware,
     }
 
     def run(self, on_tick):
@@ -426,7 +418,7 @@ class _Machine:
             "result_errors": aggregate["result_errors"],
             "failed": aggregate["failed"],
             "availability": aggregate["availability"],
-            "slice_kills": sum(1 for e in events if e.action == SLICE_FAIL),
+            "slice_kills": sum(1 for e in events if e.action == FaultKind.SLICE_FAIL),
             "slice_recoveries": sum(1 for e in events if e.action == SLICE_RECOVER),
             "firmware_swaps": len(self.swap_tickets),
             "swap_committed": all(t.done for t in self.swap_tickets),
@@ -521,17 +513,19 @@ class _Cluster:
             self.cluster.inject_replica_lag(node, 0)
 
     ACTIONS = {
-        NODE_KILL: lambda self, event: self.cluster.fail_node(event.nodes[0]),
-        NODE_FLAP: _flap,
+        FaultKind.NODE_KILL: lambda self, event: self.cluster.fail_node(event.nodes[0]),
+        FaultKind.NODE_FLAP: _flap,
         NODE_RECOVER: _recover,
-        REPLICA_LAG: lambda self, event: self.cluster.inject_replica_lag(
+        FaultKind.REPLICA_LAG: lambda self, event: self.cluster.inject_replica_lag(
             event.nodes[0], REPLICA_LAG_CYCLES
         ),
-        NET_PARTITION: lambda self, event: self.cluster.partition(event.nodes),
+        FaultKind.NET_PARTITION: lambda self, event: self.cluster.partition(event.nodes),
         NET_HEAL: _heal,
         # Drop the dead node's entire commit log: recovery must see the
         # ordinal gap (structure version past the log's tail).
-        LOG_TRUNCATE: lambda self, event: self.cluster.truncate_log(event.nodes[0], 1 << 30),
+        FaultKind.LOG_TRUNCATE: lambda self, event: self.cluster.truncate_log(
+            event.nodes[0], 1 << 30
+        ),
     }
 
     def run(self, on_tick):
@@ -582,8 +576,10 @@ class _Cluster:
             ),
             "write_problems": cluster.write_audit(),
             "recoveries": len(cluster.recoveries),
-            "node_kills": sum(1 for e in events if e.action in (NODE_KILL, NODE_FLAP)),
-            "partitions": sum(1 for e in events if e.action == NET_PARTITION),
+            "node_kills": sum(
+                1 for e in events if e.action in (FaultKind.NODE_KILL, FaultKind.NODE_FLAP)
+            ),
+            "partitions": sum(1 for e in events if e.action == FaultKind.NET_PARTITION),
             "all_nodes_up": all(
                 cluster.membership.state_of(node) is NodeState.UP
                 for node in range(scenario.nodes)
@@ -607,7 +603,7 @@ class _Cluster:
 def _fire(fleet, event: ChaosEvent) -> None:
     event.fired_cycle = fleet.engine.now
     if event.action not in fleet.ACTIONS:
-        raise ChaosError(f"{fleet.scenario.name} cannot fire {event.action!r}")
+        raise ChaosError(f"{fleet.scenario.name} cannot fire event {event.label!r}")
     event.hit = fleet.ACTIONS[event.action](fleet, event) or 0
     fleet.slo.begin_phase(event.label, fleet.engine.now)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.abort import AbortCode
@@ -75,48 +75,33 @@ class FaultKind(str, enum.Enum):
 #: Infrastructure kinds are machine state, not memory state: the campaign
 #: raises them through the System control surface (``fail_slice``,
 #: ``recover_slice``, ``update_firmware``), never through :meth:`inject`.
-MACHINE_KINDS = frozenset(
-    {
-        FaultKind.INTERRUPT_FLUSH,
-        FaultKind.SLICE_FAIL,
-        FaultKind.SLICE_FLAP,
-        FaultKind.FIRMWARE_SWAP,
-    }
-)
-
-#: Cluster-scope kinds operate on whole serving nodes and LB<->node links,
-#: not on one machine; they are raised through the SimulatedCluster fault
-#: surface (``fail_node``/``recover_node``/``partition``/``heal``) by the
-#: cluster-chaos harness and never appear in single-machine campaigns.
-CLUSTER_KINDS = frozenset(
-    {
-        FaultKind.NODE_KILL,
-        FaultKind.NODE_FLAP,
-        FaultKind.NET_PARTITION,
-        FaultKind.REPLICA_LAG,
-        FaultKind.LOG_TRUNCATE,
-    }
+#: The campaign draws from this tuple, so its order is part of the seed
+#: contract.
+MACHINE_KINDS = (
+    FaultKind.INTERRUPT_FLUSH,
+    FaultKind.SLICE_FAIL,
+    FaultKind.SLICE_FLAP,
+    FaultKind.FIRMWARE_SWAP,
 )
 
 #: Write-path kinds (docs/mutations.md) exercise the seqlock protocol —
 #: a dead writer's orphaned lock, a reader racing a storm of version
 #: bumps, a write landing while an online resize is stalled mid-migration.
-#: They are orchestrated through the mutation control surface
-#: (``System.mutations()`` / ``System.start_resize``) by the campaign
-#: driver, never through :meth:`inject`, and only against structures whose
-#: workload supports mutation.
-WRITE_KINDS = frozenset(
-    {
-        FaultKind.WRITE_ABORT,
-        FaultKind.VERSION_STORM,
-        FaultKind.RESIZE_STALL,
-    }
+#: The campaign drives them through the mutation control surface
+#: (``System.mutations()`` / ``System.start_resize``), only against
+#: structures whose workload supports mutation, drawing in this order.
+WRITE_KINDS = (
+    FaultKind.WRITE_ABORT,
+    FaultKind.VERSION_STORM,
+    FaultKind.RESIZE_STALL,
 )
 
 
-#: Abort codes each kind may legitimately surface.  Pointer faults planted
-#: off the queried path may also be *masked* (the query completes); the
-#: campaign validates completed results against the un-faulted oracle.
+#: Abort codes each single-machine kind may legitimately surface.  Pointer
+#: faults planted off the queried path may also be *masked* (the query
+#: completes); the campaign validates completed results against the
+#: un-faulted oracle.  Cluster-scope kinds never surface accelerator codes:
+#: the load balancer masks them with replica failover.
 EXPECTED_CODES: Dict[FaultKind, Tuple[AbortCode, ...]] = {
     FaultKind.HEADER_CLEAR_VALID: (AbortCode.HEADER_INVALID,),
     FaultKind.HEADER_BAD_MAGIC: (AbortCode.BAD_MAGIC,),
@@ -140,15 +125,6 @@ EXPECTED_CODES: Dict[FaultKind, Tuple[AbortCode, ...]] = {
     # A hot-swap quiesces instead of aborting: queries drain, then the
     # table swaps; no abort code is ever legitimate.
     FaultKind.FIRMWARE_SWAP: (),
-    # Cluster-scope faults never surface accelerator abort codes: the LB
-    # masks them with replica failover (timeouts and retries, not aborts).
-    FaultKind.NODE_KILL: (),
-    FaultKind.NODE_FLAP: (),
-    FaultKind.NET_PARTITION: (),
-    # Replication faults surface as latency (quorum waits) or a recovery
-    # resync, never as accelerator aborts.
-    FaultKind.REPLICA_LAG: (),
-    FaultKind.LOG_TRUNCATE: (),
     # Seqlock contention and resize routing both surface as
     # VERSION_CONFLICT; the software path then applies (or re-reads)
     # against settled state.
@@ -157,7 +133,8 @@ EXPECTED_CODES: Dict[FaultKind, Tuple[AbortCode, ...]] = {
     FaultKind.RESIZE_STALL: (AbortCode.VERSION_CONFLICT,),
 }
 
-#: Kinds whose damage can miss the queried path entirely (masked outcome).
+#: Memory kinds whose damage can miss the queried path entirely (masked
+#: outcome) instead of aborting the query.
 MASKABLE_KINDS = frozenset(
     {
         FaultKind.POINTER_DANGLE,
@@ -165,24 +142,6 @@ MASKABLE_KINDS = frozenset(
         FaultKind.POINTER_CYCLE,
         FaultKind.KEY_FLIP,
         FaultKind.PAGE_UNMAP,
-        FaultKind.INTERRUPT_FLUSH,
-        # Multi-slice schemes reroute around a dead slice, and a swap
-        # drains cleanly, so queries routinely complete unaffected.
-        FaultKind.SLICE_FAIL,
-        FaultKind.SLICE_FLAP,
-        FaultKind.FIRMWARE_SWAP,
-        # Replicated serving masks whole-node loss the same way; a lagging
-        # or truncated replica is masked by quorums and the full resync.
-        FaultKind.NODE_KILL,
-        FaultKind.NODE_FLAP,
-        FaultKind.NET_PARTITION,
-        FaultKind.REPLICA_LAG,
-        FaultKind.LOG_TRUNCATE,
-        # A read threading the gap between two version bumps completes
-        # untouched, as does one that lands entirely old-or-new during a
-        # stalled resize.
-        FaultKind.VERSION_STORM,
-        FaultKind.RESIZE_STALL,
     }
 )
 
@@ -311,25 +270,20 @@ class FaultInjector:
         """Apply one fault of ``kind`` to the structure at ``header_addr``.
 
         Exactly one fault may be armed at a time; heal the previous one
-        first.  ``MACHINE_KINDS`` are machine state, not memory state — the
-        campaign raises them through ``Accelerator.flush()`` or the
-        ``System`` slice/firmware control surface directly.
+        first.  Only memory kinds have an injection strategy: machine,
+        write-path and cluster kinds are raised through the
+        ``System``/``Accelerator`` or ``SimulatedCluster`` control surface.
         """
         if self.armed:
             raise InjectionError("previous fault not healed; call heal() first")
-        if kind in MACHINE_KINDS:
+        handler = getattr(self, f"_inject_{kind.name.lower()}", None)
+        if handler is None:
             raise InjectionError(
-                f"{kind.value} is machine state; raise it via the "
-                "Accelerator/System control surface, not inject()"
-            )
-        if kind in WRITE_KINDS:
-            raise InjectionError(
-                f"{kind.value} is write-path state; orchestrate it via "
-                "System.mutations()/start_resize(), not inject()"
+                f"{kind.value} is not memory state; raise it through its "
+                "System, mutation or cluster control surface, not inject()"
             )
         self.epoch += 1
         header = DataStructureHeader.load(self.space, header_addr)
-        handler = getattr(self, f"_inject_{kind.name.lower()}")
         description = handler(header_addr, header)
         return InjectedFault(
             kind=kind,

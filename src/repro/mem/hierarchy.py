@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, List, NamedTuple, Optional
 
-from ..config import CACHELINE_BYTES, LlcConfig, SystemConfig
+from ..config import CACHELINE_BYTES, SystemConfig
 from ..errors import ConfigurationError
 from ..sim.stats import StatsRegistry
 from . import fastpath

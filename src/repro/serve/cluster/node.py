@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ...config import ServeConfig
 from ...core.cfa import OP_DELETE, OP_LOOKUP
-from ...sim.stats import StatsRegistry
 from ..frontend import ServeRequest
 from ..server import QueryServer
 

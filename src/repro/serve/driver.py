@@ -11,7 +11,7 @@ byte-identical stats dumps (``tests/test_determinism.py``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..config import IntegrationScheme, ServeConfig, small_config
 from ..system import System

@@ -270,9 +270,8 @@ class QueryServer:
         slot = self._slots.pop()
         self._slot_of[self._key(request)] = slot
         operand = self._stage_write(request) if request.is_write else 0
-        return QueryRequest(
-            header_addr=self.workload.header_addr_for(request.index),
-            key_addr=self.workload._query_addrs[request.index],
+        return self.workload.request(
+            request.index,
             core_id=self.core_of(request.tenant),
             blocking=False,
             result_addr=slot,
@@ -284,9 +283,8 @@ class QueryServer:
         request.dispatch_cycle = self.engine.now
         operand = self._stage_write(request) if request.is_write else 0
         handle = self.accelerator.submit(
-            QueryRequest(
-                header_addr=self.workload.header_addr_for(request.index),
-                key_addr=self.workload._query_addrs[request.index],
+            self.workload.request(
+                request.index,
                 core_id=self.core_of(request.tenant),
                 blocking=True,
                 op=request.op,
@@ -341,9 +339,8 @@ class QueryServer:
             else self.system.mem.alloc(16, align=16)
         )
         handle = self.accelerator.submit(
-            QueryRequest(
-                header_addr=self.workload.header_addr_for(request.index),
-                key_addr=self.workload._query_addrs[request.index],
+            self.workload.request(
+                request.index,
                 core_id=self.core_of(request.tenant),
                 blocking=False,
                 result_addr=slot,

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from .config import CACHELINE_BYTES, FallbackConfig, IntegrationScheme, SystemConfig
 from .core.abort import AbortCode
-from .core.accelerator import QeiAccelerator, QueryHandle, QueryRequest, QueryStatus
+from .core.accelerator import QeiAccelerator, QueryRequest, QueryStatus
 from .core.integration import SliceState, build_integration
 from .core.isa import QueryPort
 from .core.programs import default_firmware

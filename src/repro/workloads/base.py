@@ -16,8 +16,9 @@ determines how many queries the core can keep in flight (Sec. VII-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.accelerator import QueryRequest
 from ..core.isa import NbBatch, QueryOperands, QueryPort
 from ..cpu.core import CoreResult
 from ..cpu.trace import Trace, TraceBuilder
@@ -206,6 +207,15 @@ class QueryWorkload:
     @property
     def expected(self) -> List[Optional[int]]:
         return self._expected
+
+    def request(self, index: int, **fields) -> QueryRequest:
+        """The QUERY operands of query ``index``; ``fields`` set the rest
+        (``blocking``, ``result_addr``, ``core_id``, ``op``, ``operand``)."""
+        return QueryRequest(
+            header_addr=self.header_addr_for(index),
+            key_addr=self._query_addrs[index],
+            **fields,
+        )
 
     def _require_built(self) -> None:
         if not self._built:

@@ -9,7 +9,7 @@ across its in-flight query slots.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..cpu.trace import TraceBuilder
 from ..datastructs import CuckooHashTable

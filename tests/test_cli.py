@@ -9,12 +9,15 @@ exactly the flags its driver takes, the
 pyproject.toml installs the ``qei`` entry point.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import EXPERIMENTS, build_parser, experiment_kwargs, main
+from repro.analysis.report import ExperimentResult
+from repro.faults import chaos
 
 
 def test_list_is_sorted_and_exits_zero(capsys):
@@ -180,3 +183,35 @@ def test_recovery_soak_json_rows_and_flag_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--requests", "200", "--nodes", "4", "--quorum", "1"],
+        ["--scheme", "device-indirect", "--tenants", "2", "--replication", "3"],
+    ],
+)
+def test_recovery_soak_gets_the_single_seed_verbs_fleet(monkeypatch, flags):
+    # The soak must shape its fleet from the same flags, the same way, as
+    # the single-seed verb: a flag that reaches one reaches the other.
+    verb, soaked = {}, {}
+    driver = EXPERIMENTS["recovery-chaos"]
+
+    @functools.wraps(driver)
+    def fake_verb(**kwargs):
+        verb.update(kwargs)
+        return ExperimentResult("recovery-chaos", "", ["scheme"])
+
+    def fake_soak(seeds, scheme, **shape):
+        soaked.update(shape, scheme=scheme)
+        return iter(())
+
+    monkeypatch.setitem(EXPERIMENTS, "recovery-chaos", fake_verb)
+    monkeypatch.setattr(chaos, "recovery_soak", fake_soak)
+    assert main(["recovery-chaos", "--no-cache", *flags]) == 0
+    assert main(["recovery-chaos", "--seeds", "3-4", *flags]) == 0
+    del verb["seed"], verb["repeats"]
+    (verb["scheme"],) = verb.pop("schemes", ["cha-tlb"])
+    assert soaked == verb

@@ -13,7 +13,6 @@ from repro.faults.chaos import (
     run_cluster_chaos,
     run_recovery_chaos,
 )
-from repro.faults.injector import CLUSTER_KINDS, FaultKind, MACHINE_KINDS
 from repro.serve.cluster import (
     HashRing,
     Membership,
@@ -155,15 +154,6 @@ def test_cluster_config_validates():
         ClusterConfig(replication=5, nodes=4)
     with pytest.raises(ConfigurationError):
         ClusterConfig(availability_floor=1.5)
-
-
-def test_cluster_fault_kinds_registered():
-    assert FaultKind.NODE_KILL in CLUSTER_KINDS
-    assert FaultKind.NODE_FLAP in CLUSTER_KINDS
-    assert FaultKind.NET_PARTITION in CLUSTER_KINDS
-    # Cluster kinds are not machine kinds: single-machine campaigns must
-    # never sample them.
-    assert not (CLUSTER_KINDS & MACHINE_KINDS)
 
 
 def test_cluster_chaos_schedule_spreads_victims():

@@ -5,7 +5,7 @@ carry much heavier frontend pressure."""
 import pytest
 
 from repro import small_config
-from repro.analysis.cpi_stack import CpiStack, cpi_stack
+from repro.analysis.cpi_stack import cpi_stack
 from repro.cpu.core import CoreResult
 from repro.system import System
 from repro.workloads import make_workload, run_baseline

@@ -22,7 +22,11 @@ from repro.datastructs import (
 )
 from repro.errors import AcceleratorError, ConfigurationError, SegmentationFault
 from repro.faults import FaultInjector, FaultKind
+from repro.faults.injector import KINDS_BY_TYPE, InjectionError
 from repro.system import System
+
+#: Kinds the injector applies to memory; the rest are raised elsewhere.
+MEMORY_KINDS = {kind for kinds in KINDS_BY_TYPE.values() for kind in kinds}
 
 
 def make_system(scheme="core-integrated", *, watchdog_steps=None):
@@ -254,11 +258,20 @@ class TestHealAndPaging:
         ll = build_list(sys_)
         injector = FaultInjector(sys_.space, rng=random.Random(9))
         injector.inject(FaultKind.KEY_FLIP, ll.header_addr)
-        from repro.faults.injector import InjectionError
-
         with pytest.raises(InjectionError):
             injector.inject(FaultKind.KEY_FLIP, ll.header_addr)
         injector.heal()
+
+    @pytest.mark.parametrize("kind", [k for k in FaultKind if k not in MEMORY_KINDS])
+    def test_inject_refuses_non_memory_kinds(self, kind):
+        # Machine, write-path and cluster kinds are raised through their
+        # control surfaces: inject() refuses them without touching memory.
+        sys_ = make_system()
+        ll = build_list(sys_)
+        injector = FaultInjector(sys_.space, rng=random.Random(10))
+        with pytest.raises(InjectionError):
+            injector.inject(kind, ll.header_addr)
+        assert not injector.armed and injector.epoch == 0
 
 
 class TestSoftwareFallback:

@@ -10,7 +10,6 @@ from repro.core.integration import (
     CoreIntegratedScheme,
     DeviceDirectScheme,
     DeviceIndirectScheme,
-    build_integration,
 )
 from repro.system import System
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import small_config
 from repro.core.accelerator import QueryStatus
-from repro.core.isa import CompletionPromise, NbBatch, QueryOperands, QueryPort
+from repro.core.isa import CompletionPromise, NbBatch, QueryOperands
 from repro.cpu import TraceBuilder
 from repro.datastructs import CuckooHashTable
 from repro.errors import AcceleratorError

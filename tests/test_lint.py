@@ -1,14 +1,20 @@
 """Repo lint checks that run without external tooling.
 
 CI additionally runs ``ruff check`` (see ``[tool.ruff]`` in pyproject.toml)
-with rule ``RUF013``; this AST sweep enforces the same contract in the
-plain tier-1 environment, which installs no linters: a parameter defaulting
-to ``None`` must annotate the ``None`` (``Optional[X]`` or ``X | None``),
-not pretend to be a plain ``X``.  The sweep found (and PR 10 fixed)
-``MeshNoc.__init__``'s ``stats: StatsRegistry = None`` and
-``DynamicEnergyModel.energies_pj``.
+with rules ``RUF013`` and ``F401``; the AST sweeps below enforce the same
+contracts in the plain tier-1 environment, which installs no linters.  The
+first covers ``RUF013``: a parameter defaulting to ``None`` must annotate
+the ``None`` (``Optional[X]`` or ``X | None``), not pretend to be a plain
+``X``.  The sweep found (and PR 10 fixed) ``MeshNoc.__init__``'s
+``stats: StatsRegistry = None`` and ``DynamicEnergyModel.energies_pj``.
 
-A second sweep keeps hidden runtime switches out of ``src/``: every
+A second sweep mirrors ``F401`` (unused imports): every name an import
+binds must be read in its scope (the module, or the function a local
+import sits in), be listed in ``__all__``, or carry ``# noqa: F401`` on
+its line.  Package ``__init__.py`` files are exempt, as in ruff's
+per-file ignores: their imports are re-exports.
+
+A third sweep keeps hidden runtime switches out of ``src/``: every
 ``os.environ`` / ``os.getenv`` read must be on the allowlist below, which
 is empty — ``src/`` reads no environment.  A deployment setting belongs in
 a CLI flag; a test-only mode belongs in ``tests/``.
@@ -82,6 +88,105 @@ def test_no_implicit_optional_defaults():
         "implicit-Optional defaults (annotate as Optional[X] / X | None):\n"
         + "\n".join(offenders)
     )
+
+
+def _noqa_f401(line: str) -> bool:
+    if "# noqa" not in line:
+        return False
+    codes = line.split("# noqa", 1)[1]
+    return not codes.startswith(":") or "F401" in codes
+
+
+def _annotations(tree: ast.AST) -> Iterator[ast.expr]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read_names(tree: ast.AST) -> set:
+    """Every name ``tree`` reads: in code, in quoted annotations, and as an
+    ``__all__`` entry."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue  # a Literal[...] value, not a type expression
+                names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            )
+    return names
+
+
+def _unused_imports(tree: ast.AST, lines: List[str]) -> Iterator[Tuple[int, str]]:
+    """Imports whose name is never read in their scope: the module for a
+    top-level import, the enclosing function (nested ones included) for a
+    function-local one."""
+    scopes = [tree] + [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for scope in scopes:
+        read = _read_names(scope)
+        body = list(ast.iter_child_nodes(scope))
+        while body:
+            node = body.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # its own scope
+            body.extend(ast.iter_child_nodes(node))
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name == "*" or bound in read:
+                    continue
+                lineno = getattr(alias, "lineno", node.lineno)
+                if _noqa_f401(lines[lineno - 1]) or _noqa_f401(lines[node.lineno - 1]):
+                    continue
+                yield lineno, alias.name if alias.asname is None else f"{alias.name} as {bound}"
+
+
+def test_no_unused_imports():
+    offenders: List[str] = []
+    for path in _py_files():
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        for lineno, name in _unused_imports(tree, text.splitlines()):
+            offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {name}")
+    assert not offenders, "unused imports (F401):\n" + "\n".join(offenders)
+
+
+def test_unused_import_sweep_matches_f401():
+    source = (
+        "import os\n"
+        "import json  # noqa: F401\n"
+        "import sys  # noqa: E402\n"
+        "from typing import List, Optional\n"
+        "from a import b, c\n"
+        "__all__ = ['c']\n"
+        "def f(x: 'Optional[int]') -> None:\n"
+        "    import re\n"
+        "    return os.sep\n"
+        "def g():\n"
+        "    return re\n"
+    )
+    found = [name for _, name in _unused_imports(ast.parse(source), source.splitlines())]
+    assert sorted(found) == ["List", "b", "re", "sys"]
 
 
 #: The only environment reads ``src/`` may make: file -> the one variable

@@ -8,7 +8,6 @@ from repro.cpu.multicore import run_multiprogrammed
 from repro.datastructs import CuckooHashTable
 from repro.errors import SimulationError
 from repro.system import System
-from repro.workloads import make_workload
 
 
 @pytest.fixture

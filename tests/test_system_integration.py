@@ -3,7 +3,7 @@
 import pytest
 
 from repro import IntegrationScheme, small_config
-from repro.config import SystemConfig, QeiConfig
+from repro.config import QeiConfig
 from repro.core.accelerator import QueryRequest
 from repro.datastructs import CuckooHashTable
 from repro.errors import ConfigurationError

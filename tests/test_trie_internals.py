@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datastructs import AhoCorasickTrie, ProcessMemory, Trie
-from repro.datastructs.trie import EDGE_BYTES, NODE_BYTES
+from repro.datastructs.trie import EDGE_BYTES
 from repro.errors import DataStructureError
 
 
