@@ -262,7 +262,8 @@ def bench_cee(queries: int = 4000, burst: int = 32) -> Dict[str, float]:
                 )
             engine.run()
         elapsed = time.perf_counter() - start
-        return accel._steps.value / elapsed if elapsed > 0 else 0.0
+        steps = accel.stats.counter("cee.steps").value
+        return steps / elapsed if elapsed > 0 else 0.0
 
     return {"on": _best_of(ROUNDS, one_round)}
 

@@ -35,7 +35,7 @@ class LatencySummary:
 
 def latency_summary(accelerator: QeiAccelerator) -> LatencySummary:
     """Summarise the accelerator's completed-query latency histogram."""
-    histogram = accelerator._latency
+    histogram = accelerator.stats.histogram("query.latency")
     return LatencySummary(
         count=histogram.count,
         mean=histogram.mean,

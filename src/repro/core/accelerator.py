@@ -57,7 +57,7 @@ import enum
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import (
     AcceleratorError,
@@ -99,6 +99,8 @@ from .specialize import CompiledStep, compile_firmware, dispatch_step
 
 #: Value written alongside the status flag for "not found" results.
 NOT_FOUND_SENTINEL = 0
+#: ``fault_detail`` of a query aborted because its home is down.
+SLICE_DOWN_DETAIL = "accelerator home {} is down"
 
 
 class QueryStatus(enum.Enum):
@@ -145,6 +147,8 @@ class QueryHandle:
     #: commit order/time for observers (docs/mutations.md).
     commit_version: Optional[int] = None
     commit_cycle: Optional[int] = None
+    #: The accelerator home (CHA slice, core or device) the query is bound to.
+    home: int = 0
     _callbacks: List[Callable[["QueryHandle"], None]] = field(default_factory=list)
 
     @property
@@ -265,22 +269,22 @@ class QeiAccelerator:
             # The submission path's own operand translation faulted (e.g.
             # the key's page was unmapped under us).  The query is accepted
             # and aborted in place rather than crashing the submitting core.
-            handle._home = 0  # type: ignore[attr-defined]
-            code = self._memory_code(fault)
-            detail = str(fault)
+            code, detail = self._memory_code(fault), str(fault)
             self.engine.schedule_at(
                 max(self.engine.now, issue_cycle),
-                lambda: self._submit_fault(handle, detail, code),
+                lambda: self._abort_outside(handle, code, detail, QueryStatus.FAULT),
             )
             return handle
-        handle._home = home  # type: ignore[attr-defined]
+        handle.home = home
         if self.integration.home_state(home) is not SliceState.HEALTHY:
             # The probe found no HEALTHY home to reroute to: the doorbell
             # NACKs immediately and the query aborts with SLICE_DOWN (the
             # software fallback is the only path left).
             self.engine.schedule_at(
                 max(self.engine.now, issue_cycle),
-                lambda: self._slice_down(handle),
+                lambda: self._abort_outside(
+                    handle, AbortCode.SLICE_DOWN, SLICE_DOWN_DETAIL.format(home)
+                ),
             )
             return handle
         arrival = (
@@ -320,50 +324,43 @@ class QeiAccelerator:
         """Queries accepted into the QST plus overflow-queued submissions."""
         return self._n_handles + len(self._query_queue)
 
-    def _submit_fault(self, handle: QueryHandle, detail: str, code: AbortCode) -> None:
-        """Abort a query that never made it past submission."""
-        now = self.engine.now
+    def _abort_outside(
+        self,
+        handle: QueryHandle,
+        code: AbortCode,
+        detail: str = "",
+        status: QueryStatus = QueryStatus.ABORTED,
+    ) -> None:
+        """End a query that holds no QST entry (never accepted, or queued).
+
+        A non-blocking query gets its {status, code} record with an untimed
+        store — the coarse word is ``RESULT_FAULT`` or ``RESULT_ABORTED``
+        (software already polls for both), the payload word the specific
+        abort code.  An unreachable record is dropped: the query ends anyway.
+        """
         request = handle.request
         if not request.blocking and request.result_addr:
+            word = RESULT_FAULT if status is QueryStatus.FAULT else RESULT_ABORTED
             try:
-                self.space.write_u64(request.result_addr, RESULT_FAULT)
+                self.space.write_u64(request.result_addr, word)
                 self.space.write_u64(request.result_addr + 8, int(code))
             except MemoryError_:
                 pass  # the result record itself is unreachable
         handle.fault_detail = detail
         handle.abort_code = code
-        self._faulted.add()
+        if status is QueryStatus.FAULT:
+            self._faulted.add()
         self.stats.counter(f"abort.{code.name.lower()}").add()
-        handle._finish(QueryStatus.FAULT, now, None)
-
-    def _slice_down(self, handle: QueryHandle) -> None:
-        """Abort a query whose home went down before it could execute.
-
-        Mirrors the interrupt-flush semantics: the coarse status word is
-        ``RESULT_ABORTED`` (software already polls for it) and the payload
-        word carries the specific ``SLICE_DOWN`` code.
-        """
-        now = self.engine.now
-        request = handle.request
-        if not request.blocking and request.result_addr:
-            try:
-                self.space.write_u64(request.result_addr, RESULT_ABORTED)
-                self.space.write_u64(request.result_addr + 8, int(AbortCode.SLICE_DOWN))
-            except MemoryError_:
-                pass  # the result record itself is unreachable
-        handle.fault_detail = (
-            f"accelerator home {getattr(handle, '_home', '?')} is down"
-        )
-        handle.abort_code = AbortCode.SLICE_DOWN
-        self.stats.counter("abort.slice_down").add()
-        handle._finish(QueryStatus.ABORTED, now, None)
+        handle._finish(status, self.engine.now, None)
 
     def _arrive(self, handle: QueryHandle) -> None:
-        home = handle._home  # type: ignore[attr-defined]
+        home = handle.home
         self._inbound[home] = self._inbound.get(home, 0) - 1
         if self.integration.home_state(home) is SliceState.FAILED:
             # The home died while this request crossed the submit network.
-            self._slice_down(handle)
+            self._abort_outside(
+                handle, AbortCode.SLICE_DOWN, SLICE_DOWN_DETAIL.format(home)
+            )
             self._notify_quiesce()
             return
         self._query_queue.append(handle)
@@ -435,24 +432,6 @@ class QeiAccelerator:
             action()
         else:
             self.engine.schedule_at(now, action)
-
-    def _finish_complete(
-        self, entry: QstEntry, handle: QueryHandle, value: Optional[int]
-    ) -> None:
-        """Complete, demoting result-record write faults to query faults."""
-        try:
-            self._complete(entry, handle, value)
-        except MemoryError_ as fault:
-            self._fault(entry, handle, str(fault), code=self._memory_code(fault))
-
-    def _finish_fault(
-        self, entry: QstEntry, handle: QueryHandle, detail: str, *, code: AbortCode
-    ) -> None:
-        """Fault, retrying once when the abort record itself is unwritable."""
-        try:
-            self._fault(entry, handle, detail, code=code)
-        except MemoryError_ as fault:
-            self._fault(entry, handle, str(fault), code=self._memory_code(fault))
 
     @classmethod
     def _step_error(cls, exc: Exception) -> tuple:
@@ -597,7 +576,7 @@ class QeiAccelerator:
         handle = self._handles[entry.index]
         if handle is None or not entry.busy:
             return
-        home = handle._home  # type: ignore[attr-defined]
+        home = handle.home
         start = max(earliest, self._cee_free_at.get(home, 0), self.engine.now)
         self._cee_free_at[home] = start + 1
         self._push_ready(entry, start, wake=False)
@@ -614,7 +593,7 @@ class QeiAccelerator:
         if handle is None or not entry.busy:
             return
         engine = self.engine
-        home = handle._home  # type: ignore[attr-defined]
+        home = handle.home
         start = max(self._cee_free_at.get(home, 0), engine.now)
         self._cee_free_at[home] = start + 1
         peek = engine.peek_time()
@@ -673,8 +652,9 @@ class QeiAccelerator:
                 detail = f"watchdog: exceeded {watchdog_budget} CEE steps"
                 self._run_terminal(
                     now,
-                    lambda: self._fault(
-                        entry, handle, detail, code=AbortCode.WATCHDOG
+                    lambda: self._retire(
+                        entry, handle, QueryStatus.FAULT,
+                        code=AbortCode.WATCHDOG, detail=detail,
                     ),
                 )
                 return
@@ -688,7 +668,10 @@ class QeiAccelerator:
             except Exception as exc:  # noqa: BLE001 - firmware bugs become faults
                 detail, code = self._step_error(exc)
                 self._run_terminal(
-                    now, lambda: self._fault(entry, handle, detail, code=code)
+                    now,
+                    lambda: self._retire(
+                        entry, handle, QueryStatus.FAULT, code=code, detail=detail
+                    ),
                 )
                 return
             kind = act[0]
@@ -697,7 +680,7 @@ class QeiAccelerator:
                 # Timed micro-op, executed inline: counter first, then the
                 # timing-path call, then the functional access — one fixed
                 # order for TLB/DPU state parity.
-                home = handle._home  # type: ignore[attr-defined]
+                home = handle.home
                 try:
                     if kind == K_MEMREAD:
                         self._count_mem()
@@ -797,7 +780,10 @@ class QeiAccelerator:
                     detail, code = str(fault), self._memory_code(fault)
                     self._run_terminal(
                         now,
-                        lambda: self._fault(entry, handle, detail, code=code),
+                        lambda: self._retire(
+                            entry, handle, QueryStatus.FAULT,
+                            code=code, detail=detail,
+                        ),
                     )
                     return
             elif kind == K_DONE:
@@ -809,15 +795,18 @@ class QeiAccelerator:
                     detail = "header version changed during walk"
                     self._run_terminal(
                         now,
-                        lambda: self._finish_fault(
-                            entry, handle, detail,
-                            code=AbortCode.VERSION_CONFLICT,
+                        lambda: self._retire(
+                            entry, handle, QueryStatus.FAULT,
+                            code=AbortCode.VERSION_CONFLICT, detail=detail,
                         ),
                     )
                     return
                 value = act[1]
+                status = (
+                    QueryStatus.NOT_FOUND if value is None else QueryStatus.FOUND
+                )
                 self._run_terminal(
-                    now, lambda: self._finish_complete(entry, handle, value)
+                    now, lambda: self._retire(entry, handle, status, value)
                 )
                 return
             elif kind == K_FAULT:
@@ -825,13 +814,15 @@ class QeiAccelerator:
                 code = AbortCode.of(act[1])
                 self._run_terminal(
                     now,
-                    lambda: self._finish_fault(entry, handle, detail, code=code),
+                    lambda: self._retire(
+                        entry, handle, QueryStatus.FAULT, code=code, detail=detail
+                    ),
                 )
                 return
             else:  # K_WAIT
                 ready_at = now + 1
                 waiting = True
-            home = handle._home  # type: ignore[attr-defined]
+            home = handle.home
             free = cee_free.get(home, 0)
             start = ready_at if ready_at > free else free
             peek = engine.peek_time()
@@ -859,52 +850,52 @@ class QeiAccelerator:
     # Completion paths
     # ------------------------------------------------------------------ #
 
-    def _complete(self, entry: QstEntry, handle: QueryHandle, value: Optional[int]) -> None:
-        now = self.engine.now
-        home = handle._home  # type: ignore[attr-defined]
-        request = handle.request
-        status = QueryStatus.FOUND if value is not None else QueryStatus.NOT_FOUND
-        if request.blocking:
-            finish = now + self.integration.return_latency(request.core_id, home)
-        else:
-            finish = now + self._write_result(
-                request, RESULT_FOUND if value is not None else RESULT_NOT_FOUND,
-                value if value is not None else NOT_FOUND_SENTINEL, now, home,
-            )
-        self._completed.add()
-        self._latency.record(finish - handle.submit_cycle)
-        self._release(entry)
-        self.engine.schedule_at(
-            max(finish, now), lambda: handle._finish(status, max(finish, now), value)
-        )
-
-    def _fault(
+    def _retire(
         self,
         entry: QstEntry,
         handle: QueryHandle,
-        detail: str,
+        status: QueryStatus,
+        value: Optional[int] = None,
         *,
-        code: AbortCode = AbortCode.FAULT,
+        code: AbortCode = AbortCode.NONE,
+        detail: str = "",
     ) -> None:
+        """End a query that holds a QST entry: the one completion/fault path.
+
+        A blocking query pays the return trip to its core; a non-blocking
+        one pays its timed {status, value} record store (a fault's status
+        word keeps the coarse ``RESULT_FAULT`` software polls for, the
+        payload word the specific abort code).  A record the store cannot
+        reach turns the query into a FAULT with that memory code and no
+        record.  The entry is released either way.
+        """
         now = self.engine.now
-        home = handle._home  # type: ignore[attr-defined]
         request = handle.request
-        entry.ctx.state = STATE_EXCEPTION
         if request.blocking:
-            finish = now + self.integration.return_latency(request.core_id, home)
+            finish = now + self.integration.return_latency(request.core_id, handle.home)
         else:
-            # Status word keeps the coarse FAULT encoding software polls for;
-            # the payload word carries the specific abort code.
-            finish = now + self._write_result(request, RESULT_FAULT, int(code), now, home)
-        handle.fault_detail = detail
-        handle.abort_code = code
-        self._faulted.add()
-        self.stats.counter(f"abort.{code.name.lower()}").add()
+            if status is QueryStatus.FAULT:
+                record = (RESULT_FAULT, int(code))
+            elif value is None:
+                record = (RESULT_NOT_FOUND, NOT_FOUND_SENTINEL)
+            else:
+                record = (RESULT_FOUND, value)
+            try:
+                finish = now + self._write_result(request, *record, now, handle.home)
+            except MemoryError_ as fault:
+                status, value, finish = QueryStatus.FAULT, None, now
+                code, detail = self._memory_code(fault), str(fault)
+        if status is QueryStatus.FAULT:
+            entry.ctx.state = STATE_EXCEPTION
+            handle.fault_detail = detail
+            handle.abort_code = code
+            self._faulted.add()
+            self.stats.counter(f"abort.{code.name.lower()}").add()
+        else:
+            self._completed.add()
+            self._latency.record(finish - handle.submit_cycle)
         self._release(entry, code=code)
-        self.engine.schedule_at(
-            max(finish, now),
-            lambda: handle._finish(QueryStatus.FAULT, max(finish, now), None),
-        )
+        self.engine.schedule_at(finish, lambda: handle._finish(status, finish, value))
 
     def _write_result(
         self, request: QueryRequest, code: int, value: int, now: int, home: int
@@ -939,37 +930,7 @@ class QeiAccelerator:
         result address with a non-temporal store; the flush is complete once
         those stores' addresses are translated (Sec. IV-D).
         """
-        now = self.engine.now
-        finish = now
-        nb_index = 0
-        for entry in list(self.qst.busy_entries()):
-            handle = self._handles[entry.index]
-            if handle is None:
-                continue
-            if not entry.mode_blocking:
-                # The flush completes once every abort store's address has
-                # been translated (Sec. IV-D); the translation port handles
-                # one store per cycle, so the stores issue back to back.
-                start = now + nb_index
-                nb_index += 1
-                latency = self._write_result(
-                    handle.request,
-                    RESULT_ABORTED,
-                    int(AbortCode.FLUSH),
-                    start,
-                    handle._home,  # type: ignore[attr-defined]
-                )
-                finish = max(finish, start + latency)
-            status = QueryStatus.ABORTED
-            handle.abort_code = AbortCode.FLUSH
-            self.stats.counter("abort.flush").add()
-            self._drop_handle(entry.index)
-            self.qst.release(entry, abort_code=AbortCode.FLUSH)
-            handle._finish(status, now, None)
-        for queued in list(self._query_queue):
-            queued.abort_code = AbortCode.FLUSH
-            queued._finish(QueryStatus.ABORTED, now, None)
-        self._query_queue.clear()
+        _aborted, finish = self._abort_bound(AbortCode.FLUSH, "")
         self.integration.flush_translations()
         self._notify_quiesce()
         return finish
@@ -987,43 +948,55 @@ class QeiAccelerator:
         Returns the number of queries aborted.
         """
         self.integration.set_home_state(home, SliceState.FAILED)
-        now = self.engine.now
-        aborted = 0
-        nb_index = 0
-        for entry in list(self.qst.busy_entries()):
-            handle = self._handles[entry.index]
-            if handle is None or handle._home != home:  # type: ignore[attr-defined]
-                continue
-            if not entry.mode_blocking:
-                # Abort stores issue back to back through the translation
-                # port, exactly like the flush path (Sec. IV-D).
-                self._write_result(
-                    handle.request,
-                    RESULT_ABORTED,
-                    int(AbortCode.SLICE_DOWN),
-                    now + nb_index,
-                    home,
-                )
-                nb_index += 1
-            handle.abort_code = AbortCode.SLICE_DOWN
-            self.stats.counter("abort.slice_down").add()
-            self._drop_handle(entry.index)
-            self.qst.release(entry, abort_code=AbortCode.SLICE_DOWN)
-            handle._finish(QueryStatus.ABORTED, now, None)
-            aborted += 1
-        stranded = [
-            queued
-            for queued in self._query_queue
-            if queued._home == home  # type: ignore[attr-defined]
-        ]
-        for queued in stranded:
-            self._query_queue.remove(queued)
-            self._slice_down(queued)
-            aborted += 1
+        aborted, _finish = self._abort_bound(
+            AbortCode.SLICE_DOWN, SLICE_DOWN_DETAIL.format(home), home
+        )
         self.stats.counter("slice.failures").add()
         self._drain_queue()
         self._notify_quiesce()
         return aborted
+
+    def _abort_bound(
+        self, code: AbortCode, detail: str, home: Optional[int] = None
+    ) -> Tuple[int, int]:
+        """Abort every query bound to ``home`` (all homes when None).
+
+        QST entries are released with ``code``; each non-blocking one gets
+        its abort store, and the stores issue back to back through the
+        translation port, one per cycle (Sec. IV-D).  Queued queries end
+        through :meth:`_abort_outside`.  Returns ``(aborted, finish)``, the
+        count and the cycle the last abort store completed.  An abort store
+        whose record is unreachable is dropped; its query aborts anyway.
+        """
+        now = self.engine.now
+        finish = now
+        aborted = stores = 0
+        for entry in self.qst.busy_entries():
+            handle = self._handles[entry.index]
+            if handle is None or home not in (None, handle.home):
+                continue
+            if not entry.mode_blocking:
+                start = now + stores
+                stores += 1
+                try:
+                    latency = self._write_result(
+                        handle.request, RESULT_ABORTED, int(code), start, handle.home
+                    )
+                    finish = max(finish, start + latency)
+                except MemoryError_:
+                    pass  # the abort record itself is unreachable
+            handle.fault_detail = detail
+            handle.abort_code = code
+            self.stats.counter(f"abort.{code.name.lower()}").add()
+            self._drop_handle(entry.index)
+            self.qst.release(entry, abort_code=code)
+            handle._finish(QueryStatus.ABORTED, now, None)
+            aborted += 1
+        for queued in [q for q in self._query_queue if home in (None, q.home)]:
+            self._query_queue.remove(queued)
+            self._abort_outside(queued, code, detail)
+            aborted += 1
+        return aborted, finish
 
     def restore_home(self, home: int) -> None:
         """Bring a FAILED or DRAINING home back into the routable set."""
@@ -1066,10 +1039,10 @@ class QeiAccelerator:
         if any(self._inbound.get(home, 0) > 0 for home in targets):
             return False
         for handle in self._handles:
-            if handle is not None and handle._home in targets:  # type: ignore[attr-defined]
+            if handle is not None and handle.home in targets:
                 return False
         for handle in self._query_queue:
-            if handle._home in targets:  # type: ignore[attr-defined]
+            if handle.home in targets:
                 return False
         return True
 

@@ -70,7 +70,6 @@ from .cfa import (
     U64,
     WRITE_OPS,
     CfaProgram,
-    FirmwareImage,
     QueryContext,
 )
 from .header import (
@@ -1241,9 +1240,3 @@ def mutation_programs() -> List[CfaProgram]:
         SkipListMutationCfa(),
         BPlusTreeMutationCfa(),
     ]
-
-
-def register_mutation_firmware(image: FirmwareImage, *, replace: bool = False) -> None:
-    """Load the write-path programs into ``image``'s mutation table."""
-    for program in mutation_programs():
-        image.register(program, replace=replace, mutation=True)

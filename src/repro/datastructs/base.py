@@ -18,7 +18,6 @@ from ..mem.paging import AddressSpace
 from ..mem.physical import PhysicalMemory
 from ..core.header import DataStructureHeader, FLAG_VALID, StructureType
 from ..cpu.trace import TraceBuilder
-from .hashing import branch_outcome
 
 #: Default virtual layout of a simulated process.
 HEAP_BASE = 0x1000_0000
@@ -164,7 +163,3 @@ class SimStructure:
         loads_b = builder.load_span(b_addr, length, deps)
         cmp_op = builder.alu(deps=tuple(loads_a + loads_b), count=max(1, length // 8))
         return cmp_op
-
-    @staticmethod
-    def _direction_mispredict(key: bytes, salt: int) -> bool:
-        return branch_outcome(key, salt, DIRECTION_MISPREDICT_RATE)

@@ -105,11 +105,6 @@ class CuckooHashTable(SimStructure):
         addr = self.table_addr + bucket_index * self.bucket_bytes + slot_index * SLOT_BYTES
         return self.mem.space.read_2u64(addr)
 
-    def _write_slot(self, bucket_index: int, slot_index: int, sig: int, kv: int) -> None:
-        addr = self._slot(bucket_index, slot_index)
-        self.mem.space.write_u64(addr, sig)
-        self.mem.space.write_u64(addr + 8, kv)
-
     def _kv_key(self, kv_ptr: int) -> bytes:
         return self.mem.space.read(kv_ptr + 8, self.key_length)
 
@@ -228,10 +223,6 @@ class CuckooHashTable(SimStructure):
     # ------------------------------------------------------------------ #
     # Online resize (docs/mutations.md) — driven by core.mutations
     # ------------------------------------------------------------------ #
-
-    @property
-    def resize_active(self) -> bool:
-        return self._resize is not None
 
     @property
     def migration_watermark(self) -> int:

@@ -53,10 +53,6 @@ class DataStructureError(ReproError):
     """A simulated data structure is malformed or misused."""
 
 
-class DuplicateKeyError(DataStructureError):
-    """An insert found the key already present and duplicates are forbidden."""
-
-
 class CapacityError(DataStructureError):
     """A bounded structure (e.g. cuckoo hash table) cannot take more items."""
 
@@ -67,14 +63,6 @@ class FirmwareError(ReproError):
 
 class AcceleratorError(ReproError):
     """The QEI accelerator was driven outside its architectural contract."""
-
-
-class QstOverflowError(AcceleratorError):
-    """More in-flight queries were submitted than the QST has entries.
-
-    The paper makes the software responsible for tracking QST slot
-    availability (Sec. IV-B); submitting past capacity is a program bug.
-    """
 
 
 class SimulationError(ReproError):

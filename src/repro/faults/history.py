@@ -144,10 +144,6 @@ class HistoryRecorder:
         record.response_cycle = cycle
         record.attempts = attempts
 
-    @property
-    def op_count(self) -> int:
-        return len(self._ops)
-
     def written_keys(self) -> List[int]:
         """Key positions that saw at least one write attempt (any status)."""
         return sorted(

@@ -95,11 +95,6 @@ class CommitLog:
         self._records.insert(index, record)
         self.appends += 1
 
-    def records_after(self, ordinal: int) -> Tuple[WalRecord, ...]:
-        """All records with an ordinal strictly above ``ordinal``."""
-        index = bisect.bisect_right(self._ordinals, ordinal)
-        return tuple(self._records[index:])
-
     def gaps(self) -> Tuple[int, ...]:
         """Ordinals of commits the log is missing.
 

@@ -221,9 +221,6 @@ class QueryServer:
     # Dispatch
     # ------------------------------------------------------------------ #
 
-    def _in_service(self) -> int:
-        return self._outstanding
-
     def _dispatch(self) -> None:
         while not self._paused and self._outstanding < self.limit:
             request = self.frontend.next_request(self.engine.now)

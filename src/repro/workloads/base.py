@@ -16,7 +16,7 @@ determines how many queries the core can keep in flight (Sec. VII-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.accelerator import QueryRequest
 from ..core.isa import NbBatch, QueryOperands, QueryPort
@@ -53,12 +53,6 @@ class WorkloadResult:
     @property
     def speedup(self) -> float:
         return self.baseline.cycles / self.qei.cycles if self.qei.cycles else 0.0
-
-    @property
-    def instruction_reduction(self) -> float:
-        if not self.baseline.instructions:
-            return 0.0
-        return 1.0 - self.qei.instructions / self.baseline.instructions
 
 
 class QueryWorkload:
@@ -408,18 +402,3 @@ def run_qei(
         core_result=result,
         values=[h.value for h in port.handles],
     )
-
-
-def compare_schemes(
-    workload_name: str,
-    make_system_and_workload,
-    schemes: Sequence[str],
-) -> Dict[str, WorkloadResult]:
-    """Run baseline + QEI for each scheme with a fresh system per scheme."""
-    out: Dict[str, WorkloadResult] = {}
-    for scheme in schemes:
-        system, workload = make_system_and_workload(scheme)
-        baseline = run_baseline(system, workload)
-        qei = run_qei(system, workload)
-        out[scheme] = WorkloadResult(workload_name, scheme, baseline, qei)
-    return out

@@ -10,7 +10,8 @@ import pytest
 from repro import IntegrationScheme, small_config
 from repro.core.abort import AbortCode
 from repro.core.accelerator import QueryRequest, QueryStatus
-from repro.core.cfa import FirmwareImage
+from repro.core.cfa import RESULT_ABORTED, FirmwareImage
+from repro.core.isa import read_result
 from repro.core.programs import HashOfListsCfa, default_firmware
 from repro.datastructs import (
     BinarySearchTree,
@@ -310,8 +311,10 @@ class TestDispatchRoute:
 
 class TestFlush:
     def test_flush_aborts_nonblocking_with_code(self, sys_):
+        # More queries than QST entries: the flush catches some in the QST
+        # and the rest in the overflow queue, and both get the abort record.
         ht = CuckooHashTable(sys_.mem, key_length=16, num_buckets=64)
-        keys = keys_of(5)
+        keys = keys_of(sys_.accelerator.qst.capacity + 5)
         for i, k in enumerate(keys):
             ht.insert(k, i)
         result_addrs = [sys_.mem.alloc(16) for _ in keys]
@@ -331,12 +334,55 @@ class TestFlush:
             )
         # Let them arrive in the QST, then flush (context switch).
         sys_.engine.advance(60)
+        assert sys_.accelerator.qst.occupancy == sys_.accelerator.qst.capacity
         sys_.accelerator.flush()
         assert sys_.accelerator.qst.occupancy == 0
+        assert sys_.accelerator.in_flight == 0
         aborted = [h for h in handles if h.status is QueryStatus.ABORTED]
-        assert aborted
+        assert len(aborted) > sys_.accelerator.qst.capacity
         for h in aborted:
-            assert sys_.space.read_u64(h.request.result_addr) == 4  # ABORTED
+            assert read_result(sys_.space, h.request.result_addr) == (
+                RESULT_ABORTED, int(AbortCode.FLUSH), AbortCode.FLUSH,
+            )
+        assert sys_.stats.counter("qei.abort.flush").value == len(aborted)
+
+    @pytest.mark.parametrize(
+        "flush, status, code",
+        [
+            (False, QueryStatus.FAULT, AbortCode.SEGFAULT),
+            (True, QueryStatus.ABORTED, AbortCode.FLUSH),
+        ],
+        ids=["retire", "flush"],
+    )
+    def test_unwritable_result_record_frees_the_entry(self, sys_, flush, status, code):
+        # The result record sits on a page of its own, unmapped before the
+        # query ends: the record store faults, not the walk.  Retiring it
+        # ends the query FAULT with the memory code; a flush aborts it
+        # without the record.
+        ht = CuckooHashTable(sys_.mem, key_length=16, num_buckets=64)
+        ht.insert(keys_of(1)[0], 7)
+        page = sys_.space.page_bytes
+        result_addr = sys_.mem.alloc(2 * page)
+        result_addr += -result_addr % page
+        sys_.space.unmap_page(result_addr)
+        handle = sys_.accelerator.submit(
+            QueryRequest(
+                header_addr=ht.header_addr,
+                key_addr=ht.store_key(keys_of(1)[0]),
+                blocking=False,
+                result_addr=result_addr,
+            ),
+            sys_.engine.now,
+        )
+        if flush:
+            sys_.engine.advance(60)
+            assert sys_.accelerator.qst.occupancy == 1
+            sys_.accelerator.flush()
+        sys_.accelerator.drain()
+        assert handle.status is status
+        assert handle.abort_code is code
+        assert sys_.accelerator.qst.occupancy == 0
+        assert sys_.accelerator.in_flight == 0
 
     def test_flush_empty_accelerator_is_noop(self, sys_):
         assert sys_.accelerator.flush() == sys_.engine.now

@@ -117,7 +117,7 @@ def test_fail_slice_aborts_in_flight_with_slice_down():
     system, wl = make_system("cha-tlb")
     handles = submit_nb(system, wl, list(range(8)))
     system.engine.advance(5)  # still in the submit network
-    victims = {h._home for h in handles}
+    victims = {h.home for h in handles}
     victim = sorted(victims)[0]
     system.fail_slice(victim)
     settle(system, handles)
