@@ -23,16 +23,13 @@ query's register file.  ``tests/cfa_reference.py`` keeps interpreted
 oracles of every built-in program; the property tests and the golden-stats
 grid check the firmware against them.
 
-**Batched ready-drain.**  Pending steps and wakes live in slot-indexed
-parallel arrays (``_rdy_*``) plus a ``(time, seq, slot)`` min-heap, and a
-single *sentinel* engine event — armed at the heap head's exact
-``(time, seq)`` key via pre-allocated tickets
-(:meth:`~repro.sim.engine.Engine.ticket`) — drains every due entry in one
-callback.  Each entry's ticket is taken exactly where a
-one-event-per-transition engine would allocate its event's sequence
-number, so the drain runs steps in that order and interleaves correctly
-with ordinary engine events (:meth:`~repro.sim.engine.Engine.peek_key`
-decides who goes first on same-cycle ties).
+**One engine event per deferred transition.**  A step or wake the CEE
+cannot run inline is one engine event (:meth:`QeiAccelerator._drain_ready`)
+bound to its entry, the entry's generation and its ready cycle, so
+deferred transitions interleave with every other engine event in plain
+``(time, seq)`` order.  A flush or slice failure leaves its entries'
+events queued: they fire as no-ops against a released or reallocated
+slot, and until then they bound fusion like any other pending event.
 
 **Macro-step fusion.**  Every substrate the CEE touches (integration
 timing paths, DPU pools, the NoC) takes an explicit ``now``, so a
@@ -41,9 +38,8 @@ runs in — not on the engine clock.  :meth:`QeiAccelerator._step_at`
 therefore steps its entry in a tight inner loop, advancing a *virtual*
 ``now`` arithmetically, for as long as the next transition is provably the
 globally next thing to happen: its start cycle must precede every pending
-engine event and ready entry
-(:meth:`~repro.sim.engine.Engine.peek_time`) and stay inside the active
-run's horizon.  Otherwise the entry goes back on the ready heap.
+engine event (:meth:`~repro.sim.engine.Engine.peek_time`) and stay inside
+the active run's horizon.  Otherwise the entry defers to an engine event.
 Completions and faults reached at a virtual time ahead of the engine clock
 are deferred to an event at that cycle, so the completion machinery
 (result writes, QST release, queue drain, quiesce callbacks) always
@@ -54,9 +50,9 @@ that none of this changes a simulated number.
 from __future__ import annotations
 
 import enum
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import (
@@ -217,22 +213,8 @@ class QeiAccelerator:
         self._compiled_mut: Dict[int, CompiledStep] = {}
         # The fallback route for queries no compiled table covers.
         self._dispatch = dispatch_step(firmware, space)
-        # Batched CEE ready set, SoA-style: QST-slot-indexed parallel arrays
-        # — live ticket seq (-1 when consumed), ready cycle, generation,
-        # wake-vs-step kind, and the slot's compiled step fn — plus a
-        # (time, seq, slot) min-heap.  One sentinel engine event stays armed
-        # at the heap head's exact (time, seq) key; firing it drains every
-        # due entry in a single callback (_drain_ready).
-        self._ready: List[tuple] = []
-        self._rdy_seq: List[int] = [-1] * qst_entries
-        self._rdy_time: List[int] = [0] * qst_entries
-        self._rdy_gen: List[int] = [0] * qst_entries
-        self._rdy_wake: List[bool] = [False] * qst_entries
+        # Each QST slot's compiled step fn, bound at accept.
         self._rdy_fn: List[Optional[CompiledStep]] = [None] * qst_entries
-        self._sentinel = None
-        self._draining = False
-        # Direct slot->entry view for the drain loop (the QST owns it).
-        self._qst_entries = self.qst._entries
         #: QST-slot-indexed handle table (dense: slot indices are small and
         #: recycled, so a list beats a dict on every hot-path probe).
         self._handles: List[Optional[QueryHandle]] = [None] * qst_entries
@@ -488,88 +470,33 @@ class QeiAccelerator:
         return usable
 
     # ------------------------------------------------------------------ #
-    # CEE driver: batched ready-drain + compiled step loop
+    # CEE driver: one engine event per deferred transition + step loop
     # ------------------------------------------------------------------ #
 
     def _push_ready(self, entry: QstEntry, time: int, wake: bool) -> None:
-        """Enqueue a deferred step/wake for ``entry`` at ``time``.
+        """Defer a step (or, with ``wake``, a wake) of ``entry`` to ``time``.
 
-        The engine ticket is allocated here — exactly where a
-        one-event-per-transition engine would allocate its event's
-        sequence number — so entries keep that relative ordering against
-        each other and against ordinary engine events.  A slot's previous
-        ready entry (if any — flush/fail can strand one) is invalidated by
-        overwriting ``_rdy_seq``; the stale heap tuple is skipped at pop,
-        as a no-op event for a released entry would be.
+        The event stays live even if the slot is released or reallocated
+        before it fires: :meth:`_drain_ready` then finds a stale generation
+        or an idle entry and does nothing.
         """
-        index = entry.index
-        seq = self.engine.ticket()
-        self._rdy_seq[index] = seq
-        self._rdy_time[index] = time
-        self._rdy_gen[index] = entry.generation
-        self._rdy_wake[index] = wake
-        heapq.heappush(self._ready, (time, seq, index))
-        if not self._draining:
-            self._arm_sentinel()
+        fn = None if wake else self._rdy_fn[entry.index]
+        self.engine.schedule_at(
+            time, partial(self._drain_ready, entry, entry.generation, time, fn)
+        )
 
-    def _arm_sentinel(self) -> None:
-        """Keep one engine event armed at the ready heap head's exact key."""
-        if not self._ready:
-            return
-        time, seq, _index = self._ready[0]
-        sentinel = self._sentinel
-        if sentinel is not None:
-            if (
-                not sentinel.cancelled
-                and sentinel.time == time
-                and sentinel.seq == seq
-            ):
-                return  # already armed at the right key
-            sentinel.cancel()
-        self._sentinel = self.engine.schedule_with_seq(time, seq, self._drain_ready)
-
-    def _drain_ready(self) -> None:
-        """Sentinel callback: run every due ready entry, SoA-batch style.
-
-        Entries are consumed in (time, seq) order while they are due
-        (``time <= engine.now``) and precede the engine's next live event;
-        the first entry that must wait — or yield to an engine event with a
-        smaller key — re-arms the sentinel at its exact key and stops.
-        Stale entries (slot released or re-armed since the push) are
-        skipped at pop, never pruned early, so the ordering their no-op
-        events would impose is preserved.
-        """
-        self._sentinel = None
-        self._draining = True
-        engine = self.engine
-        ready = self._ready
-        rdy_seq = self._rdy_seq
-        entries = self._qst_entries
-        pop = heapq.heappop
-        try:
-            while ready:
-                time, seq, index = ready[0]
-                if time > engine.now:
-                    break
-                if rdy_seq[index] != seq:
-                    pop(ready)  # stale: slot released or re-pushed since
-                    continue
-                engine_key = engine.peek_key()
-                if engine_key is not None and engine_key < (time, seq):
-                    break  # an engine event is ordered first; yield to it
-                pop(ready)
-                rdy_seq[index] = -1
-                entry = entries[index]
-                if self._rdy_wake[index]:
-                    if entry.generation == self._rdy_gen[index]:
-                        self._wake(entry)
-                else:
-                    self._step_at(
-                        entry, self._rdy_gen[index], time, self._rdy_fn[index]
-                    )
-        finally:
-            self._draining = False
-            self._arm_sentinel()
+    def _drain_ready(
+        self,
+        entry: QstEntry,
+        generation: int,
+        time: int,
+        fn: Optional[CompiledStep],
+    ) -> None:
+        """Engine callback: run one deferred step (``fn``) or wake (None)."""
+        if fn is not None:
+            self._step_at(entry, generation, time, fn)
+        elif entry.generation == generation:
+            self._wake(entry)
 
     def _sched(self, entry: QstEntry, earliest: int) -> None:
         """Claim the home's CEE slot and defer a step-kind ready entry."""
@@ -585,9 +512,7 @@ class QeiAccelerator:
         """Wake an entry whose micro-op completed.
 
         Claim the CEE slot, then either step inline (when fusion proves
-        nothing can interleave — the guard must also consider the remaining
-        ready entries, which the popped sentinel no longer represents in
-        the engine queue) or defer a step-kind ready entry.
+        nothing can interleave) or defer a step-kind ready entry.
         """
         handle = self._handles[entry.index]
         if handle is None or not entry.busy:
@@ -597,11 +522,6 @@ class QeiAccelerator:
         start = max(self._cee_free_at.get(home, 0), engine.now)
         self._cee_free_at[home] = start + 1
         peek = engine.peek_time()
-        ready = self._ready
-        if ready:
-            ready_time = ready[0][0]
-            if peek is None or ready_time < peek:
-                peek = ready_time
         horizon = engine.run_horizon
         if (peek is None or peek > start) and (horizon is None or start <= horizon):
             self._step_at(
@@ -627,9 +547,9 @@ class QeiAccelerator:
         entered from the drain, possibly ahead of it when fused across a
         wake — and advances virtually as transitions fuse.  A transition at
         ``start`` fuses only when ``start`` strictly precedes every pending
-        engine event and ready entry and lies inside the active run's
-        horizon; under that guard nothing can interleave, so the operation
-        sequence (and every stat) is what one event per transition gives.
+        engine event and lies inside the active run's horizon; under that
+        guard nothing can interleave, so the operation sequence (and every
+        stat) is what one event per transition gives.
         """
         engine = self.engine
         space = self.space
@@ -826,11 +746,6 @@ class QeiAccelerator:
             free = cee_free.get(home, 0)
             start = ready_at if ready_at > free else free
             peek = engine.peek_time()
-            ready = self._ready
-            if ready:
-                ready_time = ready[0][0]
-                if peek is None or ready_time < peek:
-                    peek = ready_time
             horizon = engine.run_horizon
             if (peek is None or peek > start) and (
                 horizon is None or start <= horizon

@@ -30,6 +30,7 @@ from ..config import (
     IntegrationScheme,
     SystemConfig,
 )
+from ..datastructs.hashing import fnv1a64, primary_hash
 from ..errors import ConfigurationError, MemoryError_
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.mmu import Mmu, PAGE_WALK_CYCLES
@@ -38,6 +39,7 @@ from ..mem.tlb import Tlb
 from ..noc.mesh import MeshNoc
 from ..sim.stats import StatsRegistry
 from .dpu import AluPool, ComparatorPool, HashUnit
+from .header import MAX_KEY_LENGTH, DataStructureHeader, StructureType
 
 
 class SliceState(str, enum.Enum):
@@ -196,8 +198,6 @@ class Integration:
                     return self.hierarchy.slice_of(self.hierarchy.line_of(paddr))
         paddr = self.space.translate(key_addr, "r")
         key = self.space.read(key_addr, CACHELINE_BYTES if not header_vaddr else 16)
-        from ..datastructs.hashing import fnv1a64
-
         return fnv1a64(key) % len(self.slice_comparators)
 
     def _primary_target(self, key_addr: int, header_vaddr: int) -> Optional[int]:
@@ -208,9 +208,6 @@ class Integration:
         here means "no primary owner" — the query spreads by key instead and
         the CFA's header validation surfaces the proper abort code.
         """
-        from ..datastructs.hashing import primary_hash
-        from .header import MAX_KEY_LENGTH, DataStructureHeader, StructureType
-
         try:
             header = DataStructureHeader.load(self.space, header_vaddr)
             if header.type_code != int(StructureType.HASH_TABLE) or not header.size:

@@ -564,8 +564,8 @@ class SimulatedCluster:
 
     def _finished(self) -> bool:
         return (
-            all(generator.finished for generator in self.generators)
-            and not self.lb.outstanding
+            not self.lb.outstanding
+            and all(generator.finished for generator in self.generators)
             and not any(node.busy for node in self.nodes)
         )
 

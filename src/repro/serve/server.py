@@ -558,10 +558,10 @@ class QueryServer:
 
     def _finished(self) -> bool:
         return (
-            all(generator.finished for generator in self._generators)
-            and not self._outstanding
+            not self._outstanding
             and not self.frontend.pending
             and not self._completions
+            and all(generator.finished for generator in self._generators)
         )
 
     def run(
@@ -586,7 +586,8 @@ class QueryServer:
         steps = 0
         while not self._finished():
             progressed = self.engine.step()
-            self._drain_completions(on_tick)
+            if self._completions:
+                self._drain_completions(on_tick)
             if self.frontend.pending:
                 self._dispatch()
             if on_tick is not None:

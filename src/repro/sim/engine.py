@@ -4,11 +4,8 @@ Components schedule callables at absolute or relative cycle times; the engine
 pops events in (time, sequence) order so same-cycle events run in scheduling
 order, which keeps runs deterministic.
 
-The queue holds plain ``(time, seq, event)`` tuples: heap comparisons stop at
-``seq`` for live events, which carry unique sequence numbers.  Pre-allocated
-tickets (:meth:`Engine.ticket`) let the accelerator's ready-drain sentinel
-re-arm under a key an already-cancelled event still holds, so :class:`Event`
-grows a trivial ``__lt__`` for that one duplicate-key case.
+The queue holds plain ``(time, seq, event)`` tuples: every event carries a
+unique sequence number, so heap comparisons never reach the event itself.
 Cancelled events are skipped lazily on pop, and the queue is compacted in
 place once cancelled entries outnumber live ones (see
 :attr:`Engine.COMPACT_MIN_CANCELLED`), so long-lived simulations that cancel
@@ -24,20 +21,9 @@ from ..errors import SimulationError
 
 
 class Event:
-    """One scheduled callback.
-
-    The engine orders heap entries by ``(time, seq)``; ``seq`` values are
-    unique among *live* events, so the ``__lt__`` tie-break below only fires
-    when a cancelled entry shares a key with its re-armed replacement (the
-    accelerator's ready-drain sentinel re-uses pre-allocated tickets — see
-    :meth:`Engine.ticket`).  Which of the two pops first is irrelevant: at
-    most one is live, the other is skipped.
-    """
+    """One scheduled callback, ordered in the queue by ``(time, seq)``."""
 
     __slots__ = ("time", "seq", "callback", "cancelled", "_engine")
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.seq < other.seq
 
     def __init__(
         self,
@@ -75,7 +61,7 @@ class Engine:
     __slots__ = (
         "_queue",
         "_seq",
-        "_now",
+        "now",
         "_running",
         "events_processed",
         "_cancelled",
@@ -85,62 +71,27 @@ class Engine:
     def __init__(self) -> None:
         self._queue: List[Tuple[int, int, Event]] = []
         self._seq = 0
-        self._now = 0
+        #: Current simulation time in cycles (written only by the engine).
+        self.now = 0
         self._running = False
         self.events_processed = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._horizon: Optional[int] = None  # active run()'s `until` bound
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
-
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute cycle ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time}; current time is {self._now}"
+                f"cannot schedule at {time}; current time is {self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, self)
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
-
-    def ticket(self) -> int:
-        """Allocate (and consume) a sequence number without scheduling.
-
-        A component that *may* schedule an event later — at the point in
-        scheduling order where this call happens — takes a ticket now and
-        redeems it with :meth:`schedule_with_seq`.  The accelerator's
-        batched ready-drain uses this to keep its deferred steps in exactly
-        the relative order the one-event-per-wake reference would have
-        given them.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
-
-    def schedule_with_seq(
-        self, time: int, seq: int, callback: Callable[[], None]
-    ) -> Event:
-        """Schedule at ``time`` under a pre-allocated :meth:`ticket` seq.
-
-        The caller owns the ticket and must redeem it at most once per
-        armed sentinel; a cancelled event may share its (time, seq) key
-        with the re-armed one (``Event.__lt__`` keeps heapq safe).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}; current time is {self._now}"
-            )
         event = Event(time, seq, callback, self)
         heapq.heappush(self._queue, (time, seq, event))
         return event
@@ -165,23 +116,6 @@ class Engine:
                 self._cancelled -= 1
                 continue
             return time
-        return None
-
-    def peek_key(self) -> Optional[Tuple[int, int]]:
-        """The next live event's full ``(time, seq)`` ordering key.
-
-        Like :meth:`peek_time` but exposes the tie-break too, so the
-        accelerator can decide whether its ready-heap head precedes or
-        follows the engine's head within the same cycle.
-        """
-        queue = self._queue
-        while queue:
-            time, seq, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                continue
-            return time, seq
         return None
 
     @property
@@ -211,7 +145,7 @@ class Engine:
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self._now = time
+            self.now = time
             self.events_processed += 1
             event.callback()
             return True
@@ -245,14 +179,14 @@ class Engine:
                     if event.cancelled:
                         self._cancelled -= 1
                         continue
-                    self._now = time
+                    self.now = time
                     dispatched += 1
                     event.callback()
             finally:
                 self.events_processed += dispatched
                 self._running = False
                 self._horizon = None
-            return self._now
+            return self.now
         try:
             while queue:
                 time, _seq, event = queue[0]
@@ -261,24 +195,24 @@ class Engine:
                     self._cancelled -= 1
                     continue
                 if until is not None and time > until:
-                    self._now = until
+                    self.now = until
                     break
                 if max_events is not None and processed >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway simulation?"
                     )
                 pop(queue)
-                self._now = time
+                self.now = time
                 self.events_processed += 1
                 event.callback()
                 processed += 1
             else:
                 if until is not None:
-                    self._now = max(self._now, until)
+                    self.now = max(self.now, until)
         finally:
             self._running = False
             self._horizon = None
-        return self._now
+        return self.now
 
     def run_until(self, time: int, max_events: Optional[int] = None) -> int:
         """Fast-forward to absolute cycle ``time``, running due events."""
@@ -290,7 +224,7 @@ class Engine:
 
     def advance(self, cycles: int) -> int:
         """Run events for the next ``cycles`` cycles and advance time."""
-        return self.run(until=self._now + cycles)
+        return self.run(until=self.now + cycles)
 
     def clear(self) -> None:
         """Drop every queued event: the simulation is over.

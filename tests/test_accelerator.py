@@ -5,6 +5,9 @@ returns exactly the same value as the pure software reference lookup — on
 every integration scheme.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import IntegrationScheme, small_config
@@ -383,6 +386,57 @@ class TestFlush:
         assert handle.abort_code is code
         assert sys_.accelerator.qst.occupancy == 0
         assert sys_.accelerator.in_flight == 0
+
+    def test_flush_then_refill_keeps_cycles(self, sys_):
+        # A full QST of walks is flushed while their wakes are still queued
+        # as engine events; a fresh batch then reallocates the freed slots
+        # before those stale events fire.  They must fire as no-ops: every
+        # handle's outcome and cycle, and the whole stats snapshot, pinned.
+        accelerator = sys_.accelerator
+        capacity = accelerator.qst.capacity
+        ht = CuckooHashTable(sys_.mem, key_length=16, num_buckets=64)
+        keys = keys_of(2 * capacity)
+        for i, k in enumerate(keys):
+            ht.insert(k, i)
+
+        def submit(batch):
+            return [
+                accelerator.submit(
+                    QueryRequest(
+                        header_addr=ht.header_addr,
+                        key_addr=ht.store_key(k),
+                        blocking=False,
+                        result_addr=sys_.mem.alloc(16),
+                    ),
+                    sys_.engine.now,
+                )
+                for k in batch
+            ]
+
+        first = submit(keys[:capacity])
+        sys_.engine.advance(60)
+        assert accelerator.qst.occupancy == capacity
+        accelerator.flush()
+        assert sys_.engine.pending() > 0  # the flushed walks' wakes
+        second = submit(keys[capacity:])
+        accelerator.drain()
+        outcome = [
+            (h.status, h.abort_code, h.value, h.completion_cycle)
+            for h in first + second
+        ]
+        assert outcome[:capacity] == [
+            (QueryStatus.ABORTED, AbortCode.FLUSH, None, 60)
+        ] * capacity
+        assert outcome[capacity:] == [
+            (QueryStatus.FOUND, AbortCode.NONE, capacity + i, cycle)
+            for i, cycle in enumerate(
+                [605, 608, 602, 606, 588, 607, 389, 610, 604, 609]
+            )
+        ]
+        payload = json.dumps(sorted(sys_.stats.snapshot().items()), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "9b5e56035bd5b406d7137a27d04d8729219a5b890d44e2d5050851475d64983b"
+        )
 
     def test_flush_empty_accelerator_is_noop(self, sys_):
         assert sys_.accelerator.flush() == sys_.engine.now

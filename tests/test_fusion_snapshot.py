@@ -61,25 +61,32 @@ def test_run_horizon_visible_only_inside_bounded_run():
 # Fusion: engine event counts
 # --------------------------------------------------------------------- #
 
-#: Engine events per ROI with macro-step fusion and the batched ready-drain,
-#: pinned at their measured values: golden stats cannot see the event count
-#: (fusion changes no simulated number), so this is what proves fusion still
-#: fuses.  Without fusion the same ROIs took 936 and 3820 events.
+#: Engine events per ROI with and without macro-step fusion, pinned at
+#: their measured values: golden stats cannot see the event count (fusion
+#: changes no simulated number), so this is what proves fusion still fuses.
+#: Every deferred CEE step or wake is one engine event.
 FUSED_EVENTS = {
-    ("dpdk", "cha-tlb"): (845, 3317, 100),
-    ("rocksdb", "core-integrated"): (1925, 77561, 50),
+    # (fused events, unfused events, cycles, queries)
+    ("dpdk", "cha-tlb"): (1078, 1712, 3317, 100),
+    ("rocksdb", "core-integrated"): (2024, 7486, 77561, 50),
 }
 
 
-@pytest.mark.parametrize("pair", sorted(FUSED_EVENTS))
-def test_fusion_keeps_engine_event_count(pair):
-    workload, scheme = pair
+def _roi_events(workload, scheme):
     snapshot.clear()
     system, wl = _build(workload, scheme, quick=True)
     run = run_qei(system, wl)
-    events, cycles, queries = FUSED_EVENTS[pair]
-    assert (run.cycles, run.queries) == (cycles, queries)
-    assert system.engine.events_processed == events
+    return system.engine.events_processed, run.cycles, run.queries
+
+
+@pytest.mark.parametrize("pair", sorted(FUSED_EVENTS))
+def test_fusion_keeps_engine_event_count(pair, monkeypatch):
+    fused, unfused, cycles, queries = FUSED_EVENTS[pair]
+    assert _roi_events(*pair) == (fused, cycles, queries)
+    with monkeypatch.context() as off:
+        # The golden grid's fusion-off leg: a horizon below every cycle.
+        off.setattr(Engine, "run_horizon", property(lambda self: -1))
+        assert _roi_events(*pair) == (unfused, cycles, queries)
 
 
 # --------------------------------------------------------------------- #

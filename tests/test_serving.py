@@ -8,6 +8,7 @@ through the software fallback, and every accelerated result agrees with
 the software oracle.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -149,6 +150,25 @@ def test_batched_run_reports_correct_results():
     for row in report.tenants:
         assert row["slo_budget_p99"] == ServeConfig.slo_p99_cycles
         assert row["completed"] + row["rejected"] == 60
+
+
+#: sha256 of ``report.dump()`` for a 4-tenant, 5%-write run of 400
+#: requests at seed 7: the serving loop's event order and every simulated
+#: number it reports, per scheme.
+SERVE_REPORT_SHA256 = {
+    "cha-tlb": "1eacaf7d480fe80d36e6da9b260c6dff0e9e564aaa5b0e44eb2f9acdd5f0914b",
+    "cha-notlb": "0fb49494f710c9f6c20f6fee3486b58e9fb114dcafc5383b83df03253522fff5",
+    "device-direct": "b5857e1bb3d5af2d2ef0f7cbbd3ce15e493b16603a03cf879be50da29b366be4",
+    "device-indirect": "8ccf87b4470f9bfb7140409abc52ddeea5137790cce0c1088084d481be90fc71",
+    "core-integrated": "d9e99642d198365d546bed0610ce95cc487cebb8d29546dde5bc85dd02d02b0b",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SERVE_REPORT_SHA256))
+def test_serve_report_is_pinned(scheme):
+    report = run_serving(scheme, tenants=4, requests=400, seed=7, write_ratio=0.05)
+    digest = hashlib.sha256(report.dump().encode()).hexdigest()
+    assert digest == SERVE_REPORT_SHA256[scheme]
 
 
 def test_closed_loop_run_completes():
