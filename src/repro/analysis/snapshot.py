@@ -9,12 +9,15 @@ So the first default-config build per (workload, params) is captured as a
 process memory plus the workload's attributes; the bit-identity argument
 is in that module), and every later build restores it.
 ``tests/test_golden_stats.py`` holds this path to the same hashes as cold
-builds.
+builds.  Because every build of a workload starts from this one image, the
+figure sweeps also emit its software-baseline trace once and share it
+across the scheme pairs (``_PAIR_MEMO`` in
+:mod:`repro.analysis.experiments`; ``tests/test_figure_pins.py``).
 
 Snapshots apply only to default-config systems (``config is None``);
-custom configs (fig8's latency sweep) always build fresh, mirroring the
-``_PAIR_MEMO`` policy in :mod:`repro.analysis.experiments`.  A workload
-whose state cannot be pickled is never snapshotted and always rebuilds.
+custom configs (fig8's latency sweep) always build fresh and are never
+memoized.  A workload whose state cannot be pickled is never snapshotted:
+it always rebuilds and emits its own baseline trace per pair.
 """
 
 from __future__ import annotations

@@ -353,15 +353,28 @@ class QueryWorkload:
 
 
 def run_baseline(
-    system: System, workload: QueryWorkload, *, app: bool = False, warm: bool = True
+    system: System,
+    workload: QueryWorkload,
+    *,
+    app: bool = False,
+    warm: bool = True,
+    emitted: Optional[Tuple[Trace, List[Optional[int]]]] = None,
 ) -> RoiRun:
-    """Time the software ROI (or whole app) on core 0."""
+    """Time the software ROI (or whole app) on core 0.
+
+    ``emitted`` is the ``(Trace, values)`` pair that
+    :meth:`QueryWorkload.baseline_trace` returned on an identical memory
+    image (the figure sweeps share one per workload); without it the
+    workload emits its own.  It is the ROI trace, so ``app`` must be False.
+    """
+    if app and emitted is not None:
+        raise ValueError("emitted is a baseline_trace() pair; app runs emit their own")
     if warm:
         system.warm_llc()
-    trace, values = (
+    ops, values = emitted or (
         workload.app_trace_baseline() if app else workload.baseline_trace()
     )
-    result = system.run_trace(trace)
+    result = system.run_trace(ops)
     return RoiRun(
         cycles=result.cycles,
         instructions=result.instructions,
