@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
 
 from .errors import ConfigurationError
 
@@ -97,16 +96,12 @@ class CoreConfig:
     """An out-of-order core, per Tab. II (Skylake-SP-like)."""
 
     frequency_ghz: float = 2.5
-    fetch_width: int = 4
     issue_width: int = 4
     rob_entries: int = 224
     load_queue_entries: int = 72
     store_queue_entries: int = 56
     branch_mispredict_cycles: int = 14
     l1d: CacheConfig = field(
-        default_factory=lambda: CacheConfig(32 * 1024, 8, 4)
-    )
-    l1i: CacheConfig = field(
         default_factory=lambda: CacheConfig(32 * 1024, 8, 4)
     )
     l2: CacheConfig = field(
@@ -175,8 +170,6 @@ class QeiConfig:
     comparators_per_cha: int = 2
     comparators_per_device_dpu: int = 10
     max_states: int = 256
-    #: Cycles for the CEE to select + process one ready QST entry.
-    step_cycles: int = 1
     #: Per-query watchdog: CEE transitions a query may take before it is
     #: force-aborted with ``AbortCode.WATCHDOG`` (catches pointer cycles).
     watchdog_steps: int = 100_000
@@ -247,36 +240,12 @@ class ServeConfig:
     think_cycles: int = 128
     #: Closed-loop admission retries before a request is counted failed.
     max_admission_attempts: int = 64
-    #: Per-request deadline from generation, in cycles (0 disables).  Work
-    #: whose deadline expired is shed — never dispatched — with a distinct
-    #: SLO outcome instead of burning QST slots on a dead request.
-    deadline_cycles: int = 0
-    #: Per-tenant circuit breaker: trailing outcomes considered (0 disables).
-    breaker_window: int = 0
-    #: Failure fraction within the window that opens the circuit.
-    breaker_threshold: float = 0.5
-    #: Cycles an open circuit rejects immediately before probing again.
-    breaker_open_cycles: int = 4096
-    #: Half-open probe budget; all must succeed to close the circuit.
-    breaker_probes: int = 4
-    #: Hedged retries: re-submit a query stuck past this latency percentile
-    #: (e.g. 95.0; 0 disables hedging).
-    hedge_quantile: float = 0.0
-    #: The hedge fires at quantile-latency x this multiplier.
-    hedge_multiplier: float = 2.0
-    #: Completions a tenant needs before its quantile estimate is trusted.
-    hedge_min_samples: int = 64
-    #: Total hedged submissions allowed per run (bounded retry amplification).
-    hedge_budget: int = 32
     #: Fraction of each tenant's requests that are writes (docs/mutations.md):
     #: 0.0 keeps the tier read-only and byte-identical to pre-mutation runs.
     write_ratio: float = 0.0
-    #: Per-tenant override of ``write_ratio`` (length must equal ``tenants``).
-    tenant_write_ratios: Optional[Tuple[float, ...]] = None
 
     def write_ratio_of(self, tenant: int) -> float:
-        if self.tenant_write_ratios is not None:
-            return self.tenant_write_ratios[tenant]
+        """The write ratio of ``tenant``: every tenant shares ``write_ratio``."""
         return self.write_ratio
 
     def __post_init__(self) -> None:
@@ -304,44 +273,8 @@ class ServeConfig:
             raise ConfigurationError(
                 "serve max_admission_attempts must be positive"
             )
-        if self.deadline_cycles < 0:
-            raise ConfigurationError("serve deadline_cycles must be >= 0")
-        if self.breaker_window < 0:
-            raise ConfigurationError("serve breaker_window must be >= 0")
-        if not 0.0 < self.breaker_threshold <= 1.0:
-            raise ConfigurationError(
-                "serve breaker_threshold must be in (0, 1]"
-            )
-        if self.breaker_open_cycles <= 0:
-            raise ConfigurationError(
-                "serve breaker_open_cycles must be positive"
-            )
-        if self.breaker_probes <= 0:
-            raise ConfigurationError("serve breaker_probes must be positive")
-        if not 0.0 <= self.hedge_quantile < 100.0:
-            raise ConfigurationError(
-                "serve hedge_quantile must be a percentile in [0, 100)"
-            )
-        if self.hedge_multiplier < 1.0:
-            raise ConfigurationError("serve hedge_multiplier must be >= 1")
-        if self.hedge_min_samples <= 0:
-            raise ConfigurationError(
-                "serve hedge_min_samples must be positive"
-            )
-        if self.hedge_budget < 0:
-            raise ConfigurationError("serve hedge_budget must be >= 0")
         if not 0.0 <= self.write_ratio <= 1.0:
             raise ConfigurationError("serve write_ratio must be in [0, 1]")
-        if self.tenant_write_ratios is not None:
-            if len(self.tenant_write_ratios) != self.tenants:
-                raise ConfigurationError(
-                    "serve tenant_write_ratios must list one ratio per tenant"
-                )
-            for ratio in self.tenant_write_ratios:
-                if not 0.0 <= ratio <= 1.0:
-                    raise ConfigurationError(
-                        "serve tenant write ratios must be in [0, 1]"
-                    )
 
 
 @dataclass(frozen=True)

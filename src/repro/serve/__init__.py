@@ -16,7 +16,6 @@ Layered on the :class:`~repro.system.System` facade (docs/serving.md):
 
 from .batcher import Batcher
 from .cluster import ClusterReport, SimulatedCluster
-from .breaker import BreakerState, CircuitBreaker
 from .driver import (
     SERVE_WORKLOADS,
     build_serving_system,
@@ -31,8 +30,6 @@ from .slo import ServingReport, SloTracker
 __all__ = [
     "Admission",
     "Batcher",
-    "BreakerState",
-    "CircuitBreaker",
     "ClosedLoopGenerator",
     "ClusterReport",
     "Frontend",

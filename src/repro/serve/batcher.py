@@ -36,7 +36,6 @@ class Batcher:
         *,
         stats: Optional[StatsRegistry] = None,
         on_done: Callable[[ServeRequest, QueryHandle], None],
-        on_shed: Optional[Callable[[ServeRequest], None]] = None,
     ) -> None:
         self.system = system
         self.engine = system.engine
@@ -44,7 +43,6 @@ class Batcher:
         self.integration = system.integration
         self.config = config
         self.on_done = on_done
-        self.on_shed = on_shed
         self.stats = (stats or StatsRegistry()).scoped("serve.batcher")
         self._open: Dict[int, List[Tuple[ServeRequest, QueryRequest]]] = {}
         #: Bumped per home at every flush so a stale timeout event cannot
@@ -54,7 +52,6 @@ class Batcher:
         self._requests = self.stats.counter("requests")
         self._timeout_flushes = self.stats.counter("flushes.timeout")
         self._full_flushes = self.stats.counter("flushes.full")
-        self._deadline_sheds = self.stats.counter("sheds.deadline")
         self._sizes = self.stats.histogram("batch.size")
 
     # ------------------------------------------------------------------ #
@@ -99,20 +96,6 @@ class Batcher:
         if not burst:
             return
         now = self.engine.now
-        if self.on_shed is not None:
-            # A batch never dispatches work whose deadline already expired:
-            # shed it here (distinct SLO outcome) instead of burning a QST
-            # slot on a request the client has given up on.
-            live = []
-            for sreq, qreq in burst:
-                if sreq.deadline_cycle is not None and now > sreq.deadline_cycle:
-                    self._deadline_sheds.add()
-                    self.on_shed(sreq)
-                else:
-                    live.append((sreq, qreq))
-            burst = live
-            if not burst:
-                return
         self._batches.add()
         self._sizes.record(len(burst))
         handles = self.accelerator.submit_batch(

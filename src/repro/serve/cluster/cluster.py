@@ -185,13 +185,10 @@ class SimulatedCluster:
             key_position(repr(query).encode("ascii"))
             for query in built0.queries
         ]
-        #: True when any tenant issues mutations: the replication /
+        #: True when the tenants issue mutations: the replication /
         #: durability machinery below only exists for such runs, so
         #: read-only runs keep byte-identical reports and event streams.
-        self._writes_enabled = any(
-            self.serve_config.write_ratio_of(tenant) > 0
-            for tenant in range(self.serve_config.tenants)
-        )
+        self._writes_enabled = self.serve_config.write_ratio > 0
 
         # --- control plane ---------------------------------------------- #
         self.ring = HashRing(self.config.nodes, self.config.vnodes)

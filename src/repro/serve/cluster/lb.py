@@ -47,13 +47,7 @@ from ...sim.stats import PercentileSketch, StatsRegistry
 from ..frontend import ServeRequest
 from .membership import Membership, NodeState
 from .ring import HashRing
-from .node import (
-    RESP_FAILED,
-    RESP_NOT_OWNER,
-    RESP_OK,
-    RESP_REJECTED,
-    RESP_SHED,
-)
+from .node import RESP_FAILED, RESP_NOT_OWNER, RESP_OK, RESP_REJECTED
 
 
 @dataclass
@@ -547,9 +541,9 @@ class LoadBalancer:
                 max(1, retry_after), lambda p=pending: self._attempt(p)
             )
             return
-        if kind in (RESP_FAILED, RESP_SHED):
+        if kind == RESP_FAILED:
             # The node executed but could not produce a result (fallback
-            # exhausted / deadline shed); a replica may still succeed.
+            # exhausted); a replica may still succeed.
             self.engine.schedule(
                 self._backoff(pending.attempts),
                 lambda p=pending: self._attempt(p),

@@ -30,7 +30,6 @@ from ..server import QueryServer
 #: Response kinds a node can send back to the LB.
 RESP_OK = "ok"
 RESP_FAILED = "failed"
-RESP_SHED = "shed"
 RESP_REJECTED = "rejected"
 RESP_NOT_OWNER = "not-owner"
 
@@ -206,11 +205,7 @@ class ClusterNode:
         meta = self._meta.pop(key, None)
         if token is None or not self.alive:
             return
-        kind = {
-            "ok": RESP_OK,
-            "failed": RESP_FAILED,
-            "shed": RESP_SHED,
-        }[request.outcome or "failed"]
+        kind = RESP_OK if request.outcome == "ok" else RESP_FAILED
         if (
             kind == RESP_OK
             and request.commit_seq is not None

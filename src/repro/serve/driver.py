@@ -122,7 +122,7 @@ def run_serving(
                 num_queries=len(built.queries),
                 seed=seed,
                 stats=system.stats,
-                write_ratio=serve_config.write_ratio_of(tenant),
+                write_ratio=serve_config.write_ratio,
             )
         server.attach(generator)
     return server.run()

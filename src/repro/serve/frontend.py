@@ -36,17 +36,9 @@ class ServeRequest:
     attempts: int = 1
     admit_cycle: Optional[int] = None
     dispatch_cycle: Optional[int] = None
-    #: Absolute cycle after which the request is shed instead of dispatched
-    #: (set at admission from ``ServeConfig.deadline_cycles``; None = no
-    #: deadline).  Admission retries eat into the same budget.
-    deadline_cycle: Optional[int] = None
-    #: Terminal-outcome guard: set by the first completion/shed so a hedged
-    #: twin finishing later cannot resolve the request twice.
-    resolved: bool = False
-    #: Whether a hedged duplicate was submitted for this request.
-    hedged: bool = False
-    #: Terminal disposition ("ok", "failed", or "shed"), set at resolution.
-    #: The cluster tier reads it to build the node's response to the LB.
+    #: Terminal disposition, set at resolution: "ok", or "failed" when the
+    #: software fallback could not resolve an aborted read.  The cluster
+    #: tier reads it to build the node's response to the LB.
     outcome: Optional[str] = None
     #: The query's result value when ``outcome`` is "ok".
     result_value: Optional[int] = None

@@ -193,9 +193,7 @@ class ClosedLoopGenerator(LoadGenerator):
             seed=seed,
             stats=stats,
             write_ratio=(
-                config.write_ratio_of(tenant)
-                if write_ratio is None
-                else write_ratio
+                config.write_ratio if write_ratio is None else write_ratio
             ),
         )
         self.concurrency = config.concurrency

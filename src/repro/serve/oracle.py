@@ -75,7 +75,7 @@ class ShadowOracle:
         return self._next_token
 
     def cancel_write(self, token: int) -> None:
-        """A write shed before submission: nothing could have landed."""
+        """A write abandoned before it applied: nothing could have landed."""
         self._open.pop(token, None)
 
     def end_write(

@@ -22,7 +22,6 @@ shared clock, and the request's latency includes the whole detour.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -34,7 +33,6 @@ from ..sim.stats import StatsRegistry
 from ..sim.weak import weak_method
 from ..system import System
 from .batcher import Batcher
-from .breaker import CircuitBreaker
 from .frontend import Frontend, ServeRequest
 from .loadgen import LoadGenerator
 from .slo import ServingReport, SloTracker
@@ -97,13 +95,6 @@ class QueryServer:
             self.config,
             stats=self.stats,
             on_done=weak_method(self._on_done),
-            on_shed=functools.partial(weak_method(self._shed), dispatched=True),
-        )
-        #: Per-tenant circuit breaker; None when the window knob is 0.
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(self.config, stats=self.stats)
-            if self.config.breaker_window
-            else None
         )
         self.slo = SloTracker(
             self.config,
@@ -118,9 +109,7 @@ class QueryServer:
         self._slot_of: Dict[int, int] = {}  # request_id*tenants+tenant -> slot
         self._generators: List[LoadGenerator] = []
         self._generators_by_tenant: Dict[int, LoadGenerator] = {}
-        self._completions: Deque[
-            Tuple[ServeRequest, QueryHandle, bool]
-        ] = deque()
+        self._completions: Deque[Tuple[ServeRequest, QueryHandle]] = deque()
         self._outstanding = 0
         self._tenant_outstanding = [0] * self.config.tenants
         #: Called wherever a pump could start doing work: a completion is
@@ -132,22 +121,15 @@ class QueryServer:
         #: Dispatch gate: the chaos harness pauses dispatch around a live
         #: firmware swap so the quiesce drains instead of racing new bursts.
         self._paused = False
-        #: Result-record slots for hedged duplicates, grown on demand and
-        #: recycled; separate from the primary pool so a hedge twin never
-        #: scribbles over a slot the pool already re-issued.
-        self._hedge_slots: List[int] = []
-        self._hedges_issued = 0
-        #: Write-path plumbing (docs/mutations.md) — built only when some
-        #: tenant has a non-zero write ratio, so a read-only run constructs
-        #: nothing and keeps a byte-identical stats snapshot.
+        #: Write-path plumbing (docs/mutations.md) — built only when the
+        #: config or an attached generator has a non-zero write ratio, so a
+        #: read-only run constructs nothing and keeps a byte-identical stats
+        #: snapshot.
         self._mutator = None
         self._oracle = None
         self._write_tokens: Dict[int, int] = {}
         self.write_problems: Optional[List[str]] = None
-        if any(
-            self.config.write_ratio_of(t) > 0
-            for t in range(self.config.tenants)
-        ):
+        if self.config.write_ratio > 0:
             self._enable_writes()
 
     # ------------------------------------------------------------------ #
@@ -196,23 +178,11 @@ class QueryServer:
     # ------------------------------------------------------------------ #
 
     def accept(self, generator: LoadGenerator, request: ServeRequest) -> bool:
-        now = self.engine.now
-        if self.breaker is not None:
-            allowed, retry_after = self.breaker.allow(request.tenant, now)
-            if not allowed:
-                self.slo.record_breaker_rejection(request.tenant)
-                generator.on_rejected(request, retry_after)
-                return False
-        admission = self.frontend.offer(request, now)
+        admission = self.frontend.offer(request, self.engine.now)
         if not admission.admitted:
             self.slo.record_rejection(request.tenant)
             generator.on_rejected(request, admission.retry_after)
             return False
-        if self.config.deadline_cycles and request.deadline_cycle is None:
-            # The budget runs from generation, so admission retries eat it.
-            request.deadline_cycle = (
-                request.arrival_cycle + self.config.deadline_cycles
-            )
         self.slo.record_admission(request.tenant)
         self._dispatch()
         return True
@@ -226,12 +196,6 @@ class QueryServer:
             request = self.frontend.next_request(self.engine.now)
             if request is None:
                 return
-            if (
-                request.deadline_cycle is not None
-                and self.engine.now > request.deadline_cycle
-            ):
-                self._shed(request, dispatched=False)
-                continue
             self._outstanding += 1
             self._tenant_outstanding[request.tenant] += 1
             self._dispatched.add()
@@ -239,7 +203,6 @@ class QueryServer:
                 self._submit_blocking(request)
             else:
                 self.batcher.add(request, self._prepare_nb(request))
-                self._arm_hedge(request)
 
     def pause_dispatch(self) -> None:
         """Stop draining admission queues (new arrivals still queue up)."""
@@ -292,126 +255,19 @@ class QueryServer:
         handle.on_done(lambda h, s=request: self._on_done(s, h))
 
     # ------------------------------------------------------------------ #
-    # Hedged retries
-    # ------------------------------------------------------------------ #
-
-    def _hedge_threshold(self, tenant: int) -> Optional[int]:
-        """Cycles after which a dispatched request counts as a straggler."""
-        pct = self.config.hedge_quantile
-        if not pct:
-            return None
-        sketch = self.slo.sketch_of(tenant)
-        if sketch.count < self.config.hedge_min_samples:
-            return None
-        return max(
-            1, int(sketch.quantile(pct) * self.config.hedge_multiplier)
-        )
-
-    def _arm_hedge(self, request: ServeRequest) -> None:
-        if request.is_write:
-            return  # a hedged write would double-apply the mutation
-        if self._hedges_issued >= self.config.hedge_budget:
-            return
-        threshold = self._hedge_threshold(request.tenant)
-        if threshold is None:
-            return
-        self.engine.schedule(
-            threshold, lambda r=request: self._maybe_hedge(r)
-        )
-
-    def _maybe_hedge(self, request: ServeRequest) -> None:
-        if (
-            request.resolved
-            or request.hedged
-            or self._paused
-            or self._hedges_issued >= self.config.hedge_budget
-        ):
-            return
-        request.hedged = True
-        self._hedges_issued += 1
-        self.slo.record_hedge(request.tenant)
-        slot = (
-            self._hedge_slots.pop()
-            if self._hedge_slots
-            else self.system.mem.alloc(16, align=16)
-        )
-        handle = self.accelerator.submit(
-            self.workload.request(
-                request.index,
-                core_id=self.core_of(request.tenant),
-                blocking=False,
-                result_addr=slot,
-            ),
-            self.engine.now,
-        )
-        handle.on_done(
-            lambda h, r=request, s=slot: self._on_hedge_done(r, h, s)
-        )
-
-    def _on_hedge_done(
-        self, request: ServeRequest, handle: QueryHandle, slot: int
-    ) -> None:
-        # The hedge's result record is quiet once its handle is terminal,
-        # so the slot recycles unconditionally.  Only a *successful* hedge
-        # can win the race; an aborted hedge leaves the primary to resolve
-        # (possibly through the fallback path) as usual.
-        self._hedge_slots.append(slot)
-        if not request.resolved and handle.status in (
-            QueryStatus.FOUND,
-            QueryStatus.NOT_FOUND,
-        ):
-            self._completions.append((request, handle, True))
-            self.wake()
-
-    # ------------------------------------------------------------------ #
     # Completion
     # ------------------------------------------------------------------ #
 
     def _on_done(self, request: ServeRequest, handle: QueryHandle) -> None:
         # Runs inside an engine event; defer the heavy lifting (fallback
         # execution mutates engine time) to the driving loop.
-        self._completions.append((request, handle, False))
+        self._completions.append((request, handle))
         self.wake()
 
-    def _shed(self, request: ServeRequest, *, dispatched: bool) -> None:
-        """Deadline-expired request: distinct SLO outcome, never executed."""
-        request.resolved = True
-        request.outcome = "shed"
-        token = self._write_tokens.pop(self._key(request), None)
-        if token is not None:
-            # Shed out of an open burst before submission: the staged write
-            # never reached memory, so its oracle window closes unused.
-            self._oracle.cancel_write(token)
-        self.slo.record_shed(request.tenant)
-        if self.breaker is not None:
-            self.breaker.record(request.tenant, False, self.engine.now)
-        if dispatched:
-            # Shed out of an open burst: the slot was claimed at dispatch
-            # but nothing was submitted, so it recycles immediately.
-            slot = self._slot_of.pop(self._key(request), None)
-            if slot is not None:
-                self._slots.append(slot)
-            self._outstanding -= 1
-            self._tenant_outstanding[request.tenant] -= 1
-            self.wake()
-        self._generators_by_tenant[request.tenant].on_resolved(request)
-
-    def _resolve(
-        self, request: ServeRequest, handle: QueryHandle, *, hedge: bool
-    ) -> None:
-        key = self._key(request)
-        if request.resolved:
-            if not hedge:
-                # The primary of a hedge-won pair just went terminal: its
-                # result record is quiet now, so the slot can recycle.
-                slot = self._slot_of.pop(key, None)
-                if slot is not None:
-                    self._slots.append(slot)
-            return
+    def _resolve(self, request: ServeRequest, handle: QueryHandle) -> None:
         if request.is_write:
             self._resolve_write(request, handle)
             return
-        request.resolved = True
         tenant = request.tenant
         accelerated = handle.status in (
             QueryStatus.FOUND,
@@ -448,16 +304,14 @@ class QueryServer:
                     request, outcome.value, outcome.completion_cycle
                 ):
                     self.slo.record_error()
-        if self.breaker is not None:
-            # Aborts count as failures even when the fallback resolved them:
-            # the breaker tracks the *accelerated* path's health.
-            self.breaker.record(tenant, accelerated, self.engine.now)
-        if not hedge:
-            slot = self._slot_of.pop(key, None)
-            if slot is not None:
-                self._slots.append(slot)
-        # A hedge win leaves the primary slot parked in ``_slot_of`` until
-        # the primary handle goes terminal (the early-return branch above).
+        self._release(request)
+
+    def _release(self, request: ServeRequest) -> None:
+        """Free a resolved request's result slot and dispatch credit."""
+        tenant = request.tenant
+        slot = self._slot_of.pop(self._key(request), None)
+        if slot is not None:
+            self._slots.append(slot)
         self._outstanding -= 1
         self._tenant_outstanding[tenant] -= 1
         self.wake()
@@ -478,10 +332,8 @@ class QueryServer:
         return self._oracle.check_read(request.index, value, dispatch, completion)
 
     def _resolve_write(self, request: ServeRequest, handle: QueryHandle) -> None:
-        request.resolved = True
         tenant = request.tenant
-        key = self._key(request)
-        token = self._write_tokens.pop(key, None)
+        token = self._write_tokens.pop(self._key(request), None)
         accelerated = handle.status in (
             QueryStatus.FOUND,
             QueryStatus.NOT_FOUND,
@@ -531,15 +383,7 @@ class QueryServer:
         if result is not None:
             request.commit_seq = commit_seq
         self._serve_stats.counter("writes.completed").add()
-        if self.breaker is not None:
-            self.breaker.record(tenant, accelerated, self.engine.now)
-        slot = self._slot_of.pop(key, None)
-        if slot is not None:
-            self._slots.append(slot)
-        self._outstanding -= 1
-        self._tenant_outstanding[tenant] -= 1
-        self.wake()
-        self._generators_by_tenant[tenant].on_resolved(request)
+        self._release(request)
 
     def _drain_completions(self, on_event=None) -> None:
         # ``on_event`` runs after every resolution, not just once per engine
@@ -547,8 +391,7 @@ class QueryServer:
         # drain can retire an unbounded run of completions — the chaos
         # harness needs to observe each one to fire its schedule on time.
         while self._completions:
-            request, handle, hedge = self._completions.popleft()
-            self._resolve(request, handle, hedge=hedge)
+            self._resolve(*self._completions.popleft())
             if on_event is not None:
                 on_event(self)
 

@@ -22,6 +22,13 @@ from typing import Dict, List, Optional
 from ..config import ServeConfig
 from ..sim.stats import PercentileSketch, StatsRegistry
 
+#: Report keys of serving policies the tier no longer has (deadline
+#: shedding, a circuit breaker, hedged retries), always 0.  Pinned digests
+#: hash report dumps byte for byte, so the keys stay; phase rows never
+#: carried ``hedges``.
+_RETIRED_PHASE_KEYS = {"breaker_rejected": 0, "deadline_shed": 0}
+_RETIRED_KEYS = {**_RETIRED_PHASE_KEYS, "hedges": 0}
+
 
 @dataclass
 class ServingReport:
@@ -98,18 +105,6 @@ class SloTracker:
             self.stats.counter(f"tenant{t}.admitted")
             for t in range(config.tenants)
         ]
-        self._sheds = [
-            self.stats.counter(f"tenant{t}.deadline_shed")
-            for t in range(config.tenants)
-        ]
-        self._breaker_rejected = [
-            self.stats.counter(f"tenant{t}.breaker_rejected")
-            for t in range(config.tenants)
-        ]
-        self._hedges = [
-            self.stats.counter(f"tenant{t}.hedges")
-            for t in range(config.tenants)
-        ]
         self._errors = self.stats.counter("result_errors")
         #: Phase segmentation (chaos runs): each phase accumulates its own
         #: sketch and outcome counters from ``begin_phase`` onwards.
@@ -129,9 +124,7 @@ class SloTracker:
                 "admitted": 0,
                 "completed": 0,
                 "fallbacks": 0,
-                "shed": 0,
                 "failed": 0,
-                "breaker_rejected": 0,
             }
         )
 
@@ -166,24 +159,6 @@ class SloTracker:
         if phase is not None:
             phase["admitted"] += 1
 
-    def record_shed(self, tenant: int) -> None:
-        """An admitted request shed at its deadline (distinct SLO outcome)."""
-        self._sheds[tenant].add()
-        phase = self._phase()
-        if phase is not None:
-            phase["shed"] += 1
-
-    def record_breaker_rejection(self, tenant: int) -> None:
-        """An arrival answered retry-after by an open circuit."""
-        self._breaker_rejected[tenant].add()
-        phase = self._phase()
-        if phase is not None:
-            phase["breaker_rejected"] += 1
-
-    def record_hedge(self, tenant: int) -> None:
-        """A hedged duplicate was submitted for a straggling request."""
-        self._hedges[tenant].add()
-
     def record_failure(self, tenant: int) -> None:
         """A request the fallback path could not resolve (or gave up on)."""
         self._failed[tenant].add()
@@ -196,19 +171,17 @@ class SloTracker:
         self._errors.add()
 
     def sketch_of(self, tenant: int) -> PercentileSketch:
-        """The tenant's live latency sketch (hedging reads quantiles off it)."""
+        """The tenant's live latency sketch (the cluster merges it fleet-wide)."""
         return self._sketches[tenant]
 
     @property
     def terminal(self) -> int:
-        """Requests with a terminal outcome so far (completed or shed).
+        """Requests with a terminal outcome (completion) so far.
 
         The chaos harness keys its fault schedule off this count, so the
         same seed fires every event at the same point of the run.
         """
-        return sum(c.value for c in self._completed) + sum(
-            s.value for s in self._sheds
-        )
+        return sum(c.value for c in self._completed)
 
     # ------------------------------------------------------------------ #
 
@@ -227,9 +200,7 @@ class SloTracker:
             "admitted": self._admitted[tenant].value,
             "completed": completed,
             "rejected": self._rejected[tenant].value,
-            "breaker_rejected": self._breaker_rejected[tenant].value,
-            "deadline_shed": self._sheds[tenant].value,
-            "hedges": self._hedges[tenant].value,
+            **_RETIRED_KEYS,
             "failed": self._failed[tenant].value,
             "fallbacks": fallbacks,
             "fallback_fraction": fallbacks / completed if completed else 0.0,
@@ -257,8 +228,7 @@ class SloTracker:
             scheme=scheme, mode=mode, seed=seed, elapsed_cycles=elapsed_cycles
         )
         merged = PercentileSketch("aggregate.latency")
-        completed = rejected = fallbacks = failed = violations = 0
-        admitted = shed = breaker_rejected = hedges = 0
+        completed = rejected = fallbacks = failed = violations = admitted = 0
         for tenant in range(self.config.tenants):
             row = self._tenant_row(tenant, elapsed_cycles)
             report.tenants.append(row)
@@ -269,22 +239,15 @@ class SloTracker:
             failed += self._failed[tenant].value
             violations += self._violations[tenant].value
             admitted += self._admitted[tenant].value
-            shed += self._sheds[tenant].value
-            breaker_rejected += self._breaker_rejected[tenant].value
-            hedges += self._hedges[tenant].value
         report.aggregate = {
             "completed": completed,
             "rejected": rejected,
             "admitted": admitted,
-            "deadline_shed": shed,
-            "breaker_rejected": breaker_rejected,
-            "hedges": hedges,
-            # Liveness: every admitted request must terminate (completion —
-            # possibly via fallback — or deadline shed).  Anything else is a
-            # lost request, which the chaos harness treats as a hang.
-            "availability": (
-                (completed + shed) / admitted if admitted else 1.0
-            ),
+            **_RETIRED_KEYS,
+            # Liveness: every admitted request must complete (possibly via
+            # the fallback).  Anything else is a lost request, which the
+            # chaos harness treats as a hang.
+            "availability": completed / admitted if admitted else 1.0,
             "failed": failed,
             "fallbacks": fallbacks,
             "fallback_fraction": fallbacks / completed if completed else 0.0,
@@ -303,19 +266,17 @@ class SloTracker:
         for phase in self._phases:
             sketch = phase["sketch"]
             admitted_p = phase["admitted"]
-            terminal = phase["completed"] + phase["shed"]
             report.phases.append(
                 {
                     "name": phase["name"],
                     "start_cycle": phase["start_cycle"],
                     "admitted": admitted_p,
                     "completed": phase["completed"],
-                    "deadline_shed": phase["shed"],
+                    **_RETIRED_PHASE_KEYS,
                     "failed": phase["failed"],
                     "fallbacks": phase["fallbacks"],
-                    "breaker_rejected": phase["breaker_rejected"],
                     "availability": (
-                        terminal / admitted_p if admitted_p else 1.0
+                        phase["completed"] / admitted_p if admitted_p else 1.0
                     ),
                     "p50": sketch.p50,
                     "p99": sketch.p99,

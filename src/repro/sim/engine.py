@@ -9,7 +9,8 @@ unique sequence number, so heap comparisons never reach the event itself.
 Cancelled events are skipped lazily on pop, and the queue is compacted in
 place once cancelled entries outnumber live ones (see
 :attr:`Engine.COMPACT_MIN_CANCELLED`), so long-lived simulations that cancel
-many timers (hedge/flush timers in the serving tier) don't leak heap space.
+many timers (the load balancer's request timeouts in the cluster tier)
+don't leak heap space.
 """
 
 from __future__ import annotations

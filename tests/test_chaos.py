@@ -1,12 +1,12 @@
-"""Chaos-resilience tests: slice failure/failover, deadlines, breakers,
+"""Chaos-resilience tests: slice failure/failover, a poisoned tenant,
 firmware hot-swap, and the chaos harness contract.
 
 The infrastructure-fault layer must degrade to slower-but-correct service,
 never wrong answers or hangs: a dead slice reroutes (or aborts with
-``SLICE_DOWN`` and resolves through the software fallback), deadlines shed
-instead of dispatching dead work, a poisoned tenant trips its circuit
-breaker without dragging the others' p99 down, and a firmware hot-swap
-drains in-flight queries before committing atomically.
+``SLICE_DOWN`` and resolves through the software fallback), a poisoned
+tenant's aborted queries resolve through the software fallback without
+dragging the others' p99 down, and a firmware hot-swap drains in-flight
+queries before committing atomically.
 """
 
 from dataclasses import replace
@@ -33,8 +33,6 @@ from repro.faults.chaos import (
     run_scenario,
 )
 from repro.serve import (
-    BreakerState,
-    CircuitBreaker,
     ClosedLoopGenerator,
     QueryServer,
     build_serving_system,
@@ -216,115 +214,8 @@ def test_idle_firmware_swap_commits_immediately():
 
 
 # --------------------------------------------------------------------- #
-# Deadlines
+# A poisoned tenant
 # --------------------------------------------------------------------- #
-
-
-def test_deadline_expired_work_is_shed_not_dispatched():
-    # A 60-cycle deadline against a 256-cycle flush timer: requests expire
-    # inside open bursts and must shed with the distinct SLO outcome.
-    config = ServeConfig(
-        tenants=2,
-        deadline_cycles=60,
-        batch_size=16,
-        batch_timeout_cycles=256,
-        think_cycles=10,
-    )
-    report = run_serving(
-        "cha-tlb", requests=60, seed=7, closed_loop=True, serve_config=config
-    )
-    aggregate = report.aggregate
-    assert aggregate["deadline_shed"] > 0
-    assert aggregate["result_errors"] == 0
-    # Liveness: every admitted request still terminates.
-    assert aggregate["availability"] == 1.0
-    assert aggregate["completed"] + aggregate["deadline_shed"] == (
-        aggregate["admitted"]
-    )
-
-
-def test_serve_config_validates_resilience_knobs():
-    with pytest.raises(ConfigurationError):
-        ServeConfig(deadline_cycles=-1)
-    with pytest.raises(ConfigurationError):
-        ServeConfig(breaker_threshold=0.0)
-    with pytest.raises(ConfigurationError):
-        ServeConfig(hedge_quantile=100.0)
-    with pytest.raises(ConfigurationError):
-        ServeConfig(hedge_multiplier=0.5)
-
-
-# --------------------------------------------------------------------- #
-# Circuit breaker
-# --------------------------------------------------------------------- #
-
-
-def breaker_config(**kw):
-    defaults = dict(
-        tenants=2,
-        breaker_window=4,
-        breaker_threshold=0.5,
-        breaker_open_cycles=100,
-        breaker_probes=2,
-    )
-    defaults.update(kw)
-    return ServeConfig(**defaults)
-
-
-def test_breaker_trips_open_and_rejects():
-    breaker = CircuitBreaker(breaker_config())
-    for _ in range(4):
-        breaker.record(0, False, now=10)
-    assert breaker.state_of(0, now=11) is BreakerState.OPEN
-    allowed, retry_after = breaker.allow(0, now=11)
-    assert not allowed
-    assert retry_after == 99  # reopen at 110
-    # The healthy tenant's circuit is independent.
-    assert breaker.allow(1, now=11) == (True, 0)
-
-
-def test_breaker_half_open_probes_then_closes():
-    breaker = CircuitBreaker(breaker_config())
-    for _ in range(4):
-        breaker.record(0, False, now=0)
-    assert breaker.state_of(0, now=100) is BreakerState.HALF_OPEN
-    # Probes are strictly serial: one slot, freed only by its verdict.
-    assert breaker.allow(0, now=100) == (True, 0)
-    allowed, _ = breaker.allow(0, now=101)
-    assert not allowed
-    breaker.record(0, True, now=110)
-    assert breaker.allow(0, now=110) == (True, 0)
-    breaker.record(0, True, now=111)
-    assert breaker.state_of(0, now=112) is BreakerState.CLOSED
-    assert breaker.allow(0, now=112) == (True, 0)
-
-
-def test_breaker_half_open_single_probe_slot_under_concurrency():
-    """Concurrent same-cycle arrivals during HALF_OPEN must admit exactly
-    one probe; the slot re-opens per verdict, never widening the budget."""
-    breaker = CircuitBreaker(breaker_config())
-    for _ in range(4):
-        breaker.record(0, False, now=0)
-    assert breaker.state_of(0, now=100) is BreakerState.HALF_OPEN
-    verdicts = [breaker.allow(0, now=100)[0] for _ in range(8)]
-    assert verdicts.count(True) == 1
-    # A burst racing the first verdict still gets exactly one more probe.
-    breaker.record(0, True, now=105)
-    verdicts = [breaker.allow(0, now=105)[0] for _ in range(8)]
-    assert verdicts.count(True) == 1
-    # Budget (2 probes) now spent: nothing more until the circuit closes.
-    breaker.record(0, True, now=106)
-    assert breaker.state_of(0, now=107) is BreakerState.CLOSED
-
-
-def test_breaker_probe_failure_retrips():
-    breaker = CircuitBreaker(breaker_config())
-    for _ in range(4):
-        breaker.record(0, False, now=0)
-    assert breaker.state_of(0, now=100) is BreakerState.HALF_OPEN
-    breaker.allow(0, now=100)
-    breaker.record(0, False, now=105)
-    assert breaker.state_of(0, now=106) is BreakerState.OPEN
 
 
 def poisoned_server(config, seed=7):
@@ -356,55 +247,25 @@ def poisoned_server(config, seed=7):
     return server
 
 
-def test_breaker_isolates_poisoned_tenant():
-    # Baseline: no faults, no breaker.
-    base_config = ServeConfig(tenants=4)
+def test_poisoned_tenant_resolves_through_fallback():
+    # Baseline: no faults.
+    config = ServeConfig(tenants=4)
     baseline = run_serving(
-        "cha-tlb", requests=160, seed=7, closed_loop=True,
-        serve_config=base_config,
+        "cha-tlb", requests=160, seed=7, closed_loop=True, serve_config=config
     )
-    # Tenant 0 at 100% aborts (corrupt header), breaker armed.
-    config = ServeConfig(
-        tenants=4,
-        breaker_window=8,
-        breaker_threshold=0.5,
-        breaker_open_cycles=20_000,
-        breaker_probes=2,
-    )
+    # Tenant 0 at 100% aborts (corrupt header): every one of its requests
+    # is re-run through the software fallback and still resolves.
     report = poisoned_server(config).run()
     poisoned_row = report.tenant(0)
-    assert poisoned_row["breaker_rejected"] > 0, "open circuit must shed"
-    assert poisoned_row["fallbacks"] > 0
+    assert poisoned_row["completed"] == 40
+    assert poisoned_row["fallbacks"] == 40
     assert report.aggregate["result_errors"] == 0
+    assert report.aggregate["availability"] == 1.0
     # The healthy tenants' p99 stays within 2x of the no-fault baseline.
     for tenant in (1, 2, 3):
         assert report.tenant(tenant)["p99"] <= 2 * baseline.tenant(tenant)[
             "p99"
         ], f"tenant {tenant} p99 degraded more than 2x"
-
-
-# --------------------------------------------------------------------- #
-# Hedged retries
-# --------------------------------------------------------------------- #
-
-
-def test_hedged_retries_are_bounded_and_correct():
-    config = ServeConfig(
-        tenants=2,
-        hedge_quantile=50.0,
-        hedge_multiplier=1.0,
-        hedge_min_samples=4,
-        hedge_budget=16,
-    )
-    report = run_serving(
-        "cha-tlb", requests=120, seed=7, closed_loop=True, serve_config=config
-    )
-    aggregate = report.aggregate
-    assert 0 < aggregate["hedges"] <= config.hedge_budget
-    # A hedge twin must never double-resolve or corrupt a result slot.
-    assert aggregate["completed"] == 120
-    assert aggregate["result_errors"] == 0
-    assert aggregate["availability"] == 1.0
 
 
 # --------------------------------------------------------------------- #

@@ -50,7 +50,6 @@ def _tiny_config() -> SystemConfig:
         num_cores=NUM_CORES,
         core=CoreConfig(
             l1d=CacheConfig(4 * 64, 2, 4),        # 2 sets x 2 ways
-            l1i=CacheConfig(4 * 64, 2, 4),
             l2=CacheConfig(8 * 64, 2, 14),        # 4 sets x 2 ways
             l1_dtlb=TlbConfig(8, 2, 1),
             l2_tlb=TlbConfig(16, 2, 9),

@@ -18,6 +18,11 @@ A third sweep keeps hidden runtime switches out of ``src/``: every
 ``os.environ`` / ``os.getenv`` read must be on the allowlist below, which
 is empty — ``src/`` reads no environment.  A deployment setting belongs in
 a CLI flag; a test-only mode belongs in ``tests/``.
+
+A fourth sweep keeps dead knobs out of ``repro/config.py``: every field of
+its dataclasses must be read as an attribute somewhere in ``src/`` outside
+a ``__post_init__`` (validation alone is not a use).  A field nothing reads
+changes nothing when set.
 """
 
 from __future__ import annotations
@@ -227,3 +232,67 @@ def test_environment_reads_are_allowlisted():
         "argument or CLI flag instead):\n" + "\n".join(offenders)
     )
     assert used == set(ENV_ALLOWLIST), "stale ENV_ALLOWLIST entries"
+
+
+def _dataclass_fields(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """``(line, Class.field)`` for every field of a top-level dataclass."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield stmt.lineno, f"{node.name}.{stmt.target.id}"
+
+
+def _attributes_read(tree: ast.AST) -> set:
+    """Every attribute name ``tree`` loads, skipping ``__post_init__`` bodies."""
+    read = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def _dead_fields(config: ast.AST, read: set) -> List[Tuple[int, str]]:
+    return [
+        (lineno, name)
+        for lineno, name in _dataclass_fields(config)
+        if name.split(".")[1] not in read
+    ]
+
+
+def test_config_fields_are_read():
+    read = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        read |= _attributes_read(ast.parse(path.read_text(), filename=str(path)))
+    config = REPO_ROOT / "src" / "repro" / "config.py"
+    dead = _dead_fields(ast.parse(config.read_text()), read)
+    assert not dead, "config fields nothing in src/ reads (delete them):\n" + "\n".join(
+        f"src/repro/config.py:{lineno}: {name}" for lineno, name in dead
+    )
+
+
+def test_dead_field_sweep_ignores_validation():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Knobs:\n"
+        "    used: int = 1\n"
+        "    validated: int = 2\n"
+        "    unread: int = 3\n"
+        "    def __post_init__(self):\n"
+        "        assert self.validated >= 0\n"
+        "class Plain:\n"
+        "    ignored: int = 4\n"
+        "def run(knobs):\n"
+        "    knobs.unread = 5\n"
+        "    return knobs.used\n"
+    )
+    tree = ast.parse(source)
+    dead = [name for _, name in _dead_fields(tree, _attributes_read(tree))]
+    assert dead == ["Knobs.validated", "Knobs.unread"]
