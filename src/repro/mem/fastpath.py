@@ -42,18 +42,23 @@ Replay then reproduces the slow path's *entire* effect:
   registry read flushes first, so snapshots are bit-identical to the
   unbatched path.
 * **Batched NoC charges** — slice hits replay their mesh crossing through
-  :meth:`MeshNoc.charge`, which accumulates per-(src, dst) counts and
+  the hierarchy's charge hook (:meth:`MeshNoc.charge`, which every mesh
+  message goes through), which accumulates per-(src, dst) counts and
   replays the commutative per-link byte sums at flush time.
 * The :class:`~repro.mem.hierarchy.AccessResult` named tuple itself is
   reused (it is immutable) — same latency, level, home and hop count by
   construction.
 
+The OoO core loop replays its own loads' and stores' L1 hits without a
+call (:meth:`FastMem.core_probe`): it reads the core memo's records
+inline, as :meth:`FastMem.warm_lines` does.
+
 Every hierarchy binds this layer; there is no switch.  The hierarchy
 keeps its reference walk (``_access_from_*_slow``) for memo misses, and
 the class's own entry points run it directly: the tests get a memo-off
-hierarchy by deleting the instance attributes bound here
-(``tests/mem_reference.py``).  The golden-stats suite replays its pairs
-both ways and proves them cycle-bit-identical, and
+hierarchy by deleting the instance attributes bound here, ``fastmem``
+included (``tests/mem_reference.py``).  The golden-stats suite replays
+its pairs both ways and proves them cycle-bit-identical, and
 ``tests/test_fastmem_properties.py`` drives memoized and un-memoized
 hierarchies in lockstep through random access streams asserting equal
 results and equal final state.
@@ -95,7 +100,7 @@ class FastMem:
         "_pending_accesses",
     )
 
-    def __init__(self, hierarchy, noc=None) -> None:
+    def __init__(self, hierarchy) -> None:
         # The hierarchy holds this layer (its entry points are bound to
         # it), so the way back is a weak proxy: a dropped System is then
         # freed by reference counting, without waiting for the cyclic GC.
@@ -115,12 +120,9 @@ class FastMem:
         #           [, home]) — valid while epochs[set_index] == epoch.
         self._core_memo: Dict[int, Tuple] = {}
         self._cha_memo: Dict[int, Tuple] = {}
-        # Replayed slice hits still cross the mesh; batch the charge when
-        # the NoC supports it, else fall back to the hierarchy's hook.
-        if noc is not None:
-            self._charge = noc.charge
-        else:
-            self._charge = hierarchy._noc_charge
+        # Replayed slice hits still cross the mesh: the hierarchy's charge
+        # hook (the mesh's batched ``charge``, when one is wired).
+        self._charge = hierarchy._noc_charge
         self._pending_accesses = 0
         hierarchy.stats.add_flush_hook(self._flush_pending)
 
@@ -128,6 +130,30 @@ class FastMem:
         if self._pending_accesses:
             self._accesses.value += self._pending_accesses
             self._pending_accesses = 0
+
+    def core_probe(self, core_id: int):
+        """``(memo_get, ncores, l1_latency)`` to replay core ``core_id``'s hits.
+
+        A pipeline access (``fill_l1=fill_l2=True``: key low bits ``0b011``
+        for a load, ``0b111`` for a store) stores a record only for an L1
+        hit, in ``l1[core_id]`` at ``l1_latency``: its every other outcome
+        fills.  So a record under such a key whose epoch still holds
+        (``rec[3][rec[4]] == rec[5]``) is that hit again, and replaying it
+        is :meth:`access_from_core`'s record branch: the MRU short-circuit
+        or pop-and-reinsert on ``rec[1]``/``rec[2]`` (a store sets the
+        dirty bit).  The caller counts the hits and reports them through
+        :meth:`count_core_hits`; a miss goes through ``access_from_core``.
+        """
+        return (
+            self._core_memo.get,
+            self._ncores,
+            self._l1[core_id].config.latency_cycles,
+        )
+
+    def count_core_hits(self, core_id: int, count: int) -> None:
+        """Batch ``count`` replayed L1 hits of ``core_id`` like our own."""
+        self._l1[core_id]._pending_hits += count
+        self._pending_accesses += count
 
     # ------------------------------------------------------------------ #
 

@@ -69,6 +69,10 @@ def _manhattan_hops(noc, src: int, dst: int) -> int:
 class MemoryHierarchy:
     """Private L1/L2 per core + shared sliced LLC + DRAM."""
 
+    #: The bound memo layer; the class's None is what a memo-off hierarchy
+    #: (instance attribute deleted) shows the core loop.
+    fastmem: Optional["fastpath.FastMem"] = None
+
     def __init__(
         self,
         config: SystemConfig,
@@ -85,13 +89,13 @@ class MemoryHierarchy:
                 defaults to a Manhattan-distance estimate if no NoC is wired.
             noc_charge: optional ``(src, dst, bytes, now)`` bandwidth hook.
             noc: a :class:`~repro.noc.mesh.MeshNoc` to wire directly —
-                supplies ``hop_latency``/``noc_charge`` defaults and lets
-                the fast path batch its send charges.
+                supplies ``hop_latency``/``noc_charge`` defaults (its
+                batched :meth:`~repro.noc.mesh.MeshNoc.charge`).
         """
         self.config = config
         if noc is not None:
             hop_latency = hop_latency or noc.latency
-            noc_charge = noc_charge or noc.send
+            noc_charge = noc_charge or noc.charge
         registry = stats or StatsRegistry()
         self.stats = registry.scoped("mem")
         self.l1 = [
@@ -131,8 +135,8 @@ class MemoryHierarchy:
         self._prefetches = self.stats.counter("prefetches")
         # The epoch-memoized fast path (mem/fastpath.py) shadows the public
         # access entry points with bound methods that replay memoized hit
-        # outcomes.
-        fast = fastpath.FastMem(self, noc=noc)
+        # outcomes; the core loop reads its memo through ``fastmem``.
+        fast = self.fastmem = fastpath.FastMem(self)
         self.access_from_core = fast.access_from_core
         self.access_from_slice = fast.access_from_slice
         self.warm_lines = fast.warm_lines

@@ -29,8 +29,9 @@ PAGE_WALK_CYCLES = 60
 class Translation(NamedTuple):
     """Result of one timed translation.
 
-    A named tuple rather than a frozen dataclass: the core builds one per
-    load or store, and unpacks it in place.
+    A named tuple rather than a frozen dataclass.  The core replays its
+    L1-TLB hits inline (:meth:`Mmu.l1_hit_probe`), so it builds one only
+    on a miss, and unpacks it in place.
     """
 
     paddr: int
@@ -90,6 +91,29 @@ class Mmu:
         self._walks.value += 1
         self._fill_upper_levels(len(self.tlbs), key, base_paddr)
         return Translation(base_paddr + offset, cycles, None)
+
+    def l1_hit_probe(self):
+        """``(walk_get, page_bytes, sets, num_sets)`` to replay an L1-TLB hit.
+
+        A translation that finds its page in the walk memo
+        (``walk_get((vaddr // page_bytes, access))`` gives the entry
+        :meth:`AddressSpace.translation_entry` would return) and its key in
+        the first TLB's set (``sets[key % num_sets]``) is a level-0 hit:
+        :meth:`translate` would only count the translation, pop and
+        reinsert the key in that set (:meth:`Tlb.lookup`), count the hit
+        and return ``cached_base + vaddr % span``.  A caller that replays
+        that reports its hits through :meth:`count_l1_hits`; anything else
+        goes through :meth:`translate`.  The set list is the TLB's own and
+        lives as long as it does.
+        """
+        space = self.space
+        tlb = self.tlbs[0]
+        return space._walk_memo.get, space.page_bytes, tlb._sets, tlb.num_sets
+
+    def count_l1_hits(self, count: int) -> None:
+        """Fold ``count`` replayed L1-TLB hits into the counters."""
+        self._translations.value += count
+        self.tlbs[0]._hits.value += count
 
     def _fill_upper_levels(self, hit_level: int, key: int, base_paddr: int) -> None:
         for tlb in self.tlbs[:hit_level]:

@@ -13,6 +13,9 @@ from typing import Dict, List, Optional
 from ..config import TlbConfig
 from ..sim.stats import StatsRegistry
 
+#: The set every TLB slot starts as; never written (see ``Tlb._sets``).
+_EMPTY: Dict[int, int] = {}
+
 
 class Tlb:
     """A set-associative translation lookaside buffer."""
@@ -25,14 +28,24 @@ class Tlb:
         self.num_sets = config.entries // config.associativity
         self.associativity = config.associativity
         # Insertion-ordered {vpn: pfn} per set; LRU is pop-and-reinsert.
-        self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
+        # Every slot starts as the one shared, never-written ``_EMPTY``
+        # dict and :meth:`insert` gives a set its own dict on first fill
+        # (the ``Cache._sets`` pattern): a System builds dozens of TLBs
+        # whose sets most runs never touch.  The list object itself lives
+        # as long as the TLB, because the core's memory-op probe
+        # (``cpu/core.py``) holds it: a full flush resets it in place.
+        self._sets: List[Dict[int, int]] = [_EMPTY] * self.num_sets
         self.stats = (stats or StatsRegistry()).scoped(name)
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
         self._evictions = self.stats.counter("evictions")
 
     def lookup(self, vpn: int) -> Optional[int]:
-        """Return the cached PFN for ``vpn``, updating LRU, or None."""
+        """Return the cached PFN for ``vpn``, updating LRU, or None.
+
+        The core's memory-op probe replays this hit rule inline for the L1
+        dTLB (:meth:`Mmu.l1_hit_probe`): pop and reinsert, one hit.
+        """
         entry_set = self._sets[vpn % self.num_sets]
         if vpn in entry_set:
             pfn = entry_set.pop(vpn)
@@ -52,13 +65,14 @@ class Tlb:
         if len(entry_set) >= self.associativity:
             del entry_set[next(iter(entry_set))]
             self._evictions.value += 1
+        if entry_set is _EMPTY:
+            entry_set = self._sets[vpn % self.num_sets] = {}
         entry_set[vpn] = pfn
 
     def invalidate(self, vpn: Optional[int] = None) -> None:
         """Shoot down one VPN, or flush the whole TLB when ``vpn`` is None."""
         if vpn is None:
-            for entry_set in self._sets:
-                entry_set.clear()
+            self._sets[:] = [_EMPTY] * self.num_sets
             return
         self._sets[vpn % self.num_sets].pop(vpn, None)
 

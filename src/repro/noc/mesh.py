@@ -43,17 +43,17 @@ class MeshNoc:
         scoped = (stats or StatsRegistry()).scoped("noc")
         self._messages = scoped.counter("messages")
         self._total_bytes = scoped.counter("bytes")
-        self._total_cycles = 0  # observation window length
         #: (src, dst) -> (directed links on the XY path, zero-load latency).
         #: Routing is a pure function of the pair on a fixed topology, so
         #: the cache is exact; it only skips recomputing the same path
         #: arithmetic on every message.
         self._route_cache: Dict[Link, Tuple[Tuple[Link, ...], int]] = {}
-        #: Batched send charges from the hierarchy fast path (mem/fastpath.py):
-        #: (src, dst) -> [message count, total bytes, latest `now`].  Charging
-        #: is commutative — per-link byte sums, message/byte totals and a
-        #: running max of `now` — so replaying a batch at flush time lands the
-        #: exact same state as the equivalent sequence of :meth:`send` calls.
+        #: Every message's accounting, batched: (src, dst) -> [message count,
+        #: total bytes].  Per-link byte sums and the message/byte totals are
+        #: commutative, so folding the batch in at flush time lands the same
+        #: state as charging each message as it is sent.  :meth:`send` and
+        #: :meth:`charge` both record here and nowhere else; every stats read
+        #: and utilisation query flushes first.
         self._pending_charges: Dict[Link, List[int]] = {}
         scoped.add_flush_hook(self._flush_charges)
 
@@ -116,39 +116,29 @@ class MeshNoc:
 
         Bandwidth effects are summarised post-hoc via utilisation, rather
         than back-pressuring each message; that keeps the simulator fast
-        while still exposing hotspots.
+        while still exposing hotspots.  The accounting is :meth:`charge`'s.
         """
-        self._messages.add()
-        self._total_bytes.add(num_bytes)
-        links, latency = self._routed(src, dst)
-        link_bytes = self._link_bytes
-        for link in links:
-            link_bytes[link] = link_bytes.get(link, 0) + num_bytes
-        if now > self._total_cycles:
-            self._total_cycles = now
-        serialization = (num_bytes + self.config.link_bytes_per_cycle - 1) // (
-            self.config.link_bytes_per_cycle
-        )
-        return latency + max(0, serialization - 1)
+        self.charge(src, dst, num_bytes, now)
+        per_cycle = self.config.link_bytes_per_cycle
+        serialization = (num_bytes + per_cycle - 1) // per_cycle
+        return self._routed(src, dst)[1] + max(0, serialization - 1)
 
     def charge(self, src: int, dst: int, num_bytes: int, now: int = 0) -> None:
-        """Batched :meth:`send` accounting, without computing the latency.
+        """Account one message without computing its latency.
 
-        For callers that already know the message latency (the hierarchy
-        fast path replays a memoized latency), only the traffic accounting
-        side effects of :meth:`send` remain — and those are commutative
-        sums/maxes, so they accumulate per (src, dst) pair and replay over
-        the cached route at flush time.  Flush happens on every stats read
-        and before any utilisation query, so observers never see a deficit.
+        For callers that already know the message latency (the memory
+        hierarchy, which times the crossing with :meth:`latency` or replays
+        a memoized one).  The counts accumulate per (src, dst) pair and are
+        spread over the cached route's links at flush time.  ``now`` keeps
+        the ``(src, dst, bytes, now)`` charge-hook signature; utilisation
+        takes its window from the caller, so the mesh keeps no clock.
         """
         entry = self._pending_charges.get((src, dst))
         if entry is None:
-            self._pending_charges[(src, dst)] = [1, num_bytes, now]
+            self._pending_charges[(src, dst)] = [1, num_bytes]
         else:
             entry[0] += 1
             entry[1] += num_bytes
-            if now > entry[2]:
-                entry[2] = now
 
     def _flush_charges(self) -> None:
         pending = self._pending_charges
@@ -157,14 +147,12 @@ class MeshNoc:
         link_bytes = self._link_bytes
         messages = 0
         total_bytes = 0
-        for (src, dst), (count, nbytes, max_now) in pending.items():
+        for (src, dst), (count, nbytes) in pending.items():
             messages += count
             total_bytes += nbytes
             links, _latency = self._routed(src, dst)
             for link in links:
                 link_bytes[link] = link_bytes.get(link, 0) + nbytes
-            if max_now > self._total_cycles:
-                self._total_cycles = max_now
         self._messages.value += messages
         self._total_bytes.value += total_bytes
         pending.clear()
@@ -194,8 +182,7 @@ class MeshNoc:
 
     def reset_traffic(self) -> None:
         # Pending charges predate the reset: fold them in first so the
-        # message/byte counters keep them (as unbatched sends would have)
-        # while the per-link window state is cleared.
+        # message/byte counters keep them while the per-link window state
+        # is cleared.
         self._flush_charges()
         self._link_bytes.clear()
-        self._total_cycles = 0

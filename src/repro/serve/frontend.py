@@ -5,8 +5,7 @@ bounded FIFO admission queue, and arrivals that find their queue full are
 rejected with a *retry-after* hint instead of being buffered without bound.
 Because the dispatcher only drains queues while the accelerator has QST
 capacity, a saturated QST propagates backpressure naturally: queues fill,
-then new arrivals bounce.  A ``saturated`` hook lets the server (or a test)
-additionally shed load on a global signal.
+then new arrivals bounce.  A full queue is the only reason to reject.
 
 Admitted requests leave through :meth:`Frontend.next_request`, which scans
 tenant queues round-robin so one hot tenant cannot starve the others.
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from ..config import ServeConfig
 from ..sim.stats import StatsRegistry
@@ -78,7 +77,6 @@ class Frontend:
         config: ServeConfig,
         *,
         stats: Optional[StatsRegistry] = None,
-        saturated: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.config = config
         self.stats = (stats or StatsRegistry()).scoped("serve.frontend")
@@ -89,7 +87,6 @@ class Frontend:
         #: Requests admitted but not yet dispatched (kept by ``offer`` and
         #: ``next_request``, so reading it costs nothing per pump).
         self.pending = 0
-        self._saturated = saturated or (lambda: False)
         self._offered = self.stats.counter("offered")
         self._admitted = self.stats.counter("admitted")
         self._rejected = self.stats.counter("rejected")
@@ -101,7 +98,7 @@ class Frontend:
         """Admit ``request`` or reject it with a retry-after hint."""
         self._offered.add()
         queue = self._queues[request.tenant]
-        if len(queue) >= self.config.queue_depth or self._saturated():
+        if len(queue) >= self.config.queue_depth:
             self._rejected.add()
             self.stats.counter(f"tenant{request.tenant}.rejected").add()
             retry_after = (

@@ -3,7 +3,10 @@
 Every :class:`~repro.mem.hierarchy.MemoryHierarchy` binds the FastMem memo
 (``mem/fastpath.py``) over its public entry points as instance
 attributes.  Deleting them exposes the class's own methods, which run the
-reference walk (``_access_from_*_slow``) directly.  The golden grid's
+reference walk (``_access_from_*_slow``) directly, and the class's
+``fastmem = None``, so the OoO core loop replays no TLB or cache hit
+inline and sends every load and store through ``Mmu.translate`` and the
+walk.  The golden grid's
 ``fastmem`` off leg and the lockstep property tests build their slow side
 this way, so ``src/`` keeps no switch for it.
 """
@@ -12,8 +15,9 @@ from __future__ import annotations
 
 from repro.mem.hierarchy import MemoryHierarchy
 
-#: The entry points FastMem binds on each hierarchy instance.
-MEMO_BOUND = ("access_from_core", "access_from_slice", "warm_lines")
+#: The entry points FastMem binds on each hierarchy instance, and the
+#: layer itself, through which the core loop replays its L1 hits inline.
+MEMO_BOUND = ("access_from_core", "access_from_slice", "warm_lines", "fastmem")
 
 
 def memo_off(hierarchy: MemoryHierarchy) -> MemoryHierarchy:

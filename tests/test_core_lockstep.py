@@ -11,11 +11,18 @@ whose resolution is logged.  Every :class:`CoreResult` field, the level
 breakdown, the core's stats counters and the order in which promises are
 resolved must be equal.
 
-The loop times loads and stores inline (translate, access, unpack).  A
-second geometry, with tiny private caches and more pages than the L1 dTLB
-holds, sends random load and store streams through every translation
-outcome (L1-dTLB hit, L2-TLB hit, page walk) and every cache level; there
-the MMU and TLB counters must be equal too.
+The loop times a load or store with one probe that replays an L1-dTLB
+hit and a FastMem L1-hit record in place, and falls back to
+``Mmu.translate`` and ``access_from_core`` on a miss.  A second geometry,
+with tiny private caches, more pages than the L1 dTLB holds, a 2MB huge
+page and a read-only page, sends random load and store streams through
+every translation outcome (L1-dTLB hit, L2-TLB hit, page walk) and every
+cache level, against a reference whose hierarchy runs the unmemoized walk
+(``tests/mem_reference.py``).  There the MMU and TLB counters must be
+equal too, and so must the TLB sets in LRU order, every cache set with its
+dirty bits and every set's epoch, also when the TLBs and private caches
+are flushed between chunks.  Protection faults and unmapped accesses must
+raise at the same op.
 """
 
 from __future__ import annotations
@@ -36,10 +43,15 @@ from repro.cpu import OoOCore  # noqa: E402
 from repro.cpu.isa import OpKind  # noqa: E402
 from repro.cpu.multicore import run_multiprogrammed  # noqa: E402
 from repro.cpu.trace import TraceBuilder  # noqa: E402
-from repro.errors import SegmentationFault, SimulationError  # noqa: E402
+from repro.errors import (  # noqa: E402
+    ProtectionFault,
+    SegmentationFault,
+    SimulationError,
+)
 from repro.mem import AddressSpace, MemoryHierarchy, Mmu, PhysicalMemory  # noqa: E402
 
 from .core_reference import ReferenceExecution, reference_execute  # noqa: E402
+from .mem_reference import memo_off  # noqa: E402
 
 PAGES = 32
 LINES = PAGES * 4096 // 64
@@ -58,6 +70,20 @@ SETTINGS = settings(
 #: of 1KB (L1, 2-way) and 8KB (L2, 4-way) so reuse reaches L2 and the LLC.
 WIDE_PAGES = 128
 WIDE_LINES = WIDE_PAGES * 4096 // 64
+#: It also maps one 2MB huge page, which lines from WIDE_LINES on reach,
+#: and one read-only page; the page between them and the rest stays
+#: unmapped.
+HUGE_BASE = 2 * 1024 * 1024
+HUGE_LINES = HUGE_BASE // 64
+READ_ONLY_LINE = WIDE_LINES + 64  # line 0 of page WIDE_PAGES + 2
+UNMAPPED_LINE = WIDE_LINES  # line 0 of page WIDE_PAGES + 1
+
+
+def vaddr_of(line):
+    """Lines below WIDE_LINES + 128 are the small pages, then the huge page."""
+    if line < WIDE_LINES + 128:
+        return 4096 + line * 64
+    return HUGE_BASE + (line - WIDE_LINES - 128) * 64
 
 
 def build_cores(windows, num_cores=1, wide=False):
@@ -78,6 +104,9 @@ def build_cores(windows, num_cores=1, wide=False):
     space = AddressSpace(PhysicalMemory(cfg.memory_bytes))
     for page in range(1, (WIDE_PAGES if wide else PAGES) + 1):
         space.map_page(page * 4096)
+    if wide:
+        space.map_page(vaddr_of(READ_ONLY_LINE), writable=False)
+        space.map_huge_page(HUGE_BASE)
     return [
         OoOCore(c, core_cfg, hierarchy, Mmu(space, [cfg.core.l1_dtlb, cfg.core.l2_tlb]))
         for c in range(num_cores)
@@ -110,7 +139,7 @@ def make_trace(specs, tag=0, extra_deps=None):
         deps = tuple(i - off if 0 < off <= i else -1 for off in offsets)
         if extra_deps and i in extra_deps:
             deps += (extra_deps[i],)
-        vaddr = 4096 + line * 64
+        vaddr = vaddr_of(line)
         payload = (tag, i, promise, (latency or 0) * 37, extra)
         if kind is OpKind.LOAD:
             builder.load(vaddr, deps)
@@ -150,10 +179,15 @@ def make_external(log):
 
 
 def run_both(specs, windows, chunks=None, wide=False):
-    """Run one trace through the core loop and through the reference."""
+    """Run one trace through the core loop and through the reference.
+
+    The wide geometry's reference runs the unmemoized walk as well.
+    """
     trace = make_trace(specs)
     (new_core,) = build_cores(windows, wide=wide)
     (ref_core,) = build_cores(windows, wide=wide)
+    if wide:
+        memo_off(ref_core.hierarchy)
     new_log, ref_log = [], []
     if chunks is None:
         new = new_core.execute(trace, start_cycle=5, external=make_external(new_log))
@@ -181,6 +215,17 @@ def assert_same(new, ref, new_log, ref_log, new_core, ref_core):
     assert new_core.stats.snapshot() == ref_core.stats.snapshot()
     assert new_core.hierarchy.stats.snapshot() == ref_core.hierarchy.stats.snapshot()
     assert new_core.mmu.stats.snapshot() == ref_core.mmu.stats.snapshot()
+
+
+def memory_state(core):
+    """TLB sets in LRU order, cache sets with dirty bits, set epochs."""
+    hierarchy = core.hierarchy
+    caches = hierarchy.l1 + hierarchy.l2 + hierarchy.llc_slices
+    return (
+        [[list(s.items()) for s in tlb._sets] for tlb in core.mmu.tlbs],
+        [[list(s.items()) for s in cache._sets] for cache in caches],
+        [list(cache.set_epochs) for cache in caches],
+    )
 
 
 @given(specs=TRACE_SPECS, windows=st.sampled_from(WINDOWS))
@@ -213,7 +258,9 @@ def test_windows_saturate_on_default_core():
 
 
 #: A load or store over the wide geometry: a hot line, a line in a hot
-#: page, or any line, so each translation outcome and cache level recurs.
+#: page, any small-page line, or a hot or any line of the huge page, so
+#: each translation outcome and cache level recurs.
+HUGE_FIRST = WIDE_LINES + 128
 MEM_OP = st.tuples(
     st.sampled_from([OpKind.LOAD, OpKind.STORE]),
     st.lists(st.integers(-1, 40), max_size=2),
@@ -221,6 +268,8 @@ MEM_OP = st.tuples(
         st.integers(0, 15),
         st.integers(0, 4 * 64 - 1),
         st.integers(0, WIDE_LINES - 1),
+        st.integers(HUGE_FIRST, HUGE_FIRST + 31),
+        st.integers(HUGE_FIRST, HUGE_FIRST + HUGE_LINES - 1),
     ),
     st.just(False),
     st.none(),
@@ -236,7 +285,56 @@ MEM_OP = st.tuples(
 @SETTINGS
 def test_memory_ops_match_reference_on_every_outcome(specs, windows):
     # memory_cycles, level_breakdown and the MMU/TLB counters included.
-    assert_same(*run_both(specs, windows, wide=True))
+    new, ref, new_log, ref_log, new_core, ref_core = run_both(
+        specs, windows, wide=True
+    )
+    assert_same(new, ref, new_log, ref_log, new_core, ref_core)
+    assert memory_state(new_core) == memory_state(ref_core)
+
+
+#: Between chunks: flush every TLB, shoot down one page, flush the
+#: private caches or drop one line, on both sides alike.
+FLUSH = st.sampled_from(["none", "tlb", "page", "private", "line"])
+
+
+def apply_flush(core, flush, line):
+    if flush == "tlb":
+        core.mmu.flush()
+    elif flush == "page":
+        core.mmu.invalidate(vaddr_of(line) // 4096)
+    elif flush == "private":
+        core.hierarchy.flush_private(core.core_id)
+    elif flush == "line":
+        core.hierarchy.l1[core.core_id].invalidate(line)
+
+
+@given(
+    specs=st.lists(st.one_of(MEM_OP, MEM_OP, OP), min_size=1, max_size=300),
+    cuts=st.lists(
+        st.tuples(st.integers(1, 60), FLUSH, st.integers(0, WIDE_LINES - 1)),
+        max_size=8,
+    ),
+    windows=st.sampled_from(WINDOWS),
+)
+@SETTINGS
+def test_flushes_between_chunks_match_reference(specs, cuts, windows):
+    """The probe holds the L1 dTLB's set list: flushes must reach it."""
+    trace = make_trace(specs)
+    (new_core,) = build_cores(windows, wide=True)
+    (ref_core,) = build_cores(windows, wide=True)
+    memo_off(ref_core.hierarchy)
+    new = new_core.begin(trace, start_cycle=5, external=make_external([]))
+    ref = ReferenceExecution(ref_core, trace, start_cycle=5,
+                             external=make_external([]))
+    for length, flush, line in cuts + [(len(trace), "none", 0)]:
+        stop = min(len(trace), new._index + length)
+        new.run_until(stop)
+        while ref._index < stop:
+            ref.step()
+        apply_flush(new_core, flush, line)
+        apply_flush(ref_core, flush, line)
+    assert_same(new.finish(), ref.finish(), [], [], new_core, ref_core)
+    assert memory_state(new_core) == memory_state(ref_core)
 
 
 def outcome_counts(core, result):
@@ -307,7 +405,7 @@ def test_multiprogrammed_matches_reference(specs, windows):
 def stop_state(execution, run):
     try:
         run()
-    except (SimulationError, SegmentationFault) as exc:
+    except (SimulationError, SegmentationFault, ProtectionFault) as exc:
         return (
             type(exc),
             str(exc),
@@ -319,22 +417,33 @@ def stop_state(execution, run):
 
 
 def stop_states(trace, windows, wide=False):
-    """Where the core loop and the reference stop on a trace that raises."""
-    new = build_cores(windows, wide=wide)[0].begin(
-        trace, external=make_external([])
-    )
-    ref = ReferenceExecution(
-        build_cores(windows, wide=wide)[0], trace, external=make_external([])
-    )
+    """Where the core loop and the reference stop on a trace that raises.
+
+    In the wide geometry the reference runs the unmemoized walk, and the
+    two memory states must also be equal where they stop.
+    """
+    (new_core,) = build_cores(windows, wide=wide)
+    (ref_core,) = build_cores(windows, wide=wide)
+    if wide:
+        memo_off(ref_core.hierarchy)
+    new = new_core.begin(trace, external=make_external([]))
+    ref = ReferenceExecution(ref_core, trace, external=make_external([]))
 
     def step_reference():
         while not ref.finished:
             ref.step()
 
-    return (
+    states = (
         stop_state(new, lambda: new.run_until(len(trace))),
         stop_state(ref, step_reference),
     )
+    if wide:
+        assert memory_state(new_core) == memory_state(ref_core)
+        assert new_core.mmu.stats.snapshot() == ref_core.mmu.stats.snapshot()
+        assert (
+            new_core.hierarchy.stats.snapshot() == ref_core.hierarchy.stats.snapshot()
+        )
+    return states
 
 
 @given(
@@ -361,6 +470,50 @@ def test_unmapped_load_faults_at_same_index():
     assert new_state == ref_state
     assert new_state[0] is SegmentationFault
     assert new_state[2] == 17
+
+
+def read_only_load(offset):
+    return (OpKind.LOAD, [], READ_ONLY_LINE + offset, False, None, False, 0)
+
+
+@given(
+    specs=st.lists(
+        st.one_of(MEM_OP, OP, st.integers(0, 63).map(read_only_load)),
+        min_size=1, max_size=80,
+    ),
+    bad=st.integers(0, 79),
+    offset=st.integers(0, 63),
+    windows=st.sampled_from(WINDOWS),
+)
+@SETTINGS
+def test_store_to_read_only_page_faults_at_same_index(specs, bad, offset, windows):
+    """Loads put the page in the L1 dTLB; the store must still fault."""
+    bad %= len(specs)
+    specs = specs[:bad] + [read_only_load(offset)] * 2 + specs[bad:]
+    specs.insert(bad + 2, (OpKind.STORE, [], READ_ONLY_LINE + offset,
+                           False, None, False, 0))
+    new_state, ref_state = stop_states(make_trace(specs), windows, wide=True)
+    assert new_state == ref_state
+    assert new_state[0] is ProtectionFault
+    assert new_state[2] == bad + 2
+
+
+@given(
+    specs=st.lists(st.one_of(MEM_OP, OP), min_size=1, max_size=80),
+    bad=st.integers(0, 79),
+    kind=st.sampled_from([OpKind.LOAD, OpKind.STORE]),
+    offset=st.integers(0, 63),
+    windows=st.sampled_from(WINDOWS),
+)
+@SETTINGS
+def test_unmapped_access_faults_at_same_index(specs, bad, kind, offset, windows):
+    bad %= len(specs)
+    specs = list(specs)
+    specs.insert(bad, (kind, [], UNMAPPED_LINE + offset, False, None, False, 0))
+    new_state, ref_state = stop_states(make_trace(specs), windows, wide=True)
+    assert new_state == ref_state
+    assert new_state[0] is SegmentationFault
+    assert new_state[2] == bad
 
 
 @given(

@@ -1,10 +1,14 @@
 """Unit tests for the mesh NoC model."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.config import NocConfig
 from repro.errors import ConfigurationError
 from repro.noc import MeshNoc
+from repro.sim.stats import StatsRegistry
 
 
 @pytest.fixture
@@ -82,3 +86,51 @@ def test_reset_traffic(mesh):
     mesh.send(0, 3, 64)
     mesh.reset_traffic()
     assert mesh.hotspot_factor(100) == 0.0
+
+
+def test_send_and_charge_interleave_with_reads():
+    """Every message is batched; each read sees the per-link reference sum."""
+    rng = random.Random(5)
+    stats = StatsRegistry()
+    mesh = MeshNoc(NocConfig(width=6, height=4), stats=stats)
+    per_cycle = mesh.config.link_bytes_per_cycle
+    expected = Counter()
+    messages = total_bytes = 0
+    for step in range(4000):
+        src = rng.randrange(24)
+        dst = rng.choice([src, rng.randrange(24)])
+        nbytes = rng.choice([16, 64, 80, 512])
+        if rng.random() < 0.5:
+            latency = mesh.send(src, dst, nbytes, step)
+            serialization = -(-nbytes // per_cycle)
+            assert latency == mesh.latency(src, dst) + max(0, serialization - 1)
+        else:
+            assert mesh.charge(src, dst, nbytes, step) is None
+        path = mesh.route(src, dst)
+        expected.update({link: nbytes for link in zip(path, path[1:])})
+        messages += 1
+        total_bytes += nbytes
+        read = rng.random()
+        if read < 0.05:
+            snapshot = stats.snapshot()
+            assert snapshot["noc.messages"] == messages
+            assert snapshot["noc.bytes"] == total_bytes
+        elif read < 0.10:
+            links = {u.link: u.bytes_carried for u in mesh.link_utilisations()}
+            assert links == dict(expected)
+        elif read < 0.12:
+            window = rng.randrange(1, 5000)
+            assert mesh.hotspot_factor(window) == (
+                max(expected.values(), default=0) / (window * per_cycle)
+                if expected else 0.0
+            )
+            assert mesh.mean_link_utilisation(window) == (
+                sum(expected.values()) / (window * per_cycle * 2 * (5 * 4 + 3 * 6))
+                if expected else 0.0
+            )
+        elif read < 0.125:
+            # Counters keep the traffic; the per-link window restarts.
+            mesh.reset_traffic()
+            expected.clear()
+    assert stats.snapshot()["noc.messages"] == messages
+    assert {u.link: u.bytes_carried for u in mesh.link_utilisations()} == dict(expected)

@@ -50,14 +50,6 @@ def test_frontend_rejects_when_queue_full_with_retry_after():
     )
 
 
-def test_frontend_saturated_hook_sheds_load():
-    config = ServeConfig(tenants=1, queue_depth=64)
-    frontend = Frontend(config, saturated=lambda: True)
-    verdict = frontend.offer(request_for(0), now=0)
-    assert not verdict.admitted
-    assert verdict.retry_after >= config.retry_after_cycles
-
-
 def test_frontend_drains_tenants_round_robin():
     config = ServeConfig(tenants=2, queue_depth=8)
     frontend = Frontend(config)
@@ -72,15 +64,13 @@ def test_frontend_drains_tenants_round_robin():
 
 def test_frontend_pending_counts_every_queued_request():
     # ``pending`` is a running count; it must equal the queue depths after
-    # every admitted offer, rejected offer (full queue or saturated) and pop.
+    # every admitted offer, rejected offer (full queue) and pop.
     rng = random.Random(7)
-    saturated = [False]
     config = ServeConfig(tenants=3, queue_depth=4)
-    frontend = Frontend(config, saturated=lambda: saturated[0])
+    frontend = Frontend(config)
     verdicts = set()
     for step in range(2000):
         if rng.random() < 0.55:
-            saturated[0] = rng.random() < 0.1
             tenant = rng.randrange(config.tenants)
             verdicts.add(frontend.offer(request_for(tenant, step), now=step).admitted)
         else:
