@@ -23,10 +23,11 @@ query's register file.  ``tests/cfa_reference.py`` keeps interpreted
 oracles of every built-in program; the property tests and the golden-stats
 grid check the firmware against them.
 
-**One engine event per deferred transition.**  A step or wake the CEE
-cannot run inline is one engine event (:meth:`QeiAccelerator._drain_ready`)
-bound to its entry, the entry's generation and its ready cycle, so
-deferred transitions interleave with every other engine event in plain
+**One engine event, one frame, per deferred transition.**  A step or
+wake the CEE cannot run inline is one engine event whose callback,
+:meth:`QeiAccelerator._drain_ready`, is the whole driver: it is bound to
+its entry, the entry's generation and its ready cycle, so deferred
+transitions interleave with every other engine event in plain
 ``(time, seq)`` order.  A flush or slice failure leaves its entries'
 events queued: they fire as no-ops against a released or reallocated
 slot, and until then they bound fusion like any other pending event.
@@ -34,12 +35,19 @@ slot, and until then they bound fusion like any other pending event.
 **Macro-step fusion.**  Every substrate the CEE touches (integration
 timing paths, DPU pools, the NoC) takes an explicit ``now``, so a
 transition's effects depend only on the simulated time and the order it
-runs in — not on the engine clock.  :meth:`QeiAccelerator._step_at`
-therefore steps its entry in a tight inner loop, advancing a *virtual*
-``now`` arithmetically, for as long as the next transition is provably the
-globally next thing to happen: its start cycle must precede every pending
-engine event (:meth:`~repro.sim.engine.Engine.peek_time`) and stay inside
-the active run's horizon.  Otherwise the entry defers to an engine event.
+runs in — not on the engine clock.  The driver therefore steps its entry
+in a tight inner loop, advancing a *virtual* ``now`` arithmetically, for
+as long as the next transition is provably the globally next thing to
+happen: its start cycle must precede every pending engine event (the
+engine heap's head, :meth:`~repro.sim.engine.Engine.heap`) and stay
+inside the active run's horizon.  Otherwise the entry defers to an
+engine event.
+
+**One probe per memory micro-op.**  A memory read or local compare whose
+every line hits its home's micro-TLB and the scheme's FastMem record is
+timed inline, replaying exactly what the integration's ``mem_read`` /
+``compare`` would do (:meth:`~repro.core.integration.Integration.cee_probe`);
+any miss sends the whole micro-op down that unchanged path.
 Completions and faults reached at a virtual time ahead of the engine clock
 are deferred to an event at that cycle, so the completion machinery
 (result writes, QST release, queue drain, quiesce callbacks) always
@@ -55,6 +63,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from ..config import CACHELINE_BYTES as _LINE
 from ..errors import (
     AcceleratorError,
     FirmwareError,
@@ -74,7 +83,6 @@ from .cfa import (
     K_DONE,
     K_FAULT,
     K_HASH,
-    K_MEMREAD,
     K_MEMREAD2,
     K_MEMREAD_OPT,
     K_WRITE,
@@ -92,6 +100,10 @@ from ..datastructs.hashing import fnv1a64
 from .integration import Integration, SliceState
 from .qst import QstEntry, QueryStateTable
 from .specialize import CompiledStep, compile_firmware, dispatch_step
+
+#: The micro-TLB of a home that has none yet: never written, every probe
+#: of it misses.
+_NO_MICRO_TLB: Dict[int, int] = {}
 
 #: Value written alongside the status flag for "not found" results.
 NOT_FOUND_SENTINEL = 0
@@ -223,11 +235,15 @@ class QeiAccelerator:
         self._completed = self.stats.counter("queries.completed")
         self._faulted = self.stats.counter("queries.faulted")
         self._latency = self.stats.histogram("query.latency")
-        # Pre-bound micro-op counter bumps for the driver's hot loop.
-        self._count_mem = self.stats.counter("uops.mem").add
-        self._count_cmp = self.stats.counter("uops.compare").add
-        self._count_hash = self.stats.counter("uops.hash").add
-        self._count_alu = self.stats.counter("uops.alu").add
+        # Micro-op counters; the driver counts in locals and folds them in.
+        self._uops_mem = self.stats.counter("uops.mem")
+        self._uops_cmp = self.stats.counter("uops.compare")
+        self._uops_hash = self.stats.counter("uops.hash")
+        self._uops_alu = self.stats.counter("uops.alu")
+        # The memory probe's bindings (Integration.cee_probe) and the
+        # engine heap the fusion guard reads (Engine.heap).
+        self._probe = integration.cee_probe()
+        self._heap = engine.heap()
 
     # ------------------------------------------------------------------ #
     # Submission (driven by the QUERY instructions)
@@ -470,296 +486,379 @@ class QeiAccelerator:
         return usable
 
     # ------------------------------------------------------------------ #
-    # CEE driver: one engine event per deferred transition + step loop
+    # CEE driver: one engine event per deferred transition
     # ------------------------------------------------------------------ #
 
-    def _push_ready(self, entry: QstEntry, time: int, wake: bool) -> None:
-        """Defer a step (or, with ``wake``, a wake) of ``entry`` to ``time``.
+    def _defer(
+        self, entry: QstEntry, time: int, fn: Optional[CompiledStep]
+    ) -> None:
+        """Defer a step (``fn``) or, with None, a wake of ``entry`` to ``time``.
 
         The event stays live even if the slot is released or reallocated
         before it fires: :meth:`_drain_ready` then finds a stale generation
         or an idle entry and does nothing.
         """
-        fn = None if wake else self._rdy_fn[entry.index]
         self.engine.schedule_at(
             time, partial(self._drain_ready, entry, entry.generation, time, fn)
         )
 
-    def _drain_ready(
-        self,
-        entry: QstEntry,
-        generation: int,
-        time: int,
-        fn: Optional[CompiledStep],
-    ) -> None:
-        """Engine callback: run one deferred step (``fn``) or wake (None)."""
-        if fn is not None:
-            self._step_at(entry, generation, time, fn)
-        elif entry.generation == generation:
-            self._wake(entry)
-
     def _sched(self, entry: QstEntry, earliest: int) -> None:
-        """Claim the home's CEE slot and defer a step-kind ready entry."""
+        """Claim the home's CEE slot and defer a step of a ready entry."""
         handle = self._handles[entry.index]
         if handle is None or not entry.busy:
             return
         home = handle.home
         start = max(earliest, self._cee_free_at.get(home, 0), self.engine.now)
         self._cee_free_at[home] = start + 1
-        self._push_ready(entry, start, wake=False)
+        self._defer(entry, start, self._rdy_fn[entry.index])
 
-    def _wake(self, entry: QstEntry) -> None:
-        """Wake an entry whose micro-op completed.
+    def _none_due_by(self, start: int) -> bool:
+        """No live event at or before ``start`` (drops cancelled heads)."""
+        peek = self.engine.peek_time()
+        return peek is None or peek > start
 
-        Claim the CEE slot, then either step inline (when fusion proves
-        nothing can interleave) or defer a step-kind ready entry.
-        """
-        handle = self._handles[entry.index]
-        if handle is None or not entry.busy:
-            return
-        engine = self.engine
-        home = handle.home
-        start = max(self._cee_free_at.get(home, 0), engine.now)
-        self._cee_free_at[home] = start + 1
-        peek = engine.peek_time()
-        horizon = engine.run_horizon
-        if (peek is None or peek > start) and (horizon is None or start <= horizon):
-            self._step_at(
-                entry, entry.generation, start, self._rdy_fn[entry.index]
-            )
-            return
-        self._push_ready(entry, start, wake=False)
-
-    def _resume(self, entry: QstEntry, ready_at: int) -> None:
-        """Defer a wake-kind ready entry to the micro-op's completion."""
-        self._push_ready(entry, max(ready_at, self.engine.now), wake=True)
-
-    def _step_at(
+    def _drain_ready(
         self,
         entry: QstEntry,
         generation: int,
         now: int,
-        fn: CompiledStep,
+        fn: Optional[CompiledStep],
     ) -> None:
-        """Step the entry's compiled CFA, fusing transitions while safe.
+        """Engine callback of every deferred transition: the CEE driver.
 
-        ``now`` is the cycle this step executes at — the engine clock when
-        entered from the drain, possibly ahead of it when fused across a
-        wake — and advances virtually as transitions fuse.  A transition at
-        ``start`` fuses only when ``start`` strictly precedes every pending
-        engine event and lies inside the active run's horizon; under that
-        guard nothing can interleave, so the operation sequence (and every
-        stat) is what one event per transition gives.
+        With ``fn`` the entry steps at ``now``.  With None its micro-op
+        completed at ``now`` (a wake): it claims its home's CEE slot, then
+        steps inline when fusion allows or defers a step to that slot.
+
+        A step runs its entry's compiled CFA and fuses transitions while
+        safe, advancing ``now`` virtually.  A transition at ``start`` fuses
+        only when ``start`` strictly precedes every pending engine event
+        and lies inside the active run's horizon; under that guard nothing
+        can interleave, so the operation sequence (and every stat) is what
+        one event per transition gives.  Each memory read and local compare
+        is timed by one inline probe when all of its lines hit (see
+        :meth:`Integration.cee_probe`), else by the integration's
+        ``mem_read`` / ``compare``.  Counts live in locals and fold into
+        their counters before a terminal (completion or fault) runs.
         """
+        if entry.generation != generation:
+            return  # released (and maybe reallocated) since it was deferred
         engine = self.engine
-        space = self.space
-        integ = self.integration
+        heap = self._heap
+        # One run's bound, constant through the call.  It is read through
+        # the property, which the fusion-off tests patch below every cycle.
+        horizon = engine.run_horizon
         cee_free = self._cee_free_at
-        step_fn = fn.step
-        steps_counter = self._steps
-        watchdog_budget = self.watchdog_steps
-        while True:
-            if not entry.busy or entry.ctx is None or entry.generation != generation:
-                return  # flushed while waiting (slot possibly re-allocated)
-            ctx = entry.ctx
+        if fn is None:
             handle = self._handles[entry.index]
-            steps_counter.add()
-            entry.steps += 1
-            if entry.steps > watchdog_budget:
-                # Per-query watchdog (Sec. IV-D hardening): a corrupted
-                # pointer chain can cycle forever; the budget bounds every
-                # walk.
-                detail = f"watchdog: exceeded {watchdog_budget} CEE steps"
-                self._run_terminal(
-                    now,
-                    lambda: self._retire(
-                        entry, handle, QueryStatus.FAULT,
-                        code=AbortCode.WATCHDOG, detail=detail,
-                    ),
-                )
+            if handle is None or not entry.busy:
                 return
-            try:
-                if ctx.header is None:
-                    # The CEE's metadata fetch reads the type byte on every
-                    # pre-PARSE step: those steps fault when the header page
-                    # vanishes, whatever program they are bound to.
-                    space.read_u8(ctx.header_addr + 8)
-                act = step_fn(ctx)
-            except Exception as exc:  # noqa: BLE001 - firmware bugs become faults
-                detail, code = self._step_error(exc)
-                self._run_terminal(
-                    now,
-                    lambda: self._retire(
-                        entry, handle, QueryStatus.FAULT, code=code, detail=detail
-                    ),
-                )
-                return
-            kind = act[0]
-            waiting = False
-            if kind <= K_DELAY:
-                # Timed micro-op, executed inline: counter first, then the
-                # timing-path call, then the functional access — one fixed
-                # order for TLB/DPU state parity.
-                home = handle.home
-                try:
-                    if kind == K_MEMREAD:
-                        self._count_mem()
-                        vaddr, length, slot = act[1], act[2], act[3]
-                        latency = integ.mem_read(
-                            vaddr, length, now, home, handle.request.core_id
-                        )
-                        ctx.scratch[slot] = space.read(vaddr, length)
-                        ready_at = now + (latency if latency > 1 else 1)
-                    elif kind == K_COMPARE:
-                        self._count_cmp()
-                        mem_vaddr, length, slot = act[1], act[2], act[3]
-                        key_vaddr = ctx.key_addr
-                        latency = integ.compare(
-                            mem_vaddr, key_vaddr, length, now, home,
-                            handle.request.core_id,
-                        )
-                        stored = space.read(mem_vaddr, length)
-                        key = space.read(key_vaddr, length)
-                        ctx.scratch[slot] = (stored > key) - (stored < key)
-                        ready_at = now + (latency if latency > 1 else 1)
-                    elif kind == K_ALU:
-                        self._count_alu()
-                        ready_at = integ.alus.alu(now, act[1])
-                    elif kind == K_HASH:
-                        self._count_hash()
-                        data = ctx.scratch[act[1]]
-                        ready_at = integ.hash_unit.hash(now, len(data))
-                        ctx.scratch[act[2]] = fnv1a64(data)
-                    elif kind == K_MEMREAD_OPT:  # speculative cacheline fetch
-                        self._count_mem()
-                        vaddr, length, slot, optional_after = (
-                            act[1], act[2], act[3], act[4],
-                        )
-                        length = self._usable_length(vaddr, length, optional_after)
-                        latency = integ.mem_read(
-                            vaddr, length, now, home, handle.request.core_id
-                        )
-                        ctx.scratch[slot] = space.read(vaddr, length)
-                        ready_at = now + (latency if latency > 1 else 1)
-                    elif kind == K_MEMREAD2:  # two concurrent segments
-                        self._count_mem()
-                        core_id = handle.request.core_id
-                        latency = 0
-                        for vaddr, length, slot in (act[1:4], act[4:7]):
-                            seg_latency = integ.mem_read(
-                                vaddr, length, now, home, core_id
-                            )
-                            ctx.scratch[slot] = space.read(vaddr, length)
-                            if seg_latency > latency:
-                                latency = seg_latency
-                        ready_at = now + (latency if latency > 1 else 1)
-                    # Write-path kinds (docs/mutations.md).  Their stats
-                    # counters are created lazily so zero-write runs keep
-                    # a byte-identical snapshot (golden-stats discipline).
-                    elif kind == K_WRITE:  # one macro store
-                        self.stats.counter("uops.write").add()
-                        core_id = handle.request.core_id
-                        latency = 0
-                        for vaddr, data in act[1]:
-                            seg_latency = integ.mem_write(
-                                vaddr, len(data), now, home, core_id
-                            )
-                            space.write(vaddr, data)
-                            if seg_latency > latency:
-                                latency = seg_latency
-                        if act[2] is not None:
-                            # A commit store: stamp its seqlock ordinal and
-                            # cycle (lock releases and version restores
-                            # carry None).
-                            handle.commit_version = act[2]
-                            handle.commit_cycle = now
-                        ready_at = now + (latency if latency > 1 else 1)
-                    elif kind == K_CAS:  # header seqlock compare-and-swap
-                        self.stats.counter("uops.cas").add()
-                        core_id = handle.request.core_id
-                        vaddr = act[1]
-                        latency = integ.mem_read(vaddr, 8, now, home, core_id)
-                        if space.read_u64(vaddr) == act[2]:
-                            # The CEE serialises micro-ops, so the
-                            # read-compare-store is atomic with respect to
-                            # every other in-flight query.
-                            write_latency = integ.mem_write(
-                                vaddr, 8, now, home, core_id
-                            )
-                            if write_latency > latency:
-                                latency = write_latency
-                            space.write_u64(vaddr, act[3])
-                            ctx.scratch[act[4]] = 1
-                        else:
-                            ctx.scratch[act[4]] = 0
-                        ready_at = now + (latency if latency > 1 else 1)
-                    else:  # K_DELAY: writer backoff, no DPU unit occupied
-                        self.stats.counter("uops.delay").add()
-                        ready_at = now + (act[1] if act[1] > 1 else 1)
-                except MemoryError_ as fault:
-                    detail, code = str(fault), self._memory_code(fault)
-                    self._run_terminal(
-                        now,
-                        lambda: self._retire(
-                            entry, handle, QueryStatus.FAULT,
-                            code=code, detail=detail,
-                        ),
-                    )
-                    return
-            elif kind == K_DONE:
-                if self._version_conflict(ctx):
-                    # Seqlock re-validation of the locally-held header line:
-                    # the version moved (or went odd) while the walk ran, so
-                    # a writer raced us and the result may be torn.  Abort;
-                    # the software fallback retries against settled state.
-                    detail = "header version changed during walk"
-                    self._run_terminal(
-                        now,
-                        lambda: self._retire(
-                            entry, handle, QueryStatus.FAULT,
-                            code=AbortCode.VERSION_CONFLICT, detail=detail,
-                        ),
-                    )
-                    return
-                value = act[1]
-                status = (
-                    QueryStatus.NOT_FOUND if value is None else QueryStatus.FOUND
-                )
-                self._run_terminal(
-                    now, lambda: self._retire(entry, handle, status, value)
-                )
-                return
-            elif kind == K_FAULT:
-                detail = act[2] or "CFA fault"
-                code = AbortCode.of(act[1])
-                self._run_terminal(
-                    now,
-                    lambda: self._retire(
-                        entry, handle, QueryStatus.FAULT, code=code, detail=detail
-                    ),
-                )
-                return
-            else:  # K_WAIT
-                ready_at = now + 1
-                waiting = True
             home = handle.home
             free = cee_free.get(home, 0)
-            start = ready_at if ready_at > free else free
-            peek = engine.peek_time()
-            horizon = engine.run_horizon
-            if (peek is None or peek > start) and (
-                horizon is None or start <= horizon
+            if free > now:
+                now = free
+            cee_free[home] = now + 1
+            fn = self._rdy_fn[entry.index]
+            if not (
+                (horizon is None or now <= horizon)
+                and (
+                    not heap
+                    or heap[0][0] > now
+                    or (heap[0][2].cancelled and self._none_due_by(now))
+                )
             ):
-                # Provably the next thing to happen: take the CEE slot
-                # arithmetically and keep stepping, no event round-trip.
-                cee_free[home] = start + 1
-                now = start
-                continue
-            if waiting:
-                self._sched(entry, now + 1)
-            else:
-                self._resume(entry, ready_at)
-            return
+                self._defer(entry, now, fn)
+                return
+        space = self.space
+        integ = self.integration
+        local_pool = integ.local_pool
+        step_fn = fn.step
+        watchdog_budget = self.watchdog_steps
+        (
+            walk_get, page_bytes, micro_tlbs, hit_cycles, memo_get, mult,
+            shift, low, by_core, at, charge, back, extra, record_mem,
+            record_cmp,
+        ) = self._probe
+        scale = mult << shift  # ((line * mult + node) << shift) | low
+        steps = mems = cmps = hashes = alus = 0
+        probed_reads = probed_cmps = micro_hits = replays = 0
+        terminal = None
+        try:
+            while True:
+                if (
+                    not entry.busy
+                    or entry.ctx is None
+                    or entry.generation != generation
+                ):
+                    return  # flushed while waiting (slot possibly re-allocated)
+                ctx = entry.ctx
+                handle = self._handles[entry.index]
+                steps += 1
+                entry.steps += 1
+                if entry.steps > watchdog_budget:
+                    # Per-query watchdog (Sec. IV-D hardening): a corrupted
+                    # pointer chain can cycle forever; the budget bounds
+                    # every walk.
+                    terminal = partial(
+                        self._retire, entry, handle, QueryStatus.FAULT,
+                        code=AbortCode.WATCHDOG,
+                        detail=f"watchdog: exceeded {watchdog_budget} CEE steps",
+                    )
+                    break
+                try:
+                    if ctx.header is None:
+                        # The CEE's metadata fetch translates the type byte
+                        # on every pre-PARSE step: those steps fault when the
+                        # header page vanishes, whatever program they are
+                        # bound to.
+                        space.translate(ctx.header_addr + 8, "r")
+                    act = step_fn(ctx)
+                except Exception as exc:  # noqa: BLE001 - firmware bugs become faults
+                    detail, code = self._step_error(exc)
+                    terminal = partial(
+                        self._retire, entry, handle, QueryStatus.FAULT,
+                        code=code, detail=detail,
+                    )
+                    break
+                kind = act[0]
+                waiting = False
+                if kind <= K_DELAY:
+                    # Timed micro-op, executed inline: the timing path
+                    # first, then the functional access — one fixed order
+                    # for TLB/DPU state parity.
+                    home = handle.home
+                    core_id = handle.request.core_id
+                    try:
+                        if kind <= K_COMPARE:  # K_MEMREAD, K_MEMREAD_OPT too
+                            vaddr, length, slot = act[1], act[2], act[3]
+                            # The probe: every line of every operand must
+                            # hit its micro-TLB (or reuse its operand's
+                            # page) and the scheme's memo record before any
+                            # is replayed, so a miss leaves nothing to undo.
+                            micro = micro_tlbs.get(home, _NO_MICRO_TLB)
+                            node = core_id if by_core else home if at is None else at
+                            offset = node << shift | low
+                            hits = None
+                            if kind == K_COMPARE:
+                                cmps += 1
+                                key_vaddr = ctx.key_addr
+                                pool = local_pool(home, core_id, length)
+                                operands = () if pool is None else (vaddr, key_vaddr)
+                            else:
+                                mems += 1
+                                if kind == K_MEMREAD_OPT:  # speculative fetch
+                                    length = self._usable_length(
+                                        vaddr, length, act[4]
+                                    )
+                                operands = (vaddr,)
+                                first = vaddr - vaddr % _LINE
+                                if length <= 0 or vaddr + length <= first + _LINE:
+                                    # One line, the common case: no loops.
+                                    operands = ()
+                                    walk = walk_get((first // page_bytes, "r"))
+                                    base = None if walk is None else micro.get(walk[0])
+                                    if base is not None:
+                                        line = (base + first % walk[2]) // _LINE
+                                        rec = memo_get(line * scale + offset)
+                                        if rec is not None and rec[3][rec[4]] == rec[5]:
+                                            hits = ((walk[0], base, hit_cycles, rec),)
+                            if operands:
+                                hits = []
+                                for operand in operands:
+                                    first = operand - operand % _LINE
+                                    end = operand + length if length > 0 else first + 1
+                                    page = None
+                                    for line_vaddr in range(first, end, _LINE):
+                                        walk = walk_get((line_vaddr // page_bytes, "r"))
+                                        if walk is None:
+                                            break
+                                        if walk[0] == page:
+                                            tlb_key, base, cycles = None, walk[1], 0
+                                        else:
+                                            tlb_key = page = walk[0]
+                                            base = micro.get(tlb_key)
+                                            if base is None:
+                                                break
+                                            cycles = hit_cycles
+                                        line = (base + line_vaddr % walk[2]) // _LINE
+                                        rec = memo_get(line * scale + offset)
+                                        if rec is None or rec[3][rec[4]] != rec[5]:
+                                            break
+                                        hits.append((tlb_key, base, cycles, rec))
+                                    else:
+                                        continue
+                                    hits = None  # a miss: time the micro-op whole
+                                    break
+                            if hits:
+                                worst = 0
+                                for tlb_key, base, cycles, rec in hits:
+                                    if tlb_key is not None:
+                                        del micro[tlb_key]
+                                        micro[tlb_key] = base  # LRU refresh
+                                        micro_hits += 1
+                                    if charge is not None:
+                                        charge(node, rec[7], _LINE, now)
+                                    entry_set, tag = rec[1], rec[2]
+                                    if next(reversed(entry_set)) != tag:
+                                        entry_set[tag] = entry_set.pop(tag)
+                                    rec[6]._pending_hits += 1
+                                    if back is not None:
+                                        back(rec[7], node, _LINE, now)
+                                    cycles += rec[0][0] + extra
+                                    if cycles > worst:
+                                        worst = cycles
+                                replays += len(hits)
+                                if kind == K_COMPARE:
+                                    latency = pool.compare(now + worst, length) - now
+                                    record_cmp(latency)
+                                    probed_cmps += 1
+                                else:
+                                    latency = worst
+                                    record_mem(latency)
+                                    probed_reads += 1
+                            elif kind == K_COMPARE:
+                                latency = integ.compare(
+                                    vaddr, key_vaddr, length, now, home, core_id
+                                )
+                            else:
+                                latency = integ.mem_read(
+                                    vaddr, length, now, home, core_id
+                                )
+                            if kind == K_COMPARE:
+                                stored = space.read(vaddr, length)
+                                key = space.read(key_vaddr, length)
+                                ctx.scratch[slot] = (stored > key) - (stored < key)
+                            else:
+                                ctx.scratch[slot] = space.read(vaddr, length)
+                            ready_at = now + (latency if latency > 1 else 1)
+                        elif kind == K_ALU:
+                            alus += 1
+                            ready_at = integ.alus.alu(now, act[1])
+                        elif kind == K_HASH:
+                            hashes += 1
+                            data = ctx.scratch[act[1]]
+                            ready_at = integ.hash_unit.hash(now, len(data))
+                            ctx.scratch[act[2]] = fnv1a64(data)
+                        elif kind == K_MEMREAD2:  # two concurrent segments
+                            mems += 1
+                            latency = 0
+                            for vaddr, length, slot in (act[1:4], act[4:7]):
+                                seg_latency = integ.mem_read(
+                                    vaddr, length, now, home, core_id
+                                )
+                                ctx.scratch[slot] = space.read(vaddr, length)
+                                if seg_latency > latency:
+                                    latency = seg_latency
+                            ready_at = now + (latency if latency > 1 else 1)
+                        # Write-path kinds (docs/mutations.md).  Their stats
+                        # counters are created lazily so zero-write runs keep
+                        # a byte-identical snapshot (golden-stats discipline).
+                        elif kind == K_WRITE:  # one macro store
+                            self.stats.counter("uops.write").add()
+                            latency = 0
+                            for vaddr, data in act[1]:
+                                seg_latency = integ.mem_write(
+                                    vaddr, len(data), now, home, core_id
+                                )
+                                space.write(vaddr, data)
+                                if seg_latency > latency:
+                                    latency = seg_latency
+                            if act[2] is not None:
+                                # A commit store: stamp its seqlock ordinal
+                                # and cycle (lock releases and version
+                                # restores carry None).
+                                handle.commit_version = act[2]
+                                handle.commit_cycle = now
+                            ready_at = now + (latency if latency > 1 else 1)
+                        elif kind == K_CAS:  # header seqlock compare-and-swap
+                            self.stats.counter("uops.cas").add()
+                            vaddr = act[1]
+                            latency = integ.mem_read(vaddr, 8, now, home, core_id)
+                            if space.read_u64(vaddr) == act[2]:
+                                # The CEE serialises micro-ops, so the
+                                # read-compare-store is atomic with respect
+                                # to every other in-flight query.
+                                write_latency = integ.mem_write(
+                                    vaddr, 8, now, home, core_id
+                                )
+                                if write_latency > latency:
+                                    latency = write_latency
+                                space.write_u64(vaddr, act[3])
+                                ctx.scratch[act[4]] = 1
+                            else:
+                                ctx.scratch[act[4]] = 0
+                            ready_at = now + (latency if latency > 1 else 1)
+                        else:  # K_DELAY: writer backoff, no DPU unit occupied
+                            self.stats.counter("uops.delay").add()
+                            ready_at = now + (act[1] if act[1] > 1 else 1)
+                    except MemoryError_ as fault:
+                        terminal = partial(
+                            self._retire, entry, handle, QueryStatus.FAULT,
+                            code=self._memory_code(fault), detail=str(fault),
+                        )
+                        break
+                elif kind == K_DONE:
+                    if self._version_conflict(ctx):
+                        # Seqlock re-validation of the locally-held header
+                        # line: the version moved (or went odd) while the
+                        # walk ran, so a writer raced us and the result may
+                        # be torn.  Abort; the software fallback retries
+                        # against settled state.
+                        terminal = partial(
+                            self._retire, entry, handle, QueryStatus.FAULT,
+                            code=AbortCode.VERSION_CONFLICT,
+                            detail="header version changed during walk",
+                        )
+                        break
+                    value = act[1]
+                    status = (
+                        QueryStatus.NOT_FOUND if value is None else QueryStatus.FOUND
+                    )
+                    terminal = partial(self._retire, entry, handle, status, value)
+                    break
+                elif kind == K_FAULT:
+                    terminal = partial(
+                        self._retire, entry, handle, QueryStatus.FAULT,
+                        code=AbortCode.of(act[1]), detail=act[2] or "CFA fault",
+                    )
+                    break
+                else:  # K_WAIT
+                    ready_at = now + 1
+                    waiting = True
+                home = handle.home
+                free = cee_free.get(home, 0)
+                start = ready_at if ready_at > free else free
+                if (horizon is None or start <= horizon) and (
+                    not heap
+                    or heap[0][0] > start
+                    or (heap[0][2].cancelled and self._none_due_by(start))
+                ):
+                    # Provably the next thing to happen: take the CEE slot
+                    # arithmetically and keep stepping, no event round-trip.
+                    cee_free[home] = start + 1
+                    now = start
+                    continue
+                if waiting:
+                    self._sched(entry, now + 1)
+                else:
+                    # ready_at > now >= engine.now: a wake at the completion.
+                    self._defer(entry, ready_at, None)
+                return
+        finally:
+            self._steps.value += steps
+            if mems:
+                self._uops_mem.value += mems
+            if cmps:
+                self._uops_cmp.value += cmps
+            if hashes:
+                self._uops_hash.value += hashes
+            if alus:
+                self._uops_alu.value += alus
+            if replays:
+                integ.count_probe_hits(
+                    probed_reads, probed_cmps, micro_hits, replays
+                )
+        self._run_terminal(now, terminal)
 
     # ------------------------------------------------------------------ #
     # Completion paths

@@ -41,13 +41,20 @@ class UnitPool:
         """Occupy the earliest-free unit; returns the completion cycle."""
         if busy_cycles <= 0:
             raise AcceleratorError(f"{self.name}: busy_cycles must be positive")
-        best = min(range(len(self._free_at)), key=self._free_at.__getitem__)
-        start = max(now, self._free_at[best])
-        self._queue_cycles.add(start - now)
+        # The first unit that frees earliest; one per CEE micro-op, so the
+        # scan and the counters stay inline (``.value +=``, sim/stats.py).
+        free_at = self._free_at
+        best = 0
+        earliest = free_at[0]
+        for unit in range(1, len(free_at)):
+            if free_at[unit] < earliest:
+                best, earliest = unit, free_at[unit]
+        start = now if now > earliest else earliest
+        self._queue_cycles.value += start - now
         completion = start + busy_cycles
-        self._free_at[best] = completion
-        self._ops.add()
-        self._busy_cycles.add(busy_cycles)
+        free_at[best] = completion
+        self._ops.value += 1
+        self._busy_cycles.value += busy_cycles
         return completion
 
     def reset_timing(self) -> None:

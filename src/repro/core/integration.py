@@ -57,6 +57,10 @@ class SliceState(str, enum.Enum):
     FAILED = "failed"
 
 
+#: A lookup that never finds anything: the CEE probe of a memo-off hierarchy.
+_NO_ENTRY = {}.get
+
+
 def _lines_of(vaddr: int, length: int) -> List[int]:
     """Cacheline-aligned virtual line base addresses covering a region."""
     if length <= 0:
@@ -275,6 +279,74 @@ class Integration:
         micro[key] = base_paddr
         return paddr, cycles
 
+    def cee_probe(self) -> tuple:
+        """What the CEE driver binds to time a memory micro-op's hits inline.
+
+        ``(walk_get, page_bytes, micro_tlbs, hit_cycles, memo_get, mult,
+        shift, low, by_core, at, charge, back, extra, record_mem,
+        record_cmp)``, bound once per accelerator.
+
+        * **Translation, the micro-TLB rule.**  A line whose page is in
+          the walk memo (``walk_get((vaddr // page_bytes, "r"))`` is the
+          ``(key, base, span)`` entry ``translation_entry`` returns) and
+          whose key is in its home's micro-TLB (``micro_tlbs.get(home)``)
+          is a hit: :meth:`_timed_translate` would pop and reinsert the
+          key, count one ``micro_tlb.hits`` and return the cached base plus
+          ``vaddr % span`` at ``hit_cycles``.  A later line of the same
+          operand whose key equals the previous line's reuses that page at
+          cost 0, with the walk memo's base (:meth:`_translate_lines`).
+        * **Access, the scheme's record** (:meth:`_record_probe`): the memo
+          record of the read :meth:`_line_access` issues, keyed
+          ``((line * mult + node) << shift) | low``.  ``node`` is the
+          query's core when ``by_core``, else ``at``, or the home when
+          ``at`` is None.  A valid record replays as FastMem's record
+          branch (``charge(node, rec[7], ...)`` when ``charge`` is not
+          None); ``back``, when not None, accounts the line's crossing
+          from ``rec[7]`` to ``node``.  The access costs
+          ``rec[0].latency + extra``.
+        * A replayed read or compare records its latency sample through
+          ``record_mem`` / ``record_cmp`` and reports its other counts
+          through :meth:`count_probe_hits`.
+
+        A micro-op any of whose lines misses goes through :meth:`mem_read`
+        or :meth:`compare` whole.  With the memo unbound
+        (``hierarchy.fastmem`` None) ``walk_get`` finds nothing, so every
+        micro-op does.
+        """
+        fast = self.hierarchy.fastmem
+        space = self.space
+        recorders = (self._mem_latency.record, self._cmp_latency.record)
+        if fast is None:
+            return (
+                _NO_ENTRY, space.page_bytes, self._micro_tlbs,
+                self.MICRO_TLB_HIT_CYCLES, _NO_ENTRY, 1, 1, 0, False, None,
+                None, None, 0,
+            ) + recorders
+        return (
+            (space._walk_memo.get, space.page_bytes, self._micro_tlbs,
+             self.MICRO_TLB_HIT_CYCLES)
+            + self._record_probe(fast)
+            + recorders
+        )
+
+    def _record_probe(self, fast) -> tuple:
+        """``(memo_get, mult, shift, low, by_core, at, charge, back, extra)``.
+
+        The CHA schemes read at the home slice (:meth:`_line_access`).
+        """
+        memo_get, nslices, charge = fast.slice_probe()
+        return memo_get, nslices, 1, 0, False, None, charge, None, 0
+
+    def count_probe_hits(
+        self, reads: int, compares: int, micro_hits: int, replays: int
+    ) -> None:
+        """Fold the counts of micro-ops the CEE driver timed inline."""
+        self._mem_uops.value += reads
+        self._cmp_uops.value += compares
+        self._micro_hits.value += micro_hits
+        if replays:
+            self.hierarchy.fastmem.count_replays(replays)
+
     # ------------------------------------------------------------------ #
     # Data access
     # ------------------------------------------------------------------ #
@@ -352,7 +424,10 @@ class Integration:
     def _line_access(
         self, paddr: int, now: int, home: int, core_id: int, *, write: bool = False
     ) -> int:
-        raise NotImplementedError
+        """The CHA schemes' line access: issued at the home slice."""
+        return self.hierarchy.access_from_slice(
+            home, paddr, write=write, now=now
+        ).latency
 
     # ------------------------------------------------------------------ #
     # Comparison micro-op
@@ -369,22 +444,29 @@ class Integration:
     ) -> int:
         """Latency of comparing ``length`` bytes of memory against the key."""
         self._cmp_uops.value += 1
-        latency = self._compare_impl(
-            stored_vaddr, key_vaddr, length, now, home, core_id
-        )
+        pool = self.local_pool(home, core_id, length)
+        if pool is None:
+            latency = self._distributed_compare(
+                stored_vaddr, key_vaddr, length, now, home, core_id
+            )
+        else:
+            latency = self._local_compare(
+                stored_vaddr, key_vaddr, length, now, home, core_id, pool
+            )
         self._cmp_latency.record(latency)
         return latency
 
-    def _compare_impl(
-        self,
-        stored_vaddr: int,
-        key_vaddr: int,
-        length: int,
-        now: int,
-        home: int,
-        core_id: int,
-    ) -> int:
-        raise NotImplementedError
+    def local_pool(
+        self, home: int, core_id: int, length: int
+    ) -> Optional[ComparatorPool]:
+        """The comparators a local compare of ``length`` bytes runs on.
+
+        None sends the compare to the stored data's home CHA
+        (:meth:`_distributed_compare`).  A CHA scheme's CFA already runs
+        inside a CHA: its own comparators compare lines read at the slice,
+        with no remote-micro-op round trip.
+        """
+        return self.slice_comparators[home]
 
     def _distributed_compare(
         self,
@@ -512,15 +594,16 @@ class CoreIntegratedScheme(Integration):
             core_id, paddr, write=write, now=now, fill_l1=False
         ).latency
 
-    def _compare_impl(self, stored_vaddr, key_vaddr, length, now, home, core_id):
+    def _record_probe(self, fast):
+        # The core memo's get and core count (the L1 latency is the
+        # pipeline's); a read with fill_l1=False has key low bits 0b001.
+        memo_get, ncores, _l1_latency = fast.core_probe(0)
+        return memo_get, ncores, 3, 0b001, True, None, None, None, 0
+
+    def local_pool(self, home, core_id, length):
         if length <= self.LOCAL_COMPARE_BYTES:
-            return self._local_compare(
-                stored_vaddr, key_vaddr, length, now, home, core_id,
-                self.local_comparators[core_id],
-            )
-        return self._distributed_compare(
-            stored_vaddr, key_vaddr, length, now, home, core_id
-        )
+            return self.local_comparators[core_id]
+        return None
 
 
 class ChaTlbScheme(Integration):
@@ -544,19 +627,6 @@ class ChaTlbScheme(Integration):
     def translate(self, vaddr, access, now, home, core_id):
         self._translations.add()
         return self._tlb_translate(self.cha_tlbs[home], self.space, vaddr, access)
-
-    def _line_access(self, paddr, now, home, core_id, *, write=False):
-        return self.hierarchy.access_from_slice(
-            home, paddr, write=write, now=now
-        ).latency
-
-    def _compare_impl(self, stored_vaddr, key_vaddr, length, now, home, core_id):
-        # The CFA already executes inside a CHA: its own comparators compare
-        # lines read at the slice, with no remote-micro-op round trip.
-        return self._local_compare(
-            stored_vaddr, key_vaddr, length, now, home, core_id,
-            self.slice_comparators[home],
-        )
 
     def flush_translations(self) -> None:
         for tlb in self.cha_tlbs:
@@ -586,18 +656,6 @@ class ChaNoTlbScheme(Integration):
         round_trip = 2 * self.noc.latency(home, self.core_node(core_id))
         translation = self.core_mmus[core_id].translate(vaddr, access)
         return translation.paddr, round_trip + translation.cycles
-
-    def _line_access(self, paddr, now, home, core_id, *, write=False):
-        return self.hierarchy.access_from_slice(
-            home, paddr, write=write, now=now
-        ).latency
-
-    def _compare_impl(self, stored_vaddr, key_vaddr, length, now, home, core_id):
-        # Same near-data local compare as CHA-TLB; only translation differs.
-        return self._local_compare(
-            stored_vaddr, key_vaddr, length, now, home, core_id,
-            self.slice_comparators[home],
-        )
 
 
 class _DeviceScheme(Integration):
@@ -641,11 +699,17 @@ class _DeviceScheme(Integration):
         self.noc.send(slice_home, self.device_node, CACHELINE_BYTES, now)
         return access.latency + self._data_extra
 
-    def _compare_impl(self, stored_vaddr, key_vaddr, length, now, home, core_id):
-        return self._local_compare(
-            stored_vaddr, key_vaddr, length, now, home, core_id,
-            self.device_comparators,
+    def _record_probe(self, fast):
+        # The read issues at the device's stop; the line's crossing back
+        # is ``noc.send``'s accounting, whose latency the access ignores.
+        memo_get, nslices, charge = fast.slice_probe()
+        return (
+            memo_get, nslices, 1, 0, False, self.device_node, charge,
+            self.noc.charge, self._data_extra,
         )
+
+    def local_pool(self, home, core_id, length):
+        return self.device_comparators
 
     def flush_translations(self) -> None:
         self.device_tlb.invalidate()

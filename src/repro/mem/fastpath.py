@@ -49,9 +49,17 @@ Replay then reproduces the slow path's *entire* effect:
   reused (it is immutable) — same latency, level, home and hop count by
   construction.
 
-The OoO core loop replays its own loads' and stores' L1 hits without a
-call (:meth:`FastMem.core_probe`): it reads the core memo's records
-inline, as :meth:`FastMem.warm_lines` does.
+Two loops replay records without a call, reading them inline as
+:meth:`FastMem.warm_lines` does:
+
+* the OoO core loop, its own loads' and stores' L1 hits
+  (:meth:`FastMem.core_probe`);
+* the CEE driver, its memory micro-ops' line accesses: the slice records
+  the CHA and device schemes issue (:meth:`FastMem.slice_probe`) and the
+  core-integrated scheme's L2 hits, read beside the L2 with
+  ``fill_l1=False`` (core key low bits ``0b001``).  The integration binds
+  them (:meth:`~repro.core.integration.Integration.cee_probe`) and the
+  driver reports its replays through :meth:`FastMem.count_replays`.
 
 Every hierarchy binds this layer; there is no switch.  The hierarchy
 keeps its reference walk (``_access_from_*_slow``) for memo misses, and
@@ -143,6 +151,11 @@ class FastMem:
         or pop-and-reinsert on ``rec[1]``/``rec[2]`` (a store sets the
         dirty bit).  The caller counts the hits and reports them through
         :meth:`count_core_hits`; a miss goes through ``access_from_core``.
+
+        The CEE's core-integrated reads use the same memo under key low
+        bits ``0b001`` (a read with ``fill_l1=False``): those records are
+        L2 hits in ``l2[core_id]``, replayed the same way at ``rec[0]``'s
+        latency, and reported through :meth:`count_replays`.
         """
         return (
             self._core_memo.get,
@@ -153,6 +166,27 @@ class FastMem:
     def count_core_hits(self, core_id: int, count: int) -> None:
         """Batch ``count`` replayed L1 hits of ``core_id`` like our own."""
         self._l1[core_id]._pending_hits += count
+        self._pending_accesses += count
+
+    def slice_probe(self):
+        """``(memo_get, nslices, charge)`` to replay slice accesses inline.
+
+        A read issued at node ``src`` (an LLC slice, or a device's mesh
+        stop) of ``paddr``'s line has the key
+        ``(line * nslices + src) << 1``; a record is stored only for an LLC
+        hit, as ``(result, set_dict, tag, epochs, set_index, epoch, cache,
+        home)``.  While its epoch holds (``rec[3][rec[4]] == rec[5]``),
+        replaying it is :meth:`access_from_slice`'s record branch:
+        ``charge(src, home, CACHELINE_BYTES, now)`` when ``charge`` is not
+        None, the MRU short-circuit or pop-and-reinsert of ``rec[2]`` in
+        ``rec[1]``, one pending hit on ``rec[6]``, and ``rec[0]`` as the
+        result.  The caller reports its replays through
+        :meth:`count_replays`; a miss goes through ``access_from_slice``.
+        """
+        return self._cha_memo.get, self._nslices, self._charge
+
+    def count_replays(self, count: int) -> None:
+        """Batch ``count`` accesses replayed from records by a caller."""
         self._pending_accesses += count
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,7 @@ tests reach them by deleting the bound instance attributes.
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from ..config import CACHELINE_BYTES, SystemConfig
 from ..errors import ConfigurationError
@@ -78,24 +78,18 @@ class MemoryHierarchy:
         config: SystemConfig,
         *,
         stats: Optional[StatsRegistry] = None,
-        hop_latency: Optional[Callable[[int, int], int]] = None,
-        noc_charge: Optional[Callable[[int, int, int, int], None]] = None,
         noc=None,
     ) -> None:
         """Build the hierarchy.
 
         Args:
-            hop_latency: ``(src_node, dst_node) -> cycles`` over the mesh;
-                defaults to a Manhattan-distance estimate if no NoC is wired.
-            noc_charge: optional ``(src, dst, bytes, now)`` bandwidth hook.
-            noc: a :class:`~repro.noc.mesh.MeshNoc` to wire directly —
-                supplies ``hop_latency``/``noc_charge`` defaults (its
-                batched :meth:`~repro.noc.mesh.MeshNoc.charge`).
+            noc: the :class:`~repro.noc.mesh.MeshNoc` its LLC requests
+                cross: their hop latency is ``noc.latency`` and each one is
+                accounted through ``noc.charge``.  Without one (unit tests)
+                the hop latency is a Manhattan-distance estimate over the
+                config's mesh and nothing is charged.
         """
         self.config = config
-        if noc is not None:
-            hop_latency = hop_latency or noc.latency
-            noc_charge = noc_charge or noc.charge
         registry = stats or StatsRegistry()
         self.stats = registry.scoped("mem")
         self.l1 = [
@@ -114,12 +108,15 @@ class MemoryHierarchy:
         self.dram = Dram(
             config.dram, frequency_ghz=config.core.frequency_ghz, stats=registry
         )
-        # A partial over the NoC config, not a bound method: the hierarchy
-        # must not reference itself, so a dropped one dies by refcount.
-        self._hop_latency = hop_latency or functools.partial(
-            _manhattan_hops, config.noc
-        )
-        self._noc_charge = noc_charge
+        if noc is not None:
+            self._hop_latency = noc.latency
+            self._noc_charge = noc.charge
+        else:
+            # A partial over the NoC config, not a bound method: the
+            # hierarchy must not reference itself, so a dropped one dies by
+            # refcount.
+            self._hop_latency = functools.partial(_manhattan_hops, config.noc)
+            self._noc_charge = None
         self._llc_latency = config.llc.latency_cycles
         self._num_slices = len(self.llc_slices)
         # Hot-path counters bump via the approved ``counter.value += 1``

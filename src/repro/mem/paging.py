@@ -86,7 +86,7 @@ class AddressSpace:
         self.physical = physical
         self.asid = asid
         self.page_bytes = page_bytes
-        #: Shift/mask forms of the page geometry for the u64 fast paths
+        #: Shift/mask forms of the page geometry for the in-page fast paths
         #: (page sizes are powers of two; the constructor enforces it).
         if page_bytes & (page_bytes - 1):
             raise SimulationError(f"page_bytes must be a power of two, got {page_bytes}")
@@ -103,9 +103,10 @@ class AddressSpace:
         #: segfault/protection semantics are unchanged.
         self._walk_memo: Dict[Tuple[int, str], Tuple[int, int, int]] = {}
         #: vpn -> (frame bytearray, page base offset) direct-access memos for
-        #: the u64 fast paths, split by permission.  The bytearray is the
-        #: live backing store (mutated in place by all writers), so a memo
-        #: hit needs no translation at all.  Cleared with ``_walk_memo``.
+        #: in-page reads and the u64 fast paths, split by permission.  The
+        #: bytearray is the live backing store (mutated in place by all
+        #: writers), so a memo hit needs no translation at all.  Cleared
+        #: with ``_walk_memo``.
         self._frame_memo_r: Dict[int, Tuple[bytearray, int]] = {}
         self._frame_memo_w: Dict[int, Tuple[bytearray, int]] = {}
 
@@ -231,9 +232,20 @@ class AddressSpace:
 
     def read(self, vaddr: int, length: int) -> bytes:
         # Fast path: the access stays inside one page (the overwhelmingly
-        # common case for the fixed-width accessors below).
-        if 0 < length and vaddr % self.page_bytes + length <= self.page_bytes:
-            return self.physical.read(self.translate(vaddr, "r"), length)
+        # common case: every CEE operand read, the fixed-width accessors
+        # below).  A page seen before reads its live frame directly; a
+        # first touch translates, so faults are raised here, then
+        # remembers the frame.
+        offset = vaddr & self._page_mask
+        if 0 < length and offset + length <= self.page_bytes:
+            vpn = vaddr >> self._page_shift
+            entry = self._frame_memo_r.get(vpn)
+            if entry is not None:
+                base = entry[1] + offset
+                return bytes(entry[0][base : base + length])
+            data = self.physical.read(self.translate(vaddr, "r"), length)
+            self._memoize_frame(vpn, "r", self._frame_memo_r)
+            return data
         out = bytearray()
         addr, remaining = vaddr, length
         while remaining:
@@ -261,22 +273,19 @@ class AddressSpace:
     #
     # ``read_u64``/``write_u64`` are the simulator's single hottest calls
     # (every slot/pointer/signature fetch in every data structure), so they
-    # fuse the memoized walk with direct frame access instead of stacking
-    # read() -> translate() -> PhysicalMemory.read().  The fast path only
-    # fires for an in-page access whose walk is already memoized; everything
-    # else (page-crossers, first touches, faults) takes the general path.
+    # read the remembered frame directly instead of calling read().  The
+    # fast path only fires for an in-page access to a page read (or, for
+    # writes, written) before; everything else (page-crossers, first
+    # touches, faults) takes the general path.
 
     def read_u64(self, vaddr: int) -> int:
         offset = vaddr & self._page_mask
-        vpn = vaddr >> self._page_shift
-        entry = self._frame_memo_r.get(vpn)
+        entry = self._frame_memo_r.get(vaddr >> self._page_shift)
         if entry is not None and offset <= self._u64_limit:
             base = entry[1] + offset
             return int.from_bytes(entry[0][base : base + 8], "little")
-        value = int.from_bytes(self.read(vaddr, 8), "little")
-        if offset <= self._u64_limit:
-            self._memoize_frame(vpn, "r", self._frame_memo_r)
-        return value
+        # read() remembers the frame of an in-page access.
+        return int.from_bytes(self.read(vaddr, 8), "little")
 
     def read_2u64(self, vaddr: int) -> Tuple[int, int]:
         """Two consecutive u64s in one access (hot for 16-byte slots)."""

@@ -119,6 +119,17 @@ class Engine:
             return time
         return None
 
+    def heap(self) -> List[Tuple[int, int, Event]]:
+        """The event queue itself, for a hot loop bounding the next event.
+
+        When non-empty, ``heap[0][0]`` is at most the next live event's
+        time (a cancelled entry may sit at the head), so a caller that
+        finds it later than ``t`` knows no event runs by ``t`` without
+        calling :meth:`peek_time`.  The list is only mutated in place, so a
+        binding to it stays live; callers must not modify it.
+        """
+        return self._queue
+
     @property
     def run_horizon(self) -> Optional[int]:
         """The active :meth:`run`'s ``until`` bound (None outside a run)."""

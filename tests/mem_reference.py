@@ -14,6 +14,7 @@ this way, so ``src/`` keeps no switch for it.
 from __future__ import annotations
 
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.paging import AddressSpace
 
 #: The entry points FastMem binds on each hierarchy instance, and the
 #: layer itself, through which the core loop replays its L1 hits inline.
@@ -36,3 +37,26 @@ def memo_off_everywhere(monkeypatch) -> None:
         memo_off(self)
 
     monkeypatch.setattr(MemoryHierarchy, "__init__", unmemoized_init)
+
+
+def _translated_read(space: AddressSpace, vaddr: int, length: int) -> bytes:
+    """``AddressSpace.read`` without the frame memo: translate every page."""
+    out = bytearray()
+    addr, remaining = vaddr, length
+    while remaining:
+        chunk = min(remaining, space.page_bytes - addr % space.page_bytes)
+        out += space.physical.read(space.translate(addr, "r"), chunk)
+        addr += chunk
+        remaining -= chunk
+    return bytes(out)
+
+
+def reads_translated_everywhere(monkeypatch) -> None:
+    """Every ``AddressSpace.read`` translates instead of reading a memo.
+
+    The functional side of the reference: an operand read never reaches a
+    remembered frame, so a frame memo left stale by a mapping change shows
+    up as a different value.  (The u64 accessors keep their memo; their
+    misses now read through here.)
+    """
+    monkeypatch.setattr(AddressSpace, "read", _translated_read)

@@ -40,8 +40,8 @@ SERVE_CASES = [
 
 #: (fusion, specialize) mode grid over the one CEE driver.  ``fusion off``
 #: makes the fusion guard fail on every transition (the test patches the
-#: engine's run horizon below every start cycle), so each step round-trips
-#: the ready heap and the drain's sentinel event instead of running inline.
+#: engine's run horizon below every start cycle), so each transition is its
+#: own engine event instead of running inline.
 #: ``specialize off`` loads the interpreted oracles of ``cfa_reference.py``
 #: in place of every built-in lookup and mutation program, run through the
 #: same driver — which checks the firmware's timing against the oracles.
@@ -71,7 +71,7 @@ MODE_GRID_PAIRS = [
 def _set_modes(
     monkeypatch, fusion: str, specialize: str, fastmem: str = "on"
 ) -> None:
-    # The accelerator reads the run horizon on every fusion decision, every
+    # The accelerator reads the run horizon in every engine callback, every
     # System registers its firmware and builds its own hierarchy, so
     # patching all three before the measurement builds its systems is
     # sufficient.
