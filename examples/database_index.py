@@ -6,17 +6,19 @@ compares against).  QEI was not shipped with a B+-tree program — this
 example loads one at runtime (the Sec. IV-B firmware-update path), bulk
 loads an index of 5,000 rows, and serves point lookups three ways:
 
-* software walker on the out-of-order core model,
+* software walker on the out-of-order core model, with its CPI stack,
 * blocking QUERY_B offload,
 * and an occupancy/latency report from the accelerator's own telemetry.
 
 Run:  python examples/database_index.py
 """
 
+from repro.analysis.cpi_stack import cpi_stack
 from repro.analysis.timeline import (
     latency_summary,
     occupancy_timeline,
     jitter_report,
+    per_query_table,
 )
 from repro.core.accelerator import QueryRequest
 from repro.core.isa import QueryOperands
@@ -56,6 +58,8 @@ def main() -> None:
           f"{len(probe_ids)} lookups "
           f"({software.cycles / len(probe_ids):.0f}/lookup, "
           f"{software.instructions} instructions)")
+    stack = cpi_stack(software, system.config.core)
+    print(f"  CPI stack       : {stack.format()} ({stack.dominant()}-bound)")
 
     # --- QEI offload ------------------------------------------------------ #
     handles = []
@@ -83,6 +87,7 @@ def main() -> None:
     mean, jitter = jitter_report(handles)
     print(f"  latency jitter (p99/p50): {jitter:.2f}x")
     print("  QST occupancy:", occupancy_timeline(handles, capacity=10))
+    print(per_query_table(handles, limit=5))
 
 
 if __name__ == "__main__":

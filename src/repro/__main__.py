@@ -11,7 +11,7 @@ table/figure, ablation, or serving run from the shell::
     qei all --jobs 4            # shard experiments over worker processes
     qei all --no-cache          # ignore + skip the on-disk result cache
     qei fig7 --profile fig7.prof  # cProfile the run, dump stats to fig7.prof
-    qei perfbench --quick       # simulator throughput bench -> BENCH_sim.json
+    qei perfbench               # simulator throughput bench -> BENCH_sim.json
 
 Results print as the same fixed-width tables the benchmark harness shows,
 byte-identical whether computed serially, in parallel, or from cache.

@@ -77,7 +77,7 @@ class _Target:
     workload: object
     injector: FaultInjector
     nb_result_base: int
-    #: StructureMutator, built on first write-path fault (mutation-capable
+    #: HashMutator, built on first write-path fault (mutation-capable
     #: workloads only).
     mutator: Optional[object] = None
     #: Online resizes committed against this target so far.  Each

@@ -33,10 +33,6 @@ class UnitPool:
         self._busy_cycles = self.stats.counter("busy_cycles")
         self._queue_cycles = self.stats.counter("queue_cycles")
 
-    @property
-    def units(self) -> int:
-        return len(self._free_at)
-
     def issue(self, now: int, busy_cycles: int) -> int:
         """Occupy the earliest-free unit; returns the completion cycle."""
         if busy_cycles <= 0:

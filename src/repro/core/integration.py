@@ -71,7 +71,14 @@ def _lines_of(vaddr: int, length: int) -> List[int]:
 
 
 class Integration:
-    """Base class for scheme-specific timing paths."""
+    """Base class for scheme-specific timing paths.
+
+    Each scheme defines ``_home_node(core_id, header_vaddr, key_addr)``
+    (its natural home for a query, no health applied),
+    ``accelerator_homes()`` (every home an accelerator instance lives at,
+    sorted) and ``translate(vaddr, access, now, home, core_id)`` (returns
+    ``(paddr, cycles)``; faults propagate).
+    """
 
     scheme: IntegrationScheme
 
@@ -142,17 +149,9 @@ class Integration:
         """
         return self._reroute(self._home_node(core_id, header_vaddr, key_addr))
 
-    def _home_node(self, core_id: int, header_vaddr: int, key_addr: int = 0) -> int:
-        """The scheme's natural home for this query (no health applied)."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------ #
     # Per-home health (slice failover)
     # ------------------------------------------------------------------ #
-
-    def accelerator_homes(self) -> List[int]:
-        """Every home node an accelerator instance lives at, sorted."""
-        raise NotImplementedError
 
     def home_state(self, home: int) -> SliceState:
         return self._home_states.get(home, SliceState.HEALTHY)
@@ -236,12 +235,6 @@ class Integration:
     # ------------------------------------------------------------------ #
     # Address translation
     # ------------------------------------------------------------------ #
-
-    def translate(
-        self, vaddr: int, access: str, now: int, home: int, core_id: int
-    ) -> Tuple[int, int]:
-        """Translate; returns (paddr, cycles).  Faults propagate."""
-        raise NotImplementedError
 
     @staticmethod
     def _tlb_translate(

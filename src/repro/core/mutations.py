@@ -1,9 +1,11 @@
 """Mutation CFAs: accelerated INSERT/DELETE/UPDATE (docs/mutations.md).
 
 The read path ships queries to the accelerator while *updates stay in
-software* (paper Sec. IV-A).  This module closes that gap: per-structure
-mutation programs run on the same CFA Execution Engine, dispatched through
-the firmware image's mutation table by the request's ``op`` field.
+software* (paper Sec. IV-A).  This module closes that gap for the cuckoo
+hash table: its mutation program runs on the same CFA Execution Engine,
+dispatched through the firmware image's mutation table by the request's
+``op`` field.  Other structures have no mutation program; their writes
+stay in software, as in the paper.
 
 Reader/writer coexistence is a seqlock on the header's version word
 (:data:`~repro.core.header.VERSION_OFFSET`):
@@ -31,10 +33,10 @@ buckets in chunks under short seqlock critical sections while queries route
 old-vs-new per bucket (``FLAG_RESIZING``), and commits the doubled table
 through the accelerator's quiesce machinery — the firmware-hot-swap path.
 
-Mutation programs are written once, in the register-and-tuple form the
-CEE executes (:mod:`repro.core.cfa`), behind their own seqlock prelude.
-``tests/cfa_reference.py`` keeps an interpreted rendering of each as the
-oracle ``tests/test_specialize_properties.py`` checks them against step
+The mutation program is written once, in the register-and-tuple form the
+CEE executes (:mod:`repro.core.cfa`), behind its own seqlock prelude.
+``tests/cfa_reference.py`` keeps an interpreted rendering of it as the
+oracle ``tests/test_specialize_properties.py`` checks it against step
 for step (forced CAS losses, backoff exhaustion, read-only and resize
 bail-outs, misses).
 """
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..datastructs.hashing import secondary_hash, signature_of
-from ..datastructs.skiplist import NODE_FIXED_BYTES, tower_height
 from ..errors import DataStructureError
 from .abort import AbortCode
 from .cfa import (
@@ -57,7 +58,6 @@ from .cfa import (
     K_FAULT,
     K_HASH,
     K_MEMREAD,
-    K_MEMREAD2,
     K_WRITE,
     OP_DELETE,
     OP_INSERT,
@@ -113,9 +113,9 @@ class _MutationProgram(CfaProgram):
 
     Subclasses implement :meth:`after_lock` (first structure-specific step,
     entered holding the lock) and :meth:`dispatch` for their walk states.
-    The terminal helpers — :meth:`_commit`, :meth:`_miss`,
-    :meth:`_release_abort` — all fold the lock release into a single macro
-    store so memory is never observable half-mutated.
+    The terminals — :meth:`_commit`, :meth:`_miss` and the RELEASE abort —
+    all fold the lock release into a single macro store so memory is never
+    observable half-mutated.
     """
 
     PRELUDE_STATES = (
@@ -205,9 +205,6 @@ class _MutationProgram(CfaProgram):
             return (K_FAULT, _NULL_PTR, detail)
         return None
 
-    def after_lock(self, ctx: QueryContext) -> tuple:
-        raise NotImplementedError
-
     # ---------------- terminal helpers ---------------- #
 
     def _backoff(self, ctx: QueryContext) -> tuple:
@@ -229,8 +226,6 @@ class _MutationProgram(CfaProgram):
         ctx: QueryContext,
         result: int,
         segments: List[Tuple[int, bytes]],
-        *,
-        new_size: Optional[int] = None,
     ) -> tuple:
         """Publish the mutation and release the lock in one macro store.
 
@@ -240,8 +235,6 @@ class _MutationProgram(CfaProgram):
         exactly.
         """
         parts = [seg for seg in segments if seg[1]]
-        if new_size is not None:
-            parts.append((ctx.header_addr + 16, _word(new_size)))
         version = ctx.header.version
         parts.append((ctx.header_addr + VERSION_OFFSET, _word(version + 2)))
         ctx.scratch[_M_RESULT] = result
@@ -255,14 +248,6 @@ class _MutationProgram(CfaProgram):
     def _miss(self, ctx: QueryContext) -> tuple:
         """Key absent: restore the pre-lock version (nothing was written)."""
         ctx.state = _MISS
-        return self._restore_version(ctx)
-
-    def _release_abort(self, ctx: QueryContext, code: AbortCode, detail: str) -> tuple:
-        """Abort while holding the lock: release it untouched, then fault."""
-        regs = ctx.scratch
-        regs[_M_ABORT_CODE] = int(code)
-        regs[_M_ABORT_DETAIL] = detail
-        ctx.state = _RELEASE
         return self._restore_version(ctx)
 
 
@@ -410,339 +395,15 @@ class HashTableMutationCfa(_MutationProgram):
         if ctx.op in (OP_UPDATE, OP_DELETE):
             return self._miss(ctx)
         if not regs[_H_EMPTY]:
-            return self._release_abort(
-                ctx,
-                AbortCode.VERSION_CONFLICT,
-                "both candidate buckets full; cuckoo displacement in software",
+            # Abort while holding the lock: release it untouched, then fault.
+            regs[_M_ABORT_CODE] = _VERSION_CONFLICT
+            regs[_M_ABORT_DETAIL] = (
+                "both candidate buckets full; cuckoo displacement in software"
             )
+            ctx.state = _RELEASE
+            return self._restore_version(ctx)
         slot = _word(regs[_H_SIG]) + _word(ctx.operand)
         return self._commit(ctx, MUT_INSERTED, [(regs[_H_EMPTY], slot)])
-
-
-# --------------------------------------------------------------------- #
-# Skip list
-# --------------------------------------------------------------------- #
-
-# Skip-list mutation registers; per-level predecessor/successor pairs
-# occupy MAX_LEVELS slots each from _S_PRED / _S_SUCC.
-_S_STAGED, _S_PTR, _S_NEXT, _S_CMP, _S_CNEXT = 7, 8, 9, 10, 11
-_S_NODE, _S_LEVEL, _S_CAND, _S_NEXT_ADDR, _S_CAND_HEIGHT = 12, 13, 14, 15, 16
-_S_PRED = 17
-
-
-class SkipListMutationCfa(_MutationProgram):
-    """Skip-list mutations: pred/succ tracked per level during the descent.
-
-    INSERT's operand is a complete core-staged node ``{key_ptr, value,
-    height, next[height]}`` with zeroed forward pointers; the CFA links it
-    at every level of its (deterministic) tower in one macro store.  DELETE
-    splices the victim out of every level it appears on.
-    """
-
-    TYPE_CODE = int(StructureType.SKIP_LIST)
-    NAME = "skip-list-mut"
-    STATES = _MutationProgram.PRELUDE_STATES + (
-        "STAGED",
-        "WNEXT",
-        "WFETCH",
-        "WCMP",
-        "WSPLICE",
-    )
-    SUBTYPE_MAX = 0
-    MAX_LEVELS = 64
-    STAGED_OPERAND = "node"
-    NREGS = _S_PRED + 2 * MAX_LEVELS
-
-    def validate_header(self, header, raw: bytes = b"") -> AbortCode:
-        code = super().validate_header(header, raw=raw)
-        if code is not AbortCode.NONE:
-            return code
-        if not 1 <= header.aux <= self.MAX_LEVELS:
-            return AbortCode.BAD_AUX
-        return AbortCode.NONE
-
-    def after_lock(self, ctx: QueryContext) -> tuple:
-        if ctx.op == OP_INSERT:
-            ctx.state = 8  # STAGED
-            return (K_MEMREAD, ctx.operand, NODE_FIXED_BYTES, _S_STAGED)
-        return self._start_walk(ctx)
-
-    def _start_walk(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        root = ctx.header.root_ptr
-        regs[_S_NODE] = root
-        regs[_S_LEVEL] = ctx.header.aux - 1
-        regs[_S_CAND] = 0
-        if not root:
-            return self._release_abort(
-                ctx, AbortCode.NULL_POINTER, "skip list has no head node"
-            )
-        return self._read_ptr(ctx)
-
-    def _read_ptr(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        ctx.state = 9  # WNEXT
-        offset = NODE_FIXED_BYTES + 8 * regs[_S_LEVEL]
-        return (K_MEMREAD, regs[_S_NODE] + offset, 8, _S_PTR)
-
-    def _drop_level(self, ctx: QueryContext, succ: int) -> tuple:
-        regs = ctx.scratch
-        level = regs[_S_LEVEL]
-        regs[_S_PRED + level] = regs[_S_NODE]
-        regs[_S_PRED + self.MAX_LEVELS + level] = succ
-        if level > 0:
-            regs[_S_LEVEL] = level - 1
-            return self._read_ptr(ctx)
-        return self._finalize(ctx)
-
-    def dispatch(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        state = ctx.state
-        if state == 9:  # WNEXT
-            nxt = U64(regs[_S_PTR], 0)[0]
-            if not nxt:
-                return self._drop_level(ctx, 0)
-            regs[_S_NEXT_ADDR] = nxt
-            ctx.state = 10  # WFETCH
-            return (K_MEMREAD, nxt, NODE_FIXED_BYTES, _S_NEXT)
-        if state == 10:  # WFETCH
-            key_ptr = U64(regs[_S_NEXT], 0)[0]
-            if not key_ptr:
-                return self._release_abort(
-                    ctx, AbortCode.NULL_POINTER, "null key pointer"
-                )
-            ctx.state = 11  # WCMP
-            return (K_COMPARE, key_ptr, ctx.header.key_length, _S_CMP)
-        if state == 11:  # WCMP
-            cmp_result = regs[_S_CMP]
-            nxt = regs[_S_NEXT_ADDR]
-            if cmp_result < 0:  # next.key < key: advance along this level
-                regs[_S_NODE] = nxt
-                return self._read_ptr(ctx)
-            if cmp_result == 0:
-                regs[_S_CAND] = nxt
-                regs[_S_CAND_HEIGHT] = U64(regs[_S_NEXT], 16)[0]
-            return self._drop_level(ctx, nxt)
-        if state == 8:  # STAGED
-            return self._start_walk(ctx)
-        # WSPLICE
-        return self._splice_delete(ctx)
-
-    # ---------------- terminals ---------------- #
-
-    def _finalize(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        cand = regs[_S_CAND]
-        if ctx.op == OP_UPDATE:
-            if not cand:
-                return self._miss(ctx)
-            return self._commit(ctx, MUT_UPDATED, [(cand + 8, _word(ctx.operand))])
-        if ctx.op == OP_INSERT:
-            staged = regs[_S_STAGED]
-            if cand:
-                return self._commit(ctx, MUT_UPDATED, [(cand + 8, staged[8:16])])
-            height = min(U64(staged, 16)[0] or 1, ctx.header.aux)
-            node = ctx.operand
-            segments: List[Tuple[int, bytes]] = []
-            for level in range(height):
-                link = NODE_FIXED_BYTES + 8 * level
-                succ = regs[_S_PRED + self.MAX_LEVELS + level]
-                segments.append((node + link, _word(succ)))
-                segments.append((regs[_S_PRED + level] + link, _word(node)))
-            return self._commit(ctx, MUT_INSERTED, segments)
-        # DELETE: fetch the victim's forward pointers, then splice.
-        if not cand:
-            return self._miss(ctx)
-        height = min(regs[_S_CAND_HEIGHT] or 1, ctx.header.aux)
-        regs[_S_CAND_HEIGHT] = height
-        ctx.state = 12  # WSPLICE
-        return (K_MEMREAD, cand + NODE_FIXED_BYTES, 8 * height, _S_CNEXT)
-
-    def _splice_delete(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        cand = regs[_S_CAND]
-        cnext = regs[_S_CNEXT]
-        segments: List[Tuple[int, bytes]] = []
-        for level in range(regs[_S_CAND_HEIGHT]):
-            if regs[_S_PRED + self.MAX_LEVELS + level] != cand:
-                continue  # the victim is absent from this level
-            segments.append(
-                (
-                    regs[_S_PRED + level] + NODE_FIXED_BYTES + 8 * level,
-                    cnext[level * 8 : level * 8 + 8],
-                )
-            )
-        return self._commit(ctx, MUT_DELETED, segments)
-
-
-# --------------------------------------------------------------------- #
-# B+-tree
-# --------------------------------------------------------------------- #
-
-# B+-tree mutation registers.
-_B_STAGED, _B_NODE, _B_CMP, _B_CHILD = 7, 8, 9, 10
-_B_KEYS_TAIL, _B_SLOTS_TAIL = 11, 12
-_B_NODE_ADDR, _B_COUNT, _B_KEYS, _B_SLOTS, _B_INDEX, _B_LEAF_STAGED = (
-    13, 14, 15, 16, 17, 18,
-)
-
-
-class BPlusTreeMutationCfa(_MutationProgram):
-    """B+-tree leaf mutations: in-place update, compacting delete.
-
-    Leaves are bulk-loaded with exactly-sized key arrays (no spare
-    capacity), so a fresh-key INSERT always needs a reallocation or split —
-    those abort to software.  UPDATE rewrites the aligned value slot;
-    DELETE shifts the leaf's key/value tails left and decrements the
-    counts, all in one macro store.
-    """
-
-    TYPE_CODE = int(StructureType.BPLUS_TREE)
-    NAME = "bplus-tree-mut"
-    STATES = _MutationProgram.PRELUDE_STATES + (
-        "STAGED",
-        "WFETCH_NODE",
-        "WSEP_CHECK",
-        "WLEAF_STAGE",
-        "WLEAF_CHECK",
-        "WREAD_CHILD",
-    )
-    SUBTYPE_MIN = 2
-    SUBTYPE_MAX = 64
-    NREGS = 19
-
-    def after_lock(self, ctx: QueryContext) -> tuple:
-        if ctx.op == OP_INSERT:
-            ctx.state = 8  # STAGED
-            return (K_MEMREAD, ctx.operand, 8, _B_STAGED)
-        return self._descend_root(ctx)
-
-    def _descend_root(self, ctx: QueryContext) -> tuple:
-        root = ctx.header.root_ptr
-        if not root:
-            return self._release_abort(
-                ctx, AbortCode.NULL_POINTER, "B+-tree has no root"
-            )
-        return self._fetch_node(ctx, root)
-
-    def _fetch_node(self, ctx: QueryContext, node: int) -> tuple:
-        ctx.scratch[_B_NODE_ADDR] = node
-        ctx.state = 9  # WFETCH_NODE
-        return (K_MEMREAD, node, 40, _B_NODE)
-
-    def dispatch(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        state = ctx.state
-        if state == 9:  # WFETCH_NODE
-            node = regs[_B_NODE]
-            flags = U64(node, 0)[0]
-            regs[_B_COUNT] = U64(node, 8)[0]
-            regs[_B_KEYS] = U64(node, 24)[0]
-            regs[_B_SLOTS] = U64(node, 32)[0]
-            regs[_B_INDEX] = 0
-            if flags & 0x1:  # leaf
-                return self._leaf_step(ctx)
-            return self._separator_step(ctx)
-        if state == 10:  # WSEP_CHECK
-            if regs[_B_CMP] > 0:  # separator > key: take this child
-                return self._read_child(ctx, regs[_B_INDEX])
-            regs[_B_INDEX] += 1
-            return self._separator_step(ctx)
-        if state == 12:  # WLEAF_CHECK
-            cmp_result = regs[_B_CMP]
-            if cmp_result == 0:
-                return self._leaf_found(ctx)
-            if cmp_result > 0:  # sorted leaf: stored key already past ours
-                return self._leaf_absent(ctx)
-            regs[_B_INDEX] += 1
-            return self._leaf_step(ctx)
-        if state == 13:  # WREAD_CHILD
-            child = U64(regs[_B_CHILD], 0)[0]
-            if not child:
-                return self._release_abort(
-                    ctx, AbortCode.NULL_POINTER, "null child pointer"
-                )
-            return self._fetch_node(ctx, child)
-        if state == 11:  # WLEAF_STAGE
-            return self._leaf_step(ctx)
-        # STAGED
-        return self._descend_root(ctx)
-
-    # ---------------- walk helpers ---------------- #
-
-    def _separator_step(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        if regs[_B_INDEX] >= regs[_B_COUNT]:
-            return self._read_child(ctx, regs[_B_COUNT])
-        klen = ctx.header.key_length
-        ctx.state = 10  # WSEP_CHECK
-        return (K_COMPARE, regs[_B_KEYS] + regs[_B_INDEX] * klen, klen, _B_CMP)
-
-    def _read_child(self, ctx: QueryContext, index: int) -> tuple:
-        ctx.state = 13  # WREAD_CHILD
-        return (K_MEMREAD, ctx.scratch[_B_SLOTS] + 8 * index, 8, _B_CHILD)
-
-    def _leaf_step(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        if regs[_B_INDEX] >= regs[_B_COUNT]:
-            return self._leaf_absent(ctx)
-        klen = ctx.header.key_length
-        if ctx.op == OP_DELETE and not regs[_B_LEAF_STAGED]:
-            # Stage the whole leaf payload once: a compacting delete
-            # rewrites the key/value tails, so the CFA needs their bytes.
-            regs[_B_LEAF_STAGED] = 1
-            count = regs[_B_COUNT]
-            ctx.state = 11  # WLEAF_STAGE
-            return (
-                K_MEMREAD2,
-                regs[_B_KEYS],
-                count * klen,
-                _B_KEYS_TAIL,
-                regs[_B_SLOTS],
-                count * 8,
-                _B_SLOTS_TAIL,
-            )
-        ctx.state = 12  # WLEAF_CHECK
-        return (K_COMPARE, regs[_B_KEYS] + regs[_B_INDEX] * klen, klen, _B_CMP)
-
-    # ---------------- terminals ---------------- #
-
-    def _leaf_found(self, ctx: QueryContext) -> tuple:
-        regs = ctx.scratch
-        i = regs[_B_INDEX]
-        slot = regs[_B_SLOTS] + 8 * i
-        if ctx.op == OP_UPDATE:
-            return self._commit(ctx, MUT_UPDATED, [(slot, _word(ctx.operand))])
-        if ctx.op == OP_INSERT:
-            return self._commit(ctx, MUT_UPDATED, [(slot, regs[_B_STAGED][:8])])
-        # DELETE: shift the staged key/value tails left over the victim.
-        count = regs[_B_COUNT]
-        if count <= 1:
-            return self._release_abort(
-                ctx,
-                AbortCode.VERSION_CONFLICT,
-                "leaf would empty; delete handled in software",
-            )
-        klen = ctx.header.key_length
-        segments = [
-            (
-                regs[_B_KEYS] + i * klen,
-                regs[_B_KEYS_TAIL][(i + 1) * klen : count * klen],
-            ),
-            (regs[_B_SLOTS] + i * 8, regs[_B_SLOTS_TAIL][(i + 1) * 8 : count * 8]),
-            (regs[_B_NODE_ADDR] + 8, _word(count - 1)),
-        ]
-        new_size = max(0, ctx.header.size - 1)
-        return self._commit(ctx, MUT_DELETED, segments, new_size=new_size)
-
-    def _leaf_absent(self, ctx: QueryContext) -> tuple:
-        if ctx.op == OP_INSERT:
-            return self._release_abort(
-                ctx,
-                AbortCode.VERSION_CONFLICT,
-                "fresh key needs a leaf reallocation/split; software path",
-            )
-        return self._miss(ctx)
 
 
 # --------------------------------------------------------------------- #
@@ -789,14 +450,6 @@ class SeqLock:
     def release(self, held: int) -> None:
         self.space.write_u64(self.vaddr, held + 1)
 
-    def repair(self, accelerator) -> bool:
-        """Release an orphaned lock without mutating (post-crash sweep)."""
-        version = self.read()
-        if version & 1 and not self.holder_alive(accelerator):
-            self.space.write_u64(self.vaddr, version + 1)
-            return True
-        return False
-
 
 @dataclass(frozen=True)
 class CommitRecord:
@@ -819,12 +472,12 @@ class CommitRecord:
     cycle: int
 
 
-class StructureMutator:
-    """Adapter between one simulated structure and the mutation executor.
+class HashMutator:
+    """Adapter between a cuckoo hash table and the mutation executor.
 
     Stages operands for the CFA fast path, applies mutations in software
     under the seqlock (the fallback and resize-window path) and keeps the
-    structure's Python-side bookkeeping in sync with accelerated commits.
+    table's Python-side bookkeeping in sync with accelerated commits.
     """
 
     def __init__(self, system, structure) -> None:
@@ -850,12 +503,6 @@ class StructureMutator:
         if op == OP_INSERT:
             return self._stage_insert(key, value)
         return 0
-
-    def _stage_insert(self, key: bytes, value: int) -> int:
-        raise NotImplementedError
-
-    def _apply(self, op: int, key: bytes, value: int) -> Optional[int]:
-        raise NotImplementedError
 
     def software_apply(self, op: int, key: bytes, value: int) -> Optional[int]:
         """Apply under the seqlock; returns a MUT_* code or None (miss).
@@ -903,12 +550,10 @@ class StructureMutator:
         the export hook fires for the accelerated commit exactly as
         :meth:`software_apply` does for software ones.
         """
-        count = getattr(self.structure, "_count", None)
-        if count is not None:
-            if result == MUT_INSERTED:
-                self.structure._count = count + 1
-            elif result == MUT_DELETED:
-                self.structure._count = count - 1
+        if result == MUT_INSERTED:
+            self.structure._count += 1
+        elif result == MUT_DELETED:
+            self.structure._count -= 1
         if (
             result is not None
             and self.on_commit is not None
@@ -926,12 +571,6 @@ class StructureMutator:
                 )
             )
 
-    def current(self, key: bytes) -> Optional[int]:
-        """Settled value for ``key`` (oracle probe; lock-free)."""
-        return self.structure.lookup(key)
-
-
-class HashMutator(StructureMutator):
     def _stage_insert(self, key: bytes, value: int) -> int:
         table = self.structure
         kv = table.mem.alloc(8 + table.key_length, align=8)
@@ -949,53 +588,16 @@ class HashMutator(StructureMutator):
             return MUT_UPDATED if table.update(key, value) else None
         return MUT_DELETED if table.delete(key) else None
 
-
-class SkipListMutator(StructureMutator):
-    def _stage_insert(self, key: bytes, value: int) -> int:
-        slist = self.structure
-        key_addr = slist.mem.store_bytes(key)
-        height = tower_height(key, slist.max_level)
-        return slist._alloc_node(key_ptr=key_addr, value=value, height=height)
-
-    def _apply(self, op: int, key: bytes, value: int) -> Optional[int]:
-        slist = self.structure
-        if op == OP_INSERT:
-            existed = slist.lookup(key) is not None
-            slist.insert(key, value)
-            return MUT_UPDATED if existed else MUT_INSERTED
-        if op == OP_UPDATE:
-            return MUT_UPDATED if slist.update(key, value) else None
-        return MUT_DELETED if slist.remove(key) else None
+    def current(self, key: bytes) -> Optional[int]:
+        """Settled value for ``key`` (oracle probe; lock-free)."""
+        return self.structure.lookup(key)
 
 
-class BTreeMutator(StructureMutator):
-    def _stage_insert(self, key: bytes, value: int) -> int:
-        tree = self.structure
-        kv = tree.mem.alloc(8 + tree.key_length, align=8)
-        tree.mem.space.write_u64(kv, value)
-        tree.mem.space.write(kv + 8, key)
-        return kv
-
-    def _apply(self, op: int, key: bytes, value: int) -> Optional[int]:
-        tree = self.structure
-        if op == OP_INSERT:
-            existed = tree.lookup(key) is not None
-            tree.insert(key, value)
-            return MUT_UPDATED if existed else MUT_INSERTED
-        if op == OP_UPDATE:
-            return MUT_UPDATED if tree.update(key, value) else None
-        return MUT_DELETED if tree.delete(key) else None
-
-
-def make_mutator(system, structure) -> StructureMutator:
-    """The right adapter for a structure, keyed by its type code."""
+def make_mutator(system, structure) -> HashMutator:
+    """The mutation adapter for ``structure``: writes cover the hash table only."""
     type_code = int(structure.TYPE)
     if type_code == int(StructureType.HASH_TABLE):
         return HashMutator(system, structure)
-    if type_code == int(StructureType.SKIP_LIST):
-        return SkipListMutator(system, structure)
-    if type_code == int(StructureType.BPLUS_TREE):
-        return BTreeMutator(system, structure)
     raise DataStructureError(
         f"no mutation support for structure type {type_code}"
     )
@@ -1026,7 +628,7 @@ class MutationExecutor:
 
     def submit(
         self,
-        mutator: StructureMutator,
+        mutator: HashMutator,
         op: int,
         key: bytes,
         value: int = 0,
@@ -1053,7 +655,7 @@ class MutationExecutor:
         return self.system.accelerator.submit(request, self.system.engine.now)
 
     def run(
-        self, mutator: StructureMutator, op: int, key: bytes, value: int = 0
+        self, mutator: HashMutator, op: int, key: bytes, value: int = 0
     ) -> Optional[int]:
         """Blocking convenience: accelerate, falling back to software.
 
@@ -1084,7 +686,7 @@ class MutationExecutor:
 
     def fallback(
         self,
-        mutator: StructureMutator,
+        mutator: HashMutator,
         op: int,
         key: bytes,
         value: int = 0,
@@ -1235,8 +837,4 @@ class OnlineResizer:
 
 
 def mutation_programs() -> List[CfaProgram]:
-    return [
-        HashTableMutationCfa(),
-        SkipListMutationCfa(),
-        BPlusTreeMutationCfa(),
-    ]
+    return [HashTableMutationCfa()]

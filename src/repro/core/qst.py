@@ -44,10 +44,6 @@ class QstEntry:
     #: seqlock held) from plain read aborts.
     write_intent: bool = False
 
-    @property
-    def state(self) -> str:
-        return self.ctx.state if self.ctx else "IDLE"
-
 
 class QueryStateTable:
     """Fixed-capacity table of in-flight queries with FIFO ready selection."""

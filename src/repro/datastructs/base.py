@@ -63,9 +63,6 @@ class ProcessMemory:
         self.space.write(addr, data)
         return addr
 
-    def read(self, vaddr: int, length: int) -> bytes:
-        return self.space.read(vaddr, length)
-
 
 class SimStructure:
     """Base class: owns a metadata header in simulated memory."""

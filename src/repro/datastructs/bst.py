@@ -60,9 +60,6 @@ class BinarySearchTree(SimStructure):
     # Construction
     # ------------------------------------------------------------------ #
 
-    def __len__(self) -> int:
-        return self._count
-
     def insert(self, key: bytes, value: int) -> int:
         key = self._check_key(key)
         space = self.mem.space
@@ -91,46 +88,6 @@ class BinarySearchTree(SimStructure):
         self._count += 1
         self._update_header(size=self._count)
         return new_node
-
-    def delete(self, key: bytes) -> bool:
-        """Remove a key with the classic three-case BST unlink."""
-        key = self._check_key(key)
-        space = self.mem.space
-        parent, node = 0, self.header().root_ptr
-        from_right = False
-        while node:
-            node_key = self._key_of(node)
-            if node_key == key:
-                break
-            parent, from_right = node, key > node_key
-            node = self._child(node, from_right)
-        if not node:
-            return False
-
-        left = self._child(node, right=False)
-        right = self._child(node, right=True)
-        if left and right:
-            # Two children: splice in the in-order successor.
-            succ_parent, succ = node, right
-            while self._child(succ, right=False):
-                succ_parent, succ = succ, self._child(succ, right=False)
-            space.write_u64(node + 0, space.read_u64(succ + 0))
-            space.write_u64(node + 8, space.read_u64(succ + 8))
-            # Unlink the successor (it has no left child).
-            replacement = self._child(succ, right=True)
-            if succ_parent == node:
-                space.write_u64(succ_parent + 24, replacement)
-            else:
-                space.write_u64(succ_parent + 16, replacement)
-        else:
-            replacement = left or right
-            if parent:
-                space.write_u64(parent + (24 if from_right else 16), replacement)
-            else:
-                self._update_header(root_ptr=replacement)
-        self._count -= 1
-        self._update_header(size=self._count)
-        return True
 
     def items(self) -> Iterator[Tuple[bytes, int]]:
         """In-order traversal (iterative, to survive deep trees)."""

@@ -131,140 +131,6 @@ class BPlusTree(SimStructure):
         return node
 
     # ------------------------------------------------------------------ #
-    # Point mutations (software path for the mutation subsystem)
-    # ------------------------------------------------------------------ #
-
-    def _read_keys(self, keys_ptr: int, count: int) -> List[bytes]:
-        return [self._node_key(keys_ptr, i) for i in range(count)]
-
-    def _read_slots(self, slots_ptr: int, count: int) -> List[int]:
-        space = self.mem.space
-        return [space.read_u64(slots_ptr + 8 * i) for i in range(count)]
-
-    def _set_node(
-        self,
-        node: int,
-        keys: List[bytes],
-        slots: List[int],
-        *,
-        leaf: bool,
-        next_leaf: Optional[int] = None,
-    ) -> None:
-        """Rewrite a node frame with freshly allocated key/slot arrays."""
-        space = self.mem.space
-        keys_ptr = self.mem.store_bytes(b"".join(keys)) if keys else 0
-        slots_ptr = self.mem.alloc(8 * max(1, len(slots)), align=8)
-        for i, slot in enumerate(slots):
-            space.write_u64(slots_ptr + 8 * i, slot)
-        space.write_u64(node + 0, LEAF_FLAG if leaf else 0)
-        space.write_u64(node + 8, len(keys))
-        if next_leaf is not None:
-            space.write_u64(node + 16, next_leaf)
-        space.write_u64(node + 24, keys_ptr)
-        space.write_u64(node + 32, slots_ptr)
-
-    def _descend(self, key: bytes) -> Tuple[int, List[Tuple[int, int]]]:
-        """Leaf holding ``key``'s range plus the (node, child_index) path."""
-        node = self.header().root_ptr
-        path: List[Tuple[int, int]] = []
-        while True:
-            flags, count, _, keys_ptr, slots_ptr = self._fields(node)
-            if flags & LEAF_FLAG:
-                return node, path
-            child_index = count
-            for i in range(count):
-                if key < self._node_key(keys_ptr, i):
-                    child_index = i
-                    break
-            path.append((node, child_index))
-            node = self.mem.space.read_u64(slots_ptr + 8 * child_index)
-
-    def insert(self, key: bytes, value: int) -> None:
-        """Upsert one pair, splitting leaves/inner nodes as needed."""
-        self._require_built()
-        key = self._check_key(key)
-        leaf, path = self._descend(key)
-        _, count, next_leaf, keys_ptr, slots_ptr = self._fields(leaf)
-        keys = self._read_keys(keys_ptr, count)
-        slots = self._read_slots(slots_ptr, count)
-        for i, stored in enumerate(keys):
-            if stored == key:
-                self.mem.space.write_u64(slots_ptr + 8 * i, value)
-                return
-        pos = sum(1 for stored in keys if stored < key)
-        keys.insert(pos, key)
-        slots.insert(pos, value)
-        if len(keys) <= self.fanout:
-            self._set_node(leaf, keys, slots, leaf=True)
-        else:
-            mid = len(keys) // 2
-            right = self._write_node(leaf=True, keys=keys[mid:], slots=slots[mid:])
-            self.mem.space.write_u64(right + 16, next_leaf)
-            self._set_node(
-                leaf, keys[:mid], slots[:mid], leaf=True, next_leaf=right
-            )
-            self._insert_separator(path, keys[mid], right)
-        self._update_header(size=self.header().size + 1)
-
-    def _insert_separator(
-        self, path: List[Tuple[int, int]], separator: bytes, right: int
-    ) -> None:
-        """Push a split's separator into the parent, splitting upward."""
-        if not path:
-            root = self.header().root_ptr
-            new_root = self._write_node(
-                leaf=False, keys=[separator], slots=[root, right]
-            )
-            self._update_header(root_ptr=new_root)
-            self.height += 1
-            return
-        node, child_index = path[-1]
-        _, count, _, keys_ptr, slots_ptr = self._fields(node)
-        keys = self._read_keys(keys_ptr, count)
-        slots = self._read_slots(slots_ptr, count + 1)
-        keys.insert(child_index, separator)
-        slots.insert(child_index + 1, right)
-        if len(slots) <= self.fanout:
-            self._set_node(node, keys, slots, leaf=False)
-            return
-        half = len(slots) // 2
-        pushed = keys[half - 1]
-        new_right = self._write_node(
-            leaf=False, keys=keys[half:], slots=slots[half:]
-        )
-        self._set_node(node, keys[: half - 1], slots[:half], leaf=False)
-        self._insert_separator(path[:-1], pushed, new_right)
-
-    def delete(self, key: bytes) -> bool:
-        """Remove one pair; empty leaves are tolerated (no rebalancing)."""
-        self._require_built()
-        key = self._check_key(key)
-        leaf, _ = self._descend(key)
-        _, count, _, keys_ptr, slots_ptr = self._fields(leaf)
-        keys = self._read_keys(keys_ptr, count)
-        if key not in keys:
-            return False
-        i = keys.index(key)
-        slots = self._read_slots(slots_ptr, count)
-        self._set_node(
-            leaf, keys[:i] + keys[i + 1 :], slots[:i] + slots[i + 1 :], leaf=True
-        )
-        self._update_header(size=self.header().size - 1)
-        return True
-
-    def update(self, key: bytes, value: int) -> bool:
-        """Overwrite an existing key's value; False when absent."""
-        self._require_built()
-        key = self._check_key(key)
-        leaf, _ = self._descend(key)
-        _, count, _, keys_ptr, slots_ptr = self._fields(leaf)
-        for i in range(count):
-            if self._node_key(keys_ptr, i) == key:
-                self.mem.space.write_u64(slots_ptr + 8 * i, value)
-                return True
-        return False
-
-    # ------------------------------------------------------------------ #
     # Node parsing helpers
     # ------------------------------------------------------------------ #
 

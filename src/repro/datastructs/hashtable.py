@@ -98,9 +98,6 @@ class CuckooHashTable(SimStructure):
     def _candidate_bucket_addrs(self, key: bytes) -> Tuple[int, int]:
         return self._route(primary_hash(key)), self._route(secondary_hash(key))
 
-    def _slot(self, bucket_index: int, slot_index: int) -> int:
-        return self._bucket_addr(bucket_index) + slot_index * SLOT_BYTES
-
     def _read_slot(self, bucket_index: int, slot_index: int) -> Tuple[int, int]:
         addr = self.table_addr + bucket_index * self.bucket_bytes + slot_index * SLOT_BYTES
         return self.mem.space.read_2u64(addr)

@@ -55,43 +55,6 @@ class LinkedList(SimStructure):
     def __len__(self) -> int:
         return self._count
 
-    def remove(self, key: bytes) -> bool:
-        """Unlink the first node with ``key``; returns True when found.
-
-        Update operations stay in software (Sec. IV-A); the caller is
-        responsible for synchronising with in-flight accelerator queries
-        (locks/fences), which the single-threaded simulation makes trivial.
-        """
-        key = self._check_key(key)
-        space = self.mem.space
-        prev = 0
-        node = self.header().root_ptr
-        while node:
-            key_ptr = space.read_u64(node)
-            if space.read(key_ptr, self.key_length) == key:
-                nxt = space.read_u64(node + 16)
-                if prev:
-                    space.write_u64(prev + 16, nxt)
-                else:
-                    self._update_header(root_ptr=nxt)
-                self._count -= 1
-                return True
-            prev, node = node, space.read_u64(node + 16)
-        return False
-
-    def update(self, key: bytes, value: int) -> bool:
-        """Overwrite an existing node's value in place."""
-        key = self._check_key(key)
-        space = self.mem.space
-        node = self.header().root_ptr
-        while node:
-            key_ptr = space.read_u64(node)
-            if space.read(key_ptr, self.key_length) == key:
-                space.write_u64(node + 8, value)
-                return True
-            node = space.read_u64(node + 16)
-        return False
-
     def nodes(self) -> Iterator[Tuple[int, bytes, int]]:
         """Yield (node_addr, key, value) in list order."""
         space = self.mem.space

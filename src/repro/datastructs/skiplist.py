@@ -134,48 +134,6 @@ class SkipList(SimStructure):
             self._set_next(update[level], level, new_node)
         self._count += 1
 
-    def remove(self, key: bytes) -> bool:
-        """Unlink a key from every level it appears on (software-side)."""
-        key = self._check_key(key)
-        update = [self.head_addr] * self.max_level
-        node = self.head_addr
-        for level in range(self.max_level - 1, -1, -1):
-            while True:
-                nxt = self._next(node, level)
-                nxt_key = self._key_of(nxt) if nxt else None
-                if nxt and nxt_key is not None and nxt_key < key:
-                    node = nxt
-                else:
-                    break
-            update[level] = node
-        target = self._next(node, 0)
-        if not target or self._key_of(target) != key:
-            return False
-        height = self.mem.space.read_u64(target + 16)
-        for level in range(height):
-            if self._next(update[level], level) == target:
-                self._set_next(update[level], level, self._next(target, level))
-        self._count -= 1
-        return True
-
-    def update(self, key: bytes, value: int) -> bool:
-        """Overwrite an existing key's value; False when absent."""
-        key = self._check_key(key)
-        node = self.head_addr
-        for level in range(self.max_level - 1, -1, -1):
-            while True:
-                nxt = self._next(node, level)
-                nxt_key = self._key_of(nxt) if nxt else None
-                if nxt and nxt_key is not None and nxt_key < key:
-                    node = nxt
-                else:
-                    break
-        candidate = self._next(node, 0)
-        if candidate and self._key_of(candidate) == key:
-            self.mem.space.write_u64(candidate + 8, value)
-            return True
-        return False
-
     def items(self) -> Iterator[Tuple[bytes, int]]:
         node = self._next(self.head_addr, 0)
         while node:

@@ -92,9 +92,6 @@ class Trie(SimStructure):
             self._count += 1
         node.output = value + 1
 
-    def __len__(self) -> int:
-        return self._count
-
     def seal(self) -> None:
         """Serialise the trie into simulated memory."""
         if self._sealed:

@@ -56,10 +56,6 @@ class BumpArena:
         self._mapped_through = base  # first unmapped byte
 
     @property
-    def used_bytes(self) -> int:
-        return self._cursor - self.base
-
-    @property
     def end(self) -> int:
         return self.base + self.capacity
 
@@ -115,10 +111,6 @@ class HugePageArena:
     @property
     def end(self) -> int:
         return self.base + self.capacity
-
-    @property
-    def used_bytes(self) -> int:
-        return self._cursor - self.base
 
     def allocate(self, size: int, *, alignment: int = 8) -> int:
         if size <= 0:

@@ -59,9 +59,6 @@ class PageTable:
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         return self._entries.get(vpn)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self) -> Iterator[Tuple[int, PageTableEntry]]:
         return iter(sorted(self._entries.items()))
 

@@ -87,7 +87,3 @@ class Tlb:
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -111,10 +111,3 @@ class Batcher:
         for home in homes:
             self._flush(home)
         return bool(homes)
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def pending(self) -> int:
-        """Requests sitting in open (not yet submitted) bursts."""
-        return sum(len(burst) for burst in self._open.values())

@@ -593,8 +593,6 @@ class SimulatedCluster:
             if not progressed:
                 if self._finished():
                     break
-                if any([node.flush() for node in self.nodes]):
-                    continue
                 raise ClusterError(
                     "cluster loop stalled: no events pending but "
                     f"{self.lb.outstanding} requests outstanding at the LB"

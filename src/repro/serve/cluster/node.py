@@ -275,10 +275,6 @@ class ClusterNode:
         if server.frontend.pending and server._outstanding < server.limit:
             server._dispatch()
 
-    def flush(self) -> bool:
-        """Force open batches out (stall recovery); True when any flushed."""
-        return self.server.batcher.flush_all()
-
     def write_problems(self) -> List[str]:
         """The node's lost/phantom-update audit (empty when read-only).
 

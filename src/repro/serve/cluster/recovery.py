@@ -6,10 +6,14 @@ cluster write path:
 * **Shipping** — every local primary commit is appended to the node's
   :class:`~repro.serve.cluster.wal.CommitLog` (via the
   ``core/mutations.py`` export hook) and pushed to the key's replica
-  group as a cumulative unacked-suffix message.  Receivers apply in
-  origin-ordinal order (:func:`~repro.serve.cluster.wal.apply_stream`)
-  and ack a cumulative watermark, so dropped, duplicated or reordered
-  shipments all converge.
+  group as a cumulative unacked-suffix message.  A receiver drops the
+  records at or below its per-origin watermark as duplicates, buffers
+  the rest by origin ordinal and applies the buffer lowest ordinal first
+  (:meth:`ReplicationManager._drain_applies`), then acks its watermark.
+  The watermark is the largest ordinal applied, so it moves past any
+  ordinal that has not arrived yet: a later cumulative ack can count a
+  replica that never got an earlier record (ROADMAP item 1, mechanism
+  (a)).
 * **Quorum** — a write's ``ok`` response to the LB is *deferred* until
   ``write_quorum`` distinct replicas (committing primary included) hold
   the commit.  An unreachable quorum is indistinguishable from a slow

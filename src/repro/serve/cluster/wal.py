@@ -15,19 +15,16 @@ writes resolve in completion order, not ordinal order), so ``append``
 keeps the log sorted by ordinal and gap detection is a property of the
 sorted sequence rather than of arrival order.
 
-:func:`apply_stream` is the receiver half of log shipping: it re-orders a
-delivered record batch by origin ordinal, skips everything at or below
-the already-applied watermark, and applies the rest — which makes replay
-idempotent (same batch twice is a no-op) and delivery-order independent
-(shuffled or duplicated shipments converge to the same table state, the
-property ``tests/test_recovery_properties.py`` pins down).
+Receivers do not replay this log: shipped records are applied by
+``ReplicationManager.on_apply`` / ``_drain_applies`` in
+``serve/cluster/recovery.py``.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 #: Seqlock commits advance the structure version by two (odd = locked).
 ORDINAL_STEP = 2
@@ -140,30 +137,3 @@ class CommitLog:
         self.baseline_ordinal = baseline_ordinal
         self._ordinals.clear()
         self._records.clear()
-
-
-def apply_stream(
-    records: Iterable[WalRecord],
-    watermark: int,
-    apply: Callable[[WalRecord], None],
-) -> int:
-    """Apply a delivered batch in origin-ordinal order; return new watermark.
-
-    ``watermark`` is the highest origin ordinal already applied from this
-    stream.  Records at or below it are duplicates from retransmission and
-    are skipped, so replaying any prefix — or the same batch twice, or a
-    shuffled delivery — converges to the same state.
-    """
-    for record in sorted(records, key=lambda r: r.origin_ordinal):
-        if record.origin_ordinal <= watermark:
-            continue
-        apply(record)
-        watermark = record.origin_ordinal
-    return watermark
-
-
-def replay(
-    records: Sequence[WalRecord], apply: Callable[[WalRecord], None]
-) -> int:
-    """Replay a whole log prefix through ``apply`` (recovery helper)."""
-    return apply_stream(records, -1, apply)

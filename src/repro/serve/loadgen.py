@@ -36,7 +36,11 @@ def tenant_rng(seed: int, tenant: int) -> random.Random:
 
 
 class LoadGenerator:
-    """Shared bookkeeping: request budget, ids, and the resolution count."""
+    """Shared bookkeeping: request budget, ids, and the resolution count.
+
+    Each generator defines ``start()`` and the server callback
+    ``on_rejected(request, retry_after)``.
+    """
 
     def __init__(
         self,
@@ -76,9 +80,6 @@ class LoadGenerator:
         self.server = server
         self.engine = server.engine
 
-    def start(self) -> None:
-        raise NotImplementedError
-
     @property
     def finished(self) -> bool:
         return self.resolved >= self.num_requests
@@ -114,9 +115,6 @@ class LoadGenerator:
         )
 
     # Server callbacks ------------------------------------------------- #
-
-    def on_rejected(self, request: ServeRequest, retry_after: int) -> None:
-        raise NotImplementedError
 
     def on_resolved(self, request: ServeRequest) -> None:
         self.resolved += 1

@@ -46,10 +46,6 @@ class Event:
             if self._engine is not None:
                 self._engine._note_cancel()
 
-    def __repr__(self) -> str:
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time}, seq={self.seq}{state})"
-
 
 class Engine:
     """Priority-queue event loop with integer cycle timestamps."""

@@ -39,12 +39,6 @@ class Counter:
     def reset(self) -> None:
         self.value = 0
 
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
-
 
 class Histogram:
     """A value histogram that tracks count/sum/min/max plus percentiles."""
@@ -90,12 +84,6 @@ class Histogram:
         ordered = sorted(self._samples)
         rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
         return ordered[rank - 1]
-
-    def __repr__(self) -> str:
-        return (
-            f"Histogram({self.name}: n={self.count}, mean={self.mean:.2f}, "
-            f"max={self.maximum:.2f})"
-        )
 
 
 class PercentileSketch:
@@ -256,12 +244,6 @@ class PercentileSketch:
             "low": self._low_count,
             "buckets": {str(i): self._buckets[i] for i in sorted(self._buckets)},
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"PercentileSketch({self.name}: n={self._count}, "
-            f"p50={self.p50:.1f}, p99={self.p99:.1f})"
-        )
 
 
 class StatsRegistry:

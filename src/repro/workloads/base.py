@@ -50,13 +50,24 @@ class WorkloadResult:
     baseline: RoiRun
     qei: RoiRun
 
-    @property
-    def speedup(self) -> float:
-        return self.baseline.cycles / self.qei.cycles if self.qei.cycles else 0.0
-
 
 class QueryWorkload:
-    """Base class for the five benchmarks."""
+    """Base class for the five benchmarks.
+
+    Each workload implements:
+
+    * ``build()`` — create the data structures and the query stream;
+    * ``header_addr_for(index)`` — the header query ``index`` targets;
+    * ``emit_software_query(builder, index)`` — emit the baseline routine
+      for query ``index`` and return its value;
+    * ``software_lookup(index)`` — functionally re-execute query ``index``
+      on the CPU path.  This is the fallback executor's retry body: the
+      same lookup the baseline trace models, run directly against the live
+      simulated structure (so it observes any damage — or repair — since
+      build time).  No timing is charged; the
+      :class:`~repro.system.FallbackExecutor` accounts for the retry cost
+      via its backoff budget.
+    """
 
     name = "abstract"
     #: Instructions of unrelated work per request inside the ROI loop.
@@ -94,34 +105,6 @@ class QueryWorkload:
         self._query_addrs: List[int] = []
         self._expected: List[Optional[int]] = []
         self._buffer_base = 0
-
-    # ----------------- to implement per workload ----------------------- #
-
-    def build(self) -> None:
-        """Create the data structures and the query stream."""
-        raise NotImplementedError
-
-    def header_addr_for(self, index: int) -> int:
-        """Header the ``index``-th query targets (single-structure default)."""
-        raise NotImplementedError
-
-    def emit_software_query(
-        self, builder: TraceBuilder, index: int
-    ) -> Optional[int]:
-        """Emit the baseline routine for query ``index``; returns its value."""
-        raise NotImplementedError
-
-    def software_lookup(self, index: int) -> Optional[int]:
-        """Functionally re-execute query ``index`` on the CPU path.
-
-        This is the fallback executor's retry body: the same lookup the
-        baseline trace models, run directly against the live simulated
-        structure (so it observes any damage — or repair — the structure
-        has seen since build time).  No timing is charged here; the
-        :class:`~repro.system.FallbackExecutor` accounts for the retry cost
-        via its backoff budget.
-        """
-        raise NotImplementedError
 
     # ----------------- provided machinery ------------------------------ #
 
@@ -178,12 +161,8 @@ class QueryWorkload:
     def supports_mutation(self) -> bool:
         return self.MUTABLE
 
-    def mutable_structure(self):
-        """The structure write traffic targets (header + software side)."""
-        raise WorkloadError(f"workload {self.name!r} has no mutable structure")
-
     def make_mutator(self):
-        """A :class:`~repro.core.mutations.StructureMutator` for this
+        """A :class:`~repro.core.mutations.HashMutator` for this
         workload's primary structure."""
         from ..core.mutations import make_mutator
 

@@ -3,7 +3,7 @@
 The accelerator's firmware (``repro.core.programs``, ``programs_ext`` and
 ``mutations``) is written once, in the register-and-tuple form the CEE
 executes.  This module keeps the earlier interpreted rendering of the same
-ten CFAs — string states, dict scratch and results, frozen-dataclass
+eight CFAs — string states, dict scratch and results, frozen-dataclass
 micro-ops — unchanged except for the imports, as test oracles:
 
 * ``tests/test_specialize_properties.py`` runs both forms step for step
@@ -66,7 +66,6 @@ from repro.core.mutations import (
     MUT_UPDATED,
 )
 from repro.datastructs.hashing import secondary_hash, signature_of
-from repro.datastructs.skiplist import NODE_FIXED_BYTES
 
 # --------------------------------------------------------------------- #
 # Micro-operation vocabulary and the interpreted per-query context
@@ -1091,13 +1090,9 @@ class _MutationProgram(CfaProgram):
         ctx: QueryContext,
         result: int,
         segments: List[Tuple[int, bytes]],
-        *,
-        new_size: Optional[int] = None,
     ) -> StepOutcome:
         """Publish the mutation and release the lock in one macro store."""
         parts = [seg for seg in segments if seg[1]]
-        if new_size is not None:
-            parts.append((ctx.header_addr + 16, new_size.to_bytes(8, "little")))
         parts.append(self._version_word(ctx, ctx.header.version + 2))
         ctx.vars["result"] = result
         # The pre-lock version is this commit's ordinal in the structure's
@@ -1291,361 +1286,6 @@ class HashTableMutationCfa(_MutationProgram):
 
 
 # --------------------------------------------------------------------- #
-# Skip list
-# --------------------------------------------------------------------- #
-
-
-class SkipListMutationCfa(_MutationProgram):
-    """Skip-list mutations: pred/succ tracked per level during the descent.
-
-    INSERT's operand is a complete core-staged node ``{key_ptr, value,
-    height, next[height]}`` with zeroed forward pointers; the CFA links it
-    at every level of its (deterministic) tower in one macro store.  DELETE
-    splices the victim out of every level it appears on.
-    """
-
-    TYPE_CODE = int(StructureType.SKIP_LIST)
-    NAME = "skip-list-mut"
-    STATES = _MutationProgram.PRELUDE_STATES + (
-        "STAGED",
-        "WNEXT",
-        "WFETCH",
-        "WCMP",
-        "WSPLICE",
-    )
-    SUBTYPE_MAX = 0
-    MAX_LEVELS = 64
-
-    def validate_header(self, header, raw: bytes = b"") -> AbortCode:
-        code = super().validate_header(header, raw=raw)
-        if code is not AbortCode.NONE:
-            return code
-        if not 1 <= header.aux <= self.MAX_LEVELS:
-            return AbortCode.BAD_AUX
-        return AbortCode.NONE
-
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
-        if ctx.op == OP_INSERT and not ctx.operand:
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.NULL_POINTER),
-                    detail="INSERT without a staged node",
-                ),
-            )
-        return None
-
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.op == OP_INSERT:
-            return StepOutcome(
-                "STAGED", MemRead(ctx.operand, NODE_FIXED_BYTES, "staged")
-            )
-        return self._start_walk(ctx)
-
-    def _start_walk(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        v["node"] = ctx.header.root_ptr
-        v["level"] = ctx.header.aux - 1
-        v["cand"] = 0
-        if not ctx.header.root_ptr:
-            return self._release_abort(
-                ctx, AbortCode.NULL_POINTER, "skip list has no head node"
-            )
-        return self._read_ptr(ctx)
-
-    def _read_ptr(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        offset = NODE_FIXED_BYTES + 8 * v["level"]
-        return StepOutcome("WNEXT", MemRead(v["node"] + offset, 8, "ptr"))
-
-    def _drop_level(self, ctx: QueryContext, succ: int) -> StepOutcome:
-        v = ctx.vars
-        level = v["level"]
-        v[f"pred_{level}"] = v["node"]
-        v[f"succ_{level}"] = succ
-        if level > 0:
-            v["level"] = level - 1
-            return self._read_ptr(ctx)
-        return self._finalize(ctx)
-
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "STAGED":
-            return self._start_walk(ctx)
-        if ctx.state == "WNEXT":
-            nxt = ctx.scratch_u64("ptr")
-            if not nxt:
-                return self._drop_level(ctx, 0)
-            v["next"] = nxt
-            return StepOutcome(
-                "WFETCH", MemRead(nxt, NODE_FIXED_BYTES, "next")
-            )
-        if ctx.state == "WFETCH":
-            key_ptr = ctx.scratch_u64("next", 0)
-            if not key_ptr:
-                return self._release_abort(
-                    ctx, AbortCode.NULL_POINTER, "null key pointer"
-                )
-            return StepOutcome(
-                "WCMP",
-                Compare(key_ptr, ctx.key_addr, ctx.header.key_length, "cmp"),
-            )
-        if ctx.state == "WCMP":
-            cmp_result = ctx.results["cmp"]
-            if cmp_result < 0:  # next.key < key: advance along this level
-                v["node"] = v["next"]
-                return self._read_ptr(ctx)
-            if cmp_result == 0:
-                v["cand"] = v["next"]
-                v["cand_height"] = ctx.scratch_u64("next", 16)
-            return self._drop_level(ctx, v["next"])
-        if ctx.state == "WSPLICE":
-            return self._splice_delete(ctx)
-        raise AssertionError(f"unreachable state {ctx.state}")
-
-    # ---------------- terminals ---------------- #
-
-    def _finalize(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        cand = v["cand"]
-        if ctx.op == OP_UPDATE:
-            if not cand:
-                return self._miss(ctx)
-            return self._commit(
-                ctx,
-                MUT_UPDATED,
-                [(cand + 8, ctx.operand.to_bytes(8, "little"))],
-            )
-        if ctx.op == OP_INSERT:
-            if cand:
-                staged_value = ctx.scratch["staged"][8:16]
-                return self._commit(ctx, MUT_UPDATED, [(cand + 8, staged_value)])
-            height = min(
-                _u64(ctx.scratch["staged"], 16) or 1, ctx.header.aux
-            )
-            segments: List[Tuple[int, bytes]] = []
-            for level in range(height):
-                succ = v[f"succ_{level}"]
-                pred = v[f"pred_{level}"]
-                segments.append(
-                    (
-                        ctx.operand + NODE_FIXED_BYTES + 8 * level,
-                        succ.to_bytes(8, "little"),
-                    )
-                )
-                segments.append(
-                    (
-                        pred + NODE_FIXED_BYTES + 8 * level,
-                        ctx.operand.to_bytes(8, "little"),
-                    )
-                )
-            return self._commit(ctx, MUT_INSERTED, segments)
-        # DELETE: fetch the victim's forward pointers, then splice.
-        if not cand:
-            return self._miss(ctx)
-        height = min(v["cand_height"] or 1, ctx.header.aux)
-        v["cand_height"] = height
-        return StepOutcome(
-            "WSPLICE",
-            MemRead(cand + NODE_FIXED_BYTES, 8 * height, "cnext"),
-        )
-
-    def _splice_delete(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        cand = v["cand"]
-        cnext = ctx.scratch["cnext"]
-        segments: List[Tuple[int, bytes]] = []
-        for level in range(v["cand_height"]):
-            pred = v[f"pred_{level}"]
-            if v[f"succ_{level}"] != cand:
-                continue  # the victim is absent from this level
-            segments.append(
-                (
-                    pred + NODE_FIXED_BYTES + 8 * level,
-                    cnext[level * 8 : level * 8 + 8],
-                )
-            )
-        return self._commit(ctx, MUT_DELETED, segments)
-
-
-# --------------------------------------------------------------------- #
-# B+-tree
-# --------------------------------------------------------------------- #
-
-
-class BPlusTreeMutationCfa(_MutationProgram):
-    """B+-tree leaf mutations: in-place update, compacting delete.
-
-    Leaves are bulk-loaded with exactly-sized key arrays (no spare
-    capacity), so a fresh-key INSERT always needs a reallocation or split —
-    those abort to software.  UPDATE rewrites the aligned value slot;
-    DELETE shifts the leaf's key/value tails left and decrements the
-    counts, all in one macro store.
-    """
-
-    TYPE_CODE = int(StructureType.BPLUS_TREE)
-    NAME = "bplus-tree-mut"
-    STATES = _MutationProgram.PRELUDE_STATES + (
-        "STAGED",
-        "WFETCH_NODE",
-        "WSEP_CHECK",
-        "WLEAF_STAGE",
-        "WLEAF_CHECK",
-        "WREAD_CHILD",
-    )
-    SUBTYPE_MIN = 2
-    SUBTYPE_MAX = 64
-
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
-        if ctx.op == OP_INSERT and not ctx.operand:
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.NULL_POINTER),
-                    detail="INSERT without a staged record",
-                ),
-            )
-        return None
-
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.op == OP_INSERT:
-            return StepOutcome("STAGED", MemRead(ctx.operand, 8, "staged"))
-        return self._descend_root(ctx)
-
-    def _descend_root(self, ctx: QueryContext) -> StepOutcome:
-        root = ctx.header.root_ptr
-        if not root:
-            return self._release_abort(
-                ctx, AbortCode.NULL_POINTER, "B+-tree has no root"
-            )
-        ctx.vars["node"] = root
-        return StepOutcome(
-            "WFETCH_NODE", MemRead(root, _BTREE_HEADER, "node")
-        )
-
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "STAGED":
-            return self._descend_root(ctx)
-        if ctx.state == "WFETCH_NODE":
-            v["flags"] = ctx.scratch_u64("node", 0)
-            v["count"] = ctx.scratch_u64("node", 8)
-            v["keys_ptr"] = ctx.scratch_u64("node", 24)
-            v["slots_ptr"] = ctx.scratch_u64("node", 32)
-            v["index"] = 0
-            if v["flags"] & _LEAF_FLAG:
-                return self._leaf_step(ctx)
-            return self._separator_step(ctx)
-        if ctx.state == "WSEP_CHECK":
-            if ctx.results["cmp"] > 0:  # separator > key: take this child
-                return self._read_child(ctx, v["index"])
-            v["index"] += 1
-            return self._separator_step(ctx)
-        if ctx.state == "WLEAF_STAGE":
-            return self._leaf_step(ctx)
-        if ctx.state == "WLEAF_CHECK":
-            cmp_result = ctx.results["cmp"]
-            if cmp_result == 0:
-                return self._leaf_found(ctx)
-            if cmp_result > 0:  # sorted leaf: stored key already past ours
-                return self._leaf_absent(ctx)
-            v["index"] += 1
-            return self._leaf_step(ctx)
-        if ctx.state == "WREAD_CHILD":
-            child = ctx.scratch_u64("child")
-            if not child:
-                return self._release_abort(
-                    ctx, AbortCode.NULL_POINTER, "null child pointer"
-                )
-            v["node"] = child
-            return StepOutcome(
-                "WFETCH_NODE", MemRead(child, _BTREE_HEADER, "node")
-            )
-        raise AssertionError(f"unreachable state {ctx.state}")
-
-    # ---------------- walk helpers ---------------- #
-
-    def _separator_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
-            return self._read_child(ctx, v["count"])
-        sep_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "WSEP_CHECK",
-            Compare(sep_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
-
-    def _read_child(self, ctx: QueryContext, index: int) -> StepOutcome:
-        slot = ctx.vars["slots_ptr"] + 8 * index
-        return StepOutcome("WREAD_CHILD", MemRead(slot, 8, "child"))
-
-    def _leaf_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
-            return self._leaf_absent(ctx)
-        if ctx.op == OP_DELETE and "ltail" not in ctx.scratch:
-            # Stage the whole leaf payload once: a compacting delete
-            # rewrites the key/value tails, so the CFA needs their bytes.
-            klen = ctx.header.key_length
-            return StepOutcome(
-                "WLEAF_STAGE",
-                MemRead(
-                    v["keys_ptr"],
-                    v["count"] * klen,
-                    "ltail",
-                    also=((v["slots_ptr"], v["count"] * 8, "lslots"),),
-                ),
-            )
-        key_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "WLEAF_CHECK",
-            Compare(key_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
-
-    # ---------------- terminals ---------------- #
-
-    def _leaf_found(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        slot = v["slots_ptr"] + 8 * v["index"]
-        if ctx.op == OP_UPDATE:
-            return self._commit(
-                ctx,
-                MUT_UPDATED,
-                [(slot, ctx.operand.to_bytes(8, "little"))],
-            )
-        if ctx.op == OP_INSERT:
-            staged_value = ctx.scratch["staged"][:8]
-            return self._commit(ctx, MUT_UPDATED, [(slot, staged_value)])
-        # DELETE: shift the staged key/value tails left over the victim.
-        count, i = v["count"], v["index"]
-        if count <= 1:
-            return self._release_abort(
-                ctx,
-                AbortCode.VERSION_CONFLICT,
-                "leaf would empty; delete handled in software",
-            )
-        klen = ctx.header.key_length
-        keys = ctx.scratch["ltail"]
-        slots = ctx.scratch["lslots"]
-        segments = [
-            (v["keys_ptr"] + i * klen, keys[(i + 1) * klen : count * klen]),
-            (v["slots_ptr"] + i * 8, slots[(i + 1) * 8 : count * 8]),
-            (v["node"] + 8, (count - 1).to_bytes(8, "little")),
-        ]
-        new_size = max(0, ctx.header.size - 1)
-        return self._commit(ctx, MUT_DELETED, segments, new_size=new_size)
-
-    def _leaf_absent(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.op == OP_INSERT:
-            return self._release_abort(
-                ctx,
-                AbortCode.VERSION_CONFLICT,
-                "fresh key needs a leaf reallocation/split; software path",
-            )
-        return self._miss(ctx)
-
-
-# --------------------------------------------------------------------- #
 # Running the oracles through the accelerator's one driver
 # --------------------------------------------------------------------- #
 
@@ -1660,8 +1300,6 @@ REFERENCE_FOR = {
     firmware_programs.HashOfListsCfa: HashOfListsCfa,
     firmware_programs_ext.BPlusTreeCfa: BPlusTreeCfa,
     firmware_mutations.HashTableMutationCfa: HashTableMutationCfa,
-    firmware_mutations.SkipListMutationCfa: SkipListMutationCfa,
-    firmware_mutations.BPlusTreeMutationCfa: BPlusTreeMutationCfa,
 }
 
 # OracleProgram registers: the interpreted context, two landing slots for

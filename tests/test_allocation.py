@@ -164,7 +164,7 @@ def test_compiled_step_tables_die_by_refcount():
         for compiled in (accelerator._compiled_lookup, accelerator._compiled_mut)
         for entry in compiled.values()
     ] + [accelerator._dispatch.step]
-    assert len(steps) == 7 + 3 + 1
+    assert len(steps) == 7 + 1 + 1
     # Every function a step can reach through closure cells must die too.
     reachable, stack = {}, list(steps)
     while stack:

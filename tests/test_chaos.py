@@ -19,7 +19,7 @@ from repro.core.accelerator import QueryRequest, QueryStatus
 from repro.core.integration import SliceState
 from repro.core.programs import HashOfListsCfa
 from repro.core.programs_ext import BPlusTreeCfa
-from repro.errors import ConfigurationError, FirmwareError
+from repro.errors import ConfigurationError, FirmwareError, SegmentationFault
 from repro.faults.chaos import (
     CHAOS,
     CLUSTER_CHAOS,
@@ -29,6 +29,7 @@ from repro.faults.chaos import (
     chaos_schedule,
     check_contract,
     run_chaos,
+    run_cluster_chaos,
     run_mutation_chaos,
     run_scenario,
 )
@@ -273,6 +274,28 @@ def test_poisoned_tenant_resolves_through_fallback():
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("damage", ["wrong-value", "unrepaired"])
+def test_fallback_damage_is_counted_not_hidden(damage):
+    # The software fallback is the last line of defence: a retry that
+    # returns a wrong value must count as a result error, and one that
+    # never resolves as a failed request.
+    server = poisoned_server(ServeConfig(tenants=4))
+    lookup = server.workload.software_lookup
+
+    def damaged(index):
+        if damage == "unrepaired":
+            raise SegmentationFault(0)
+        return (lookup(index) or 0) + 1
+
+    server.workload.software_lookup = damaged
+    report = server.run()
+    if damage == "wrong-value":
+        assert report.aggregate["result_errors"] >= 40
+        assert report.tenant(0)["failed"] == 0
+    else:
+        assert report.tenant(0)["failed"] == 40
+
+
 def test_chaos_schedule_covers_the_contract():
     events = chaos_schedule([0, 1, 2, 3], 400)
     actions = [event.action for event in events]
@@ -282,6 +305,19 @@ def test_chaos_schedule_covers_the_contract():
     assert [event.trigger for event in events] == sorted(
         event.trigger for event in events
     )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [run_chaos, lambda scheme, **kw: run_cluster_chaos(scheme, nodes=4, **kw)],
+    ids=["machine", "cluster"],
+)
+def test_budget_below_the_triggers_still_fires_the_whole_schedule(run):
+    # Three requests end the run before the later triggers: the runner
+    # fires each straggler afterwards and drains the fleet behind it.
+    report = run("cha-tlb", seed=7, requests=3)
+    assert len(report.events) == 5
+    assert all(event["fired_cycle"] is not None for event in report.events)
 
 
 def test_chaos_run_meets_contract_and_is_deterministic():

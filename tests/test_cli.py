@@ -5,16 +5,20 @@ each with its driver's own description, and exits 0, unknown experiment
 names exit 2 with a one-line hint, the serve verb honours its flags, size
 flags override an experiment's defaults only when given, every verb gets
 exactly the flags its driver takes, the
-``recovery-chaos --seeds`` soak prints one line per seed, and
-pyproject.toml installs the ``qei`` entry point.
+``recovery-chaos --seeds`` soak prints one line per seed,
+pyproject.toml installs the ``qei`` entry point, and every command line
+README.md and this module's docstring show parses and names a verb.
 """
 
 import functools
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import EXPERIMENTS, build_parser, experiment_kwargs, main
 from repro.analysis.report import ExperimentResult
 from repro.faults import chaos
@@ -215,3 +219,34 @@ def test_recovery_soak_gets_the_single_seed_verbs_fleet(monkeypatch, flags):
     del verb["seed"], verb["repeats"]
     (verb["scheme"],) = verb.pop("schemes", ["cha-tlb"])
     assert soaked == verb
+
+
+#: Verbs ``_dispatch`` handles besides the experiments.
+_BUILTIN_VERBS = {"list", "all", "perfbench"}
+
+
+def _documented_commands():
+    """Every ``qei ...`` / ``python -m repro ...`` line in README.md and the
+    CLI docstring, as (source, argv) with the trailing comment dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    pattern = re.compile(r"^\s*(?:qei|python -m repro)\s+(.*)$")
+    for source, text in (("README.md", readme), ("__main__", cli.__doc__)):
+        for line in text.splitlines():
+            match = pattern.match(line)
+            if match:
+                yield source, shlex.split(match.group(1), comments=True)
+
+
+def test_documented_commands_parse_and_name_a_verb():
+    commands = list(_documented_commands())
+    assert len(commands) >= 15, commands
+    parser = build_parser()
+    for source, argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{source}: {' '.join(argv)!r} does not parse")
+        assert args.experiment in EXPERIMENTS or args.experiment in _BUILTIN_VERBS, (
+            source,
+            argv,
+        )

@@ -301,6 +301,36 @@ def test_cluster_retry_after_propagates_to_clients():
     ) == cluster.requests
 
 
+def test_cluster_admission_retry_budget_ends_in_giveups():
+    """With one admission attempt, a request the embargoed shard turns away
+    is terminally lost at the LB: a give-up, still accounted for."""
+    serve = ServeConfig(
+        tenants=2,
+        queue_depth=1,
+        concurrency=16,
+        think_cycles=1,
+        max_in_flight=2,
+        max_admission_attempts=1,
+    )
+    cluster = small_cluster(
+        requests=160,
+        serve_config=serve,
+        cluster={
+            "nodes": 4,
+            "replication": 1,
+            "probe_interval_cycles": 1024,
+            "probe_timeout_cycles": 256,
+            "request_timeout_cycles": 8192,
+            "timeout_embargo_cycles": 2048,
+        },
+    )
+    report = cluster.run()
+    assert report.fleet["giveups"] > 0
+    assert report.fleet["completed"] + report.fleet["failed"] + (
+        report.fleet["giveups"]
+    ) == cluster.requests
+
+
 def test_cluster_fleet_slo_equals_merge_of_node_sketches():
     """Acceptance criterion: the fleet per-tenant service SLO is exactly
     the mergeable-sketch union of every node's per-tenant sketch."""

@@ -1,6 +1,6 @@
 """Tests for the accelerated mutation subsystem (write CFAs).
 
-Covers the per-structure INSERT/UPDATE/DELETE programs through the CEE,
+Covers the hash table's INSERT/UPDATE/DELETE program through the CEE,
 the seqlock header protocol (reader conflict aborts, orphaned-lock
 reclaim, read-only protection), the online hash-table resize under live
 queries, and the mixed-workload chaos / cluster integration on top.
@@ -19,7 +19,8 @@ from repro.core.mutations import (
     MUT_UPDATED,
     make_mutator,
 )
-from repro.datastructs import BPlusTree, CuckooHashTable, SkipList
+from repro.datastructs import CuckooHashTable, SkipList
+from repro.errors import DataStructureError
 from repro.system import System
 
 
@@ -42,30 +43,8 @@ def build_hash(system, n=24):
     return table, keys
 
 
-def build_skiplist(system, n=24):
-    slist = SkipList(system.mem, key_length=16)
-    keys = keys_of(n)
-    for i, key in enumerate(keys):
-        slist.insert(key, 100 + i)
-    return slist, keys
-
-
-def build_btree(system, n=24):
-    from repro.core.programs_ext import BPlusTreeCfa
-
-    # The factory firmware has no B+-tree read program; hot-swap it in
-    # (the staged copy carries the mutation table along).
-    ticket = system.update_firmware([BPlusTreeCfa()])
-    system.engine.run()
-    assert ticket.done
-    tree = BPlusTree(system.mem, key_length=16, fanout=8)
-    keys = keys_of(n)
-    tree.bulk_load([(key, 100 + i) for i, key in enumerate(keys)])
-    return tree, keys
-
-
-BUILDERS = [build_hash, build_skiplist, build_btree]
-IDS = ["hash", "skiplist", "btree"]
+BUILDERS = [build_hash]
+IDS = ["hash"]
 
 
 def read_via_cfa(system, structure, key):
@@ -81,7 +60,7 @@ def read_via_cfa(system, structure, key):
 
 
 # --------------------------------------------------------------------- #
-# Per-structure CFA paths
+# The hash-table CFA paths
 # --------------------------------------------------------------------- #
 
 
@@ -133,6 +112,12 @@ def test_commits_bump_version_by_two(system, build):
     assert handle.value == MUT_UPDATED
     assert handle.commit_version == before
     assert system.space.read_u64(vaddr) == before + 2
+
+
+def test_make_mutator_rejects_structures_without_a_write_program(system):
+    slist = SkipList(system.mem, key_length=16)
+    with pytest.raises(DataStructureError, match="no mutation support"):
+        make_mutator(system, slist)
 
 
 # --------------------------------------------------------------------- #

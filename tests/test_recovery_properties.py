@@ -1,16 +1,10 @@
-"""Property-based tests on the commit log + apply-stream protocol.
+"""Property-based tests on the commit log (``serve/cluster/wal.py``).
 
-The durability layer's convergence argument (docs/recovery.md) leans on
-three mechanical properties of ``serve/cluster/wal.py``, pinned here over
-random logs and random delivery schedules:
-
-* **Idempotent replay** — applying the same shipment twice (or any
-  already-covered prefix) is a no-op past the watermark.
-* **Prefix convergence** — replaying a log in any prefix split reaches
-  the same state as one full replay.
-* **Delivery-order independence** — shuffled, duplicated and overlapping
-  shipments of the same records converge to the same state and the same
-  watermark.
+Over random logs: out-of-order appends sort by ordinal and stay gapless,
+a missing ordinal is a detected gap, a truncated suffix is caught by the
+live structure version, and a reset moves the baseline.  Replicas apply
+shipped records through ``ReplicationManager._drain_applies``
+(docs/recovery.md), which no property test covers yet.
 """
 
 import random
@@ -18,13 +12,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.cfa import OP_DELETE, OP_INSERT, OP_UPDATE
-from repro.serve.cluster.wal import (
-    ORDINAL_STEP,
-    CommitLog,
-    WalRecord,
-    apply_stream,
-    replay,
-)
+from repro.serve.cluster.wal import ORDINAL_STEP, CommitLog, WalRecord
 
 SLOW = settings(
     max_examples=50,
@@ -54,102 +42,6 @@ def random_log(seed: int, length: int) -> list:
             )
         )
     return records
-
-
-def materialize(records):
-    """Reference semantics: one register per key, deletes clear it."""
-    state = {}
-
-    def apply(record):
-        if record.result is None:
-            return  # a logged no-op: the commit published nothing
-        if record.op == OP_DELETE:
-            state.pop(record.key, None)
-        else:
-            state[record.key] = record.value
-    watermark = replay(records, apply)
-    return state, watermark
-
-
-@given(seed=st.integers(0, 10_000), length=st.integers(0, 60))
-@SLOW
-def test_replay_is_idempotent(seed, length):
-    records = random_log(seed, length)
-    state = {}
-
-    def apply(record):
-        if record.result is not None:
-            if record.op == OP_DELETE:
-                state.pop(record.key, None)
-            else:
-                state[record.key] = record.value
-
-    watermark = apply_stream(records, -1, apply)
-    once = dict(state)
-    # The same shipment again, against the advanced watermark: no effect.
-    again = apply_stream(records, watermark, apply)
-    assert state == once
-    assert again == watermark
-
-
-@given(
-    seed=st.integers(0, 10_000),
-    length=st.integers(0, 60),
-    cut=st.integers(0, 60),
-)
-@SLOW
-def test_any_prefix_split_converges(seed, length, cut):
-    records = random_log(seed, length)
-    cut = min(cut, length)
-    state = {}
-
-    def apply(record):
-        if record.result is not None:
-            if record.op == OP_DELETE:
-                state.pop(record.key, None)
-            else:
-                state[record.key] = record.value
-
-    watermark = apply_stream(records[:cut], -1, apply)
-    watermark = apply_stream(records, watermark, apply)
-    expected, expected_watermark = materialize(records)
-    assert state == expected
-    assert watermark == expected_watermark
-
-
-@given(seed=st.integers(0, 10_000), length=st.integers(0, 40))
-@SLOW
-def test_shuffled_duplicated_delivery_converges(seed, length):
-    records = random_log(seed, length)
-    rng = random.Random(seed + 1)
-    # Random retransmission schedule: the sender ships cumulative unacked
-    # suffixes, so each batch re-covers some already-delivered records and
-    # extends the frontier — shuffled in flight, sometimes delivered twice.
-    batches = []
-    delivered = 0
-    while delivered < length:
-        lo = rng.randrange(delivered + 1)  # retransmit from here
-        delivered = rng.randrange(delivered, length) + 1
-        batch = records[lo:delivered]
-        rng.shuffle(batch)
-        batches.append(batch)
-        if rng.random() < 0.3:
-            batches.append(list(batch))
-    state = {}
-
-    def apply(record):
-        if record.result is not None:
-            if record.op == OP_DELETE:
-                state.pop(record.key, None)
-            else:
-                state[record.key] = record.value
-
-    watermark = -1
-    for batch in batches:
-        watermark = apply_stream(batch, watermark, apply)
-    expected, expected_watermark = materialize(records)
-    assert state == expected
-    assert watermark == expected_watermark
 
 
 @given(seed=st.integers(0, 10_000), length=st.integers(1, 60))

@@ -518,27 +518,9 @@ def _build_mut_full_hash(system, items):
     return s
 
 
-def _build_mut_skiplist(system, items):
-    s = SkipList(system.mem, key_length=KEY_LENGTH)
-    for k, v in items:
-        s.insert(k, v)
-    return s
-
-
-def _build_mut_btree(system, items):
-    ticket = system.update_firmware([BPlusTreeCfa()])
-    system.engine.run()
-    assert ticket.done
-    s = BPlusTree(system.mem, key_length=KEY_LENGTH, fanout=8)
-    s.bulk_load(sorted(items))
-    return s
-
-
 MUT_BUILDERS = {
     "hash": _build_mut_hash,
     "full-hash": _build_mut_full_hash,
-    "skiplist": _build_mut_skiplist,
-    "btree": _build_mut_btree,
 }
 
 MUT_OPS = {
@@ -567,7 +549,7 @@ def _impose(condition, system, structure):
         flags_addr = structure.header_addr + 12
         flags = int.from_bytes(space.read(flags_addr, 4), "little")
         space.write(flags_addr, (flags | FLAG_READ_ONLY).to_bytes(4, "little"))
-    elif condition == "resizing" and isinstance(structure, CuckooHashTable):
+    elif condition == "resizing":
         structure.begin_resize()
 
 
@@ -668,7 +650,7 @@ def test_every_builtin_lookup_is_specialized():
     system.firmware.register(BPlusTreeCfa())
     system.firmware.register(HashOfListsCfa())
     lookups, mutators = compile_firmware(system.firmware)
-    assert len(lookups) == 7 and len(mutators) == 3
+    assert len(lookups) == 7 and len(mutators) == 1
     for compiled in list(lookups.values()) + list(mutators.values()):
         program = compiled.step.__self__
         assert type(program) in ref.REFERENCE_FOR

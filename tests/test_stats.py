@@ -177,11 +177,13 @@ def test_registry_sketch_shares_storage_and_resets():
     reg = StatsRegistry()
     view = reg.scoped("serve")
     view.sketch("latency").record(100)
+    view.histogram("sizes").record(3)
     assert reg.sketch("serve.latency").count == 1
     snap = reg.snapshot()
     assert snap["serve.latency.count"] == 1
     reg.reset()
     assert reg.sketch("serve.latency").count == 0
+    assert reg.histogram("serve.sizes").count == 0
 
 
 # --------------------------------------------------------------------- #

@@ -1,21 +1,15 @@
 """Tests for software-side update operations (Sec. IV-A).
 
-Updates stay in software; these tests verify the structures stay consistent
-after removals — including that the *accelerator* sees the post-update
-state, since QEI reads the same simulated memory.
+Updates stay in software; these tests verify the hash table stays
+consistent after deletes — including that the *accelerator* sees the
+post-update state, since QEI reads the same simulated memory.
 """
 
 import pytest
 
 from repro import small_config
 from repro.core.accelerator import QueryRequest, QueryStatus
-from repro.datastructs import (
-    BinarySearchTree,
-    CuckooHashTable,
-    LinkedList,
-    ProcessMemory,
-    SkipList,
-)
+from repro.datastructs import CuckooHashTable, ProcessMemory
 from repro.system import System
 
 
@@ -26,36 +20,6 @@ def keys_of(n, length=16):
 @pytest.fixture
 def mem():
     return ProcessMemory(physical_bytes=64 * 1024 * 1024)
-
-
-class TestLinkedListUpdates:
-    def test_remove_head_middle_tail(self, mem):
-        ll = LinkedList(mem, key_length=16)
-        keys = keys_of(5)
-        for i, k in enumerate(keys):
-            ll.insert(k, i)
-        # Prepend order: keys[4] is head, keys[0] is tail.
-        assert ll.remove(keys[4])  # head
-        assert ll.remove(keys[2])  # middle
-        assert ll.remove(keys[0])  # tail
-        assert len(ll) == 2
-        assert ll.lookup(keys[4]) is None
-        assert ll.lookup(keys[3]) == 3
-        assert ll.lookup(keys[1]) == 1
-
-    def test_remove_absent_returns_false(self, mem):
-        ll = LinkedList(mem, key_length=16)
-        ll.insert(keys_of(1)[0], 1)
-        assert not ll.remove(b"missing".ljust(16, b"_"))
-        assert len(ll) == 1
-
-    def test_update_in_place(self, mem):
-        ll = LinkedList(mem, key_length=16)
-        k = keys_of(1)[0]
-        ll.insert(k, 1)
-        assert ll.update(k, 99)
-        assert ll.lookup(k) == 99
-        assert not ll.update(b"missing".ljust(16, b"_"), 5)
 
 
 class TestHashTableDelete:
@@ -82,58 +46,6 @@ class TestHashTableDelete:
     def test_delete_absent(self, mem):
         ht = CuckooHashTable(mem, key_length=16, num_buckets=64)
         assert not ht.delete(keys_of(1)[0])
-
-
-class TestSkipListRemove:
-    def test_remove_preserves_order_and_links(self, mem):
-        sl = SkipList(mem, key_length=16)
-        keys = keys_of(60)
-        for i, k in enumerate(keys):
-            sl.insert(k, i)
-        removed = keys[::7]
-        for k in removed:
-            assert sl.remove(k)
-        survivors = sorted(set(keys) - set(removed))
-        assert [k for k, _ in sl.items()] == survivors
-        assert all(sl.lookup(k) is None for k in removed)
-        assert all(sl.lookup(k) is not None for k in survivors)
-
-    def test_remove_absent(self, mem):
-        sl = SkipList(mem, key_length=16)
-        sl.insert(keys_of(1)[0], 1)
-        assert not sl.remove(b"zzz".ljust(16, b"z"))
-
-
-class TestBstDelete:
-    def test_delete_leaf_one_child_two_children(self, mem):
-        bst = BinarySearchTree(mem, key_length=16)
-        keys = keys_of(40)
-        for i, k in enumerate(keys):
-            bst.insert(k, i)
-        victims = [keys[0], keys[7], keys[20], keys[39]]
-        for v in victims:
-            assert bst.delete(v)
-            assert bst.lookup(v) is None
-        survivors = sorted(set(keys) - set(victims))
-        assert [k for k, _ in bst.items()] == survivors
-        assert len(bst) == len(survivors)
-
-    def test_delete_root_repeatedly(self, mem):
-        bst = BinarySearchTree(mem, key_length=16)
-        keys = keys_of(15)
-        for i, k in enumerate(keys):
-            bst.insert(k, i)
-        remaining = set(keys)
-        while remaining:
-            root_key = bst._key_of(bst.header().root_ptr)
-            assert bst.delete(root_key)
-            remaining.discard(root_key)
-            assert [k for k, _ in bst.items()] == sorted(remaining)
-
-    def test_delete_absent(self, mem):
-        bst = BinarySearchTree(mem, key_length=16)
-        bst.insert(keys_of(1)[0], 1)
-        assert not bst.delete(b"absent".ljust(16, b"_"))
 
 
 class TestAcceleratorSeesUpdates:

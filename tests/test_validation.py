@@ -1,6 +1,6 @@
-"""Tests for the self-validation battery."""
+"""Tests for the three-way oracle battery (``tests/validation.py``)."""
 
-from repro.analysis.validation import ValidationReport, validate_system
+from .validation import ValidationReport, validate_system
 
 
 def test_validation_passes_on_clean_system():

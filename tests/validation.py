@@ -1,10 +1,10 @@
-"""Self-validation battery: prove the functional layers agree.
+"""Three-way oracle battery: prove the functional layers agree.
 
-``validate_system()`` is a user-facing sanity check (also used by tests):
-for each structure type, random keys are looked up through all three paths
-— pure software reference, trace-emitting baseline, and the accelerator's
-CFA — and any disagreement is reported.  Run it after modifying firmware,
-structures or the memory substrate.
+``validate_system()`` looks random keys up in every structure type
+through all three paths — the pure software reference, the
+trace-emitting baseline, and the accelerator's CFA — and reports any
+disagreement.  ``tests/test_validation.py`` runs it; run it after
+modifying firmware, structures or the memory substrate.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass, field
 from typing import List
 
-from ..config import small_config
-from ..core.accelerator import QueryRequest
-from ..core.programs_ext import BPlusTreeCfa
-from ..cpu.trace import TraceBuilder
-from ..datastructs import (
+from repro.config import small_config
+from repro.core.accelerator import QueryRequest
+from repro.core.programs_ext import BPlusTreeCfa
+from repro.cpu.trace import TraceBuilder
+from repro.datastructs import (
     BPlusTree,
     BinarySearchTree,
     CuckooHashTable,
@@ -26,7 +26,7 @@ from ..datastructs import (
     SkipList,
     Trie,
 )
-from ..system import System
+from repro.system import System
 
 
 @dataclass
