@@ -108,17 +108,29 @@ def _word(value: int) -> bytes:
     return value.to_bytes(8, "little")
 
 
-class _MutationProgram(CfaProgram):
-    """Shared mutation prelude: parse header, read key, take the seqlock.
+# Hash-table mutation registers.
+_H_STAGED, _H_HASH, _H_LINE, _H_CMP = 7, 8, 9, 10
+_H_SIG, _H_B0, _H_B1, _H_WHICH, _H_LINE_NO = 11, 12, 13, 14, 15
+_H_EMPTY, _H_SLOT, _H_LINE_BASE, _H_SLOT_ADDR, _H_KV = 16, 17, 18, 19, 20
 
-    Subclasses implement :meth:`after_lock` (first structure-specific step,
-    entered holding the lock) and :meth:`dispatch` for their walk states.
-    The terminals — :meth:`_commit`, :meth:`_miss` and the RELEASE abort —
-    all fold the lock release into a single macro store so memory is never
-    observable half-mutated.
+
+class HashTableMutationCfa(CfaProgram):
+    """Cuckoo hash mutations: in-place update/delete, empty-slot insert.
+
+    The prelude parses the header, reads the key and takes the seqlock;
+    :meth:`dispatch` runs the bucket walk.  INSERT's operand is a
+    core-staged ``{value, key}`` record whose layout matches the table's kv
+    records, so publishing the insert is one 16-byte slot store of
+    ``{signature, operand}``.  Inserts that would need cuckoo displacement
+    (both candidate buckets full) abort to software, as do all writes while
+    an online resize is in flight.  The terminals — :meth:`_commit`,
+    :meth:`_miss` and the RELEASE abort — all fold the lock release into a
+    single macro store so memory is never observable half-mutated.
     """
 
-    PRELUDE_STATES = (
+    TYPE_CODE = int(StructureType.HASH_TABLE)
+    NAME = "hash-table-mut"
+    STATES = (
         STATE_START,
         "PARSE",
         "READ_KEY",
@@ -129,7 +141,15 @@ class _MutationProgram(CfaProgram):
         "RELEASE",
         STATE_DONE,
         STATE_EXCEPTION,
+        "STAGED",
+        "MHASH",
+        "MSCAN",
+        "MCHECK",
     )
+    SUBTYPE_MIN = 1
+    SUBTYPE_MAX = 128
+    REQUIRES_SIZE = True
+    NREGS = 21
 
     def step(self, ctx: QueryContext) -> tuple:
         state = ctx.state
@@ -161,9 +181,16 @@ class _MutationProgram(CfaProgram):
                     "structure is marked read-only",
                 )
             ctx.header = header
-            blocker = self.pre_lock_check(ctx)
-            if blocker is not None:
-                return blocker
+            if header.flags & FLAG_RESIZING:
+                # The migration drain owns placement during a resize; CFA
+                # writes fall back to the (resize-aware) software path.
+                return (
+                    K_FAULT,
+                    _VERSION_CONFLICT,
+                    "online resize in flight; write falls back",
+                )
+            if ctx.op == OP_INSERT and not ctx.operand:
+                return (K_FAULT, _NULL_PTR, "INSERT without a staged record")
             ctx.state = _READ_KEY
             return (K_MEMREAD, ctx.key_addr, header.key_length, S_KEY)
         if state == _READ_KEY:
@@ -180,7 +207,11 @@ class _MutationProgram(CfaProgram):
         if state == _LOCK:
             if regs[_M_LOCK] != 1:
                 return self._backoff(ctx)
-            return self.after_lock(ctx)
+            if ctx.op == OP_INSERT:
+                ctx.state = 8  # STAGED
+                return (K_MEMREAD, ctx.operand, 8, _H_STAGED)
+            ctx.state = 9  # MHASH
+            return (K_HASH, S_KEY, _H_HASH)
         if state == _BACKOFF:
             # Backoff elapsed: re-read the header (the version, and possibly
             # the whole structure, moved while we slept).
@@ -192,18 +223,6 @@ class _MutationProgram(CfaProgram):
             return (K_DONE, None)
         # RELEASE
         return (K_FAULT, regs[_M_ABORT_CODE], regs[_M_ABORT_DETAIL])
-
-    # ---------------- subclass surface ---------------- #
-
-    #: What an INSERT operand points at (named in the missing-operand fault).
-    STAGED_OPERAND = "record"
-
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[tuple]:
-        """Structure-specific bail-out evaluated before the lock CAS."""
-        if ctx.op == OP_INSERT and not ctx.operand:
-            detail = f"INSERT without a staged {self.STAGED_OPERAND}"
-            return (K_FAULT, _NULL_PTR, detail)
-        return None
 
     # ---------------- terminal helpers ---------------- #
 
@@ -249,58 +268,6 @@ class _MutationProgram(CfaProgram):
         """Key absent: restore the pre-lock version (nothing was written)."""
         ctx.state = _MISS
         return self._restore_version(ctx)
-
-
-# --------------------------------------------------------------------- #
-# Hash table
-# --------------------------------------------------------------------- #
-
-# Hash-table mutation registers.
-_H_STAGED, _H_HASH, _H_LINE, _H_CMP = 7, 8, 9, 10
-_H_SIG, _H_B0, _H_B1, _H_WHICH, _H_LINE_NO = 11, 12, 13, 14, 15
-_H_EMPTY, _H_SLOT, _H_LINE_BASE, _H_SLOT_ADDR, _H_KV = 16, 17, 18, 19, 20
-
-
-class HashTableMutationCfa(_MutationProgram):
-    """Cuckoo hash mutations: in-place update/delete, empty-slot insert.
-
-    INSERT's operand is a core-staged ``{value, key}`` record whose layout
-    matches the table's kv records, so publishing the insert is one 16-byte
-    slot store of ``{signature, operand}``.  Inserts that would need cuckoo
-    displacement (both candidate buckets full) abort to software, as do all
-    writes while an online resize is in flight.
-    """
-
-    TYPE_CODE = int(StructureType.HASH_TABLE)
-    NAME = "hash-table-mut"
-    STATES = _MutationProgram.PRELUDE_STATES + (
-        "STAGED",
-        "MHASH",
-        "MSCAN",
-        "MCHECK",
-    )
-    SUBTYPE_MIN = 1
-    SUBTYPE_MAX = 128
-    REQUIRES_SIZE = True
-    NREGS = 21
-
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[tuple]:
-        if ctx.header.flags & FLAG_RESIZING:
-            # The migration drain owns placement during a resize; CFA writes
-            # fall back to the (resize-aware) software path.
-            return (
-                K_FAULT,
-                _VERSION_CONFLICT,
-                "online resize in flight; write falls back",
-            )
-        return super().pre_lock_check(ctx)
-
-    def after_lock(self, ctx: QueryContext) -> tuple:
-        if ctx.op == OP_INSERT:
-            ctx.state = 8  # STAGED
-            return (K_MEMREAD, ctx.operand, 8, _H_STAGED)
-        ctx.state = 9  # MHASH
-        return (K_HASH, S_KEY, _H_HASH)
 
     def dispatch(self, ctx: QueryContext) -> tuple:
         regs = ctx.scratch

@@ -66,7 +66,9 @@ class QueryWorkload:
       simulated structure (so it observes any damage — or repair — since
       build time).  No timing is charged; the
       :class:`~repro.system.FallbackExecutor` accounts for the retry cost
-      via its backoff budget.
+      via its backoff budget;
+    * ``mutable_structure()`` — only when ``MUTABLE`` is True: the structure
+      write traffic targets (header + software side).
     """
 
     name = "abstract"
@@ -155,7 +157,7 @@ class QueryWorkload:
     # ----------------- mutation support (docs/mutations.md) ------------ #
 
     #: Workloads whose primary structure has a registered mutation CFA set
-    #: this True and implement :meth:`mutable_structure`.
+    #: this True (and implement ``mutable_structure()``).
     MUTABLE = False
 
     def supports_mutation(self) -> bool:
@@ -164,6 +166,8 @@ class QueryWorkload:
     def make_mutator(self):
         """A :class:`~repro.core.mutations.HashMutator` for this
         workload's primary structure."""
+        if not self.MUTABLE:
+            raise WorkloadError(f"workload {self.name!r} has no mutable structure")
         from ..core.mutations import make_mutator
 
         return make_mutator(self.system, self.mutable_structure())

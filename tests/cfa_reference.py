@@ -952,17 +952,23 @@ class BPlusTreeCfa(_StandardProgram):
 # --------------------------------------------------------------------- #
 
 
-class _MutationProgram(CfaProgram):
-    """Shared mutation prelude: parse header, read key, take the seqlock.
+class HashTableMutationCfa(CfaProgram):
+    """Cuckoo hash mutations: in-place update/delete, empty-slot insert.
 
-    Subclasses implement :meth:`after_lock` (first structure-specific step,
-    entered holding the lock) and :meth:`dispatch` for their walk states.
-    The terminal helpers — :meth:`_commit`, :meth:`_miss`,
-    :meth:`_release_abort` — all fold the lock release into a single macro
-    store so memory is never observable half-mutated.
+    The prelude parses the header, reads the key and takes the seqlock;
+    :meth:`dispatch` runs the bucket walk.  INSERT's operand is a
+    core-staged ``{value, key}`` record whose layout matches the table's kv
+    records, so publishing the insert is one 16-byte slot store of
+    ``{signature, operand}``.  Inserts that would need cuckoo displacement
+    (both candidate buckets full) abort to software, as do all writes while
+    an online resize is in flight.  The terminal helpers — :meth:`_commit`,
+    :meth:`_miss`, :meth:`_release_abort` — all fold the lock release into
+    a single macro store so memory is never observable half-mutated.
     """
 
-    PRELUDE_STATES = (
+    TYPE_CODE = int(StructureType.HASH_TABLE)
+    NAME = "hash-table-mut"
+    STATES = (
         STATE_START,
         "PARSE",
         "READ_KEY",
@@ -973,7 +979,14 @@ class _MutationProgram(CfaProgram):
         "RELEASE",
         STATE_DONE,
         STATE_EXCEPTION,
+        "STAGED",
+        "MHASH",
+        "MSCAN",
+        "MCHECK",
     )
+    SUBTYPE_MIN = 1
+    SUBTYPE_MAX = 128
+    REQUIRES_SIZE = True
 
     def step(self, ctx: QueryContext) -> StepOutcome:
         if ctx.state == STATE_START:
@@ -1007,9 +1020,24 @@ class _MutationProgram(CfaProgram):
                     ),
                 )
             ctx.header = header
-            blocker = self.pre_lock_check(ctx)
-            if blocker is not None:
-                return blocker
+            if header.flags & FLAG_RESIZING:
+                # The migration drain owns placement during a resize; CFA
+                # writes fall back to the (resize-aware) software path.
+                return StepOutcome(
+                    STATE_EXCEPTION,
+                    Fault(
+                        code=int(AbortCode.VERSION_CONFLICT),
+                        detail="online resize in flight; write falls back",
+                    ),
+                )
+            if ctx.op == OP_INSERT and not ctx.operand:
+                return StepOutcome(
+                    STATE_EXCEPTION,
+                    Fault(
+                        code=int(AbortCode.NULL_POINTER),
+                        detail="INSERT without a staged record",
+                    ),
+                )
             return StepOutcome(
                 "READ_KEY", MemRead(ctx.key_addr, header.key_length, "key")
             )
@@ -1028,7 +1056,9 @@ class _MutationProgram(CfaProgram):
         if ctx.state == "LOCK":
             if ctx.results["lock"] != 1:
                 return self._backoff(ctx)
-            return self.after_lock(ctx)
+            if ctx.op == OP_INSERT:
+                return StepOutcome("STAGED", MemRead(ctx.operand, 8, "staged"))
+            return StepOutcome("MHASH", HashOp("key", "hash"))
         if ctx.state == "BACKOFF":
             # Backoff elapsed: re-read the header (the version, and possibly
             # the whole structure, moved while we slept).
@@ -1046,18 +1076,6 @@ class _MutationProgram(CfaProgram):
                 STATE_EXCEPTION, Fault(code=int(code), detail=detail)
             )
         return self.dispatch(ctx)
-
-    # ---------------- subclass surface ---------------- #
-
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
-        """Structure-specific bail-out evaluated before the lock CAS."""
-        return None
-
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
-        raise NotImplementedError
-
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        raise NotImplementedError
 
     # ---------------- terminal helpers ---------------- #
 
@@ -1117,60 +1135,6 @@ class _MutationProgram(CfaProgram):
         ctx.scratch["abort_detail"] = detail.encode()
         vaddr, data = self._version_word(ctx, ctx.header.version)
         return StepOutcome("RELEASE", MemWrite(vaddr, data))
-
-
-# --------------------------------------------------------------------- #
-# Hash table
-# --------------------------------------------------------------------- #
-
-
-class HashTableMutationCfa(_MutationProgram):
-    """Cuckoo hash mutations: in-place update/delete, empty-slot insert.
-
-    INSERT's operand is a core-staged ``{value, key}`` record whose layout
-    matches the table's kv records, so publishing the insert is one 16-byte
-    slot store of ``{signature, operand}``.  Inserts that would need cuckoo
-    displacement (both candidate buckets full) abort to software, as do all
-    writes while an online resize is in flight.
-    """
-
-    TYPE_CODE = int(StructureType.HASH_TABLE)
-    NAME = "hash-table-mut"
-    STATES = _MutationProgram.PRELUDE_STATES + (
-        "STAGED",
-        "MHASH",
-        "MSCAN",
-        "MCHECK",
-    )
-    SUBTYPE_MIN = 1
-    SUBTYPE_MAX = 128
-    REQUIRES_SIZE = True
-
-    def pre_lock_check(self, ctx: QueryContext) -> Optional[StepOutcome]:
-        if ctx.header.flags & FLAG_RESIZING:
-            # The migration drain owns placement during a resize; CFA writes
-            # fall back to the (resize-aware) software path.
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.VERSION_CONFLICT),
-                    detail="online resize in flight; write falls back",
-                ),
-            )
-        if ctx.op == OP_INSERT and not ctx.operand:
-            return StepOutcome(
-                STATE_EXCEPTION,
-                Fault(
-                    code=int(AbortCode.NULL_POINTER),
-                    detail="INSERT without a staged record",
-                ),
-            )
-        return None
-
-    def after_lock(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.op == OP_INSERT:
-            return StepOutcome("STAGED", MemRead(ctx.operand, 8, "staged"))
-        return StepOutcome("MHASH", HashOp("key", "hash"))
 
     def dispatch(self, ctx: QueryContext) -> StepOutcome:
         v = ctx.vars

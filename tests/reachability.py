@@ -2,8 +2,7 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/reachability.py           # check, exit 1 on failure
-    PYTHONPATH=src python tests/reachability.py --list    # also print every unreached function
+    PYTHONPATH=src python tests/reachability.py    # exit 1 on failure
 
 In one process, under ``sys.setprofile``, it drives the program the way a
 user does:
@@ -32,7 +31,6 @@ vCPUs).
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import io
@@ -299,12 +297,7 @@ def _lines(locs: Iterable[Location]) -> int:
     return sum(last - first + 1 for _, first, last in locs)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--list", action="store_true", help="print every unreached function"
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     defs = functions(SRC_ROOT, "repro")
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -318,9 +311,6 @@ def main(argv=None) -> int:
         names = [n for n, r in ALLOWLIST.items() if r == reason and n in missed]
         lines = _lines(missed[n] for n in names)
         print(f"  {reason:<9} {len(names):4d} functions {lines:5d} lines")
-    if args.list:
-        for name, (path, first, last) in sorted(missed.items()):
-            print(f"{last - first + 1:5d}  {name}  [{ALLOWLIST.get(name, '-')}]")
     errors = check(defs, ran, ALLOWLIST)
     for error in errors:
         print(f"FAIL {error}")

@@ -269,66 +269,42 @@ def test_cluster_partition_marks_down_and_rebalances():
 
 def test_cluster_retry_after_propagates_to_clients():
     """A saturated node's Admission retry-after must climb the stack: node
-    frontend -> rejected response -> LB embargo -> client back-off."""
-    serve = ServeConfig(
-        tenants=2,
-        queue_depth=1,
-        concurrency=16,
-        think_cycles=1,
-        max_in_flight=2,
-    )
-    cluster = small_cluster(
-        requests=160,
-        serve_config=serve,
-        cluster={
-            "nodes": 4,
-            "replication": 1,  # no failover: backpressure must surface
-            "probe_interval_cycles": 1024,
-            "probe_timeout_cycles": 256,
-            "request_timeout_cycles": 8192,
-            "timeout_embargo_cycles": 2048,
-        },
-    )
-    report = cluster.run()
-    assert report.fleet["result_errors"] == 0
-    # Node-level rejections travelled up...
-    assert report.fleet["node_rejections"] > 0
-    # ...and with R=1 both replicas-of-one embargoed => client rejections.
-    assert report.fleet["rejected"] > 0
-    # Clients retried against the hint rather than losing the requests.
-    assert report.fleet["completed"] + report.fleet["failed"] + (
-        report.fleet["giveups"]
-    ) == cluster.requests
-
-
-def test_cluster_admission_retry_budget_ends_in_giveups():
-    """With one admission attempt, a request the embargoed shard turns away
-    is terminally lost at the LB: a give-up, still accounted for."""
-    serve = ServeConfig(
-        tenants=2,
-        queue_depth=1,
-        concurrency=16,
-        think_cycles=1,
-        max_in_flight=2,
-        max_admission_attempts=1,
-    )
-    cluster = small_cluster(
-        requests=160,
-        serve_config=serve,
-        cluster={
-            "nodes": 4,
-            "replication": 1,
-            "probe_interval_cycles": 1024,
-            "probe_timeout_cycles": 256,
-            "request_timeout_cycles": 8192,
-            "timeout_embargo_cycles": 2048,
-        },
-    )
-    report = cluster.run()
-    assert report.fleet["giveups"] > 0
-    assert report.fleet["completed"] + report.fleet["failed"] + (
-        report.fleet["giveups"]
-    ) == cluster.requests
+    frontend -> rejected response -> LB embargo -> client back-off.  With
+    one admission attempt, a request the embargoed shard turns away is
+    terminally lost at the LB: a give-up, still accounted for."""
+    for budget in ({}, {"max_admission_attempts": 1}):
+        serve = ServeConfig(
+            tenants=2,
+            queue_depth=1,
+            concurrency=16,
+            think_cycles=1,
+            max_in_flight=2,
+            **budget,
+        )
+        cluster = small_cluster(
+            requests=160,
+            serve_config=serve,
+            cluster={
+                "nodes": 4,
+                "replication": 1,  # no failover: backpressure must surface
+                "probe_interval_cycles": 1024,
+                "probe_timeout_cycles": 256,
+                "request_timeout_cycles": 8192,
+                "timeout_embargo_cycles": 2048,
+            },
+        )
+        report = cluster.run()
+        assert report.fleet["result_errors"] == 0
+        # Node-level rejections travelled up...
+        assert report.fleet["node_rejections"] > 0
+        # ...and with R=1 both replicas-of-one embargoed => client rejections.
+        assert report.fleet["rejected"] > 0
+        if budget:
+            assert report.fleet["giveups"] > 0
+        # Clients retried against the hint or gave up; no request is lost.
+        assert report.fleet["completed"] + report.fleet["failed"] + (
+            report.fleet["giveups"]
+        ) == cluster.requests
 
 
 def test_cluster_fleet_slo_equals_merge_of_node_sketches():
