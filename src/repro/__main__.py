@@ -11,7 +11,6 @@ table/figure, ablation, or serving run from the shell::
     qei all --jobs 4            # shard experiments over worker processes
     qei all --no-cache          # ignore + skip the on-disk result cache
     qei fig7 --profile fig7.prof  # cProfile the run, dump stats to fig7.prof
-    qei perfbench               # simulator throughput bench -> BENCH_sim.json
 
 Results print as the same fixed-width tables the benchmark harness shows,
 byte-identical whether computed serially, in parallel, or from cache.
@@ -44,10 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help=(
-            "experiment id, 'list' to enumerate, 'all' to run everything, "
-            "or 'perfbench' for the simulator throughput bench"
-        ),
+        help="experiment id, 'list' to enumerate, or 'all' to run everything",
     )
     parser.add_argument(
         "--full",
@@ -142,23 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--closed-loop",
         action="store_true",
         help="serve: fixed-concurrency clients instead of Poisson arrivals",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="perfbench: compare against this BENCH_sim.json and fail on regression",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        help="perfbench: allowed fractional throughput regression (default 0.30)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_sim.json",
-        help="perfbench: where to write the benchmark JSON (default BENCH_sim.json)",
     )
     parser.add_argument(
         "--nodes",
@@ -311,16 +290,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             doc = (driver.__doc__ or "").strip().splitlines()[0]
             print(f"{name:<{width}}  {doc}")
         return 0
-    if args.experiment == "perfbench":
-        from .analysis.perfbench import perfbench_main
-
-        return perfbench_main(
-            quick=not args.full,
-            output=args.output,
-            baseline=args.baseline,
-            threshold=args.threshold,
-            as_json=args.json,
-        )
     if args.experiment == "all":
         run(sorted(EXPERIMENTS), args)
         return 0

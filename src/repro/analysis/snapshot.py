@@ -1,7 +1,7 @@
 """Warm-system snapshots: build each workload's memory image once, reuse it.
 
-Every (workload, scheme) sweep task — fig7/fig11/fig12 shards, perfbench
-rounds, the golden-stats pairs — starts by populating an identical process
+Every (workload, scheme) sweep task — fig7/fig11/fig12 shards, the
+golden-stats pairs — starts by populating an identical process
 memory.  That setup is a pure function of the workload name and its
 parameters; only the *runs* afterwards depend on the integration scheme.
 So the first default-config build per (workload, params) is captured as a

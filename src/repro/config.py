@@ -255,8 +255,8 @@ class ServeConfig:
             raise ConfigurationError("serve queue_depth must be positive")
         if self.batch_size <= 0:
             raise ConfigurationError("serve batch_size must be positive")
-        if self.batch_timeout_cycles < 0:
-            raise ConfigurationError("serve batch_timeout_cycles must be >= 0")
+        if self.batch_timeout_cycles <= 0:
+            raise ConfigurationError("serve batch_timeout_cycles must be positive")
         if self.max_in_flight < 0:
             raise ConfigurationError("serve max_in_flight must be >= 0")
         if self.retry_after_cycles <= 0:

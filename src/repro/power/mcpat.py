@@ -8,6 +8,8 @@ components are explicit, so a configuration *is* the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import List
 
 from .cacti import SramMacro
@@ -39,13 +41,15 @@ class Configuration:
         self.components.append(component)
         return self
 
+    # Totals add left to right: Python 3.12's sum() compensates float
+    # rounding, and a Tab. III row must read the same on every interpreter.
     @property
     def area_mm2(self) -> float:
-        return sum(c.area_mm2 for c in self.components)
+        return reduce(add, (c.area_mm2 for c in self.components), 0.0)
 
     @property
     def static_power_mw(self) -> float:
-        return sum(c.static_power_mw for c in self.components)
+        return reduce(add, (c.static_power_mw for c in self.components), 0.0)
 
     def breakdown(self) -> str:
         lines = [f"{self.name}:"]

@@ -65,7 +65,7 @@ class Batcher:
         if len(burst) >= self.config.batch_size:
             self._full_flushes.add()
             self._flush(home)
-        elif len(burst) == 1 and self.config.batch_timeout_cycles:
+        elif len(burst) == 1:
             epoch = self._epochs.get(home, 0)
             self.engine.schedule(
                 self.config.batch_timeout_cycles,
@@ -105,9 +105,7 @@ class Batcher:
             sreq.dispatch_cycle = now
             handle.on_done(lambda h, s=sreq: self.on_done(s, h))
 
-    def flush_all(self) -> bool:
-        """Force every open burst out; True when anything was submitted."""
-        homes = [home for home, burst in self._open.items() if burst]
-        for home in homes:
+    def flush_all(self) -> None:
+        """Force every open burst out."""
+        for home in [home for home, burst in self._open.items() if burst]:
             self._flush(home)
-        return bool(homes)

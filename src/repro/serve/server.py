@@ -289,15 +289,15 @@ class QueryServer:
                 lambda idx=request.index: self.workload.software_lookup(idx),
                 abort_code=handle.abort_code,
             )
-            self.slo.record_completion(
-                tenant,
-                outcome.completion_cycle - request.arrival_cycle,
-                accelerated=False,
-            )
             if not outcome.resolved:
                 request.outcome = "failed"
                 self.slo.record_failure(tenant)
             else:
+                self.slo.record_completion(
+                    tenant,
+                    outcome.completion_cycle - request.arrival_cycle,
+                    accelerated=False,
+                )
                 request.outcome = "ok"
                 request.result_value = outcome.value
                 if not self._read_ok(
@@ -438,11 +438,8 @@ class QueryServer:
             if not progressed:
                 if self._finished():
                     break
-                # No events left but requests are parked in open bursts
-                # (their flush timers cancelled by nothing — e.g. a zero
-                # batch timeout): force them out and continue.
-                if self.batcher.flush_all():
-                    continue
+                # Every open burst holds a live flush timer, so an empty
+                # engine with work outstanding is a lost request.
                 raise ServingError(
                     "serving loop stalled: no events pending but "
                     f"{self._outstanding} requests outstanding, "

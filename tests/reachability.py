@@ -1,4 +1,6 @@
-"""Reachability probe: every function in ``src/repro`` earns a caller.
+"""Reachability probe and ledger: every function in ``src/repro`` earns a
+caller, and every verb's output and each package's work stay where
+``tests/ledger.json`` pins them.
 
 Run from the repository root::
 
@@ -23,27 +25,51 @@ and fails when
 * an allowlisted name no longer exists in ``src/``;
 * an entry's reason is not one of :data:`REASONS`.
 
-The walk, the profiler hook and the check are plain functions, so
-``tests/test_reachability.py`` exercises them on a tiny synthetic package
-without running ``repro all`` (about 6 minutes under the profiler on two
-vCPUs).
+The same run is measured into a ledger with two parts, which must equal
+``tests/ledger.json`` exactly:
+
+* ``digests``: the sha256 of each experiment's ``--json`` object as
+  printed by ``repro all --json``, keyed by its ``experiment`` field
+  (``Fig. 7``, ``serve``, ...), and of the soak's lines.  The object is
+  hashed with its newline, so ``python -m repro tab1 --json --no-cache |
+  sha256sum`` gives the ``Tab. I`` entry;
+* ``calls``: Python ``call`` events per top-level ``src/repro`` package
+  or module.  Code objects named ``<...>`` (comprehensions, lambdas,
+  generator expressions, module bodies) are left out: Python 3.12 inlines
+  comprehensions, and the counts must not depend on the interpreter.
+
+Every moved, new or vanished entry prints one ``FAIL`` line (old -> new),
+and the measured ledger is written to ``ledger.new.json`` in the working
+directory.  To re-record, copy that file over ``tests/ledger.json`` and
+name each moved entry in CHANGES.md.
+
+The walk, the profiler hook, the aggregation and both checks are plain
+functions, so ``tests/test_reachability.py`` exercises them on synthetic
+data without running ``repro all`` (about 5 minutes under the profiler on
+two vCPUs).
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import io
+import json
+import re
 import runpy
 import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import CodeType
 from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO_ROOT / "src"
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+LEDGER = REPO_ROOT / "tests" / "ledger.json"
+SOAK = ["recovery-chaos", "--seeds", "1-2"]
 
 #: The closed set of reasons a function may stay without a caller.
 REASONS = {
@@ -51,7 +77,6 @@ REASONS = {
         "reached only from tests/: a reference path tests compare production "
         "against, or an accessor, reset or edge path they drive to check it"
     ),
-    "ci": "run only by a CI job",
     "benchmark": "called by e2ebench/ or benchmarks/",
     "paper": "a Sec. III query type kept with its firmware tests",
     "api": "a name an example or a docs/ page calls",
@@ -64,15 +89,6 @@ def _entries(reason: str, module: str, *names: str) -> Dict[str, str]:
 
 #: Unreached functions, ``module:qualname`` -> one of :data:`REASONS`.
 ALLOWLIST: Dict[str, str] = {
-    # The simulator throughput gate, run by CI's perf-smoke job until a
-    # work-count ledger replaces it (ROADMAP item 8).
-    **_entries(
-        "ci", "analysis.perfbench",
-        "_best_of", "_throughput_metrics", "bench_cee", "bench_cluster",
-        "bench_engine", "bench_mem", "bench_mixed", "bench_queries",
-        "bench_recovery", "bench_repro_all", "bench_serve", "bench_writes",
-        "compare", "perfbench_main", "run_bench",
-    ),
     # benchmarks/ reads figure rows; e2ebench/ drives drills and serving and
     # its tracer wraps every hierarchy's ``warm_lines`` by getattr.
     **_entries(
@@ -227,13 +243,24 @@ def functions(src_root: Path, package: str) -> Dict[str, Location]:
     return found
 
 
-def collect(run: Callable[[], None]) -> Set[Tuple[str, int]]:
-    """``(file, first line)`` of every code object that ran inside ``run``."""
-    codes = set()
-    add = codes.add
+def collect(run: Callable[[], None]) -> List[Tuple[CodeType, int]]:
+    """Python ``call`` events per code object inside ``run``.
+
+    Code objects are told apart by identity, and returned as pairs rather
+    than as a dict: equal code in two files compares equal, and one must
+    not stand in for the other.
+    """
+    table: Dict[int, list] = {}
+    get = table.get
 
     def hook(frame, event, arg):
-        add(frame.f_code)
+        if event == "call":
+            code = frame.f_code
+            entry = get(id(code))
+            if entry is None:
+                table[id(code)] = [code, 1]
+            else:
+                entry[1] += 1
 
     threading.setprofile(hook)
     sys.setprofile(hook)
@@ -242,7 +269,71 @@ def collect(run: Callable[[], None]) -> Set[Tuple[str, int]]:
     finally:
         sys.setprofile(None)
         threading.setprofile(None)  # type: ignore[arg-type]
-    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+    return [(code, count) for code, count in table.values()]
+
+
+def reached(calls: List[Tuple[CodeType, int]]) -> Set[Tuple[str, int]]:
+    """``(file, first line)`` of every code object that ran."""
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c, _ in calls}
+
+
+def package_calls(calls: List[Tuple[CodeType, int]], root: Path) -> Dict[str, int]:
+    """Calls per top-level package or module under ``root``, ``<...>`` code left out."""
+    totals: Dict[str, int] = {}
+    for code, count in calls:
+        if code.co_name.startswith("<"):
+            continue
+        try:
+            first = Path(code.co_filename).resolve().relative_to(root).parts[0]
+        except ValueError:
+            continue
+        package = first.removesuffix(".py")
+        totals[package] = totals.get(package, 0) + count
+    return dict(sorted(totals.items()))
+
+
+_SPACE = re.compile(r"\s*")
+
+
+def digests(stream: str, soak: str) -> Dict[str, str]:
+    """sha256 of each ``--json`` object in ``stream``, by experiment, and of the soak."""
+    found = {}
+    decoder = json.JSONDecoder()
+    pos = _SPACE.match(stream).end()
+    while pos < len(stream):
+        result, end = decoder.raw_decode(stream, pos)
+        found[result["experiment"]] = _sha256(stream[pos:end] + "\n")
+        pos = _SPACE.match(stream, end).end()
+    found[" ".join(SOAK)] = _sha256(soak)
+    return dict(sorted(found.items()))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def compare(pinned: Dict, measured: Dict) -> List[str]:
+    """One line per ledger entry that moved, appeared or vanished."""
+    moved = []
+    for part in ("digests", "calls"):
+        old, new = pinned.get(part, {}), measured[part]
+        for key in sorted(set(old) | set(new)):
+            before, after = old.get(key), new.get(key)
+            if before == after:
+                continue
+            change = ""
+            if isinstance(before, int) and isinstance(after, int) and before:
+                change = f" ({(after - before) / before:+.1%})"
+            moved.append(
+                f"ledger {part}[{key}]: {_shown(before)} -> {_shown(after)}{change}"
+            )
+    return moved
+
+
+def _shown(value) -> str:
+    if value is None:
+        return "(absent)"
+    return f"{value:,}" if isinstance(value, int) else str(value)
 
 
 def unreached(defs: Dict[str, Location], ran: Set[Tuple[str, int]]) -> Dict[str, Location]:
@@ -273,24 +364,34 @@ def check(
     return errors
 
 
-def drive(cache_dir: Path) -> None:
-    """Everything a user runs: all verbs, cached and rendered, the soak, the examples."""
+def drive(cache_dir: Path) -> Dict[str, str]:
+    """Everything a user runs: all verbs, cached and rendered, the soak, the examples.
+
+    Returns the stdout of ``repro all --json`` (``stream``) and of the
+    soak (``soak``), the two outputs the ledger digests.
+    """
     from repro.__main__ import main
 
+    outputs = []
     for argv in (
         ["all", "--json", "--cache-dir", str(cache_dir)],
         ["all", "--cache-dir", str(cache_dir)],
-        ["recovery-chaos", "--seeds", "1-2"],
+        SOAK,
     ):
-        status = main(argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(argv)
         if status:
             raise SystemExit(f"repro {' '.join(argv)} exited {status}")
+        outputs.append(out.getvalue())
     for example in EXAMPLES:
         try:
-            runpy.run_path(str(example), run_name="__main__")
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(example), run_name="__main__")
         except SystemExit as exc:
             if exc.code:
                 raise SystemExit(f"{example.name} exited {exc.code}") from None
+    return {"stream": outputs[0], "soak": outputs[2]}
 
 
 def _lines(locs: Iterable[Location]) -> int:
@@ -299,9 +400,10 @@ def _lines(locs: Iterable[Location]) -> int:
 
 def main() -> int:
     defs = functions(SRC_ROOT, "repro")
+    outputs: Dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
-        with contextlib.redirect_stdout(io.StringIO()):
-            ran = collect(lambda: drive(Path(tmp)))
+        calls = collect(lambda: outputs.update(drive(Path(tmp))))
+    ran = reached(calls)
     missed = unreached(defs, ran)
     print(
         f"{len(defs)} functions ({_lines(defs.values())} lines) in src/repro; "
@@ -311,9 +413,24 @@ def main() -> int:
         names = [n for n, r in ALLOWLIST.items() if r == reason and n in missed]
         lines = _lines(missed[n] for n in names)
         print(f"  {reason:<9} {len(names):4d} functions {lines:5d} lines")
-    errors = check(defs, ran, ALLOWLIST)
+    measured = {
+        "digests": digests(**outputs),
+        "calls": package_calls(calls, SRC_ROOT / "repro"),
+    }
+    pinned = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
+    moved = compare(pinned, measured)
+    print(
+        f"ledger: {len(measured['digests'])} digests, "
+        f"{sum(measured['calls'].values()):,} calls in "
+        f"{len(measured['calls'])} packages; {len(moved)} entries moved"
+    )
+    errors = check(defs, ran, ALLOWLIST) + moved
     for error in errors:
         print(f"FAIL {error}")
+    if moved:
+        out = Path.cwd() / "ledger.new.json"
+        out.write_text(json.dumps(measured, indent=2) + "\n")
+        print(f"measured ledger written to {out}; copy it over {LEDGER} to re-record")
     return 1 if errors else 0
 
 

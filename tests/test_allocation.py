@@ -12,8 +12,8 @@ for a hierarchy built without a NoC, which used to hold its own bound
 hop-latency method, and for the load balancer's resolved requests, which
 used to sit in a cycle with their timeout events.  A cluster's pickled
 replica image lives only while the cluster is being built, and a finished
-chaos drill, like each perfbench cluster round, drops the events still
-queued on its engine, which used to hold whole fleets in a cycle.
+chaos drill, like a cluster run whose engine is cleared, drops the events
+still queued on its engine, which used to hold whole fleets in a cycle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import pytest
 
 from repro import small_config
 from repro.analysis import experiments
-from repro.analysis.perfbench import bench_cluster
+from repro.config import ClusterConfig
 from repro.core.cfa import OP_UPDATE
 from repro.core.mutations import make_mutator
 from repro.core.programs import HashOfListsCfa
@@ -39,7 +39,7 @@ from repro.datastructs import CuckooHashTable
 from repro.faults.chaos import run_recovery_chaos
 from repro.mem import cache as cache_module
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.serve import serve_experiment
+from repro.serve import SimulatedCluster, serve_experiment
 from repro.system import System
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_stats.json").read_text())
@@ -265,13 +265,18 @@ def test_finished_drill_leaves_no_cyclic_garbage():
     assert unreachable == 0
 
 
-def test_perfbench_cluster_rounds_leave_no_cyclic_garbage():
-    # A finished round's cluster still has probes and request timeouts
-    # queued on its engine; they held the fleet in a cycle with it.
+def test_cleared_cluster_run_leaves_no_cyclic_garbage():
+    # A finished cluster still has probes and request timeouts queued on
+    # its engine; they held the fleet in a cycle with it.
     gc.collect()
     gc.disable()
     try:
-        bench_cluster(requests=100, nodes=4)
+        cluster = SimulatedCluster(
+            "cha-tlb", cluster_config=ClusterConfig(nodes=4), requests=100
+        )
+        cluster.run()
+        cluster.engine.clear()
+        del cluster
         unreachable = gc.collect()
     finally:
         gc.enable()

@@ -293,7 +293,9 @@ def test_fallback_damage_is_counted_not_hidden(damage):
         assert report.aggregate["result_errors"] >= 40
         assert report.tenant(0)["failed"] == 0
     else:
+        # A read the fallback never resolved is failed, not also completed.
         assert report.tenant(0)["failed"] == 40
+        assert report.aggregate["availability"] < 1.0
 
 
 def test_chaos_schedule_covers_the_contract():

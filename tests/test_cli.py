@@ -222,7 +222,7 @@ def test_recovery_soak_gets_the_single_seed_verbs_fleet(monkeypatch, flags):
 
 
 #: Verbs ``_dispatch`` handles besides the experiments.
-_BUILTIN_VERBS = {"list", "all", "perfbench"}
+_BUILTIN_VERBS = {"list", "all"}
 
 
 def _documented_commands():

@@ -17,7 +17,6 @@ import pytest
 
 from repro.analysis import snapshot
 from repro.analysis.experiments import _build, workload_params
-from repro.analysis.perfbench import compare
 from repro.sim.engine import Engine
 from repro.workloads import run_qei
 
@@ -145,71 +144,3 @@ def test_custom_config_bypasses_snapshots():
     _build("dpdk", "cha-tlb", quick=True, config=SystemConfig())
     assert snapshot.get("dpdk", workload_params("dpdk", True)) is None
     snapshot.clear()
-
-
-# --------------------------------------------------------------------- #
-# perfbench schema comparison
-# --------------------------------------------------------------------- #
-
-
-def _payload(schema, engine_rate, q_rate, serve_rate, cluster_rate=None):
-    payload = {
-        "schema": schema,
-        "engine_events_per_sec": engine_rate,
-        "queries_per_sec": {"cha-tlb": q_rate},
-        "serve_requests_per_sec": serve_rate,
-    }
-    if cluster_rate is not None:
-        payload["cluster_requests_per_sec"] = cluster_rate
-    return payload
-
-
-def test_compare_skips_queries_across_schema_versions():
-    current = _payload(2, 1000.0, 1800.0, 2500.0)
-    baseline = _payload(1, 1000.0, 400.0, 2500.0)
-    report = compare(current, baseline, threshold=0.30)
-    assert "queries_per_sec/cha-tlb" not in report
-    assert set(report) == {"engine_events_per_sec", "serve_requests_per_sec"}
-    assert not any(row["failed"] for row in report.values())
-
-
-def test_compare_gates_queries_within_same_schema():
-    current = _payload(2, 1000.0, 500.0, 2500.0)
-    baseline = _payload(2, 1000.0, 1800.0, 2500.0)
-    report = compare(current, baseline, threshold=0.30)
-    assert report["queries_per_sec/cha-tlb"]["failed"] is True
-    assert report["engine_events_per_sec"]["failed"] is False
-
-
-def test_compare_gates_cluster_throughput_in_schema3():
-    current = _payload(3, 1000.0, 1800.0, 2500.0, cluster_rate=200.0)
-    baseline = _payload(3, 1000.0, 1800.0, 2500.0, cluster_rate=900.0)
-    report = compare(current, baseline, threshold=0.30)
-    assert report["cluster_requests_per_sec"]["failed"] is True
-    assert report["serve_requests_per_sec"]["failed"] is False
-
-
-def test_compare_tolerates_baselines_without_cluster_metric():
-    # A schema-2 baseline predates the cluster bench: the new metric is
-    # simply absent from the intersection, never a KeyError or a failure.
-    current = _payload(2, 1000.0, 1800.0, 2500.0, cluster_rate=500.0)
-    baseline = _payload(2, 1000.0, 1800.0, 2500.0)
-    report = compare(current, baseline, threshold=0.30)
-    assert "cluster_requests_per_sec" not in report
-    assert not any(row["failed"] for row in report.values())
-
-
-def test_compare_never_gates_the_recovery_block():
-    # Schema 5's durability metrics are simulated time (lower is better,
-    # deterministic per seed), not host throughput: a 9-second recovery
-    # against a microsecond baseline must not trip the regression gate.
-    current = _payload(5, 1000.0, 1800.0, 2500.0)
-    current["recovery"] = {"recovery_seconds": 9.0, "replication_lag_p99": 9.0}
-    baseline = _payload(5, 1000.0, 1800.0, 2500.0)
-    baseline["recovery"] = {
-        "recovery_seconds": 1e-6,
-        "replication_lag_p99": 1e-6,
-    }
-    report = compare(current, baseline, threshold=0.30)
-    assert not any("recovery" in name for name in report)
-    assert not any(row["failed"] for row in report.values())

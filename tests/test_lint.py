@@ -17,7 +17,11 @@ per-file ignores: their imports are re-exports.
 A third sweep keeps hidden runtime switches out of ``src/``: every
 ``os.environ`` / ``os.getenv`` read must be on the allowlist below, which
 is empty — ``src/`` reads no environment.  A deployment setting belongs in
-a CLI flag; a test-only mode belongs in ``tests/``.
+a CLI flag; a test-only mode belongs in ``tests/``.  Nor does ``src/`` read
+the host clock: no module imports ``time`` or ``datetime``.  A simulated
+number must not depend on the host, and ``tests/ledger.json`` pins every
+verb's output and call counts exactly; host seconds belong in
+``e2ebench/``.
 
 A fourth sweep keeps dead knobs out of ``repro/config.py``: every field of
 its dataclasses must be read as an attribute somewhere in ``src/`` outside
@@ -232,6 +236,47 @@ def test_environment_reads_are_allowlisted():
         "argument or CLI flag instead):\n" + "\n".join(offenders)
     )
     assert used == set(ENV_ALLOWLIST), "stale ENV_ALLOWLIST entries"
+
+
+_CLOCK_MODULES = ("time", "datetime")
+
+
+def _clock_imports(tree: ast.AST) -> Iterator[int]:
+    """Lines importing ``time`` or ``datetime`` (or anything inside them)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in _CLOCK_MODULES for name in names):
+            yield node.lineno
+
+
+def test_src_reads_no_host_clock():
+    offenders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for lineno in _clock_imports(ast.parse(text, filename=str(path))):
+            rel = path.relative_to(REPO_ROOT).as_posix()
+            offenders.append(f"{rel}:{lineno}: {lines[lineno - 1].strip()}")
+    assert not offenders, "host clock imports in src/:\n" + "\n".join(offenders)
+
+
+def test_clock_sweep_flags_each_import_form():
+    source = (
+        "import time\n"
+        "from time import perf_counter\n"
+        "import datetime as dt\n"
+        "from datetime import datetime\n"
+        "from . import time_model\n"
+        "import timeit\n"
+        "def f():\n"
+        "    import time\n"
+    )
+    assert list(_clock_imports(ast.parse(source))) == [1, 2, 3, 4, 8]
 
 
 def _dataclass_fields(tree: ast.AST) -> Iterator[Tuple[int, str]]:
