@@ -20,17 +20,6 @@ QUICK_FLEETS = [10, 25]
 FULL_FLEETS = [10, 25, 50, 100]
 
 
-def _chaos_free_config(nodes: int) -> ClusterConfig:
-    return ClusterConfig(
-        nodes=nodes,
-        replication=2,
-        probe_interval_cycles=1024,
-        probe_timeout_cycles=256,
-        request_timeout_cycles=8192,
-        timeout_embargo_cycles=2048,
-    )
-
-
 def fleet_sweep(quick: bool) -> ExperimentResult:
     fleets = QUICK_FLEETS if quick else FULL_FLEETS
     requests = 400 if quick else 1200
@@ -42,7 +31,7 @@ def fleet_sweep(quick: bool) -> ExperimentResult:
     for nodes in fleets:
         cluster = SimulatedCluster(
             "cha-tlb",
-            cluster_config=_chaos_free_config(nodes),
+            cluster_config=ClusterConfig(nodes=nodes),
             seed=7,
             requests=requests,
         )

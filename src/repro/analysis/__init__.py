@@ -16,14 +16,12 @@ from .experiments import (
     tab1_schemes,
     tab2_config,
     tab3_area_power,
-    ALL_SCHEMES,
     BENCH_WORKLOADS,
 )
 from .fault_campaign import CampaignViolation, fault_campaign
 from .report import ExperimentResult
 
 __all__ = [
-    "ALL_SCHEMES",
     "BENCH_WORKLOADS",
     "CampaignViolation",
     "ExperimentResult",

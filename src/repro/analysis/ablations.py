@@ -352,18 +352,12 @@ def micro_tlb_ablation(
     )
     sys_b, wl_b = _fresh(workload, "core-integrated", quick)
     baseline = run_baseline(sys_b, wl_b)
-    for entries in (0, 4, 16):
+    for entries in (1, 4, 16):
         sys_q, wl_q = _fresh(workload, "core-integrated", quick)
-        if entries == 0:
-            sys_q.integration.MICRO_TLB_ENTRIES = 1
-            sys_q.integration.MICRO_TLB_HIT_CYCLES = 1
-            # Effectively disable by shrinking to one entry and flushing
-            # it on every install: approximate with capacity 1.
-        else:
-            sys_q.integration.MICRO_TLB_ENTRIES = entries
+        sys_q.integration.MICRO_TLB_ENTRIES = entries
         qei = run_qei(sys_q, wl_q)
         result.add_row(
-            micro_tlb_entries=entries or 1,
+            micro_tlb_entries=entries,
             speedup=baseline.cycles / qei.cycles,
             mean_mem_latency=sys_q.integration._mem_latency.mean,
         )

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import (
     DEFAULT_SCHEME_LATENCIES,
+    SCHEME_ORDER,
     IntegrationScheme,
     SchemeLatencyConfig,
     SystemConfig,
@@ -25,17 +26,6 @@ from ..workloads.base import QueryWorkload, RoiRun
 from ..workloads.tuple_space import TupleSpaceWorkload
 from . import snapshot
 from .report import ExperimentResult
-
-ALL_SCHEMES = [s.value for s in IntegrationScheme]
-
-#: Scheme order used in the paper's figures.
-SCHEME_ORDER = [
-    IntegrationScheme.CHA_TLB.value,
-    IntegrationScheme.CHA_NOTLB.value,
-    IntegrationScheme.DEVICE_DIRECT.value,
-    IntegrationScheme.DEVICE_INDIRECT.value,
-    IntegrationScheme.CORE_INTEGRATED.value,
-]
 
 #: Per-workload parameters for experiment runs: (quick, full).
 BENCH_WORKLOADS: Dict[str, Tuple[dict, dict]] = {

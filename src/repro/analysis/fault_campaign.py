@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import IntegrationScheme, small_config
+from ..config import SCHEME_ORDER, IntegrationScheme, small_config
 from ..core.abort import AbortCode
 from ..core.accelerator import QueryStatus
 from ..core.cfa import OP_UPDATE
@@ -39,7 +39,6 @@ from ..faults import FaultInjector, FaultKind
 from ..faults.injector import EXPECTED_CODES, MACHINE_KINDS, MASKABLE_KINDS, WRITE_KINDS
 from ..system import System
 from ..workloads import make_workload
-from .experiments import SCHEME_ORDER
 from .report import ExperimentResult
 
 #: Workload sizes for the campaign: small enough that a fault resolves in

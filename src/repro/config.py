@@ -44,6 +44,9 @@ class IntegrationScheme(str, Enum):
             ) from exc
 
 
+#: Scheme order used in the paper's figures and every scheme sweep.
+SCHEME_ORDER = [scheme.value for scheme in IntegrationScheme]
+
 #: Schemes whose comparators sit in the CHAs (distributed near-LLC compare).
 DISTRIBUTED_SCHEMES = frozenset(
     {
@@ -182,64 +185,21 @@ class QeiConfig:
 
 
 @dataclass(frozen=True)
-class FallbackConfig:
-    """Software-fallback policy applied when the accelerator aborts a query.
-
-    The runtime re-executes the query on the CPU path after waiting an
-    exponentially growing number of simulated cycles (modelling the OS
-    taking the fault, repairing or steering around the damage, and the
-    runtime backing off a transiently flushed accelerator).
-    """
-
-    #: Software re-executions attempted before the query is reported failed.
-    max_retries: int = 3
-    #: Simulated cycles waited before the first retry.
-    backoff_cycles: int = 64
-    #: Growth factor applied to the wait between successive retries.
-    backoff_multiplier: int = 4
-
-    def __post_init__(self) -> None:
-        if self.max_retries <= 0:
-            raise ConfigurationError("fallback max_retries must be positive")
-        if self.backoff_cycles < 0:
-            raise ConfigurationError("fallback backoff_cycles must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ConfigurationError("fallback backoff_multiplier must be >= 1")
-
-
-@dataclass(frozen=True)
 class ServeConfig:
     """The cloud serving tier in front of the accelerator (docs/serving.md).
 
     A :class:`~repro.serve.QueryServer` admits per-tenant request streams
     into bounded queues, coalesces admitted requests into QUERY_NB bursts
     routed to their home accelerator, and tracks per-tenant latency against
-    an SLO budget.  All knobs are in simulated core cycles.
+    an SLO budget.  The tier's fixed policy (queue depth, burst size, SLO
+    budget, closed-loop clients) lives as constants on the classes that
+    apply it; docs/serving.md lists them.
     """
 
     #: Number of tenant request streams (each mapped to a submitting core).
     tenants: int = 4
-    #: Bounded per-tenant admission queue; arrivals beyond this are rejected
-    #: with a retry-after hint (backpressure when the QST is saturated).
-    queue_depth: int = 64
-    #: Requests coalesced into one QUERY_NB burst per home slice.
-    batch_size: int = 8
-    #: A partial batch is flushed after waiting this long for company.
-    batch_timeout_cycles: int = 256
-    #: Dispatch window: requests in service at once (0 = QST capacity).
-    max_in_flight: int = 0
-    #: Base retry-after hint returned with a rejection.
-    retry_after_cycles: int = 512
-    #: Per-tenant SLO: the p99 latency budget in cycles.
-    slo_p99_cycles: int = 50_000
     #: Open-loop offered load per tenant, in queries per cycle (Poisson).
     offered_load: float = 0.004
-    #: Closed-loop clients per tenant (outstanding requests).
-    concurrency: int = 8
-    #: Closed-loop think time between a completion and the next request.
-    think_cycles: int = 128
-    #: Closed-loop admission retries before a request is counted failed.
-    max_admission_attempts: int = 64
     #: Fraction of each tenant's requests that are writes (docs/mutations.md):
     #: 0.0 keeps the tier read-only and byte-identical to pre-mutation runs.
     write_ratio: float = 0.0
@@ -251,28 +211,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.tenants <= 0:
             raise ConfigurationError("serve tenants must be positive")
-        if self.queue_depth <= 0:
-            raise ConfigurationError("serve queue_depth must be positive")
-        if self.batch_size <= 0:
-            raise ConfigurationError("serve batch_size must be positive")
-        if self.batch_timeout_cycles <= 0:
-            raise ConfigurationError("serve batch_timeout_cycles must be positive")
-        if self.max_in_flight < 0:
-            raise ConfigurationError("serve max_in_flight must be >= 0")
-        if self.retry_after_cycles <= 0:
-            raise ConfigurationError("serve retry_after_cycles must be positive")
-        if self.slo_p99_cycles <= 0:
-            raise ConfigurationError("serve slo_p99_cycles must be positive")
         if self.offered_load <= 0:
             raise ConfigurationError("serve offered_load must be positive")
-        if self.concurrency <= 0:
-            raise ConfigurationError("serve concurrency must be positive")
-        if self.think_cycles < 0:
-            raise ConfigurationError("serve think_cycles must be >= 0")
-        if self.max_admission_attempts <= 0:
-            raise ConfigurationError(
-                "serve max_admission_attempts must be positive"
-            )
         if not 0.0 <= self.write_ratio <= 1.0:
             raise ConfigurationError("serve write_ratio must be in [0, 1]")
 
@@ -284,8 +224,8 @@ class ClusterConfig:
     A :class:`~repro.serve.cluster.SimulatedCluster` runs ``nodes`` full
     simulated machines behind a load-balancer tier that partitions the key
     space over a consistent-hash ring with ``replication``-way replica
-    groups.  All latency knobs are simulated core cycles on the shared
-    cluster clock.
+    groups.  Link latency, probing, retry and replication timings are
+    constants on the classes that apply them; docs/serving.md lists them.
     """
 
     #: Simulated nodes (each a full :class:`~repro.system.System` plus a
@@ -293,44 +233,10 @@ class ClusterConfig:
     nodes: int = 10
     #: Replica group size: each key-space shard is owned by this many nodes.
     replication: int = 2
-    #: Virtual tokens per node on the hash ring (smooths shard sizes).
-    vnodes: int = 8
-    #: One-way LB <-> node message latency.
-    link_latency_cycles: int = 64
-    #: Health-prober heartbeat interval per node.
-    probe_interval_cycles: int = 4096
-    #: A probe without an ack after this long counts as missed.
-    probe_timeout_cycles: int = 512
-    #: Consecutive missed probes before a node is marked SUSPECT.
-    suspect_after: int = 2
-    #: Consecutive missed probes before a node is marked DOWN (routed
-    #: around and its shards remapped to ring successors).
-    down_after: int = 3
-    #: LB per-attempt response timeout before failing over to a replica.
-    request_timeout_cycles: int = 60_000
-    #: Total LB dispatch attempts per request across replicas.
-    max_attempts: int = 6
-    #: Base LB retry backoff between attempts (doubles per retry).
-    retry_backoff_cycles: int = 128
-    #: Embargo on a node after one of its requests times out at the LB.
-    timeout_embargo_cycles: int = 4096
-    #: Per-phase availability floor asserted by ``repro cluster-chaos``.
-    availability_floor: float = 0.95
     #: Write quorum W (docs/recovery.md): a write is acknowledged to the
     #: client only once W distinct replicas (the committing primary plus
     #: W-1 apply-stream acks) hold it.  Must not exceed ``replication``.
     write_quorum: int = 2
-    #: Replication retry tick: unacked commit-log suffixes are re-shipped
-    #: to lagging replicas at this interval.
-    replication_retry_cycles: int = 2048
-    #: Hinted-handoff bound: unacked records buffered per replica stream
-    #: before the stream overflows and the replica is flagged for a full
-    #: resync instead of incremental replay (docs/recovery.md).
-    handoff_limit: int = 256
-    #: Load-balancer settled-key map bound: fully replicated keys whose
-    #: last value the LB remembers for read validation; the oldest entry
-    #: is evicted once the map is full.
-    settled_key_limit: int = 4096
 
     def __post_init__(self) -> None:
         if self.nodes <= 0:
@@ -340,32 +246,6 @@ class ClusterConfig:
                 "cluster replication must be in [1, nodes]; got "
                 f"{self.replication} for {self.nodes} nodes"
             )
-        if self.vnodes <= 0:
-            raise ConfigurationError("cluster vnodes must be positive")
-        if self.link_latency_cycles <= 0:
-            raise ConfigurationError("cluster link latency must be positive")
-        if self.probe_interval_cycles <= 0:
-            raise ConfigurationError("cluster probe interval must be positive")
-        if self.probe_timeout_cycles <= 0:
-            raise ConfigurationError("cluster probe timeout must be positive")
-        if self.suspect_after <= 0 or self.down_after < self.suspect_after:
-            raise ConfigurationError(
-                "cluster needs 0 < suspect_after <= down_after"
-            )
-        if self.request_timeout_cycles <= 2 * self.link_latency_cycles:
-            raise ConfigurationError(
-                "cluster request timeout must exceed the link round trip"
-            )
-        if self.max_attempts <= 0:
-            raise ConfigurationError("cluster max_attempts must be positive")
-        if self.retry_backoff_cycles <= 0:
-            raise ConfigurationError("cluster retry backoff must be positive")
-        if self.timeout_embargo_cycles < 0:
-            raise ConfigurationError("cluster timeout embargo must be >= 0")
-        if not 0.0 <= self.availability_floor <= 1.0:
-            raise ConfigurationError(
-                "cluster availability_floor must be in [0, 1]"
-            )
         if self.write_quorum <= 0:
             # The effective quorum is clamped to the replica group size at
             # run time (a group can shrink below `replication` under
@@ -373,16 +253,6 @@ class ClusterConfig:
             raise ConfigurationError(
                 "cluster write_quorum must be positive; got "
                 f"{self.write_quorum}"
-            )
-        if self.replication_retry_cycles <= 0:
-            raise ConfigurationError(
-                "cluster replication_retry_cycles must be positive"
-            )
-        if self.handoff_limit <= 0:
-            raise ConfigurationError("cluster handoff_limit must be positive")
-        if self.settled_key_limit <= 0:
-            raise ConfigurationError(
-                "cluster settled_key_limit must be positive"
             )
 
 
@@ -420,8 +290,6 @@ class SystemConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     noc: NocConfig = field(default_factory=NocConfig)
     qei: QeiConfig = field(default_factory=QeiConfig)
-    fallback: FallbackConfig = field(default_factory=FallbackConfig)
-    serve: ServeConfig = field(default_factory=ServeConfig)
     scheme_latencies: dict = field(
         default_factory=lambda: dict(DEFAULT_SCHEME_LATENCIES)
     )

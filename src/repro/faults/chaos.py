@@ -104,7 +104,6 @@ class Scenario:
     requests: int = 400
     tenants: int = 4
     write_ratio: float = 0.0
-    workload: str = "dpdk"
     #: Drive one full online hash-table resize from the tick hook.
     resize: bool = False
 
@@ -361,15 +360,13 @@ class _Machine:
         from ..serve import ClosedLoopGenerator, build_serving_system
 
         config = ServeConfig(tenants=scenario.tenants, write_ratio=scenario.write_ratio)
-        system, built = build_serving_system(
-            scheme, seed=seed, serve_config=config, workload=scenario.workload
-        )
+        system, built = build_serving_system(scheme, seed=seed, serve_config=config)
         server = system.make_server(built, config, seed=seed)
         per_tenant = max(1, scenario.requests // config.tenants)
         for tenant in range(config.tenants):
             server.attach(ClosedLoopGenerator(
-                tenant, config=config, num_requests=per_tenant,
-                num_queries=len(built.queries), seed=seed, stats=system.stats,
+                tenant, num_requests=per_tenant, num_queries=len(built.queries),
+                seed=seed, stats=system.stats, write_ratio=config.write_ratio,
             ))
         self.scenario, self.system, self.server = scenario, system, server
         self.scheme = IntegrationScheme.parse(scheme).value
@@ -450,13 +447,13 @@ def _recover_when_down(cluster, victim: int) -> None:
     itself refers to itself through its own cell, and that cycle would
     keep the whole cluster alive after the run.
     """
-    from ..serve.cluster.membership import NodeState
+    from ..serve.cluster.membership import NodeState, Prober
 
     if cluster.nodes[victim].alive or cluster.membership.state_of(victim) is NodeState.DOWN:
         cluster.recover_node(victim)
     else:
         cluster.engine.schedule(
-            cluster.config.probe_interval_cycles, lambda: _recover_when_down(cluster, victim)
+            Prober.PROBE_INTERVAL_CYCLES, lambda: _recover_when_down(cluster, victim)
         )
 
 
@@ -466,19 +463,14 @@ class _Cluster:
     def __init__(self, scenario: Scenario, scheme: str, seed: int) -> None:
         from ..serve.cluster import SimulatedCluster
 
-        # Faster probing and shorter request timeouts than the defaults, so
-        # one run walks victims through UP -> SUSPECT -> DOWN -> UP and
-        # failover latency stays in the same ballpark as service latency.
         config = ClusterConfig(
             nodes=scenario.nodes, replication=scenario.replication,
-            write_quorum=scenario.quorum, availability_floor=scenario.availability_floor,
-            probe_interval_cycles=1_024, probe_timeout_cycles=256,
-            request_timeout_cycles=8_192, timeout_embargo_cycles=2_048,
+            write_quorum=scenario.quorum,
         )
         serve_config = ServeConfig(tenants=scenario.tenants, write_ratio=scenario.write_ratio)
         cluster = SimulatedCluster(
             scheme, cluster_config=config, serve_config=serve_config, seed=seed,
-            requests=scenario.requests, workload=scenario.workload,
+            requests=scenario.requests,
         )
         self.scenario, self.cluster, self.scheme = scenario, cluster, cluster.scheme
         self.recorder = cluster.attach_history()
@@ -691,16 +683,16 @@ RECOVERY_CHAOS = Scenario(
 
 def run_chaos(
     scheme: str, *, seed: int = 7, requests: int = 400, tenants: int = 4,
-    workload: str = "dpdk", verify: bool = True,
+    verify: bool = True,
 ) -> ChaosReport:
     """:data:`CHAOS` at this size."""
-    scenario = replace(CHAOS, requests=requests, tenants=tenants, workload=workload)
+    scenario = replace(CHAOS, requests=requests, tenants=tenants)
     return run_scenario(scenario, scheme, seed, verify=verify)
 
 
 def run_mutation_chaos(
     scheme: str, *, seed: int = 7, requests: int = 400, tenants: int = 4,
-    write_ratio: float = 0.5, workload: str = "dpdk", verify: bool = True,
+    write_ratio: float = 0.5, verify: bool = True,
 ) -> ChaosReport:
     """:data:`MUTATION_CHAOS` at this size and write ratio."""
     if write_ratio <= 0:
@@ -710,34 +702,33 @@ def run_mutation_chaos(
             "run_chaos is the read-only drill"
         )
     scenario = replace(
-        MUTATION_CHAOS, requests=requests, tenants=tenants, write_ratio=write_ratio,
-        workload=workload,
+        MUTATION_CHAOS, requests=requests, tenants=tenants, write_ratio=write_ratio
     )
     return run_scenario(scenario, scheme, seed, verify=verify)
 
 
 def run_cluster_chaos(
     scheme: str, *, seed: int = 7, requests: int = 400, nodes: int = 10,
-    replication: int = 2, tenants: int = 4, workload: str = "dpdk",
-    availability_floor: float = 0.95, verify: bool = True,
+    replication: int = 2, tenants: int = 4, availability_floor: float = 0.95,
+    verify: bool = True,
 ) -> ChaosReport:
     """:data:`CLUSTER_CHAOS` at this size and fleet shape."""
     scenario = replace(
         CLUSTER_CHAOS, requests=requests, nodes=nodes, replication=replication,
-        tenants=tenants, workload=workload, availability_floor=availability_floor,
+        tenants=tenants, availability_floor=availability_floor,
     )
     return run_scenario(scenario, scheme, seed, verify=verify)
 
 
 def run_recovery_chaos(
     scheme: str, *, seed: int = 7, requests: int = 400, nodes: int = 6,
-    replication: int = 2, quorum: int = 2, tenants: int = 4, workload: str = "dpdk",
+    replication: int = 2, quorum: int = 2, tenants: int = 4,
     write_ratio: float = 0.5, availability_floor: float = 0.9, verify: bool = True,
 ) -> ChaosReport:
     """:data:`RECOVERY_CHAOS` at this size, fleet shape and write quorum."""
     scenario = replace(
         RECOVERY_CHAOS, requests=requests, nodes=nodes, replication=replication,
-        quorum=quorum, tenants=tenants, workload=workload, write_ratio=write_ratio,
+        quorum=quorum, tenants=tenants, write_ratio=write_ratio,
         availability_floor=availability_floor,
     )
     return run_scenario(scenario, scheme, seed, verify=verify)

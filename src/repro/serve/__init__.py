@@ -17,7 +17,7 @@ Layered on the :class:`~repro.system.System` facade (docs/serving.md):
 from .batcher import Batcher
 from .cluster import ClusterReport, SimulatedCluster
 from .driver import (
-    SERVE_WORKLOADS,
+    SERVE_DPDK,
     build_serving_system,
     run_serving,
     serve_experiment,
@@ -39,7 +39,7 @@ __all__ = [
     "MODE_BLOCKING",
     "OpenLoopGenerator",
     "QueryServer",
-    "SERVE_WORKLOADS",
+    "SERVE_DPDK",
     "ServeRequest",
     "ServingError",
     "ServingReport",

@@ -5,12 +5,12 @@ execute its CFA — the *home* chosen by the integration scheme's probe
 (:meth:`~repro.core.integration.Integration.home_node`): the NUCA home of
 the primary bucket for hash tables, a key-content hash for pointer-chasing
 structures, the device stop for the centralized schemes.  Requests sharing
-a home are coalesced into bursts of ``batch_size`` and submitted through
+a home are coalesced into bursts of ``BATCH_SIZE`` and submitted through
 :meth:`~repro.core.accelerator.QeiAccelerator.submit_batch`, which pays the
 core-accelerator doorbell once per burst.
 
 A partial burst does not wait forever: the first request entering an empty
-burst arms a flush timer (``batch_timeout_cycles``), bounding the batching
+burst arms a flush timer (``BATCH_TIMEOUT_CYCLES``), bounding the batching
 delay any single request can absorb.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..config import ServeConfig
 from ..core.accelerator import QueryHandle, QueryRequest
 from ..errors import MemoryError_
 from ..sim.stats import StatsRegistry
@@ -29,10 +28,14 @@ from .frontend import ServeRequest
 class Batcher:
     """Per-home-slice coalescing of serving requests into QUERY_NB bursts."""
 
+    #: Requests coalesced into one QUERY_NB burst per home slice.
+    BATCH_SIZE = 8
+    #: A partial batch is flushed after waiting this long for company.
+    BATCH_TIMEOUT_CYCLES = 256
+
     def __init__(
         self,
         system: System,
-        config: ServeConfig,
         *,
         stats: Optional[StatsRegistry] = None,
         on_done: Callable[[ServeRequest, QueryHandle], None],
@@ -41,7 +44,6 @@ class Batcher:
         self.engine = system.engine
         self.accelerator = system.accelerator
         self.integration = system.integration
-        self.config = config
         self.on_done = on_done
         self.stats = (stats or StatsRegistry()).scoped("serve.batcher")
         self._open: Dict[int, List[Tuple[ServeRequest, QueryRequest]]] = {}
@@ -62,13 +64,13 @@ class Batcher:
         home = self._route(qreq)
         burst = self._open.setdefault(home, [])
         burst.append((sreq, qreq))
-        if len(burst) >= self.config.batch_size:
+        if len(burst) >= self.BATCH_SIZE:
             self._full_flushes.add()
             self._flush(home)
         elif len(burst) == 1:
             epoch = self._epochs.get(home, 0)
             self.engine.schedule(
-                self.config.batch_timeout_cycles,
+                self.BATCH_TIMEOUT_CYCLES,
                 lambda: self._timeout_flush(home, epoch),
             )
 

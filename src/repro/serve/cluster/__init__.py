@@ -8,7 +8,7 @@ partitions) — the cluster generalisation of the single-node serving tier.
 
 from .cluster import (
     CLUSTER_CORES,
-    CLUSTER_WORKLOADS,
+    CLUSTER_DPDK,
     ClusterError,
     ClusterReport,
     SimulatedCluster,
@@ -20,7 +20,7 @@ from .ring import HashRing, key_position, stable_hash
 
 __all__ = [
     "CLUSTER_CORES",
-    "CLUSTER_WORKLOADS",
+    "CLUSTER_DPDK",
     "ClusterError",
     "ClusterNode",
     "ClusterReport",

@@ -50,13 +50,9 @@ from .ring import HashRing, key_position
 #: a 100-node fleet still builds in seconds.
 CLUSTER_CORES = 2
 
-#: Per-node workload sizes (same shape as serve.driver.SERVE_WORKLOADS,
-#: scaled down because every node materialises a full replica).
-CLUSTER_WORKLOADS: Dict[str, dict] = {
-    "dpdk": dict(num_flows=256, num_buckets=128, num_queries=48),
-    "jvm": dict(num_objects=192, num_queries=48),
-    "rocksdb": dict(num_items=128, num_queries=48),
-}
+#: Per-node dpdk flow table (serve.driver.SERVE_DPDK scaled down, because
+#: every node materialises a full replica).
+CLUSTER_DPDK = dict(num_flows=256, num_buckets=128, num_queries=48)
 
 _STALL_GUARD_STEPS = 50_000_000
 
@@ -107,6 +103,9 @@ class ClusterReport:
 class SimulatedCluster:
     """N replicated serving nodes, a prober, and the LB, on one engine."""
 
+    #: One-way LB <-> node (and node <-> node) message latency.
+    LINK_LATENCY_CYCLES = 64
+
     def __init__(
         self,
         scheme: str,
@@ -115,19 +114,11 @@ class SimulatedCluster:
         serve_config: Optional[ServeConfig] = None,
         seed: int = 7,
         requests: int = 400,
-        workload: str = "dpdk",
     ) -> None:
-        if workload not in CLUSTER_WORKLOADS:
-            names = ", ".join(sorted(CLUSTER_WORKLOADS))
-            raise ClusterError(
-                f"no cluster parameters for workload {workload!r}; "
-                f"expected one of {names}"
-            )
         self.scheme = IntegrationScheme.parse(scheme).value
         self.config = cluster_config or ClusterConfig()
         self.serve_config = serve_config or ServeConfig()
         self.seed = seed
-        self.workload_name = workload
         self.engine = Engine()
         self.stats = StatsRegistry().scoped("cluster")
         self._link_drops = self.stats.counter("link.drops")
@@ -138,9 +129,7 @@ class SimulatedCluster:
         # a finished fleet's Systems alive until a full collection.
 
         # --- nodes: identical replicas (same build seed => same data) --- #
-        node_config = small_config(CLUSTER_CORES).replace(
-            serve=self.serve_config
-        )
+        node_config = small_config(CLUSTER_CORES)
         self.nodes: List[ClusterNode] = []
         #: Ids of the nodes whose next pump may have work; each server's
         #: wake hook adds its own id.  The hook holds the set, never the
@@ -153,9 +142,7 @@ class SimulatedCluster:
         for node_id in range(self.config.nodes):
             if image is None:
                 system = System(node_config, self.scheme, engine=self.engine)
-                built = make_workload(
-                    workload, system, seed=seed, **CLUSTER_WORKLOADS[workload]
-                )
+                built = make_workload("dpdk", system, seed=seed, **CLUSTER_DPDK)
                 image = WorkloadSnapshot(system, built)
             else:
                 system, built = image.restore(
@@ -191,15 +178,15 @@ class SimulatedCluster:
         self._writes_enabled = self.serve_config.write_ratio > 0
 
         # --- control plane ---------------------------------------------- #
-        self.ring = HashRing(self.config.nodes, self.config.vnodes)
+        self.ring = HashRing(self.config.nodes)
         self.rebalances: List[Dict[str, object]] = []
         self.membership = Membership(
-            self.config,
+            self.config.nodes,
             stats=self.stats,
             on_change=weak_method(self._membership_changed),
         )
         self.prober = Prober(
-            self.engine, self.config, self.membership,
+            self.engine, self.config.nodes, self.membership,
             weak_method(self._probe_send),
         )
         #: LB<->node link health (False while partitioned away).
@@ -248,7 +235,6 @@ class SimulatedCluster:
         self.lb = LoadBalancer(
             self.engine,
             self.config,
-            self.serve_config,
             self.ring,
             self.membership,
             send=weak_method(self._lb_send),
@@ -262,11 +248,11 @@ class SimulatedCluster:
         for tenant in range(self.serve_config.tenants):
             generator = ClosedLoopGenerator(
                 tenant,
-                config=self.serve_config,
                 num_requests=per_tenant,
                 num_queries=len(built0.queries),
                 seed=seed,
                 stats=self.stats,
+                write_ratio=self.serve_config.write_ratio,
             )
             generator.bind(self.lb)
             self.generators.append(generator)
@@ -286,7 +272,7 @@ class SimulatedCluster:
                 self._link_drops.add()
                 return
             action()
-        self.engine.schedule(self.config.link_latency_cycles, arrive)
+        self.engine.schedule(self.LINK_LATENCY_CYCLES, arrive)
 
     def _lb_send(
         self,
@@ -322,7 +308,7 @@ class SimulatedCluster:
                 return
             action()
         self.engine.schedule(
-            self.config.link_latency_cycles + self._apply_lag[dst], arrive
+            self.LINK_LATENCY_CYCLES + self._apply_lag[dst], arrive
         )
 
     def _notify_lb(

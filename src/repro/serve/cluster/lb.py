@@ -6,7 +6,7 @@ the membership view, so DOWN nodes are routed around), dispatched to one
 replica with a per-attempt response timeout, and failed over — bounded
 attempts, exponential backoff — until it completes or the attempt budget is
 burnt.  A request therefore *always* reaches a terminal outcome: completed,
-or failed after ``max_attempts``; nothing can hang on a dead node or a
+or failed after ``MAX_ATTEMPTS``; nothing can hang on a dead node or a
 dropped link message.
 
 Backpressure propagates end to end: a node-level admission rejection
@@ -41,10 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ...config import ClusterConfig, ServeConfig
+from ...config import ClusterConfig
 from ...core.cfa import OP_DELETE
 from ...sim.stats import PercentileSketch, StatsRegistry
 from ..frontend import ServeRequest
+from ..loadgen import ClosedLoopGenerator
 from .membership import Membership, NodeState
 from .ring import HashRing
 from .node import RESP_FAILED, RESP_NOT_OWNER, RESP_OK, RESP_REJECTED
@@ -226,11 +227,23 @@ class FleetSlo:
 class LoadBalancer:
     """Routes client requests over the node fleet; owns retry/failover."""
 
+    #: Per-attempt response timeout before failing over to a replica.
+    REQUEST_TIMEOUT_CYCLES = 8_192
+    #: Total dispatch attempts per request across replicas.
+    MAX_ATTEMPTS = 6
+    #: Base retry backoff between attempts (doubles per retry).
+    RETRY_BACKOFF_CYCLES = 128
+    #: Embargo on a node after one of its requests times out.
+    TIMEOUT_EMBARGO_CYCLES = 2_048
+    #: Settled-key map bound: fully replicated keys whose last value the LB
+    #: remembers for read validation; the oldest entry is evicted once the
+    #: map is full.
+    SETTLED_KEY_LIMIT = 4_096
+
     def __init__(
         self,
         engine,
         config: ClusterConfig,
-        serve_config: ServeConfig,
         ring: HashRing,
         membership: Membership,
         *,
@@ -241,7 +254,6 @@ class LoadBalancer:
     ) -> None:
         self.engine = engine
         self.config = config
-        self.serve_config = serve_config
         self.ring = ring
         self.membership = membership
         #: ``send(node, token, tenant, index, key_position, op, value,
@@ -261,7 +273,7 @@ class LoadBalancer:
         #: (plus synced replicas) until the replica group converges.
         self._pins: Dict[int, _PinState] = {}
         #: Settled written keys (insertion-ordered; capped at
-        #: ``settled_key_limit``, FIFO evict).
+        #: ``SETTLED_KEY_LIMIT``, FIFO evict).
         self._settled: Dict[int, _SettledState] = {}
         #: Every ring position a write ever touched (ints only, so keeping
         #: it unbounded is cheap).  A key evicted from ``_settled`` stays
@@ -301,7 +313,7 @@ class LoadBalancer:
                 1, min(self._embargo[node] for node in gate) - now
             )
             self.slo.counters["rejected"].add()
-            if sreq.attempts >= self.serve_config.max_admission_attempts:
+            if sreq.attempts >= ClosedLoopGenerator.MAX_ADMISSION_ATTEMPTS:
                 # This rejection exhausts the client's retry budget: the
                 # request is terminally lost and counts against availability.
                 self.slo.record_giveup()
@@ -413,14 +425,14 @@ class LoadBalancer:
         return up or pool
 
     def _backoff(self, attempts: int) -> int:
-        return self.config.retry_backoff_cycles * (
+        return self.RETRY_BACKOFF_CYCLES * (
             1 << min(attempts, 6)
         )
 
     def _attempt(self, pending: _Pending) -> None:
         if pending.resolved:
             return
-        if pending.attempts >= self.config.max_attempts:
+        if pending.attempts >= self.MAX_ATTEMPTS:
             self._fail(pending)
             return
         now = self.engine.now
@@ -449,7 +461,7 @@ class LoadBalancer:
         if pending.attempts > 1:
             self.slo.counters["retries"].add()
         pending.timeout_event = self.engine.schedule(
-            self.config.request_timeout_cycles,
+            self.REQUEST_TIMEOUT_CYCLES,
             lambda p=pending, s=seq: self._on_timeout(p, s),
         )
         self._send(
@@ -472,7 +484,7 @@ class LoadBalancer:
             # A silent node is either dead or partitioned: step around it
             # until the prober resolves which.
             self._embargo[pending.target] = (
-                self.engine.now + self.config.timeout_embargo_cycles
+                self.engine.now + self.TIMEOUT_EMBARGO_CYCLES
             )
         self._attempt(pending)
 
@@ -601,7 +613,7 @@ class LoadBalancer:
             self._settled[key_position] = _SettledState(
                 valid=frozenset(pin.valid), synced=frozenset(pin.synced)
             )
-            while len(self._settled) > self.config.settled_key_limit:
+            while len(self._settled) > self.SETTLED_KEY_LIMIT:
                 evicted, _ = next(iter(self._settled.items()))
                 del self._settled[evicted]
                 self.settled_evictions += 1

@@ -4,7 +4,7 @@ The load balancer never trusts a node it cannot hear: a :class:`Prober`
 heartbeats every node over the same simulated links requests travel, so a
 killed node *and* a partitioned link look identical from the LB's side —
 missed acks.  Consecutive misses walk a node UP -> SUSPECT -> DOWN
-(``suspect_after`` / ``down_after``); one ack walks it straight back to UP.
+(``SUSPECT_AFTER`` / ``DOWN_AFTER``); one ack walks it straight back to UP.
 Every transition is appended to a deterministic membership log, and
 UP <-> DOWN transitions fire the rebalance hook so the ring remaps the
 node's shards (out on DOWN, back on recovery).
@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional, Set
 
-from ...config import ClusterConfig
 from ...sim.stats import StatsRegistry
 
 
@@ -36,17 +35,22 @@ class NodeState(str, enum.Enum):
 class Membership:
     """The LB's authoritative health table over the node fleet."""
 
+    #: Consecutive missed probes before a node is marked SUSPECT.
+    SUSPECT_AFTER = 2
+    #: Consecutive missed probes before a node is marked DOWN (routed
+    #: around and its shards remapped to ring successors).
+    DOWN_AFTER = 3
+
     def __init__(
         self,
-        config: ClusterConfig,
+        nodes: int,
         *,
         stats: Optional[StatsRegistry] = None,
         on_change: Optional[Callable[[int, NodeState, NodeState], None]] = None,
     ) -> None:
-        self.config = config
         self.stats = (stats or StatsRegistry()).scoped("cluster.membership")
-        self._states = [NodeState.UP] * config.nodes
-        self._missed = [0] * config.nodes
+        self._states = [NodeState.UP] * nodes
+        self._missed = [0] * nodes
         #: Nodes with an unfinished log replay: however their probe health
         #: moves, they can rise no higher than CATCHING_UP until the
         #: recovery layer calls :meth:`note_caught_up`.
@@ -101,11 +105,11 @@ class Membership:
         self._missed[node] += 1
         missed = self._missed[node]
         state = self._states[node]
-        if state is NodeState.UP and missed >= self.config.suspect_after:
+        if state is NodeState.UP and missed >= self.SUSPECT_AFTER:
             self._transition(node, NodeState.SUSPECT, now)
         elif (
             state in (NodeState.SUSPECT, NodeState.CATCHING_UP)
-            and missed >= self.config.down_after
+            and missed >= self.DOWN_AFTER
         ):
             self._transition(node, NodeState.DOWN, now)
 
@@ -144,24 +148,29 @@ class Prober:
     healed partition can never satisfy a newer probe.
     """
 
+    #: Heartbeat interval per node.
+    PROBE_INTERVAL_CYCLES = 1_024
+    #: A probe without an ack after this long counts as missed.
+    PROBE_TIMEOUT_CYCLES = 256
+
     def __init__(
         self,
         engine,
-        config: ClusterConfig,
+        nodes: int,
         membership: Membership,
         send: Callable[[int, Callable[[], None]], None],
     ) -> None:
         self.engine = engine
-        self.config = config
+        self.nodes = nodes
         self.membership = membership
         self._send = send
-        self._seq = [0] * config.nodes
-        self._acked = [True] * config.nodes
+        self._seq = [0] * nodes
+        self._acked = [True] * nodes
 
     def start(self) -> None:
         # Stagger the fleet one cycle apart so same-cycle probe order never
         # depends on dict/iteration incidentals.
-        for node in range(self.config.nodes):
+        for node in range(self.nodes):
             self.engine.schedule(node + 1, lambda n=node: self._probe(n))
 
     # ------------------------------------------------------------------ #
@@ -172,11 +181,11 @@ class Prober:
         self._acked[node] = False
         self._send(node, lambda n=node, s=seq: self._ack(n, s))
         self.engine.schedule(
-            self.config.probe_timeout_cycles,
+            self.PROBE_TIMEOUT_CYCLES,
             lambda n=node, s=seq: self._timeout(n, s),
         )
         self.engine.schedule(
-            self.config.probe_interval_cycles, lambda n=node: self._probe(n)
+            self.PROBE_INTERVAL_CYCLES, lambda n=node: self._probe(n)
         )
 
     def _ack(self, node: int, seq: int) -> None:

@@ -20,7 +20,7 @@ cluster write path:
   node: the LB times out and retries, and an unacked write carries no
   durability promise.
 * **Hinted handoff** — unacked suffixes double as hint buffers for DOWN
-  replicas, bounded by ``handoff_limit``; overflow drops the buffer and
+  replicas, bounded by ``HANDOFF_LIMIT``; overflow drops the buffer and
   flags the replica for a *full resync* instead of incremental replay.
 * **Catch-up** — a recovered node announces CATCHING_UP, asks every
   healthy peer to flush its buffered records (or, after a hint overflow
@@ -70,6 +70,14 @@ class _QuorumWait:
 
 class ReplicationManager:
     """Per-node commit-log shipping, quorum tracking and catch-up."""
+
+    #: Retry tick: unacked commit-log suffixes are re-shipped to lagging
+    #: replicas at this interval.
+    REPLICATION_RETRY_CYCLES = 2_048
+    #: Hinted-handoff bound: unacked records buffered per replica stream
+    #: before the stream overflows and the replica is flagged for a full
+    #: resync instead of incremental replay (docs/recovery.md).
+    HANDOFF_LIMIT = 256
 
     def __init__(
         self,
@@ -221,7 +229,7 @@ class ReplicationManager:
                 continue
             queue = self._outbound.setdefault(replica, [])
             queue.append(record)
-            if len(queue) > self.config.handoff_limit:
+            if len(queue) > self.HANDOFF_LIMIT:
                 # Hint buffer overflow: drop the stream and remember that
                 # incremental replay can no longer make this replica whole.
                 queue.clear()
@@ -427,7 +435,7 @@ class ReplicationManager:
     def start(self) -> None:
         """Arm the periodic retransmit sweep (writes-enabled runs only)."""
         self.engine.schedule(
-            self.config.replication_retry_cycles + self.node_id + 1,
+            self.REPLICATION_RETRY_CYCLES + self.node_id + 1,
             self._tick,
         )
 
@@ -436,7 +444,7 @@ class ReplicationManager:
             self._ship_now()
             if self._catching_up:
                 self._chase_catchup()
-        self.engine.schedule(self.config.replication_retry_cycles, self._tick)
+        self.engine.schedule(self.REPLICATION_RETRY_CYCLES, self._tick)
 
     # ------------------------------------------------------------------ #
     # Crash recovery / catch-up

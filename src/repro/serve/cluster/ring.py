@@ -1,6 +1,6 @@
 """Consistent-hash ring: key-space partitioning with R-way replica groups.
 
-Every node contributes ``vnodes`` virtual tokens placed by a *stable* hash
+Every node contributes ``VNODES`` virtual tokens placed by a *stable* hash
 (blake2b — never Python's salted ``hash``), so token placement, shard
 ownership and therefore the whole cluster simulation are identical across
 processes and runs.  A key's replica group is the first ``replication``
@@ -35,16 +35,16 @@ def key_position(key: bytes) -> int:
 class HashRing:
     """Virtual-token consistent-hash ring over integer node ids."""
 
-    def __init__(self, nodes: int, vnodes: int = 8) -> None:
+    #: Virtual tokens per node (smooths shard sizes).
+    VNODES = 8
+
+    def __init__(self, nodes: int) -> None:
         if nodes <= 0:
             raise ValueError("ring needs at least one node")
-        if vnodes <= 0:
-            raise ValueError("ring needs at least one vnode per node")
         self.nodes = nodes
-        self.vnodes = vnodes
         tokens: List[Tuple[int, int]] = []
         for node in range(nodes):
-            for vnode in range(vnodes):
+            for vnode in range(self.VNODES):
                 position = stable_hash(b"node:%d:vnode:%d" % (node, vnode))
                 tokens.append((position, node))
         tokens.sort()

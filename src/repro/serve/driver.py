@@ -10,61 +10,33 @@ byte-identical stats dumps (``tests/test_determinism.py``).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..config import IntegrationScheme, ServeConfig, small_config
+from ..config import SCHEME_ORDER, IntegrationScheme, ServeConfig, small_config
 from ..system import System
 from ..workloads import make_workload
 from .loadgen import ClosedLoopGenerator, OpenLoopGenerator
 from .server import MODE_BATCHED, QueryServer
 from .slo import ServingReport
 
-#: Scheme order used in the paper's figures (mirrors analysis.experiments).
-SCHEME_ORDER = [
-    IntegrationScheme.CHA_TLB.value,
-    IntegrationScheme.CHA_NOTLB.value,
-    IntegrationScheme.DEVICE_DIRECT.value,
-    IntegrationScheme.DEVICE_INDIRECT.value,
-    IntegrationScheme.CORE_INTEGRATED.value,
-]
-
-#: Serving-tier workload sizes: big enough to span pages and spread across
-#: LLC slices, small enough that a multi-scheme sweep finishes in seconds.
-SERVE_WORKLOADS: Dict[str, dict] = {
-    "dpdk": dict(num_flows=1024, num_buckets=512, num_queries=128),
-    "jvm": dict(num_objects=512, num_queries=96),
-    "rocksdb": dict(num_items=256, num_queries=64),
-}
+#: The serving tier's dpdk flow table: big enough to span pages and spread
+#: across LLC slices, small enough that a multi-scheme sweep finishes in
+#: seconds.
+SERVE_DPDK = dict(num_flows=1024, num_buckets=512, num_queries=128)
 
 #: Cores in the scaled-down serving machine.
 SERVE_CORES = 4
 
 
-def build_serving_system(
-    scheme: str,
-    *,
-    seed: int,
-    serve_config: ServeConfig,
-    workload: str = "dpdk",
-    watchdog_steps: Optional[int] = None,
-):
-    """One scaled-down machine plus a built workload, LLC warm."""
-    if workload not in SERVE_WORKLOADS:
-        names = ", ".join(sorted(SERVE_WORKLOADS))
-        raise ValueError(
-            f"no serving parameters for workload {workload!r}; "
-            f"expected one of {names}"
-        )
-    config = small_config(SERVE_CORES).replace(serve=serve_config)
-    if watchdog_steps is not None:
-        config = config.replace(
-            qei=dataclasses.replace(config.qei, watchdog_steps=watchdog_steps)
-        )
-    system = System(config, scheme)
-    built = make_workload(
-        workload, system, seed=seed, **SERVE_WORKLOADS[workload]
-    )
+def build_serving_system(scheme: str, *, seed: int, serve_config: ServeConfig):
+    """One scaled-down machine plus the built dpdk workload, LLC warm.
+
+    ``serve_config`` is the config the caller hands its
+    :class:`~repro.serve.server.QueryServer`; the machine itself does not
+    depend on it.
+    """
+    system = System(small_config(SERVE_CORES), scheme)
+    built = make_workload("dpdk", system, seed=seed, **SERVE_DPDK)
     system.warm_llc()
     return system, built
 
@@ -77,10 +49,7 @@ def run_serving(
     seed: int = 7,
     mode: str = MODE_BATCHED,
     closed_loop: bool = False,
-    offered_load: Optional[float] = None,
-    workload: str = "dpdk",
-    serve_config: Optional[ServeConfig] = None,
-    watchdog_steps: Optional[int] = None,
+    offered_load: float = ServeConfig.offered_load,
     write_ratio: float = 0.0,
 ) -> ServingReport:
     """One complete serving run; ``requests`` is the fleet-wide budget.
@@ -89,18 +58,11 @@ def run_serving(
     (docs/mutations.md): that fraction of each tenant's requests becomes
     accelerated INSERT/UPDATE/DELETE traffic on the workload's structure.
     """
-    if serve_config is None:
-        serve_config = ServeConfig(
-            tenants=tenants,
-            offered_load=offered_load or ServeConfig.offered_load,
-            write_ratio=write_ratio,
-        )
+    serve_config = ServeConfig(
+        tenants=tenants, offered_load=offered_load, write_ratio=write_ratio
+    )
     system, built = build_serving_system(
-        scheme,
-        seed=seed,
-        serve_config=serve_config,
-        workload=workload,
-        watchdog_steps=watchdog_steps,
+        scheme, seed=seed, serve_config=serve_config
     )
     server = QueryServer(system, built, serve_config, mode=mode, seed=seed)
     per_tenant = max(1, requests // serve_config.tenants)
@@ -108,11 +70,11 @@ def run_serving(
         if closed_loop:
             generator = ClosedLoopGenerator(
                 tenant,
-                config=serve_config,
                 num_requests=per_tenant,
                 num_queries=len(built.queries),
                 seed=seed,
                 stats=system.stats,
+                write_ratio=serve_config.write_ratio,
             )
         else:
             generator = OpenLoopGenerator(
@@ -135,7 +97,6 @@ def serve_experiment(
     requests: int = 2000,
     seed: int = 7,
     closed_loop: bool = False,
-    workload: str = "dpdk",
 ):
     """The CLI verb: serving reports across integration schemes."""
     from ..analysis.report import ExperimentResult
@@ -148,7 +109,7 @@ def serve_experiment(
         (
             f"{requests} requests x {tenants} tenants, "
             f"{'closed' if closed_loop else 'open'}-loop, "
-            f"workload {workload} (seed {seed})"
+            f"workload dpdk (seed {seed})"
         ),
         [
             "scheme",
@@ -170,7 +131,6 @@ def serve_experiment(
             requests=requests,
             seed=seed,
             closed_loop=closed_loop,
-            workload=workload,
         )
         for row in report.tenants:
             result.add_row(

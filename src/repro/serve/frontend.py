@@ -68,6 +68,11 @@ class Admission:
 class Frontend:
     """Per-tenant bounded admission queues with round-robin drain."""
 
+    #: Bounded per-tenant admission queue; arrivals beyond this are rejected
+    #: with a retry-after hint (backpressure when the QST is saturated).
+    QUEUE_DEPTH = 64
+    #: Base retry-after hint returned with a rejection.
+    RETRY_AFTER_CYCLES = 512
     #: Extra retry-after cycles charged per request already queued, so the
     #: hint grows with the backlog the rejected client would join.
     RETRY_BACKLOG_CYCLES = 8
@@ -78,7 +83,6 @@ class Frontend:
         *,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
-        self.config = config
         self.stats = (stats or StatsRegistry()).scoped("serve.frontend")
         self._queues: List[Deque[ServeRequest]] = [
             deque() for _ in range(config.tenants)
@@ -98,12 +102,11 @@ class Frontend:
         """Admit ``request`` or reject it with a retry-after hint."""
         self._offered.add()
         queue = self._queues[request.tenant]
-        if len(queue) >= self.config.queue_depth:
+        if len(queue) >= self.QUEUE_DEPTH:
             self._rejected.add()
             self.stats.counter(f"tenant{request.tenant}.rejected").add()
             retry_after = (
-                self.config.retry_after_cycles
-                + self.RETRY_BACKLOG_CYCLES * len(queue)
+                self.RETRY_AFTER_CYCLES + self.RETRY_BACKLOG_CYCLES * len(queue)
             )
             return Admission(False, retry_after)
         request.admit_cycle = now

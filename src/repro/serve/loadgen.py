@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..config import ServeConfig
 from ..core.cfa import OP_DELETE, OP_INSERT, OP_LOOKUP, OP_UPDATE
 from ..sim.stats import StatsRegistry
 from .frontend import ServeRequest
@@ -171,37 +170,19 @@ class OpenLoopGenerator(LoadGenerator):
 
 
 class ClosedLoopGenerator(LoadGenerator):
-    """``concurrency`` synchronous clients per tenant with think time."""
+    """``CONCURRENCY`` synchronous clients per tenant with think time."""
 
-    def __init__(
-        self,
-        tenant: int,
-        *,
-        config: ServeConfig,
-        num_requests: int,
-        num_queries: int,
-        seed: int,
-        stats: Optional[StatsRegistry] = None,
-        write_ratio: Optional[float] = None,
-    ) -> None:
-        super().__init__(
-            tenant,
-            num_requests=num_requests,
-            num_queries=num_queries,
-            seed=seed,
-            stats=stats,
-            write_ratio=(
-                config.write_ratio if write_ratio is None else write_ratio
-            ),
-        )
-        self.concurrency = config.concurrency
-        self.think_cycles = config.think_cycles
-        self.max_attempts = config.max_admission_attempts
+    #: Closed-loop clients per tenant (outstanding requests).
+    CONCURRENCY = 8
+    #: Think time between a completion and the client's next request.
+    THINK_CYCLES = 128
+    #: Admission attempts before a request is counted failed.
+    MAX_ADMISSION_ATTEMPTS = 64
 
     def start(self) -> None:
         # Stagger the initial wave one cycle apart so same-cycle arrival
         # order never depends on tenant iteration order.
-        for slot in range(min(self.concurrency, self.num_requests)):
+        for slot in range(min(self.CONCURRENCY, self.num_requests)):
             self.engine.schedule(slot + 1, self._launch)
 
     def _launch(self) -> None:
@@ -210,11 +191,11 @@ class ClosedLoopGenerator(LoadGenerator):
         self.server.accept(self, self._make_request())
 
     def on_rejected(self, request: ServeRequest, retry_after: int) -> None:
-        if request.attempts >= self.max_attempts:
+        if request.attempts >= self.MAX_ADMISSION_ATTEMPTS:
             # This client gives up on the request; the slot moves on.
             self._failed.add()
             self.resolved += 1
-            self.engine.schedule(max(1, self.think_cycles), self._launch)
+            self.engine.schedule(self.THINK_CYCLES, self._launch)
             return
         request.attempts += 1
         self._retries.add()
@@ -224,4 +205,4 @@ class ClosedLoopGenerator(LoadGenerator):
 
     def on_resolved(self, request: ServeRequest) -> None:
         super().on_resolved(request)
-        self.engine.schedule(max(1, self.think_cycles), self._launch)
+        self.engine.schedule(self.THINK_CYCLES, self._launch)

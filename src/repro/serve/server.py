@@ -9,8 +9,8 @@ fallback) holds unchanged under load.
 Two service disciplines are modelled:
 
 * ``batched`` — admitted requests are coalesced into QUERY_NB bursts per
-  home slice (the paper's non-blocking mode at cloud request rates); up to
-  ``max_in_flight`` requests overlap in the QST.
+  home slice (the paper's non-blocking mode at cloud request rates); as
+  many requests overlap as the scheme's QST holds.
 * ``blocking`` — one QUERY_B per tenant at a time, the naive RPC-handler
   port of the ROI loop.  This is the baseline the throughput-vs-p99 curve
   in ``benchmarks/test_serving.py`` compares against.
@@ -61,7 +61,7 @@ class QueryServer:
         self,
         system: System,
         workload,
-        config: Optional[ServeConfig] = None,
+        config: ServeConfig,
         *,
         mode: str = MODE_BATCHED,
         seed: int = 7,
@@ -74,7 +74,7 @@ class QueryServer:
             )
         self.system = system
         self.workload = workload
-        self.config = config or system.config.serve
+        self.config = config
         self.mode = mode
         self.seed = seed
         self.engine = system.engine
@@ -82,19 +82,16 @@ class QueryServer:
         self.stats = stats or system.stats
         self._serve_stats = self.stats.scoped("serve")
 
+        #: Dispatch window: requests in service at once.  Blocking mode runs
+        #: one synchronous request per tenant thread; batched mode fills the
+        #: QST.
         if self.mode == MODE_BLOCKING:
-            # One synchronous request per tenant thread.
             self.limit = self.config.tenants
         else:
-            self.limit = self.config.max_in_flight or system.config.effective_qst_entries(
-                system.scheme
-            )
+            self.limit = system.config.effective_qst_entries(system.scheme)
         self.frontend = Frontend(self.config, stats=self.stats)
         self.batcher = Batcher(
-            system,
-            self.config,
-            stats=self.stats,
-            on_done=weak_method(self._on_done),
+            system, stats=self.stats, on_done=weak_method(self._on_done)
         )
         self.slo = SloTracker(
             self.config,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import CACHELINE_BYTES, FallbackConfig, IntegrationScheme, SystemConfig
+from .config import CACHELINE_BYTES, IntegrationScheme, SystemConfig
 from .core.abort import AbortCode
 from .core.accelerator import QeiAccelerator, QueryRequest, QueryStatus
 from .core.integration import SliceState, build_integration
@@ -73,16 +73,21 @@ class FallbackExecutor:
     clock and recording per-abort-code counters plus the fallback fraction.
     """
 
+    #: Software re-executions attempted before the query is reported failed.
+    MAX_RETRIES = 3
+    #: Simulated cycles waited before the first retry.
+    BACKOFF_CYCLES = 64
+    #: Growth factor applied to the wait between successive retries.
+    BACKOFF_MULTIPLIER = 4
+
     def __init__(
         self,
         accelerator: QeiAccelerator,
-        config: Optional[FallbackConfig] = None,
         *,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.accelerator = accelerator
         self.engine = accelerator.engine
-        self.config = config or FallbackConfig()
         self.stats = (stats or StatsRegistry()).scoped("fallback")
         self._accelerated = self.stats.counter("accelerated")
         self._taken = self.stats.counter("taken")
@@ -138,11 +143,11 @@ class FallbackExecutor:
             self.stats.counter(f"abort.{abort_code.name.lower()}").add()
         if before_retry is not None:
             before_retry()
-        wait = self.config.backoff_cycles
-        for attempt in range(1, self.config.max_retries + 1):
+        wait = self.BACKOFF_CYCLES
+        for attempt in range(1, self.MAX_RETRIES + 1):
             self._retries.add()
             self.engine.advance(wait)
-            wait *= self.config.backoff_multiplier
+            wait *= self.BACKOFF_MULTIPLIER
             try:
                 value = software_fn()
             except MemoryError_:
@@ -159,7 +164,7 @@ class FallbackExecutor:
             value=None,
             accelerated=False,
             abort_code=abort_code,
-            attempts=self.config.max_retries,
+            attempts=self.MAX_RETRIES,
             resolved=False,
             completion_cycle=self.engine.now,
         )
@@ -237,9 +242,7 @@ class System:
             stats=self.stats,
             watchdog_steps=self.config.qei.watchdog_steps,
         )
-        self.fallback = FallbackExecutor(
-            self.accelerator, self.config.fallback, stats=self.stats
-        )
+        self.fallback = FallbackExecutor(self.accelerator, stats=self.stats)
         self._mutations = None
 
     # ------------------------------------------------------------------ #
@@ -312,7 +315,7 @@ class System:
     def make_server(
         self,
         workload,
-        serve_config=None,
+        serve_config,
         *,
         mode: str = "batched",
         seed: int = 7,
@@ -325,10 +328,7 @@ class System:
         """
         from .serve import QueryServer
 
-        return QueryServer(
-            self, workload, serve_config or self.config.serve,
-            mode=mode, seed=seed,
-        )
+        return QueryServer(self, workload, serve_config, mode=mode, seed=seed)
 
     # ------------------------------------------------------------------ #
     # Infrastructure-fault control surface (slice failover, hot-swap)

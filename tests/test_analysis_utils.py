@@ -9,7 +9,6 @@ from repro.config import (
     IntegrationScheme,
     LlcConfig,
     NocConfig,
-    ServeConfig,
     SystemConfig,
     TlbConfig,
     small_config,
@@ -106,11 +105,6 @@ class TestConfigValidation:
             TlbConfig(10, 4, 1)  # entries not divisible by assoc
         with pytest.raises(ConfigurationError):
             TlbConfig(0, 1, 1)
-
-    def test_zero_batch_timeout_rejected(self):
-        # Without a flush timer a partial burst never leaves the batcher.
-        with pytest.raises(ConfigurationError):
-            ServeConfig(batch_timeout_cycles=0)
 
     def test_scheme_parse_accepts_names_and_enums(self):
         assert IntegrationScheme.parse("cha-tlb") is IntegrationScheme.CHA_TLB

@@ -238,7 +238,6 @@ def poisoned_server(config, seed=7):
         server.attach(
             ClosedLoopGenerator(
                 tenant,
-                config=config,
                 num_requests=40,
                 num_queries=len(built.queries),
                 seed=seed,
@@ -252,7 +251,7 @@ def test_poisoned_tenant_resolves_through_fallback():
     # Baseline: no faults.
     config = ServeConfig(tenants=4)
     baseline = run_serving(
-        "cha-tlb", requests=160, seed=7, closed_loop=True, serve_config=config
+        "cha-tlb", tenants=4, requests=160, seed=7, closed_loop=True
     )
     # Tenant 0 at 100% aborts (corrupt header): every one of its requests
     # is re-run through the software fallback and still resolves.

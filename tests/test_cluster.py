@@ -13,6 +13,7 @@ from repro.faults.chaos import (
     run_cluster_chaos,
     run_recovery_chaos,
 )
+from repro.serve import ClosedLoopGenerator, Frontend
 from repro.serve.cluster import (
     HashRing,
     Membership,
@@ -31,14 +32,14 @@ from repro.sim.stats import PercentileSketch
 
 def test_ring_hash_is_stable_across_instances():
     assert stable_hash(b"node:3:vnode:1") == stable_hash(b"node:3:vnode:1")
-    a = HashRing(8, vnodes=4)
-    b = HashRing(8, vnodes=4)
+    a = HashRing(8)
+    b = HashRing(8)
     pos = key_position(b"some-key")
     assert a.owners(pos, 3) == b.owners(pos, 3)
 
 
 def test_ring_owners_are_distinct_and_ordered():
-    ring = HashRing(10, vnodes=8)
+    ring = HashRing(10)
     for key in range(50):
         owners = ring.owners(key_position(str(key).encode()), 3)
         assert len(owners) == 3
@@ -47,7 +48,7 @@ def test_ring_owners_are_distinct_and_ordered():
 
 
 def test_ring_filters_unroutable_nodes():
-    ring = HashRing(6, vnodes=8)
+    ring = HashRing(6)
     routable = {0, 1, 2}
     for key in range(40):
         owners = ring.owners(
@@ -59,7 +60,7 @@ def test_ring_filters_unroutable_nodes():
 def test_ring_owner_walk_is_minimal_disruption():
     """Removing one node only remaps keys that node owned; every other
     key keeps its replica group."""
-    ring = HashRing(10, vnodes=8)
+    ring = HashRing(10)
     removed = 4
     survivors = set(range(10)) - {removed}
     for key in range(200):
@@ -71,7 +72,7 @@ def test_ring_owner_walk_is_minimal_disruption():
 
 
 def test_ring_remapped_share_is_roughly_node_share():
-    ring = HashRing(10, vnodes=16)
+    ring = HashRing(10)
     share = ring.remapped_share(range(10), set(range(10)) - {3})
     # One node of ten owns ~10% of the ring (vnode variance allowed).
     assert 0.02 < share < 0.30
@@ -81,8 +82,6 @@ def test_ring_remapped_share_is_roughly_node_share():
 def test_ring_rejects_degenerate_shapes():
     with pytest.raises(ValueError):
         HashRing(0)
-    with pytest.raises(ValueError):
-        HashRing(4, vnodes=0)
 
 
 # --------------------------------------------------------------------- #
@@ -90,14 +89,8 @@ def test_ring_rejects_degenerate_shapes():
 # --------------------------------------------------------------------- #
 
 
-def membership_config(**kw):
-    defaults = dict(nodes=4, suspect_after=2, down_after=3)
-    defaults.update(kw)
-    return ClusterConfig(**defaults)
-
-
 def test_membership_escalates_suspect_then_down():
-    m = Membership(membership_config())
+    m = Membership(4)
     assert m.state_of(1) is NodeState.UP
     m.note_miss(1, now=10)
     assert m.state_of(1) is NodeState.UP
@@ -114,7 +107,7 @@ def test_membership_escalates_suspect_then_down():
 
 
 def test_membership_ack_recovers_straight_to_up():
-    m = Membership(membership_config())
+    m = Membership(4)
     for now in (10, 20, 30):
         m.note_miss(2, now)
     assert m.state_of(2) is NodeState.DOWN
@@ -126,7 +119,7 @@ def test_membership_ack_recovers_straight_to_up():
 def test_membership_change_hook_fires_on_transitions():
     seen = []
     m = Membership(
-        membership_config(),
+        4,
         on_change=lambda node, frm, to: seen.append((node, frm, to)),
     )
     m.note_miss(0, 1)
@@ -153,7 +146,7 @@ def test_cluster_config_validates():
     with pytest.raises(ConfigurationError):
         ClusterConfig(replication=5, nodes=4)
     with pytest.raises(ConfigurationError):
-        ClusterConfig(availability_floor=1.5)
+        ClusterConfig(write_quorum=0)
 
 
 def test_cluster_chaos_schedule_spreads_victims():
@@ -181,14 +174,7 @@ def test_cluster_chaos_schedule_spreads_victims():
 
 
 def small_cluster(**kw):
-    cfg = dict(
-        nodes=4,
-        replication=2,
-        probe_interval_cycles=1024,
-        probe_timeout_cycles=256,
-        request_timeout_cycles=8192,
-        timeout_embargo_cycles=2048,
-    )
+    cfg = dict(nodes=4, replication=2)
     cfg.update(kw.pop("cluster", {}))
     return SimulatedCluster(
         "cha-tlb",
@@ -267,39 +253,31 @@ def test_cluster_partition_marks_down_and_rebalances():
     assert all(0.0 < r["remapped_share"] < 1.0 for r in report.rebalances)
 
 
-def test_cluster_retry_after_propagates_to_clients():
+def test_cluster_retry_after_propagates_to_clients(monkeypatch):
     """A saturated node's Admission retry-after must climb the stack: node
     frontend -> rejected response -> LB embargo -> client back-off.  With
     one admission attempt, a request the embargoed shard turns away is
     terminally lost at the LB: a give-up, still accounted for."""
-    for budget in ({}, {"max_admission_attempts": 1}):
-        serve = ServeConfig(
-            tenants=2,
-            queue_depth=1,
-            concurrency=16,
-            think_cycles=1,
-            max_in_flight=2,
-            **budget,
-        )
+    monkeypatch.setattr(Frontend, "QUEUE_DEPTH", 1)
+    monkeypatch.setattr(ClosedLoopGenerator, "CONCURRENCY", 16)
+    monkeypatch.setattr(ClosedLoopGenerator, "THINK_CYCLES", 1)
+    for budget in (ClosedLoopGenerator.MAX_ADMISSION_ATTEMPTS, 1):
+        monkeypatch.setattr(ClosedLoopGenerator, "MAX_ADMISSION_ATTEMPTS", budget)
         cluster = small_cluster(
             requests=160,
-            serve_config=serve,
-            cluster={
-                "nodes": 4,
-                "replication": 1,  # no failover: backpressure must surface
-                "probe_interval_cycles": 1024,
-                "probe_timeout_cycles": 256,
-                "request_timeout_cycles": 8192,
-                "timeout_embargo_cycles": 2048,
-            },
+            serve_config=ServeConfig(tenants=2),
+            # No failover: backpressure must surface.
+            cluster={"replication": 1},
         )
+        for node in cluster.nodes:
+            node.server.limit = 2
         report = cluster.run()
         assert report.fleet["result_errors"] == 0
         # Node-level rejections travelled up...
         assert report.fleet["node_rejections"] > 0
         # ...and with R=1 both replicas-of-one embargoed => client rejections.
         assert report.fleet["rejected"] > 0
-        if budget:
+        if budget == 1:
             assert report.fleet["giveups"] > 0
         # Clients retried against the hint or gave up; no request is lost.
         assert report.fleet["completed"] + report.fleet["failed"] + (

@@ -11,16 +11,10 @@ populated, by patching the cluster's image step out.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.config import ServeConfig, small_config
+from repro.config import small_config
 from repro.faults.chaos import run_recovery_chaos
 from repro.serve.cluster import cluster as cluster_module
-from repro.serve.cluster.cluster import (
-    CLUSTER_CORES,
-    CLUSTER_WORKLOADS,
-    SimulatedCluster,
-)
+from repro.serve.cluster.cluster import CLUSTER_CORES, CLUSTER_DPDK, SimulatedCluster
 from repro.system import System
 from repro.workloads import make_workload
 from repro.workloads import snapshot as workload_snapshot
@@ -72,8 +66,7 @@ def _image(system, workload):
     )
 
 
-@pytest.mark.parametrize("workload", sorted(CLUSTER_WORKLOADS))
-def test_restored_replicas_equal_a_fresh_build(monkeypatch, workload):
+def test_restored_replicas_equal_a_fresh_build(monkeypatch):
     # Record each replica's image the moment it is restored, before the
     # node wraps it (servers, replication and LLC warm-up come after).
     restored = []
@@ -87,14 +80,11 @@ def test_restored_replicas_equal_a_fresh_build(monkeypatch, workload):
             return system, built
 
     monkeypatch.setattr(cluster_module, "WorkloadSnapshot", Recording)
-    cluster = SimulatedCluster("cha-tlb", seed=SEED, workload=workload)
+    cluster = SimulatedCluster("cha-tlb", seed=SEED)
     assert len(restored) == cluster.config.nodes - 1
 
-    config = small_config(CLUSTER_CORES).replace(serve=ServeConfig())
-    system = System(config, "cha-tlb")
-    fresh = _image(
-        system, make_workload(workload, system, seed=SEED, **CLUSTER_WORKLOADS[workload])
-    )
+    system = System(small_config(CLUSTER_CORES), "cha-tlb")
+    fresh = _image(system, make_workload("dpdk", system, seed=SEED, **CLUSTER_DPDK))
     assert fresh[0] and fresh[1]
     for image in restored:
         assert image[0] == fresh[0]  # page table, in mapping order

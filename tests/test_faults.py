@@ -311,14 +311,6 @@ class TestSoftwareFallback:
         assert outcome.accelerated and outcome.value == 102
         assert sys_.fallback.fallback_fraction == 0.0
 
-    def test_fallback_config_validated(self):
-        from repro.config import FallbackConfig
-
-        with pytest.raises(ConfigurationError):
-            FallbackConfig(max_retries=0)
-        with pytest.raises(ConfigurationError):
-            FallbackConfig(backoff_multiplier=0)
-
 
 @pytest.mark.parametrize("scheme", [s.value for s in IntegrationScheme])
 class TestInterruptFlush:

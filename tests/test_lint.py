@@ -27,6 +27,13 @@ A fourth sweep keeps dead knobs out of ``repro/config.py``: every field of
 its dataclasses must be read as an attribute somewhere in ``src/`` outside
 a ``__post_init__`` (validation alone is not a use).  A field nothing reads
 changes nothing when set.
+
+A fifth sweep keeps one-value knobs out of the serving and cluster policy
+configs: every ``ServeConfig`` and ``ClusterConfig`` field must be passed as
+a keyword to its class by some call in ``src/``, ``benchmarks/`` or
+``e2ebench/``.  A field only tests set has one value in use, so it belongs
+as a constant on the class that reads it (``Frontend.QUEUE_DEPTH``); a test
+that needs another value patches the constant.
 """
 
 from __future__ import annotations
@@ -341,3 +348,76 @@ def test_dead_field_sweep_ignores_validation():
     tree = ast.parse(source)
     dead = [name for _, name in _dead_fields(tree, _attributes_read(tree))]
     assert dead == ["Knobs.validated", "Knobs.unread"]
+
+
+#: Policy configs whose every field needs a caller outside ``tests/``.
+POLICY_CONFIGS = ("ServeConfig", "ClusterConfig")
+#: Where a setter counts: the program and the benchmarks, not the tests.
+SETTER_DIRS = ("src", "benchmarks", "e2ebench")
+
+
+def _keywords_passed(tree: ast.AST, classes: Tuple[str, ...]) -> set:
+    """``(Class, keyword)`` for every keyword a call to ``classes`` passes."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in classes:
+            passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return passed
+
+
+def _fields_without_setter(
+    config: ast.AST, sources: Dict[str, str], classes: Tuple[str, ...]
+) -> List[Tuple[int, str]]:
+    """Fields of ``classes`` that no source under ``SETTER_DIRS`` passes;
+    ``sources`` maps a repo-relative path to its text."""
+    passed = set()
+    for rel, text in sources.items():
+        if rel.split("/", 1)[0] in SETTER_DIRS:
+            passed |= _keywords_passed(ast.parse(text, filename=rel), classes)
+    return [
+        (lineno, name)
+        for lineno, name in _dataclass_fields(config)
+        if name.split(".")[0] in classes and tuple(name.split(".")) not in passed
+    ]
+
+
+def test_policy_fields_have_a_setter():
+    config = ast.parse((REPO_ROOT / "src" / "repro" / "config.py").read_text())
+    defined = {
+        node.name for node in ast.iter_child_nodes(config) if isinstance(node, ast.ClassDef)
+    }
+    assert set(POLICY_CONFIGS) <= defined, "stale POLICY_CONFIGS entry"
+    sources = {
+        path.relative_to(REPO_ROOT).as_posix(): path.read_text()
+        for base in SETTER_DIRS
+        for path in sorted((REPO_ROOT / base).rglob("*.py"))
+    }
+    unset = _fields_without_setter(config, sources, POLICY_CONFIGS)
+    assert not unset, (
+        "policy fields no caller outside tests/ sets (make each a class "
+        "constant where it is read):\n"
+        + "\n".join(f"src/repro/config.py:{lineno}: {name}" for lineno, name in unset)
+    )
+
+
+def test_setter_sweep_counts_only_program_callers():
+    config = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Knobs:\n"
+        "    set_once: int = 1\n"
+        "    test_only: int = 2\n"
+        "    never: int = 3\n"
+        "@dataclass(frozen=True)\n"
+        "class Machine:\n"
+        "    cores: int = 4\n"
+    )
+    sources = {
+        "src/run.py": "k = Knobs(set_once=5)\n",
+        "tests/test_run.py": "k = config.Knobs(test_only=6, **extra)\n",
+    }
+    unset = [name for _, name in _fields_without_setter(config, sources, ("Knobs",))]
+    assert unset == ["Knobs.test_only", "Knobs.never"]

@@ -17,10 +17,12 @@ from repro.config import ServeConfig
 from repro.errors import ConfigurationError
 from repro.serve import (
     MODE_BLOCKING,
+    Batcher,
     Frontend,
     OpenLoopGenerator,
     ServeRequest,
     ServingError,
+    SloTracker,
     build_serving_system,
     run_serving,
     serve_experiment,
@@ -38,21 +40,21 @@ def request_for(tenant, request_id=1, index=0, arrival=0):
 # --------------------------------------------------------------------- #
 
 
-def test_frontend_rejects_when_queue_full_with_retry_after():
-    config = ServeConfig(tenants=1, queue_depth=2)
-    frontend = Frontend(config)
+def test_frontend_rejects_when_queue_full_with_retry_after(monkeypatch):
+    monkeypatch.setattr(Frontend, "QUEUE_DEPTH", 2)
+    frontend = Frontend(ServeConfig(tenants=1))
     assert frontend.offer(request_for(0, 1), now=0).admitted
     assert frontend.offer(request_for(0, 2), now=0).admitted
     verdict = frontend.offer(request_for(0, 3), now=0)
     assert not verdict.admitted
     assert verdict.retry_after == (
-        config.retry_after_cycles + Frontend.RETRY_BACKLOG_CYCLES * 2
+        Frontend.RETRY_AFTER_CYCLES + Frontend.RETRY_BACKLOG_CYCLES * 2
     )
 
 
-def test_frontend_drains_tenants_round_robin():
-    config = ServeConfig(tenants=2, queue_depth=8)
-    frontend = Frontend(config)
+def test_frontend_drains_tenants_round_robin(monkeypatch):
+    monkeypatch.setattr(Frontend, "QUEUE_DEPTH", 8)
+    frontend = Frontend(ServeConfig(tenants=2))
     for request_id in range(1, 4):
         frontend.offer(request_for(0, request_id), now=0)
         frontend.offer(request_for(1, request_id), now=0)
@@ -62,11 +64,12 @@ def test_frontend_drains_tenants_round_robin():
     assert frontend.pending == 0
 
 
-def test_frontend_pending_counts_every_queued_request():
+def test_frontend_pending_counts_every_queued_request(monkeypatch):
     # ``pending`` is a running count; it must equal the queue depths after
     # every admitted offer, rejected offer (full queue) and pop.
     rng = random.Random(7)
-    config = ServeConfig(tenants=3, queue_depth=4)
+    monkeypatch.setattr(Frontend, "QUEUE_DEPTH", 4)
+    config = ServeConfig(tenants=3)
     frontend = Frontend(config)
     verdicts = set()
     for step in range(2000):
@@ -81,13 +84,13 @@ def test_frontend_pending_counts_every_queued_request():
     assert verdicts == {True, False}
 
 
-def test_saturated_tenant_cannot_starve_others():
+def test_saturated_tenant_cannot_starve_others(monkeypatch):
     # Regression: tenant 0 keeps its queue full while tenants 1/2 trickle;
     # across a full dispatch window every round-robin scan must still visit
     # the light tenants — the hot tenant never gets two pops in a row while
     # another tenant has work queued.
-    config = ServeConfig(tenants=3, queue_depth=8)
-    frontend = Frontend(config)
+    monkeypatch.setattr(Frontend, "QUEUE_DEPTH", 8)
+    frontend = Frontend(ServeConfig(tenants=3))
     request_id = 0
     for _ in range(8):
         request_id += 1
@@ -115,9 +118,15 @@ def test_serve_config_validation():
     with pytest.raises(ConfigurationError):
         ServeConfig(tenants=0)
     with pytest.raises(ConfigurationError):
-        ServeConfig(queue_depth=0)
-    with pytest.raises(ConfigurationError):
         ServeConfig(offered_load=0.0)
+    with pytest.raises(ConfigurationError):
+        ServeConfig(write_ratio=1.5)
+
+
+def test_run_serving_rejects_zero_offered_load():
+    # A zero load is an error, not a request for the default load.
+    with pytest.raises(ConfigurationError):
+        run_serving("cha-tlb", tenants=1, requests=4, offered_load=0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -138,7 +147,7 @@ def test_batched_run_reports_correct_results():
     assert aggregate["qps"] > 0
     assert report.elapsed_cycles > 0
     for row in report.tenants:
-        assert row["slo_budget_p99"] == ServeConfig.slo_p99_cycles
+        assert row["slo_budget_p99"] == SloTracker.SLO_P99_CYCLES
         assert row["completed"] + row["rejected"] == 60
 
 
@@ -178,26 +187,27 @@ def test_blocking_mode_completes():
     assert report.aggregate["result_errors"] == 0
 
 
-def test_saturation_turns_into_rejections():
+def test_saturation_turns_into_rejections(monkeypatch):
     # One request in flight at a time, 4-deep queues, arrivals every ~20
     # cycles against a ~500-cycle service time: queues fill, then bounce.
-    config = ServeConfig(
-        tenants=2, queue_depth=4, max_in_flight=1, offered_load=0.05
-    )
-    report = run_serving(
-        "cha-tlb", requests=200, seed=7, serve_config=config
-    )
+    monkeypatch.setattr(Frontend, "QUEUE_DEPTH", 4)
+    config = ServeConfig(tenants=2, offered_load=0.05)
+    server, built, system = make_small_server(config)
+    server.limit = 1
+    for tenant in range(config.tenants):
+        server.attach(generator_for(tenant, built, system, config, requests=100))
+    report = server.run()
     assert report.aggregate["rejected"] > 0
     assert report.aggregate["completed"] > 0
     assert report.aggregate["completed"] + report.aggregate["rejected"] == 200
 
 
-def test_partial_bursts_flush_on_timeout():
+def test_partial_bursts_flush_on_timeout(monkeypatch):
     # Arrivals ~1000 cycles apart can never fill a 64-deep burst; the
     # flush timer must bound the batching delay instead.
-    config = ServeConfig(
-        tenants=1, batch_size=64, batch_timeout_cycles=128, offered_load=0.001
-    )
+    monkeypatch.setattr(Batcher, "BATCH_SIZE", 64)
+    monkeypatch.setattr(Batcher, "BATCH_TIMEOUT_CYCLES", 128)
+    config = ServeConfig(tenants=1, offered_load=0.001)
     system, built = build_serving_system(
         "cha-tlb", seed=7, serve_config=config
     )
@@ -220,11 +230,14 @@ def test_partial_bursts_flush_on_timeout():
 
 
 def test_aborted_queries_resolve_through_software_fallback():
-    # A one-step watchdog aborts every accelerated query; the PR-1
+    # A one-step watchdog aborts every accelerated query; the
     # fallback contract must still produce correct results under load.
-    report = run_serving(
-        "cha-tlb", tenants=2, requests=40, seed=7, watchdog_steps=1
-    )
+    config = ServeConfig(tenants=2)
+    server, built, system = make_small_server(config)
+    system.accelerator.watchdog_steps = 1
+    for tenant in range(config.tenants):
+        server.attach(generator_for(tenant, built, system, config, requests=20))
+    report = server.run()
     assert report.aggregate["completed"] > 0
     assert report.aggregate["fallback_fraction"] == 1.0
     assert report.aggregate["result_errors"] == 0
@@ -241,11 +254,11 @@ def make_small_server(config):
     return system.make_server(built, config, seed=7), built, system
 
 
-def generator_for(tenant, built, system, config):
+def generator_for(tenant, built, system, config, requests=5):
     return OpenLoopGenerator(
         tenant,
         rate=config.offered_load,
-        num_requests=5,
+        num_requests=requests,
         num_queries=len(built.queries),
         seed=7,
         stats=system.stats,
@@ -273,13 +286,6 @@ def test_unknown_mode_rejected():
     system, built = build_serving_system("cha-tlb", seed=7, serve_config=config)
     with pytest.raises(ServingError):
         system.make_server(built, config, mode="pipelined")
-
-
-def test_unknown_serving_workload_rejected():
-    with pytest.raises(ValueError):
-        build_serving_system(
-            "cha-tlb", seed=7, serve_config=ServeConfig(), workload="snort"
-        )
 
 
 # --------------------------------------------------------------------- #
