@@ -10,7 +10,10 @@ table/figure, ablation, or serving run from the shell::
     qei serve --scheme cha-tlb --tenants 4 --requests 20000
     qei all --jobs 4            # shard experiments over worker processes
     qei all --no-cache          # ignore + skip the on-disk result cache
-    qei fig7 --profile fig7.prof  # cProfile the run, dump stats to fig7.prof
+
+To profile a run, wrap it in the standard library's profiler::
+
+    python -m cProfile -o fig7.prof -m repro fig7
 
 Results print as the same fixed-width tables the benchmark harness shows,
 byte-identical whether computed serially, in parallel, or from cache.
@@ -73,12 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache (.repro_cache/)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        help="wrap the run in cProfile and dump stats to PATH "
-        "(inspect with 'python -m pstats PATH')",
     )
     parser.add_argument(
         "--cache-dir",
@@ -269,21 +266,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds is not None and args.experiment != "recovery-chaos":
         parser.error("--seeds applies to recovery-chaos only")
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            return _dispatch(args)
-        finally:
-            profiler.disable()
-            profiler.dump_stats(args.profile)
-            print(f"profile written to {args.profile}", file=sys.stderr)
-    return _dispatch(args)
-
-
-def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "list":
         width = max(len(n) for n in EXPERIMENTS)
         for name, driver in sorted(EXPERIMENTS.items()):

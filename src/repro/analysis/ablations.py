@@ -25,6 +25,15 @@ from ..workloads import make_workload, run_baseline, run_qei
 from .experiments import workload_params
 from .report import ExperimentResult
 
+#: Ablation A1's QST capacities.
+QST_SIZES = (2, 4, 10, 20, 40)
+#: Ablation A4's blocking-query batch depths.
+BATCH_DEPTHS = (1, 2, 4, 8, 16)
+#: Ablation A6's in-flight non-blocking query counts.
+FLUSH_IN_FLIGHT = (0, 2, 5, 10)
+#: Ablation A3's queries per core.
+HOTSPOT_QUERIES_PER_CORE = 12
+
 
 def _fresh(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] = None):
     system = System(config, scheme)
@@ -35,14 +44,9 @@ def _fresh(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] =
 # --------------------------------------------------------------------- #
 
 
-def qst_size_sweep(
-    *,
-    quick: bool = True,
-    sizes: Optional[List[int]] = None,
-    workload: str = "dpdk",
-) -> ExperimentResult:
+def qst_size_sweep(*, quick: bool = True) -> ExperimentResult:
     """Speedup and mean occupancy versus QST capacity."""
-    sizes = sizes or [2, 4, 10, 20, 40]
+    workload = "dpdk"
     result = ExperimentResult(
         "Ablation A1",
         f"QST capacity sweep ({workload}, core-integrated)",
@@ -52,7 +56,7 @@ def qst_size_sweep(
     base_config = SystemConfig()
     sys_b, wl_b = _fresh(workload, "core-integrated", quick, base_config)
     baseline = run_baseline(sys_b, wl_b)
-    for entries in sizes:
+    for entries in QST_SIZES:
         config = base_config.replace(
             qei=dataclasses.replace(base_config.qei, qst_entries=entries)
         )
@@ -66,15 +70,14 @@ def qst_size_sweep(
     return result
 
 
-def comparator_placement(
-    *, quick: bool = True, workload: str = "rocksdb"
-) -> ExperimentResult:
+def comparator_placement(*, quick: bool = True) -> ExperimentResult:
     """Remote (near-LLC) versus local comparisons for large keys.
 
     The paper distributes the data-intensive comparisons into the CHAs;
     this ablation forces every comparison through the core-side DPU
     (fetching the operand lines up to the L2) and measures the cost.
     """
+    workload = "rocksdb"
     result = ExperimentResult(
         "Ablation A2",
         f"comparator placement ({workload}, core-integrated)",
@@ -109,9 +112,7 @@ def comparator_placement(
     return result
 
 
-def noc_hotspot_study(
-    *, quick: bool = True, queries_per_core: int = 12
-) -> ExperimentResult:
+def noc_hotspot_study(*, quick: bool = True) -> ExperimentResult:
     """Peak-link utilisation when *every core* drives the accelerator.
 
     The paper's hotspot argument (Sec. V) is chip-wide: with 20+ cores all
@@ -144,8 +145,8 @@ def noc_hotspot_study(
         system.noc.reset_traffic()
         handles = []
         for core in range(system.config.num_cores):
-            for q in range(queries_per_core):
-                key = keys[(core * queries_per_core + q) % len(keys)]
+            for q in range(HOTSPOT_QUERIES_PER_CORE):
+                key = keys[(core * HOTSPOT_QUERIES_PER_CORE + q) % len(keys)]
                 handles.append(
                     system.accelerator.submit(
                         QueryRequest(
@@ -169,14 +170,9 @@ def noc_hotspot_study(
     return result
 
 
-def batch_size_sweep(
-    *,
-    quick: bool = True,
-    batches: Optional[List[int]] = None,
-    workload: str = "jvm",
-) -> ExperimentResult:
+def batch_size_sweep(*, quick: bool = True) -> ExperimentResult:
     """Blocking-query software batch depth versus achieved speedup."""
-    batches = batches or [1, 2, 4, 8, 16]
+    workload = "jvm"
     result = ExperimentResult(
         "Ablation A4",
         f"QUERY_B batch-depth sweep ({workload}, core-integrated)",
@@ -188,16 +184,14 @@ def batch_size_sweep(
     )
     sys_b, wl_b = _fresh(workload, "core-integrated", quick)
     baseline = run_baseline(sys_b, wl_b)
-    for batch in batches:
+    for batch in BATCH_DEPTHS:
         sys_q, wl_q = _fresh(workload, "core-integrated", quick)
         qei = run_qei(sys_q, wl_q, batch=batch)
         result.add_row(batch=batch, speedup=baseline.cycles / qei.cycles)
     return result
 
 
-def huge_page_study(
-    *, quick: bool = True, workload: str = "dpdk"
-) -> ExperimentResult:
+def huge_page_study(*, quick: bool = True) -> ExperimentResult:
     """Does huge-page placement make dedicated accelerator TLBs redundant?
 
     HALO-style designs assume the whole structure sits inside huge pages,
@@ -209,6 +203,7 @@ def huge_page_study(
     """
     from ..mem.allocator import HugePageArena
 
+    workload = "dpdk"
     result = ExperimentResult(
         "Ablation A8",
         f"huge-page placement ({workload}): scheme speedups vs 4KB heaps",
@@ -287,9 +282,7 @@ def prefetch_sensitivity(
     return result
 
 
-def flush_cost_study(
-    *, in_flight_counts: Optional[List[int]] = None
-) -> ExperimentResult:
+def flush_cost_study() -> ExperimentResult:
     """Interrupt-flush cost versus in-flight non-blocking queries.
 
     Sec. IV-D: on an interrupt, QEI writes an abort code to every
@@ -301,14 +294,13 @@ def flush_cost_study(
     from repro.datastructs import CuckooHashTable
     from repro.workloads.generator import make_keys
 
-    in_flight_counts = in_flight_counts or [0, 2, 5, 10]
     result = ExperimentResult(
         "Ablation A6",
         "interrupt-flush latency vs in-flight non-blocking queries",
         ["nb_in_flight", "flush_cycles", "aborted"],
         notes=["Sec. IV-D: abort codes written per NB query before the flush ends"],
     )
-    for count in in_flight_counts:
+    for count in FLUSH_IN_FLIGHT:
         system = System(None, "core-integrated")
         table = CuckooHashTable(system.mem, key_length=16, num_buckets=256)
         keys = make_keys(64, 16, seed=8)
@@ -340,10 +332,9 @@ def flush_cost_study(
     return result
 
 
-def micro_tlb_ablation(
-    *, quick: bool = True, workload: str = "jvm"
-) -> ExperimentResult:
+def micro_tlb_ablation(*, quick: bool = True) -> ExperimentResult:
     """Effect of the accelerator's per-home translation registers."""
+    workload = "jvm"
     result = ExperimentResult(
         "Ablation A5",
         f"micro-TLB ablation ({workload}, core-integrated)",

@@ -52,6 +52,12 @@ BENCH_WORKLOADS: Dict[str, Tuple[dict, dict]] = {
 }
 
 
+#: Fig. 8's device-interface data-access latencies (cycles).
+FIG8_LATENCIES = (50, 100, 200, 400, 800, 2000)
+#: Fig. 10's tuple counts.
+FIG10_TUPLE_COUNTS = (5, 10, 15)
+
+
 def workload_params(name: str, quick: bool) -> dict:
     quick_params, full_params = BENCH_WORKLOADS[name]
     return dict(quick_params if quick else full_params)
@@ -206,11 +212,9 @@ def fig7_speedup(
 def fig8_latency_sweep(
     *,
     quick: bool = True,
-    latencies: Optional[List[int]] = None,
     workloads: Optional[List[str]] = None,
 ) -> ExperimentResult:
     """Sweep the device interface's data-access latency, 50..2000 cycles."""
-    latencies = latencies or [50, 100, 200, 400, 800, 2000]
     names = workloads or ["dpdk", "jvm", "rocksdb"]
     result = ExperimentResult(
         "Fig. 8",
@@ -222,7 +226,7 @@ def fig8_latency_sweep(
     # (core/integration.py), so each workload's baseline runs once, on the
     # first latency's fresh system, and serves every row.
     baselines: Dict[str, RoiRun] = {}
-    for latency in latencies:
+    for latency in FIG8_LATENCIES:
         overrides = dict(DEFAULT_SCHEME_LATENCIES)
         overrides[IntegrationScheme.DEVICE_INDIRECT] = SchemeLatencyConfig(
             300, latency
@@ -281,11 +285,9 @@ def fig9_end_to_end(
 def fig10_tuple_space(
     *,
     quick: bool = True,
-    tuple_counts: Optional[List[int]] = None,
     schemes: Optional[List[str]] = None,
 ) -> ExperimentResult:
     """Non-blocking tuple-space search, 5/10/15 tuples (Fig. 10)."""
-    tuple_counts = tuple_counts or [5, 10, 15]
     schemes = schemes or SCHEME_ORDER
     result = ExperimentResult(
         "Fig. 10",
@@ -298,7 +300,7 @@ def fig10_tuple_space(
     )
     packets = 24 if quick else 48
     flows = 256 if quick else 512
-    for tuples in tuple_counts:
+    for tuples in FIG10_TUPLE_COUNTS:
         row = {"tuples": tuples}
         for scheme in schemes:
             sys_b = System(scheme=scheme)
@@ -391,9 +393,9 @@ def fig12_dynamic_power(
 # --------------------------------------------------------------------- #
 
 
-def tab1_schemes(config: Optional[SystemConfig] = None) -> ExperimentResult:
+def tab1_schemes() -> ExperimentResult:
     """Integration scheme comparison (Tab. I)."""
-    config = config or SystemConfig()
+    config = SystemConfig()
     qualitative = {
         "cha-tlb": ("Low+TLB", "Dedicated", "No", "No", "Good"),
         "cha-notlb": ("Low", "Shared", "No", "No", "Good"),
@@ -431,9 +433,9 @@ def tab1_schemes(config: Optional[SystemConfig] = None) -> ExperimentResult:
     return result
 
 
-def tab2_config(config: Optional[SystemConfig] = None) -> ExperimentResult:
+def tab2_config() -> ExperimentResult:
     """Simulated CPU model configuration (Tab. II)."""
-    config = config or SystemConfig()
+    config = SystemConfig()
     core = config.core
     result = ExperimentResult(
         "Tab. II",

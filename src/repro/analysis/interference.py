@@ -20,14 +20,17 @@ from ..workloads import make_workload
 from .experiments import workload_params
 from .report import ExperimentResult
 
+#: The streaming co-runner's private buffer (MB) and its passes over it.
+ANTAGONIST_MB = 8
+ANTAGONIST_PASSES = 2
 
-def streaming_antagonist(
-    system: System, *, footprint_bytes: int = 8 * 1024 * 1024, passes: int = 2
-):
+
+def streaming_antagonist(system: System):
     """A core-1 trace that streams through a large private buffer."""
+    footprint_bytes = ANTAGONIST_MB * 1024 * 1024
     base = system.mem.alloc(footprint_bytes, align=64)
     builder = TraceBuilder()
-    for _ in range(passes):
+    for _ in range(ANTAGONIST_PASSES):
         for offset in range(0, footprint_bytes, 64 * 2):  # strided stream
             builder.load(base + offset)
             builder.alu()
@@ -38,7 +41,6 @@ def corun_interference(
     *,
     quick: bool = True,
     workloads: Optional[List[str]] = None,
-    antagonist_mb: int = 8,
 ) -> ExperimentResult:
     """Slowdown of software vs QEI queries under a streaming co-runner.
 
@@ -48,7 +50,7 @@ def corun_interference(
     """
     result = ExperimentResult(
         "Interference",
-        f"query slowdown with a {antagonist_mb}MB streaming co-runner",
+        f"query slowdown with a {ANTAGONIST_MB}MB streaming co-runner",
         [
             "workload",
             "software_slowdown_pct",
@@ -74,9 +76,7 @@ def corun_interference(
         def corun_baseline():
             system = System(small_config(), "core-integrated")
             workload = make_workload(name, system, **params)
-            antagonist = streaming_antagonist(
-                system, footprint_bytes=antagonist_mb * 1024 * 1024
-            )
+            antagonist = streaming_antagonist(system)
             system.warm_llc()
             trace, _ = workload.baseline_trace()
             multi = run_multiprogrammed(
@@ -95,9 +95,7 @@ def corun_interference(
         def corun_qei():
             system = System(small_config(), "core-integrated")
             workload = make_workload(name, system, **params)
-            antagonist = streaming_antagonist(
-                system, footprint_bytes=antagonist_mb * 1024 * 1024
-            )
+            antagonist = streaming_antagonist(system)
             system.warm_llc()
             port = system.query_port(0)
             trace = workload.qei_trace()

@@ -17,7 +17,7 @@ exactly what a multi-programmed throughput experiment measures.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core.accelerator import QeiAccelerator, QueryRequest
 from ..core.integration import build_integration
@@ -26,6 +26,11 @@ from ..datastructs import CuckooHashTable
 from ..system import System
 from ..workloads.generator import make_keys
 from .report import ExperimentResult
+
+#: Querying core counts swept, each core's query count and its issue gap.
+CORE_COUNTS = (1, 4, 12, 24)
+QUERIES_PER_CORE = 16
+ISSUE_GAP_CYCLES = 30
 
 
 def _build_core_private_accelerators(system: System, cores: int) -> List[QeiAccelerator]:
@@ -55,14 +60,8 @@ def _build_core_private_accelerators(system: System, cores: int) -> List[QeiAcce
     return accelerators
 
 
-def scalability_study(
-    *,
-    core_counts: Optional[List[int]] = None,
-    queries_per_core: int = 16,
-    issue_gap_cycles: int = 30,
-) -> ExperimentResult:
+def scalability_study() -> ExperimentResult:
     """Sustained throughput versus number of querying cores."""
-    core_counts = core_counts or [1, 4, 12, 24]
     result = ExperimentResult(
         "Scalability",
         "sustained query throughput vs querying cores (queries / kcycle)",
@@ -72,7 +71,7 @@ def scalability_study(
             " 'Medium' — the centralized engine saturates as cores grow",
         ],
     )
-    for cores in core_counts:
+    for cores in CORE_COUNTS:
         row = {"cores": cores}
         for scheme in ("core-integrated", "cha-tlb", "device-direct", "device-indirect"):
             system = System(None, scheme)
@@ -90,7 +89,7 @@ def scalability_study(
             handles = []
             for core in range(cores):
                 accel = engines[core if scheme == "core-integrated" else 0]
-                for q in range(queries_per_core):
+                for q in range(QUERIES_PER_CORE):
                     key = keys[(core * 131 + q * 7) % len(keys)]
                     handles.append(
                         accel.submit(
@@ -99,14 +98,14 @@ def scalability_study(
                                 key_addr=table.store_key(key),
                                 core_id=core,
                             ),
-                            q * issue_gap_cycles,
+                            q * ISSUE_GAP_CYCLES,
                         )
                     )
             done = 0
             for handle in handles:
                 accel = engines[0]
                 done = max(done, _wait(system, handle))
-            total = cores * queries_per_core
+            total = cores * QUERIES_PER_CORE
             row[scheme] = 1000.0 * total / max(1, done)
         result.add_row(**row)
     return result

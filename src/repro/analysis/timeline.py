@@ -13,6 +13,8 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.accelerator import QeiAccelerator, QueryHandle
 
 _BARS = " .:-=+*#%@"
+#: Columns in an occupancy sparkline.
+TIMELINE_BUCKETS = 60
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ def latency_summary(accelerator: QeiAccelerator) -> LatencySummary:
 def occupancy_timeline(
     handles: Sequence[QueryHandle],
     *,
-    buckets: int = 60,
     capacity: Optional[int] = None,
 ) -> str:
     """An ASCII sparkline of in-flight queries over the run.
@@ -68,10 +69,10 @@ def occupancy_timeline(
     start = min(s for s, _ in spans)
     end = max(e for _, e in spans)
     width = max(1, end - start)
-    step = width / buckets
+    step = width / TIMELINE_BUCKETS
 
     levels: List[float] = []
-    for bucket in range(buckets):
+    for bucket in range(TIMELINE_BUCKETS):
         lo = start + bucket * step
         hi = lo + step
         in_flight = sum(1 for s, e in spans if s < hi and e > lo)

@@ -209,9 +209,9 @@ class QeiAccelerator:
         self.stats = registry.scoped(name)
         self.qst = QueryStateTable(qst_entries, stats=self.stats)
         self._query_queue: Deque[QueryHandle] = deque()
-        #: Pending quiesce requests: (home set, callback) pairs resolved the
-        #: moment no in-flight or queued query is bound to any home in the set.
-        self._quiesce_waiters: List[tuple] = []
+        #: Pending quiesce callbacks, fired the moment no query is inbound,
+        #: in the QST or queued.
+        self._quiesce_waiters: List[Callable[[], None]] = []
         #: Queries in the submit network (doorbell rung, not yet arrived),
         #: per home — quiesce must wait for these too.
         self._inbound: Dict[int, int] = {}
@@ -1017,58 +1017,44 @@ class QeiAccelerator:
         self.integration.set_home_state(home, SliceState.HEALTHY)
         self.stats.counter("slice.recoveries").add()
 
-    def quiesce(
-        self,
-        homes: "Optional[int | List[int]]" = None,
-        *,
-        on_quiesced: Optional[Callable[[], None]] = None,
-    ) -> bool:
-        """Drain the QST entries bound to ``homes`` (all homes by default).
+    def quiesce(self, *, on_quiesced: Optional[Callable[[], None]] = None) -> bool:
+        """Drain every home's QST entries.
 
-        Every currently-HEALTHY target home is marked DRAINING: the home
-        probe routes new submissions elsewhere while accepted work runs to
+        Every currently-HEALTHY home is marked DRAINING: the home probe
+        routes new submissions elsewhere while accepted work runs to
         completion.  ``on_quiesced`` fires (immediately, or from the engine
-        event that retires the last in-flight query) once nothing bound to
-        the target homes remains in the QST or the overflow queue.  Returns
-        True when the targets were already quiet.  The caller is responsible
-        for restoring the homes to HEALTHY afterwards.
+        event that retires the last in-flight query) once no query is
+        inbound, in the QST or in the overflow queue.  Returns True when
+        the accelerator was already quiet.  The caller is responsible for
+        restoring the homes to HEALTHY afterwards.
         """
-        if homes is None:
-            homes = self.integration.accelerator_homes()
-        elif isinstance(homes, int):
-            homes = [homes]
-        targets = frozenset(homes)
-        for home in targets:
+        for home in self.integration.accelerator_homes():
             if self.integration.home_state(home) is SliceState.HEALTHY:
                 self.integration.set_home_state(home, SliceState.DRAINING)
-        if self._quiesced(targets):
+        if self._quiesced():
             if on_quiesced is not None:
                 on_quiesced()
             return True
         if on_quiesced is not None:
-            self._quiesce_waiters.append((targets, on_quiesced))
+            self._quiesce_waiters.append(on_quiesced)
         return False
 
-    def _quiesced(self, targets: frozenset) -> bool:
-        if any(self._inbound.get(home, 0) > 0 for home in targets):
-            return False
-        for handle in self._handles:
-            if handle is not None and handle.home in targets:
-                return False
-        for handle in self._query_queue:
-            if handle.home in targets:
-                return False
-        return True
+    def _quiesced(self) -> bool:
+        return (
+            not self._n_handles
+            and not self._query_queue
+            and not any(self._inbound.values())
+        )
 
     def _notify_quiesce(self) -> None:
         if not self._quiesce_waiters:
             return
         remaining = []
-        for targets, callback in self._quiesce_waiters:
-            if self._quiesced(targets):
+        for callback in self._quiesce_waiters:
+            if self._quiesced():
                 callback()
             else:
-                remaining.append((targets, callback))
+                remaining.append(callback)
         self._quiesce_waiters = remaining
 
     # ------------------------------------------------------------------ #

@@ -282,9 +282,8 @@ class FirmwareImage:
                 f"no {kind} program loaded for structure type {type_code}"
             ) from exc
 
-    def supports(self, type_code: int, *, op: int = OP_LOOKUP) -> bool:
-        table = self._programs if op == OP_LOOKUP else self._mutators
-        return type_code in table
+    def supports(self, type_code: int) -> bool:
+        return type_code in self._programs
 
     def types(self) -> List[int]:
         return sorted(self._programs)

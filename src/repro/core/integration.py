@@ -622,6 +622,7 @@ class ChaTlbScheme(Integration):
         return self._tlb_translate(self.cha_tlbs[home], self.space, vaddr, access)
 
     def flush_translations(self) -> None:
+        super().flush_translations()
         for tlb in self.cha_tlbs:
             tlb.invalidate()
 
@@ -705,6 +706,7 @@ class _DeviceScheme(Integration):
         return self.device_comparators
 
     def flush_translations(self) -> None:
+        super().flush_translations()
         self.device_tlb.invalidate()
 
     def warm_translations(self, vpn_pfn_pairs) -> None:

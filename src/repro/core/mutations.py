@@ -599,12 +599,8 @@ class MutationExecutor:
         op: int,
         key: bytes,
         value: int = 0,
-        *,
-        core_id: int = 0,
-        blocking: bool = True,
-        result_addr: int = 0,
     ):
-        """Issue one mutation through the QUERY port; returns the handle."""
+        """Issue one blocking mutation from core 0; returns the handle."""
         from .accelerator import QueryRequest
 
         operand = mutator.stage(op, key, value)
@@ -612,9 +608,6 @@ class MutationExecutor:
         request = QueryRequest(
             header_addr=mutator.header_addr,
             key_addr=key_addr,
-            core_id=core_id,
-            blocking=blocking,
-            result_addr=result_addr,
             op=op,
             operand=operand,
         )
@@ -693,6 +686,9 @@ class OnlineResizer:
     queries before the header flips to the doubled table.
     """
 
+    #: Engine cycles :meth:`run_to_completion` advances between chunks.
+    STEP_CYCLES = 256
+
     def __init__(self, system, table, *, chunk_buckets: int = 8) -> None:
         if chunk_buckets <= 0:
             raise DataStructureError("chunk_buckets must be positive")
@@ -768,13 +764,13 @@ class OnlineResizer:
 
         accelerator.quiesce(on_quiesced=do_commit)
 
-    def run_to_completion(self, *, step_cycles: int = 256) -> None:
+    def run_to_completion(self) -> None:
         """Foreground drive: migrate all chunks, then commit (tests/CLI)."""
         if not self._started:
             self.start()
         while not self.finished:
             self.step()
-            self.system.engine.advance(step_cycles)
+            self.system.engine.advance(self.STEP_CYCLES)
         self.commit()
         guard = 0
         while not self.committed:

@@ -21,7 +21,7 @@ them, and times every kind inline except the query and wait ops, which
 go through :meth:`OoOCore._execute_external` with a :class:`MicroOp` view
 for the resolver.
 
-A load or store is one probe when it hits: about 95% of a baseline's
+A load is one probe when it hits: about 95% of a baseline's
 translations hit the L1 dTLB and 86% of its accesses hit the L1D.  The
 probe replays an L1-dTLB hit (:meth:`Mmu.l1_hit_probe`) and then a
 ``FastMem`` record of an L1 hit (:meth:`FastMem.core_probe`) in place,
@@ -76,7 +76,6 @@ class CoreResult:
     start_cycle: int
     end_cycle: int
     loads: int = 0
-    stores: int = 0
     branches: int = 0
     branch_mispredicts: int = 0
     queries_issued: int = 0
@@ -278,13 +277,12 @@ class CoreExecution:
         dispatch_cycle = self._dispatch_cycle
         dispatched = self._dispatched_this_cycle
         last = self._last_completion
-        loads = stores = branches = mispredicts = stalls = stall_cycles = 0
+        loads = branches = mispredicts = stalls = stall_cycles = 0
         memory_cycles = 0
         levels: Dict[CacheLevelName, int] = {}  # accesses per level, this call
         tlb_hits = l1_hits = 0  # replayed by the probe, this call
         ALU, BRANCH, IFETCH = OpKind.ALU, OpKind.BRANCH, OpKind.IFETCH_STALL
-        LOAD, STORE = OpKind.LOAD, OpKind.STORE
-        QUERY_B, QUERY_NB = OpKind.QUERY_B, OpKind.QUERY_NB
+        LOAD, QUERY_B, QUERY_NB = OpKind.LOAD, OpKind.QUERY_B, OpKind.QUERY_NB
         try:
             while i < stop:
                 kind = kinds[i]
@@ -302,7 +300,7 @@ class CoreExecution:
                     window = None
                 elif kind is LOAD or kind is QUERY_B:
                     window = lq
-                elif kind is STORE or kind is QUERY_NB:
+                elif kind is QUERY_NB:
                     window = sq
                 else:
                     window = None
@@ -396,50 +394,6 @@ class CoreExecution:
                     if args[i]:
                         fetch_ready = done + mispredict_cycles
                         mispredicts += 1
-                elif kind is STORE:
-                    # Stores retire through the store buffer: the pipeline
-                    # sees a 1-cycle cost; the cache access is charged for
-                    # statistics.
-                    stores += 1
-                    vaddr = args[i]
-                    if vaddr is None:
-                        raise SimulationError("memory op without an address")
-                    entry = walk_get((vaddr // page_bytes, "w"))
-                    if entry is not None:
-                        tlb_key = entry[0]
-                        tlb_set = tlb_sets[tlb_key % tlb_num_sets]
-                        base = tlb_set.pop(tlb_key, None)
-                    else:
-                        base = None
-                    if base is not None:
-                        tlb_set[tlb_key] = base
-                        tlb_hits += 1
-                        paddr = base + vaddr % entry[2]
-                        cost = 0
-                    else:
-                        paddr, cost, tlb_level = translate(vaddr, "w")
-                        if tlb_level == 0:
-                            cost = 0
-                    line = paddr // CACHELINE_BYTES
-                    rec = memo_get(((line * ncores + core_id) << 3) | 0b111)
-                    if rec is not None and rec[3][rec[4]] == rec[5]:
-                        entry_set = rec[1]
-                        tag = rec[2]
-                        if next(reversed(entry_set)) != tag:
-                            del entry_set[tag]
-                        entry_set[tag] = True  # dirty, most recently used
-                        if not l1_hits:
-                            levels.setdefault(_L1, 0)
-                        l1_hits += 1
-                        cost += l1_latency
-                    else:
-                        latency, level, _, _ = access(
-                            core_id, paddr, write=True, now=ready
-                        )
-                        levels[level] = levels.get(level, 0) + 1
-                        cost += latency
-                    memory_cycles += cost
-                    done = ready + 1
                 elif kind is IFETCH:
                     # The fetch unit stalls for the given cycles from
                     # dispatch; the pseudo-op retires no instruction.
@@ -466,7 +420,6 @@ class CoreExecution:
             self._dispatched_this_cycle = dispatched
             self._last_completion = last
             result.loads += loads
-            result.stores += stores
             result.branches += branches
             result.branch_mispredicts += mispredicts
             result.frontend_stall_cycles += stall_cycles

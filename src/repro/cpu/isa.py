@@ -1,7 +1,7 @@
 """Abstract micro-operation ISA for the trace-driven core model.
 
 Only what the timing model needs: operation class, memory address for
-loads/stores, register dependences (as indices of earlier trace ops), and
+loads, register dependences (as indices of earlier trace ops), and
 branch outcome.  ``QUERY_B`` / ``QUERY_NB`` / ``WAIT_RESULT`` are resolved by
 an external port (the QEI accelerator) during timing.
 """
@@ -17,7 +17,6 @@ class OpKind(enum.Enum):
     """Micro-op classes distinguished by the timing model."""
 
     LOAD = "load"
-    STORE = "store"
     ALU = "alu"
     BRANCH = "branch"
     #: QEI blocking query: behaves like a long-latency load (Sec. IV-C).
@@ -37,7 +36,7 @@ class OpKind(enum.Enum):
 #: Op kinds that occupy a load-queue slot.
 LOAD_LIKE = (OpKind.LOAD, OpKind.QUERY_B)
 #: Op kinds that occupy a store-queue slot.
-STORE_LIKE = (OpKind.STORE, OpKind.QUERY_NB)
+STORE_LIKE = (OpKind.QUERY_NB,)
 
 
 @dataclass(slots=True)

@@ -47,7 +47,6 @@ class MulticoreResult:
 def run_multiprogrammed(
     jobs: Sequence[Tuple[OoOCore, Trace]],
     *,
-    start_cycle: int = 0,
     externals: Optional[Dict[int, ExternalResolver]] = None,
 ) -> MulticoreResult:
     """Run one trace per core, interleaved by local time.
@@ -68,11 +67,7 @@ def run_multiprogrammed(
 
     externals = externals or {}
     executions: List[CoreExecution] = [
-        core.begin(
-            trace,
-            start_cycle=start_cycle,
-            external=externals.get(core.core_id),
-        )
+        core.begin(trace, external=externals.get(core.core_id))
         for core, trace in jobs
     ]
 

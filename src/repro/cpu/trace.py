@@ -36,12 +36,11 @@ from typing import Any, Iterator, List, Optional, Sequence
 
 from .isa import MicroOp, OpKind
 
-_LOAD, _STORE, _ALU = OpKind.LOAD, OpKind.STORE, OpKind.ALU
+_LOAD, _ALU = OpKind.LOAD, OpKind.ALU
 
 #: The MicroOp field each kind's ``args`` column entry fills in.
 _ARG_FIELD = {
     OpKind.LOAD: "vaddr",
-    OpKind.STORE: "vaddr",
     OpKind.ALU: "latency_override",
     OpKind.IFETCH_STALL: "latency_override",
     OpKind.BRANCH: "mispredicted",
@@ -125,9 +124,6 @@ class TraceBuilder:
         self._args.extend(addrs)
         return list(range(start, start + len(addrs)))
 
-    def store(self, vaddr: int, deps: Sequence[int] = ()) -> int:
-        return self._emit(_STORE, deps, vaddr)
-
     def alu(
         self, deps: Sequence[int] = (), *, latency: Optional[int] = None, count: int = 1
     ) -> int:
@@ -157,17 +153,18 @@ class TraceBuilder:
         """An instruction-cache/decode stall of ``cycles`` (pseudo-op)."""
         return self._emit(OpKind.IFETCH_STALL, deps, cycles)
 
-    def other_work(self, instructions: int, deps: Sequence[int] = ()) -> int:
+    def other_work(self, instructions: int) -> int:
         """Independent filler instructions around the query (query density).
 
         Models the non-query part of a request loop (key pre-processing,
         memcpy, thread management in RocksDB's seek loop, Sec. VII-A).
         Emitted as short independent chains so they enjoy normal ILP: every
-        fourth op takes ``deps``, the others the op before them.
+        fourth op starts a chain with no dependence, the others take the op
+        before them.
         """
         first = len(self._kinds)
         chain = list(range(first - 1, first + instructions - 1))
-        chain[::4] = [_pack_deps(deps)] * len(chain[::4])
+        chain[::4] = [-1] * len(chain[::4])
         self._kinds.extend(repeat(_ALU, instructions))
         self._deps.extend(chain)
         self._args.extend(repeat(None, instructions))

@@ -9,8 +9,6 @@ branch-misprediction model.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..config import CACHELINE_BYTES
 from ..errors import DataStructureError
 from ..mem.allocator import PageScatterAllocator
@@ -34,19 +32,9 @@ MATCH_EXIT_MISPREDICT_RATE = 1.0
 class ProcessMemory:
     """One simulated process's memory: address space + fragmented heap."""
 
-    def __init__(
-        self,
-        space: Optional[AddressSpace] = None,
-        *,
-        physical_bytes: int = 512 * 1024 * 1024,
-        heap_base: int = HEAP_BASE,
-        heap_bytes: int = HEAP_BYTES,
-        scatter_frames: int = 3,
-    ) -> None:
-        self.space = space or AddressSpace(PhysicalMemory(physical_bytes))
-        self.heap = PageScatterAllocator(
-            self.space, heap_base, heap_bytes, scatter_frames=scatter_frames
-        )
+    def __init__(self, *, physical_bytes: int = 512 * 1024 * 1024) -> None:
+        self.space = AddressSpace(PhysicalMemory(physical_bytes))
+        self.heap = PageScatterAllocator(self.space, HEAP_BASE, HEAP_BYTES)
 
     def alloc(self, size: int, *, align: int = 8) -> int:
         return self.heap.allocate(size, alignment=align)
@@ -55,11 +43,11 @@ class ProcessMemory:
         """Reserve one cacheline-aligned header slot."""
         return self.alloc(CACHELINE_BYTES, align=CACHELINE_BYTES)
 
-    def store_bytes(self, data: bytes, *, align: int = 8) -> int:
+    def store_bytes(self, data: bytes) -> int:
         """Copy ``data`` into the heap, returning its address."""
         if not data:
             raise DataStructureError("cannot store an empty byte string")
-        addr = self.alloc(len(data), align=align)
+        addr = self.alloc(len(data))
         self.space.write(addr, data)
         return addr
 

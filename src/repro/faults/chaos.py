@@ -423,7 +423,7 @@ class _Machine:
             and firmware.supports(HashOfListsCfa.TYPE_CODE),
             "slice_down_aborts": sum(e.hit for e in events),
         }
-        oracle = self.server._oracle
+        oracle = self.server.oracle
         if oracle is not None:
             write_problems = list(self.server.write_problems or [])
             measured.update(
@@ -682,17 +682,16 @@ RECOVERY_CHAOS = Scenario(
 
 
 def run_chaos(
-    scheme: str, *, seed: int = 7, requests: int = 400, tenants: int = 4,
-    verify: bool = True,
+    scheme: str, *, seed: int = 7, requests: int = 400, tenants: int = 4
 ) -> ChaosReport:
     """:data:`CHAOS` at this size."""
     scenario = replace(CHAOS, requests=requests, tenants=tenants)
-    return run_scenario(scenario, scheme, seed, verify=verify)
+    return run_scenario(scenario, scheme, seed)
 
 
 def run_mutation_chaos(
     scheme: str, *, seed: int = 7, requests: int = 400, tenants: int = 4,
-    write_ratio: float = 0.5, verify: bool = True,
+    write_ratio: float = 0.5,
 ) -> ChaosReport:
     """:data:`MUTATION_CHAOS` at this size and write ratio."""
     if write_ratio <= 0:
@@ -704,7 +703,7 @@ def run_mutation_chaos(
     scenario = replace(
         MUTATION_CHAOS, requests=requests, tenants=tenants, write_ratio=write_ratio
     )
-    return run_scenario(scenario, scheme, seed, verify=verify)
+    return run_scenario(scenario, scheme, seed)
 
 
 def run_cluster_chaos(

@@ -34,10 +34,8 @@ class Dram:
         *,
         frequency_ghz: float = 2.5,
         stats: Optional[StatsRegistry] = None,
-        name: str = "dram",
     ) -> None:
         self.config = config
-        self.name = name
         # Cycles a channel is busy per 64B transfer, from GB/s at core clock.
         bytes_per_cycle = config.bandwidth_gbps_per_channel / frequency_ghz
         self.busy_cycles_per_access = max(1, round(CACHELINE_BYTES / bytes_per_cycle))
@@ -49,7 +47,7 @@ class Dram:
         self.timing_epoch = 0
         # Counters only, no registry reference: the flush hook list holds
         # this Dram (see StatsRegistry.add_flush_hook).
-        scoped = (stats or StatsRegistry()).scoped(name)
+        scoped = (stats or StatsRegistry()).scoped("dram")
         self._accesses = scoped.counter("accesses")
         self._stall_cycles = scoped.counter("queue_cycles")
         self._pending_accesses = 0

@@ -52,8 +52,7 @@ Replay then reproduces the slow path's *entire* effect:
 Two loops replay records without a call, reading them inline as
 :meth:`FastMem.warm_lines` does:
 
-* the OoO core loop, its own loads' and stores' L1 hits
-  (:meth:`FastMem.core_probe`);
+* the OoO core loop, its own loads' L1 hits (:meth:`FastMem.core_probe`);
 * the CEE driver, its memory micro-ops' line accesses: the slice records
   the CHA and device schemes issue (:meth:`FastMem.slice_probe`) and the
   core-integrated scheme's L2 hits, read beside the L2 with
@@ -142,15 +141,15 @@ class FastMem:
     def core_probe(self, core_id: int):
         """``(memo_get, ncores, l1_latency)`` to replay core ``core_id``'s hits.
 
-        A pipeline access (``fill_l1=fill_l2=True``: key low bits ``0b011``
-        for a load, ``0b111`` for a store) stores a record only for an L1
-        hit, in ``l1[core_id]`` at ``l1_latency``: its every other outcome
-        fills.  So a record under such a key whose epoch still holds
+        A pipeline load (``fill_l1=fill_l2=True``, ``write=False``: key low
+        bits ``0b011``) stores a record only for an L1 hit, in
+        ``l1[core_id]`` at ``l1_latency``: its every other outcome fills.
+        So a record under such a key whose epoch still holds
         (``rec[3][rec[4]] == rec[5]``) is that hit again, and replaying it
         is :meth:`access_from_core`'s record branch: the MRU short-circuit
-        or pop-and-reinsert on ``rec[1]``/``rec[2]`` (a store sets the
-        dirty bit).  The caller counts the hits and reports them through
-        :meth:`count_core_hits`; a miss goes through ``access_from_core``.
+        or pop-and-reinsert on ``rec[1]``/``rec[2]``.  The caller counts the
+        hits and reports them through :meth:`count_core_hits`; a miss goes
+        through ``access_from_core``.
 
         The CEE's core-integrated reads use the same memo under key low
         bits ``0b001`` (a read with ``fill_l1=False``): those records are

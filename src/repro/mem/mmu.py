@@ -49,13 +49,11 @@ class Mmu:
         *,
         stats: Optional[StatsRegistry] = None,
         name: str = "mmu",
-        page_walk_cycles: int = PAGE_WALK_CYCLES,
     ) -> None:
         if not tlb_configs:
             raise ValueError("an MMU needs at least one TLB level")
         self.space = space
         self.name = name
-        self.page_walk_cycles = page_walk_cycles
         registry = stats or StatsRegistry()
         self.tlbs = [
             Tlb(cfg, stats=registry, name=f"{name}.tlb{i}")
@@ -87,7 +85,7 @@ class Mmu:
 
         # Full page walk (the functional lookup above already resolved it,
         # memoized in :meth:`AddressSpace.translation_entry`).
-        cycles += self.page_walk_cycles
+        cycles += PAGE_WALK_CYCLES
         self._walks.value += 1
         self._fill_upper_levels(len(self.tlbs), key, base_paddr)
         return Translation(base_paddr + offset, cycles, None)

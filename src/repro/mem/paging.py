@@ -77,16 +77,10 @@ class AddressSpace:
     #: Tag added to huge-page numbers so TLB keys never collide with VPNs.
     HUGE_KEY_BASE = 1 << 40
 
-    def __init__(
-        self, physical: PhysicalMemory, *, asid: int = 0, page_bytes: int = PAGE_BYTES
-    ) -> None:
+    def __init__(self, physical: PhysicalMemory) -> None:
         self.physical = physical
-        self.asid = asid
-        self.page_bytes = page_bytes
-        #: Shift/mask forms of the page geometry for the in-page fast paths
-        #: (page sizes are powers of two; the constructor enforces it).
-        if page_bytes & (page_bytes - 1):
-            raise SimulationError(f"page_bytes must be a power of two, got {page_bytes}")
+        page_bytes = self.page_bytes = PAGE_BYTES
+        #: Shift/mask forms of the page geometry for the in-page fast paths.
         self._page_shift = page_bytes.bit_length() - 1
         self._page_mask = page_bytes - 1
         self._u64_limit = page_bytes - 8
@@ -309,13 +303,11 @@ class AddressSpace:
     def _memoize_frame(self, vpn: int, access: str, memo: Dict[int, Tuple[bytearray, int]]) -> None:
         """Remember the live frame backing ``vpn`` for direct u64 access.
 
-        Only pages that map wholly onto one physical frame qualify (always
-        true for the standard 4KB page == 4KB frame configuration, including
-        pages inside a huge-page run, whose sub-pages are frame-aligned).
+        Pages and frames are both 4KB, so every page maps wholly onto one
+        frame (pages inside a huge-page run too: their sub-pages are
+        frame-aligned).
         """
         physical = self.physical
-        if self.page_bytes != physical.frame_bytes:
-            return
         base_paddr = self.translate(vpn * self.page_bytes, access)
         frame_number, base_offset = divmod(base_paddr, physical.frame_bytes)
         if base_offset:

@@ -23,14 +23,14 @@ from ..errors import OutOfMemory, SimulationError
 class PhysicalMemory:
     """Byte-addressable simulated DRAM, organised as 4KB frames."""
 
-    def __init__(self, capacity_bytes: int, frame_bytes: int = PAGE_BYTES) -> None:
-        if capacity_bytes <= 0 or capacity_bytes % frame_bytes:
+    def __init__(self, capacity_bytes: int) -> None:
+        if capacity_bytes <= 0 or capacity_bytes % PAGE_BYTES:
             raise SimulationError(
                 "physical capacity must be a positive multiple of the frame size"
             )
         self.capacity_bytes = capacity_bytes
-        self.frame_bytes = frame_bytes
-        self.num_frames = capacity_bytes // frame_bytes
+        self.frame_bytes = PAGE_BYTES
+        self.num_frames = capacity_bytes // PAGE_BYTES
         self._frames: Dict[int, bytearray] = {}
         #: Frames below this have been allocated at least once.
         self._fresh = 0

@@ -67,8 +67,9 @@ def qei_configuration(
     return config
 
 
-def tab3_configurations(qei: QeiConfig = QeiConfig()) -> List[Configuration]:
+def tab3_configurations() -> List[Configuration]:
     """The three rows of Tab. III."""
+    qei = QeiConfig()
     return [
         qei_configuration(
             "QEI-10",

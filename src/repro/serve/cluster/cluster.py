@@ -105,6 +105,8 @@ class SimulatedCluster:
 
     #: One-way LB <-> node (and node <-> node) message latency.
     LINK_LATENCY_CYCLES = 64
+    #: Drain quanta :meth:`drain_replication` spends before giving up.
+    REPLICATION_DRAIN_ROUNDS = 64
 
     def __init__(
         self,
@@ -281,10 +283,10 @@ class SimulatedCluster:
         tenant: int,
         index: int,
         key_pos: int,
-        op: int = 0,
-        value: int = 0,
-        epoch: int = 0,
-        serial: int = 0,
+        op: int,
+        value: int,
+        epoch: int,
+        serial: int,
     ) -> None:
         self._deliver(
             node,
@@ -491,9 +493,7 @@ class SimulatedCluster:
         self.lb.history = recorder
         return recorder
 
-    def drain_replication(
-        self, quantum: int = 8_192, rounds: int = 64
-    ) -> bool:
+    def drain_replication(self, quantum: int = 8_192) -> bool:
         """Drain until catch-up finishes and apply streams are acked.
 
         Returns True if replication settled within the budget (a DOWN
@@ -501,7 +501,7 @@ class SimulatedCluster:
         """
         if not self.managers:
             return True
-        for _ in range(rounds):
+        for _ in range(self.REPLICATION_DRAIN_ROUNDS):
             busy = any(
                 manager._catching_up
                 or (manager.node.alive and manager._outbound)
@@ -527,7 +527,7 @@ class SimulatedCluster:
                 continue
             owners = self.ring.owners(pos, self.config.replication)
             out[pos] = {
-                node: self.nodes[node].server._mutator.current(key)
+                node: self.nodes[node].server.mutator.current(key)
                 for node in owners
             }
         return out

@@ -123,10 +123,10 @@ class ClusterNode:
         tenant: int,
         index: int,
         key_position: int,
-        op: int = 0,
-        value: int = 0,
-        epoch: int = 0,
-        serial: int = 0,
+        op: int,
+        value: int,
+        epoch: int,
+        serial: int,
     ) -> None:
         """One request arriving off the LB link."""
         if not self.alive:
@@ -175,7 +175,7 @@ class ClusterNode:
         key = self._key(request)
         self._tokens[key] = token
         self._meta[key] = (key_position, epoch, serial)
-        self.server.accept(self.server._generators_by_tenant[tenant], request)
+        self.server.accept(self.server.generator_for(tenant), request)
 
     def _key(self, request: ServeRequest) -> int:
         return request.request_id * self.server.config.tenants + request.tenant
@@ -248,7 +248,7 @@ class ClusterNode:
         """Attach the durability layer and export structure commits to it."""
         self.replication = manager
         self._peers = peers
-        mutator = self.server._mutator
+        mutator = self.server.mutator
         if mutator is not None:
             manager.align_baseline(mutator.lock.read())
             mutator.on_commit = manager.local_commit
@@ -269,11 +269,7 @@ class ClusterNode:
         has fired or the node failed or restarted; a node it skips has
         nothing for the pump to do.
         """
-        server = self.server
-        if server._completions:
-            server._drain_completions()
-        if server.frontend.pending and server._outstanding < server.limit:
-            server._dispatch()
+        self.server.pump()
 
     def write_problems(self) -> List[str]:
         """The node's lost/phantom-update audit (empty when read-only).
@@ -282,18 +278,14 @@ class ClusterNode:
         ``QueryServer.run``, so the shadow-oracle final check has to be
         requested explicitly once the fleet drains.
         """
-        oracle = self.server._oracle
+        oracle = self.server.oracle
         if oracle is None:
             return []
         return oracle.final_check()
 
     @property
     def busy(self) -> bool:
-        return bool(
-            self.server._outstanding
-            or self.server.frontend.pending
-            or self.server._completions
-        )
+        return self.server.busy
 
     def fail(self) -> int:
         """Kill the node; returns the requests it will never answer."""

@@ -396,8 +396,8 @@ class ReplicationManager:
             self.applies += 1
             return
         server = self.node.server
-        oracle = server._oracle
-        mutator = server._mutator
+        oracle = server.oracle
+        mutator = server.mutator
         now = self.engine.now
         token = oracle.begin_write(record.op, record.key, record.value, now)
         self._applying = record
@@ -479,7 +479,7 @@ class ReplicationManager:
                 prev = self._applied.get(record.origin, -1)
                 if record.origin_ordinal > prev:
                     self._applied[record.origin] = record.origin_ordinal
-        structure_version = self.node.server._mutator.lock.read()
+        structure_version = self.node.server.mutator.lock.read()
         self._force_resync = self.wal.has_gap(
             structure_version=structure_version
         )
@@ -568,7 +568,7 @@ class ReplicationManager:
         """
         self.resyncs += 1
         items: List[Tuple[bytes, Optional[int], _Stamp]] = []
-        mutator = self.node.server._mutator
+        mutator = self.node.server.mutator
         for key, key_pos in sorted(self._pos_of_key.items()):
             group = self._replica_group(key_pos)
             if self.node_id not in group or who not in group:
@@ -600,8 +600,8 @@ class ReplicationManager:
         from ...errors import DataStructureError
 
         server = self.node.server
-        mutator = server._mutator
-        oracle = server._oracle
+        mutator = server.mutator
+        oracle = server.oracle
         now = self.engine.now
         for key, value, stamp in items:
             if tuple(stamp) <= self._stamps.get(key, (-1, -1, -1)):
@@ -748,11 +748,11 @@ class ReplicationManager:
             if key_pos is not None:
                 self._enqueue(record, key_pos)
         if self.wal.has_gap(
-            structure_version=self.node.server._mutator.lock.read()
+            structure_version=self.node.server.mutator.lock.read()
         ):
             # The replayed applies themselves are in the WAL now; a gap at
             # this point can only mean the log baseline moved — reset it so
             # future recoveries replay from here.
-            self.wal.reset(self.node.server._mutator.lock.read())
+            self.wal.reset(self.node.server.mutator.lock.read())
         self._ship_now()
         self._on_caught_up(self.node_id)

@@ -55,13 +55,13 @@ class WalRecord:
 class CommitLog:
     """An ordered, gap-detecting log of one node's structure commits."""
 
-    def __init__(self, node_id: int, *, baseline_ordinal: int = 0) -> None:
+    def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        #: The structure's seqlock version at log creation (or at the last
-        #: full resync).  A commit's ordinal is the *pre-commit* even
+        #: The structure's seqlock version at log creation (0) or at the
+        #: last full resync.  A commit's ordinal is the *pre-commit* even
         #: version, so the first logged commit carries exactly this value
         #: and each later one advances by :data:`ORDINAL_STEP`.
-        self.baseline_ordinal = baseline_ordinal
+        self.baseline_ordinal = 0
         self._ordinals: List[int] = []
         self._records: List[WalRecord] = []
         self.appends = 0

@@ -29,7 +29,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..config import ServeConfig
 from ..core.accelerator import QueryHandle, QueryRequest, QueryStatus
 from ..errors import ReproError
-from ..sim.stats import StatsRegistry
 from ..sim.weak import weak_method
 from ..system import System
 from .batcher import Batcher
@@ -65,7 +64,6 @@ class QueryServer:
         *,
         mode: str = MODE_BATCHED,
         seed: int = 7,
-        stats: Optional[StatsRegistry] = None,
     ) -> None:
         if mode not in (MODE_BATCHED, MODE_BLOCKING):
             raise ServingError(
@@ -79,7 +77,7 @@ class QueryServer:
         self.seed = seed
         self.engine = system.engine
         self.accelerator = system.accelerator
-        self.stats = stats or system.stats
+        self.stats = system.stats
         self._serve_stats = self.stats.scoped("serve")
 
         #: Dispatch window: requests in service at once.  Blocking mode runs
@@ -121,9 +119,9 @@ class QueryServer:
         #: Write-path plumbing (docs/mutations.md) — built only when the
         #: config or an attached generator has a non-zero write ratio, so a
         #: read-only run constructs nothing and keeps a byte-identical stats
-        #: snapshot.
-        self._mutator = None
-        self._oracle = None
+        #: snapshot.  The cluster's durability layer reads both.
+        self.mutator = None
+        self.oracle = None
         self._write_tokens: Dict[int, int] = {}
         self.write_problems: Optional[List[str]] = None
         if self.config.write_ratio > 0:
@@ -135,7 +133,7 @@ class QueryServer:
 
     def _enable_writes(self) -> None:
         """Load mutation firmware and build the mutator + shadow oracle."""
-        if self._mutator is not None:
+        if self.mutator is not None:
             return
         if not self.workload.supports_mutation():
             raise ServingError(
@@ -145,8 +143,8 @@ class QueryServer:
         from .oracle import ShadowOracle
 
         self.system.enable_mutations()
-        self._mutator = self.workload.make_mutator()
-        self._oracle = ShadowOracle(self.workload, self._mutator)
+        self.mutator = self.workload.make_mutator()
+        self.oracle = ShadowOracle(self.workload, self.mutator)
 
     def attach(self, generator: LoadGenerator) -> None:
         """Register one tenant's load generator (exactly one per tenant)."""
@@ -165,6 +163,10 @@ class QueryServer:
         generator.bind(weakref.proxy(self))
         self._generators.append(generator)
         self._generators_by_tenant[generator.tenant] = generator
+
+    def generator_for(self, tenant: int) -> LoadGenerator:
+        """The load generator attached for ``tenant``."""
+        return self._generators_by_tenant[tenant]
 
     def core_of(self, tenant: int) -> int:
         """The core a tenant's requests submit from."""
@@ -216,8 +218,8 @@ class QueryServer:
     def _stage_write(self, request: ServeRequest) -> int:
         """Stage a write's CFA operand and open its oracle window."""
         key = self.workload.key_for(request.index)
-        operand = self._mutator.stage(request.op, key, request.value)
-        self._write_tokens[self._key(request)] = self._oracle.begin_write(
+        operand = self.mutator.stage(request.op, key, request.value)
+        self._write_tokens[self._key(request)] = self.oracle.begin_write(
             request.op, key, request.value, self.engine.now
         )
         self._serve_stats.counter("writes.dispatched").add()
@@ -319,14 +321,14 @@ class QueryServer:
     ) -> bool:
         """Judge a read's value: static table when read-only, oracle when
         writes are in flight (the expected value is then time-dependent)."""
-        if self._oracle is None:
+        if self.oracle is None:
             return value == self.workload.expected[request.index]
         dispatch = (
             request.dispatch_cycle
             if request.dispatch_cycle is not None
             else request.arrival_cycle
         )
-        return self._oracle.check_read(request.index, value, dispatch, completion)
+        return self.oracle.check_read(request.index, value, dispatch, completion)
 
     def _resolve_write(self, request: ServeRequest, handle: QueryHandle) -> None:
         tenant = request.tenant
@@ -343,7 +345,7 @@ class QueryServer:
             commit_seq = handle.commit_version
             commit_cycle = handle.commit_cycle or completion
             if result is not None:
-                self._mutator.note_accelerated(
+                self.mutator.note_accelerated(
                     request.op,
                     result,
                     key=self.workload.key_for(request.index),
@@ -358,13 +360,13 @@ class QueryServer:
             # Aborted write (version conflict, resize window, slice kill):
             # apply in software under the seqlock, on the shared clock.
             result = self.system.mutations().fallback(
-                self._mutator,
+                self.mutator,
                 request.op,
                 self.workload.key_for(request.index),
                 request.value,
                 code=handle.abort_code,
             )
-            commit_seq = self._mutator.last_commit_version
+            commit_seq = self.mutator.last_commit_version
             commit_cycle = self.engine.now
             self.slo.record_completion(
                 tenant,
@@ -372,7 +374,7 @@ class QueryServer:
                 accelerated=False,
             )
         if token is not None:
-            self._oracle.end_write(
+            self.oracle.end_write(
                 token, result, commit_seq=commit_seq, commit_cycle=commit_cycle
             )
         request.outcome = "ok"
@@ -382,21 +384,34 @@ class QueryServer:
         self._serve_stats.counter("writes.completed").add()
         self._release(request)
 
-    def _drain_completions(self, on_event=None) -> None:
-        # ``on_event`` runs after every resolution, not just once per engine
-        # step: a software-fallback detour advances engine time, so a single
-        # drain can retire an unbounded run of completions — the chaos
-        # harness needs to observe each one to fire its schedule on time.
-        while self._completions:
-            self._resolve(*self._completions.popleft())
-            if on_event is not None:
-                on_event(self)
-
     # ------------------------------------------------------------------ #
     # The serving loop
     # ------------------------------------------------------------------ #
 
+    @property
+    def busy(self) -> bool:
+        """Requests in service, queued for dispatch or awaiting resolution."""
+        return bool(self._outstanding or self.frontend.pending or self._completions)
+
+    def pump(self, on_event=None) -> None:
+        """Resolve the completions queued so far, then refill the dispatch
+        window.
+
+        ``on_event`` runs after every resolution, not just once per pump: a
+        software-fallback detour advances engine time, so one pump can
+        retire an unbounded run of completions, and the chaos harness needs
+        to observe each one to fire its schedule on time.
+        """
+        completions = self._completions
+        while completions:
+            self._resolve(*completions.popleft())
+            if on_event is not None:
+                on_event(self)
+        if self.frontend.pending and self._outstanding < self.limit:
+            self._dispatch()
+
     def _finished(self) -> bool:
+        # ``busy`` spelled out: this runs once per engine step.
         return (
             not self._outstanding
             and not self.frontend.pending
@@ -426,10 +441,8 @@ class QueryServer:
         steps = 0
         while not self._finished():
             progressed = self.engine.step()
-            if self._completions:
-                self._drain_completions(on_tick)
-            if self.frontend.pending:
-                self._dispatch()
+            if self._completions or self.frontend.pending:
+                self.pump(on_tick)
             if on_tick is not None:
                 on_tick(self)
             if not progressed:
@@ -446,15 +459,15 @@ class QueryServer:
             if steps > _STALL_GUARD_STEPS:
                 raise ServingError("serving loop exceeded its step guard")
         elapsed = self.engine.now - start
-        if self._oracle is not None:
+        if self.oracle is not None:
             # Lost/phantom-update audit: the drained structure must match
             # the oracle's sequential final state exactly.
-            self.write_problems = self._oracle.final_check()
+            self.write_problems = self.oracle.final_check()
             self._serve_stats.counter("writes.lost_or_phantom").add(
                 len(self.write_problems)
             )
             self._serve_stats.counter("reads.wrong").add(
-                self._oracle.wrong_reads
+                self.oracle.wrong_reads
             )
         return self.slo.report(
             scheme=self.system.scheme.value,

@@ -222,9 +222,9 @@ class Engine:
             self._horizon = None
         return self.now
 
-    def run_until(self, time: int, max_events: Optional[int] = None) -> int:
+    def run_until(self, time: int) -> int:
         """Fast-forward to absolute cycle ``time``, running due events."""
-        return self.run(until=time, max_events=max_events)
+        return self.run(until=time)
 
     def drain(self, max_events: Optional[int] = None) -> int:
         """Run every queued event to completion."""

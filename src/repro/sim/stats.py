@@ -280,15 +280,11 @@ class StatsRegistry:
             self._histograms[full] = Histogram(full)
         return self._histograms[full]
 
-    def sketch(
-        self,
-        name: str,
-        relative_error: float = PercentileSketch.DEFAULT_RELATIVE_ERROR,
-    ) -> PercentileSketch:
+    def sketch(self, name: str) -> PercentileSketch:
         """Get (or lazily create) the percentile sketch with this name."""
         full = self._qualify(name)
         if full not in self._sketches:
-            self._sketches[full] = PercentileSketch(full, relative_error)
+            self._sketches[full] = PercentileSketch(full)
         return self._sketches[full]
 
     def add_flush_hook(self, hook: Callable[[], None]) -> None:

@@ -183,13 +183,12 @@ class System:
         config: Optional[SystemConfig] = None,
         scheme: "IntegrationScheme | str" = IntegrationScheme.CORE_INTEGRATED,
         *,
-        stats: Optional[StatsRegistry] = None,
         mem: Optional[ProcessMemory] = None,
         engine: Optional[Engine] = None,
     ) -> None:
         self.config = config or SystemConfig()
         self.scheme = IntegrationScheme.parse(scheme)
-        self.stats = stats or StatsRegistry()
+        self.stats = StatsRegistry()
         # ``engine=`` adopts a shared event clock: the cluster tier
         # (serve/cluster/) runs every node's System on one engine so the
         # whole fleet is a single deterministic discrete-event simulation.
@@ -260,19 +259,18 @@ class System:
             self._mutations = MutationExecutor(self)
         return self._mutations
 
-    def enable_mutations(self, *, replace: bool = False) -> None:
+    def enable_mutations(self) -> None:
         """Register the INSERT/UPDATE/DELETE CFA programs on live firmware.
 
         Idempotent: programs whose type already has a mutation CFA are left
-        alone unless ``replace`` is set.
+        alone.
         """
         from .core.mutations import mutation_programs
 
         loaded = set(self.firmware.mutation_types())
         for program in mutation_programs():
-            if program.TYPE_CODE in loaded and not replace:
-                continue
-            self.firmware.register(program, replace=replace, mutation=True)
+            if program.TYPE_CODE not in loaded:
+                self.firmware.register(program, mutation=True)
 
     def start_resize(self, table, *, chunk_buckets: int = 8):
         """An :class:`~repro.core.mutations.OnlineResizer` for ``table``.
@@ -293,19 +291,16 @@ class System:
         self,
         trace: Trace,
         *,
-        core_id: int = 0,
         port: Optional[QueryPort] = None,
-        start_cycle: Optional[int] = None,
     ) -> CoreResult:
-        """Execute one micro-op trace on a core, resolving queries via QEI.
+        """Execute one micro-op trace on core 0, resolving queries via QEI.
 
         Successive calls continue from the simulation's current time so the
         accelerator's event clock and the core clock stay aligned.
         """
-        start = self.engine.now if start_cycle is None else start_cycle
-        resolver = port if port is not None else self.query_port(core_id)
-        result = self.cores[core_id].execute(
-            trace, start_cycle=start, external=resolver
+        resolver = port if port is not None else self.query_port()
+        result = self.cores[0].execute(
+            trace, start_cycle=self.engine.now, external=resolver
         )
         # Bring the event clock up to the core's completion point.
         if result.end_cycle > self.engine.now:

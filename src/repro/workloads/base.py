@@ -375,7 +375,6 @@ def run_qei(
     non_blocking: bool = False,
     batch: int = 8,
     poll_every: int = 32,
-    verify: bool = True,
     warm: bool = True,
 ) -> RoiRun:
     """Time the QEI-offloaded ROI (or whole app) on core 0."""
@@ -389,8 +388,7 @@ def run_qei(
         trace = workload.qei_trace(batch=batch)
     port = system.query_port(0)
     result = system.run_trace(trace, port=port)
-    if verify:
-        workload.verify_port(port)
+    workload.verify_port(port)
     return RoiRun(
         cycles=result.cycles,
         instructions=result.instructions,

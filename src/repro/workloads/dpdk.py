@@ -29,6 +29,8 @@ class DpdkFibWorkload(QueryWorkload):
     app_other_cycles = 150
     #: FIB entries take route add/withdraw traffic (docs/mutations.md).
     MUTABLE = True
+    #: Share of queries for flows the table does not hold.
+    MISS_RATIO = 0.05
 
     def __init__(
         self,
@@ -37,14 +39,12 @@ class DpdkFibWorkload(QueryWorkload):
         num_flows: int = 12288,
         num_buckets: int = 8192,
         num_queries: int = 200,
-        miss_ratio: float = 0.05,
         zipf: bool = True,
         seed: int = 7,
     ) -> None:
         super().__init__(system, num_queries=num_queries, seed=seed)
         self.num_flows = num_flows
         self.num_buckets = num_buckets
-        self.miss_ratio = miss_ratio
         self.zipf = zipf
         self.table: Optional[CuckooHashTable] = None
 
@@ -60,7 +60,7 @@ class DpdkFibWorkload(QueryWorkload):
         queries = pick_queries(
             flows,
             self.num_queries,
-            miss_ratio=self.miss_ratio,
+            miss_ratio=self.MISS_RATIO,
             key_length=KEY_LENGTH,
             zipf=self.zipf,
             seed=self.seed + 1,

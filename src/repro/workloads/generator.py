@@ -19,7 +19,11 @@ def make_keys(count: int, length: int, *, seed: int = 1234) -> List[bytes]:
     return out
 
 
-def zipf_indices(count: int, n: int, *, alpha: float = 0.99, seed: int = 99) -> List[int]:
+#: Skew of :func:`zipf_indices`' Zipf-like distribution.
+ZIPF_ALPHA = 0.99
+
+
+def zipf_indices(count: int, n: int, *, seed: int = 99) -> List[int]:
     """``count`` indices in [0, n) drawn from a Zipf-like distribution.
 
     Matches the skew of real query streams (flow tables, KV caches) without
@@ -28,7 +32,7 @@ def zipf_indices(count: int, n: int, *, alpha: float = 0.99, seed: int = 99) -> 
     if n <= 0:
         raise ValueError("population must be positive")
     rng = random.Random(seed)
-    weights = [1.0 / ((i + 1) ** alpha) for i in range(n)]
+    weights = [1.0 / ((i + 1) ** ZIPF_ALPHA) for i in range(n)]
     total = sum(weights)
     cdf = []
     acc = 0.0

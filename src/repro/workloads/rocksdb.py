@@ -30,6 +30,8 @@ class RocksDbWorkload(QueryWorkload):
     app_other_work = 420      # request parsing, WAL bookkeeping, response
     #: calibrated so memtable queries take ~28% of app time (paper Fig. 1)
     app_other_cycles = 7200
+    #: Share of queries for keys the memtable does not hold.
+    MISS_RATIO = 0.05
 
     def __init__(
         self,
@@ -37,12 +39,10 @@ class RocksDbWorkload(QueryWorkload):
         *,
         num_items: int = 3000,
         num_queries: int = 120,
-        miss_ratio: float = 0.05,
         seed: int = 11,
     ) -> None:
         super().__init__(system, num_queries=num_queries, seed=seed)
         self.num_items = num_items
-        self.miss_ratio = miss_ratio
         self.memtable: Optional[SkipList] = None
         self._value_blobs: List[int] = []
 
@@ -59,7 +59,7 @@ class RocksDbWorkload(QueryWorkload):
         queries = pick_queries(
             items,
             self.num_queries,
-            miss_ratio=self.miss_ratio,
+            miss_ratio=self.MISS_RATIO,
             key_length=KEY_LENGTH,
             seed=self.seed + 1,
         )

@@ -50,6 +50,8 @@ class SnortWorkload(QueryWorkload):
     app_other_work = 350      # packet capture, decode, rule dispatch
     #: calibrated so literal matching takes ~23% of app time (paper Fig. 1)
     app_other_cycles = 138000
+    #: Chance that each payload position starts a planted keyword.
+    HIT_DENSITY = 0.02
 
     def __init__(
         self,
@@ -58,13 +60,11 @@ class SnortWorkload(QueryWorkload):
         num_keywords: int = 1500,
         payload_bytes: int = 1024,
         num_queries: int = 12,
-        hit_density: float = 0.02,
         seed: int = 3,
     ) -> None:
         super().__init__(system, num_queries=num_queries, seed=seed)
         self.num_keywords = num_keywords
         self.payload_bytes = payload_bytes
-        self.hit_density = hit_density
         self.automaton: Optional[AhoCorasickTrie] = None
 
     def build(self) -> None:
@@ -78,7 +78,7 @@ class SnortWorkload(QueryWorkload):
         rng = random.Random(self.seed + 1)
         payloads = [
             make_payload(
-                self.payload_bytes, dictionary, hit_density=self.hit_density, rng=rng
+                self.payload_bytes, dictionary, hit_density=self.HIT_DENSITY, rng=rng
             )
             for _ in range(self.num_queries)
         ]

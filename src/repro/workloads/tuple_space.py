@@ -33,6 +33,8 @@ class TupleSpaceWorkload(QueryWorkload):
     name = "tuple-space"
     roi_other_work = 6        # per-probe mask application
     app_other_work = 220
+    #: Share of the flows each tuple's table holds.
+    MATCH_TUPLE_RATIO = 0.4
 
     def __init__(
         self,
@@ -42,7 +44,6 @@ class TupleSpaceWorkload(QueryWorkload):
         flows_per_tuple: int = 512,
         num_packets: int = 64,
         num_buckets: int = 512,
-        match_tuple_ratio: float = 0.4,
         seed: int = 31,
     ) -> None:
         super().__init__(system, num_queries=num_packets * num_tuples, seed=seed)
@@ -50,7 +51,6 @@ class TupleSpaceWorkload(QueryWorkload):
         self.flows_per_tuple = flows_per_tuple
         self.num_packets = num_packets
         self.num_buckets = num_buckets
-        self.match_tuple_ratio = match_tuple_ratio
         self.tables: List[CuckooHashTable] = []
         self._probe_tables: List[int] = []
 
@@ -64,7 +64,7 @@ class TupleSpaceWorkload(QueryWorkload):
                 self.system.mem, key_length=KEY_LENGTH, num_buckets=self.num_buckets
             )
             # Each tuple's table holds a share of the flows under its mask.
-            share = packets[:: max(1, int(1 / self.match_tuple_ratio))]
+            share = packets[:: max(1, int(1 / self.MATCH_TUPLE_RATIO))]
             for i, flow in enumerate(share):
                 table.insert(tuple_key(flow, t), 0x300000 + t * 10_000 + i)
             self.tables.append(table)

@@ -146,9 +146,7 @@ ALLOWLIST: Dict[str, str] = {
         "MulticoreResult.aggregate_throughput", "MulticoreResult.makespan",
         "MulticoreResult.total_instructions",
     ),
-    **_entries(
-        "oracle", "cpu.trace", "Trace.__iter__", "TraceBuilder.__len__", "TraceBuilder.store"
-    ),
+    **_entries("oracle", "cpu.trace", "Trace.__iter__", "TraceBuilder.__len__"),
     **_entries("oracle", "datastructs.bst", "BinarySearchTree.depth_of", "BinarySearchTree.items"),
     **_entries("oracle", "datastructs.hashtable", "CuckooHashTable.__len__"),
     **_entries("oracle", "datastructs.skiplist", "SkipList.__len__", "SkipList.items"),

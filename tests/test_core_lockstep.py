@@ -11,18 +11,17 @@ whose resolution is logged.  Every :class:`CoreResult` field, the level
 breakdown, the core's stats counters and the order in which promises are
 resolved must be equal.
 
-The loop times a load or store with one probe that replays an L1-dTLB
-hit and a FastMem L1-hit record in place, and falls back to
-``Mmu.translate`` and ``access_from_core`` on a miss.  A second geometry,
-with tiny private caches, more pages than the L1 dTLB holds, a 2MB huge
-page and a read-only page, sends random load and store streams through
-every translation outcome (L1-dTLB hit, L2-TLB hit, page walk) and every
-cache level, against a reference whose hierarchy runs the unmemoized walk
-(``tests/mem_reference.py``).  There the MMU and TLB counters must be
-equal too, and so must the TLB sets in LRU order, every cache set with its
-dirty bits and every set's epoch, also when the TLBs and private caches
-are flushed between chunks.  Protection faults and unmapped accesses must
-raise at the same op.
+The loop times a load with one probe that replays an L1-dTLB hit and a
+FastMem L1-hit record in place, and falls back to ``Mmu.translate`` and
+``access_from_core`` on a miss.  A second geometry, with tiny private
+caches, more pages than the L1 dTLB holds and a 2MB huge page, sends
+random load streams through every translation outcome (L1-dTLB hit,
+L2-TLB hit, page walk) and every cache level, against a reference whose
+hierarchy runs the unmemoized walk (``tests/mem_reference.py``).  There
+the MMU and TLB counters must be equal too, and so must the TLB sets in
+LRU order, every cache set with its dirty bits and every set's epoch, also
+when the TLBs and private caches are flushed between chunks.  Unmapped
+accesses must raise at the same op.
 """
 
 from __future__ import annotations
@@ -43,11 +42,7 @@ from repro.cpu import OoOCore  # noqa: E402
 from repro.cpu.isa import OpKind  # noqa: E402
 from repro.cpu.multicore import run_multiprogrammed  # noqa: E402
 from repro.cpu.trace import TraceBuilder  # noqa: E402
-from repro.errors import (  # noqa: E402
-    ProtectionFault,
-    SegmentationFault,
-    SimulationError,
-)
+from repro.errors import SegmentationFault, SimulationError  # noqa: E402
 from repro.mem import AddressSpace, MemoryHierarchy, Mmu, PhysicalMemory  # noqa: E402
 
 from .core_reference import ReferenceExecution, reference_execute  # noqa: E402
@@ -70,12 +65,10 @@ SETTINGS = settings(
 #: of 1KB (L1, 2-way) and 8KB (L2, 4-way) so reuse reaches L2 and the LLC.
 WIDE_PAGES = 128
 WIDE_LINES = WIDE_PAGES * 4096 // 64
-#: It also maps one 2MB huge page, which lines from WIDE_LINES on reach,
-#: and one read-only page; the page between them and the rest stays
-#: unmapped.
+#: It also maps one 2MB huge page, which lines from WIDE_LINES on reach;
+#: the pages between them stay unmapped.
 HUGE_BASE = 2 * 1024 * 1024
 HUGE_LINES = HUGE_BASE // 64
-READ_ONLY_LINE = WIDE_LINES + 64  # line 0 of page WIDE_PAGES + 2
 UNMAPPED_LINE = WIDE_LINES  # line 0 of page WIDE_PAGES + 1
 
 
@@ -105,7 +98,6 @@ def build_cores(windows, num_cores=1, wide=False):
     for page in range(1, (WIDE_PAGES if wide else PAGES) + 1):
         space.map_page(page * 4096)
     if wide:
-        space.map_page(vaddr_of(READ_ONLY_LINE), writable=False)
         space.map_huge_page(HUGE_BASE)
     return [
         OoOCore(c, core_cfg, hierarchy, Mmu(space, [cfg.core.l1_dtlb, cfg.core.l2_tlb]))
@@ -143,8 +135,6 @@ def make_trace(specs, tag=0, extra_deps=None):
         payload = (tag, i, promise, (latency or 0) * 37, extra)
         if kind is OpKind.LOAD:
             builder.load(vaddr, deps)
-        elif kind is OpKind.STORE:
-            builder.store(vaddr, deps)
         elif kind is OpKind.ALU:
             builder.alu(deps, latency=latency)
         elif kind is OpKind.BRANCH:
@@ -245,10 +235,10 @@ def test_chunked_run_until_matches_reference(specs, windows, chunks):
 
 
 def test_windows_saturate_on_default_core():
-    """Long DRAM-missing load and store streams fill ROB, LQ and SQ."""
+    """Long DRAM-missing load and query streams fill ROB, LQ and SQ."""
     specs = []
     for i in range(600):
-        kind = [OpKind.LOAD, OpKind.STORE, OpKind.QUERY_B, OpKind.QUERY_NB][i % 4]
+        kind = [OpKind.LOAD, OpKind.QUERY_B, OpKind.QUERY_NB][i % 3]
         specs.append((kind, [], (i * 67) % LINES, False, 10, i % 8 == 2, 0))
     new, ref, new_log, ref_log, new_core, ref_core = run_both(specs, WINDOWS[-1])
     assert_same(new, ref, new_log, ref_log, new_core, ref_core)
@@ -257,12 +247,12 @@ def test_windows_saturate_on_default_core():
     assert new.cycles > len(specs) // 2
 
 
-#: A load or store over the wide geometry: a hot line, a line in a hot
+#: A load over the wide geometry: a hot line, a line in a hot
 #: page, any small-page line, or a hot or any line of the huge page, so
 #: each translation outcome and cache level recurs.
 HUGE_FIRST = WIDE_LINES + 128
 MEM_OP = st.tuples(
-    st.sampled_from([OpKind.LOAD, OpKind.STORE]),
+    st.just(OpKind.LOAD),
     st.lists(st.integers(-1, 40), max_size=2),
     st.one_of(
         st.integers(0, 15),
@@ -348,13 +338,12 @@ def outcome_counts(core, result):
     )
 
 
-@pytest.mark.parametrize("kind", [OpKind.LOAD, OpKind.STORE])
-def test_wide_stream_reaches_every_outcome(kind):
-    """A seeded stream of one kind takes all 3 translations and 4 levels."""
+def test_wide_stream_reaches_every_outcome():
+    """A seeded load stream takes all 3 translations and 4 levels."""
     rng = random.Random(7)
     lines = [rng.choice([rng.randrange(16), rng.randrange(WIDE_LINES)])
              for _ in range(1500)]
-    specs = [(kind, [], line, False, None, False, 0) for line in lines]
+    specs = [(OpKind.LOAD, [], line, False, None, False, 0) for line in lines]
     new, ref, new_log, ref_log, new_core, ref_core = run_both(
         specs, WINDOWS[1], wide=True
     )
@@ -405,7 +394,7 @@ def test_multiprogrammed_matches_reference(specs, windows):
 def stop_state(execution, run):
     try:
         run()
-    except (SimulationError, SegmentationFault, ProtectionFault) as exc:
+    except (SimulationError, SegmentationFault) as exc:
         return (
             type(exc),
             str(exc),
@@ -472,44 +461,17 @@ def test_unmapped_load_faults_at_same_index():
     assert new_state[2] == 17
 
 
-def read_only_load(offset):
-    return (OpKind.LOAD, [], READ_ONLY_LINE + offset, False, None, False, 0)
-
-
-@given(
-    specs=st.lists(
-        st.one_of(MEM_OP, OP, st.integers(0, 63).map(read_only_load)),
-        min_size=1, max_size=80,
-    ),
-    bad=st.integers(0, 79),
-    offset=st.integers(0, 63),
-    windows=st.sampled_from(WINDOWS),
-)
-@SETTINGS
-def test_store_to_read_only_page_faults_at_same_index(specs, bad, offset, windows):
-    """Loads put the page in the L1 dTLB; the store must still fault."""
-    bad %= len(specs)
-    specs = specs[:bad] + [read_only_load(offset)] * 2 + specs[bad:]
-    specs.insert(bad + 2, (OpKind.STORE, [], READ_ONLY_LINE + offset,
-                           False, None, False, 0))
-    new_state, ref_state = stop_states(make_trace(specs), windows, wide=True)
-    assert new_state == ref_state
-    assert new_state[0] is ProtectionFault
-    assert new_state[2] == bad + 2
-
-
 @given(
     specs=st.lists(st.one_of(MEM_OP, OP), min_size=1, max_size=80),
     bad=st.integers(0, 79),
-    kind=st.sampled_from([OpKind.LOAD, OpKind.STORE]),
     offset=st.integers(0, 63),
     windows=st.sampled_from(WINDOWS),
 )
 @SETTINGS
-def test_unmapped_access_faults_at_same_index(specs, bad, kind, offset, windows):
+def test_unmapped_access_faults_at_same_index(specs, bad, offset, windows):
     bad %= len(specs)
     specs = list(specs)
-    specs.insert(bad, (kind, [], UNMAPPED_LINE + offset, False, None, False, 0))
+    specs.insert(bad, (OpKind.LOAD, [], UNMAPPED_LINE + offset, False, None, False, 0))
     new_state, ref_state = stop_states(make_trace(specs), windows, wide=True)
     assert new_state == ref_state
     assert new_state[0] is SegmentationFault
@@ -519,14 +481,13 @@ def test_unmapped_access_faults_at_same_index(specs, bad, kind, offset, windows)
 @given(
     specs=st.lists(st.one_of(MEM_OP, OP), min_size=1, max_size=80),
     bad=st.integers(0, 79),
-    kind=st.sampled_from([OpKind.LOAD, OpKind.STORE]),
     windows=st.sampled_from(WINDOWS),
 )
 @SETTINGS
-def test_memory_op_without_address_raises_at_same_index(specs, bad, kind, windows):
+def test_memory_op_without_address_raises_at_same_index(specs, bad, windows):
     bad %= len(specs)
     trace = make_trace(specs)
-    trace.kinds[bad] = kind
+    trace.kinds[bad] = OpKind.LOAD
     trace.args[bad] = None
     new_state, ref_state = stop_states(trace, windows, wide=True)
     assert new_state == ref_state

@@ -108,17 +108,6 @@ def test_rob_window_limits_mlp(system):
     assert res.cycles > cfg.dram.latency_cycles
 
 
-def test_stores_do_not_block_pipeline(system):
-    _, core, _ = system
-    warm(core, [0x3000])
-    b = TraceBuilder()
-    for i in range(64):
-        b.store(0x3000 + (i % 4) * 8)
-    res = core.execute(b.trace)
-    assert res.cycles < 200
-    assert res.stores == 64
-
-
 def test_query_without_resolver_raises(system):
     _, core, _ = system
     b = TraceBuilder()

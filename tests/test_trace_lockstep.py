@@ -34,7 +34,6 @@ PAYLOAD = st.one_of(st.none(), st.integers(), st.tuples(st.integers(), st.text(m
 CALLS = st.one_of(
     st.tuples(st.just("load"), ADDR, DEPS),
     st.tuples(st.just("load_span"), ADDR, st.integers(-4, 300), DEPS),
-    st.tuples(st.just("store"), ADDR, DEPS),
     st.tuples(
         st.just("alu"), DEPS, st.one_of(st.none(), st.integers(0, 20)), st.integers(0, 40)
     ),
@@ -43,7 +42,7 @@ CALLS = st.one_of(
     st.tuples(st.just("query_nb"), PAYLOAD, DEPS),
     st.tuples(st.just("wait_result"), PAYLOAD, DEPS),
     st.tuples(st.just("ifetch_stall"), st.integers(0, 30), DEPS),
-    st.tuples(st.just("other_work"), st.integers(0, 40), DEPS),
+    st.tuples(st.just("other_work"), st.integers(0, 40)),
 )
 
 

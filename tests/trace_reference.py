@@ -70,9 +70,6 @@ class TraceBuilder:
             addr += line
         return ids
 
-    def store(self, vaddr: int, deps: Sequence[int] = ()) -> int:
-        return self._emit(MicroOp(OpKind.STORE, vaddr, tuple(deps)))
-
     def alu(
         self, deps: Sequence[int] = (), *, latency: Optional[int] = None, count: int = 1
     ) -> int:
@@ -106,7 +103,7 @@ class TraceBuilder:
             MicroOp(OpKind.IFETCH_STALL, deps=tuple(deps), latency_override=cycles)
         )
 
-    def other_work(self, instructions: int, deps: Sequence[int] = ()) -> int:
+    def other_work(self, instructions: int) -> int:
         """Independent filler instructions around the query (query density).
 
         Models the non-query part of a request loop (key pre-processing,
@@ -115,9 +112,8 @@ class TraceBuilder:
         """
         ops = self._ops
         first = len(ops)
-        deps = tuple(deps)
         ops.extend([
-            MicroOp(OpKind.ALU, None, deps if i % 4 == 0 else (first + i - 1,))
+            MicroOp(OpKind.ALU, None, () if i % 4 == 0 else (first + i - 1,))
             for i in range(instructions)
         ])
         return first + instructions - 1 if instructions else -1
