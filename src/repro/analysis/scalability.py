@@ -103,7 +103,6 @@ def scalability_study() -> ExperimentResult:
                     )
             done = 0
             for handle in handles:
-                accel = engines[0]
                 done = max(done, _wait(system, handle))
             total = cores * QUERIES_PER_CORE
             row[scheme] = 1000.0 * total / max(1, done)

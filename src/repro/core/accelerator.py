@@ -14,9 +14,10 @@ architecturally correct query result — tests cross-check it against the
 pure software reference.
 
 **One CEE driver, one CFA form.**  Every accepted query is bound, at
-accept time, to its program's step (:mod:`repro.core.specialize`) — or to
-the *dispatch* step that resolves the program on each transition
-(unregistered type codes, header pages unmapped at accept).  Programs
+accept time, to its program's step, looked up in the firmware image's own
+tables (:class:`~repro.core.cfa.FirmwareImage`) — or to the *dispatch*
+step that resolves the program on each transition (unregistered type
+codes, header pages unmapped at accept).  Programs
 return flat tuple micro-ops (:mod:`repro.core.cfa`) that the driver
 executes inline, read and write path alike, with results deposited in the
 query's register file.  ``tests/cfa_reference.py`` keeps interpreted
@@ -81,9 +82,7 @@ from .cfa import (
     K_COMPARE,
     K_DELAY,
     K_DONE,
-    K_FAULT,
     K_HASH,
-    K_MEMREAD2,
     K_MEMREAD_OPT,
     K_WRITE,
     FirmwareImage,
@@ -99,7 +98,9 @@ from .header import VERSION_OFFSET
 from ..datastructs.hashing import fnv1a64
 from .integration import Integration, SliceState
 from .qst import QstEntry, QueryStateTable
-from .specialize import CompiledStep, compile_firmware, dispatch_step
+
+#: A CFA program's bound ``step``: one transition, one tuple micro-op.
+Step = Callable[[QueryContext], tuple]
 
 #: The micro-TLB of a home that has none yet: never written, every probe
 #: of it misses.
@@ -218,15 +219,10 @@ class QeiAccelerator:
         # One CEE clock per accelerator instance: keyed by the home node, so
         # distributed (per-CHA / per-core) engines pipeline independently.
         self._cee_free_at: Dict[int, int] = {}
-        # Compiled firmware tables, rebuilt lazily whenever firmware.epoch
-        # moves (initial load, runtime register(), hot-swap adopt()).
-        self._compiled_epoch = -1
-        self._compiled_lookup: Dict[int, CompiledStep] = {}
-        self._compiled_mut: Dict[int, CompiledStep] = {}
-        # The fallback route for queries no compiled table covers.
-        self._dispatch = dispatch_step(firmware, space)
-        # Each QST slot's compiled step fn, bound at accept.
-        self._rdy_fn: List[Optional[CompiledStep]] = [None] * qst_entries
+        # The route for queries no firmware table entry covers.
+        self._dispatch = firmware.dispatch_step(space)
+        # Each QST slot's program step, bound at accept.
+        self._rdy_fn: List[Optional[Step]] = [None] * qst_entries
         #: QST-slot-indexed handle table (dense: slot indices are small and
         #: recycled, so a list beats a dict on every hot-path probe).
         self._handles: List[Optional[QueryHandle]] = [None] * qst_entries
@@ -386,31 +382,26 @@ class QeiAccelerator:
             handle.accept_cycle = self.engine.now
             self._handles[entry.index] = handle
             self._n_handles += 1
-            fn = self._resolve_compiled(ctx)
-            self._rdy_fn[entry.index] = fn
-            ctx.scratch = [0] * fn.nregs
+            # Bind the program's step from the firmware image's table (a
+            # hot-swap adopt quiesces first, so no query straddles it).
+            # The type byte is peeked functionally; an unregistered type,
+            # or an unmapped header page, binds the dispatch step, which
+            # faults with the same code and timing on the step that meets
+            # the problem.
+            try:
+                type_code = self.space.read_u8(ctx.header_addr + 8)
+            except MemoryError_:
+                program = None
+            else:
+                firmware = self.firmware
+                table = firmware.programs if ctx.op == OP_LOOKUP else firmware.mutators
+                program = table.get(type_code)
+            if program is None:
+                self._rdy_fn[entry.index] = self._dispatch
+            else:
+                self._rdy_fn[entry.index] = program.step
+                ctx.scratch = [0] * program.NREGS
             self._sched(entry, self.engine.now)
-
-    def _resolve_compiled(self, ctx: QueryContext) -> CompiledStep:
-        """Bind the accepted query to its compiled step function.
-
-        The compiled tables are rebuilt whenever ``firmware.epoch`` moved
-        (hot-swap ``adopt`` bumps it after quiescing, so in-flight queries
-        never observe a rebuild).  The type byte is peeked functionally; an
-        unregistered type, or an unmapped header page, binds the dispatch
-        step, which faults with the same code and timing on the step that
-        meets the problem.
-        """
-        firmware = self.firmware
-        if self._compiled_epoch != firmware.epoch:
-            self._compiled_lookup, self._compiled_mut = compile_firmware(firmware)
-            self._compiled_epoch = firmware.epoch
-        try:
-            type_code = self.space.read_u8(ctx.header_addr + 8)
-        except MemoryError_:
-            return self._dispatch
-        table = self._compiled_lookup if ctx.op == OP_LOOKUP else self._compiled_mut
-        return table.get(type_code, self._dispatch)
 
     # ------------------------------------------------------------------ #
     # Terminal helpers
@@ -489,9 +480,7 @@ class QeiAccelerator:
     # CEE driver: one engine event per deferred transition
     # ------------------------------------------------------------------ #
 
-    def _defer(
-        self, entry: QstEntry, time: int, fn: Optional[CompiledStep]
-    ) -> None:
+    def _defer(self, entry: QstEntry, time: int, fn: Optional[Step]) -> None:
         """Defer a step (``fn``) or, with None, a wake of ``entry`` to ``time``.
 
         The event stays live even if the slot is released or reallocated
@@ -522,7 +511,7 @@ class QeiAccelerator:
         entry: QstEntry,
         generation: int,
         now: int,
-        fn: Optional[CompiledStep],
+        fn: Optional[Step],
     ) -> None:
         """Engine callback of every deferred transition: the CEE driver.
 
@@ -530,7 +519,7 @@ class QeiAccelerator:
         completed at ``now`` (a wake): it claims its home's CEE slot, then
         steps inline when fusion allows or defers a step to that slot.
 
-        A step runs its entry's compiled CFA and fuses transitions while
+        A step runs its entry's CFA step and fuses transitions while
         safe, advancing ``now`` virtually.  A transition at ``start`` fuses
         only when ``start`` strictly precedes every pending engine event
         and lies inside the active run's horizon; under that guard nothing
@@ -572,7 +561,6 @@ class QeiAccelerator:
         space = self.space
         integ = self.integration
         local_pool = integ.local_pool
-        step_fn = fn.step
         watchdog_budget = self.watchdog_steps
         (
             walk_get, page_bytes, micro_tlbs, hit_cycles, memo_get, mult,
@@ -612,7 +600,7 @@ class QeiAccelerator:
                         # header page vanishes, whatever program they are
                         # bound to.
                         space.translate(ctx.header_addr + 8, "r")
-                    act = step_fn(ctx)
+                    act = fn(ctx)
                 except Exception as exc:  # noqa: BLE001 - firmware bugs become faults
                     detail, code = self._step_error(exc)
                     terminal = partial(
@@ -621,7 +609,6 @@ class QeiAccelerator:
                     )
                     break
                 kind = act[0]
-                waiting = False
                 if kind <= K_DELAY:
                     # Timed micro-op, executed inline: the timing path
                     # first, then the functional access — one fixed order
@@ -739,17 +726,6 @@ class QeiAccelerator:
                             data = ctx.scratch[act[1]]
                             ready_at = integ.hash_unit.hash(now, len(data))
                             ctx.scratch[act[2]] = fnv1a64(data)
-                        elif kind == K_MEMREAD2:  # two concurrent segments
-                            mems += 1
-                            latency = 0
-                            for vaddr, length, slot in (act[1:4], act[4:7]):
-                                seg_latency = integ.mem_read(
-                                    vaddr, length, now, home, core_id
-                                )
-                                ctx.scratch[slot] = space.read(vaddr, length)
-                                if seg_latency > latency:
-                                    latency = seg_latency
-                            ready_at = now + (latency if latency > 1 else 1)
                         # Write-path kinds (docs/mutations.md).  Their stats
                         # counters are created lazily so zero-write runs keep
                         # a byte-identical snapshot (golden-stats discipline).
@@ -816,15 +792,12 @@ class QeiAccelerator:
                     )
                     terminal = partial(self._retire, entry, handle, status, value)
                     break
-                elif kind == K_FAULT:
+                else:  # K_FAULT
                     terminal = partial(
                         self._retire, entry, handle, QueryStatus.FAULT,
                         code=AbortCode.of(act[1]), detail=act[2] or "CFA fault",
                     )
                     break
-                else:  # K_WAIT
-                    ready_at = now + 1
-                    waiting = True
                 home = handle.home
                 free = cee_free.get(home, 0)
                 start = ready_at if ready_at > free else free
@@ -838,11 +811,8 @@ class QeiAccelerator:
                     cee_free[home] = start + 1
                     now = start
                     continue
-                if waiting:
-                    self._sched(entry, now + 1)
-                else:
-                    # ready_at > now >= engine.now: a wake at the completion.
-                    self._defer(entry, ready_at, None)
+                # ready_at > now >= engine.now: a wake at the completion.
+                self._defer(entry, ready_at, None)
                 return
         finally:
             self._steps.value += steps

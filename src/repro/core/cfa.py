@@ -2,16 +2,14 @@
 
 A CFA has *fixed transition rules but configurable parameters*: each
 data-structure type maps to one :class:`CfaProgram` whose states are driven
-by the CFA Execution Engine.  Every step either performs an internal
-transition (``(K_WAIT,)``, one CEE cycle) or issues exactly one
+by the CFA Execution Engine.  Every step issues exactly one
 micro-operation to the Data Processing Unit / memory system.  A step
 returns its micro-op as a flat tuple ``(kind, *operands)``; results land
 in the query's register file (``ctx.scratch``, a slot-indexed list):
 
 * ``(K_MEMREAD, vaddr, length, slot)`` — cacheline-granular memory fetch;
   ``K_MEMREAD_OPT`` adds a required-prefix length past which the fetch may
-  truncate at an unmapped page, ``K_MEMREAD2`` fetches two segments
-  concurrently;
+  truncate at an unmapped page;
 * ``(K_COMPARE, mem_vaddr, length, slot)`` — (possibly remote, near-LLC)
   three-way compare against the query key;
 * ``(K_HASH, src_slot, slot)`` — the DPU hashing unit;
@@ -22,16 +20,20 @@ in the query's register file (``ctx.scratch``, a slot-indexed list):
 
 Programs are registered in a :class:`FirmwareImage`; new data structures are
 supported by registering new programs at runtime — the paper's
-firmware-update path (Sec. IV-B).
+firmware-update path (Sec. IV-B).  The image is the CEE's step table: the
+accelerator binds each accepted query to its program's ``step`` straight
+from the image's tables, and queries no table covers to
+:meth:`FirmwareImage.dispatch_step`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import FirmwareError
+from ..mem.paging import AddressSpace
 from .abort import AbortCode
 from .header import DataStructureHeader
 
@@ -64,20 +66,19 @@ OP_NAMES = {
 WRITE_OPS = (OP_INSERT, OP_DELETE, OP_UPDATE)
 
 #: Tuple micro-op kinds.  The timed kinds (executed inline by the CEE
-#: driver, producing a ready-at cycle) are all <= K_DELAY; the driver
-#: relies on that ordering for its dispatch.
+#: driver, producing a ready-at cycle) are all <= K_DELAY, and the memory
+#: kinds the driver probes are all <= K_COMPARE; the driver relies on that
+#: ordering for its dispatch.
 K_MEMREAD = 0
 K_MEMREAD_OPT = 1
 K_COMPARE = 2
 K_HASH = 3
 K_ALU = 4
-K_MEMREAD2 = 5
 K_WRITE = 6
 K_CAS = 7
 K_DELAY = 8
 K_DONE = 9
 K_FAULT = 10
-K_WAIT = 11
 
 #: Register slots of the shared prelude: the header line and the key.
 S_HEADER = 0
@@ -225,25 +226,26 @@ class FirmwareImage:
     """The CEE's loaded state-transition rules, keyed by structure type.
 
     The engine is microcoded and configurable: :meth:`register` is the
-    firmware-update path for emerging data structures (Sec. IV-B).
+    firmware-update path for emerging data structures (Sec. IV-B).  The
+    two tables are the CEE's step table: the accelerator looks each
+    accepted query's type code up in them and binds the program's
+    ``step``, so a :meth:`register` or hot-swap :meth:`adopt` is seen by
+    the next accept.
     """
 
     def __init__(self, *, max_states: int = 256) -> None:
         self.max_states = max_states
-        self._programs: Dict[int, CfaProgram] = {}
+        #: Lookup programs, keyed by structure type code.
+        self.programs: Dict[int, CfaProgram] = {}
         #: Mutation programs (INSERT/DELETE/UPDATE dispatch), keyed by the
         #: same structure type codes; absent entries mean writes for that
         #: type run entirely on the software path.
-        self._mutators: Dict[int, CfaProgram] = {}
-        #: Bumped on every table change (register or hot-swap adopt) so the
-        #: accelerator's compiled-step table (core/specialize.py) can detect
-        #: staleness with one integer compare per query admission.
-        self.epoch = 0
+        self.mutators: Dict[int, CfaProgram] = {}
 
     def register(
         self, program: CfaProgram, *, replace: bool = False, mutation: bool = False
     ) -> None:
-        table = self._mutators if mutation else self._programs
+        table = self.mutators if mutation else self.programs
         program.validate(self.max_states)
         if program.TYPE_CODE in table and not replace:
             raise FirmwareError(
@@ -252,7 +254,6 @@ class FirmwareImage:
                 "pass replace=True to update firmware"
             )
         table[program.TYPE_CODE] = program
-        self.epoch += 1
 
     def staged_copy(self) -> "FirmwareImage":
         """A candidate image for a live update (same programs and budget).
@@ -262,18 +263,17 @@ class FirmwareImage:
         the rollback), then :meth:`adopt` it once the CEE has quiesced.
         """
         staged = FirmwareImage(max_states=self.max_states)
-        staged._programs = dict(self._programs)
-        staged._mutators = dict(self._mutators)
+        staged.programs = dict(self.programs)
+        staged.mutators = dict(self.mutators)
         return staged
 
     def adopt(self, staged: "FirmwareImage") -> None:
         """Atomically switch to ``staged``'s program table (hot-swap commit)."""
-        self._programs = staged._programs
-        self._mutators = staged._mutators
-        self.epoch += 1
+        self.programs = staged.programs
+        self.mutators = staged.mutators
 
     def program_for(self, type_code: int, *, op: int = OP_LOOKUP) -> CfaProgram:
-        table = self._programs if op == OP_LOOKUP else self._mutators
+        table = self.programs if op == OP_LOOKUP else self.mutators
         try:
             return table[type_code]
         except KeyError as exc:
@@ -283,10 +283,35 @@ class FirmwareImage:
             ) from exc
 
     def supports(self, type_code: int) -> bool:
-        return type_code in self._programs
+        return type_code in self.programs
 
-    def types(self) -> List[int]:
-        return sorted(self._programs)
+    def dispatch_step(self, space: AddressSpace) -> Callable[[QueryContext], tuple]:
+        """The dispatch route: a step that resolves the program every step.
 
-    def mutation_types(self) -> List[int]:
-        return sorted(self._mutators)
+        Queries whose header type has no table entry (an unregistered type
+        code) or whose header page was unmapped at accept bind to this
+        step.  Each step reads the type byte until PARSE has cached the
+        header and asks :meth:`program_for` for the program — so an unknown
+        type raises :class:`~repro.errors.FirmwareError` (``BAD_TYPE``) and
+        an unmapped page a memory fault on the step that meets it — grows
+        the register file to the program's size and runs the program's
+        step.  It captures the image and the address space, never the
+        accelerator (which holds the step, so capturing it would form a
+        reference cycle); :meth:`adopt` swaps the image's tables in place,
+        so the capture sees hot-swaps.
+        """
+        program_for = self.program_for
+        read_u8 = space.read_u8
+
+        def fn(ctx: QueryContext) -> tuple:
+            header = ctx.header
+            type_code = (
+                header.type_code if header is not None else read_u8(ctx.header_addr + 8)
+            )
+            program = program_for(type_code, op=ctx.op)
+            regs = ctx.scratch
+            if len(regs) < program.NREGS:
+                regs.extend([0] * (program.NREGS - len(regs)))
+            return program.step(ctx)
+
+        return fn

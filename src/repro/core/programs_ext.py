@@ -5,8 +5,8 @@ structures the accelerator did not ship with.  Register them at runtime::
 
     system.firmware.register(BPlusTreeCfa())
 
-Registration bumps the firmware epoch; the accelerator rebinds its step
-table at the next query admission, so loaded firmware runs through the
+The image is the accelerator's step table, so the next accepted query of
+that type binds the new program's step: loaded firmware runs through the
 same CEE driver, at the same per-step cost, as the factory image.
 """
 

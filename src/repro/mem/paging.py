@@ -93,13 +93,14 @@ class AddressSpace:
         #: (map/unmap/restore); faulting lookups are never cached so
         #: segfault/protection semantics are unchanged.
         self._walk_memo: Dict[Tuple[int, str], Tuple[int, int, int]] = {}
-        #: vpn -> (frame bytearray, page base offset) direct-access memos for
-        #: in-page reads and the u64 fast paths, split by permission.  The
+        #: vpn -> frame bytearray direct-access memos for in-page reads and
+        #: the u64 fast paths, split by permission.  A page is one whole
+        #: frame, so a page offset indexes the frame directly.  The
         #: bytearray is the live backing store (mutated in place by all
         #: writers), so a memo hit needs no translation at all.  Cleared
         #: with ``_walk_memo``.
-        self._frame_memo_r: Dict[int, Tuple[bytearray, int]] = {}
-        self._frame_memo_w: Dict[int, Tuple[bytearray, int]] = {}
+        self._frame_memo_r: Dict[int, bytearray] = {}
+        self._frame_memo_w: Dict[int, bytearray] = {}
 
     # ------------------------------------------------------------------ #
     # Mapping
@@ -230,10 +231,9 @@ class AddressSpace:
         offset = vaddr & self._page_mask
         if 0 < length and offset + length <= self.page_bytes:
             vpn = vaddr >> self._page_shift
-            entry = self._frame_memo_r.get(vpn)
-            if entry is not None:
-                base = entry[1] + offset
-                return bytes(entry[0][base : base + length])
+            frame = self._frame_memo_r.get(vpn)
+            if frame is not None:
+                return bytes(frame[offset : offset + length])
             data = self.physical.read(self.translate(vaddr, "r"), length)
             self._memoize_frame(vpn, "r", self._frame_memo_r)
             return data
@@ -271,52 +271,43 @@ class AddressSpace:
 
     def read_u64(self, vaddr: int) -> int:
         offset = vaddr & self._page_mask
-        entry = self._frame_memo_r.get(vaddr >> self._page_shift)
-        if entry is not None and offset <= self._u64_limit:
-            base = entry[1] + offset
-            return int.from_bytes(entry[0][base : base + 8], "little")
+        frame = self._frame_memo_r.get(vaddr >> self._page_shift)
+        if frame is not None and offset <= self._u64_limit:
+            return int.from_bytes(frame[offset : offset + 8], "little")
         # read() remembers the frame of an in-page access.
         return int.from_bytes(self.read(vaddr, 8), "little")
 
     def read_2u64(self, vaddr: int) -> Tuple[int, int]:
         """Two consecutive u64s in one access (hot for 16-byte slots)."""
         offset = vaddr & self._page_mask
-        entry = self._frame_memo_r.get(vaddr >> self._page_shift)
-        if entry is not None and offset <= self._u128_limit:
-            base = entry[1] + offset
-            word = int.from_bytes(entry[0][base : base + 16], "little")
+        frame = self._frame_memo_r.get(vaddr >> self._page_shift)
+        if frame is not None and offset <= self._u128_limit:
+            word = int.from_bytes(frame[offset : offset + 16], "little")
             return word & MASK64, word >> 64
         return self.read_u64(vaddr), self.read_u64(vaddr + 8)
 
     def write_u64(self, vaddr: int, value: int) -> None:
         offset = vaddr & self._page_mask
         vpn = vaddr >> self._page_shift
-        entry = self._frame_memo_w.get(vpn)
-        if entry is not None and offset <= self._u64_limit:
-            base = entry[1] + offset
-            entry[0][base : base + 8] = (value & MASK64).to_bytes(8, "little")
+        frame = self._frame_memo_w.get(vpn)
+        if frame is not None and offset <= self._u64_limit:
+            frame[offset : offset + 8] = (value & MASK64).to_bytes(8, "little")
             return
         self.write(vaddr, (value & MASK64).to_bytes(8, "little"))
         if offset <= self._u64_limit:
             self._memoize_frame(vpn, "w", self._frame_memo_w)
 
-    def _memoize_frame(self, vpn: int, access: str, memo: Dict[int, Tuple[bytearray, int]]) -> None:
-        """Remember the live frame backing ``vpn`` for direct u64 access.
+    def _memoize_frame(self, vpn: int, access: str, memo: Dict[int, bytearray]) -> None:
+        """Remember the live frame backing ``vpn`` for direct access.
 
-        Pages and frames are both 4KB, so every page maps wholly onto one
-        frame (pages inside a huge-page run too: their sub-pages are
-        frame-aligned).
+        Pages and frames are both ``PAGE_BYTES``, so every page maps wholly
+        onto one frame (pages inside a huge-page run too: their sub-pages
+        are frame-aligned).  Callers have just read or written the page,
+        which materialised its frame.
         """
         physical = self.physical
         base_paddr = self.translate(vpn * self.page_bytes, access)
-        frame_number, base_offset = divmod(base_paddr, physical.frame_bytes)
-        if base_offset:
-            return
-        frame = physical._frames.get(frame_number)
-        if frame is None:
-            frame = bytearray(physical.frame_bytes)
-            physical._frames[frame_number] = frame
-        memo[vpn] = (frame, 0)
+        memo[vpn] = physical._frames[base_paddr // physical.frame_bytes]
 
     def read_u32(self, vaddr: int) -> int:
         return int.from_bytes(self.read(vaddr, 4), "little")

@@ -21,6 +21,8 @@ Counter idiom (hot-path-approved forms, in order of increasing heat):
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 
@@ -59,9 +61,11 @@ class Histogram:
     def count(self) -> int:
         return len(self._samples)
 
+    # The total adds left to right: Python 3.12's sum() compensates float
+    # rounding, and a stats snapshot must read the same on every interpreter.
     @property
     def total(self) -> float:
-        return sum(self._samples)
+        return reduce(add, self._samples, 0)
 
     @property
     def mean(self) -> float:

@@ -267,9 +267,8 @@ class System:
         """
         from .core.mutations import mutation_programs
 
-        loaded = set(self.firmware.mutation_types())
         for program in mutation_programs():
-            if program.TYPE_CODE not in loaded:
+            if program.TYPE_CODE not in self.firmware.mutators:
                 self.firmware.register(program, mutation=True)
 
     def start_resize(self, table, *, chunk_buckets: int = 8):
@@ -369,11 +368,11 @@ class System:
         and ``on_complete(update)`` fires.  On an idle machine the swap
         commits before this method returns.
 
-        Adoption bumps ``FirmwareImage.epoch``, which invalidates the
-        accelerator's step table (``core/specialize.py``); the next
-        accepted query lazily rebinds the swapped-in programs.
-        Because the swap only commits after every home quiesces, no
-        in-flight query can ever straddle a table rebuild.
+        The image is the accelerator's step table: each accepted query
+        binds its program's step from it, so the next accept after the
+        adoption binds the swapped-in programs.  Because the swap only
+        commits after every home quiesces, no in-flight query can ever
+        straddle the swap.
         """
         staged = self.firmware.staged_copy()
         for program in programs:

@@ -35,9 +35,7 @@ from repro.core.cfa import (
     K_FAULT,
     K_HASH,
     K_MEMREAD,
-    K_MEMREAD2,
     K_MEMREAD_OPT,
-    K_WAIT,
     K_WRITE,
     OP_DELETE,
     OP_INSERT,
@@ -76,10 +74,6 @@ from repro.datastructs.hashing import secondary_hash, signature_of
 class MemRead:
     """Fetch ``length`` bytes at ``vaddr`` into scratch slot ``tag``.
 
-    Multiple segments may be fetched concurrently (the paper's CFA issues
-    the key and starting-node reads in parallel, Fig. 3 step 1): pass extra
-    ``(vaddr, length, tag)`` tuples in ``also``.
-
     ``optional_after`` marks speculative tail bytes: fetches are cacheline
     granular, so a program may ask for a whole line knowing only the first
     N bytes are architecturally required; the engine truncates the fetch at
@@ -90,12 +84,7 @@ class MemRead:
     vaddr: int
     length: int
     tag: str
-    also: Tuple[Tuple[int, int, str], ...] = ()
     optional_after: Optional[int] = None
-
-    def segments(self) -> Iterable[Tuple[int, int, str]]:
-        yield self.vaddr, self.length, self.tag
-        yield from self.also
 
 
 @dataclass(frozen=True)
@@ -199,10 +188,10 @@ MicroAction = Union[
 
 @dataclass
 class StepOutcome:
-    """What one CEE step did: an optional micro-op and the next state."""
+    """What one CEE step did: its micro-op and the next state."""
 
     next_state: str
-    action: Optional[MicroAction] = None
+    action: MicroAction
 
 
 # --------------------------------------------------------------------- #
@@ -1317,8 +1306,6 @@ class OracleProgram(CfaProgram):
 
 def _to_tuple(action, ref: QueryContext, regs: list, pending: list) -> tuple:
     """The tuple micro-op the driver executes for ``action``."""
-    if action is None:
-        return (K_WAIT,)
     if isinstance(action, Done):
         return (K_DONE, action.value)
     if isinstance(action, Fault):
@@ -1332,7 +1319,6 @@ def _to_tuple(action, ref: QueryContext, regs: list, pending: list) -> tuple:
     if isinstance(action, MemRead):
         pending.append(("scratch", action.tag, _R_LAND_A))
         if action.optional_after is not None:
-            assert not action.also
             return (
                 K_MEMREAD_OPT,
                 action.vaddr,
@@ -1340,14 +1326,7 @@ def _to_tuple(action, ref: QueryContext, regs: list, pending: list) -> tuple:
                 _R_LAND_A,
                 action.optional_after,
             )
-        if not action.also:
-            return (K_MEMREAD, action.vaddr, action.length, _R_LAND_A)
-        ((vaddr, length, tag),) = action.also
-        pending.append(("scratch", tag, _R_LAND_B))
-        return (
-            K_MEMREAD2, action.vaddr, action.length, _R_LAND_A,
-            vaddr, length, _R_LAND_B,
-        )
+        return (K_MEMREAD, action.vaddr, action.length, _R_LAND_A)
     pending.append(("results", action.tag, _R_LAND_A))
     if isinstance(action, Compare):
         assert action.key_vaddr == ref.key_addr, "compares are against the key"

@@ -238,7 +238,7 @@ class TestExceptions:
 
 
 class TestDispatchRoute:
-    """Queries no compiled table covers run the per-step dispatch route.
+    """Queries no firmware table entry covers run the per-step dispatch route.
 
     An unregistered header type (hash-of-lists before its firmware is
     loaded) faults BAD_TYPE and an unmapped header page faults SEGFAULT.
@@ -310,6 +310,9 @@ class TestDispatchRoute:
             assert handle.status is QueryStatus.FAULT
             assert (handle.abort_code, handle.submit_cycle) == (code, submit)
             assert handle.completion_cycle == finish
+        assert handles[1].fault_detail == (
+            f"no CFA program loaded for structure type {hol.header().type_code}"
+        )
 
 
 class TestFlush:

@@ -6,8 +6,9 @@ used to cost host seconds without changing a simulated number: one
 ``MicroOp`` object per trace op, one dict per cache set, and Systems that
 only the cyclic garbage collector could free.  The last also holds for the
 serving tier and the cluster drills, whose Systems used to sit in
-callback cycles until a full collection, for the accelerator's compiled
-CFA step tables, whose hand-specialized closures used to call each other,
+callback cycles until a full collection, for the CFA steps the
+accelerator binds at accept and its dispatch route, whose hand-specialized
+closures used to call each other,
 for a hierarchy built without a NoC, which used to hold its own bound
 hop-latency method, and for the load balancer's resolved requests, which
 used to sit in a cycle with their timeout events.  A cluster's pickled
@@ -156,15 +157,15 @@ def test_compiled_step_tables_die_by_refcount():
     table = CuckooHashTable(system.mem, key_length=16, num_buckets=8)
     key = b"k".ljust(16, b"_")
     table.insert(key, 1)
-    # One write through the accelerator compiles both tables.
+    # One write through the accelerator binds a mutation step to a slot.
     system.mutations().run(make_mutator(system, table), OP_UPDATE, key, 2)
     accelerator = system.accelerator
-    steps = [
-        entry.step
-        for compiled in (accelerator._compiled_lookup, accelerator._compiled_mut)
-        for entry in compiled.values()
-    ] + [accelerator._dispatch.step]
-    assert len(steps) == 7 + 1 + 1
+    firmware = system.firmware
+    programs = list(firmware.programs.values()) + list(firmware.mutators.values())
+    assert len(programs) == 7 + 1
+    bound = [step for step in accelerator._rdy_fn if step is not None]
+    assert any(step.__self__ in firmware.mutators.values() for step in bound)
+    steps = bound + [accelerator._dispatch]
     # Every function a step can reach through closure cells must die too.
     reachable, stack = {}, list(steps)
     while stack:
@@ -174,9 +175,11 @@ def test_compiled_step_tables_die_by_refcount():
             for cell in getattr(fn, "__closure__", None) or ():
                 if isinstance(cell.cell_contents, types.FunctionType):
                     stack.append(cell.cell_contents)
-    refs = [weakref.ref(fn) for fn in reachable.values()] + [weakref.ref(system)]
+    refs = [weakref.ref(fn) for fn in reachable.values()] + [
+        weakref.ref(obj) for obj in programs + [system]
+    ]
     del reachable, stack, fn
-    del steps, accelerator, table
+    del steps, bound, programs, firmware, accelerator, table
     gc.collect()
     gc.disable()
     try:

@@ -26,14 +26,14 @@ from repro.core.qst import QueryStateTable
 from repro.errors import AcceleratorError, FirmwareError
 
 from . import cfa_reference as ref
-from .cfa_reference import AluOp, Compare, Done, Fault, HashOp, MemRead, StepOutcome
+from .cfa_reference import AluOp, Compare, Done, Fault, HashOp, MemWrite, StepOutcome
 
 
 class TestMicroActions:
-    def test_memread_segments_iterate_in_order(self):
-        action = MemRead(0x1000, 64, "a", also=((0x2000, 8, "b"), (0x3000, 16, "c")))
+    def test_memwrite_segments_iterate_in_order(self):
+        action = MemWrite(0x1000, b"a", also=((0x2000, b"bb"), (0x3000, b"ccc")))
         segments = list(action.segments())
-        assert segments == [(0x1000, 64, "a"), (0x2000, 8, "b"), (0x3000, 16, "c")]
+        assert segments == [(0x1000, b"a"), (0x2000, b"bb"), (0x3000, b"ccc")]
 
     def test_actions_are_immutable(self):
         action = Compare(1, 2, 16, "cmp")
@@ -53,7 +53,7 @@ class TestFirmwareImage:
         for type_code in (1, 2, 3, 4, 5):
             assert image.supports(type_code)
         assert not image.supports(6)  # hash-of-lists is a runtime add-on
-        assert image.types() == [1, 2, 3, 4, 5]
+        assert sorted(image.programs) == [1, 2, 3, 4, 5]
 
     def test_unknown_type_raises(self):
         image = default_firmware()
@@ -176,9 +176,9 @@ class TestDpuPools:
 
 
 class TestStepOutcome:
-    def test_internal_transition_has_no_action(self):
-        outcome = StepOutcome("NEXT")
-        assert outcome.action is None
+    def test_outcome_carries_next_state_and_action(self):
+        outcome = StepOutcome("NEXT", Done(1))
+        assert outcome.action == Done(1)
         assert outcome.next_state == "NEXT"
 
     def test_terminal_actions(self):

@@ -39,6 +39,8 @@ from repro.serve import (
     build_serving_system,
     run_serving,
 )
+from repro.serve.cluster.lb import LoadBalancer
+from repro.serve.cluster.node import RESP_OK
 from repro.system import System
 from repro.workloads import make_workload
 
@@ -365,6 +367,46 @@ def test_chaos_contract_violation_raises(scenario, shape, check, bad):
     check_contract(report)
     report.checks[check] = bad
     with pytest.raises(ChaosError, match=check):
+        check_contract(report)
+
+
+#: A value no write in the drills gives any key.
+NEVER_WRITTEN = 0xDEAD_BEEF_0BAD
+
+
+@pytest.mark.parametrize("judged", ["pinned", "settled", "unwritten"])
+def test_lb_counts_a_wrong_read_of_every_judged_key(judged, monkeypatch):
+    # The LB judges each first read response: a pinned key against the
+    # pin's valid set, a settled key against the converged set, a key no
+    # write touched against its build-time answer.  A read of that kind
+    # answered with a value the key never held must count as a result
+    # error, once per read, and fail the drill's contract.
+    on_response = LoadBalancer.on_response
+    injected = []
+
+    def wrong_read(self, node, token, kind, value, retry_after):
+        pending, _ = token
+        if kind == RESP_OK and not pending.resolved and not pending.sreq.is_write:
+            pin = self._pins.get(pending.key_position)
+            if pin is not None:
+                where = None if pin.checkless else "pinned"
+            elif pending.key_position in self._settled:
+                where = "settled"
+            elif pending.key_position in self._dirty:
+                where = None  # settled entry evicted: not judged
+            else:
+                where = "unwritten"
+            if where == judged:
+                injected.append(pending.key_position)
+                value = NEVER_WRITTEN
+        on_response(self, node, token, kind, value, retry_after)
+
+    monkeypatch.setattr(LoadBalancer, "on_response", wrong_read)
+    drill = replace(RECOVERY_CHAOS, requests=200, nodes=4)
+    report = run_scenario(drill, "cha-tlb", seed=7, verify=False)
+    assert injected
+    assert report.checks["result_errors"] == len(injected)
+    with pytest.raises(ChaosError, match="wrong results"):
         check_contract(report)
 
 

@@ -174,7 +174,7 @@ def test_roi_pair_matches_golden_in_all_modes(
 
 def test_chaos_report_identical_across_specialize_modes(monkeypatch):
     # The chaos run covers slice kills, recoveries and a live firmware
-    # hot-swap (which forces a compiled-table rebuild via firmware.epoch);
+    # hot-swap (whose adopted tables the next accept binds from);
     # its full report must be byte-identical whether the built-in programs
     # run as firmware or as their interpreted oracles.
     from repro.faults.chaos import run_chaos

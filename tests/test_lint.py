@@ -45,6 +45,11 @@ in its slot, ``partial(f, ...)`` and any ``**`` splat pass it; so, for an
 names ``experiment_kwargs`` forwards from the CLI, and a ``QueryWorkload``
 subclass any ``dict(...)`` keyword or string dict key (the per-workload
 parameter tables).  A default nothing passes is a constant in disguise.
+
+A seventh sweep keeps the CEE's micro-op vocabulary to what programs
+issue: every ``K_*`` kind ``repro/core/cfa.py`` assigns must lead a tuple
+that some ``return`` in ``src/repro/core`` returns.  A kind no program
+issues is a driver branch nothing runs.
 """
 
 from __future__ import annotations
@@ -688,3 +693,75 @@ def test_caller_sweep_counts_every_way_to_pass():
         "Scan.__init__(depth)",
         "Other.__init__(size)",
     ]
+
+
+CORE_DIR = REPO_ROOT / "src" / "repro" / "core"
+
+
+def _micro_op_kinds(tree: ast.AST) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every module-level ``K_*`` assignment."""
+    return [
+        (node.lineno, target.id)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("K_")
+    ]
+
+
+def _kinds_issued(tree: ast.AST) -> set:
+    """Names that lead a tuple some ``return`` statement returns."""
+    return {
+        node.value.elts[0].id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Return)
+        and isinstance(node.value, ast.Tuple)
+        and node.value.elts
+        and isinstance(node.value.elts[0], ast.Name)
+    }
+
+
+def _unissued_kinds(kinds_source: str, program_sources: List[str]) -> List[str]:
+    issued = set()
+    for text in program_sources:
+        issued |= _kinds_issued(ast.parse(text))
+    return [
+        f"{lineno}: {name}"
+        for lineno, name in _micro_op_kinds(ast.parse(kinds_source))
+        if name not in issued
+    ]
+
+
+def test_every_micro_op_kind_is_issued():
+    unissued = _unissued_kinds(
+        (CORE_DIR / "cfa.py").read_text(),
+        [path.read_text() for path in sorted(CORE_DIR.rglob("*.py"))],
+    )
+    assert not unissued, (
+        "micro-op kinds no program under src/repro/core returns (delete "
+        "each and its driver branch):\n"
+        + "\n".join(f"src/repro/core/cfa.py:{line}" for line in unissued)
+    )
+
+
+def test_micro_op_sweep_counts_only_returned_tuple_heads():
+    kinds = (
+        "K_READ = 0\n"
+        "K_DONE = 1\n"
+        "K_WAIT = 2\n"
+        "K_SPARE = 3\n"
+        "OTHER = 4\n"
+    )
+    program = (
+        "class Walk:\n"
+        "    def step(self, ctx):\n"
+        "        if ctx.state:\n"
+        "            return (K_DONE, None)\n"
+        "        pending = (K_WAIT,)\n"
+        "        return (ctx.addr, K_SPARE)\n"
+        "def fetch(ctx):\n"
+        "    return K_READ, ctx.addr, 64, 0\n"
+    )
+    # A kind only assigned, or returned anywhere but the tuple's head,
+    # is not issued.
+    assert _unissued_kinds(kinds, [program]) == ["3: K_WAIT", "4: K_SPARE"]

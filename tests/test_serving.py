@@ -14,12 +14,15 @@ import random
 import pytest
 
 from repro.config import ServeConfig
+from repro.core.cfa import OP_UPDATE
+from repro.core.mutations import MUT_UPDATED
 from repro.errors import ConfigurationError
 from repro.serve import (
     MODE_BLOCKING,
     Batcher,
     Frontend,
     OpenLoopGenerator,
+    QueryServer,
     ServeRequest,
     ServingError,
     SloTracker,
@@ -168,6 +171,40 @@ def test_serve_report_is_pinned(scheme):
     report = run_serving(scheme, tenants=4, requests=400, seed=7, write_ratio=0.05)
     digest = hashlib.sha256(report.dump().encode()).hexdigest()
     assert digest == SERVE_REPORT_SHA256[scheme]
+
+
+def test_shadow_oracle_reports_writes_it_did_not_see():
+    # The node-side audit: a wrong value is a wrong read, a write applied
+    # behind the oracle's back is a phantom update, a tracked write undone
+    # behind its back is lost, and a write window left open is reported.
+    config = ServeConfig(tenants=1, write_ratio=0.5)
+    system, built = build_serving_system("cha-tlb", seed=7, serve_config=config)
+    server = QueryServer(system, built, config)
+    oracle, table = server.oracle, server.mutator.structure
+    index = next(i for i, value in enumerate(built.expected) if value is not None)
+    key, old, new = built.key_for(index), built.expected[index], 424242
+    assert oracle.final_check() == []
+
+    assert oracle.check_read(index, old, 0, 10)
+    assert not oracle.check_read(index, new, 0, 10)
+    assert (oracle.reads_checked, oracle.wrong_reads) == (2, 1)
+
+    assert table.update(key, new)
+    assert oracle.final_check() == [
+        f"phantom update on key {key.hex()}: structure holds {new!r}, "
+        f"oracle says {old!r}"
+    ]
+    token = oracle.begin_write(OP_UPDATE, key, new, 20)
+    oracle.end_write(token, MUT_UPDATED, commit_seq=None, commit_cycle=30)
+    assert oracle.final_check() == []
+    assert table.update(key, old)
+    lost = (
+        f"lost update on key {key.hex()}: structure holds {old!r}, "
+        f"oracle says {new!r}"
+    )
+    assert oracle.final_check() == [lost]
+    oracle.begin_write(OP_UPDATE, key, old, 40)
+    assert oracle.final_check() == ["1 write window(s) never closed", lost]
 
 
 def test_closed_loop_run_completes():

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro import small_config
 from repro.core.abort import AbortCode
+from repro.core.accelerator import QueryRequest
 from repro.core.cfa import (
     K_ALU,
     K_CAS,
@@ -37,9 +38,7 @@ from repro.core.cfa import (
     K_FAULT,
     K_HASH,
     K_MEMREAD,
-    K_MEMREAD2,
     K_MEMREAD_OPT,
-    K_WAIT,
     K_WRITE,
     OP_DELETE,
     OP_INSERT,
@@ -58,7 +57,6 @@ from repro.core.programs import (
     TrieCfa,
 )
 from repro.core.programs_ext import BPlusTreeCfa
-from repro.core.specialize import compile_firmware
 from repro.datastructs import (
     AhoCorasickTrie,
     BinarySearchTree,
@@ -160,11 +158,11 @@ def _write(space, segments, commit_version, trace):
 def _apply_oracle(action, ctx, space, trace, contender):
     """Apply one dataclass micro-op functionally, recording its trace."""
     if isinstance(action, MemRead):
-        for vaddr, length, tag in action.segments():
-            length = _usable_length(space, vaddr, length, action.optional_after)
-            data = space.read(vaddr, length)
-            ctx.scratch[tag] = data
-            trace.append(("mem", vaddr, length, bytes(data)))
+        vaddr = action.vaddr
+        length = _usable_length(space, vaddr, action.length, action.optional_after)
+        data = space.read(vaddr, length)
+        ctx.scratch[action.tag] = data
+        trace.append(("mem", vaddr, length, bytes(data)))
     elif isinstance(action, Compare):
         stored = space.read(action.mem_vaddr, action.length)
         key = space.read(action.key_vaddr, action.length)
@@ -203,9 +201,6 @@ def run_oracle(program, ctx, space, contender=None):
             outcome = program.step(ctx)
             ctx.state = outcome.next_state
             action = outcome.action
-            if action is None:
-                trace.append(("wait",))
-                continue
             if isinstance(action, Done):
                 trace.append(("done", action.value))
                 return trace
@@ -231,18 +226,13 @@ def run_firmware(program, ctx, space, contender=None):
                 space.read_u8(ctx.header_addr + 8)
             act = step(ctx)
             kind = act[0]
-            if kind in (K_MEMREAD, K_MEMREAD_OPT, K_MEMREAD2):
-                if kind == K_MEMREAD2:
-                    segments = (act[1:4], act[4:7])
-                elif kind == K_MEMREAD_OPT:
-                    _, vaddr, length, slot, after = act
-                    segments = ((vaddr, _usable_length(space, vaddr, length, after), slot),)
-                else:
-                    segments = (act[1:4],)
-                for vaddr, length, slot in segments:
-                    data = space.read(vaddr, length)
-                    ctx.scratch[slot] = data
-                    trace.append(("mem", vaddr, length, bytes(data)))
+            if kind in (K_MEMREAD, K_MEMREAD_OPT):
+                _, vaddr, length, slot = act[:4]
+                if kind == K_MEMREAD_OPT:
+                    length = _usable_length(space, vaddr, length, act[4])
+                data = space.read(vaddr, length)
+                ctx.scratch[slot] = data
+                trace.append(("mem", vaddr, length, bytes(data)))
             elif kind == K_COMPARE:
                 _, mem_vaddr, length, slot = act
                 stored = space.read(mem_vaddr, length)
@@ -270,8 +260,6 @@ def run_firmware(program, ctx, space, contender=None):
             elif kind == K_FAULT:
                 trace.append(("fault", int(act[1]), act[2]))
                 return trace
-            elif kind == K_WAIT:
-                trace.append(("wait",))
             else:  # pragma: no cover
                 raise AssertionError(f"unknown tuple kind {act!r}")
         except Exception as exc:  # noqa: BLE001
@@ -649,13 +637,11 @@ def test_every_builtin_lookup_is_specialized():
     system.enable_mutations()
     system.firmware.register(BPlusTreeCfa())
     system.firmware.register(HashOfListsCfa())
-    lookups, mutators = compile_firmware(system.firmware)
+    lookups, mutators = system.firmware.programs, system.firmware.mutators
     assert len(lookups) == 7 and len(mutators) == 1
-    for compiled in list(lookups.values()) + list(mutators.values()):
-        program = compiled.step.__self__
+    for program in list(lookups.values()) + list(mutators.values()):
         assert type(program) in ref.REFERENCE_FOR
-        assert compiled.nregs == program.NREGS >= 2
-        assert compiled.name == program.NAME
+        assert program.NREGS >= 2
 
 
 def test_subclassed_program_override_takes_effect():
@@ -667,22 +653,54 @@ def test_subclassed_program_override_takes_effect():
 
     system = System(small_config())
     system.firmware.register(Tweaked(), replace=True)
-    program = compile_firmware(system.firmware)[0][Tweaked.TYPE_CODE].step.__self__
-    assert type(program) is Tweaked
-
-    mem = ProcessMemory()
-    structure = LinkedList(mem, key_length=KEY_LENGTH)
+    structure = LinkedList(system.mem, key_length=KEY_LENGTH)
     structure.insert(_key(1), 7)
     key_addr = structure.store_key(_key(1))
-    ctx = QueryContext(header_addr=structure.header_addr, key_addr=key_addr)
-    assert run_firmware(program, ctx, mem.space)[-1] == ("done", 42)
-    plain = assert_agree(LinkedListCfa(), structure.header_addr, key_addr, mem.space)
+    # The accelerator binds the registered subclass's step at accept.
+    handle = system.accelerator.submit(QueryRequest(structure.header_addr, key_addr), 0)
+    system.accelerator.wait_for(handle)
+    assert handle.value == 42
+    plain = assert_agree(
+        LinkedListCfa(), structure.header_addr, key_addr, system.mem.space
+    )
     assert plain[-1] == ("done", 7)
 
 
-def test_compile_firmware_covers_registered_tables():
+def test_accept_binds_the_step_of_the_image_program():
+    # Each QST slot holds its program's bound step, looked up in the
+    # image's lookup or mutation table at accept, with the register file
+    # sized to the program; a hot-swap adopt is seen by the next accept.
     system = System(small_config())
     system.enable_mutations()
-    lookups, mutators = compile_firmware(system.firmware)
-    assert set(mutators) == set(system.firmware.mutation_types())
-    assert lookups, "factory firmware registers lookup programs"
+    accelerator = system.accelerator
+    firmware = system.firmware
+    table = CuckooHashTable(system.mem, key_length=KEY_LENGTH, num_buckets=8)
+    table.insert(_key(1), 7)
+
+    def accept(op, operand=0):
+        request = QueryRequest(
+            table.header_addr, table.store_key(_key(1)), op=op, operand=operand
+        )
+        handle = accelerator.submit(request, system.engine.now)
+        while handle.accept_cycle is None:
+            assert system.engine.step()
+        (entry,) = accelerator.qst.busy_entries()
+        bound = accelerator._rdy_fn[entry.index], entry.ctx
+        accelerator.wait_for(handle)
+        return bound
+
+    for op, programs in ((OP_LOOKUP, firmware.programs), (OP_UPDATE, firmware.mutators)):
+        program = programs[HashTableCfa.TYPE_CODE]
+        step, ctx = accept(op, 8)
+        assert step == program.step
+        assert len(ctx.scratch) == program.NREGS
+
+    class Swapped(HashTableCfa):
+        """The same program under a new class: the adopted table's entry."""
+
+    swapped = Swapped()
+    staged = firmware.staged_copy()
+    staged.register(swapped, replace=True)
+    firmware.adopt(staged)
+    step, _ = accept(OP_LOOKUP)
+    assert step == swapped.step
