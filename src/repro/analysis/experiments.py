@@ -130,6 +130,7 @@ def _pair_stats(name: str, scheme: str, quick: bool) -> Tuple[RoiRun, RoiRun, di
         before_b = sys_b.stats.snapshot()
         baseline = run_baseline(sys_b, wl_b, emitted=emitted)
         delta_b = sys_b.stats.diff(before_b)
+        del sys_b, wl_b  # one live System at a time (peak RSS)
         sys_q, wl_q = _build(name, scheme, quick)
         before_q = sys_q.stats.snapshot()
         qei = run_qei(sys_q, wl_q)

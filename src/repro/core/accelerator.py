@@ -120,7 +120,7 @@ class QueryStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRequest:
     """One QUERY instruction's operands.
 
@@ -139,7 +139,7 @@ class QueryRequest:
     operand: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryHandle:
     """Tracks one submitted query through completion."""
 
@@ -553,7 +553,7 @@ class QeiAccelerator:
                 and (
                     not heap
                     or heap[0][0] > now
-                    or (heap[0][2].cancelled and self._none_due_by(now))
+                    or (heap[0][2] is None and self._none_due_by(now))
                 )
             ):
                 self._defer(entry, now, fn)
@@ -804,7 +804,7 @@ class QeiAccelerator:
                 if (horizon is None or start <= horizon) and (
                     not heap
                     or heap[0][0] > start
-                    or (heap[0][2].cancelled and self._none_due_by(start))
+                    or (heap[0][2] is None and self._none_due_by(start))
                 ):
                     # Provably the next thing to happen: take the CEE slot
                     # arithmetically and keep stepping, no event round-trip.

@@ -93,7 +93,7 @@ U64 = struct.Struct("<Q").unpack_from
 # --------------------------------------------------------------------- #
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryContext:
     """All mutable per-query state a CFA program may touch.
 

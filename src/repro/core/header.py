@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import DataStructureError
 from ..mem.paging import AddressSpace
@@ -53,6 +54,10 @@ VERSION_OFFSET = 32
 #: 64B scratch lines, so keys are streamed; anything past one page is a
 #: corrupted header, not a real key.
 MAX_KEY_LENGTH = 4096
+
+#: Memo bound of :meth:`DataStructureHeader.decode`: the home probes and
+#: PARSE decode a few lines (one per structure and version) again and again.
+_DECODE_MEMO_SIZE = 1 << 12
 
 
 class StructureType(enum.IntEnum):
@@ -150,20 +155,8 @@ class DataStructureHeader:
 
     @classmethod
     def decode(cls, raw: bytes) -> "DataStructureHeader":
-        if len(raw) < HEADER_BYTES:
-            raise DataStructureError(
-                f"header needs {HEADER_BYTES} bytes, got {len(raw)}"
-            )
-        return cls(
-            root_ptr=int.from_bytes(raw[0:8], "little"),
-            type_code=raw[8],
-            subtype=raw[9],
-            key_length=int.from_bytes(raw[10:12], "little"),
-            flags=int.from_bytes(raw[12:16], "little"),
-            size=int.from_bytes(raw[16:24], "little"),
-            aux=int.from_bytes(raw[24:32], "little"),
-            version=int.from_bytes(raw[32:40], "little"),
-        )
+        """Decode one header line; equal ``bytes`` lines share one instance."""
+        return (_decode_line if type(raw) is bytes else _decode)(raw)
 
     # ------------------------------------------------------------------ #
 
@@ -178,3 +171,24 @@ class DataStructureHeader:
     @classmethod
     def load(cls, space: AddressSpace, vaddr: int) -> "DataStructureHeader":
         return cls.decode(space.read(vaddr, HEADER_BYTES))
+
+
+def _decode(raw) -> DataStructureHeader:
+    if len(raw) < HEADER_BYTES:
+        raise DataStructureError(
+            f"header needs {HEADER_BYTES} bytes, got {len(raw)}"
+        )
+    return DataStructureHeader(
+        root_ptr=int.from_bytes(raw[0:8], "little"),
+        type_code=raw[8],
+        subtype=raw[9],
+        key_length=int.from_bytes(raw[10:12], "little"),
+        flags=int.from_bytes(raw[12:16], "little"),
+        size=int.from_bytes(raw[16:24], "little"),
+        aux=int.from_bytes(raw[24:32], "little"),
+        version=int.from_bytes(raw[32:40], "little"),
+    )
+
+
+#: A short line raises through the memo too (it stores no exception).
+_decode_line = lru_cache(maxsize=_DECODE_MEMO_SIZE)(_decode)

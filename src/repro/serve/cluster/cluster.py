@@ -41,7 +41,7 @@ from ...workloads import make_workload
 from ...workloads.snapshot import WorkloadSnapshot
 from ..loadgen import ClosedLoopGenerator
 from .lb import FleetSlo, LoadBalancer
-from .membership import Membership, NodeState, Prober
+from .membership import ROUTABLE_STATES, Membership, NodeState, Prober
 from .node import ClusterNode
 from .recovery import ReplicationManager
 from .ring import HashRing, key_position
@@ -375,9 +375,8 @@ class SimulatedCluster:
     ) -> None:
         # Only edges that change the *routable* set remap shards (CATCHING_UP
         # is as unroutable as DOWN); record how much of the ring moved.
-        routable_states = (NodeState.UP, NodeState.SUSPECT)
-        was_routable = frm in routable_states
-        now_routable = to in routable_states
+        was_routable = frm in ROUTABLE_STATES
+        now_routable = to in ROUTABLE_STATES
         if was_routable == now_routable:
             return
         after = self.membership.routable()

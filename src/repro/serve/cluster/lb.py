@@ -63,7 +63,7 @@ class _Pending:
     attempt_seq: int = 0
     target: Optional[int] = None
     tried: Set[int] = field(default_factory=set)
-    timeout_event: Optional[object] = None
+    timeout_event: Optional[list] = None
     resolved: bool = False
     #: True for writes and for reads of keys a write has pinned: the request
     #: may only be served by the key's primary replica (or, for reads, a
@@ -508,7 +508,7 @@ class LoadBalancer:
             # First successful execution wins, even one from a superseded
             # attempt (at-least-once; the oracle check below keeps it honest).
             if pending.timeout_event is not None:
-                pending.timeout_event.cancel()
+                self.engine.cancel(pending.timeout_event)
             if pending.sreq.is_write:
                 # A write's result_value is its MUT_* disposition, not a
                 # lookup answer; the node-side shadow oracle audited it.
@@ -532,7 +532,7 @@ class LoadBalancer:
             self.slo.counters["stale"].add()
             return
         if pending.timeout_event is not None:
-            pending.timeout_event.cancel()
+            self.engine.cancel(pending.timeout_event)
         if kind == RESP_REJECTED:
             # Node admission backpressure: honour the node's retry-after
             # hint on this node, fail over after the standard backoff.

@@ -17,7 +17,7 @@ key space.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from ...sim.stats import StatsRegistry
 
@@ -30,6 +30,10 @@ class NodeState(str, enum.Enum):
     #: alive and probing healthy, but *not* routable — it re-enters the
     #: ring only when caught up, so it can never serve a stale shard.
     CATCHING_UP = "catching-up"
+
+
+#: States the ring may own shards in.
+ROUTABLE_STATES = (NodeState.UP, NodeState.SUSPECT)
 
 
 class Membership:
@@ -50,6 +54,8 @@ class Membership:
     ) -> None:
         self.stats = (stats or StatsRegistry()).scoped("cluster.membership")
         self._states = [NodeState.UP] * nodes
+        #: :meth:`routable`, kept by ``_transition`` (which writes _states).
+        self._routable: FrozenSet[int] = frozenset(range(nodes))
         self._missed = [0] * nodes
         #: Nodes with an unfinished log replay: however their probe health
         #: moves, they can rise no higher than CATCHING_UP until the
@@ -65,13 +71,9 @@ class Membership:
     def state_of(self, node: int) -> NodeState:
         return self._states[node]
 
-    def routable(self) -> Set[int]:
+    def routable(self) -> FrozenSet[int]:
         """Nodes the ring may own shards on (not DOWN, not catching up)."""
-        return {
-            node
-            for node, state in enumerate(self._states)
-            if state not in (NodeState.DOWN, NodeState.CATCHING_UP)
-        }
+        return self._routable
 
     def up_nodes(self) -> Set[int]:
         return {
@@ -130,6 +132,9 @@ class Membership:
     def _transition(self, node: int, to: NodeState, now: int) -> None:
         frm = self._states[node]
         self._states[node] = to
+        self._routable = frozenset(
+            n for n, state in enumerate(self._states) if state in ROUTABLE_STATES
+        )
         self._transitions.add()
         self.log.append(
             {"cycle": now, "node": node, "from": frm.value, "to": to.value}

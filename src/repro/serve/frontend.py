@@ -21,7 +21,7 @@ from ..config import ServeConfig
 from ..sim.stats import StatsRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeRequest:
     """One tenant request travelling through the serving tier."""
 
@@ -76,6 +76,8 @@ class Frontend:
     #: Extra retry-after cycles charged per request already queued, so the
     #: hint grows with the backlog the rejected client would join.
     RETRY_BACKLOG_CYCLES = 8
+    #: The (frozen) verdict every admitted arrival shares.
+    _ADMITTED = Admission(True)
 
     def __init__(
         self,
@@ -113,7 +115,7 @@ class Frontend:
         queue.append(request)
         self.pending += 1
         self._admitted.add()
-        return Admission(True)
+        return self._ADMITTED
 
     def next_request(self, now: int) -> Optional[ServeRequest]:
         """Pop the next admitted request, round-robin across tenants."""

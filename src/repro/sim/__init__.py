@@ -5,12 +5,11 @@ a statistics registry.  Components (caches, NoC, the QEI accelerator) are
 plain objects that schedule callbacks on a shared :class:`Engine`.
 """
 
-from .engine import Engine, Event
+from .engine import Engine
 from .stats import Counter, Histogram, PercentileSketch, StatsRegistry
 
 __all__ = [
     "Engine",
-    "Event",
     "Counter",
     "Histogram",
     "PercentileSketch",

@@ -4,47 +4,21 @@ Components schedule callables at absolute or relative cycle times; the engine
 pops events in (time, sequence) order so same-cycle events run in scheduling
 order, which keeps runs deterministic.
 
-The queue holds plain ``(time, seq, event)`` tuples: every event carries a
-unique sequence number, so heap comparisons never reach the event itself.
-Cancelled events are skipped lazily on pop, and the queue is compacted in
-place once cancelled entries outnumber live ones (see
+Each event is one mutable ``[time, seq, callback]`` heap entry, and
+:meth:`Engine.schedule` returns the entry itself as the cancel handle.  The
+unique ``seq`` keeps heap comparisons off the callback.  :meth:`Engine.cancel`
+sets the callback to None; cancelled entries are skipped lazily on pop, and
+the queue is compacted in place once they outnumber live ones (see
 :attr:`Engine.COMPACT_MIN_CANCELLED`), so long-lived simulations that cancel
-many timers (the load balancer's request timeouts in the cluster tier)
-don't leak heap space.
+many timers (the load balancer's request timeouts) don't leak heap space.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import SimulationError
-
-
-class Event:
-    """One scheduled callback, ordered in the queue by ``(time, seq)``."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "_engine")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[[], None],
-        engine: "Optional[Engine]" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._engine is not None:
-                self._engine._note_cancel()
 
 
 class Engine:
@@ -66,7 +40,7 @@ class Engine:
     )
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[int, int, Event]] = []
+        self._queue: List[list] = []  # [time, seq, callback or None]
         self._seq = 0
         #: Current simulation time in cycles (written only by the engine).
         self.now = 0
@@ -75,13 +49,11 @@ class Engine:
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._horizon: Optional[int] = None  # active run()'s `until` bound
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+    def schedule(self, delay: int, callback: Callable[[], None]) -> list:
+        """Schedule ``callback`` ``delay`` cycles from now; returns its entry."""
         return self.schedule_at(self.now + delay, callback)
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: int, callback: Callable[[], None]) -> list:
         """Schedule ``callback`` at absolute cycle ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -89,9 +61,26 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, self)
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
+        entry = [time, seq, callback]
+        heapq.heappush(self._queue, entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Skip ``entry`` when popped; compact once cancels dominate."""
+        if entry[2] is None:
+            return
+        entry[2] = None
+        self._cancelled += 1
+        queue = self._queue
+        if (
+            self._cancelled >= self.COMPACT_MIN_CANCELLED
+            and self._cancelled * 2 > len(queue)
+        ):
+            # In-place so loops holding a local binding to the queue (run's
+            # hot loop) keep seeing the live list.
+            queue[:] = [live for live in queue if live[2] is not None]
+            heapq.heapify(queue)
+            self._cancelled = 0
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
@@ -106,23 +95,20 @@ class Engine:
         event can interleave before a fused transition.
         """
         queue = self._queue
-        while queue:
-            time, _seq, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                continue
-            return time
-        return None
+        while queue and queue[0][2] is None:
+            heapq.heappop(queue)
+            self._cancelled -= 1
+        return queue[0][0] if queue else None
 
-    def heap(self) -> List[Tuple[int, int, Event]]:
+    def heap(self) -> List[list]:
         """The event queue itself, for a hot loop bounding the next event.
 
         When non-empty, ``heap[0][0]`` is at most the next live event's
         time (a cancelled entry may sit at the head), so a caller that
         finds it later than ``t`` knows no event runs by ``t`` without
-        calling :meth:`peek_time`.  The list is only mutated in place, so a
-        binding to it stays live; callers must not modify it.
+        calling :meth:`peek_time` (``heap[0][2] is None`` marks a cancelled
+        head).  The list is only mutated in place, so a binding to it stays
+        live; callers must not modify it.
         """
         return self._queue
 
@@ -131,31 +117,17 @@ class Engine:
         """The active :meth:`run`'s ``until`` bound (None outside a run)."""
         return self._horizon
 
-    def _note_cancel(self) -> None:
-        """Account one cancellation; compact once the dead weight dominates."""
-        self._cancelled += 1
-        queue = self._queue
-        if (
-            self._cancelled >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 > len(queue)
-        ):
-            # In-place so loops holding a local binding to the queue (run's
-            # hot loop) keep seeing the live list.
-            queue[:] = [entry for entry in queue if not entry[2].cancelled]
-            heapq.heapify(queue)
-            self._cancelled = 0
-
     def step(self) -> bool:
         """Run the single next event.  Returns False when queue is empty."""
         queue = self._queue
         while queue:
-            time, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
+            time, _seq, callback = heapq.heappop(queue)
+            if callback is None:
                 self._cancelled -= 1
                 continue
             self.now = time
             self.events_processed += 1
-            event.callback()
+            callback()
             return True
         return False
 
@@ -183,13 +155,13 @@ class Engine:
             dispatched = 0
             try:
                 while queue:
-                    time, _seq, event = pop(queue)
-                    if event.cancelled:
+                    time, _seq, callback = pop(queue)
+                    if callback is None:
                         self._cancelled -= 1
                         continue
                     self.now = time
                     dispatched += 1
-                    event.callback()
+                    callback()
             finally:
                 self.events_processed += dispatched
                 self._running = False
@@ -197,8 +169,8 @@ class Engine:
             return self.now
         try:
             while queue:
-                time, _seq, event = queue[0]
-                if event.cancelled:
+                time, _seq, callback = queue[0]
+                if callback is None:
                     pop(queue)
                     self._cancelled -= 1
                     continue
@@ -212,7 +184,7 @@ class Engine:
                 pop(queue)
                 self.now = time
                 self.events_processed += 1
-                event.callback()
+                callback()
                 processed += 1
             else:
                 if until is not None:

@@ -7,12 +7,16 @@ from typing import List, Sequence
 
 
 def make_keys(count: int, length: int, *, seed: int = 1234) -> List[bytes]:
-    """``count`` distinct random byte keys of exactly ``length`` bytes."""
+    """``count`` distinct random byte keys of exactly ``length`` bytes.
+
+    A key is the top byte of each of ``length`` 32-bit Mersenne Twister
+    words: what ``length`` ``getrandbits(8)`` draws give, in one call.
+    """
     rng = random.Random(seed)
     keys = set()
     out: List[bytes] = []
     while len(out) < count:
-        key = bytes(rng.getrandbits(8) for _ in range(length))
+        key = rng.getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
         if key not in keys:
             keys.add(key)
             out.append(key)
@@ -71,5 +75,6 @@ def pick_queries(
         stream = [keys[rng.randrange(len(keys))] for _ in range(count)]
     n_miss = int(count * miss_ratio)
     for i in rng.sample(range(count), n_miss) if n_miss else []:
-        stream[i] = bytes(rng.getrandbits(8) for _ in range(key_length))
+        draw = rng.getrandbits(32 * key_length)  # as in make_keys
+        stream[i] = draw.to_bytes(4 * key_length, "little")[3::4]
     return stream

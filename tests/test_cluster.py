@@ -116,6 +116,48 @@ def test_membership_ack_recovers_straight_to_up():
     assert 2 in m.up_nodes()
 
 
+@pytest.mark.parametrize(
+    "drill",
+    [
+        lambda: run_cluster_chaos("cha-tlb", seed=7, requests=160, nodes=4),
+        lambda: run_recovery_chaos("cha-tlb", seed=7, requests=200, nodes=4),
+    ],
+    ids=["cluster-chaos", "recovery-chaos"],
+)
+def test_membership_routable_set_follows_every_transition(monkeypatch, drill):
+    """The cached routable set equals a fresh recompute after every state
+    change of a kill / flap / recover drill, and the change hook (the
+    rebalance bookkeeping) already sees the new set."""
+    transition = Membership._transition
+    seen = []
+
+    def fresh(m):
+        return {
+            node
+            for node, state in enumerate(m._states)
+            if state not in (NodeState.DOWN, NodeState.CATCHING_UP)
+        }
+
+    def checked(m, node, to, now):
+        hook = m._on_change
+
+        def on_change(*args):
+            assert m.routable() == fresh(m)
+            hook(*args)
+
+        m._on_change = on_change if hook is not None else None
+        try:
+            transition(m, node, to, now)
+        finally:
+            m._on_change = hook
+        assert m.routable() == fresh(m)
+        seen.append(to)
+
+    monkeypatch.setattr(Membership, "_transition", checked)
+    drill()
+    assert NodeState.DOWN in seen and NodeState.UP in seen
+
+
 def test_membership_change_hook_fires_on_transitions():
     seen = []
     m = Membership(

@@ -55,7 +55,7 @@ def test_cancelled_event_does_not_fire():
     engine = Engine()
     fired = []
     event = engine.schedule(5, lambda: fired.append(True))
-    event.cancel()
+    engine.cancel(event)
     engine.run()
     assert not fired
 
@@ -106,7 +106,7 @@ def test_cancelled_events_are_compacted_out_of_the_heap():
     doomed = [engine.schedule(i + 1, lambda: None) for i in range(500)]
     assert len(engine._queue) == 510
     for event in doomed:
-        event.cancel()
+        engine.cancel(event)
     # Compaction trips repeatedly as cancelled entries come to dominate the
     # heap; only a sub-threshold residue of tombstones may remain.
     assert len(engine._queue) < len(keep) + 2 * Engine.COMPACT_MIN_CANCELLED
@@ -114,16 +114,16 @@ def test_cancelled_events_are_compacted_out_of_the_heap():
     # The survivors still fire, in order, at the right times.
     fired = []
     for event in keep:
-        event.callback = lambda t=event.time: fired.append(t)
+        event[2] = lambda t=event[0]: fired.append(t)
     engine.run()
-    assert fired == sorted(e.time for e in keep)
+    assert fired == sorted(e[0] for e in keep)
 
 
 def test_small_cancel_counts_stay_lazy():
     """Below the compaction floor, cancels are tombstoned, not rebuilt."""
     engine = Engine()
     events = [engine.schedule(i + 1, lambda: None) for i in range(20)]
-    events[0].cancel()
+    engine.cancel(events[0])
     assert len(engine._queue) == 20  # tombstone left in place
     assert engine.pending() == 19
     engine.run()
@@ -136,13 +136,13 @@ def test_cancelled_count_resets_after_run():
     for i in range(100):
         event = engine.schedule(i + 1, lambda i=i: hits.append(i))
         if i % 2:
-            event.cancel()
+            engine.cancel(event)
     engine.run()
     assert hits == list(range(0, 100, 2))
     assert engine.pending() == 0
     # A fresh burst of schedule/cancel still behaves after the drain.
     again = engine.schedule(105, lambda: hits.append(-1))
-    again.cancel()
+    engine.cancel(again)
     engine.run()
     assert -1 not in hits
 
@@ -163,7 +163,7 @@ def test_clear_drops_queued_events_and_keeps_time():
     engine = Engine()
     fired = []
     engine.schedule(5, lambda: fired.append(5))
-    engine.schedule(10, lambda: fired.append(10)).cancel()
+    engine.cancel(engine.schedule(10, lambda: fired.append(10)))
     engine.run(until=7)
     engine.schedule(20, lambda: fired.append(20))
     engine.clear()

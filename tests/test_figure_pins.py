@@ -13,6 +13,7 @@ that reasoning and the figures' numbers in place:
   rows at quick size;
 * the pair memo holds one shared trace, and clearing it between pairs (as
   e2ebench does between passes) changes no pair;
+* a pair's baseline System is freed before its QEI System is built;
 * fig8's baseline does not depend on the device-indirect latency.
 
 This module pins the dpdk and flann rows; the other nine rows are pinned
@@ -21,8 +22,10 @@ in ``benchmarks/test_figure_pins.py``, which runs in the ``slow`` tier.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -164,6 +167,27 @@ def test_clearing_the_memo_between_pairs_changes_no_pair(empty_memo):
         empty_memo.clear()
         cleared.append(experiments._pair_stats("dpdk", scheme, True))
     assert cleared == kept
+
+
+def test_baseline_system_is_freed_before_the_qei_build(empty_memo, monkeypatch):
+    """One live System per pair: reference counting alone frees the
+    baseline side before the QEI side is built (peak RSS)."""
+    build = experiments._build
+    systems, dead_at_build = [], []
+
+    def spy(name, scheme, quick):
+        dead_at_build.append([ref() is None for ref in systems])
+        system, workload = build(name, scheme, quick)
+        systems.append(weakref.ref(system))
+        return system, workload
+
+    monkeypatch.setattr(experiments, "_build", spy)
+    gc.disable()
+    try:
+        experiments._pair_stats("dpdk", "cha-tlb", True)
+    finally:
+        gc.enable()
+    assert dead_at_build == [[], [True]]
 
 
 def test_fig8_baseline_ignores_device_latency():

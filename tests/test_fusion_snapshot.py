@@ -37,7 +37,7 @@ def test_peek_time_skips_cancelled_and_empties():
     first = engine.schedule_at(5, lambda: None)
     engine.schedule_at(9, lambda: None)
     assert engine.peek_time() == 5
-    first.cancel()
+    engine.cancel(first)
     assert engine.peek_time() == 9  # cancelled head discarded lazily
     assert engine.pending() == 1
 

@@ -13,7 +13,7 @@ class TestEngineEdges:
         engine = Engine()
         fired = []
         event = engine.schedule(5, lambda: fired.append("a"))
-        event.cancel()
+        engine.cancel(event)
         engine.schedule(5, lambda: fired.append("b"))
         engine.run()
         assert fired == ["b"]
@@ -35,9 +35,9 @@ class TestEngineEdges:
         engine = Engine()
         keep = engine.schedule(1, lambda: None)
         drop = engine.schedule(2, lambda: None)
-        drop.cancel()
+        engine.cancel(drop)
         assert engine.pending() == 1
-        keep.cancel()
+        engine.cancel(keep)
         assert engine.pending() == 0
 
     def test_run_is_not_reentrant(self):
