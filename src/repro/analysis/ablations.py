@@ -21,7 +21,8 @@ from typing import List, Optional
 from ..config import SystemConfig
 from ..core.integration import CoreIntegratedScheme
 from ..system import System
-from ..workloads import make_workload, run_baseline, run_qei
+from ..workloads import run_baseline, run_qei
+from . import snapshot
 from .experiments import workload_params
 from .report import ExperimentResult
 
@@ -33,12 +34,6 @@ BATCH_DEPTHS = (1, 2, 4, 8, 16)
 FLUSH_IN_FLIGHT = (0, 2, 5, 10)
 #: Ablation A3's queries per core.
 HOTSPOT_QUERIES_PER_CORE = 12
-
-
-def _fresh(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] = None):
-    system = System(config, scheme)
-    workload = make_workload(name, system, **workload_params(name, quick))
-    return system, workload
 
 
 # --------------------------------------------------------------------- #
@@ -54,13 +49,14 @@ def qst_size_sweep(*, quick: bool = True) -> ExperimentResult:
         notes=["paper picks 10 entries for 50-90% occupancy (Sec. VI-A)"],
     )
     base_config = SystemConfig()
-    sys_b, wl_b = _fresh(workload, "core-integrated", quick, base_config)
+    params = workload_params(workload, quick)
+    sys_b, wl_b = snapshot.build(workload, params, "core-integrated", base_config)
     baseline = run_baseline(sys_b, wl_b)
     for entries in QST_SIZES:
         config = base_config.replace(
             qei=dataclasses.replace(base_config.qei, qst_entries=entries)
         )
-        sys_q, wl_q = _fresh(workload, "core-integrated", quick, config)
+        sys_q, wl_q = snapshot.build(workload, params, "core-integrated", config)
         qei = run_qei(sys_q, wl_q, batch=max(4, entries))
         result.add_row(
             qst_entries=entries,
@@ -89,11 +85,12 @@ def comparator_placement(*, quick: bool = True) -> ExperimentResult:
             " line into the L2 (the pollution the paper avoids, Sec. V-A)",
         ],
     )
-    sys_b, wl_b = _fresh(workload, "core-integrated", quick)
+    params = workload_params(workload, quick)
+    sys_b, wl_b = snapshot.build(workload, params, "core-integrated")
     baseline = run_baseline(sys_b, wl_b)
 
     for placement, threshold in (("remote (paper)", 32), ("local-only", 1 << 30)):
-        sys_q, wl_q = _fresh(workload, "core-integrated", quick)
+        sys_q, wl_q = snapshot.build(workload, params, "core-integrated")
         assert isinstance(sys_q.integration, CoreIntegratedScheme)
         sys_q.integration.LOCAL_COMPARE_BYTES = threshold
         before = sys_q.stats.snapshot()
@@ -182,10 +179,11 @@ def batch_size_sweep(*, quick: bool = True) -> ExperimentResult:
             " (10 entries) and ROB window saturate",
         ],
     )
-    sys_b, wl_b = _fresh(workload, "core-integrated", quick)
+    params = workload_params(workload, quick)
+    sys_b, wl_b = snapshot.build(workload, params, "core-integrated")
     baseline = run_baseline(sys_b, wl_b)
     for batch in BATCH_DEPTHS:
-        sys_q, wl_q = _fresh(workload, "core-integrated", quick)
+        sys_q, wl_q = snapshot.build(workload, params, "core-integrated")
         qei = run_qei(sys_q, wl_q, batch=batch)
         result.add_row(batch=batch, speedup=baseline.cycles / qei.cycles)
     return result
@@ -201,8 +199,6 @@ def huge_page_study(*, quick: bool = True) -> ExperimentResult:
     the workload's heap inside 2MB huge pages and measures how much of the
     scheme gap that assumption erases.
     """
-    from ..mem.allocator import HugePageArena
-
     workload = "dpdk"
     result = ExperimentResult(
         "Ablation A8",
@@ -215,24 +211,13 @@ def huge_page_study(*, quick: bool = True) -> ExperimentResult:
         ],
     )
 
-    def build(scheme: str, huge: bool):
-        system = System(None, scheme)
-        if huge:
-            arena_base = 1 << 31  # 2GB: 2MB aligned, clear of the heap
-            system.mem.heap = HugePageArena(
-                system.space, arena_base, huge_pages=24
-            )
-        workload_obj = make_workload(
-            workload, system, **workload_params(workload, quick)
-        )
-        return system, workload_obj
-
+    params = workload_params(workload, quick)
     for scheme in ("cha-notlb", "cha-tlb", "core-integrated"):
         speedups = {}
         for huge in (False, True):
-            sys_b, wl_b = build(scheme, huge)
+            sys_b, wl_b = snapshot.build(workload, params, scheme, huge_pages=huge)
             baseline = run_baseline(sys_b, wl_b)
-            sys_q, wl_q = build(scheme, huge)
+            sys_q, wl_q = snapshot.build(workload, params, scheme, huge_pages=huge)
             qei = run_qei(sys_q, wl_q)
             speedups[huge] = baseline.cycles / qei.cycles
         result.add_row(
@@ -263,14 +248,15 @@ def prefetch_sensitivity(
         ],
     )
     for name in workloads or ["dpdk", "jvm", "rocksdb"]:
-        sys_plain, wl_plain = _fresh(name, "core-integrated", quick)
+        params = workload_params(name, quick)
+        sys_plain, wl_plain = snapshot.build(name, params, "core-integrated")
         plain = run_baseline(sys_plain, wl_plain)
 
-        sys_pf, wl_pf = _fresh(name, "core-integrated", quick)
+        sys_pf, wl_pf = snapshot.build(name, params, "core-integrated")
         sys_pf.hierarchy.next_line_prefetch = True
         prefetched = run_baseline(sys_pf, wl_pf)
 
-        sys_q, wl_q = _fresh(name, "core-integrated", quick)
+        sys_q, wl_q = snapshot.build(name, params, "core-integrated")
         qei = run_qei(sys_q, wl_q)
 
         result.add_row(
@@ -341,10 +327,11 @@ def micro_tlb_ablation(*, quick: bool = True) -> ExperimentResult:
         ["micro_tlb_entries", "speedup", "mean_mem_latency"],
         notes=["AGU translation registers absorb intra-query page reuse"],
     )
-    sys_b, wl_b = _fresh(workload, "core-integrated", quick)
+    params = workload_params(workload, quick)
+    sys_b, wl_b = snapshot.build(workload, params, "core-integrated")
     baseline = run_baseline(sys_b, wl_b)
     for entries in (1, 4, 16):
-        sys_q, wl_q = _fresh(workload, "core-integrated", quick)
+        sys_q, wl_q = snapshot.build(workload, params, "core-integrated")
         sys_q.integration.MICRO_TLB_ENTRIES = entries
         qei = run_qei(sys_q, wl_q)
         result.add_row(

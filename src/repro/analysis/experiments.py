@@ -20,8 +20,7 @@ from ..config import (
 )
 from ..cpu.trace import Trace
 from ..power import DynamicEnergyModel, tab3_configurations
-from ..system import System
-from ..workloads import make_workload, run_baseline, run_qei
+from ..workloads import run_baseline, run_qei
 from ..workloads.base import QueryWorkload, RoiRun
 from ..workloads.tuple_space import TupleSpaceWorkload
 from . import snapshot
@@ -63,24 +62,6 @@ def workload_params(name: str, quick: bool) -> dict:
     return dict(quick_params if quick else full_params)
 
 
-def _build(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] = None):
-    # Default-config builds reuse the warm-system snapshot (see
-    # analysis/snapshot.py): the first build per (name, params) captures a
-    # template of the populated memory image; later builds restore it by
-    # unpickling instead of re-running O(dataset) population.  Custom configs
-    # always build fresh (same policy as _PAIR_MEMO).
-    params = workload_params(name, quick)
-    if config is None:
-        snap = snapshot.get(name, params)
-        if snap is not None:
-            return snap.restore(scheme)
-    system = System(config, scheme)
-    workload = make_workload(name, system, **params)
-    if config is None:
-        snapshot.capture(name, params, system, workload)
-    return system, workload
-
-
 #: The figure sweeps' in-process memo, emptied as one by ``clear()``:
 #:
 #: * (workload, scheme, quick) -> (baseline, qei, baseline stats delta, qei
@@ -90,15 +71,15 @@ def _build(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] =
 #:   retained (they hold the preallocated cache set tables); only the run
 #:   results and stats deltas are.
 #: * ``_TRACE_KEY`` -> ((workload, quick), (trace, values)): one shared
-#:   software-baseline trace, of the newest workload only.  Every snapshot
-#:   build of a workload starts from one memory image, and
+#:   software-baseline trace, of the newest workload only.  Every build of
+#:   a workload starts from its one image (analysis/snapshot.py), and
 #:   ``baseline_trace()`` reads only that image and the query keys, so the
 #:   workload's scheme pairs share one emission and each still runs the
 #:   trace on its own fresh system.  The sweeps go workload-major, so the
 #:   next workload's trace replaces it.
 #:
-#: Only the default config is memoized; custom configs (fig8's latency
-#: sweep) and workloads that cannot be snapshotted always run fresh.
+#: Only the default config's pairs are memoized.  Fig. 8's latency configs
+#: restore the same images but run their own pairs.
 _PAIR_MEMO: Dict[object, tuple] = {}
 _TRACE_KEY = "baseline-trace"
 
@@ -106,7 +87,7 @@ _TRACE_KEY = "baseline-trace"
 def _shared_baseline_trace(
     name: str, quick: bool, workload: QueryWorkload
 ) -> Tuple[Trace, List[Optional[int]]]:
-    """``workload.baseline_trace()``, emitted once per snapshot image."""
+    """``workload.baseline_trace()``, emitted once per workload image."""
     if _PAIR_MEMO.get(_TRACE_KEY, (None,))[0] != (name, quick):
         # Drop the previous workload's trace before emitting this one, so
         # two are never alive at once (peak RSS).
@@ -123,15 +104,14 @@ def _pair_stats(name: str, scheme: str, quick: bool) -> Tuple[RoiRun, RoiRun, di
     key = (name, scheme, quick)
     hit = _PAIR_MEMO.get(key)
     if hit is None:
-        sys_b, wl_b = _build(name, scheme, quick)
-        emitted = None
-        if snapshot.get(name, workload_params(name, quick)) is not None:
-            emitted = _shared_baseline_trace(name, quick, wl_b)
+        params = workload_params(name, quick)
+        sys_b, wl_b = snapshot.build(name, params, scheme)
+        emitted = _shared_baseline_trace(name, quick, wl_b)
         before_b = sys_b.stats.snapshot()
         baseline = run_baseline(sys_b, wl_b, emitted=emitted)
         delta_b = sys_b.stats.diff(before_b)
         del sys_b, wl_b  # one live System at a time (peak RSS)
-        sys_q, wl_q = _build(name, scheme, quick)
+        sys_q, wl_q = snapshot.build(name, params, scheme)
         before_q = sys_q.stats.snapshot()
         qei = run_qei(sys_q, wl_q)
         delta_q = sys_q.stats.diff(before_q)
@@ -158,10 +138,11 @@ def fig1_profiling(*, quick: bool = True, workloads: Optional[List[str]] = None)
         notes=["paper reports 23%-44% across workloads"],
     )
     for name in workloads or list(BENCH_WORKLOADS):
-        system, workload = _build(name, "core-integrated", quick)
+        params = workload_params(name, quick)
+        system, workload = snapshot.build(name, params, "core-integrated")
         full = run_baseline(system, workload, app=True)
         other_trace = workload.app_trace_other_only()
-        system2, workload2 = _build(name, "core-integrated", quick)
+        system2, _ = snapshot.build(name, params, "core-integrated")
         system2.warm_llc()
         other = system2.run_trace(other_trace)
         share = 100.0 * (full.cycles - other.cycles) / full.cycles
@@ -223,9 +204,11 @@ def fig8_latency_sweep(
         ["latency_cycles"] + list(names),
         notes=["paper: non-trivial performance drop as latency grows"],
     )
-    # The interface latency is read only on the QEI side
-    # (core/integration.py), so each workload's baseline runs once, on the
-    # first latency's fresh system, and serves every row.
+    # Every latency config restores the default config's image (the
+    # latency does not change what a build populates).  The interface
+    # latency is read only on the QEI side (core/integration.py), so each
+    # workload's baseline runs once, on the first latency's system, and
+    # serves every row.
     baselines: Dict[str, RoiRun] = {}
     for latency in FIG8_LATENCIES:
         overrides = dict(DEFAULT_SCHEME_LATENCIES)
@@ -235,10 +218,11 @@ def fig8_latency_sweep(
         config = SystemConfig(scheme_latencies=overrides)
         row = {"latency_cycles": latency}
         for name in names:
+            params = workload_params(name, quick)
             if name not in baselines:
-                sys_b, wl_b = _build(name, "device-indirect", quick, config)
+                sys_b, wl_b = snapshot.build(name, params, "device-indirect", config)
                 baselines[name] = run_baseline(sys_b, wl_b)
-            sys_q, wl_q = _build(name, "device-indirect", quick, config)
+            sys_q, wl_q = snapshot.build(name, params, "device-indirect", config)
             qei = run_qei(sys_q, wl_q)
             row[name] = baselines[name].cycles / qei.cycles
         result.add_row(**row)
@@ -264,9 +248,10 @@ def fig9_end_to_end(
         notes=["paper: +36.2% to +66.7%"],
     )
     for name in workloads or list(BENCH_WORKLOADS):
-        sys_b, wl_b = _build(name, scheme, quick)
+        params = workload_params(name, quick)
+        sys_b, wl_b = snapshot.build(name, params, scheme)
         baseline = run_baseline(sys_b, wl_b, app=True)
-        sys_q, wl_q = _build(name, scheme, quick)
+        sys_q, wl_q = snapshot.build(name, params, scheme)
         qei = run_qei(sys_q, wl_q, app=True)
         improvement = 100.0 * (baseline.cycles / qei.cycles - 1.0)
         result.add_row(
@@ -303,20 +288,14 @@ def fig10_tuple_space(
     flows = 256 if quick else 512
     for tuples in FIG10_TUPLE_COUNTS:
         row = {"tuples": tuples}
+        params = dict(
+            num_tuples=tuples, flows_per_tuple=flows,
+            num_packets=packets, num_buckets=256,
+        )
         for scheme in schemes:
-            sys_b = System(scheme=scheme)
-            wl_b = TupleSpaceWorkload(
-                sys_b, num_tuples=tuples, flows_per_tuple=flows,
-                num_packets=packets, num_buckets=256,
-            )
-            wl_b.build()
+            sys_b, wl_b = snapshot.build(TupleSpaceWorkload, params, scheme)
             baseline = run_baseline(sys_b, wl_b)
-            sys_q = System(scheme=scheme)
-            wl_q = TupleSpaceWorkload(
-                sys_q, num_tuples=tuples, flows_per_tuple=flows,
-                num_packets=packets, num_buckets=256,
-            )
-            wl_q.build()
+            sys_q, wl_q = snapshot.build(TupleSpaceWorkload, params, scheme)
             qei = run_qei(
                 sys_q, wl_q, non_blocking=True, poll_every=wl_q.nb_poll_every()
             )

@@ -38,7 +38,7 @@ from ..errors import ReproError
 from ..faults import FaultInjector, FaultKind
 from ..faults.injector import EXPECTED_CODES, MACHINE_KINDS, MASKABLE_KINDS, WRITE_KINDS
 from ..system import System
-from ..workloads import make_workload
+from . import snapshot
 from .report import ExperimentResult
 
 #: Workload sizes for the campaign: small enough that a fault resolves in
@@ -94,8 +94,9 @@ def _build_target(
     cfg = cfg.replace(
         qei=dataclasses.replace(cfg.qei, watchdog_steps=CAMPAIGN_WATCHDOG_STEPS)
     )
-    system = System(cfg, scheme)
-    workload = make_workload(workload_name, system, **CAMPAIGN_WORKLOADS[workload_name])
+    system, workload = snapshot.build(
+        workload_name, CAMPAIGN_WORKLOADS[workload_name], scheme, cfg
+    )
     injector = FaultInjector(system.space, rng=rng)
     nb_result_base = system.mem.alloc(16 * FLUSH_BATCH, align=64)
     return _Target(system, workload, injector, nb_result_base)

@@ -16,7 +16,7 @@ from typing import List, Optional
 from ..config import small_config
 from ..cpu import TraceBuilder, run_multiprogrammed
 from ..system import System
-from ..workloads import make_workload
+from . import snapshot
 from .experiments import workload_params
 from .report import ExperimentResult
 
@@ -66,16 +66,17 @@ def corun_interference(
     for name in workloads or ["dpdk", "jvm"]:
         params = workload_params(name, quick)
 
+        def machine():
+            return snapshot.build(name, params, "core-integrated", small_config())
+
         def solo_baseline():
-            system = System(small_config(), "core-integrated")
-            workload = make_workload(name, system, **params)
+            system, workload = machine()
             system.warm_llc()
             trace, _ = workload.baseline_trace()
             return system.cores[0].execute(trace).cycles
 
         def corun_baseline():
-            system = System(small_config(), "core-integrated")
-            workload = make_workload(name, system, **params)
+            system, workload = machine()
             antagonist = streaming_antagonist(system)
             system.warm_llc()
             trace, _ = workload.baseline_trace()
@@ -85,16 +86,14 @@ def corun_interference(
             return multi.per_core[0].cycles
 
         def solo_qei():
-            system = System(small_config(), "core-integrated")
-            workload = make_workload(name, system, **params)
+            system, workload = machine()
             system.warm_llc()
             port = system.query_port(0)
             trace = workload.qei_trace()
             return system.run_trace(trace, port=port).cycles
 
         def corun_qei():
-            system = System(small_config(), "core-integrated")
-            workload = make_workload(name, system, **params)
+            system, workload = machine()
             antagonist = streaming_antagonist(system)
             system.warm_llc()
             port = system.query_port(0)

@@ -1,72 +1,90 @@
-"""Warm-system snapshots: build each workload's memory image once, reuse it.
+"""The one place a workload image is built: once per key, then restored.
 
-Every (workload, scheme) sweep task — fig7/fig11/fig12 shards, the
-golden-stats pairs — starts by populating an identical process
-memory.  That setup is a pure function of the workload name and its
-parameters; only the *runs* afterwards depend on the integration scheme.
-So the first default-config build per (workload, params) is captured as a
-:class:`~repro.workloads.snapshot.WorkloadSnapshot` (one pickle of the
-process memory plus the workload's attributes; the bit-identity argument
-is in that module), and every later build restores it.
-``tests/test_golden_stats.py`` holds this path to the same hashes as cold
-builds.  Because every build of a workload starts from this one image, the
-figure sweeps also emit its software-baseline trace once and share it
-across the scheme pairs (``_PAIR_MEMO`` in
-:mod:`repro.analysis.experiments`; ``tests/test_figure_pins.py``).
+A populated process memory is a pure function of the workload and its
+parameters; the scheme, caches, NoC, QST and interface latencies only shape
+the runs afterwards.  So :func:`build` builds fresh on the first call for a
+key, captures the result as a
+:class:`~repro.workloads.snapshot.WorkloadSnapshot` (the bit-identity
+argument is in that module), and restores that image onto the caller's
+scheme and config on every later call.
 
-Snapshots apply only to default-config systems (``config is None``);
-custom configs (fig8's latency sweep) always build fresh and are never
-memoized.  A workload whose state cannot be pickled is never snapshotted:
-it always rebuilds and emits its own baseline trace per pair.
+The key is (workload name or class, params, ``config.memory_bytes``, heap
+kind).  Each pickled image is byte-equal across all five schemes, fig8's
+latency configs, A1's QST sizes and small configs of any core count; it
+differs only by the physical frame count (512 MB by default, 64 MB on
+small configs) and by the heap: 4 KB page scatter or A8's 2 MB
+:class:`~repro.mem.allocator.HugePageArena`.  ``System.__init__``
+allocates no simulated memory, so a System around a restored memory equals
+a fresh one.  ``tests/test_fusion_snapshot.py`` checks a restore against a
+fresh build for every (config, heap kind, scheme) a verb builds with.
+
+Images live for the process.  ``SimulatedCluster`` keeps its own per-fleet
+image instead (:mod:`repro.serve.cluster.cluster`).
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
+from ..config import SystemConfig
+from ..mem.allocator import HugePageArena
 from ..system import System
+from ..workloads import make_workload
 from ..workloads.base import QueryWorkload
 from ..workloads.snapshot import WorkloadSnapshot
 
-__all__ = ["WorkloadSnapshot", "capture", "clear", "get"]
+__all__ = ["WorkloadSnapshot", "build", "capture", "clear"]
 
-_Key = Tuple[str, Tuple[Tuple[str, object], ...]]
+#: A8's huge-page heap: 2MB pages from 2GB, 2MB aligned and clear of the
+#: 4 KB heap.
+HUGE_ARENA_BASE = 1 << 31
+HUGE_ARENA_PAGES = 24
 
-#: (workload name, frozen params) -> captured template.
-_TEMPLATES: Dict[_Key, WorkloadSnapshot] = {}
-
-#: Keys whose state could not be pickled — skip, don't retry.
-_UNCOPYABLE: Set[_Key] = set()
+#: (workload, frozen params, memory bytes, huge pages) -> captured image.
+_TEMPLATES: Dict[tuple, WorkloadSnapshot] = {}
 
 
 def clear() -> None:
-    """Drop all captured templates (tests, memory pressure)."""
+    """Drop all captured images (tests)."""
     _TEMPLATES.clear()
-    _UNCOPYABLE.clear()
 
 
-def _key(name: str, params: dict) -> Tuple[str, Tuple[Tuple[str, object], ...]]:
-    return name, tuple(sorted(params.items()))
+def _key(workload, params: dict, memory_bytes: int, huge_pages: bool) -> tuple:
+    return workload, tuple(sorted(params.items())), memory_bytes, huge_pages
 
 
-def get(name: str, params: dict) -> Optional[WorkloadSnapshot]:
-    """The captured template for (name, params), or None."""
-    return _TEMPLATES.get(_key(name, params))
+def capture(name, params: dict, system: System, workload: QueryWorkload) -> None:
+    """Record a just-built (system, workload) as the image for its key."""
+    key = _key(
+        name, params, system.config.memory_bytes,
+        isinstance(system.mem.heap, HugePageArena),
+    )
+    _TEMPLATES[key] = WorkloadSnapshot(system, workload)
 
 
-def capture(name: str, params: dict, system: System, workload: QueryWorkload) -> None:
-    """Record a just-built (system, workload) as the template for its key.
+def build(
+    workload,
+    params: dict,
+    scheme: str,
+    config: Optional[SystemConfig] = None,
+    *,
+    huge_pages: bool = False,
+) -> Tuple[System, QueryWorkload]:
+    """A fresh ``scheme`` System under ``config`` with ``workload`` built.
 
-    A workload whose state cannot be pickled (an unpicklable object, or a
-    graph too deep even at the raised recursion limit) is remembered as
-    uncopyable and simply never snapshotted — later builds fall back to
-    ordinary repopulation.
+    ``workload`` is a name from ``WORKLOAD_CLASSES`` or a
+    :class:`QueryWorkload` subclass; ``huge_pages`` places the heap in
+    2 MB huge pages instead of scattered 4 KB pages.
     """
-    key = _key(name, params)
-    if key in _UNCOPYABLE:
-        return
-    try:
-        _TEMPLATES[key] = WorkloadSnapshot(system, workload)
-    except (pickle.PicklingError, RecursionError):
-        _UNCOPYABLE.add(key)
+    memory_bytes = (config or SystemConfig).memory_bytes
+    image = _TEMPLATES.get(_key(workload, params, memory_bytes, huge_pages))
+    if image is not None:
+        return image.restore(scheme, config=config)
+    system = System(config, scheme)
+    if huge_pages:
+        system.mem.heap = HugePageArena(
+            system.space, HUGE_ARENA_BASE, huge_pages=HUGE_ARENA_PAGES
+        )
+    built = make_workload(workload, system, **params)
+    capture(workload, params, system, built)
+    return system, built

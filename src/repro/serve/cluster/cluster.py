@@ -139,7 +139,9 @@ class SimulatedCluster:
         self._ready: Set[int] = set()
         # Node 0 populates the dataset; the others restore its pickled
         # image (workloads/snapshot.py), which equals a fresh build.  The
-        # image dies with this frame.
+        # image dies with this frame: the build seed is the drill seed, so
+        # the process-wide images of analysis/snapshot.py would keep one
+        # per seed and grow without bound over a 200-seed soak.
         built0 = image = None
         for node_id in range(self.config.nodes):
             if image is None:

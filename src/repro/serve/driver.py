@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..analysis import snapshot
 from ..config import SCHEME_ORDER, IntegrationScheme, ServeConfig, small_config
-from ..system import System
-from ..workloads import make_workload
 from .loadgen import ClosedLoopGenerator, OpenLoopGenerator
 from .server import MODE_BATCHED, QueryServer
 from .slo import ServingReport
@@ -35,8 +34,9 @@ def build_serving_system(scheme: str, *, seed: int, serve_config: ServeConfig):
     :class:`~repro.serve.server.QueryServer`; the machine itself does not
     depend on it.
     """
-    system = System(small_config(SERVE_CORES), scheme)
-    built = make_workload("dpdk", system, seed=seed, **SERVE_DPDK)
+    system, built = snapshot.build(
+        "dpdk", dict(SERVE_DPDK, seed=seed), scheme, small_config(SERVE_CORES)
+    )
     system.warm_llc()
     return system, built
 

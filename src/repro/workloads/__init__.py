@@ -32,13 +32,13 @@ WORKLOAD_CLASSES = {
 }
 
 
-def make_workload(name: str, system, **params):
-    """Instantiate and build one of the five paper workloads by name."""
-    try:
-        cls = WORKLOAD_CLASSES[name]
-    except KeyError as exc:
+def make_workload(name, system, **params):
+    """Instantiate and build one of the five paper workloads by name, or a
+    :class:`QueryWorkload` subclass such as tuple-space search."""
+    cls = name if isinstance(name, type) else WORKLOAD_CLASSES.get(name)
+    if cls is None:
         names = ", ".join(sorted(WORKLOAD_CLASSES))
-        raise ValueError(f"unknown workload {name!r}; expected one of {names}") from exc
+        raise ValueError(f"unknown workload {name!r}; expected one of {names}")
     workload = cls(system, **params)
     workload.build()
     return workload

@@ -2,9 +2,9 @@
 
 Populating a workload — allocating frames, filling page tables, inserting
 every flow/object/item into the data structure — is a pure function of the
-workload class, its parameters and the machine config; only what runs
-afterwards depends on the integration scheme or on which replica a System
-plays.  :class:`WorkloadSnapshot` captures that functional state — the
+workload class, its parameters, the physical memory size and the heap kind;
+only what runs afterwards depends on the integration scheme, the rest of
+the machine config or on which replica a System plays.  :class:`WorkloadSnapshot` captures that functional state — the
 :class:`~repro.datastructs.base.ProcessMemory` (physical frames, page
 tables, allocator) plus the workload's own attributes (data-structure
 roots, query lists, RNG state) — as one pickle, and :meth:`restore`
@@ -26,14 +26,15 @@ restored :class:`~repro.system.System` is constructed fresh — caches,
 TLBs, accelerator sizing and stats all start cold, exactly as after an
 ordinary build.
 
-Two users: the fig7/fig11/fig12 sweeps keep one image per (workload,
-params) across schemes (:mod:`repro.analysis.snapshot`), and a
+Two users: :func:`repro.analysis.snapshot.build`, through which every
+experiment builds, keeps one image per (workload, params, memory size,
+heap kind) for the process and restores it onto any scheme and config; a
 :class:`~repro.serve.cluster.SimulatedCluster` builds its first replica
-and restores the others from one image.  Both paths are always on; there
-is no cold-build mode.  ``tests/test_fusion_snapshot.py`` and
-``tests/test_cluster_image.py`` build their cold references in the test
-and hold both paths to the same numbers, as do the golden stats and the
-chaos sha256 pins.
+and restores the others from one image of its own.  Both paths are always
+on; there is no cold-build mode.  ``tests/test_fusion_snapshot.py`` and
+``tests/test_cluster_image.py`` build their fresh references in the test
+and hold both paths to the same images and numbers, as do the golden
+stats and the chaos sha256 pins.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class WorkloadSnapshot:
     ) -> Tuple[System, QueryWorkload]:
         """A fresh cold System for ``scheme`` with the warm memory image.
 
-        ``config`` must be the config the image was built under, and
-        ``engine`` is adopted as :class:`System` does.
+        ``config`` may be any config with the ``memory_bytes`` the image
+        was built under; ``engine`` is adopted as :class:`System` does.
         """
         mem, state = pickle.loads(self._template)
         system = System(config, scheme, mem=mem, engine=engine)

@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro import small_config
-from repro.analysis import experiments
+from repro.analysis import experiments, snapshot
 from repro.config import ClusterConfig
 from repro.core.cfa import OP_UPDATE
 from repro.core.mutations import make_mutator
@@ -52,7 +52,8 @@ def _caches(system):
 
 
 def test_baseline_trace_allocates_no_per_op_objects():
-    _, workload = experiments._build("snort", "cha-tlb", True)
+    params = experiments.workload_params("snort", True)
+    _, workload = snapshot.build("snort", params, "cha-tlb")
     # The first call fills the address space's page-walk memos; the second
     # measures the trace alone.
     workload.baseline_trace()
@@ -88,7 +89,7 @@ def _pair(monkeypatch, refs=None):
     """``_pair_stats`` for dpdk/cha-tlb from an empty pair memo."""
     monkeypatch.setattr(experiments, "_PAIR_MEMO", {})
     if refs is not None:
-        real_build = experiments._build
+        real_build = snapshot.build
 
         def build(*args, **kwargs):
             system, workload = real_build(*args, **kwargs)
@@ -96,7 +97,7 @@ def _pair(monkeypatch, refs=None):
             refs.extend(weakref.ref(c) for c in _caches(system))
             return system, workload
 
-        monkeypatch.setattr(experiments, "_build", build)
+        monkeypatch.setattr(snapshot, "build", build)
     return experiments._pair_stats("dpdk", "cha-tlb", True)
 
 

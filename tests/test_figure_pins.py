@@ -112,10 +112,8 @@ def empty_memo(monkeypatch):
 def test_baseline_trace_is_scheme_independent(name):
     params = experiments.workload_params(name, True)
     cold = make_workload(name, System(None, SCHEME_ORDER[0]), **params)
-    if snapshot.get(name, params) is None:
-        snapshot.capture(name, params, cold.system, cold)
     builds = [cold] + [
-        experiments._build(name, scheme, True)[1] for scheme in SCHEME_ORDER
+        snapshot.build(name, params, scheme)[1] for scheme in SCHEME_ORDER
     ]
     emitted = []
     for workload in builds:
@@ -129,7 +127,8 @@ def test_baseline_trace_is_scheme_independent(name):
 @pytest.mark.parametrize("kind", sorted(TRACE_PINS))
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_baseline_trace_is_pinned(name, kind):
-    _, workload = experiments._build(name, "cha-tlb", True)
+    params = experiments.workload_params(name, True)
+    _, workload = snapshot.build(name, params, "cha-tlb")
     if kind == "app":
         trace, values = workload.app_trace_baseline()
     else:
@@ -172,16 +171,16 @@ def test_clearing_the_memo_between_pairs_changes_no_pair(empty_memo):
 def test_baseline_system_is_freed_before_the_qei_build(empty_memo, monkeypatch):
     """One live System per pair: reference counting alone frees the
     baseline side before the QEI side is built (peak RSS)."""
-    build = experiments._build
+    build = snapshot.build
     systems, dead_at_build = [], []
 
-    def spy(name, scheme, quick):
+    def spy(name, params, scheme):
         dead_at_build.append([ref() is None for ref in systems])
-        system, workload = build(name, scheme, quick)
+        system, workload = build(name, params, scheme)
         systems.append(weakref.ref(system))
         return system, workload
 
-    monkeypatch.setattr(experiments, "_build", spy)
+    monkeypatch.setattr(snapshot, "build", spy)
     gc.disable()
     try:
         experiments._pair_stats("dpdk", "cha-tlb", True)
@@ -198,14 +197,16 @@ def test_fig8_baseline_ignores_device_latency():
             300, latency
         )
         config = SystemConfig(scheme_latencies=overrides)
-        system, workload = experiments._build(
-            "dpdk", "device-indirect", True, config
+        system, workload = snapshot.build(
+            "dpdk", experiments.workload_params("dpdk", True),
+            "device-indirect", config,
         )
         runs.append(run_baseline(system, workload))
     assert runs[0] == runs[1]
 
 
 def test_run_baseline_refuses_a_roi_trace_for_an_app_run():
-    system, workload = experiments._build("dpdk", "cha-tlb", True)
+    params = experiments.workload_params("dpdk", True)
+    system, workload = snapshot.build("dpdk", params, "cha-tlb")
     with pytest.raises(ValueError):
         run_baseline(system, workload, app=True, emitted=workload.baseline_trace())

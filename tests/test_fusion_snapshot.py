@@ -10,15 +10,30 @@ exactly, and fusion must keep the engine event count where it was.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.analysis import snapshot
-from repro.analysis.experiments import _build, workload_params
+from repro.analysis.ablations import QST_SIZES
+from repro.analysis.experiments import FIG8_LATENCIES, workload_params
+from repro.analysis.fault_campaign import CAMPAIGN_WATCHDOG_STEPS, CAMPAIGN_WORKLOADS
+from repro.config import (
+    DEFAULT_SCHEME_LATENCIES,
+    SCHEME_ORDER,
+    IntegrationScheme,
+    SchemeLatencyConfig,
+    SystemConfig,
+    small_config,
+)
+from repro.mem.allocator import HugePageArena
+from repro.serve.driver import SERVE_CORES, SERVE_DPDK
 from repro.sim.engine import Engine
-from repro.workloads import run_qei
+from repro.system import System
+from repro.workloads import TupleSpaceWorkload, make_workload, run_qei
+from repro.workloads.snapshot import WorkloadSnapshot
 
 
 def _stats_hash(system) -> str:
@@ -73,7 +88,7 @@ FUSED_EVENTS = {
 
 def _roi_events(workload, scheme):
     snapshot.clear()
-    system, wl = _build(workload, scheme, quick=True)
+    system, wl = snapshot.build(workload, workload_params(workload, True), scheme)
     run = run_qei(system, wl)
     return system.engine.events_processed, run.cycles, run.queries
 
@@ -93,54 +108,142 @@ def test_fusion_keeps_engine_event_count(pair, monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def test_snapshot_restore_is_bit_identical_to_cold_build(monkeypatch):
-    # Cold reference: the image step patched out, so the build populates.
-    with monkeypatch.context() as cold_build:
-        cold_build.setattr(snapshot, "get", lambda name, params: None)
-        cold_build.setattr(snapshot, "capture", lambda *args: None)
-        cold_sys, cold_wl = _build("dpdk", "cha-tlb", quick=True)
-    cold = run_qei(cold_sys, cold_wl)
-    cold_hash = _stats_hash(cold_sys)
-
-    # Snapshot path: first build captures, later builds restore.
-    snapshot.clear()
-    _build("dpdk", "cha-tlb", quick=True)  # capture template
+def test_snapshot_restore_is_bit_identical_to_cold_build():
     params = workload_params("dpdk", True)
-    assert snapshot.get("dpdk", params) is not None
+    cold_wl = make_workload("dpdk", System(None, "cha-tlb"), **params)
+    cold = run_qei(cold_wl.system, cold_wl)
+    cold_hash = _stats_hash(cold_wl.system)
 
+    # First build captures the image; later builds restore it.
+    snapshot.clear()
+    snapshot.build("dpdk", params, "cha-tlb")
     for scheme in ("cha-tlb", "cha-notlb"):
-        warm_sys, warm_wl = _build("dpdk", scheme, quick=True)
+        warm_sys, warm_wl = snapshot.build("dpdk", params, scheme)
         if scheme == "cha-tlb":
             warm = run_qei(warm_sys, warm_wl)
             assert (warm.cycles, warm.instructions) == (cold.cycles, cold.instructions)
             assert _stats_hash(warm_sys) == cold_hash
         else:
-            # Cross-scheme restore from the same template still runs.
+            # Cross-scheme restore from the same image still runs.
             assert run_qei(warm_sys, warm_wl).queries == cold.queries
     snapshot.clear()
 
 
 def test_snapshot_template_isolated_from_restored_runs():
+    params = workload_params("rocksdb", True)
     snapshot.clear()
-    _build("rocksdb", "cha-tlb", quick=True)
+    snapshot.build("rocksdb", params, "cha-tlb")
 
     # Run on one restored copy (mutates its mem: result buffers, traces)...
-    sys_a, wl_a = _build("rocksdb", "cha-tlb", quick=True)
+    sys_a, wl_a = snapshot.build("rocksdb", params, "cha-tlb")
     first = run_qei(sys_a, wl_a)
     hash_a = _stats_hash(sys_a)
 
     # ...then restore again: the template must be untouched.
-    sys_b, wl_b = _build("rocksdb", "cha-tlb", quick=True)
+    sys_b, wl_b = snapshot.build("rocksdb", params, "cha-tlb")
     second = run_qei(sys_b, wl_b)
     assert (second.cycles, second.instructions) == (first.cycles, first.instructions)
     assert _stats_hash(sys_b) == hash_a
     snapshot.clear()
 
 
-def test_custom_config_bypasses_snapshots():
-    from repro.config import SystemConfig
+# --------------------------------------------------------------------- #
+# One image per key, restored onto every config a verb builds with
+# --------------------------------------------------------------------- #
 
-    snapshot.clear()
-    _build("dpdk", "cha-tlb", quick=True, config=SystemConfig())
-    assert snapshot.get("dpdk", workload_params("dpdk", True)) is None
-    snapshot.clear()
+
+def _fig8_config(latency: int) -> SystemConfig:
+    overrides = dict(DEFAULT_SCHEME_LATENCIES)
+    overrides[IntegrationScheme.DEVICE_INDIRECT] = SchemeLatencyConfig(300, latency)
+    return SystemConfig(scheme_latencies=overrides)
+
+
+def _qst_config(entries: int) -> SystemConfig:
+    base = SystemConfig()
+    return base.replace(qei=dataclasses.replace(base.qei, qst_entries=entries))
+
+
+def _campaign_config() -> SystemConfig:
+    base = small_config(2)
+    return base.replace(
+        qei=dataclasses.replace(base.qei, watchdog_steps=CAMPAIGN_WATCHDOG_STEPS)
+    )
+
+
+DPDK = workload_params("dpdk", True)
+TUPLE_SPACE = dict(num_tuples=5, flows_per_tuple=256, num_packets=24, num_buckets=256)
+
+#: (id, workload, params, config factory, huge pages, scheme): every pair of
+#: config and heap kind a verb builds with, under the schemes it uses.
+IMAGE_CASES = (
+    [("default", "dpdk", DPDK, SystemConfig, False, s) for s in SCHEME_ORDER]
+    + [
+        (f"fig8-{lat}", "dpdk", DPDK, lambda lat=lat: _fig8_config(lat), False,
+         "device-indirect")
+        for lat in FIG8_LATENCIES
+    ]
+    + [
+        (f"a1-qst{n}", "dpdk", DPDK, lambda n=n: _qst_config(n), False,
+         "core-integrated")
+        for n in QST_SIZES
+    ]
+    + [
+        (f"small-{name}", name, workload_params(name, True), small_config, False,
+         "core-integrated")
+        for name in ("dpdk", "jvm")
+    ]
+    + [
+        (f"campaign-{name}", name, params, _campaign_config, False, s)
+        for name, params in CAMPAIGN_WORKLOADS.items()
+        for s in SCHEME_ORDER
+    ]
+    + [
+        ("serve", "dpdk", dict(SERVE_DPDK, seed=7),
+         lambda: small_config(SERVE_CORES), False, s)
+        for s in SCHEME_ORDER
+    ]
+    + [
+        ("huge-pages", "dpdk", DPDK, SystemConfig, True, s)
+        for s in ("cha-notlb", "cha-tlb", "core-integrated")
+    ]
+    + [
+        ("tuple-space", TupleSpaceWorkload, TUPLE_SPACE, SystemConfig, False, s)
+        for s in SCHEME_ORDER
+    ]
+)
+
+
+def _image(system, workload) -> bytes:
+    """The pickled (memory, workload state), after one restore round trip.
+
+    Pickle writes a string it has seen as a back-reference by identity, and
+    a fresh build's attribute names are interned while unpickled ones are
+    not; one round trip puts both sides on the same footing.
+    """
+    once = WorkloadSnapshot(system, workload)
+    return WorkloadSnapshot(*once.restore(system.scheme))._template
+
+
+@pytest.mark.parametrize(
+    "case", IMAGE_CASES, ids=[f"{c[0]}-{c[5]}" for c in IMAGE_CASES]
+)
+def test_restore_equals_a_fresh_build(case):
+    _, workload, params, make_config, huge, scheme = case
+    config = make_config()
+    fresh_sys = System(config, scheme)
+    if huge:
+        fresh_sys.mem.heap = HugePageArena(
+            fresh_sys.space, snapshot.HUGE_ARENA_BASE,
+            huge_pages=snapshot.HUGE_ARENA_PAGES,
+        )
+    fresh = make_workload(workload, fresh_sys, **params)
+
+    # The image comes from another scheme on another config with the same
+    # memory size; the restore must still equal the fresh build.
+    donor = SystemConfig() if config.memory_bytes == SystemConfig.memory_bytes else small_config()
+    snapshot.build(workload, params, SCHEME_ORDER[-1], donor, huge_pages=huge)
+    images = len(snapshot._TEMPLATES)
+    system, restored = snapshot.build(workload, params, scheme, config, huge_pages=huge)
+    assert len(snapshot._TEMPLATES) == images  # a restore, not a second build
+    assert system.config is config and system.scheme.value == scheme
+    assert _image(system, restored) == _image(fresh_sys, fresh)

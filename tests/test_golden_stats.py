@@ -99,17 +99,19 @@ def _snapshot_hash(stats) -> str:
 
 
 def _measure_pair(workload: str, scheme: str, mutations: bool = False) -> dict:
-    from repro.analysis.experiments import _build
+    from repro.analysis import snapshot
+    from repro.analysis.experiments import workload_params
     from repro.workloads import run_baseline, run_qei
 
-    sys_b, wl_b = _build(workload, scheme, quick=True)
+    params = workload_params(workload, True)
+    sys_b, wl_b = snapshot.build(workload, params, scheme)
     if mutations:
         # Loading the write-CFA subsystem (firmware mutation programs,
         # seqlock plumbing) must be invisible to a read-only run: same
         # cycles, same instructions, same full stats snapshot.
         sys_b.enable_mutations()
     baseline = run_baseline(sys_b, wl_b)
-    sys_q, wl_q = _build(workload, scheme, quick=True)
+    sys_q, wl_q = snapshot.build(workload, params, scheme)
     if mutations:
         sys_q.enable_mutations()
     qei = run_qei(sys_q, wl_q)

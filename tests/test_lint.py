@@ -50,6 +50,13 @@ A seventh sweep keeps the CEE's micro-op vocabulary to what programs
 issue: every ``K_*`` kind ``repro/core/cfa.py`` assigns must lead a tuple
 that some ``return`` in ``src/repro/core`` returns.  A kind no program
 issues is a driver branch nothing runs.
+
+An eighth sweep keeps one build path: outside
+``repro.analysis.snapshot.build`` (and ``make_workload`` itself), nothing
+in ``src/repro`` calls ``make_workload(...)`` or a workload's ``.build()``.
+Every other caller builds through that function, which builds each image
+once per process and restores it after.  The allowlist below names each
+exception with its reason.
 """
 
 from __future__ import annotations
@@ -765,3 +772,98 @@ def test_micro_op_sweep_counts_only_returned_tuple_heads():
     # A kind only assigned, or returned anywhere but the tuple's head,
     # is not issued.
     assert _unissued_kinds(kinds, [program]) == ["3: K_WAIT", "4: K_SPARE"]
+
+
+#: Where a workload may be built: the one build function, and
+#: ``make_workload`` itself, the primitive it calls.
+BUILD_SITES = {
+    "src/repro/analysis/snapshot.py": "build",
+    "src/repro/workloads/__init__.py": "make_workload",
+}
+
+#: Other builders, ``path: qualified function`` -> why it builds itself.
+BUILD_ALLOWLIST = {
+    "src/repro/serve/cluster/cluster.py: SimulatedCluster.__init__": (
+        "keeps one image per fleet; its key is the drill seed, so a"
+        " process-wide image per seed would grow without bound over a"
+        " 200-seed soak"
+    ),
+}
+
+
+def _workload_builds(tree: ast.AST) -> Iterator[Tuple[str, int]]:
+    """``(qualified function, line)`` of every ``make_workload(...)`` call
+    and every ``.build()`` call without arguments."""
+
+    def visit(node: ast.AST, scope: Tuple[str, ...]):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if _call_name(func) == "make_workload" or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "build"
+                    and not child.args
+                    and not child.keywords
+                ):
+                    yield ".".join(scope) or "<module>", child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, ())
+
+
+def _stray_builds(sources: Dict[str, str]) -> List[str]:
+    """``path:line: function`` of each build outside the allowed sites."""
+    stray = []
+    for rel, text in sorted(sources.items()):
+        for where, lineno in _workload_builds(ast.parse(text)):
+            if BUILD_SITES.get(rel) == where or f"{rel}: {where}" in BUILD_ALLOWLIST:
+                continue
+            stray.append(f"{rel}:{lineno}: {where}")
+    return stray
+
+
+def test_workloads_build_only_through_the_snapshot_builder():
+    sources = {
+        path.relative_to(REPO_ROOT).as_posix(): path.read_text()
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    }
+    stray = _stray_builds(sources)
+    assert not stray, (
+        "workload builds outside repro.analysis.snapshot.build (call it"
+        " instead):\n" + "\n".join(stray)
+    )
+    builders = {
+        f"{rel}: {where}"
+        for rel, text in sources.items()
+        for where, _ in _workload_builds(ast.parse(text))
+    }
+    assert set(BUILD_ALLOWLIST) <= builders, "stale BUILD_ALLOWLIST entries"
+
+
+def test_build_sweep_flags_each_call_form():
+    source = (
+        "from ..workloads import make_workload\n"
+        "import repro.workloads as workloads\n"
+        "def fresh(system):\n"
+        "    return make_workload('dpdk', system)\n"
+        "class Bench:\n"
+        "    def setup(self, wl, tree):\n"
+        "        workloads.make_workload('jvm', self.system)\n"
+        "        wl.build()\n"
+        "        tree.build(4)\n"
+        "        return snapshot.build('dpdk', {}, 'cha-tlb')\n"
+        "def build(system):\n"
+        "    return make_workload('dpdk', system)\n"
+    )
+    assert _stray_builds({"src/repro/x.py": source}) == [
+        "src/repro/x.py:4: fresh",
+        "src/repro/x.py:7: Bench.setup",
+        "src/repro/x.py:8: Bench.setup",
+        "src/repro/x.py:12: build",
+    ]
+    assert _stray_builds({"src/repro/analysis/snapshot.py": source})[-1] == (
+        "src/repro/analysis/snapshot.py:8: Bench.setup"
+    )

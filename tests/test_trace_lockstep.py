@@ -16,7 +16,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from repro.analysis.experiments import BENCH_WORKLOADS, _build  # noqa: E402
+from repro.analysis import snapshot  # noqa: E402
+from repro.analysis.experiments import BENCH_WORKLOADS, workload_params  # noqa: E402
 from repro.cpu.trace import TraceBuilder  # noqa: E402
 from repro.workloads import base  # noqa: E402
 
@@ -92,8 +93,9 @@ def test_workload_traces_match_reference(name, monkeypatch):
     for method, pick in TRACE_METHODS:
         # Two identical restores: trace builders may allocate simulated
         # memory (qei_nb_trace's result buffer), so each builder gets its own.
-        _, new_wl = _build(name, "cha-tlb", True)
-        _, ref_wl = _build(name, "cha-tlb", True)
+        params = workload_params(name, True)
+        _, new_wl = snapshot.build(name, params, "cha-tlb")
+        _, ref_wl = snapshot.build(name, params, "cha-tlb")
         new = getattr(new_wl, method)()
         with monkeypatch.context() as patch:
             patch.setattr(base, "TraceBuilder", trace_reference.TraceBuilder)
